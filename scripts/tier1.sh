@@ -38,6 +38,12 @@
 #                         brute-force oracle bitwise
 #   9. obs coverage     — >= 85% line coverage on src/repro/obs via the
 #                         stdlib tracer (scripts/obs_coverage.py)
+#  10. ledger smoke      — the end-to-end benchmark's own unit tests, then
+#                         every ledger workload at smoke size, untraced and
+#                         traced, with every op oracle-checked; fails when a
+#                         probed callable (BlockGrid.neighbors,
+#                         PseudoBlockMap.pid_of_bid, ...) was renamed or
+#                         re-homed without the ledger's call surface
 #
 # Run from the repository root:  sh scripts/tier1.sh
 set -e
@@ -49,43 +55,49 @@ export PYTHONPATH=src
 # stalling the whole gate.  Tests may tighten it with @pytest.mark.timeout.
 export REPRO_TEST_TIMEOUT="${REPRO_TEST_TIMEOUT:-300}"
 
-echo "== tier1 1/9: fast test suite =="
+echo "== tier1 1/10: fast test suite =="
 python -m pytest -m "not slow and not serve and not faults" -q
 
-echo "== tier1 2/9: bench regression gate (smoke) =="
+echo "== tier1 2/10: bench regression gate (smoke) =="
 python -m repro.bench check --baseline results/ --smoke
 
-echo "== tier1 3/9: parallel build smoke (byte-identity gate) =="
+echo "== tier1 3/10: parallel build smoke (byte-identity gate) =="
 BUILD_SMOKE_OUT="$(mktemp /tmp/BENCH_build_smoke.XXXXXX.json)"
 python -m repro.bench build --smoke --out "$BUILD_SMOKE_OUT"
 rm -f "$BUILD_SMOKE_OUT"
 
-echo "== tier1 4/9: sharded serving smoke (identity + hot-shard gates) =="
+echo "== tier1 4/10: sharded serving smoke (identity + hot-shard gates) =="
 SHARD_SMOKE_OUT="$(mktemp /tmp/BENCH_shard_smoke.XXXXXX.json)"
 python -m repro.bench shard --smoke --out "$SHARD_SMOKE_OUT"
 rm -f "$SHARD_SMOKE_OUT"
 
-echo "== tier1 5/9: vector engine smoke (byte-identity gate) =="
+echo "== tier1 5/10: vector engine smoke (byte-identity gate) =="
 VECTOR_SMOKE_OUT="$(mktemp /tmp/BENCH_vector_smoke.XXXXXX.json)"
 python -m repro.bench vector --smoke --out "$VECTOR_SMOKE_OUT"
 rm -f "$VECTOR_SMOKE_OUT"
 
-echo "== tier1 6/9: any-k / reverse smoke (oracle + pruning gates) =="
+echo "== tier1 6/10: any-k / reverse smoke (oracle + pruning gates) =="
 ANYK_SMOKE_OUT="$(mktemp /tmp/BENCH_anyk_smoke.XXXXXX.json)"
 python -m repro.bench anyk --smoke --out "$ANYK_SMOKE_OUT"
 rm -f "$ANYK_SMOKE_OUT"
 
-echo "== tier1 7/9: durable ingestion smoke (recovery + failover gates) =="
+echo "== tier1 7/10: durable ingestion smoke (recovery + failover gates) =="
 INGEST_SMOKE_OUT="$(mktemp /tmp/BENCH_ingest_smoke.XXXXXX.json)"
 python -m repro.bench ingest --smoke --out "$INGEST_SMOKE_OUT"
 rm -f "$INGEST_SMOKE_OUT"
 
-echo "== tier1 8/9: adaptive routing smoke (beats-best-static + oracle gates) =="
+echo "== tier1 8/10: adaptive routing smoke (beats-best-static + oracle gates) =="
 ADAPTIVE_SMOKE_OUT="$(mktemp /tmp/BENCH_adaptive_smoke.XXXXXX.json)"
 python -m repro.bench adaptive --smoke --out "$ADAPTIVE_SMOKE_OUT"
 rm -f "$ADAPTIVE_SMOKE_OUT"
 
-echo "== tier1 9/9: obs coverage floor =="
+echo "== tier1 9/10: obs coverage floor =="
 python scripts/obs_coverage.py
+
+echo "== tier1 10/10: ledger unit tests + smoke run (call surface + oracle gates) =="
+python -m pytest benchmarks/ledger/tests -q
+LEDGER_SMOKE_OUT="$(mktemp /tmp/LEDGER_smoke.XXXXXX.json)"
+python3 benchmarks/ledger/run.py run --smoke --out "$LEDGER_SMOKE_OUT"
+rm -f "$LEDGER_SMOKE_OUT"
 
 echo "tier1: all gates passed"

@@ -13,13 +13,19 @@ The grid answers the geometric questions the query algorithm asks:
 * what axis-aligned box a block covers (``box``),
 * which blocks are (face-)adjacent to a block (``neighbors`` — the
   ``neighbor(b, c)`` relation of Lemma 1).
+
+The answers are *compiled*: bins, strides and the block count are derived
+once at construction, and per-block coordinates, neighbor tuples and boxes
+are tabulated on first touch, so the frontier loop of Section 3.2 looks
+geometry up instead of re-deriving it (DESIGN.md section 3, "grid geometry
+is compiled, not computed").
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 
 class GridError(Exception):
@@ -54,6 +60,42 @@ class BlockGrid:
                 raise GridError(f"dimension {dim!r} needs >= 2 boundaries")
             if any(a >= b for a, b in zip(edges, edges[1:])):
                 raise GridError(f"boundaries of {dim!r} must be strictly increasing")
+        self._compile()
+
+    # ------------------------------------------------------------------
+    # derived geometry (never part of the value)
+    # ------------------------------------------------------------------
+    def _compile(self) -> None:
+        """Derive the shape eagerly and start the first-touch tables empty.
+
+        The derived attributes are not dataclass fields, so ``==``, ``hash``
+        and ``repr`` never see them, and :meth:`__getstate__` keeps them out
+        of pickles.  Every table holds entries for valid bids only and is
+        therefore bounded by ``num_blocks``.  Concurrent first touches may
+        both compute an entry; the values are deterministic and a dict
+        store is atomic, so the race is benign.
+        """
+        bins = tuple(len(edges) - 1 for edges in self.boundaries)
+        strides = []
+        stride = 1
+        for count in bins:
+            strides.append(stride)
+            stride *= count
+        derived = self.__dict__  # frozen: bypass __setattr__, as dataclasses do
+        derived["_bins"] = bins
+        derived["_strides"] = tuple(strides)
+        derived["_num_blocks"] = stride
+        derived["_coords"] = {}      # bid -> coords
+        derived["_neighbors"] = {}   # bid -> face-adjacent bids
+        derived["_boxes"] = {}       # bid -> (lower, upper)
+        derived["_sub_boxes"] = {}   # positions -> {bid -> (lower, upper)}
+
+    def __getstate__(self) -> dict:
+        return {"dims": self.dims, "boundaries": self.boundaries}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._compile()
 
     # ------------------------------------------------------------------
     # shape
@@ -64,33 +106,22 @@ class BlockGrid:
 
     @property
     def bins_per_dim(self) -> tuple[int, ...]:
-        return tuple(len(edges) - 1 for edges in self.boundaries)
+        return self._bins
 
     @property
     def num_blocks(self) -> int:
-        total = 1
-        for bins in self.bins_per_dim:
-            total *= bins
-        return total
-
-    def _strides(self) -> tuple[int, ...]:
-        strides = []
-        stride = 1
-        for bins in self.bins_per_dim:
-            strides.append(stride)
-            stride *= bins
-        return tuple(strides)
+        return self._num_blocks
 
     # ------------------------------------------------------------------
     # bid <-> coordinates
     # ------------------------------------------------------------------
     def bid_of(self, coords: Sequence[int]) -> int:
         """Row-major block id of grid coordinates (dim 0 fastest)."""
-        bins = self.bins_per_dim
+        bins = self._bins
         if len(coords) != len(bins):
             raise GridError(f"expected {len(bins)} coordinates, got {len(coords)}")
         bid = 0
-        for coord, bin_count, stride in zip(coords, bins, self._strides()):
+        for coord, bin_count, stride in zip(coords, bins, self._strides):
             if not 0 <= coord < bin_count:
                 raise GridError(f"coordinate {coord} out of range [0, {bin_count})")
             bid += coord * stride
@@ -98,13 +129,19 @@ class BlockGrid:
 
     def coords_of(self, bid: int) -> tuple[int, ...]:
         """Grid coordinates of a block id."""
-        if not 0 <= bid < self.num_blocks:
-            raise GridError(f"bid {bid} out of range [0, {self.num_blocks})")
+        try:
+            return self._coords[bid]
+        except KeyError:
+            pass
+        if not 0 <= bid < self._num_blocks:
+            raise GridError(f"bid {bid} out of range [0, {self._num_blocks})")
+        rest = bid
         coords = []
-        for bins in self.bins_per_dim:
-            coords.append(bid % bins)
-            bid //= bins
-        return tuple(coords)
+        for bins in self._bins:
+            coords.append(rest % bins)
+            rest //= bins
+        self._coords[bid] = result = tuple(coords)
+        return result
 
     # ------------------------------------------------------------------
     # geometry
@@ -140,17 +177,19 @@ class BlockGrid:
                 f"expected an (n, {self.num_dims}) point array, got {array.shape}"
             )
         bids = np.zeros(len(array), dtype=np.int64)
-        stride = 1
         for d, edges in enumerate(self.boundaries):
             edges_arr = np.asarray(edges)
             coords = np.searchsorted(edges_arr, array[:, d], side="right") - 1
-            np.clip(coords, 0, len(edges) - 2, out=coords)
-            bids += coords * stride
-            stride *= len(edges) - 1
+            np.clip(coords, 0, self._bins[d] - 1, out=coords)
+            bids += coords * self._strides[d]
         return [int(b) for b in bids]
 
     def box(self, bid: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """Closed box ``(lower, upper)`` covered by a block."""
+        try:
+            return self._boxes[bid]
+        except KeyError:
+            pass
         coords = self.coords_of(bid)
         lower = tuple(
             edges[c] for c, edges in zip(coords, self.boundaries)
@@ -158,7 +197,8 @@ class BlockGrid:
         upper = tuple(
             edges[c + 1] for c, edges in zip(coords, self.boundaries)
         )
-        return lower, upper
+        self._boxes[bid] = result = (lower, upper)
+        return result
 
     def full_box(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """The box covering the whole grid."""
@@ -167,16 +207,25 @@ class BlockGrid:
             tuple(edges[-1] for edges in self.boundaries),
         )
 
-    def neighbors(self, bid: int) -> Iterator[int]:
-        """Face-adjacent blocks (differ by one step along one dimension)."""
-        coords = list(self.coords_of(bid))
-        for d, bins in enumerate(self.bins_per_dim):
-            for step in (-1, 1):
-                coord = coords[d] + step
-                if 0 <= coord < bins:
-                    coords[d] = coord
-                    yield self.bid_of(coords)
-                    coords[d] = coords[d] - step
+    def neighbors(self, bid: int) -> tuple[int, ...]:
+        """Face-adjacent blocks (differ by one step along one dimension).
+
+        Ordered by dimension, the lower neighbor before the higher one.
+        """
+        try:
+            return self._neighbors[bid]
+        except KeyError:
+            pass
+        found = []
+        for coord, bins, stride in zip(
+            self.coords_of(bid), self._bins, self._strides
+        ):
+            if coord > 0:
+                found.append(bid - stride)
+            if coord + 1 < bins:
+                found.append(bid + stride)
+        self._neighbors[bid] = result = tuple(found)
+        return result
 
     def project(self, dims: Sequence[str]) -> tuple[int, ...]:
         """Positions of ``dims`` within the grid's dimension order."""
@@ -197,8 +246,15 @@ class BlockGrid:
         (Figure 6's r < R setting): the lower bound of f over the block
         only involves the dimensions f reads.
         """
+        positions = tuple(dim_positions)
+        try:
+            return self._sub_boxes[positions][bid]
+        except KeyError:
+            pass
         lower, upper = self.box(bid)
-        return (
-            tuple(lower[p] for p in dim_positions),
-            tuple(upper[p] for p in dim_positions),
+        result = (
+            tuple(lower[p] for p in positions),
+            tuple(upper[p] for p in positions),
         )
+        self._sub_boxes.setdefault(positions, {})[bid] = result
+        return result

@@ -98,13 +98,12 @@ class ChainStore:
         if locator is None:
             return []
         page_index, slot, count = _unpack_locator(locator)
-        capacity = self.codec.capacity(self.page_size)
         records: list[tuple] = []
         while count > 0:
-            page = RecordPage.from_bytes(
-                self.pool.get(self._page_ids[page_index]), self.codec, self.page_size
+            take = RecordPage.read_slice(
+                self.pool.get(self._page_ids[page_index]),
+                self.codec, self.page_size, slot, count,
             )
-            take = page.records[slot:slot + count]
             records.extend(take)
             count -= len(take)
             page_index += 1

@@ -293,7 +293,9 @@ class RankingCubeExecutor:
         watched-metric I/O deltas (see :mod:`repro.obs.tracing`).  Span
         I/O attribution is exact for serial execution.
         """
-        if tracer is not None and trace is None:
+        if tracer is None:
+            return self._execute_traced(query, trace, None, None)
+        if trace is None:
             trace = ExecutorTrace()
         attrs = dict(
             k=query.k,
@@ -304,7 +306,7 @@ class RankingCubeExecutor:
             # only stamped in vector mode, so row-path golden traces keep
             # their exact historical attribute set
             attrs["executor"] = "vector"
-        with maybe_span(tracer, "query", **attrs) as query_span:
+        with tracer.span("query", **attrs) as query_span:
             return self._execute_traced(query, trace, tracer, query_span)
 
     def open_search(
@@ -361,7 +363,7 @@ class RankingCubeExecutor:
             memo = (
                 self.bound_memo.group(fn, grid) if self.bound_memo is not None else None
             )
-            start_bid = self._start_block(query, grid)
+            start_bid = self._start_block(fn, grid, positions)
             if plan_span is not None:
                 plan_span.add("grid_blocks", grid.num_blocks)
                 plan_span.attributes["start_bid"] = start_bid
@@ -518,7 +520,7 @@ class RankingCubeExecutor:
             raise CubeError(f"ranking dimensions {missing} not in the cube")
         covering = state.covering_cuboids(query.selection_names)
         positions = grid.project(fn.dims)
-        start_bid = self._start_block(query, grid)
+        start_bid = self._start_block(fn, grid, positions)
         layers = []
         if self.buffer_pseudo_blocks:
             layers.append("per-query pseudo-block buffer")
@@ -540,10 +542,8 @@ class RankingCubeExecutor:
     # ------------------------------------------------------------------
     # the four steps
     # ------------------------------------------------------------------
-    def _start_block(self, query: TopKQuery, grid) -> int:
+    def _start_block(self, fn, grid, positions: tuple[int, ...]) -> int:
         """Block containing the global minimizer of the ranking function."""
-        fn = query.ranking
-        positions = grid.project(fn.dims)
         lower, upper = grid.full_box()
         sub_lower = [lower[p] for p in positions]
         sub_upper = [upper[p] for p in positions]
@@ -922,7 +922,7 @@ class ProgressiveSearch:
             if executor.bound_memo is not None
             else None
         )
-        start_bid = executor._start_block(query, grid)
+        start_bid = executor._start_block(fn, grid, self._positions)
         self._frontier: list[tuple[float, int]] = [
             (
                 executor._block_bound(

@@ -117,23 +117,18 @@ def build_shard_partial(
     for tid, point, bid in zip(tids, points, bids):
         base_groups.setdefault(bid, []).append((int(tid), *map(float, point)))
 
-    # pid computation is per scale factor, not per cuboid: memoize bid->pid
-    # once per distinct scale so wide cuboid families don't recompute it
-    pid_maps: dict[int, dict[int, int]] = {}
+    # the bid -> pid table is per scale factor, not per cuboid: one map per
+    # distinct scale so wide cuboid families share it
     pseudo_by_scale = {
         spec.scale: PseudoBlockMap(grid, spec.scale) for spec in specs
     }
 
     cuboid_groups: list[dict[tuple, list[tuple[int, int]]]] = []
     for spec in specs:
-        pseudo = pseudo_by_scale[spec.scale]
-        pid_of = pid_maps.setdefault(spec.scale, {})
+        pid_of_bid = pseudo_by_scale[spec.scale].pid_of_bid
         groups: dict[tuple, list[tuple[int, int]]] = {}
         for row, tid, bid in zip(sel_rows, tids, bids):
-            pid = pid_of.get(bid)
-            if pid is None:
-                pid = pseudo.pid_of_bid(bid)
-                pid_of[bid] = pid
+            pid = pid_of_bid(bid)
             key = tuple(int(row[p]) for p in spec.positions) + (pid,)
             groups.setdefault(key, []).append((int(tid), int(bid)))
         cuboid_groups.append(groups)

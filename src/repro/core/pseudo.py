@@ -50,33 +50,58 @@ class PseudoBlockMap:
     def __post_init__(self) -> None:
         if self.sf < 1:
             raise GridError(f"scale factor must be >= 1, got {self.sf}")
+        self._compile()
+
+    def _compile(self) -> None:
+        """Derive the coarse shape; start the bid -> pid table empty.
+
+        Same contract as :meth:`BlockGrid._compile`: derived attributes are
+        not fields, stay out of pickles, and the first-touch table is
+        bounded by the grid's block count.
+        """
+        pbins = tuple(-(-bins // self.sf) for bins in self.grid.bins_per_dim)
+        total = 1
+        for count in pbins:
+            total *= count
+        derived = self.__dict__  # frozen: bypass __setattr__, as dataclasses do
+        derived["_pbins"] = pbins
+        derived["_num_pseudo_blocks"] = total
+        derived["_pids"] = {}  # bid -> pid
+
+    def __getstate__(self) -> dict:
+        return {"grid": self.grid, "sf": self.sf}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._compile()
 
     @property
     def pbins_per_dim(self) -> tuple[int, ...]:
-        return tuple(-(-bins // self.sf) for bins in self.grid.bins_per_dim)
+        return self._pbins
 
     @property
     def num_pseudo_blocks(self) -> int:
-        total = 1
-        for bins in self.pbins_per_dim:
-            total *= bins
-        return total
+        return self._num_pseudo_blocks
 
     def pid_of_bid(self, bid: int) -> int:
         """Pseudo block containing base block ``bid``."""
-        coords = self.grid.coords_of(bid)
+        try:
+            return self._pids[bid]
+        except KeyError:
+            pass
         pid = 0
         stride = 1
-        for coord, pbins in zip(coords, self.pbins_per_dim):
+        for coord, pbins in zip(self.grid.coords_of(bid), self._pbins):
             pid += (coord // self.sf) * stride
             stride *= pbins
+        self._pids[bid] = pid
         return pid
 
     def pcoords_of_pid(self, pid: int) -> tuple[int, ...]:
-        if not 0 <= pid < self.num_pseudo_blocks:
-            raise GridError(f"pid {pid} out of range [0, {self.num_pseudo_blocks})")
+        if not 0 <= pid < self._num_pseudo_blocks:
+            raise GridError(f"pid {pid} out of range [0, {self._num_pseudo_blocks})")
         coords = []
-        for pbins in self.pbins_per_dim:
+        for pbins in self._pbins:
             coords.append(pid % pbins)
             pid //= pbins
         return tuple(coords)

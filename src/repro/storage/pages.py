@@ -15,6 +15,7 @@ self-describing enough for integrity checks.
 from __future__ import annotations
 
 import struct
+from itertools import islice
 from typing import Iterable, Sequence
 
 from .device import PageCorruptionError, StorageError
@@ -78,9 +79,11 @@ class RecordCodec:
     def pack(self, records: Sequence[tuple]) -> bytes:
         return b"".join(self._struct.pack(*record) for record in records)
 
-    def unpack(self, data: bytes, count: int) -> list[tuple]:
+    def unpack(self, data: bytes, count: int, offset: int = 0) -> list[tuple]:
+        """``count`` consecutive records starting at byte ``offset``."""
         size = self.record_size
-        return [self._struct.unpack_from(data, i * size) for i in range(count)]
+        unpack_from = self._struct.unpack_from
+        return [unpack_from(data, offset + i * size) for i in range(count)]
 
 
 class RecordPage:
@@ -113,8 +116,14 @@ class RecordPage:
         return len(self.records) - 1
 
     def extend(self, records: Iterable[tuple]) -> None:
-        for record in records:
-            self.append(record)
+        """Append records in order; the first one past capacity raises
+        ``PageFormatError("page is full")`` with its predecessors kept,
+        exactly as repeated :meth:`append` calls would."""
+        free = max(self.capacity - len(self.records), 0)
+        remaining = iter(records)
+        self.records.extend(map(tuple, islice(remaining, free)))
+        for _overflow in remaining:
+            raise PageFormatError("page is full")
 
     def to_bytes(self) -> bytes:
         next_encoded = NO_NEXT_PAGE if self.next_page_id is None else self.next_page_id
@@ -133,23 +142,48 @@ class RecordPage:
         page_size: int,
         page_id: int | None = None,
     ) -> "RecordPage":
-        page_type, count, next_encoded = _HEADER.unpack_from(data)
-        if page_type not in _KNOWN_PAGE_TYPES:
-            raise PageCorruptionError(
-                f"unknown page type {page_type} (damaged header)", page_id=page_id
-            )
-        if page_type != PAGE_TYPE_RECORD:
-            raise PageFormatError(f"expected record page, found type {page_type}")
+        count, next_encoded = _record_header(data, codec, page_size, page_id)
         page = cls(codec, page_size)
-        if count > page.capacity:
-            raise PageCorruptionError(
-                f"record count {count} exceeds page capacity {page.capacity} "
-                "(damaged header)",
-                page_id=page_id,
-            )
-        page.records = codec.unpack(data[_HEADER.size:], count)
+        page.records = codec.unpack(data, count, _HEADER.size)
         page.next_page_id = None if next_encoded == NO_NEXT_PAGE else next_encoded
         return page
+
+    @staticmethod
+    def read_slice(
+        data: bytes,
+        codec: RecordCodec,
+        page_size: int,
+        slot: int,
+        count: int,
+        page_id: int | None = None,
+    ) -> list[tuple]:
+        """Records ``[slot, slot + count)`` of a page image, clipped to the
+        records it holds — ``from_bytes(...).records[slot:slot + count]``
+        with the same header checks but only that slice decoded."""
+        stored, _next = _record_header(data, codec, page_size, page_id)
+        taken = max(min(slot + count, stored) - slot, 0)
+        return codec.unpack(data, taken, _HEADER.size + slot * codec.record_size)
+
+
+def _record_header(
+    data: bytes, codec: RecordCodec, page_size: int, page_id: int | None
+) -> tuple[int, int]:
+    """Validated ``(record count, encoded next page)`` of a record page."""
+    page_type, count, next_encoded = _HEADER.unpack_from(data)
+    if page_type not in _KNOWN_PAGE_TYPES:
+        raise PageCorruptionError(
+            f"unknown page type {page_type} (damaged header)", page_id=page_id
+        )
+    if page_type != PAGE_TYPE_RECORD:
+        raise PageFormatError(f"expected record page, found type {page_type}")
+    capacity = codec.capacity(page_size)
+    if count > capacity:
+        raise PageCorruptionError(
+            f"record count {count} exceeds page capacity {capacity} "
+            "(damaged header)",
+            page_id=page_id,
+        )
+    return count, next_encoded
 
 
 class BytesPage:

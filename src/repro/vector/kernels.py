@@ -89,31 +89,26 @@ def block_bounds(
 ) -> list[float]:
     """Batched corner bounds ``f(bid)`` for many blocks at once.
 
-    Builds the sub-boxes of every bid (restricted to the ranking
-    dimensions, as :meth:`BlockGrid.sub_box` does) with array arithmetic
-    and hands them to ``fn.min_over_boxes``.  The box edges are gathered,
-    not recomputed, so they match the scalar path bit for bit.
+    Gathers every bid's sub-box (restricted to the ranking dimensions)
+    from the grid's compiled tables via :meth:`BlockGrid.sub_box`, stacks
+    them per dimension and hands them to ``fn.min_over_boxes``.  The box
+    edges are the scalar path's own floats, so the bounds match it bit
+    for bit.
     """
     if not bids:
         return []
+    boxes = [grid.sub_box(bid, positions) for bid in bids]
     np = numpy_or_none()
     if np is None:
-        return [
-            float(fn.min_over_box(*grid.sub_box(bid, positions))) for bid in bids
-        ]
-    bins = grid.bins_per_dim
-    strides = []
-    stride = 1
-    for count in bins:
-        strides.append(stride)
-        stride *= count
-    bid_arr = np.asarray(bids, dtype=np.int64)
-    lowers, uppers = [], []
-    for p in positions:
-        edges = np.asarray(grid.boundaries[p], dtype=np.float64)
-        coords = (bid_arr // strides[p]) % bins[p]
-        lowers.append(edges[coords])
-        uppers.append(edges[coords + 1])
+        return [float(fn.min_over_box(lower, upper)) for lower, upper in boxes]
+    lowers = [
+        np.array(edges, dtype=np.float64)
+        for edges in zip(*(lower for lower, _ in boxes))
+    ]
+    uppers = [
+        np.array(edges, dtype=np.float64)
+        for edges in zip(*(upper for _, upper in boxes))
+    ]
     bounds = fn.min_over_boxes(lowers, uppers)
     return [float(b) for b in bounds]
 

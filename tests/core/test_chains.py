@@ -1,7 +1,16 @@
 """Unit tests for keyed record chains."""
 
+import pytest
+
 from repro.core import ChainStore
-from repro.storage import BlockDevice, BufferPool, RecordCodec
+from repro.storage import (
+    BlockDevice,
+    BufferPool,
+    PageCorruptionError,
+    PageFormatError,
+    RecordCodec,
+)
+from repro.storage.pages import BytesPage
 
 
 def make_store(page_size=256, capacity=64):
@@ -41,6 +50,56 @@ class TestBuildGet:
         _d, _p, store = make_store()
         store.build([])
         assert store.num_records == 0
+
+
+class CountingCodec(RecordCodec):
+    """Counts the records :meth:`unpack` is asked to decode."""
+
+    decoded = 0
+
+    def unpack(self, data, count, offset=0):
+        self.decoded += count
+        return super().unpack(data, count, offset)
+
+
+class TestSliceDecode:
+    def build(self, groups, page_size=256):
+        pool = BufferPool(BlockDevice(page_size=page_size), capacity=64)
+        store = ChainStore(pool, CountingCodec("qi"))
+        store.build(groups)
+        return pool, store
+
+    def test_get_decodes_only_the_records_it_returns(self):
+        groups = [((k,), [(k, i) for i in range(3)]) for k in range(6)]
+        _pool, store = self.build(groups)
+        assert store.num_chain_pages == 1  # six groups share the page
+        for key, records in groups:
+            store.codec.decoded = 0
+            assert store.get(key) == records
+            assert store.codec.decoded == len(records)
+
+    def test_spanning_group_decodes_each_record_once(self):
+        records = [(i, i % 7) for i in range(100)]
+        _pool, store = self.build([((0,), [(9, 9)]), ((1,), records)], page_size=64)
+        store.codec.decoded = 0
+        assert store.get((1,)) == records
+        assert store.codec.decoded == len(records)
+
+    def test_damaged_headers_are_still_detected(self):
+        pool, store = self.build([((0,), [(1, 1), (2, 2)])])
+        page_id = store._page_ids[0]
+        image = pool.get(page_id)
+        pool.put(page_id, b"\x09" + image[1:])
+        with pytest.raises(PageCorruptionError, match="unknown page type"):
+            store.get((0,))
+        damaged = bytearray(image)
+        damaged[2:4] = (0xFFFF).to_bytes(2, "little")
+        pool.put(page_id, bytes(damaged))
+        with pytest.raises(PageCorruptionError, match="exceeds page capacity"):
+            store.get((0,))
+        pool.put(page_id, BytesPage(256, b"node").to_bytes().ljust(256, b"\0"))
+        with pytest.raises(PageFormatError, match="expected record page"):
+            store.get((0,))
 
 
 class TestIOBehaviour:

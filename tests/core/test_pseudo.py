@@ -1,6 +1,10 @@
 """Unit tests for pseudo blocks and scale factors."""
 
+import pickle
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import BlockGrid, GridError, PseudoBlockMap, scale_factor
 
@@ -107,3 +111,64 @@ class TestPseudoBlockMap:
         grid = make_grid((4, 4))
         pseudo = PseudoBlockMap.for_cuboid(grid, [2, 2])
         assert pseudo.sf == 2
+
+
+# ----------------------------------------------------------------------
+# compiled bid -> pid table vs. reference arithmetic
+# ----------------------------------------------------------------------
+def ref_pid_of_bid(bins, sf, bid):
+    pid, stride = 0, 1
+    for count in bins:
+        pid += ((bid % count) // sf) * stride
+        stride *= -(-count // sf)
+        bid //= count
+    return pid
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    bins=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+    sf=st.integers(1, 6),
+)
+def test_pid_tables_equal_reference_arithmetic(bins, sf):
+    grid = make_grid(tuple(bins))
+    pseudo = PseudoBlockMap(grid, sf)
+    pbins = tuple(-(-count // sf) for count in bins)
+    assert pseudo.pbins_per_dim == pbins
+    members: dict[int, list[int]] = {}
+    for bid in range(grid.num_blocks):
+        members.setdefault(ref_pid_of_bid(bins, sf, bid), []).append(bid)
+    assert pseudo.num_pseudo_blocks == len(members)
+    for _cold_then_warm in range(2):
+        for bid in range(grid.num_blocks):
+            assert pseudo.pid_of_bid(bid) == ref_pid_of_bid(bins, sf, bid)
+        for pid in range(pseudo.num_pseudo_blocks):
+            assert pseudo.bids_of_pid(pid) == members[pid]
+
+
+class TestCompiledTableIsNotTheValue:
+    @staticmethod
+    def warm(pseudo):
+        for bid in range(pseudo.grid.num_blocks):
+            pseudo.pid_of_bid(bid)
+        return pseudo
+
+    @pytest.mark.parametrize("bad_bid", [-1, 16, 10**9])
+    def test_bad_bids_raise_cold_and_warm(self, bad_bid):
+        for pseudo in (
+            PseudoBlockMap(make_grid(), 2),
+            self.warm(PseudoBlockMap(make_grid(), 2)),
+        ):
+            with pytest.raises(GridError):
+                pseudo.pid_of_bid(bad_bid)
+
+    def test_warm_map_is_the_same_value_and_pickle(self):
+        warm = self.warm(PseudoBlockMap(make_grid(), 2))
+        fresh = PseudoBlockMap(make_grid(), 2)
+        assert warm == fresh
+        assert hash(warm) == hash(fresh)
+        assert repr(warm) == repr(fresh)
+        assert pickle.dumps(warm) == pickle.dumps(fresh)
+        restored = pickle.loads(pickle.dumps(warm))
+        assert restored == fresh
+        assert restored.pid_of_bid(15) == 3

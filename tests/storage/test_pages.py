@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.storage import BytesPage, PageFormatError, RecordCodec, RecordPage
+from repro.storage import (
+    BytesPage,
+    PageCorruptionError,
+    PageFormatError,
+    RecordCodec,
+    RecordPage,
+)
 from repro.storage.pages import page_header_size
 
 
@@ -26,6 +32,12 @@ class TestRecordCodec:
         records = [(1, 2, 3.5), (-7, 0, -0.25)]
         data = codec.pack(records)
         assert codec.unpack(data, 2) == records
+
+    def test_unpack_from_a_byte_offset(self):
+        codec = RecordCodec("qi")
+        records = [(i, -i) for i in range(5)]
+        data = b"hdr" + codec.pack(records)
+        assert codec.unpack(data, 2, 3 + 2 * codec.record_size) == records[2:4]
 
     def test_float_precision_preserved(self):
         codec = RecordCodec("d")
@@ -59,6 +71,32 @@ class TestRecordPage:
         with pytest.raises(PageFormatError):
             page.append((99,))
 
+    @pytest.mark.parametrize("held", [0, 2, 5])
+    def test_extend_overflows_at_the_same_record_as_append(self, held):
+        codec = RecordCodec("q")
+        batch = [[i] for i in range(100, 110)]  # lists: extend coerces too
+        extended, appended = RecordPage(codec, 64), RecordPage(codec, 64)
+        assert extended.capacity < held + len(batch)
+        for page in (extended, appended):
+            for i in range(held):
+                page.append((i,))
+        with pytest.raises(PageFormatError, match="page is full"):
+            extended.extend(iter(batch))
+        with pytest.raises(PageFormatError, match="page is full"):
+            for record in batch:
+                appended.append(record)
+        assert extended.records == appended.records
+        assert extended.is_full
+
+    def test_extend_to_exactly_full_is_accepted(self):
+        codec = RecordCodec("q")
+        page = RecordPage(codec, 64)
+        page.extend((i,) for i in range(page.capacity))
+        assert page.is_full
+        page.extend([])
+        with pytest.raises(PageFormatError, match="page is full"):
+            page.extend([(0,)])
+
     def test_next_page_id_roundtrip(self):
         codec = RecordCodec("q")
         page = RecordPage(codec, 128)
@@ -83,6 +121,42 @@ class TestRecordPage:
         blob = BytesPage(128, b"payload")
         with pytest.raises(PageFormatError):
             RecordPage.from_bytes(blob.to_bytes(), codec, 128)
+
+
+class TestReadSlice:
+    CODEC = RecordCodec("qd")
+
+    def image(self, count=9, page_size=256):
+        page = RecordPage(self.CODEC, page_size)
+        page.extend((i, i / 4) for i in range(count))
+        return page.to_bytes().ljust(page_size, b"\0")
+
+    @pytest.mark.parametrize(
+        "slot,count", [(0, 9), (0, 3), (4, 2), (7, 30), (9, 1), (12, 4), (3, 0)]
+    )
+    def test_equals_the_slice_of_a_full_decode(self, slot, count):
+        image = self.image()
+        full = RecordPage.from_bytes(image, self.CODEC, 256).records
+        assert (
+            RecordPage.read_slice(image, self.CODEC, 256, slot, count)
+            == full[slot:slot + count]
+        )
+
+    def test_unknown_page_type_is_corruption(self):
+        image = b"\x07" + self.image()[1:]
+        with pytest.raises(PageCorruptionError, match="unknown page type"):
+            RecordPage.read_slice(image, self.CODEC, 256, 0, 1, page_id=5)
+
+    def test_count_beyond_capacity_is_corruption(self):
+        image = bytearray(self.image())
+        image[2:4] = (self.CODEC.capacity(256) + 1).to_bytes(2, "little")
+        with pytest.raises(PageCorruptionError, match="exceeds page capacity"):
+            RecordPage.read_slice(bytes(image), self.CODEC, 256, 0, 1)
+
+    def test_wrong_layout_is_a_format_error(self):
+        blob = BytesPage(256, b"payload").to_bytes()
+        with pytest.raises(PageFormatError, match="expected record page"):
+            RecordPage.read_slice(blob, self.CODEC, 256, 0, 1)
 
 
 class TestBytesPage:

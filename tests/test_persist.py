@@ -242,6 +242,34 @@ class TestShardedWorkspace:
             ]
         assert got == expected
 
+    def test_manifest_digests_ignore_compiled_geometry(self, tmp_path):
+        """Filling the grids' first-touch tables — all that serving leaves
+        behind in a grid — must not move the SHA-256 pins.  The tables are
+        warmed directly, not by queries: a snapshot also pickles the
+        metrics registry and the buffer pool's frames, which any query
+        moves, so a queried deployment re-pins for reasons of its own."""
+        from repro.persist import save_sharded_workspace
+        from repro.shard import build_sharded
+
+        cube = build_sharded(self._schema(), self._rows(), 3, block_size=8)
+
+        def digests(name):
+            manifest = save_sharded_workspace(cube, tmp_path / name)
+            return [entry["sha256"] for entry in manifest["shards"]]
+
+        before = digests("cold")
+        for shard in cube.shards:
+            state = shard.cube.snapshot()
+            grid = state.grid
+            positions = grid.project(("n2", "n1"))
+            for bid in range(grid.num_blocks):
+                grid.neighbors(bid)
+                grid.sub_box(bid, positions)
+                for cuboid in state.cuboids.values():
+                    cuboid.pid_of_bid(bid)
+            assert len(grid._neighbors) == grid.num_blocks
+        assert digests("warm") == before
+
     def test_torn_multi_file_save_detected(self, tmp_path):
         from repro.persist import load_sharded_workspace, save_sharded_workspace
         from repro.shard import build_sharded
