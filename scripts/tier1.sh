@@ -12,9 +12,13 @@
 #                         size; fails unless the parallel device image is
 #                         byte-identical and answers match (the speedup
 #                         assertion stays off at smoke size)
-#   4. shard smoke      — sharded scatter-gather serving at smoke size;
-#                         fails unless answers are identical to the
-#                         unsharded cube, the hottest shard's per-query
+#   4. shard smoke      — sharded scatter-gather serving at smoke size:
+#                         ONE merge loop over two transports (in-process
+#                         endpoints, worker pipes).  First the structural
+#                         test that no thread/process fork has grown back
+#                         in serve/sharded.py, then both modes; fails
+#                         unless answers are identical to the unsharded
+#                         cube in each, the hottest shard's per-query
 #                         device reads beat the unsharded baseline, and
 #                         the early-stop merge prunes vs a naive pass
 #   5. vector smoke     — columnar batched execution at smoke size; fails
@@ -66,7 +70,8 @@ BUILD_SMOKE_OUT="$(mktemp /tmp/BENCH_build_smoke.XXXXXX.json)"
 python -m repro.bench build --smoke --out "$BUILD_SMOKE_OUT"
 rm -f "$BUILD_SMOKE_OUT"
 
-echo "== tier1 4/10: sharded serving smoke (identity + hot-shard gates) =="
+echo "== tier1 4/10: sharded serving smoke (one loop, two transports: single-path + identity + hot-shard gates) =="
+python -m pytest tests/serve/test_single_path.py -q
 SHARD_SMOKE_OUT="$(mktemp /tmp/BENCH_shard_smoke.XXXXXX.json)"
 python -m repro.bench shard --smoke --out "$SHARD_SMOKE_OUT"
 rm -f "$SHARD_SMOKE_OUT"

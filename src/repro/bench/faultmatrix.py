@@ -712,9 +712,8 @@ def run_ingest_schedule(
 # ----------------------------------------------------------------------
 # sharded failover schedules
 # ----------------------------------------------------------------------
-#: Kill points the failover matrix drives.  All five exist in thread
-#: mode; in process mode ``enum_next`` kills the worker process between
-#: batches (there is no front-end hook inside a worker's enumeration).
+#: Kill points the failover matrix drives — the same five front-end
+#: fault seams in both serving modes (one loop, two transports).
 FAILOVER_KILL_POINTS = (
     "scatter",        # shard death while opening per-shard searches
     "merge_round",    # shard death mid-merge, partial heap in hand
@@ -784,7 +783,7 @@ class _PrimaryKill:
     def kill_worker(self) -> None:
         """SIGKILL the victim's current worker (process mode only)."""
         self.fired = True
-        handle = self.service._proc_pool._handles.get(self.victim)
+        handle = self.service._transport._handles.get(self.victim)
         if handle is not None and handle.alive:
             handle.process.kill()
             handle.process.join(timeout=10)
@@ -906,8 +905,6 @@ def run_failover_schedule(
                 for row in cursor.next_batch(prefix)
             ]
             kill.armed = True
-            if mode == "process":
-                kill.kill_worker()
             got += [
                 (row.tid, round(row.score, 12))
                 for row in cursor.next_batch(depth - len(got))

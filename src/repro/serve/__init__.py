@@ -16,10 +16,12 @@ query stream and makes the read path safe for concurrent workers:
   drift-repartition maintenance (:mod:`repro.route`),
 * :class:`ShardedQueryService` — the same front end over a horizontally
   sharded deployment (:mod:`repro.shard`), scatter-gathering per-shard
-  progressive searches under a global early-termination bound.  With
-  ``mode="process"`` each shard's stack lives in a long-lived worker
-  process (:mod:`repro.serve.procpool`) speaking length-prefixed pickle
-  frames (:mod:`repro.serve.wire`) — same merge, no GIL on the steps.
+  progressive searches under a global early-termination bound.  One
+  merge loop over per-shard endpoints (:mod:`repro.serve.endpoint`):
+  called directly in this process, or — ``mode="process"`` — each in a
+  long-lived worker process (:mod:`repro.serve.procpool`) speaking
+  length-prefixed pickle frames (:mod:`repro.serve.wire`), with no GIL
+  on the steps.
 
 ``python -m repro.bench serve`` replays a skewed multi-tenant stream
 through these layers and reports throughput, latency percentiles, and
@@ -29,7 +31,8 @@ against the unsharded baseline (``BENCH_shard.json``).
 """
 
 from .cache import BoundMemo, CacheStats, ColumnarBlockCache, PseudoBlockCache
-from .procpool import ProcessShardPool, ProcPoolError, ShardWorkerHandle
+from .endpoint import LocalShardPool, ProcPoolError, ShardEndpoint
+from .procpool import ProcessShardPool, ShardWorkerHandle
 from .routed import RoutedQueryService
 from .service import (
     QueryRecord,
@@ -50,6 +53,7 @@ __all__ = [
     "BoundMemo",
     "CacheStats",
     "ColumnarBlockCache",
+    "LocalShardPool",
     "ProcessShardPool",
     "ProcPoolError",
     "PseudoBlockCache",
@@ -59,6 +63,7 @@ __all__ = [
     "ServiceClosedError",
     "ServiceOverloadedError",
     "ServiceStats",
+    "ShardEndpoint",
     "ShardWorkerHandle",
     "ShardedAnyKCursor",
     "ShardedQueryRecord",

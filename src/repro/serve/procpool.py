@@ -1,12 +1,13 @@
-"""Process-per-shard workers for the sharded serving tier.
+"""Process-per-shard workers: the pipe transport of the sharded tier.
 
-Thread-mode scatter-gather (:class:`~repro.serve.sharded.ShardedQueryService`)
-is correct but GIL-bound: every shard's retrieve/evaluate loop runs in
-one interpreter, so multi-shard serving cannot beat the unsharded
-baseline on wall clock.  This module moves each shard's *entire* serving
-stack — :class:`~repro.storage.device.BlockDevice`, buffer pool, cube
-snapshot, shared caches — into a long-lived **worker process** that owns
-it exclusively:
+With the in-process pool (:class:`~repro.serve.endpoint.LocalShardPool`)
+every shard's retrieve/evaluate loop runs in one interpreter, so
+multi-shard serving is GIL-bound.  This module puts each shard's
+:class:`~repro.serve.endpoint.ShardEndpoint` — and with it the shard's
+*entire* serving stack: :class:`~repro.storage.device.BlockDevice`,
+buffer pool, cube snapshot, shared caches, open sessions — into a
+long-lived **worker process** that owns it exclusively, and gives the
+front end a :class:`ShardWorkerHandle` with the endpoint's own calls:
 
 * **Bootstrap** — workers start from the spawn context
   (:func:`repro.core.parallel.spawn_context`) and warm-start from the
@@ -15,12 +16,13 @@ it exclusively:
   therefore always serves byte-identical state to the one it replaces.
 * **Protocol** — length-prefixed pickle frames (:mod:`repro.serve.wire`)
   over a :func:`multiprocessing.Pipe`; one request at a time per worker,
-  sessions keyed by request id so many front-end queries can interleave
-  rounds on one worker.
+  each naming one endpoint call (:func:`_dispatch`), sessions keyed by
+  request id so many front-end queries can interleave rounds on one
+  worker.  The worker adds no logic of its own to a call.
 * **Failure** — a worker death mid-conversation surfaces as a typed
   :class:`~repro.serve.wire.WorkerDiedError`; the pool respawns the
-  worker from the pinned snapshot (bounded, with retries) while the
-  affected queries degrade to the
+  worker from the pinned snapshot (bounded, with retries) or promotes a
+  warm standby, while the affected queries degrade to the
   :class:`~repro.core.executor.QueryAbortedError` path.
 * **Observability** — the worker executes under its own process-local
   :class:`~repro.obs.metrics.MetricsRegistry`; each closed session ships
@@ -36,22 +38,12 @@ import hashlib
 import os
 import threading
 import time
-from dataclasses import replace
 from pathlib import Path
 
-from ..core.anyk import AnyKCursor
-from ..core.executor import (
-    ExecutorTrace,
-    ProgressiveSearch,
-    RankingCubeExecutor,
-    _push_topk,
-)
-from ..core.reverse import count_preceding
 from ..core.parallel import spawn_context
-from ..obs.metrics import MetricsRegistry, diff_counter_items
-from ..obs.tracing import Tracer
-from ..storage.device import StorageError
+from ..obs.metrics import MetricsRegistry
 from . import wire
+from .endpoint import ProcPoolError, ShardEndpoint
 
 #: Seconds the front end waits on a worker reply before declaring it dead.
 DEFAULT_WORKER_TIMEOUT = 60.0
@@ -61,42 +53,9 @@ DEFAULT_START_TIMEOUT = 120.0
 DEFAULT_RESPAWN_RETRIES = 2
 
 
-class ProcPoolError(RuntimeError):
-    """Pool misuse or an unservable shard (respawn retries exhausted)."""
-
-
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-class _Session:
-    """One open progressive search (or any-k cursor) inside a worker.
-
-    ``cursor`` is None for batched top-k sessions; enumeration sessions
-    (:class:`~repro.serve.wire.OpenEnum`) hold their
-    :class:`~repro.core.anyk.AnyKCursor` here and alias ``search`` to the
-    cursor's underlying :class:`ProgressiveSearch` so accounting
-    (:func:`_session_blocks`, :class:`~repro.serve.wire.CloseSearch`)
-    works identically for both kinds.
-    """
-
-    __slots__ = (
-        "request_id", "search", "trace", "tracer", "io_before",
-        "counters_before", "local_topk", "k", "rounds", "cursor",
-    )
-
-    def __init__(self, request_id, search, trace, tracer, io_before, counters_before, k, cursor=None):
-        self.request_id = request_id
-        self.search = search
-        self.trace = trace
-        self.tracer = tracer
-        self.io_before = io_before
-        self.counters_before = counters_before
-        self.local_topk: list[tuple[float, int]] = []
-        self.k = k
-        self.rounds = 0
-        self.cursor = cursor
-
-
 def _verify_pinned_snapshot(directory: Path, entry: dict) -> bytes:
     """Read a shard snapshot and check it against its manifest pin."""
     from ..persist import PersistError
@@ -115,66 +74,30 @@ def _verify_pinned_snapshot(directory: Path, entry: dict) -> bytes:
     return data
 
 
-def _bootstrap_stack(directory: str, entry: dict, cube_name: str, options: dict):
-    """Load the pinned snapshot and assemble the shard's serving stack."""
+def _load_endpoint(
+    directory: str, entry: dict, cube_name: str, options: dict
+) -> ShardEndpoint:
+    """Load the pinned snapshot and stand the shard's endpoint on it."""
     from ..persist import Workspace
-    from .cache import BoundMemo, PseudoBlockCache
 
     directory = Path(directory)
     _verify_pinned_snapshot(directory, entry)
     workspace = Workspace.load(directory / entry["file"])
-    db = workspace.db
-    table = db.table(cube_name)
-    cube = workspace.cubes[cube_name]
-    registry = getattr(db.pool, "registry", None) or MetricsRegistry()
-    if options.get("share_caches", True):
-        pseudo_cache = PseudoBlockCache(registry=registry)
-        bound_memo = BoundMemo(registry=registry)
-    else:
-        pseudo_cache = bound_memo = None
-    executor = RankingCubeExecutor(
-        cube,
-        table,
+    return ShardEndpoint(
+        int(entry["shard_id"]),
+        workspace.db,
+        workspace.db.table(cube_name),
+        workspace.cubes[cube_name],
+        share_caches=options.get("share_caches", True),
         buffer_pseudo_blocks=options.get("buffer_pseudo_blocks", True),
-        pseudo_cache=pseudo_cache,
-        bound_memo=bound_memo,
+        ship_counters=True,
     )
-    return db, executor, registry, pseudo_cache, bound_memo
-
-
-def _run_batch(session: _Session, kth: float | None, max_steps: int):
-    """Step a session's search under the merge's continue rules.
-
-    Stops at ``max_steps``, at exhaustion, when the global bound prunes
-    the shard (``best_unseen > kth``, the strict complement of the
-    thread-mode merge's non-strict continue), or when the shard's *local*
-    top-k is certified — locally certified means no further step can
-    change this shard's contribution to any global answer, which is
-    exactly where the naive per-shard executor stops too.
-    """
-    search = session.search
-    scored: list[tuple[float, int]] = []
-    steps = 0
-    while steps < max_steps and not search.exhausted:
-        bound = search.best_unseen
-        if kth is not None and bound > kth:
-            break
-        if len(session.local_topk) >= session.k and bound > -session.local_topk[0][0]:
-            break
-        for score, tid in search.step():
-            _push_topk(session.local_topk, session.k, score, tid)
-            scored.append((score, tid))
-        steps += 1
-    return scored, steps
 
 
 def _shard_worker_main(conn, directory: str, entry: dict, cube_name: str, options: dict):
     """Worker process entry point: bootstrap, then the request loop."""
-    shard_id = int(entry["shard_id"])
     try:
-        db, executor, registry, pseudo_cache, bound_memo = _bootstrap_stack(
-            directory, entry, cube_name, options
-        )
+        endpoint = _load_endpoint(directory, entry, cube_name, options)
     except Exception as exc:
         try:
             wire.send_msg(conn, wire.WorkerFault(request_id=None, error=exc))
@@ -184,34 +107,25 @@ def _shard_worker_main(conn, directory: str, entry: dict, cube_name: str, option
     wire.send_msg(
         conn,
         wire.Pong(
-            shard_id=shard_id,
+            shard_id=endpoint.shard_id,
             pid=os.getpid(),
             rows=int(entry["rows"]),
             role=options.get("role", "primary"),
         ),
     )
 
-    sessions: dict[int, _Session] = {}
     while True:
         try:
             msg = wire.recv_msg(conn)
         except (EOFError, OSError):
             break
+        request_id = getattr(msg, "request_id", None)
         try:
-            reply = _dispatch(
-                msg, sessions, db, executor, registry, pseudo_cache,
-                bound_memo, shard_id,
-            )
-        except (StorageError, wire.WireError) as exc:
-            reply = wire.WorkerFault(
-                request_id=getattr(msg, "request_id", None),
-                error=exc,
-                blocks_accessed=_session_blocks(sessions, msg),
-            )
-        except Exception as exc:  # never die silently on a bad request
-            reply = wire.WorkerFault(
-                request_id=getattr(msg, "request_id", None), error=exc
-            )
+            reply = _dispatch(msg, endpoint)
+        except Exception as exc:  # typed faults and bad requests alike:
+            # ship it, never die silently (the front end's abort closes
+            # the session, which is where its block count comes from)
+            reply = wire.WorkerFault(request_id=request_id, error=exc)
         if reply is None:  # Shutdown
             break
         try:
@@ -221,155 +135,55 @@ def _shard_worker_main(conn, directory: str, entry: dict, cube_name: str, option
     conn.close()
 
 
-def _session_blocks(sessions: dict, msg) -> int:
-    session = sessions.get(getattr(msg, "request_id", None))
-    return session.search.result.blocks_accessed if session is not None else 0
-
-
-def _dispatch(msg, sessions, db, executor, registry, pseudo_cache, bound_memo, shard_id):
-    if isinstance(msg, wire.OpenSearch):
-        if msg.request_id in sessions:
-            raise wire.WireError(f"session {msg.request_id} already open")
-        tracer = Tracer(registry) if msg.trace else None
-        trace = ExecutorTrace()
-        io_before = db.io_snapshot()
-        counters_before = registry.counter_items()
-        search = ProgressiveSearch(executor, msg.query, trace)
-        session = _Session(
-            msg.request_id, search, trace, tracer, io_before, counters_before,
-            msg.query.k,
-        )
-        sessions[msg.request_id] = session
-        return _step_session(session, msg.kth, msg.max_steps, shard_id, opening=True)
+def _dispatch(msg, endpoint: ShardEndpoint):
+    """Frame one request as the endpoint call it names, and the call's
+    result tuple as the matching reply."""
+    rid = getattr(msg, "request_id", None)
     if isinstance(msg, wire.StepBatch):
-        session = sessions.get(msg.request_id)
-        if session is None:
-            raise wire.WireError(f"no open session {msg.request_id}")
-        return _step_session(session, msg.kth, msg.max_steps, shard_id, opening=False)
-    if isinstance(msg, wire.OpenEnum):
-        if msg.request_id in sessions:
-            raise wire.WireError(f"session {msg.request_id} already open")
-        tracer = Tracer(registry) if msg.trace else None
-        trace = ExecutorTrace()
-        io_before = db.io_snapshot()
-        counters_before = registry.counter_items()
-        query = msg.query
-        if query.projection is not None:
-            # the front end projects from global tids after the merge
-            query = replace(query, projection=None)
-        cursor = AnyKCursor(executor, query, trace, tracer=None)
-        session = _Session(
-            msg.request_id, cursor.search, trace, tracer, io_before,
-            counters_before, query.k, cursor=cursor,
+        return wire.SearchBatch(rid, *endpoint.step(rid, msg.kth, msg.max_steps))
+    if isinstance(msg, wire.OpenSearch):
+        return wire.SearchBatch(
+            rid,
+            *endpoint.open(rid, msg.query, msg.kth, msg.max_steps, msg.trace),
         )
-        sessions[msg.request_id] = session
-        return _enum_next(session, msg.count, shard_id)
     if isinstance(msg, wire.StepNext):
-        session = sessions.get(msg.request_id)
-        if session is None or session.cursor is None:
-            raise wire.WireError(f"no open enum session {msg.request_id}")
-        return _enum_next(session, msg.count, shard_id)
-    if isinstance(msg, wire.ReverseCount):
-        io_before = db.io_snapshot()
-        counters_before = registry.counter_items()
-        preceding, sub = count_preceding(
-            executor, msg.query, msg.t_score, msg.tie_tid
+        return wire.NextBatch(rid, *endpoint.next_rows(rid, msg.count))
+    if isinstance(msg, wire.OpenEnum):
+        return wire.NextBatch(
+            rid, *endpoint.open_enum(rid, msg.query, msg.count, msg.trace)
         )
+    if isinstance(msg, wire.ReverseCount):
         return wire.ReverseCounted(
-            request_id=msg.request_id,
-            preceding=preceding,
-            blocks_accessed=sub.blocks_accessed,
-            candidates_examined=sub.candidates_examined,
-            tuples_examined=sub.tuples_examined,
-            device_reads=db.io_since(io_before).reads,
-            counter_deltas=diff_counter_items(
-                counters_before, registry.counter_items()
-            ),
+            rid, *endpoint.reverse_count(msg.query, msg.t_score, msg.tie_tid)
         )
     if isinstance(msg, wire.CloseSearch):
-        session = sessions.pop(msg.request_id, None)
-        if session is None:
-            raise wire.WireError(f"no open session {msg.request_id}")
-        result = session.search.result
-        return wire.SearchClosed(
-            request_id=msg.request_id,
-            blocks_accessed=result.blocks_accessed,
-            candidates_examined=result.candidates_examined,
-            tuples_examined=result.tuples_examined,
-            device_reads=db.io_since(session.io_before).reads,
-            counter_deltas=diff_counter_items(
-                session.counters_before, registry.counter_items()
-            ),
-            spans=list(session.tracer.roots) if session.tracer is not None else [],
-        )
+        return wire.SearchClosed(rid, *endpoint.close(rid))
     if isinstance(msg, wire.ColdCache):
-        db.cold_cache()
-        if pseudo_cache is not None:
-            pseudo_cache.clear()
-        if bound_memo is not None:
-            bound_memo.clear()
+        endpoint.cold_cache()
         return wire.Ack()
     if isinstance(msg, wire.Ping):
-        return wire.Pong(shard_id=shard_id, pid=os.getpid(), rows=0)
+        return wire.Pong(
+            shard_id=endpoint.shard_id,
+            pid=os.getpid(),
+            rows=0,
+            open_sessions=endpoint.open_sessions,
+        )
     if isinstance(msg, wire.Shutdown):
         return None
     raise wire.WireError(f"unknown request {type(msg).__name__}")
-
-
-def _step_session(session: _Session, kth, max_steps, shard_id, *, opening: bool):
-    """Run one batch (plus delta rows when opening), traced if requested."""
-    delta_rows: list[tuple[float, int]] = []
-    if session.tracer is not None:
-        with session.tracer.span(
-            "shard_batch", shard=shard_id, round=session.rounds
-        ) as span:
-            if opening:
-                delta_rows = session.search.delta_rows()
-            scored, steps = _run_batch(session, kth, max_steps)
-            span.add_many(steps=steps, scored=len(scored))
-            if opening:
-                span.add("delta_rows", len(delta_rows))
-    else:
-        if opening:
-            delta_rows = session.search.delta_rows()
-        scored, steps = _run_batch(session, kth, max_steps)
-    for score, tid in delta_rows:
-        _push_topk(session.local_topk, session.k, score, tid)
-    session.rounds += 1
-    return wire.SearchBatch(
-        request_id=session.request_id,
-        scored=scored,
-        best_unseen=session.search.best_unseen,
-        exhausted=session.search.exhausted,
-        steps=steps,
-        delta_rows=delta_rows,
-    )
-
-
-def _enum_next(session: _Session, count: int, shard_id):
-    """Pull the next certified enumeration rows, traced if requested."""
-    cursor = session.cursor
-    if session.tracer is not None:
-        with session.tracer.span(
-            "shard_enum_batch", shard=shard_id, round=session.rounds
-        ) as span:
-            rows = cursor.next_batch(count)
-            span.add_many(rows=len(rows))
-    else:
-        rows = cursor.next_batch(count)
-    session.rounds += 1
-    return wire.NextBatch(
-        request_id=session.request_id,
-        rows=[(row.score, row.tid) for row in rows],
-        exhausted=cursor.exhausted,
-    )
 
 
 # ----------------------------------------------------------------------
 # front-end side
 # ----------------------------------------------------------------------
 class ShardWorkerHandle:
-    """Parent-side endpoint of one shard worker process."""
+    """Parent-side endpoint of one shard worker process.
+
+    Speaks the :class:`~repro.serve.endpoint.ShardEndpoint` calls over
+    the pipe: each frames its arguments as the request message, waits
+    for the reply and returns the reply's fields as the same tuple the
+    in-process call returns.
+    """
 
     def __init__(
         self,
@@ -444,6 +258,47 @@ class ShardWorkerHandle:
         if isinstance(reply, wire.WorkerFault):
             raise reply.error
         return reply
+
+    # ------------------------------------------------------------------
+    # the endpoint calls, framed
+    # ------------------------------------------------------------------
+    def open(self, request_id, query, kth, max_steps, trace):
+        b = self.request(wire.OpenSearch(request_id, query, kth, max_steps, trace))
+        return b.scored, b.best_unseen, b.exhausted, b.steps, b.delta_rows
+
+    def step(self, request_id, kth, max_steps):
+        b = self.request(wire.StepBatch(request_id, kth, max_steps))
+        return b.scored, b.best_unseen, b.exhausted, b.steps, b.delta_rows
+
+    def open_enum(self, request_id, query, count, trace):
+        b = self.request(wire.OpenEnum(request_id, query, count, trace))
+        return b.rows, b.exhausted
+
+    def next_rows(self, request_id, count):
+        b = self.request(wire.StepNext(request_id, count))
+        return b.rows, b.exhausted
+
+    def reverse_count(self, query, t_score, tie_tid):
+        # stateless: no session, so the id names none (real ids start at 1)
+        r = self.request(wire.ReverseCount(0, query, t_score, tie_tid))
+        return (
+            r.preceding, r.blocks_accessed, r.candidates_examined,
+            r.tuples_examined, r.device_reads, r.counter_deltas,
+        )
+
+    def close(self, request_id):
+        c = self.request(wire.CloseSearch(request_id))
+        return (
+            c.blocks_accessed, c.candidates_examined, c.tuples_examined,
+            c.device_reads, c.counter_deltas, c.spans,
+        )
+
+    def cold_cache(self) -> None:
+        self.request(wire.ColdCache())
+
+    @property
+    def open_sessions(self) -> int:
+        return self.request(wire.Ping()).open_sessions
 
     def kill(self) -> None:
         """Hard-stop the process and close the pipe (idempotent)."""
@@ -536,9 +391,22 @@ class ProcessShardPool:
                 return entry
         raise ProcPoolError(f"no manifest entry for shard {shard_id}")
 
+    def trip_steps(self, step_batch: int) -> tuple[int, int]:
+        """``(steps run by open, steps per later call)``.  A pipe round
+        trip costs far more than a step, so each carries ``step_batch``
+        of them and the open carries the first batch."""
+        return step_batch, step_batch
+
     @property
     def shard_ids(self) -> list[int]:
         return sorted(self._handles)
+
+    def local_endpoints(self) -> dict:
+        """No endpoint lives in this process — each is in its worker."""
+        return {}
+
+    def refresh_replicas(self) -> None:
+        """Nothing to re-clone: standbys boot from the pinned snapshot."""
 
     def handle(self, shard_id: int) -> ShardWorkerHandle:
         """The live handle for a shard, reviving a dead worker first.
@@ -663,11 +531,11 @@ class ProcessShardPool:
         cold-start determinism the primary had.
         """
         for shard_id in self.shard_ids:
-            self.handle(shard_id).request(wire.ColdCache())
+            self.handle(shard_id).cold_cache()
         for standbys in self._standbys.values():
             for standby in standbys:
                 if standby.alive:
-                    standby.request(wire.ColdCache())
+                    standby.cold_cache()
 
     def close(self) -> None:
         if self._closed:

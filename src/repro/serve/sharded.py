@@ -1,14 +1,14 @@
 """Scatter-gather top-k serving over a sharded ranking cube.
 
 :class:`ShardedQueryService` fans each :class:`TopKQuery` out to one
-:class:`~repro.core.executor.ProgressiveSearch` per consulted shard and
-merges their candidate streams in a global frontier:
+progressive-search session per consulted shard and merges their
+candidate streams in a global frontier:
 
 * **Scatter** — the :class:`~repro.shard.map.ShardMap` picks the shards
   (a single one when an equality selection pins the shard key, all of
-  them otherwise); each gets its own search over its own cube snapshot.
+  them otherwise); each gets its own session over its own cube snapshot.
 * **Gather** — a merge loop steps every *eligible* shard concurrently
-  (thread pool), pushing returned ``(score, global tid)`` pairs into one
+  (step pool), pushing returned ``(score, global tid)`` pairs into one
   global top-k heap.  A shard stays eligible while the global answer is
   short of ``k`` **or** its certified ``best_unseen`` bound is ``<=``
   the k-th best seen score — the same non-strict continue condition the
@@ -17,7 +17,8 @@ merges their candidate streams in a global frontier:
   block on every shard then bounds strictly above the k-th score and
   can never displace a kept row.
 * **Delta** — per-shard delta rows carry no block bound and merge
-  unconditionally before the loop (seeding the heap tightens the stop).
+  unconditionally as each session opens (seeding the heap tightens the
+  stop).
 
 Answers are *byte-identical* to an unsharded executor over the same
 rows (property-tested at 1/2/4 shards, pristine and faulty devices):
@@ -25,35 +26,61 @@ scores are computed from the same stored values by the same function,
 global tids are preserved by the build, and stepping shards in any
 interleaving changes amortization only.
 
+**One loop, two transports.**  Everything in this module — the merge
+loop, the any-k enumeration cursor, reverse top-k, failover, abort
+cleanup — is written once against the per-shard endpoint interface of
+:mod:`repro.serve.endpoint` (``open / step / open_enum / next_rows /
+reverse_count / close / cold_cache``, typed
+:class:`~repro.storage.device.StorageError` on death) and a pool of
+such endpoints (``shard_ids / handle / promote / cold_cache / close``).
+``mode=`` only picks the pool, in the constructor:
+
+* ``mode="thread"`` (default) — :class:`~repro.serve.endpoint
+  .LocalShardPool`: each endpoint object lives in this interpreter and a
+  call is a method call.  Correct, cache-warm, but GIL-bound.
+* ``mode="process"`` — :class:`~repro.serve.procpool.ProcessShardPool`:
+  each endpoint lives in a long-lived worker **process**, warm-started
+  from a SHA-256-pinned shard snapshot, and a call is one length-
+  prefixed pickle frame each way (:mod:`repro.serve.wire`).  The front
+  end adds admission control (``max_inflight``) and, by default,
+  duplicate in-flight query coalescing.
+
+How many frontier steps one call runs belongs to the transport
+(``pool.trip_steps``), not to the loop: an in-process call is free, so
+the merge takes one step per call and refreshes the global k-th score
+after every step; a pipe round trip is not, so it carries ``step_batch``
+steps and the session open carries the first batch.  Batching trades
+round trips for blocks — at 4 shards batch-8 stepping reads 21.5
+blocks/query where step-at-a-time reads 17.8 (``results/
+BENCH_shard.json``) — which is why it is not applied where trips cost
+nothing.  Either way the endpoint stops a batch on the strict
+complement of the eligibility test, so answers do not depend on it.
+
 Failure semantics: shards are independent — a storage fault on one
-(past its retry budget) aborts the *query* with
+(past its retry budget) or a dead worker aborts the *query* with
 :class:`~repro.core.executor.QueryAbortedError` carrying the merged
-partial rows, but other shards' devices, caches, and in-flight queries
-are untouched.  Each shard keeps its **own** pseudo-block cache and
-bound memo (cuboid names and pids collide across shards, so sharing one
-cache would alias entries); each cache registers on its shard's storage
-registry and as an invalidation listener on its shard's cube.
+partial rows and the blocks every reachable shard read; every session
+the query did open is closed first, a dead worker respawns quietly in
+the background, and other shards' devices, caches, and in-flight
+queries are untouched.  With ``replication_factor > 1`` the pool
+promotes a warm replica instead and the query retries whole.  Each
+shard keeps its **own** pseudo-block cache and bound memo (cuboid names
+and pids collide across shards, so sharing one cache would alias
+entries).
 
-Two execution modes share the merge logic:
-
-* ``mode="thread"`` (default) — per-shard searches step on a thread
-  pool inside this interpreter.  Correct, cache-warm, but GIL-bound:
-  shard steps serialize on the interpreter lock.
-* ``mode="process"`` — each shard's whole stack (device, buffer pool,
-  cube snapshot, caches) lives in a long-lived worker **process**
-  (:mod:`repro.serve.procpool`), warm-started from a SHA-256-pinned
-  shard snapshot, speaking length-prefixed pickle frames
-  (:mod:`repro.serve.wire`).  The merge loop is unchanged — it just
-  steps shards in *batches* per round trip, refreshing the global k-th
-  bound between rounds — so answers are byte-identical to thread mode
-  (property-tested).  Worker-side metrics and span trees ship back with
-  each response and are folded into the front-end registry/trace.  The
-  front end adds admission control (``max_inflight``) and duplicate
-  in-flight query coalescing.
+Observability is the same in both modes: per-shard labelled series
+``shard.service.{steps,blocks_accessed,device_reads}{shard=<id>}``, and
+with ``trace_spans=True`` each session's ``shard_batch`` /
+``shard_enum_batch`` spans adopted under the query's ``shard_merge`` /
+``anyk_query`` span.  A worker process additionally ships its registry's
+per-session counter delta, folded in here under ``shard=<id>``; an
+in-process shard's registry is live in this process and is read where
+it is.
 """
 
 from __future__ import annotations
 
+import json
 import pickle
 import shutil
 import tempfile
@@ -64,30 +91,28 @@ from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import count
+from pathlib import Path
 
-from ..core.anyk import AnyKCursor
-from ..core.executor import (
-    ExecutorTrace,
-    ProgressiveSearch,
-    QueryAbortedError,
-    RankingCubeExecutor,
-    _push_topk,
-    _rows_from_heap,
-)
-from ..core.reverse import ReverseTopKQuery, ReverseTopKResult, count_preceding
+from ..core.executor import QueryAbortedError, _push_topk, _rows_from_heap
+from ..core.reverse import ReverseTopKQuery, ReverseTopKResult
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import Span, Tracer, adopt_spans, maybe_span
 from ..relational.query import QueryResult, ResultRow, ShardIO, TopKQuery
-from ..shard.builder import CubeShard, ShardedCube, clone_shard
+from ..shard.builder import ShardedCube
 from ..storage.device import StorageError
 from . import wire
-from .cache import BoundMemo, PseudoBlockCache
-from .procpool import ProcessShardPool, ProcPoolError
+from .endpoint import LocalShardPool, ProcPoolError
+from .procpool import ProcessShardPool
 from .service import (
     DEFAULT_SPAN_CAPACITY,
     ServiceClosedError,
     ServiceOverloadedError,
 )
+
+#: What a shard call raises when the shard cannot answer: a storage
+#: fault past its retry budget, a worker that hung up, a pool that
+#: cannot revive one.  The only exceptions the abort paths handle.
+_SHARD_FAULTS = (StorageError, wire.WorkerDiedError, ProcPoolError)
 
 
 @dataclass(frozen=True)
@@ -130,12 +155,13 @@ class ShardedServiceStats:
 def _blame_shard(exc: BaseException, shard_id: int) -> None:
     """Attach the faulting shard id to a storage error (and its cause).
 
-    Thread-mode per-shard calls raise bare :class:`StorageError`\\ s that
-    carry no shard attribution; the failover path needs to know *which*
-    primary died to promote its replica.  Process mode gets this for
-    free from :class:`~repro.serve.wire.WorkerDiedError`.  Annotating
-    the ``cause`` too matters because the service wraps a per-shard
-    :class:`QueryAbortedError` by re-blaming its cause, not the wrapper.
+    A per-shard call raises a bare :class:`StorageError` that carries no
+    shard attribution (and one that crossed a pipe lost any it had); the
+    failover path needs to know *which* primary died to promote its
+    replica.  :class:`~repro.serve.wire.WorkerDiedError` names its shard
+    itself.  Annotating the ``cause`` too matters because the service
+    wraps a per-shard :class:`QueryAbortedError` by re-blaming its
+    cause, not the wrapper.
     """
     for target in (exc, getattr(exc, "cause", None)):
         if target is not None and getattr(target, "shard_id", None) is None:
@@ -145,175 +171,57 @@ def _blame_shard(exc: BaseException, shard_id: int) -> None:
                 pass  # exotic exception with __slots__: no attribution
 
 
-class _ShardContext:
-    """Per-shard serving state: executor + caches + invalidation hook."""
-
-    def __init__(self, shard: CubeShard, share_caches: bool, buffer_pseudo: bool):
-        assert shard.cube is not None
-        self.shard = shard
-        registry = getattr(shard.table.pool, "registry", None)
-        if share_caches:
-            self.pseudo_cache = PseudoBlockCache(registry=registry)
-            self.bound_memo = BoundMemo(registry=registry)
-            self._listener = self.pseudo_cache.invalidate_cuboids
-            shard.cube.add_invalidation_listener(self._listener)
-        else:
-            self.pseudo_cache = None
-            self.bound_memo = None
-            self._listener = None
-        self.executor = RankingCubeExecutor(
-            shard.cube,
-            shard.table,
-            buffer_pseudo_blocks=buffer_pseudo,
-            pseudo_cache=self.pseudo_cache,
-            bound_memo=self.bound_memo,
-        )
-
-    def unhook(self) -> None:
-        if self._listener is not None and self.shard.cube is not None:
-            self.shard.cube.remove_invalidation_listener(self._listener)
-            self._listener = None
+def _abort_cause(exc: Exception):
+    return exc.cause if isinstance(exc, QueryAbortedError) else exc
 
 
-class _ThreadEnumStream:
-    """One shard's enumeration stream, served in-process.
+class _EnumStream:
+    """One shard's enumeration session, as the cursor's merge reads it.
 
-    Wraps an :class:`~repro.core.anyk.AnyKCursor` over the shard's
-    executor; rows come back as ``(score, global tid)`` pairs, already
-    in the shard's certified rank order (the tid map is monotone, so
-    local ``(score, tid)`` order *is* global ``(score, gtid)`` order).
+    Rows come back as ``(score, global tid)`` pairs, already in the
+    shard's certified rank order (the tid map is monotone, so local
+    ``(score, tid)`` order *is* global ``(score, gtid)`` order).  The
+    rows the session open returned are drained before any further call.
     """
 
-    def __init__(
-        self,
-        shard: CubeShard,
-        ctx: _ShardContext,
-        query: TopKQuery,
-        service: "ShardedQueryService",
-    ):
-        self.shard = shard
+    def __init__(self, service, shard_id: int, handle, request_id: int, first):
         self._service = service
-        self.io_before = shard.db.io_snapshot()
-        self.cursor = AnyKCursor(ctx.executor, query, ExecutorTrace())
-
-    def next_rows(self, count: int):
-        try:
-            self._service._fault("enum_next", self.shard.shard_id)
-            rows = self.cursor.next_batch(count)
-        except StorageError as exc:
-            _blame_shard(exc, self.shard.shard_id)
-            raise
-        pairs = [(row.score, self.shard.to_global(row.tid)) for row in rows]
-        return pairs, self.cursor.exhausted
-
-    def finish(self, result: QueryResult, registry, spans: list) -> None:
-        sub = self.cursor.result
-        shard_id = self.shard.shard_id
-        device_reads = self.shard.db.io_since(self.io_before).reads
-        result.blocks_accessed += sub.blocks_accessed
-        result.candidates_examined += sub.candidates_examined
-        result.tuples_examined += sub.tuples_examined
-        result.shard_io[shard_id] = ShardIO(
-            blocks_accessed=sub.blocks_accessed,
-            candidates_examined=sub.candidates_examined,
-            tuples_examined=sub.tuples_examined,
-            device_reads=device_reads,
-        )
-        registry.counter(
-            "shard.service.blocks_accessed", shard=str(shard_id)
-        ).inc(sub.blocks_accessed)
-        registry.counter(
-            "shard.service.device_reads", shard=str(shard_id)
-        ).inc(device_reads)
-
-    def abort_close(self) -> int:
-        return self.cursor.result.blocks_accessed
-
-
-class _ProcessEnumStream:
-    """One shard's enumeration stream, served by a worker process.
-
-    The :class:`~repro.serve.wire.OpenEnum` reply (the first rows) is
-    buffered here and drained before any :class:`~repro.serve.wire
-    .StepNext` round trip, so the cursor consumes both modes through
-    one ``next_rows`` interface.
-    """
-
-    def __init__(self, shard: CubeShard, handle, request_id: int, opening):
-        self.shard = shard
+        self.shard_id = shard_id
         self.handle = handle
         self.request_id = request_id
-        self._opening = opening  # first wire.NextBatch, drained once
-        self._closed_blocks = 0
+        self._first = first
 
     def next_rows(self, count: int):
-        if self._opening is not None:
-            batch, self._opening = self._opening, None
+        if self._first is not None:
+            (rows, done), self._first = self._first, None
         else:
-            batch = self.handle.request(
-                wire.StepNext(request_id=self.request_id, count=count)
+            rows, done = self._service._guard(
+                "enum_next", self.shard_id,
+                self.handle.next_rows, self.request_id, count,
             )
-        pairs = [
-            (score, self.shard.to_global(local_tid))
-            for score, local_tid in batch.rows
-        ]
-        return pairs, batch.exhausted
-
-    def finish(self, result: QueryResult, registry, spans: list) -> None:
-        shard_id = self.shard.shard_id
-        closed = self.handle.request(
-            wire.CloseSearch(request_id=self.request_id)
-        )
-        result.blocks_accessed += closed.blocks_accessed
-        result.candidates_examined += closed.candidates_examined
-        result.tuples_examined += closed.tuples_examined
-        result.shard_io[shard_id] = ShardIO(
-            blocks_accessed=closed.blocks_accessed,
-            candidates_examined=closed.candidates_examined,
-            tuples_examined=closed.tuples_examined,
-            device_reads=closed.device_reads,
-        )
-        registry.counter(
-            "shard.service.blocks_accessed", shard=str(shard_id)
-        ).inc(closed.blocks_accessed)
-        registry.counter(
-            "shard.service.device_reads", shard=str(shard_id)
-        ).inc(closed.device_reads)
-        registry.merge_counter_items(
-            closed.counter_deltas, shard=str(shard_id)
-        )
-        spans.extend(closed.spans)
-
-    def abort_close(self) -> int:
-        if not self.handle.alive:
-            return 0
-        closed = self.handle.request(
-            wire.CloseSearch(request_id=self.request_id)
-        )
-        return closed.blocks_accessed
+        to_global = self._service.cube.shards[self.shard_id].to_global
+        return [(score, to_global(tid)) for score, tid in rows], done
 
 
 class ShardedAnyKCursor:
     """Certified rank-order enumeration over a sharded deployment.
 
-    A k-way merge over per-shard enumeration streams: each shard yields
-    its matches in ascending ``(score, gtid)`` order (thread mode: an
-    in-process :class:`~repro.core.anyk.AnyKCursor` per shard; process
-    mode: an enumeration session per worker, stepped with ``StepNext``),
-    and :meth:`next_batch` repeatedly emits the smallest head across
-    streams — the same tie-breaking contract as every other path, at
-    every depth.  Each stream pins its shard's snapshot at open time, so
-    the whole cursor answers as of its open point regardless of appends
-    or compaction runs that land mid-enumeration.
+    A k-way merge over per-shard enumeration sessions: each shard yields
+    its matches in ascending ``(score, gtid)`` order, and
+    :meth:`next_batch` repeatedly emits the smallest head across streams
+    — the same tie-breaking contract as every other path, at every
+    depth.  Each session pins its shard's snapshot at open time, so the
+    whole cursor answers as of its open point regardless of appends or
+    compaction runs that land mid-enumeration.
 
     Not thread-safe: one consumer steps it.  A storage fault or worker
     death surfaces from :meth:`next_batch` as a typed
     :class:`~repro.core.executor.QueryAbortedError` (surviving shard
     sessions are closed best-effort, a dead worker respawns quietly in
     the background) and the cursor is then dead.  Call :meth:`close`
-    when done — it folds per-shard counters, I/O attribution, and (in
-    process mode) worker span trees into the service's registry and
-    span ring, and returns the accounting as a rows-free
+    when done — it folds per-shard counters, I/O attribution, and the
+    sessions' span trees into the service's registry and span ring, and
+    returns the accounting as a rows-free
     :class:`~repro.relational.query.QueryResult`.
     """
 
@@ -321,7 +229,7 @@ class ShardedAnyKCursor:
         self,
         service: "ShardedQueryService",
         query: TopKQuery,
-        streams: dict,
+        streams: dict[int, _EnumStream],
         batch: int,
         tracer: Tracer | None,
         shard_query: TopKQuery | None = None,
@@ -331,10 +239,6 @@ class ShardedAnyKCursor:
         #: the projection-stripped query the shards enumerate — kept so
         #: a failover can reopen every stream with the exact same plan
         self._shard_query = shard_query if shard_query is not None else query
-        self._streams = streams
-        self._order = sorted(streams)
-        self._heads: dict[int, deque] = {sid: deque() for sid in self._order}
-        self._finished: set[int] = set()
         self._batch = max(1, batch)
         self._tracer = tracer
         self._refills = 0
@@ -346,6 +250,13 @@ class ShardedAnyKCursor:
         self._failovers = 0
         self._dead = False
         self._result: QueryResult | None = None
+        self._attach(streams)
+
+    def _attach(self, streams: dict[int, _EnumStream]) -> None:
+        self._streams = streams
+        self._order = sorted(streams)
+        self._heads: dict[int, deque] = {sid: deque() for sid in self._order}
+        self._finished: set[int] = set()
 
     @property
     def exhausted(self) -> bool:
@@ -392,10 +303,17 @@ class ShardedAnyKCursor:
                 row = ResultRow(tid=gtid, score=score)
                 if self.query.projection:
                     row = self._service._project(row, self.query)
-            except (StorageError, wire.WorkerDiedError, ProcPoolError) as exc:
+            except _SHARD_FAULTS as exc:
                 if self._try_failover(exc):
                     continue  # fresh streams, fast-forwarding past rank
-                self._abort(exc, out)
+                self._dead = True
+                blocks = self._release(exc)
+                raise QueryAbortedError(
+                    f"sharded enumeration aborted at rank {self.rank}: {exc}",
+                    partial_rows=out,
+                    blocks_accessed=blocks,
+                    cause=_abort_cause(exc),
+                ) from exc
             out.append(row)
             self.rank += 1
         return out
@@ -407,6 +325,15 @@ class ShardedAnyKCursor:
             if not batch:
                 return
             yield from batch
+
+    def _release(self, exc: Exception) -> int:
+        """Close what sessions still answer; the blocks they had read."""
+        streams = self._streams.values()
+        return self._service._abort_cleanup(
+            {s.shard_id: s.handle for s in streams},
+            next((s.request_id for s in streams), 0),
+            exc,
+        )
 
     def _try_failover(self, exc: Exception) -> bool:
         """Promote the dead shard's replica and reopen every stream.
@@ -428,66 +355,28 @@ class ShardedAnyKCursor:
         ):
             return False
         self._failovers += 1
-        for osid, stream in self._streams.items():
-            if osid != sid:
-                try:
-                    stream.abort_close()
-                except Exception:
-                    pass  # best effort: stream is being replaced anyway
+        self._release(exc)
         try:
-            if service.mode == "process":
-                streams = service._open_enum_process(self._shard_query, None)
-            else:
-                streams = service._open_enum_thread(self._shard_query)
+            streams = service._open_enum(self._shard_query, self._tracer)
         except Exception:
             return False  # reopen failed: fall through to the abort path
-        self._streams = streams
-        self._order = sorted(streams)
-        self._heads = {osid: deque() for osid in self._order}
-        self._finished = set()
+        self._attach(streams)
         self._skip = self.rank
         return True
-
-    def _abort(self, exc: Exception, partial: list[ResultRow]) -> None:
-        self._dead = True
-        blocks = 0
-        dead_sid = (
-            exc.shard_id if isinstance(exc, wire.WorkerDiedError) else None
-        )
-        for sid in self._order:
-            if sid == dead_sid:
-                continue
-            try:
-                blocks += self._streams[sid].abort_close()
-            except Exception:
-                pass  # best effort: the cursor is aborting anyway
-        if dead_sid is not None and not self._service._replicas_enabled:
-            threading.Thread(
-                target=self._service._respawn_quietly,
-                args=(dead_sid,),
-                name=f"repro-shard-respawn-{dead_sid}",
-                daemon=True,
-            ).start()
-        raise QueryAbortedError(
-            f"sharded enumeration aborted at rank {self.rank}: {exc}",
-            partial_rows=partial,
-            blocks_accessed=blocks,
-            cause=exc.cause if isinstance(exc, QueryAbortedError) else exc,
-        ) from exc
 
     def close(self) -> QueryResult:
         """Fold accounting and release shard sessions (idempotent)."""
         if self._result is not None:
             return self._result
         result = QueryResult(shard_io={})
-        assert result.shard_io is not None
         if self._dead:
             self._result = result
             return result
-        worker_spans: list = []
+        spans: list = []
         for sid in self._order:
-            self._streams[sid].finish(
-                result, self._service.registry, worker_spans
+            stream = self._streams[sid]
+            spans += self._service._fold_close(
+                sid, stream.handle.close(stream.request_id), result
             )
         if self._tracer is not None:
             with self._tracer.span(
@@ -503,7 +392,7 @@ class ShardedAnyKCursor:
                     blocks_accessed=result.blocks_accessed,
                     candidates_examined=result.candidates_examined,
                 )
-                adopt_spans(root, worker_spans)
+                adopt_spans(root, spans)
             self._service._retain_spans(self._tracer)
         self._result = result
         return result
@@ -541,15 +430,15 @@ class ShardedQueryService:
         process mode, worker-side per-query counter deltas are merged in
         under an added ``shard=<id>`` label.
     trace_spans:
-        Retain per-query span trees (``query`` → ``shard_merge``) in
-        :attr:`spans`, a bounded ring like the unsharded service's.  In
-        process mode the workers' ``shard_batch`` spans are shipped back
-        and adopted under the merge span.
+        Retain per-query span trees (``query`` → ``shard_merge`` →
+        per-shard ``shard_batch``) in :attr:`spans`, a bounded ring like
+        the unsharded service's.
     mode:
-        ``"thread"`` (default) or ``"process"`` — see the module
-        docstring.  Process mode snapshots the deployment at
-        construction time: rows appended to ``cube`` afterwards are not
-        visible to the workers until a new service is built.
+        ``"thread"`` (default) or ``"process"`` — which pool of shard
+        endpoints serves the queries; see the module docstring.  Process
+        mode snapshots the deployment at construction time: rows
+        appended to ``cube`` afterwards are not visible to the workers
+        until a new service is built.
     spill_dir:
         Process mode only: directory holding (or to hold) the pinned
         per-shard snapshots.  When omitted the service spills to a
@@ -567,17 +456,19 @@ class ShardedQueryService:
         thread mode, where repeated identical queries are how callers
         deliberately warm the per-shard caches.
     step_batch / worker_timeout_s / fault_hook:
-        ``step_batch`` and ``worker_timeout_s`` are process-mode tuning:
-        frontier steps per worker round trip and the reply deadline
-        after which a worker is declared dead.  ``fault_hook`` is a test
-        seam called as ``fault_hook(point, shard_id)`` at per-shard
-        serving points in *both* modes: ``"scatter"`` /
-        ``"merge_round"`` / ``"enum_open"`` / ``"reverse_count"`` /
-        ``"promote"`` everywhere, ``"enum_next"`` in thread mode
-        (process enumeration kills target the worker process itself),
-        and ``"finish"`` / ``"respawn"`` in process mode.  An exception the
-        hook raises surfaces exactly as a real fault at that point
-        would, which is how the failover kill matrix steers deaths.
+        ``step_batch`` is the frontier steps per worker round trip in
+        process mode and the rows per enumeration refill in both;
+        ``worker_timeout_s`` the reply deadline after which a worker is
+        declared dead.  ``fault_hook`` is a test seam called as
+        ``fault_hook(point, shard_id)`` at the same per-shard serving
+        points in both modes: ``"scatter"`` / ``"merge_round"`` /
+        ``"finish"`` around a top-k session's open, steps and close,
+        ``"enum_open"`` / ``"enum_next"`` around an enumeration
+        session's, ``"reverse_count"``, and — from the pool —
+        ``"promote"`` and (process mode, which alone respawns)
+        ``"respawn"``.  An exception the hook raises surfaces exactly as
+        a real fault at that point would, which is how the failover kill
+        matrix steers deaths.
     """
 
     def __init__(
@@ -621,10 +512,6 @@ class ShardedQueryService:
         self._inflight_count = 0
         self._inflight: dict[bytes, Future] = {}
         self._request_ids = count(1)
-        self._contexts: dict[int, _ShardContext] = {}
-        self._contexts_lock = threading.Lock()
-        self._proc_pool: ProcessShardPool | None = None
-        self._owned_spill_dir: str | None = None
         #: replication: N-1 warm copies per shard (``ShardMap``), so a
         #: dead primary fails the query over instead of aborting it
         self.replication_factor = cube.shard_map.replication_factor
@@ -632,20 +519,27 @@ class ShardedQueryService:
         self._max_failovers = (
             max(1, self.replication_factor - 1) if self._replicas_enabled else 0
         )
-        self._failover_lock = threading.Lock()
-        self._thread_replicas: dict[int, list[CubeShard]] = {}
+        options = {
+            "share_caches": share_caches,
+            "buffer_pseudo_blocks": buffer_pseudo_blocks,
+        }
+        self._owned_spill_dir: str | None = None
         if mode == "thread":
-            for shard in cube.shards:
-                if shard.cube is not None:
-                    self._contexts[shard.shard_id] = _ShardContext(
-                        shard, share_caches, buffer_pseudo_blocks
-                    )
-            if self._replicas_enabled:
-                self.refresh_replicas()
-        else:
-            self._proc_pool = self._start_proc_pool(
-                spill_dir, worker_timeout_s, fault_hook
+            self._transport = LocalShardPool(
+                cube,
+                options=options,
+                registry=self.registry,
+                fault_hook=fault_hook,
+                replicas=self.replication_factor - 1,
             )
+        else:
+            self._transport = self._start_transport(
+                spill_dir, options, worker_timeout_s, fault_hook
+            )
+        self._open_steps, self._trip_steps = self._transport.trip_steps(step_batch)
+        #: per-shard labelled series, resolved once per shard rather than
+        #: once per step (a lookup sorts the labels under the registry lock)
+        self._series: dict[int, tuple] = {}
         self._queries_counter = self.registry.counter("shard.service.queries")
         self._searches_counter = self.registry.counter(
             "shard.service.searches_opened"
@@ -667,13 +561,12 @@ class ShardedQueryService:
         )
         self._closed = False
 
-    def _start_proc_pool(
-        self, spill_dir: str | None, worker_timeout_s: float, fault_hook
+    def _start_transport(
+        self, spill_dir: str | None, options: dict, worker_timeout_s: float,
+        fault_hook,
     ) -> ProcessShardPool:
         """Spill the deployment (unless already pinned) and boot workers."""
         from ..persist import SHARD_MANIFEST, ShardedWorkspace
-        import json
-        from pathlib import Path
 
         if spill_dir is None:
             spill_dir = tempfile.mkdtemp(prefix="repro-shard-spill-")
@@ -687,10 +580,7 @@ class ShardedQueryService:
         return ProcessShardPool(
             directory,
             manifest,
-            options={
-                "share_caches": self.share_caches,
-                "buffer_pseudo_blocks": self.buffer_pseudo_blocks,
-            },
+            options=options,
             timeout=worker_timeout_s,
             registry=self.registry,
             fault_hook=fault_hook,
@@ -698,29 +588,135 @@ class ShardedQueryService:
         )
 
     # ------------------------------------------------------------------
+    # one shard call, one fan-out, one close, one abort
+    # ------------------------------------------------------------------
+    def _guard(self, point: str, shard_id: int, call, *args):
+        """One shard call under its fault seam, blamed on the shard."""
+        try:
+            if self._fault_hook is not None:
+                self._fault_hook(point, shard_id)
+            return call(*args)
+        except StorageError as exc:
+            _blame_shard(exc, shard_id)
+            raise
+
+    def _fan_out(
+        self, shard_ids: list[int], call, into: dict, *args, inline=False
+    ) -> None:
+        """``into[sid] = call(sid, *args)`` for every shard, concurrently
+        on the step pool when there is more than one (and not ``inline``).
+
+        Every pooled call finishes — and every success lands in ``into``
+        — before the first failure is re-raised: an abort must know each
+        session that did open, and must not close a session another
+        thread is still stepping.
+        """
+        if inline or len(shard_ids) == 1:
+            for sid in shard_ids:
+                into[sid] = call(sid, *args)
+            return
+        futures = [
+            (sid, self._step_pool.submit(call, sid, *args)) for sid in shard_ids
+        ]
+        failure = None
+        for sid, future in futures:
+            try:
+                into[sid] = future.result()
+            except BaseException as exc:
+                if failure is None:
+                    failure = exc
+        if failure is not None:
+            raise failure
+
+    def _targets(self, selections) -> list[int]:
+        """The shards a query consults that have anything to serve."""
+        available = set(self._transport.shard_ids)
+        return [
+            sid
+            for sid in self.cube.shard_map.shards_for_query(selections)
+            if sid in available
+        ]
+
+    def _shard_series(self, shard_id: int) -> tuple:
+        """The shard's ``(steps, blocks_accessed, device_reads)`` series."""
+        series = self._series.get(shard_id)
+        if series is None:
+            series = self._series[shard_id] = tuple(
+                self.registry.counter(
+                    f"shard.service.{name}", shard=str(shard_id)
+                )
+                for name in ("steps", "blocks_accessed", "device_reads")
+            )
+        return series
+
+    def _fold_close(self, shard_id: int, closed: tuple, result: QueryResult) -> list:
+        """Fold one closed session's accounting into ``result`` and the
+        registry; returns the session's span trees for adoption."""
+        blocks, candidates, tuples, device_reads, deltas, spans = closed
+        result.blocks_accessed += blocks
+        result.candidates_examined += candidates
+        result.tuples_examined += tuples
+        result.shard_io[shard_id] = ShardIO(
+            blocks_accessed=blocks,
+            candidates_examined=candidates,
+            tuples_examined=tuples,
+            device_reads=device_reads,
+        )
+        self._account(shard_id, blocks, device_reads, deltas)
+        return spans
+
+    def _account(self, shard_id: int, blocks: int, device_reads: int, deltas) -> None:
+        """Move the shard's labelled series by one call's work and fold
+        in the counter rows a worker shipped (none from this process)."""
+        _steps, blocks_series, reads_series = self._shard_series(shard_id)
+        blocks_series.inc(blocks)
+        reads_series.inc(device_reads)
+        self.registry.merge_counter_items(deltas, shard=str(shard_id))
+
+    def _abort_cleanup(self, handles: dict, request_id: int, exc: Exception) -> int:
+        """Close every session an aborting query opened; kick a dead
+        worker's respawn.
+
+        ``handles`` holds every shard an open was *attempted* on, so a
+        session whose open failed half-way is closed too (and one that
+        never came to exist answers with an error, ignored like every
+        other here — the query is aborting anyway).  Returns the blocks
+        read by the shards that could still answer — the abort's
+        ``blocks_accessed`` is therefore a lower bound.
+        """
+        dead = exc.shard_id if isinstance(exc, wire.WorkerDiedError) else None
+        partial = QueryResult(shard_io={})
+        for sid, handle in handles.items():
+            if sid == dead or not handle.alive:
+                continue
+            try:
+                self._fold_close(sid, handle.close(request_id), partial)
+            except Exception:
+                continue
+        if dead is not None and not self._replicas_enabled:
+            threading.Thread(
+                target=self._respawn_quietly,
+                args=(dead,),
+                name=f"repro-shard-respawn-{dead}",
+                daemon=True,
+            ).start()
+        return partial.blocks_accessed
+
+    def _respawn_quietly(self, shard_id: int) -> None:
+        try:
+            self._transport.handle(shard_id)  # revives a dead worker
+        except Exception:
+            pass  # the next query's handle() lookup retries once more
+
+    # ------------------------------------------------------------------
     # replica failover
     # ------------------------------------------------------------------
     def refresh_replicas(self) -> None:
-        """(Re)clone thread-mode warm replicas from the current shards.
-
-        Thread-mode replicas are point-in-time clones
-        (:func:`~repro.shard.builder.clone_shard`): rows appended after
-        cloning make a replica stale, and a stale replica is *rejected*
-        at promotion time rather than silently losing rows.  Call this
-        after appends to re-arm failover.  No-op when replication is
-        off or in process mode (workers re-pin from their snapshots).
-        """
-        if not self._replicas_enabled or self.mode != "thread":
-            return
-        with self._failover_lock:
-            self._thread_replicas = {
-                shard.shard_id: [
-                    clone_shard(shard)
-                    for _ in range(self.replication_factor - 1)
-                ]
-                for shard in self.cube.shards
-                if shard.cube is not None
-            }
+        """Re-arm failover after appends (see
+        :meth:`~repro.serve.endpoint.LocalShardPool.refresh_replicas`;
+        worker processes re-pin from their snapshots and need nothing)."""
+        if self._replicas_enabled:
+            self._transport.refresh_replicas()
 
     @staticmethod
     def _dead_shard_of(exc: BaseException) -> int | None:
@@ -734,514 +730,27 @@ class ShardedQueryService:
         """Promote a warm replica for ``shard_id``; True if the query
         should retry.
 
-        Process mode delegates to
-        :meth:`~repro.serve.procpool.ProcessShardPool.promote` (warm
-        standby worker from the same pinned snapshot).  Thread mode
-        swaps a :func:`clone_shard` copy into the deployment and
-        rebuilds the shard's serving context.  Returns ``False`` — and
-        the original abort stands — when replication is off, no live
-        replica remains, or the replica is stale.
+        The pool does the promotion (a standby worker booted from the
+        same pinned snapshot, or a :func:`~repro.shard.builder
+        .clone_shard` copy swapped into the deployment).  Returns
+        ``False`` — and the original abort stands — when replication is
+        off, no live replica remains, or the replica is stale.
         """
         if not self._replicas_enabled:
             return False
         with maybe_span(
             tracer, "failover", shard=shard_id, mode=self.mode
         ) as span:
-            if self.mode == "process":
-                pool = self._proc_pool
-                assert pool is not None
-                try:
-                    pool.promote(shard_id)
-                except Exception:
-                    return False
-            else:
-                with self._failover_lock:
-                    bench = self._thread_replicas.get(shard_id, [])
-                    promoted = False
-                    while bench and not promoted:
-                        # fire the fault seam *before* consuming the clone:
-                        # a crash at the promotion instant must not burn
-                        # the warm standby it never installed
-                        self._fault("promote", shard_id)
-                        replica = bench.pop(0)
-                        try:
-                            self.cube.replace_shard(shard_id, replica)
-                        except Exception:
-                            continue  # stale or mismatched clone
-                        promoted = True
-                        with self._contexts_lock:
-                            old = self._contexts.pop(shard_id, None)
-                            if old is not None:
-                                old.unhook()
-                            self._contexts[shard_id] = _ShardContext(
-                                replica,
-                                self.share_caches,
-                                self.buffer_pseudo_blocks,
-                            )
-                        self.registry.counter(
-                            "shard.replica.promotions", shard=str(shard_id)
-                        ).inc()
-                        # refill the bench from the healthy replica so a
-                        # second failure still finds a warm copy
-                        bench.append(clone_shard(replica))
-                    if not promoted:
-                        return False
+            try:
+                self._transport.promote(shard_id)
+            except Exception:
+                return False
             self.registry.counter(
                 "shard.replica.failovers", shard=str(shard_id)
             ).inc()
             if span is not None:
                 span.add("promoted", 1)
         return True
-
-    # ------------------------------------------------------------------
-    # serving APIs
-    # ------------------------------------------------------------------
-    def submit(self, query: TopKQuery) -> "Future[QueryResult]":
-        """Enqueue one query; the future resolves to its merged answer.
-
-        Applies admission control (``max_inflight``) and duplicate
-        coalescing: an identical query already in flight returns the
-        *same* future instead of executing again.
-        """
-        if self._closed:
-            raise ServiceClosedError("ShardedQueryService is closed")
-        key = pickle.dumps(query) if self.coalesce else None
-        with self._inflight_lock:
-            if key is not None:
-                existing = self._inflight.get(key)
-                if existing is not None:
-                    self._coalesced_counter.inc()
-                    return existing
-            if (
-                self.max_inflight is not None
-                and self._inflight_count >= self.max_inflight
-            ):
-                self._overloaded_counter.inc()
-                raise ServiceOverloadedError(
-                    f"{self._inflight_count} query(ies) already in flight "
-                    f"(max_inflight={self.max_inflight})"
-                )
-            future = self._pool.submit(self._run_one, query)
-            self._inflight_count += 1
-            if key is not None:
-                self._inflight[key] = future
-        future.add_done_callback(lambda _f, key=key: self._release_inflight(key))
-        return future
-
-    def _release_inflight(self, key: bytes | None) -> None:
-        with self._inflight_lock:
-            self._inflight_count -= 1
-            if key is not None:
-                self._inflight.pop(key, None)
-
-    def run_batch(self, queries) -> list[QueryResult]:
-        """Run a batch concurrently, returning answers in request order."""
-        futures = [self.submit(q) for q in queries]
-        return [f.result() for f in futures]
-
-    def open_search(self, query: TopKQuery) -> ShardedAnyKCursor:
-        """Open a resumable any-k cursor over every consulted shard.
-
-        Unlike :meth:`submit` this is caller-stepped (no pool, no
-        admission control, no coalescing): the returned cursor yields
-        rows in certified global ``(score, tid)`` order — past
-        ``query.k``, on demand — until the snapshot it pinned at open
-        time is exhausted.  Projection is applied at the front end from
-        global tids; the shards enumerate bare ``(score, tid)`` pairs.
-        """
-        if self._closed:
-            raise ServiceClosedError("ShardedQueryService is closed")
-        query.validate_against(self.cube.schema)
-        self._searches_counter.inc()
-        tracer = Tracer(self.registry) if self.trace_spans else None
-        shard_query = (
-            query if query.projection is None
-            else replace(query, projection=None)
-        )
-        attempts = 0
-        while True:
-            try:
-                if self.mode == "process":
-                    streams = self._open_enum_process(shard_query, tracer)
-                else:
-                    streams = self._open_enum_thread(shard_query)
-                break
-            except QueryAbortedError as exc:
-                sid = self._dead_shard_of(exc)
-                if (
-                    sid is not None
-                    and attempts < self._max_failovers
-                    and self._failover(sid, tracer)
-                ):
-                    attempts += 1
-                    continue
-                raise
-        return ShardedAnyKCursor(
-            self, query, streams, self.step_batch, tracer,
-            shard_query=shard_query,
-        )
-
-    def _open_enum_thread(self, query: TopKQuery) -> dict:
-        streams: dict[int, _ThreadEnumStream] = {}
-        for shard_id in self.cube.shard_map.shards_for_query(query.selections):
-            shard = self.cube.shards[shard_id]
-            ctx = self._context(shard)
-            if ctx is None:  # empty shards hold no rows at all
-                continue
-            try:
-                self._fault("enum_open", shard_id)
-                streams[shard_id] = _ThreadEnumStream(shard, ctx, query, self)
-            except StorageError as exc:
-                for stream in streams.values():
-                    try:
-                        stream.abort_close()
-                    except Exception:
-                        pass  # best effort: the open is aborting anyway
-                _blame_shard(exc, shard_id)
-                raise QueryAbortedError(
-                    f"sharded enumeration failed to open: {exc}",
-                    partial_rows=[],
-                    blocks_accessed=0,
-                    cause=exc.cause if isinstance(exc, QueryAbortedError) else exc,
-                ) from exc
-        return streams
-
-    def _open_enum_process(self, query: TopKQuery, tracer) -> dict:
-        pool = self._proc_pool
-        assert pool is not None
-        available = set(pool.shard_ids)
-        targets = [
-            sid
-            for sid in self.cube.shard_map.shards_for_query(query.selections)
-            if sid in available
-        ]
-        request_id = next(self._request_ids)
-        want_trace = tracer is not None
-        streams: dict[int, _ProcessEnumStream] = {}
-        try:
-
-            def _open(sid: int):
-                try:
-                    self._fault("enum_open", sid)
-                    handle = pool.handle(sid)
-                    batch = handle.request(
-                        wire.OpenEnum(
-                            request_id=request_id,
-                            query=query,
-                            count=self.step_batch,
-                            trace=want_trace,
-                        )
-                    )
-                    return handle, batch
-                except StorageError as exc:
-                    _blame_shard(exc, sid)
-                    raise
-
-            if len(targets) <= 1:
-                opened = [(sid,) + _open(sid) for sid in targets]
-            else:
-                futures = [
-                    (sid, self._step_pool.submit(_open, sid))
-                    for sid in targets
-                ]
-                opened = [(sid,) + f.result() for sid, f in futures]
-            for sid, handle, batch in opened:
-                streams[sid] = _ProcessEnumStream(
-                    self.cube.shards[sid], handle, request_id, batch
-                )
-        except (StorageError, wire.WorkerDiedError, ProcPoolError) as exc:
-            dead = (
-                exc.shard_id
-                if isinstance(exc, wire.WorkerDiedError) else None
-            )
-            for sid, stream in streams.items():
-                if sid != dead:
-                    try:
-                        stream.abort_close()
-                    except Exception:
-                        pass
-            if dead is not None and not self._replicas_enabled:
-                threading.Thread(
-                    target=self._respawn_quietly,
-                    args=(dead,),
-                    name=f"repro-shard-respawn-{dead}",
-                    daemon=True,
-                ).start()
-            raise QueryAbortedError(
-                f"sharded enumeration failed to open: {exc}",
-                partial_rows=[],
-                blocks_accessed=0,
-                cause=exc.cause if isinstance(exc, QueryAbortedError) else exc,
-            ) from exc
-        return streams
-
-    # ------------------------------------------------------------------
-    # reverse top-k
-    # ------------------------------------------------------------------
-    def submit_reverse(
-        self, query: ReverseTopKQuery
-    ) -> "Future[ReverseTopKResult]":
-        """Enqueue one reverse top-k query (admission-controlled like
-        :meth:`submit`; never coalesced — the payload includes function
-        families that are awkward as cache keys and reverse queries are
-        rarely identical)."""
-        if self._closed:
-            raise ServiceClosedError("ShardedQueryService is closed")
-        with self._inflight_lock:
-            if (
-                self.max_inflight is not None
-                and self._inflight_count >= self.max_inflight
-            ):
-                self._overloaded_counter.inc()
-                raise ServiceOverloadedError(
-                    f"{self._inflight_count} query(ies) already in flight "
-                    f"(max_inflight={self.max_inflight})"
-                )
-            future = self._pool.submit(self._run_reverse, query)
-            self._inflight_count += 1
-        future.add_done_callback(lambda _f: self._release_inflight(None))
-        return future
-
-    def _run_reverse(self, query: ReverseTopKQuery) -> ReverseTopKResult:
-        return self._with_failover(lambda: self._run_reverse_attempt(query))
-
-    def _run_reverse_attempt(self, query: ReverseTopKQuery) -> ReverseTopKResult:
-        tracer = Tracer(self.registry) if self.trace_spans else None
-        started = time.perf_counter()
-        self._reverse_counter.inc()
-        with maybe_span(
-            tracer,
-            "reverse_query",
-            tid=query.tid,
-            k=query.k,
-            selections=dict(sorted(query.selections.items())),
-            functions=len(query.functions),
-        ) as qspan:
-            try:
-                if self.mode == "process":
-                    result = self._reverse_process(query, tracer)
-                else:
-                    result = self._reverse_thread(query, tracer)
-            except QueryAbortedError as exc:
-                self._retain_spans(tracer)
-                self._record(
-                    time.perf_counter() - started,
-                    shards=len(
-                        self.cube.shard_map.shards_for_query(query.selections)
-                    ),
-                    rounds=0,
-                    steps=0,
-                    blocks=exc.blocks_accessed,
-                    candidates=0,
-                    tuples=0,
-                    aborted=True,
-                )
-                raise
-            if qspan is not None:
-                qspan.add_many(
-                    qualifying=len(result.qualifying),
-                    blocks_accessed=result.blocks_accessed,
-                    candidates_examined=result.candidates_examined,
-                )
-        self._retain_spans(tracer)
-        self._record(
-            time.perf_counter() - started,
-            shards=len(self.cube.shard_map.shards_for_query(query.selections)),
-            rounds=0,
-            steps=0,
-            blocks=result.blocks_accessed,
-            candidates=result.candidates_examined,
-            tuples=result.tuples_examined,
-            aborted=False,
-        )
-        return result
-
-    def _reverse_target(self, query: ReverseTopKQuery):
-        """The target row and whether it matches the query selections."""
-        schema = self.cube.schema
-        try:
-            target = self.cube.fetch_by_tid(query.tid)
-        except StorageError as exc:
-            # the fetch touched exactly the owning shard's device
-            owner = self.cube._owner.get(query.tid)
-            if owner is not None:
-                _blame_shard(exc, owner[0])
-            raise
-        matches = all(
-            target[schema.position(name)] == value
-            for name, value in query.selections.items()
-        )
-        return schema, target, matches
-
-    def _reverse_thread(
-        self, query: ReverseTopKQuery, tracer: Tracer | None
-    ) -> ReverseTopKResult:
-        result = ReverseTopKResult()
-        targets: list[tuple[CubeShard, _ShardContext]] = []
-        for shard_id in self.cube.shard_map.shards_for_query(query.selections):
-            shard = self.cube.shards[shard_id]
-            ctx = self._context(shard)
-            if ctx is not None:
-                targets.append((shard, ctx))
-        try:
-            schema, target, matches = self._reverse_target(query)
-            result.target_matches = matches
-            for index, fn in enumerate(query.functions):
-                t_score = fn.score(
-                    [target[schema.position(d)] for d in fn.dims]
-                )
-                result.target_scores.append(t_score)
-                if not matches:
-                    continue
-                with maybe_span(
-                    tracer, "reverse_function",
-                    index=index, ranking=",".join(fn.dims),
-                ) as fspan:
-                    forward = TopKQuery(query.k, query.selections, fn)
-                    preceding = 0
-                    for shard, ctx in targets:
-                        # the target's insertion position in this shard's
-                        # (monotone) tid map: local tids before it precede
-                        # the target on score ties, all others do not
-                        tie_bound = bisect_left(shard.tid_map, query.tid)
-                        try:
-                            self._fault("reverse_count", shard.shard_id)
-                            n, sub = count_preceding(
-                                ctx.executor, forward, t_score, tie_bound
-                            )
-                        except StorageError as exc:
-                            _blame_shard(exc, shard.shard_id)
-                            raise
-                        preceding += n
-                        result.blocks_accessed += sub.blocks_accessed
-                        result.candidates_examined += sub.candidates_examined
-                        result.tuples_examined += sub.tuples_examined
-                        self.registry.counter(
-                            "shard.service.blocks_accessed",
-                            shard=str(shard.shard_id),
-                        ).inc(sub.blocks_accessed)
-                        if preceding >= query.k:
-                            break
-                    in_topk = preceding < query.k
-                    if in_topk:
-                        result.qualifying.append(index)
-                    if fspan is not None:
-                        fspan.add("preceding", preceding)
-                        fspan.add("in_topk", int(in_topk))
-        except StorageError as exc:
-            raise QueryAbortedError(
-                f"sharded reverse top-k aborted after "
-                f"{result.blocks_accessed} block fetch(es): {exc}",
-                partial_rows=[],
-                blocks_accessed=result.blocks_accessed,
-                cause=exc.cause if isinstance(exc, QueryAbortedError) else exc,
-            ) from exc
-        return result
-
-    def _reverse_process(
-        self, query: ReverseTopKQuery, tracer: Tracer | None
-    ) -> ReverseTopKResult:
-        pool = self._proc_pool
-        assert pool is not None
-        result = ReverseTopKResult()
-        available = set(pool.shard_ids)
-        targets = [
-            sid
-            for sid in self.cube.shard_map.shards_for_query(query.selections)
-            if sid in available
-        ]
-        try:
-            schema, target, matches = self._reverse_target(query)
-            result.target_matches = matches
-            for index, fn in enumerate(query.functions):
-                t_score = fn.score(
-                    [target[schema.position(d)] for d in fn.dims]
-                )
-                result.target_scores.append(t_score)
-                if not matches:
-                    continue
-                with maybe_span(
-                    tracer, "reverse_function",
-                    index=index, ranking=",".join(fn.dims),
-                ) as fspan:
-                    forward = TopKQuery(query.k, query.selections, fn)
-                    preceding = 0
-                    for sid in targets:
-                        self._fault("reverse_count", sid)
-                        shard = self.cube.shards[sid]
-                        tie_bound = bisect_left(shard.tid_map, query.tid)
-                        reply = pool.handle(sid).request(
-                            wire.ReverseCount(
-                                request_id=next(self._request_ids),
-                                query=forward,
-                                t_score=t_score,
-                                tie_tid=tie_bound,
-                            )
-                        )
-                        preceding += reply.preceding
-                        result.blocks_accessed += reply.blocks_accessed
-                        result.candidates_examined += (
-                            reply.candidates_examined
-                        )
-                        result.tuples_examined += reply.tuples_examined
-                        self.registry.counter(
-                            "shard.service.blocks_accessed", shard=str(sid)
-                        ).inc(reply.blocks_accessed)
-                        self.registry.counter(
-                            "shard.service.device_reads", shard=str(sid)
-                        ).inc(reply.device_reads)
-                        self.registry.merge_counter_items(
-                            reply.counter_deltas, shard=str(sid)
-                        )
-                        if preceding >= query.k:
-                            break
-                    in_topk = preceding < query.k
-                    if in_topk:
-                        result.qualifying.append(index)
-                    if fspan is not None:
-                        fspan.add("preceding", preceding)
-                        fspan.add("in_topk", int(in_topk))
-        except (StorageError, wire.WorkerDiedError, ProcPoolError) as exc:
-            dead = (
-                exc.shard_id
-                if isinstance(exc, wire.WorkerDiedError) else None
-            )
-            if dead is not None and not self._replicas_enabled:
-                threading.Thread(
-                    target=self._respawn_quietly,
-                    args=(dead,),
-                    name=f"repro-shard-respawn-{dead}",
-                    daemon=True,
-                ).start()
-            raise QueryAbortedError(
-                f"sharded reverse top-k aborted after "
-                f"{result.blocks_accessed} block fetch(es): {exc}",
-                partial_rows=[],
-                blocks_accessed=result.blocks_accessed,
-                cause=exc.cause if isinstance(exc, QueryAbortedError) else exc,
-            ) from exc
-        return result
-
-    # ------------------------------------------------------------------
-    def _context(self, shard: CubeShard) -> _ShardContext | None:
-        """The shard's serving context, created on demand (late builds)."""
-        ctx = self._contexts.get(shard.shard_id)
-        if ctx is not None:
-            return ctx
-        if shard.cube is None:
-            return None
-        with self._contexts_lock:
-            ctx = self._contexts.get(shard.shard_id)
-            if ctx is None:
-                ctx = _ShardContext(
-                    shard, self.share_caches, self.buffer_pseudo_blocks
-                )
-                self._contexts[shard.shard_id] = ctx
-            return ctx
-
-    def _run_one(self, query: TopKQuery) -> QueryResult:
-        query.validate_against(self.cube.schema)
-        return self._with_failover(lambda: self._run_one_attempt(query))
 
     def _with_failover(self, attempt):
         """Run one query attempt, retrying whole on replica promotion.
@@ -1268,6 +777,263 @@ class ShardedQueryService:
                 self._retain_spans(tracer)
                 attempts += 1
 
+    # ------------------------------------------------------------------
+    # serving APIs
+    # ------------------------------------------------------------------
+    def _admit(self, run, query, key: bytes | None = None) -> Future:
+        """Admission control (``max_inflight``) and duplicate coalescing
+        (``key``) in front of the query pool."""
+        if self._closed:
+            raise ServiceClosedError("ShardedQueryService is closed")
+        with self._inflight_lock:
+            if key is not None:
+                existing = self._inflight.get(key)
+                if existing is not None:
+                    self._coalesced_counter.inc()
+                    return existing
+            if (
+                self.max_inflight is not None
+                and self._inflight_count >= self.max_inflight
+            ):
+                self._overloaded_counter.inc()
+                raise ServiceOverloadedError(
+                    f"{self._inflight_count} query(ies) already in flight "
+                    f"(max_inflight={self.max_inflight})"
+                )
+            future = self._pool.submit(run, query)
+            self._inflight_count += 1
+            if key is not None:
+                self._inflight[key] = future
+        future.add_done_callback(lambda _f: self._release_inflight(key))
+        return future
+
+    def _release_inflight(self, key: bytes | None) -> None:
+        with self._inflight_lock:
+            self._inflight_count -= 1
+            if key is not None:
+                self._inflight.pop(key, None)
+
+    def submit(self, query: TopKQuery) -> "Future[QueryResult]":
+        """Enqueue one query; the future resolves to its merged answer.
+
+        Applies admission control (``max_inflight``) and duplicate
+        coalescing: an identical query already in flight returns the
+        *same* future instead of executing again.
+        """
+        key = pickle.dumps(query) if self.coalesce else None
+        return self._admit(self._run_one, query, key)
+
+    def run_batch(self, queries) -> list[QueryResult]:
+        """Run a batch concurrently, returning answers in request order."""
+        futures = [self.submit(q) for q in queries]
+        return [f.result() for f in futures]
+
+    def submit_reverse(
+        self, query: ReverseTopKQuery
+    ) -> "Future[ReverseTopKResult]":
+        """Enqueue one reverse top-k query (admission-controlled like
+        :meth:`submit`; never coalesced — the payload includes function
+        families that are awkward as cache keys and reverse queries are
+        rarely identical)."""
+        return self._admit(self._run_reverse, query)
+
+    def open_search(self, query: TopKQuery) -> ShardedAnyKCursor:
+        """Open a resumable any-k cursor over every consulted shard.
+
+        Unlike :meth:`submit` this is caller-stepped (no pool, no
+        admission control, no coalescing): the returned cursor yields
+        rows in certified global ``(score, tid)`` order — past
+        ``query.k``, on demand — until the snapshot it pinned at open
+        time is exhausted.  Projection is applied at the front end from
+        global tids; the shards enumerate bare ``(score, tid)`` pairs.
+        """
+        if self._closed:
+            raise ServiceClosedError("ShardedQueryService is closed")
+        query.validate_against(self.cube.schema)
+        self._searches_counter.inc()
+        tracer = Tracer(self.registry) if self.trace_spans else None
+        shard_query = (
+            query if query.projection is None
+            else replace(query, projection=None)
+        )
+        attempts = 0
+        while True:
+            try:
+                streams = self._open_enum(shard_query, tracer)
+                break
+            except QueryAbortedError as exc:
+                sid = self._dead_shard_of(exc)
+                if (
+                    sid is not None
+                    and attempts < self._max_failovers
+                    and self._failover(sid, tracer)
+                ):
+                    attempts += 1
+                    continue
+                raise
+        return ShardedAnyKCursor(
+            self, query, streams, self.step_batch, tracer,
+            shard_query=shard_query,
+        )
+
+    def _open_enum(
+        self, query: TopKQuery, tracer: Tracer | None
+    ) -> dict[int, _EnumStream]:
+        """One enumeration session per consulted shard, first rows in."""
+        pool = self._transport
+        targets = self._targets(query.selections)
+        request_id = next(self._request_ids)
+        handles: dict[int, object] = {}
+        first: dict[int, tuple] = {}
+
+        def _open(sid: int):
+            handle = handles[sid] = pool.handle(sid)
+            return handle.open_enum(
+                request_id, query, self.step_batch, tracer is not None
+            )
+
+        try:
+            self._fan_out(
+                targets, lambda sid: self._guard("enum_open", sid, _open, sid), first
+            )
+        except _SHARD_FAULTS as exc:
+            blocks = self._abort_cleanup(handles, request_id, exc)
+            raise QueryAbortedError(
+                f"sharded enumeration failed to open: {exc}",
+                partial_rows=[],
+                blocks_accessed=blocks,
+                cause=_abort_cause(exc),
+            ) from exc
+        return {
+            sid: _EnumStream(self, sid, handles[sid], request_id, first[sid])
+            for sid in targets
+        }
+
+    # ------------------------------------------------------------------
+    # reverse top-k
+    # ------------------------------------------------------------------
+    def _run_reverse(self, query: ReverseTopKQuery) -> ReverseTopKResult:
+        return self._with_failover(lambda: self._run_reverse_attempt(query))
+
+    def _run_reverse_attempt(self, query: ReverseTopKQuery) -> ReverseTopKResult:
+        tracer = Tracer(self.registry) if self.trace_spans else None
+        started = time.perf_counter()
+        self._reverse_counter.inc()
+        consulted = len(self.cube.shard_map.shards_for_query(query.selections))
+        with maybe_span(
+            tracer,
+            "reverse_query",
+            tid=query.tid,
+            k=query.k,
+            selections=dict(sorted(query.selections.items())),
+            functions=len(query.functions),
+        ) as qspan:
+            try:
+                result = self._reverse(query, tracer)
+            except QueryAbortedError as exc:
+                self._retain_spans(tracer)
+                self._record(
+                    started, consulted, 0, 0, exc.blocks_accessed, 0, 0, True
+                )
+                raise
+            if qspan is not None:
+                qspan.add_many(
+                    qualifying=len(result.qualifying),
+                    blocks_accessed=result.blocks_accessed,
+                    candidates_examined=result.candidates_examined,
+                )
+        self._retain_spans(tracer)
+        self._record(
+            started, consulted, 0, 0, result.blocks_accessed,
+            result.candidates_examined, result.tuples_examined, False,
+        )
+        return result
+
+    def _reverse_target(self, query: ReverseTopKQuery):
+        """The target row and whether it matches the query selections."""
+        schema = self.cube.schema
+        try:
+            target = self.cube.fetch_by_tid(query.tid)
+        except StorageError as exc:
+            # the fetch touched exactly the owning shard's device
+            owner = self.cube._owner.get(query.tid)
+            if owner is not None:
+                _blame_shard(exc, owner[0])
+            raise
+        matches = all(
+            target[schema.position(name)] == value
+            for name, value in query.selections.items()
+        )
+        return schema, target, matches
+
+    def _reverse(
+        self, query: ReverseTopKQuery, tracer: Tracer | None
+    ) -> ReverseTopKResult:
+        pool = self._transport
+        result = ReverseTopKResult()
+        targets = self._targets(query.selections)
+        try:
+            schema, target, matches = self._reverse_target(query)
+            result.target_matches = matches
+            for index, fn in enumerate(query.functions):
+                t_score = fn.score(
+                    [target[schema.position(d)] for d in fn.dims]
+                )
+                result.target_scores.append(t_score)
+                if not matches:
+                    continue
+                with maybe_span(
+                    tracer, "reverse_function",
+                    index=index, ranking=",".join(fn.dims),
+                ) as fspan:
+                    forward = TopKQuery(query.k, query.selections, fn)
+                    preceding = 0
+                    for sid in targets:
+                        # the target's insertion position in this shard's
+                        # (monotone) tid map: local tids before it precede
+                        # the target on score ties, all others do not
+                        tie_bound = bisect_left(
+                            self.cube.shards[sid].tid_map, query.tid
+                        )
+                        n, blocks, candidates, tuples, device_reads, deltas = (
+                            self._guard(
+                                "reverse_count", sid,
+                                lambda: pool.handle(sid).reverse_count(
+                                    forward, t_score, tie_bound
+                                ),
+                            )
+                        )
+                        preceding += n
+                        result.blocks_accessed += blocks
+                        result.candidates_examined += candidates
+                        result.tuples_examined += tuples
+                        self._account(sid, blocks, device_reads, deltas)
+                        if preceding >= query.k:
+                            break
+                    in_topk = preceding < query.k
+                    if in_topk:
+                        result.qualifying.append(index)
+                    if fspan is not None:
+                        fspan.add("preceding", preceding)
+                        fspan.add("in_topk", int(in_topk))
+        except _SHARD_FAULTS as exc:
+            self._abort_cleanup({}, 0, exc)  # no session; respawn only
+            raise QueryAbortedError(
+                f"sharded reverse top-k aborted after "
+                f"{result.blocks_accessed} block fetch(es): {exc}",
+                partial_rows=[],
+                blocks_accessed=result.blocks_accessed,
+                cause=_abort_cause(exc),
+            ) from exc
+        return result
+
+    # ------------------------------------------------------------------
+    # top-k scatter-gather
+    # ------------------------------------------------------------------
+    def _run_one(self, query: TopKQuery) -> QueryResult:
+        query.validate_against(self.cube.schema)
+        return self._with_failover(lambda: self._run_one_attempt(query))
+
     def _run_one_attempt(self, query: TopKQuery) -> QueryResult:
         tracer = Tracer(self.registry) if self.trace_spans else None
         started = time.perf_counter()
@@ -1279,25 +1045,14 @@ class ShardedQueryService:
             ranking=",".join(query.ranking.dims),
         ) as query_span:
             try:
-                if self.mode == "process":
-                    result, rounds, steps = self._scatter_gather_process(
-                        query, tracer
-                    )
-                else:
-                    result, rounds, steps = self._scatter_gather(query, tracer)
+                result, rounds, steps = self._scatter_gather(query, tracer)
             except QueryAbortedError as exc:
                 self._retain_spans(tracer)
+                consulted = len(
+                    self.cube.shard_map.shards_for_query(query.selections)
+                )
                 self._record(
-                    time.perf_counter() - started,
-                    shards=len(
-                        self.cube.shard_map.shards_for_query(query.selections)
-                    ),
-                    rounds=0,
-                    steps=0,
-                    blocks=exc.blocks_accessed,
-                    candidates=0,
-                    tuples=0,
-                    aborted=True,
+                    started, consulted, 0, 0, exc.blocks_accessed, 0, 0, True
                 )
                 raise
             if query_span is not None:
@@ -1309,14 +1064,9 @@ class ShardedQueryService:
                 )
         self._retain_spans(tracer)
         self._record(
-            time.perf_counter() - started,
-            shards=len(result.shard_io or ()),
-            rounds=rounds,
-            steps=steps,
-            blocks=result.blocks_accessed,
-            candidates=result.candidates_examined,
-            tuples=result.tuples_examined,
-            aborted=False,
+            started, len(result.shard_io), rounds, steps,
+            result.blocks_accessed, result.candidates_examined,
+            result.tuples_examined, False,
         )
         return result
 
@@ -1324,348 +1074,113 @@ class ShardedQueryService:
         self, query: TopKQuery, tracer: Tracer | None
     ) -> tuple[QueryResult, int, int]:
         """The merge loop; returns (result, merge rounds, shard steps)."""
-        targets: list[tuple[CubeShard, _ShardContext]] = []
-        for shard_id in self.cube.shard_map.shards_for_query(query.selections):
-            shard = self.cube.shards[shard_id]
-            ctx = self._context(shard)
-            if ctx is not None:  # empty shards hold no rows at all
-                targets.append((shard, ctx))
-
-        topk: list[tuple[float, int]] = []
-        searches: dict[int, tuple[CubeShard, ProgressiveSearch]] = {}
-        io_before = {
-            shard.shard_id: shard.db.io_snapshot() for shard, _ctx in targets
-        }
-        rounds = 0
-        steps = 0
-        try:
-            with maybe_span(
-                tracer, "shard_merge", shards=[s.shard_id for s, _ in targets]
-            ) as merge_span:
-                for shard, ctx in targets:
-                    try:
-                        self._fault("scatter", shard.shard_id)
-                        search = ProgressiveSearch(
-                            ctx.executor, query, ExecutorTrace()
-                        )
-                        searches[shard.shard_id] = (shard, search)
-                        # delta rows carry no block bound: merge up front
-                        for score, local_tid in search.delta_rows():
-                            _push_topk(
-                                topk, query.k, score, shard.to_global(local_tid)
-                            )
-                    except StorageError as exc:
-                        _blame_shard(exc, shard.shard_id)
-                        raise
-
-                def _step_one(shard, search):
-                    try:
-                        self._fault("merge_round", shard.shard_id)
-                        return search.step()
-                    except StorageError as exc:
-                        _blame_shard(exc, shard.shard_id)
-                        raise
-
-                while True:
-                    kth = -topk[0][0] if len(topk) >= query.k else None
-                    eligible = [
-                        (shard, search)
-                        for shard, search in searches.values()
-                        if not search.exhausted
-                        and (kth is None or search.best_unseen <= kth)
-                    ]
-                    if not eligible:
-                        break
-                    rounds += 1
-                    if len(eligible) == 1:
-                        batches = [
-                            (eligible[0][0], _step_one(*eligible[0]))
-                        ]
-                    else:
-                        futures = [
-                            (shard, self._step_pool.submit(_step_one, shard, search))
-                            for shard, search in eligible
-                        ]
-                        batches = [
-                            (shard, future.result()) for shard, future in futures
-                        ]
-                    for shard, scored in batches:
-                        steps += 1
-                        self.registry.counter(
-                            "shard.service.steps", shard=str(shard.shard_id)
-                        ).inc()
-                        for score, local_tid in scored:
-                            _push_topk(
-                                topk, query.k, score, shard.to_global(local_tid)
-                            )
-                if merge_span is not None:
-                    merge_span.add_many(merge_rounds=rounds, shard_steps=steps)
-        except StorageError as exc:
-            partial = self._finalize(query, topk, searches, io_before)
-            raise QueryAbortedError(
-                f"sharded query aborted after {partial.blocks_accessed} "
-                f"block fetch(es): {exc}",
-                partial_rows=partial.rows,
-                blocks_accessed=partial.blocks_accessed,
-                cause=exc.cause if isinstance(exc, QueryAbortedError) else exc,
-            ) from exc
-        result = self._finalize(query, topk, searches, io_before)
-        return result, rounds, steps
-
-    # ------------------------------------------------------------------
-    # process-mode scatter-gather
-    # ------------------------------------------------------------------
-    def _fault(self, point: str, shard_id: int) -> None:
-        if self._fault_hook is not None:
-            self._fault_hook(point, shard_id)
-
-    def _absorb_batch(
-        self,
-        states: dict,
-        topk: list[tuple[float, int]],
-        k: int,
-        shard: CubeShard,
-        batch: "wire.SearchBatch",
-    ) -> int:
-        """Fold one worker round into the global heap + per-shard state.
-
-        A batch with ``steps == 0`` that is not exhausted means the
-        worker certified its *local* top-k (its stop rules are otherwise
-        the strict complement of our eligibility check, evaluated on the
-        same bound and the same shipped ``kth``) — no further step can
-        change this shard's contribution, so it leaves the frontier.
-        """
-        for score, local_tid in batch.scored:
-            _push_topk(topk, k, score, shard.to_global(local_tid))
-        states[shard.shard_id] = {
-            "best_unseen": batch.best_unseen,
-            "done": batch.exhausted or batch.steps == 0,
-        }
-        if batch.steps:
-            self.registry.counter(
-                "shard.service.steps", shard=str(shard.shard_id)
-            ).inc(batch.steps)
-        return batch.steps
-
-    def _scatter_gather_process(
-        self, query: TopKQuery, tracer: Tracer | None
-    ) -> tuple[QueryResult, int, int]:
-        """The same merge loop, one pipe round trip per shard per round."""
-        pool = self._proc_pool
-        assert pool is not None
-        available = set(pool.shard_ids)
-        targets = [
-            sid
-            for sid in self.cube.shard_map.shards_for_query(query.selections)
-            if sid in available
-        ]
+        pool = self._transport
+        targets = self._targets(query.selections)
         request_id = next(self._request_ids)
-        want_trace = tracer is not None
+        shards = self.cube.shards
+        k = query.k
+        open_steps, trip_steps = self._open_steps, self._trip_steps
         topk: list[tuple[float, int]] = []
-        states: dict[int, dict] = {}
+        #: every shard an open was attempted on (what an abort must close)
         handles: dict[int, object] = {}
-        opened: list[int] = []
+        #: ``best_unseen`` of each shard still on the frontier, in target
+        #: order; a shard leaves when exhausted or locally certified
+        frontier: dict[int, float] = {}
         rounds = 0
         steps = 0
+
+        def _open(sid: int):
+            handle = handles[sid] = pool.handle(sid)
+            return handle.open(
+                request_id, query, None, open_steps, tracer is not None
+            )
+
+        def _step(sid: int, kth):
+            return self._guard(
+                "merge_round", sid,
+                handles[sid].step, request_id, kth, trip_steps,
+            )
+
+        def _absorb(sid: int, batch: tuple, asked: int) -> int:
+            """Fold one batch into the global heap and the frontier.
+
+            A batch that was asked for steps, took none and is not
+            exhausted means the endpoint certified its *local* top-k
+            (its stop rules are otherwise the strict complement of the
+            eligibility check, on the same bound and the same ``kth``)
+            — no further step can change this shard's contribution.
+            """
+            scored, best_unseen, exhausted, took, delta_rows = batch
+            to_global = shards[sid].to_global
+            for score, local_tid in delta_rows:  # no block bound: always
+                _push_topk(topk, k, score, to_global(local_tid))
+            for score, local_tid in scored:
+                _push_topk(topk, k, score, to_global(local_tid))
+            if exhausted or (asked and not took):
+                frontier.pop(sid, None)
+            else:
+                frontier[sid] = best_unseen
+            if took:
+                self._shard_series(sid)[0].inc(took)
+            return took
+
         try:
             with maybe_span(
                 tracer, "shard_merge", shards=list(targets)
             ) as merge_span:
-                # scatter: open one session per shard, first batch included
-                def _open(sid: int):
-                    try:
-                        self._fault("scatter", sid)
-                        handle = pool.handle(sid)
-                        handles[sid] = handle
-                        return handle.request(
-                            wire.OpenSearch(
-                                request_id=request_id,
-                                query=query,
-                                kth=None,
-                                max_steps=self.step_batch,
-                                trace=want_trace,
-                            )
-                        )
-                    except StorageError as exc:
-                        _blame_shard(exc, sid)
-                        raise
+                # scatter: one session per shard, delta rows included
+                batches: dict[int, tuple] = {}
+                # an open that takes no step reads no block: not worth a
+                # thread hand-off per shard
+                self._fan_out(
+                    targets,
+                    lambda sid: self._guard("scatter", sid, _open, sid),
+                    batches,
+                    inline=not open_steps,
+                )
+                for sid in targets:
+                    steps += _absorb(sid, batches[sid], open_steps)
 
-                if len(targets) <= 1:
-                    batches = [(sid, _open(sid)) for sid in targets]
-                else:
-                    futures = [
-                        (sid, self._step_pool.submit(_open, sid))
-                        for sid in targets
-                    ]
-                    batches = [(sid, f.result()) for sid, f in futures]
-                for sid, batch in batches:
-                    opened.append(sid)
-                    shard = self.cube.shards[sid]
-                    # delta rows carry no block bound: merge unconditionally
-                    for score, local_tid in batch.delta_rows:
-                        _push_topk(topk, query.k, score, shard.to_global(local_tid))
-                    steps += self._absorb_batch(states, topk, query.k, shard, batch)
-
-                # gather: step eligible shards in batches, refreshing kth
+                # gather: step the eligible shards, refreshing kth
                 while True:
-                    kth = -topk[0][0] if len(topk) >= query.k else None
+                    kth = -topk[0][0] if len(topk) >= k else None
                     eligible = [
                         sid
-                        for sid in opened
-                        if not states[sid]["done"]
-                        and (kth is None or states[sid]["best_unseen"] <= kth)
+                        for sid, bound in frontier.items()
+                        if kth is None or bound <= kth
                     ]
                     if not eligible:
                         break
                     rounds += 1
-
-                    def _step(sid: int, kth=kth):
-                        try:
-                            self._fault("merge_round", sid)
-                            return handles[sid].request(
-                                wire.StepBatch(
-                                    request_id=request_id,
-                                    kth=kth,
-                                    max_steps=self.step_batch,
-                                )
-                            )
-                        except StorageError as exc:
-                            _blame_shard(exc, sid)
-                            raise
-
-                    if len(eligible) == 1:
-                        round_batches = [(eligible[0], _step(eligible[0]))]
-                    else:
-                        futures = [
-                            (sid, self._step_pool.submit(_step, sid))
-                            for sid in eligible
-                        ]
-                        round_batches = [(sid, f.result()) for sid, f in futures]
-                    for sid, batch in round_batches:
-                        steps += self._absorb_batch(
-                            states, topk, query.k, self.cube.shards[sid], batch
-                        )
+                    batches = {}
+                    self._fan_out(eligible, _step, batches, kth)
+                    for sid in eligible:
+                        steps += _absorb(sid, batches[sid], trip_steps)
 
                 # finish: collect per-shard accounting + observability.
-                # Inside the merge span on purpose: worker span trees are
-                # adopted while their new parent is still open.
+                # Inside the merge span on purpose: session span trees
+                # are adopted while their new parent is still open.
                 result = QueryResult(shard_io={})
-                assert result.shard_io is not None
-                for sid in sorted(opened):
-                    self._fault("finish", sid)
-                    closed = handles[sid].request(wire.CloseSearch(request_id))
-                    result.blocks_accessed += closed.blocks_accessed
-                    result.candidates_examined += closed.candidates_examined
-                    result.tuples_examined += closed.tuples_examined
-                    result.shard_io[sid] = ShardIO(
-                        blocks_accessed=closed.blocks_accessed,
-                        candidates_examined=closed.candidates_examined,
-                        tuples_examined=closed.tuples_examined,
-                        device_reads=closed.device_reads,
+                for sid in sorted(handles):
+                    closed = self._guard(
+                        "finish", sid, handles[sid].close, request_id
                     )
-                    self.registry.counter(
-                        "shard.service.blocks_accessed", shard=str(sid)
-                    ).inc(closed.blocks_accessed)
-                    self.registry.counter(
-                        "shard.service.device_reads", shard=str(sid)
-                    ).inc(closed.device_reads)
-                    self.registry.merge_counter_items(
-                        closed.counter_deltas, shard=str(sid)
-                    )
-                    if merge_span is not None:
-                        adopt_spans(merge_span, closed.spans)
+                    adopt_spans(merge_span, self._fold_close(sid, closed, result))
                 if merge_span is not None:
                     merge_span.add_many(merge_rounds=rounds, shard_steps=steps)
-        except (StorageError, wire.WorkerDiedError, ProcPoolError) as exc:
-            blocks = self._abort_cleanup(handles, opened, request_id, exc)
+        except _SHARD_FAULTS as exc:
+            blocks = self._abort_cleanup(handles, request_id, exc)
             raise QueryAbortedError(
                 f"sharded query aborted after {blocks} block fetch(es): {exc}",
                 partial_rows=_rows_from_heap(topk),
                 blocks_accessed=blocks,
-                cause=exc.cause if isinstance(exc, QueryAbortedError) else exc,
+                cause=_abort_cause(exc),
             ) from exc
         rows = _rows_from_heap(topk)
         if query.projection:
             rows = [self._project(row, query) for row in rows]
         result.rows = rows
         return result, rounds, steps
-
-    def _abort_cleanup(
-        self, handles: dict, opened: list[int], request_id: int, exc: Exception
-    ) -> int:
-        """Close surviving sessions, kick a dead worker's respawn.
-
-        Returns the block count recovered from the shards that could
-        still answer a :class:`~repro.serve.wire.CloseSearch` — the
-        abort's ``blocks_accessed`` is therefore a lower bound.
-        """
-        blocks = 0
-        dead = exc.shard_id if isinstance(exc, wire.WorkerDiedError) else None
-        for sid in opened:
-            if sid == dead:
-                continue
-            handle = handles.get(sid)
-            if handle is None or not handle.alive:
-                continue
-            try:
-                closed = handle.request(wire.CloseSearch(request_id))
-            except Exception:
-                continue  # best effort: the query is aborting anyway
-            blocks += closed.blocks_accessed
-            self.registry.merge_counter_items(
-                closed.counter_deltas, shard=str(sid)
-            )
-        if dead is not None and not self._replicas_enabled:
-            threading.Thread(
-                target=self._respawn_quietly,
-                args=(dead,),
-                name=f"repro-shard-respawn-{dead}",
-                daemon=True,
-            ).start()
-        return blocks
-
-    def _respawn_quietly(self, shard_id: int) -> None:
-        pool = self._proc_pool
-        if pool is None:
-            return
-        try:
-            pool.respawn(shard_id)
-        except Exception:
-            pass  # the next query's handle() lookup retries once more
-
-    def _finalize(
-        self,
-        query: TopKQuery,
-        topk: list[tuple[float, int]],
-        searches: dict[int, tuple[CubeShard, ProgressiveSearch]],
-        io_before: dict,
-    ) -> QueryResult:
-        """Assemble the merged QueryResult with per-shard attribution."""
-        result = QueryResult(shard_io={})
-        assert result.shard_io is not None
-        for shard_id, (shard, search) in sorted(searches.items()):
-            sub = search.result
-            result.blocks_accessed += sub.blocks_accessed
-            result.candidates_examined += sub.candidates_examined
-            result.tuples_examined += sub.tuples_examined
-            device_reads = shard.db.io_since(io_before[shard_id]).reads
-            result.shard_io[shard_id] = ShardIO(
-                blocks_accessed=sub.blocks_accessed,
-                candidates_examined=sub.candidates_examined,
-                tuples_examined=sub.tuples_examined,
-                device_reads=device_reads,
-            )
-            self.registry.counter(
-                "shard.service.blocks_accessed", shard=str(shard_id)
-            ).inc(sub.blocks_accessed)
-            self.registry.counter(
-                "shard.service.device_reads", shard=str(shard_id)
-            ).inc(device_reads)
-        rows = _rows_from_heap(topk)
-        if query.projection:
-            rows = [self._project(row, query) for row in rows]
-        result.rows = rows
-        return result
 
     def _project(self, row: ResultRow, query: TopKQuery) -> ResultRow:
         try:
@@ -1684,8 +1199,7 @@ class ShardedQueryService:
     # ------------------------------------------------------------------
     def _record(
         self,
-        latency_s: float,
-        *,
+        started: float,
         shards: int,
         rounds: int,
         steps: int,
@@ -1694,6 +1208,7 @@ class ShardedQueryService:
         tuples: int,
         aborted: bool,
     ) -> None:
+        latency_s = time.perf_counter() - started
         record = ShardedQueryRecord(
             latency_s=latency_s,
             shards_consulted=shards,
@@ -1723,48 +1238,36 @@ class ShardedQueryService:
     # cache administration
     # ------------------------------------------------------------------
     def cold_cache(self) -> None:
-        """Evict every shard's buffered pages *and* shared caches.
-
-        Mode-transparent: thread mode cools the in-process shard stacks,
-        process mode broadcasts :class:`~repro.serve.wire.ColdCache` to
-        every worker (their buffer pools are not reachable from here).
-        """
-        if self._proc_pool is not None:
-            self._proc_pool.cold_cache()
-        else:
-            self.cube.cold_cache()
-            self.invalidate_caches()
+        """Evict every shard's buffered pages *and* shared caches."""
+        self._transport.cold_cache()
 
     def invalidate_caches(self) -> None:
-        """Drop every shard's shared caches."""
-        for ctx in self._contexts.values():
-            if ctx.pseudo_cache is not None:
-                ctx.pseudo_cache.clear()
-            if ctx.bound_memo is not None:
-                ctx.bound_memo.clear()
+        """Drop the shared caches of every shard served in this process
+        (a worker process's caches are only reachable by
+        :meth:`cold_cache`)."""
+        for endpoint in self._transport.local_endpoints().values():
+            endpoint.clear_caches()
 
     def shard_cache_stats(self) -> dict[int, dict[str, int]]:
-        """Per-shard pseudo-block cache counters (empty when disabled)."""
-        out: dict[int, dict[str, int]] = {}
-        for shard_id, ctx in sorted(self._contexts.items()):
-            if ctx.pseudo_cache is not None:
-                out[shard_id] = ctx.pseudo_cache.stats.snapshot()
-        return out
+        """Per-shard pseudo-block cache counters of the shards served in
+        this process (empty when the caches are disabled)."""
+        return {
+            shard_id: endpoint.pseudo_cache.stats.snapshot()
+            for shard_id, endpoint in self._transport.local_endpoints().items()
+            if endpoint.pseudo_cache is not None
+        }
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def close(self, wait: bool = True) -> None:
-        """Stop accepting queries, drain pools, stop workers, unhook."""
+        """Stop accepting queries, drain pools, release the shards."""
         if self._closed:
             return
         self._closed = True
         self._pool.shutdown(wait=wait)
         self._step_pool.shutdown(wait=wait)
-        for ctx in self._contexts.values():
-            ctx.unhook()
-        if self._proc_pool is not None:
-            self._proc_pool.close()
+        self._transport.close()
         if self._owned_spill_dir is not None:
             shutil.rmtree(self._owned_spill_dir, ignore_errors=True)
             self._owned_spill_dir = None

@@ -281,6 +281,9 @@ class Pong:
     #: fixed at spawn), which is how the failover suite tells a warm
     #: promotion apart from a cold respawn.
     role: str = "primary"
+    #: sessions the worker holds open (each pins a cube snapshot and a
+    #: frontier until closed) — 0 on an idle worker, or a session leaked
+    open_sessions: int = 0
 
 
 @dataclass(frozen=True)

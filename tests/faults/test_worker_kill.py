@@ -177,7 +177,7 @@ class TestKillMatrix:
         with ShardedQueryService(
             cube, workers=1, mode="process", fault_hook=hook
         ) as service:
-            pool = service._proc_pool
+            pool = service._transport
             sigkill_worker(VICTIM)  # make the victim need a respawn
             with pytest.raises(ProcPoolError, match="could not be respawned"):
                 pool.respawn(VICTIM)

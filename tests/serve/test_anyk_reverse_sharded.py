@@ -154,7 +154,7 @@ def sigkill_worker(service, shard_id):
     # kill the pool's own process handle, not a name match over
     # active_children(): another live service (e.g. a module fixture
     # elsewhere in the session) may own a same-named worker
-    proc = service._proc_pool._handles[shard_id].process
+    proc = service._transport._handles[shard_id].process
     if not proc.is_alive():
         return False
     proc.kill()
@@ -176,7 +176,7 @@ def test_worker_kill_mid_enumeration_aborts_typed():
         cursor = service.open_search(query)
         got = pairs(cursor.next_batch(5))
         assert got == expected[:5]
-        victim = next(iter(service._proc_pool.shard_ids))
+        victim = next(iter(service._transport.shard_ids))
         assert sigkill_worker(service, victim)
         with pytest.raises(QueryAbortedError) as excinfo:
             while not cursor.exhausted:

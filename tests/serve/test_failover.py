@@ -182,7 +182,7 @@ class TestProcessFailoverDirect:
             worker_timeout_s=30.0,
         ) as service:
             expected = signature(service.submit(query(k=6)).result())
-            handle = service._proc_pool._handles[0]
+            handle = service._transport._handles[0]
             handle.process.kill()
             handle.process.join(timeout=10)
             survived = signature(service.submit(query(k=6)).result())

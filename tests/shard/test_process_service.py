@@ -1,8 +1,11 @@
 """Process-mode sharded serving: identity, observability, admission.
 
-The deep worker-kill matrix lives in ``tests/faults/test_worker_kill.py``;
-this suite covers the happy path and the front-end policies (coalescing,
-admission control, spill-directory lifecycle).
+The behaviours both serving modes share are one suite
+(``test_service.ShardedServiceSuite``), run here in process mode; the
+deep worker-kill matrix lives in ``tests/faults/test_worker_kill.py``.
+What remains below is process-only: identity against thread mode,
+worker-side counters, the front-end policies (coalescing, admission
+control) and the spill-directory / worker lifecycle.
 """
 
 import random
@@ -25,6 +28,8 @@ from repro.serve import (
     ShardedQueryService,
 )
 from repro.shard import build_sharded
+
+from .test_service import ShardedServiceSuite
 
 pytestmark = [pytest.mark.serve, pytest.mark.timeout(120)]
 
@@ -76,6 +81,12 @@ QUERIES = [
 ]
 
 
+class TestProcessModeService(ShardedServiceSuite):
+    """The shared service suite, served by worker processes."""
+
+    mode = "process"
+
+
 class TestProcessModeIdentity:
     def test_answers_match_thread_mode_exactly(self, cube, proc_service):
         with ShardedQueryService(cube, workers=2) as threaded:
@@ -84,16 +95,6 @@ class TestProcessModeIdentity:
         for want, have in zip(expected, got):
             assert signature(want) == signature(have)
             assert [r.values for r in want.rows] == [r.values for r in have.rows]
-
-    def test_shard_attribution_is_complete(self, proc_service):
-        result = proc_service.submit(query(k=4, a1=1)).result()
-        assert sorted(result.shard_io) == [0, 1, 2]
-        assert result.blocks_accessed == sum(
-            io.blocks_accessed for io in result.shard_io.values()
-        )
-        assert result.tuples_examined == sum(
-            io.tuples_examined for io in result.shard_io.values()
-        )
 
     def test_worker_counters_aggregate_with_shard_label(self, cube):
         registry = MetricsRegistry()
@@ -106,18 +107,6 @@ class TestProcessModeIdentity:
         # worker-side storage/cache series land here with a shard label
         merged = [k for k in snap if "shard=" in k and k.startswith("serve.cache.")]
         assert merged, sorted(snap)
-
-    def test_worker_spans_adopted_under_merge_span(self, cube):
-        with ShardedQueryService(
-            cube, workers=1, mode="process", trace_spans=True
-        ) as service:
-            service.submit(query(k=3, a1=0)).result()
-        root = service.spans[-1]
-        assert root.name == "query"
-        (merge,) = [c for c in root.children if c.name == "shard_merge"]
-        batches = [c for c in merge.children if c.name == "shard_batch"]
-        assert {b.attributes["shard"] for b in batches} == {0, 1, 2}
-        assert merge.counters["shard_steps"] >= 1
 
 
 class TestFrontEndPolicies:
@@ -192,7 +181,7 @@ class TestLifecycle:
 
     def test_close_terminates_workers_and_rejects_queries(self, cube):
         service = ShardedQueryService(cube, workers=1, mode="process")
-        pool = service._proc_pool
+        pool = service._transport
         procs = [h.process for h in pool._handles.values()]
         assert all(p.is_alive() for p in procs)
         service.close()

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.core import QueryAbortedError
+from repro.core import QueryAbortedError, ReverseTopKQuery, simplex_grid_family
 from repro.obs.metrics import MetricsRegistry
 from repro.ranking import LinearFunction
 from repro.relational import (
@@ -23,7 +23,9 @@ from repro.storage import (
     FaultRule,
     FaultyBlockDevice,
     RetryPolicy,
+    StorageError,
 )
+from repro.workloads.oracle import brute_force_topk
 
 pytestmark = pytest.mark.serve
 
@@ -87,13 +89,27 @@ class TestShardedCube:
         assert cube.shards[0].cube is not None
 
 
-class TestShardedQueryService:
+class ShardedServiceSuite:
+    """What every serving mode must do; a subclass names the ``mode``.
+
+    One loop serves both modes, so one suite checks both: the thread
+    subclass is below, the process subclass lives with the process-only
+    tests in ``test_process_service.py``.
+    """
+
+    mode: str
+
+    def service(self, cube, **kwargs):
+        return ShardedQueryService(cube, mode=self.mode, **kwargs)
+
     def test_answers_and_shard_attribution(self):
         rows = make_rows()
         cube = build_sharded(SCHEMA, rows, 3, block_size=8)
-        with ShardedQueryService(cube, workers=2) as service:
+        with self.service(cube, workers=2) as service:
             result = service.submit(query(k=4, a1=1)).result()
-        assert len(result.rows) == 4
+        assert [(r.score, r.tid) for r in result.rows] == brute_force_topk(
+            SCHEMA, rows, query(k=4, a1=1)
+        )
         assert result.shard_io is not None
         assert sorted(result.shard_io) == [0, 1, 2]
         assert result.blocks_accessed == sum(
@@ -108,7 +124,7 @@ class TestShardedQueryService:
         cube = build_sharded(
             SCHEMA, rows, 3, mode="selection_key", key_dim="a1", block_size=8
         )
-        with ShardedQueryService(cube, workers=2) as service:
+        with self.service(cube, workers=2) as service:
             pruned = service.submit(query(k=3, a1=2)).result()
             fanned = service.submit(query(k=3, a2=1)).result()
         assert sorted(pruned.shard_io) == [2]
@@ -121,7 +137,7 @@ class TestShardedQueryService:
             3, {"a1": 0}, LinearFunction(["n1", "n2"], [1.0, 1.0]),
             projection=("a2",),
         )
-        with ShardedQueryService(cube, workers=2) as service:
+        with self.service(cube, workers=2) as service:
             result = service.submit(q).result()
         for row in result.rows:
             assert row.values == (rows[row.tid][1],)
@@ -130,19 +146,31 @@ class TestShardedQueryService:
         rows = make_rows()
         cube = build_sharded(SCHEMA, rows, 2, block_size=8)
         registry = MetricsRegistry()
-        with ShardedQueryService(cube, workers=2, registry=registry) as service:
+        with self.service(cube, workers=2, registry=registry) as service:
             service.run_batch([query(k=3), query(k=5, a1=1)])
-        snap = registry.snapshot()
-        assert snap["shard.service.queries"] == 2
-        per_shard = [
-            name for name in snap if name.startswith("shard.service.steps{")
-        ]
-        assert len(per_shard) == 2  # one labeled series per shard
+            snap = registry.snapshot()
+            assert snap["shard.service.queries"] == 2
+            per_shard = [
+                name for name in snap if name.startswith("shard.service.steps{")
+            ]
+            assert len(per_shard) == 2  # one labeled series per shard
+            # a reverse query moves the same per-shard series
+            service.cold_cache()
+            reverse = ReverseTopKQuery(
+                7, 4, {}, simplex_grid_family(["n1", "n2"], 3)
+            )
+            before = {
+                name: registry.total(f"shard.service.{name}")
+                for name in ("blocks_accessed", "device_reads")
+            }
+            service.submit_reverse(reverse).result()
+            for name, value in before.items():
+                assert registry.total(f"shard.service.{name}") > value, name
 
     def test_shard_merge_span_under_query_span(self):
         rows = make_rows()
         cube = build_sharded(SCHEMA, rows, 2, block_size=8)
-        with ShardedQueryService(cube, workers=1, trace_spans=True) as service:
+        with self.service(cube, workers=1, trace_spans=True) as service:
             service.submit(query(k=3, a1=0)).result()
         assert service.spans
         root = service.spans[-1]
@@ -150,6 +178,12 @@ class TestShardedQueryService:
         merge = [c for c in root.children if c.name == "shard_merge"]
         assert len(merge) == 1
         assert merge[0].counters["shard_steps"] >= 1
+        # every shard's session spans are adopted under the merge span
+        batches = [c for c in merge[0].children if c.name == "shard_batch"]
+        assert {b.attributes["shard"] for b in batches} == {0, 1}
+        assert sum(b.counters["steps"] for b in batches) == (
+            merge[0].counters["shard_steps"]
+        )
 
     def test_abort_on_dead_shard_carries_partials(self):
         rows = make_rows(200)
@@ -168,25 +202,65 @@ class TestShardedQueryService:
 
         cube = build_sharded(SCHEMA, rows, 2, block_size=8, database_factory=factory)
         cube.cold_cache()  # force reads through the (faulty) device
-        with ShardedQueryService(cube, workers=1) as service:
+        with self.service(cube, workers=1) as service:
             future = service.submit(query(k=5))
             with pytest.raises(QueryAbortedError) as excinfo:
                 future.result()
-        err = excinfo.value
-        # partial rows come from the surviving shard's merged candidates
-        assert isinstance(err.partial_rows, list)
-        assert service.stats.aborted == 1
+            err = excinfo.value
+            # partial rows come from the surviving shard's merged candidates
+            assert isinstance(err.partial_rows, list)
+            assert service.stats.aborted == 1
+            # the abort closed every session the query had opened
+            for shard_id in (0, 1):
+                assert service._transport.handle(shard_id).open_sessions == 0
         # the healthy shard is still serviceable afterwards
-        with ShardedQueryService(cube, workers=1) as service:
+        with self.service(cube, workers=1):
             pruned_map = cube.shard_map.shards_for_query({})
             assert pruned_map == (0, 1)
 
+    @pytest.mark.parametrize("point", ["scatter", "enum_open"])
+    def test_failed_open_closes_the_sessions_that_did_open(self, point):
+        """One shard of three cannot open: the abort must close the two
+        sessions that did (each pins a snapshot and a frontier) and
+        report the blocks those shards read."""
+        cube = build_sharded(SCHEMA, make_rows(), 3, block_size=8)
+        survivors = (0, 1)
+
+        def hook(fired, shard_id):
+            if fired == point and shard_id == 2:
+                raise StorageError("injected: shard 2 cannot open")
+
+        registry = MetricsRegistry()
+        with self.service(
+            cube, workers=1, registry=registry, fault_hook=hook
+        ) as service:
+            with pytest.raises(QueryAbortedError) as excinfo:
+                if point == "scatter":
+                    service.submit(query(k=5)).result()
+                else:
+                    service.open_search(query(k=5))
+            for shard_id in survivors:
+                assert service._transport.handle(shard_id).open_sessions == 0
+        read = sum(
+            registry.value("shard.service.blocks_accessed", shard=str(shard_id))
+            for shard_id in survivors
+        )
+        assert excinfo.value.blocks_accessed == read
+        # an enumeration open fetches first rows in both modes; a top-k
+        # open takes steps only where a round trip is worth batching
+        if point == "enum_open" or self.mode == "process":
+            assert read > 0
+
     def test_closed_service_rejects_queries(self):
         cube = build_sharded(SCHEMA, make_rows(40), 2, block_size=8)
-        service = ShardedQueryService(cube, workers=1)
+        service = self.service(cube, workers=1)
         service.close()
         with pytest.raises(ServiceClosedError):
             service.submit(query(k=1))
+
+
+class TestShardedQueryService(ShardedServiceSuite):
+    mode = "thread"
 
     def test_caches_are_per_shard_and_invalidation_wired(self):
         rows = make_rows()
