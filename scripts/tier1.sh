@@ -4,7 +4,11 @@
 #   1. fast test suite  — pytest -m "not slow and not serve and not faults"
 #                         (the sub-minute core: storage, cube, executor,
 #                         obs invariants; the slow/serve/faults suites run
-#                         in the full gate, `PYTHONPATH=src python -m pytest`)
+#                         in the full gate, `PYTHONPATH=src python -m pytest`).
+#                         Includes tests/core/test_single_search.py, the
+#                         structural test that the four-step loop, the plan
+#                         and the stop rule exist once (ProgressiveSearch)
+#                         and no second frontier loop has grown back
 #   2. bench check      — re-runs the smoke-sized checked-in baselines in
 #                         results/ and fails on any metric outside its
 #                         declared tolerance (see repro/bench/check.py)
@@ -59,7 +63,7 @@ export PYTHONPATH=src
 # stalling the whole gate.  Tests may tighten it with @pytest.mark.timeout.
 export REPRO_TEST_TIMEOUT="${REPRO_TEST_TIMEOUT:-300}"
 
-echo "== tier1 1/10: fast test suite =="
+echo "== tier1 1/10: fast test suite (incl. single-search structural test) =="
 python -m pytest -m "not slow and not serve and not faults" -q
 
 echo "== tier1 2/10: bench regression gate (smoke) =="

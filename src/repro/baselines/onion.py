@@ -23,11 +23,16 @@ degenerate and tiny cases that QHull rejects).
 
 from __future__ import annotations
 
-import heapq
 from typing import Sequence
 
 from ..ranking.functions import LinearFunction
-from ..relational.query import QueryError, QueryResult, ResultRow, TopKQuery
+from ..relational.query import (
+    QueryError,
+    QueryResult,
+    TopKQuery,
+    push_topk,
+    rows_from_heap,
+)
 from ..relational.table import Table
 
 
@@ -90,18 +95,11 @@ class OnionIndex:
                     if not query.matches(schema, row):
                         continue
                 result.tuples_examined += 1
-                entry = (-score, -tid)
-                if len(topk) < query.k:
-                    heapq.heappush(topk, entry)
-                elif entry > topk[0]:
-                    heapq.heapreplace(topk, entry)
+                push_topk(topk, query.k, score, tid)
             # min over this layer lower-bounds everything deeper
             if len(topk) >= query.k and -topk[0][0] <= layer_min:
                 break
-        result.rows = [
-            ResultRow(tid=-neg_tid, score=-neg_score)
-            for neg_score, neg_tid in sorted(topk, reverse=True)
-        ]
+        result.rows = rows_from_heap(topk)
         return result
 
     @property

@@ -21,11 +21,16 @@ introduction calls out.  Views are stored through the paged storage layer
 
 from __future__ import annotations
 
-import heapq
 from typing import Sequence
 
 from ..ranking.functions import LinearFunction
-from ..relational.query import QueryError, QueryResult, ResultRow, TopKQuery
+from ..relational.query import (
+    QueryError,
+    QueryResult,
+    TopKQuery,
+    push_topk,
+    rows_from_heap,
+)
 from ..relational.table import Table
 from ..storage.heap import HeapFile
 from ..storage.pages import RecordCodec
@@ -117,15 +122,8 @@ class PreferView:
                     continue
             score = fn.score([values[p] for p in fn_positions])
             result.tuples_examined += 1
-            entry = (-score, -tid)
-            if len(topk) < query.k:
-                heapq.heappush(topk, entry)
-            elif entry > topk[0]:
-                heapq.heapreplace(topk, entry)
-        result.rows = [
-            ResultRow(tid=-neg_tid, score=-neg_score)
-            for neg_score, neg_tid in sorted(topk, reverse=True)
-        ]
+            push_topk(topk, query.k, score, tid)
+        result.rows = rows_from_heap(topk)
         return result
 
     @property

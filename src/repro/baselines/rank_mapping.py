@@ -24,7 +24,14 @@ from __future__ import annotations
 import heapq
 
 from ..ranking.levelset import level_set_box
-from ..relational.query import QueryError, QueryResult, ResultRow, TopKQuery
+from ..relational.query import (
+    QueryError,
+    QueryResult,
+    ResultRow,
+    TopKQuery,
+    push_topk,
+    rows_from_heap,
+)
 from ..relational.table import Table
 
 
@@ -98,15 +105,8 @@ class RankMappingExecutor:
             point = [rank_values[p] for p in fn_positions]
             score = query.ranking.score(point)
             result.tuples_examined += 1
-            entry = (-score, -tid)
-            if len(topk) < query.k:
-                heapq.heappush(topk, entry)
-            elif entry > topk[0]:
-                heapq.heapreplace(topk, entry)
-        result.rows = [
-            ResultRow(tid=-neg_tid, score=-neg_score)
-            for neg_score, neg_tid in sorted(topk, reverse=True)
-        ]
+            push_topk(topk, query.k, score, tid)
+        result.rows = rows_from_heap(topk)
         if query.projection:
             result.rows = [
                 ResultRow(

@@ -16,9 +16,13 @@ evaluate all the data records").
 
 from __future__ import annotations
 
-import heapq
-
-from ..relational.query import QueryResult, ResultRow, TopKQuery
+from ..relational.query import (
+    QueryResult,
+    ResultRow,
+    TopKQuery,
+    push_topk,
+    rows_from_heap,
+)
 from ..relational.table import Table
 from ..storage.device import RANDOM_READ_WEIGHT, SEQ_READ_WEIGHT
 
@@ -73,7 +77,7 @@ class BaselineExecutor:
                 continue
             score = query.score_row(schema, row)
             result.tuples_examined += 1
-            _push_topk(topk, query.k, score, tid)
+            push_topk(topk, query.k, score, tid)
         result.blocks_accessed = self.table.heap.num_pages
         result.rows = _finish(topk, query, self.table)
         return result
@@ -92,26 +96,15 @@ class BaselineExecutor:
                 continue
             score = query.score_row(schema, row)
             result.tuples_examined += 1
-            _push_topk(topk, query.k, score, tid)
+            push_topk(topk, query.k, score, tid)
         result.rows = _finish(topk, query, self.table)
         return result
-
-
-def _push_topk(topk: list[tuple[float, int]], k: int, score: float, tid: int) -> None:
-    entry = (-score, -tid)
-    if len(topk) < k:
-        heapq.heappush(topk, entry)
-    elif entry > topk[0]:
-        heapq.heapreplace(topk, entry)
 
 
 def _finish(
     topk: list[tuple[float, int]], query: TopKQuery, table: Table
 ) -> list[ResultRow]:
-    rows = [
-        ResultRow(tid=-neg_tid, score=-neg_score)
-        for neg_score, neg_tid in sorted(topk, reverse=True)
-    ]
+    rows = rows_from_heap(topk)
     if query.projection:
         schema = table.schema
         rows = [

@@ -41,6 +41,19 @@ class RankingFunctionError(Exception):
     """Raised for malformed ranking-function constructions."""
 
 
+def _finite(values: Sequence[float], what: str) -> tuple[float, ...]:
+    """``values`` as a float tuple; NaN and ±inf are rejected.
+
+    A non-finite parameter makes scores and block bounds NaN, and a NaN
+    bound silently breaks the frontier heap's order — so it is refused
+    at construction rather than answered wrongly at query time.
+    """
+    floats = tuple(float(v) for v in values)
+    if not all(map(math.isfinite, floats)):
+        raise RankingFunctionError(f"{what} must be finite, got {floats}")
+    return floats
+
+
 class RankingFunction(ABC):
     """A convex scoring function over named ranking dimensions.
 
@@ -155,8 +168,8 @@ class LinearFunction(RankingFunction):
             raise RankingFunctionError(
                 f"{len(self.dims)} dims but {len(weights)} weights"
             )
-        self.weights = tuple(float(w) for w in weights)
-        self.offset = float(offset)
+        self.weights = _finite(weights, "weights")
+        (self.offset,) = _finite([offset], "offset")
 
     def score(self, point: Sequence[float]) -> float:
         return self.offset + sum(w * x for w, x in zip(self.weights, point))
@@ -237,9 +250,9 @@ class LpDistance(RankingFunction):
             raise RankingFunctionError("weights length mismatch")
         if any(w < 0 for w in weights):
             raise RankingFunctionError("LpDistance weights must be non-negative")
-        self.target = tuple(float(t) for t in target)
-        self.p = float(p)
-        self.weights = tuple(float(w) for w in weights)
+        self.target = _finite(target, "target")
+        (self.p,) = _finite([p], "p")
+        self.weights = _finite(weights, "weights")
 
     def score(self, point: Sequence[float]) -> float:
         # The p=1 / p=2 families use plain abs/multiply instead of
@@ -317,11 +330,11 @@ class QuadraticForm(RankingFunction):
     ):
         super().__init__(dims)
         n = len(self.dims)
-        self.matrix = [[float(v) for v in row] for row in matrix]
+        self.matrix = [list(_finite(row, "matrix entries")) for row in matrix]
         if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
             raise RankingFunctionError(f"matrix must be {n}x{n}")
-        self.center = tuple(float(c) for c in (center or [0.0] * n))
-        self.linear = tuple(float(b) for b in (linear or [0.0] * n))
+        self.center = _finite(center or [0.0] * n, "center")
+        self.linear = _finite(linear or [0.0] * n, "linear")
         if len(self.center) != n or len(self.linear) != n:
             raise RankingFunctionError("center/linear length mismatch")
         if not _is_psd(self.matrix):

@@ -12,6 +12,7 @@ tuple.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -117,6 +118,33 @@ class ResultRow:
     def __lt__(self, other: "ResultRow") -> bool:
         # Deterministic total order: by score, ties by tid.
         return (self.score, self.tid) < (other.score, other.tid)
+
+
+def push_topk(topk: list[tuple[float, int]], k: int, score: float, tid: int) -> None:
+    """Offer one scored tuple to a top-k max-heap.
+
+    Entries are ``(-score, -tid)`` so the heap root is the *worst* kept
+    tuple — largest score, and among equal scores the largest tid.  A new
+    tuple displaces the root when it is strictly better under the same
+    order, so ties on the k-th score break toward the smaller tid: the
+    retained set and the presented order (see :func:`rows_from_heap`)
+    agree on tid-ascending tie-breaking, the contract documented on
+    :class:`QueryResult`.  Every executor and baseline keeps its top-k
+    through this one function; the result is insertion-order independent.
+    """
+    entry = (-score, -tid)
+    if len(topk) < k:
+        heapq.heappush(topk, entry)
+    elif entry > topk[0]:
+        heapq.heapreplace(topk, entry)
+
+
+def rows_from_heap(topk: list[tuple[float, int]]) -> list[ResultRow]:
+    """The heap's tuples as result rows, best ``(score, tid)`` first."""
+    return [
+        ResultRow(tid=-neg_tid, score=-neg_score)
+        for neg_score, neg_tid in sorted(topk, reverse=True)
+    ]
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ import threading
 from dataclasses import replace
 
 from ..core.anyk import AnyKCursor
-from ..core.executor import ProgressiveSearch, RankingCubeExecutor, _push_topk
+from ..core.executor import ProgressiveSearch, RankingCubeExecutor
 from ..core.reverse import count_preceding
 from ..obs.metrics import MetricsRegistry, diff_counter_items
 from ..obs.tracing import Tracer, maybe_span
@@ -52,21 +52,19 @@ class _Session:
     ``cursor`` is None for top-k sessions; enumeration sessions alias
     ``search`` to their cursor's underlying :class:`ProgressiveSearch`
     so :meth:`ShardEndpoint.close` accounts for both kinds identically.
+    The shard's *local* top-k is the search's own ``topk`` heap.
     """
 
     __slots__ = (
-        "search", "cursor", "tracer", "io_before", "counters_before",
-        "local_topk", "k", "rounds",
+        "search", "cursor", "tracer", "io_before", "counters_before", "rounds",
     )
 
-    def __init__(self, search, cursor, tracer, io_before, counters_before, k):
+    def __init__(self, search, cursor, tracer, io_before, counters_before):
         self.search = search
         self.cursor = cursor
         self.tracer = tracer
         self.io_before = io_before
         self.counters_before = counters_before
-        self.local_topk: list[tuple[float, int]] = []
-        self.k = k
         self.rounds = 0
 
 
@@ -148,7 +146,7 @@ class ShardEndpoint:
         steps, delta_rows)``, the last merge-ready and unconditional."""
         started = self._start(request_id, trace)
         search = ProgressiveSearch(self.executor, query)
-        session = _Session(search, None, *started, query.k)
+        session = _Session(search, None, *started)
         self._sessions[request_id] = session
         return self._batch(session, kth, max_steps, opening=True)
 
@@ -157,6 +155,16 @@ class ShardEndpoint:
         return self._batch(self._session(request_id), kth, max_steps)
 
     def _batch(self, session: _Session, kth, max_steps, opening=False):
+        """One trip's worth of the session's search.
+
+        The search steps under its own stop rule (:meth:`~repro.core
+        .executor.ProgressiveSearch.run`): up to ``max_steps``, until
+        exhaustion, until the global ``kth`` prunes the shard, or until
+        the shard's *local* top-k is certified — no further step can
+        then change this shard's contribution to any global answer,
+        which is exactly where a per-shard executor stops too.  Delta
+        rows join the local top-k after the frontier, as they do there.
+        """
         search = session.search
         delta_rows: list[tuple[float, int]] = []
         with maybe_span(
@@ -165,42 +173,14 @@ class ShardEndpoint:
         ) as span:
             if opening:
                 delta_rows = search.delta_rows()
-            scored, steps = self._run(session, kth, max_steps)
+            scored, steps = search.run(kth, max_steps)
             if span is not None:
                 span.add_many(steps=steps, scored=len(scored))
                 if opening:
                     span.add("delta_rows", len(delta_rows))
-        for score, tid in delta_rows:
-            _push_topk(session.local_topk, session.k, score, tid)
+        search.offer(delta_rows)
         session.rounds += 1
         return scored, search.best_unseen, search.exhausted, steps, delta_rows
-
-    @staticmethod
-    def _run(session: _Session, kth, max_steps):
-        """Step a session's search under the merge's continue rules.
-
-        Stops at ``max_steps``, at exhaustion, when the global bound
-        prunes the shard (``best_unseen > kth``, the strict complement
-        of the merge's non-strict continue), or when the shard's *local*
-        top-k is certified — no further step can then change this
-        shard's contribution to any global answer, which is exactly
-        where a per-shard executor stops too.
-        """
-        search = session.search
-        local_topk, k = session.local_topk, session.k
-        scored: list[tuple[float, int]] = []
-        steps = 0
-        while steps < max_steps and not search.exhausted:
-            bound = search.best_unseen
-            if kth is not None and bound > kth:
-                break
-            if len(local_topk) >= k and bound > -local_topk[0][0]:
-                break
-            for pair in search.step():
-                _push_topk(local_topk, k, *pair)
-                scored.append(pair)
-            steps += 1
-        return scored, steps
 
     def open_enum(self, request_id, query, count, trace):
         """Open an enumeration session: ``(rows, exhausted)``, the first
@@ -210,9 +190,7 @@ class ShardEndpoint:
             # the front end projects from global tids after the merge
             query = replace(query, projection=None)
         cursor = AnyKCursor(self.executor, query)
-        self._sessions[request_id] = _Session(
-            cursor.search, cursor, *started, query.k
-        )
+        self._sessions[request_id] = _Session(cursor.search, cursor, *started)
         return self.next_rows(request_id, count)
 
     def next_rows(self, request_id, count):

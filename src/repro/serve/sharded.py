@@ -93,11 +93,18 @@ from dataclasses import dataclass, field, replace
 from itertools import count
 from pathlib import Path
 
-from ..core.executor import QueryAbortedError, _push_topk, _rows_from_heap
+from ..core.executor import QueryAbortedError
 from ..core.reverse import ReverseTopKQuery, ReverseTopKResult
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import Span, Tracer, adopt_spans, maybe_span
-from ..relational.query import QueryResult, ResultRow, ShardIO, TopKQuery
+from ..relational.query import (
+    QueryResult,
+    ResultRow,
+    ShardIO,
+    TopKQuery,
+    push_topk,
+    rows_from_heap,
+)
 from ..shard.builder import ShardedCube
 from ..storage.device import StorageError
 from . import wire
@@ -1113,9 +1120,9 @@ class ShardedQueryService:
             scored, best_unseen, exhausted, took, delta_rows = batch
             to_global = shards[sid].to_global
             for score, local_tid in delta_rows:  # no block bound: always
-                _push_topk(topk, k, score, to_global(local_tid))
+                push_topk(topk, k, score, to_global(local_tid))
             for score, local_tid in scored:
-                _push_topk(topk, k, score, to_global(local_tid))
+                push_topk(topk, k, score, to_global(local_tid))
             if exhausted or (asked and not took):
                 frontier.pop(sid, None)
             else:
@@ -1172,11 +1179,11 @@ class ShardedQueryService:
             blocks = self._abort_cleanup(handles, request_id, exc)
             raise QueryAbortedError(
                 f"sharded query aborted after {blocks} block fetch(es): {exc}",
-                partial_rows=_rows_from_heap(topk),
+                partial_rows=rows_from_heap(topk),
                 blocks_accessed=blocks,
                 cause=_abort_cause(exc),
             ) from exc
-        rows = _rows_from_heap(topk)
+        rows = rows_from_heap(topk)
         if query.projection:
             rows = [self._project(row, query) for row in rows]
         result.rows = rows

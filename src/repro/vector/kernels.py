@@ -119,7 +119,7 @@ def topk_select(scores, tids, k: int | None) -> list[tuple[float, int]]:
     Implements the frontier-scoring tie contract with a *stable* batched
     sort: ``lexsort`` with tid as the secondary key, so tuples sharing a
     score come out smallest-tid-first — exactly the order the row
-    executor's heap retains (see ``_push_topk``).  ``k=None`` returns
+    executor's heap retains (see ``push_topk``).  ``k=None`` returns
     every pair, still fully ordered.
 
     Only the best ``k`` of a block can ever enter the global top-k, so

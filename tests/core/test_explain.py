@@ -6,12 +6,22 @@ import pytest
 
 from repro.core import (
     CubeError,
+    ExecutorTrace,
     FragmentedRankingCube,
     RankingCube,
     RankingCubeExecutor,
 )
+from repro.obs import MetricsRegistry, Tracer
 from repro.ranking import LinearFunction, LpDistance
-from repro.relational import Database, Schema, TopKQuery, ranking_attr, selection_attr
+from repro.relational import (
+    Database,
+    QueryError,
+    Schema,
+    TopKQuery,
+    ranking_attr,
+    selection_attr,
+)
+from repro.serve.cache import BoundMemo, PseudoBlockCache
 
 
 def make_env(num_dims=4, fragment_size=None, num_rows=600, seed=107):
@@ -68,8 +78,6 @@ class TestExplain:
         assert plan.start_bound == pytest.approx(0.0)
 
     def test_plan_matches_execution_start(self):
-        from repro.core import ExecutorTrace
-
         _db, _t, _cube, executor = make_env()
         query = TopKQuery(3, {"a2": 1}, LinearFunction(["n1", "n2"], [1, 2]))
         plan = executor.explain(query)
@@ -91,10 +99,59 @@ class TestExplain:
         with pytest.raises(CubeError):
             executor.explain(query)
 
+    def test_explain_rejects_what_execute_rejects(self):
+        """One plan: a query execute() refuses gets no plan either."""
+        _db, _t, _cube, executor = make_env()
+        query = TopKQuery(5, {"a1": 7}, LinearFunction(["n1", "n2"], [1, 1]))
+        with pytest.raises(QueryError, match="out of domain") as executed:
+            executor.execute(query)
+        with pytest.raises(QueryError, match="out of domain") as explained:
+            executor.explain(query)
+        assert str(explained.value) == str(executed.value)
+
     def test_explain_does_no_io(self):
-        db, _t, _cube, executor = make_env()
+        """No page read, and no footprint in the shared caches either:
+        their statistics and every registry counter stay where they were."""
+        db, table, cube, _bare = make_env()
+        registry = MetricsRegistry()
+        pseudo_cache = PseudoBlockCache(registry=registry)
+        bound_memo = BoundMemo(registry=registry)
+        executor = RankingCubeExecutor(
+            cube, table, pseudo_cache=pseudo_cache, bound_memo=bound_memo
+        )
         query = TopKQuery(5, {"a1": 1}, LinearFunction(["n1", "n2"], [1, 1]))
         db.cold_cache()
         db.device.reset_stats()
-        executor.explain(query)
+        counters = registry.counter_items()
+        stats = (pseudo_cache.stats.snapshot(), bound_memo.stats.snapshot())
+        plan = executor.explain(query)
         assert db.device.stats.reads == 0
+        assert registry.counter_items() == counters
+        assert (pseudo_cache.stats.snapshot(), bound_memo.stats.snapshot()) == stats
+        assert bound_memo.resident_groups == 0 and len(pseudo_cache) == 0
+        assert "shared bound memo" in plan.cache_layers
+
+
+class TestReusedTrace:
+    def test_frontier_peak_is_per_search(self):
+        """A reused ExecutorTrace accumulates; each query's span must
+        still report its own frontier peak, not the earlier query's."""
+        _db, _t, _cube, executor = make_env()
+        fn = LinearFunction(["n1", "n2"], [1, 1])
+        big, small = TopKQuery(200, {"a1": 1}, fn), TopKQuery(1, {"a1": 1}, fn)
+
+        def peak(span):
+            return span.find("block_frontier").counters["frontier_peak"]
+
+        fresh = Tracer()
+        executor.execute(small, trace=ExecutorTrace(), tracer=fresh)
+        executor.execute(big, trace=ExecutorTrace(), tracer=fresh)
+        small_peak, big_peak = (peak(root) for root in fresh.roots)
+        assert small_peak < big_peak
+
+        reused, tracer = ExecutorTrace(), Tracer()
+        executor.execute(big, trace=reused, tracer=tracer)
+        executor.execute(small, trace=reused, tracer=tracer)
+        assert [peak(root) for root in tracer.roots] == [big_peak, small_peak]
+        # the trace itself accumulates, like its other counters
+        assert reused.frontier_peak == big_peak

@@ -1,0 +1,115 @@
+"""Keep the progressive search written once.
+
+``core/executor.py`` used to hold the paper's four-step loop twice — a
+private frontier loop under ``execute()`` beside ``ProgressiveSearch``
+— with the pre-process step three times and the stop rule twice (the
+second copy in ``serve/endpoint.py``).  They are one search now, and
+every consumer drives it; this test fails when a copy grows back:
+
+* the frontier is popped in exactly one function,
+  ``ProgressiveSearch.step``, and the retrieve / score / expand steps
+  are called from nowhere else;
+* the plan is resolved in exactly one place: ``covering_cuboids(`` and
+  ``argmin_over_box(`` each have a single call site in the module;
+* ``serve/endpoint.py`` hands ``kth`` to the search's stop-rule driver
+  and compares no ``best_unseen`` against a k-th score itself.
+"""
+
+import ast
+from pathlib import Path
+
+import repro.core.executor as executor
+import repro.serve.endpoint as endpoint
+
+EXECUTOR = ast.parse(Path(executor.__file__).read_text())
+ENDPOINT = ast.parse(Path(endpoint.__file__).read_text())
+STEP = "ProgressiveSearch.step"
+
+
+def _call_sites(tree: ast.AST, callee: str) -> list[str]:
+    """Qualified names of the functions calling ``callee`` (a bare name
+    or the last attribute of a dotted call), one entry per call."""
+    sites: list[str] = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = getattr(func, "attr", None) or getattr(func, "id", None)
+                if name == callee:
+                    sites.append(scope or "<module>")
+            visit(child, scope)
+
+    visit(tree, "")
+    return sites
+
+
+def _stop_rule_comparisons(tree: ast.AST) -> list[int]:
+    """Lines comparing ``kth``, ``.best_unseen`` or a name bound to it."""
+    watched = {"kth", "best_unseen"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(sub, ast.Attribute) and sub.attr == "best_unseen"
+            for sub in ast.walk(node.value)
+        ):
+            watched |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        for sub in ast.walk(node):
+            mentioned = getattr(sub, "attr", None) or getattr(sub, "id", None)
+            if mentioned not in watched:
+                continue
+            is_none_test = (
+                isinstance(sub, ast.Name)
+                and sub is node.left
+                and all(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+            )
+            if not is_none_test:
+                lines.append(node.lineno)
+    return lines
+
+
+def test_the_frontier_is_popped_in_one_function():
+    assert _call_sites(EXECUTOR, "heappop") == [STEP]
+
+
+def test_the_four_steps_run_only_under_step():
+    for helper in ("_retrieve", "_score_block", "_expand_neighbors"):
+        assert _call_sites(EXECUTOR, helper) == [STEP], helper
+
+
+def test_the_plan_is_resolved_in_one_place():
+    assert _call_sites(EXECUTOR, "covering_cuboids") == ["ProgressiveSearch.__init__"]
+    assert _call_sites(EXECUTOR, "argmin_over_box") == [
+        "ProgressiveSearch._start_block"
+    ]
+    # ... which itself runs once per search
+    assert _call_sites(EXECUTOR, "_start_block") == ["ProgressiveSearch.__init__"]
+
+
+def test_the_endpoint_leaves_the_stop_rule_to_the_search():
+    assert _stop_rule_comparisons(ENDPOINT) == []
+    assert _call_sites(ENDPOINT, "run") == ["ShardEndpoint._batch"]
+
+
+def test_the_checkers_see_a_copy_when_there_is_one():
+    forked = ast.parse(
+        "class Executor:\n"
+        "    def execute(self):\n"
+        "        bid = heapq.heappop(frontier)\n"
+        "    def _run(session, kth):\n"
+        "        bound = session.search.best_unseen\n"
+        "        if kth is not None and bound > kth:\n"
+        "            return\n"
+        "        if k <= len(topk) and -topk[0][0] < search.best_unseen:\n"
+        "            return\n"
+        "        if kth is None:\n"
+        "            return search.best_unseen\n"
+    )
+    assert _call_sites(forked, "heappop") == ["Executor.execute"]
+    assert _stop_rule_comparisons(forked) == [6, 6, 8]

@@ -178,3 +178,31 @@ class TestDescending:
         inner = LpDistance(["x"], [0.5])
         flipped = NegatedFunction(inner)
         assert flipped.score([0.5]) == 0.0
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda bad: LinearFunction(["a", "b"], [bad, 1.0]),
+        lambda bad: LinearFunction(["a", "b"], [1.0, 1.0], offset=bad),
+        lambda bad: LpDistance(["a", "b"], [0.5, bad]),
+        lambda bad: LpDistance(["a", "b"], [0.5, 0.5], weights=[abs(bad), 1.0]),
+        lambda bad: LpDistance(["a", "b"], [0.5, 0.5], p=abs(bad)),
+        lambda bad: QuadraticForm(["a", "b"], [[1.0, 0.0], [0.0, abs(bad)]]),
+        lambda bad: QuadraticForm(["a", "b"], [[1.0, 0.0], [0.0, 1.0]], center=[bad, 0.0]),
+        lambda bad: QuadraticForm(["a", "b"], [[1.0, 0.0], [0.0, 1.0]], linear=[0.0, bad]),
+    ],
+    ids=[
+        "linear-weight", "linear-offset", "lp-target", "lp-weight", "lp-p",
+        "quadratic-matrix", "quadratic-center", "quadratic-linear",
+    ],
+)
+def test_non_finite_parameters_rejected(build, bad):
+    """A NaN/inf parameter scores NaN and a NaN bound breaks the frontier
+    heap's order: every closed-form family refuses it at construction."""
+    with pytest.raises(RankingFunctionError, match="finite"):
+        build(bad)
