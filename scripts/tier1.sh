@@ -20,8 +20,10 @@
 #                         ONE merge loop over two transports (in-process
 #                         endpoints, worker pipes).  First the structural
 #                         test that no thread/process fork has grown back
-#                         in serve/sharded.py, then both modes; fails
-#                         unless answers are identical to the unsharded
+#                         in serve/sharded.py and that only _fan_out, on
+#                         the transport's say-so (calls_block), hands a
+#                         shard call to the step pool; then both modes;
+#                         fails unless answers are identical to the unsharded
 #                         cube in each, the hottest shard's per-query
 #                         device reads beat the unsharded baseline, and
 #                         the early-stop merge prunes vs a naive pass
@@ -74,7 +76,7 @@ BUILD_SMOKE_OUT="$(mktemp /tmp/BENCH_build_smoke.XXXXXX.json)"
 python -m repro.bench build --smoke --out "$BUILD_SMOKE_OUT"
 rm -f "$BUILD_SMOKE_OUT"
 
-echo "== tier1 4/10: sharded serving smoke (one loop, two transports: single-path + identity + hot-shard gates) =="
+echo "== tier1 4/10: sharded serving smoke (one loop, two transports: single-path + one-fan-out + identity + hot-shard gates) =="
 python -m pytest tests/serve/test_single_path.py -q
 SHARD_SMOKE_OUT="$(mktemp /tmp/BENCH_shard_smoke.XXXXXX.json)"
 python -m repro.bench shard --smoke --out "$SHARD_SMOKE_OUT"

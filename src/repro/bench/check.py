@@ -18,6 +18,9 @@ Tolerances are declared per metric class, not guessed per run:
   means the benchmark itself changed and the baseline must be re-blessed.
 * **correctness** (``equivalent_answers``) — must be ``True`` fresh,
   full stop.
+* **skipped gates** — a gate recorded as ``"skipped(<reason>)"`` on
+  either side was not evaluated there (wrong host, disarmed config), so
+  it is not comparable and never a violation.
 
 Exit status is nonzero iff any violation is found, and every violation
 names its metric path, both values, and the tolerance that failed — so a
@@ -146,6 +149,11 @@ def _within(expected: float, actual: float, rel_tol: float) -> bool:
     return abs(expected - actual) <= rel_tol * scale
 
 
+def _skipped(value) -> bool:
+    """A gate its run did not evaluate (``"skipped(<reason>)"``)."""
+    return isinstance(value, str) and value.startswith("skipped(")
+
+
 def _compare_scenario(
     name: str, expected: dict, actual: dict, source: str
 ) -> list[Violation]:
@@ -242,7 +250,11 @@ def compare_payloads(expected: dict, actual: dict, source: str) -> list[Violatio
         "repartition_triggered",
         "best_static",
     ):
-        if metric in expected and expected[metric] != actual.get(metric):
+        if metric not in expected:
+            continue
+        if _skipped(expected[metric]) or _skipped(actual.get(metric)):
+            continue  # one side could not evaluate it: nothing to compare
+        if expected[metric] != actual.get(metric):
             violations.append(
                 Violation(
                     source, metric, expected[metric], actual.get(metric), "exact"

@@ -13,17 +13,22 @@ measuring what horizontal sharding buys under the scatter-gather merge:
   early stop) would have examined — the gap is the early-stop saving.
 
 Each shard count runs in both serving modes (``modes`` config field /
-``--mode`` flag): ``shards_N`` scenarios step shards on threads inside
-one interpreter, ``proc_N`` scenarios run the process-per-shard tier
+``--mode`` flag): ``shards_N`` scenarios step the shards inside one
+interpreter, ``proc_N`` scenarios run the process-per-shard tier
 (each shard's stack in its own worker process, length-prefixed pickle
 protocol).  Identity gates are unconditional — every scenario, either
 mode, must return byte-identical answers (``shard_identical`` /
 ``process_identical``, exact gates in ``bench check``).  The wall-clock
-gates ``process_faster_than_thread`` and ``sharded_beats_unsharded``
-bind only on hosts with at least two usable cores (mirroring
-``BENCH_build``'s ``parallel_faster``): on one core a process per shard
-cannot beat anything, so single-core runs record the measured numbers
-but force the gates to pass.
+comparisons ``process_faster_than_thread`` and ``sharded_beats_unsharded``
+are evaluated only on hosts with at least two usable cores (on one core
+a process per shard cannot beat anything) and only when the config arms
+them; a run that did not evaluate one records ``"skipped(<reason>)"``,
+never ``true``.  Only ``sharded_beats_unsharded`` binds the exit code:
+``process_faster_than_thread`` is reported, with the measured
+process/thread q/s ratio per shard count beside it, but thread mode
+makes its in-process shard calls on the query's own thread and a serial
+replay gives a process per shard nothing to overlap, so on this stream
+the ratio is below 1 by construction.
 
 Every scenario replays serially with cold caches before each query (the
 paper's measurement regime).  Results land in ``BENCH_shard.json``.
@@ -52,11 +57,12 @@ class ShardBenchConfig:
     ``shard_counts`` and ``modes`` are comma-joined strings (not
     tuples/lists) so the config survives a JSON round-trip
     byte-identically — ``bench check`` compares the embedded config
-    exactly.  ``enforce_speedup`` arms the wall-clock gates
+    exactly.  ``enforce_speedup`` arms the wall-clock comparisons
     (``process_faster_than_thread`` / ``sharded_beats_unsharded``); even
-    armed they bind only on hosts with two or more usable cores, and the
-    smoke config disarms them because worker-process overheads dominate
-    at toy sizes.  The identity gates bind always, everywhere.
+    armed they are evaluated only on hosts with two or more usable
+    cores, and the smoke config disarms them because worker-process
+    overheads dominate at toy sizes.  The identity gates bind always,
+    everywhere.
     """
 
     num_tuples: int = 20_000
@@ -331,25 +337,32 @@ def run_shard_bench(config: ShardBenchConfig) -> dict:
         for r in thread_multi
     )
 
-    # Wall-clock gates: meaningful only with real parallel hardware and
-    # both modes measured — otherwise recorded but forced to pass, like
-    # BENCH_build's parallel_faster.
+    # Wall-clock comparisons: meaningful only with real parallel hardware
+    # and both modes measured — otherwise reported as skipped, with why.
     cores = _usable_cores()
-    enforced = config.enforce_speedup and cores >= 2 and bool(proc_multi)
+    if not config.enforce_speedup:
+        skipped = "skipped(enforce_speedup is off in this config)"
+    elif cores < 2:
+        skipped = f"skipped({cores} usable core)"
+    elif not proc_multi:
+        skipped = "skipped(no multi-shard process scenario was run)"
+    else:
+        skipped = None
     thread_by_shards = {r.num_shards: r for r in thread_multi}
-    process_faster_than_thread = (
-        all(
-            r.throughput_qps > thread_by_shards[r.num_shards].throughput_qps
-            for r in proc_multi
-            if r.num_shards in thread_by_shards
+    process_vs_thread = {
+        str(r.num_shards): (
+            r.throughput_qps / thread_by_shards[r.num_shards].throughput_qps
         )
-        if enforced
-        else True
+        for r in proc_multi
+        if r.num_shards in thread_by_shards
+    }
+    process_faster_than_thread = (
+        skipped
+        or (not process_vs_thread and "skipped(thread mode was not run)")
+        or all(ratio > 1.0 for ratio in process_vs_thread.values())
     )
-    sharded_beats_unsharded = (
-        any(r.throughput_qps > baseline.throughput_qps for r in proc_multi)
-        if enforced
-        else True
+    sharded_beats_unsharded = skipped or any(
+        r.throughput_qps > baseline.throughput_qps for r in proc_multi
     )
 
     return {
@@ -357,12 +370,12 @@ def run_shard_bench(config: ShardBenchConfig) -> dict:
         "config": asdict(config),
         "scenarios": {name: asdict(r) for name, r in scenarios.items()},
         "cpu_cores": cores,
-        "speedup_enforced": enforced,
         "shard_identical": shard_identical,
         "process_identical": process_identical,
         "equivalent_answers": shard_identical,
         "hot_shard_below_baseline": hot_shard_below_baseline,
         "early_stop_engaged": early_stop_engaged,
+        "process_vs_thread_qps_ratio": process_vs_thread,
         "process_faster_than_thread": process_faster_than_thread,
         "sharded_beats_unsharded": sharded_beats_unsharded,
     }
@@ -398,10 +411,16 @@ def format_shard_table(payload: dict) -> str:
         f"process identical: {payload['process_identical']}; "
         f"process beats thread: {payload['process_faster_than_thread']}; "
         f"sharded beats unsharded: {payload['sharded_beats_unsharded']} "
-        f"(wall-clock gates "
-        f"{'armed' if payload['speedup_enforced'] else 'off'} on "
-        f"{payload['cpu_cores']} core(s))"
+        f"({payload['cpu_cores']} core(s))"
     )
+    if payload["process_vs_thread_qps_ratio"]:
+        lines.append(
+            "process/thread q/s by shard count: "
+            + ", ".join(
+                f"{shards}: {ratio:.2f}"
+                for shards, ratio in payload["process_vs_thread_qps_ratio"].items()
+            )
+        )
     return "\n".join(lines)
 
 
@@ -450,8 +469,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"wrote {args.out}")
     if not payload["shard_identical"] or not payload["process_identical"]:
         return 1
-    if not payload["process_faster_than_thread"]:
-        return 1
+    # a skipped comparison is a (truthy) string: it neither passes nor fails
     if not payload["sharded_beats_unsharded"]:
         return 1
     return 0

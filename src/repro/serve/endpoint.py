@@ -298,11 +298,17 @@ class LocalShardPool:
         self._lock = threading.Lock()
         self.refresh_replicas()
 
+    #: a call is a method call on GIL-bound code over a device that never
+    #: waits: the merge runs it on the query's own thread (a hand-off to
+    #: another thread could not overlap it with anything)
+    calls_block = False
+
     def trip_steps(self, step_batch: int) -> tuple[int, int]:
         """``(steps run by open, steps per later call)``.  A call is
-        free here, so the merge refreshes the global k-th after every
-        step and takes none before every shard's delta rows are merged
-        — batching would only step shards the fresher bound prunes."""
+        free here — no hand-off, no round trip — so the merge refreshes
+        the global k-th after every step and takes none before every
+        shard's delta rows are merged; batching would only step shards
+        the fresher bound prunes."""
         return 0, 1
 
     @property

@@ -391,6 +391,10 @@ class ProcessShardPool:
                 return entry
         raise ProcPoolError(f"no manifest entry for shard {shard_id}")
 
+    #: a call waits on a pipe with the GIL released: the merge overlaps
+    #: a round's calls on its step pool
+    calls_block = True
+
     def trip_steps(self, step_batch: int) -> tuple[int, int]:
         """``(steps run by open, steps per later call)``.  A pipe round
         trip costs far more than a step, so each carries ``step_batch``

@@ -7,8 +7,8 @@ candidate streams in a global frontier:
 * **Scatter** — the :class:`~repro.shard.map.ShardMap` picks the shards
   (a single one when an equality selection pins the shard key, all of
   them otherwise); each gets its own session over its own cube snapshot.
-* **Gather** — a merge loop steps every *eligible* shard concurrently
-  (step pool), pushing returned ``(score, global tid)`` pairs into one
+* **Gather** — a merge loop steps every *eligible* shard once per
+  round, pushing returned ``(score, global tid)`` pairs into one
   global top-k heap.  A shard stays eligible while the global answer is
   short of ``k`` **or** its certified ``best_unseen`` bound is ``<=``
   the k-th best seen score — the same non-strict continue condition the
@@ -45,16 +45,19 @@ such endpoints (``shard_ids / handle / promote / cold_cache / close``).
   end adds admission control (``max_inflight``) and, by default,
   duplicate in-flight query coalescing.
 
-How many frontier steps one call runs belongs to the transport
-(``pool.trip_steps``), not to the loop: an in-process call is free, so
-the merge takes one step per call and refreshes the global k-th score
-after every step; a pipe round trip is not, so it carries ``step_batch``
-steps and the session open carries the first batch.  Batching trades
-round trips for blocks — at 4 shards batch-8 stepping reads 21.5
-blocks/query where step-at-a-time reads 17.8 (``results/
-BENCH_shard.json``) — which is why it is not applied where trips cost
-nothing.  Either way the endpoint stops a batch on the strict
-complement of the eligibility test, so answers do not depend on it.
+How many frontier steps one call runs (``pool.trip_steps``) and where
+a round's calls run (``pool.calls_block``) belong to the transport, not
+to the loop.  An in-process call is free and never blocks: the merge
+takes one step per call, refreshing the global k-th score after each, on
+the query's own thread (under one GIL a hand-off buys no overlap).  A
+pipe round trip waits, GIL released: it carries ``step_batch`` steps,
+the open the first batch, and a round's trips overlap on a step pool
+that exists only for such a transport.  Batching trades round trips for
+blocks — at 4 shards batch-8 stepping reads 21.5 blocks/query where
+step-at-a-time reads 17.8 (``results/BENCH_shard.json``) — which is why
+it is not applied where trips cost nothing.  Either way the endpoint
+stops a batch on the strict complement of the eligibility test, so
+answers do not depend on it.
 
 Failure semantics: shards are independent — a storage fault on one
 (past its retry budget) or a dead worker aborts the *query* with
@@ -422,10 +425,10 @@ class ShardedQueryService:
     workers:
         Concurrent queries in flight (front-end pool width).
     step_workers:
-        Width of the *separate* shard-step pool the merge loop fans out
-        on (default ``max(workers, num_shards)``).  Two pools because a
-        query thread blocks on its shards' step futures — steps never
-        submit further work, so the layering cannot deadlock.
+        Width of the *separate* pool a round's blocking shard calls
+        overlap on (default ``max(workers, num_shards)``; steps submit
+        no further work, so the two pools cannot deadlock).  Unused in
+        thread mode, whose calls do not block and start no step pool.
     share_caches / buffer_pseudo_blocks:
         As on :class:`~repro.serve.service.QueryService`, but the shared
         caches are **per shard** (see module docstring).
@@ -561,11 +564,13 @@ class ShardedQueryService:
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-shard-serve"
         )
-        if step_workers is None:
-            step_workers = max(workers, cube.num_shards)
-        self._step_pool = ThreadPoolExecutor(
-            max_workers=step_workers, thread_name_prefix="repro-shard-step"
-        )
+        #: where a round's shard calls overlap; None when they do not block
+        self._step_pool = None
+        if self._transport.calls_block:
+            self._step_pool = ThreadPoolExecutor(
+                max_workers=step_workers or max(workers, cube.num_shards),
+                thread_name_prefix="repro-shard-step",
+            )
         self._closed = False
 
     def _start_transport(
@@ -607,18 +612,17 @@ class ShardedQueryService:
             _blame_shard(exc, shard_id)
             raise
 
-    def _fan_out(
-        self, shard_ids: list[int], call, into: dict, *args, inline=False
-    ) -> None:
-        """``into[sid] = call(sid, *args)`` for every shard, concurrently
-        on the step pool when there is more than one (and not ``inline``).
+    def _fan_out(self, shard_ids: list[int], call, into: dict, *args) -> None:
+        """``into[sid] = call(sid, *args)`` for every shard: in order on
+        this thread, or — when the transport's calls block and there is
+        more than one — concurrently on the step pool.
 
         Every pooled call finishes — and every success lands in ``into``
         — before the first failure is re-raised: an abort must know each
         session that did open, and must not close a session another
         thread is still stepping.
         """
-        if inline or len(shard_ids) == 1:
+        if self._step_pool is None or len(shard_ids) == 1:
             for sid in shard_ids:
                 into[sid] = call(sid, *args)
             return
@@ -926,7 +930,7 @@ class ShardedQueryService:
         tracer = Tracer(self.registry) if self.trace_spans else None
         started = time.perf_counter()
         self._reverse_counter.inc()
-        consulted = len(self.cube.shard_map.shards_for_query(query.selections))
+        consulted = len(self._targets(query.selections))
         with maybe_span(
             tracer,
             "reverse_query",
@@ -1055,9 +1059,7 @@ class ShardedQueryService:
                 result, rounds, steps = self._scatter_gather(query, tracer)
             except QueryAbortedError as exc:
                 self._retain_spans(tracer)
-                consulted = len(
-                    self.cube.shard_map.shards_for_query(query.selections)
-                )
+                consulted = len(self._targets(query.selections))
                 self._record(
                     started, consulted, 0, 0, exc.blocks_accessed, 0, 0, True
                 )
@@ -1093,8 +1095,10 @@ class ShardedQueryService:
         #: ``best_unseen`` of each shard still on the frontier, in target
         #: order; a shard leaves when exhausted or locally certified
         frontier: dict[int, float] = {}
+        #: steps each shard took; its labelled series moves once per query
+        taken = dict.fromkeys(targets, 0)
         rounds = 0
-        steps = 0
+        guard = self._guard
 
         def _open(sid: int):
             handle = handles[sid] = pool.handle(sid)
@@ -1103,12 +1107,11 @@ class ShardedQueryService:
             )
 
         def _step(sid: int, kth):
-            return self._guard(
-                "merge_round", sid,
-                handles[sid].step, request_id, kth, trip_steps,
+            return guard(
+                "merge_round", sid, handles[sid].step, request_id, kth, trip_steps
             )
 
-        def _absorb(sid: int, batch: tuple, asked: int) -> int:
+        def _absorb(sid: int, batch: tuple, asked: int) -> None:
             """Fold one batch into the global heap and the frontier.
 
             A batch that was asked for steps, took none and is not
@@ -1127,9 +1130,7 @@ class ShardedQueryService:
                 frontier.pop(sid, None)
             else:
                 frontier[sid] = best_unseen
-            if took:
-                self._shard_series(sid)[0].inc(took)
-            return took
+            taken[sid] += took
 
         try:
             with maybe_span(
@@ -1137,16 +1138,11 @@ class ShardedQueryService:
             ) as merge_span:
                 # scatter: one session per shard, delta rows included
                 batches: dict[int, tuple] = {}
-                # an open that takes no step reads no block: not worth a
-                # thread hand-off per shard
                 self._fan_out(
-                    targets,
-                    lambda sid: self._guard("scatter", sid, _open, sid),
-                    batches,
-                    inline=not open_steps,
+                    targets, lambda sid: guard("scatter", sid, _open, sid), batches
                 )
                 for sid in targets:
-                    steps += _absorb(sid, batches[sid], open_steps)
+                    _absorb(sid, batches[sid], open_steps)
 
                 # gather: step the eligible shards, refreshing kth
                 while True:
@@ -1162,17 +1158,16 @@ class ShardedQueryService:
                     batches = {}
                     self._fan_out(eligible, _step, batches, kth)
                     for sid in eligible:
-                        steps += _absorb(sid, batches[sid], trip_steps)
+                        _absorb(sid, batches[sid], trip_steps)
 
                 # finish: collect per-shard accounting + observability.
                 # Inside the merge span on purpose: session span trees
                 # are adopted while their new parent is still open.
                 result = QueryResult(shard_io={})
                 for sid in sorted(handles):
-                    closed = self._guard(
-                        "finish", sid, handles[sid].close, request_id
-                    )
+                    closed = guard("finish", sid, handles[sid].close, request_id)
                     adopt_spans(merge_span, self._fold_close(sid, closed, result))
+                steps = sum(taken.values())
                 if merge_span is not None:
                     merge_span.add_many(merge_rounds=rounds, shard_steps=steps)
         except _SHARD_FAULTS as exc:
@@ -1183,6 +1178,10 @@ class ShardedQueryService:
                 blocks_accessed=blocks,
                 cause=_abort_cause(exc),
             ) from exc
+        finally:
+            for sid, took in taken.items():
+                if took:
+                    self._shard_series(sid)[0].inc(took)
         rows = rows_from_heap(topk)
         if query.projection:
             rows = [self._project(row, query) for row in rows]
@@ -1273,7 +1272,8 @@ class ShardedQueryService:
             return
         self._closed = True
         self._pool.shutdown(wait=wait)
-        self._step_pool.shutdown(wait=wait)
+        if self._step_pool is not None:
+            self._step_pool.shutdown(wait=wait)
         self._transport.close()
         if self._owned_spill_dir is not None:
             shutil.rmtree(self._owned_spill_dir, ignore_errors=True)

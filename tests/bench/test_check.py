@@ -104,6 +104,21 @@ class TestComparePayloads:
         )
         assert [v.metric for v in violations] == ["grid_blocks"]
 
+    def test_a_skipped_gate_is_not_comparable(self):
+        skipped = "skipped(1 usable core)"
+        for gate in (True, False):
+            evaluated = _payload(sharded_beats_unsharded=gate)
+            unevaluated = _payload(sharded_beats_unsharded=skipped)
+            assert compare_payloads(evaluated, unevaluated, "x.json") == []
+            assert compare_payloads(unevaluated, evaluated, "x.json") == []
+        # two evaluated runs still compare exactly
+        violations = compare_payloads(
+            _payload(sharded_beats_unsharded=True),
+            _payload(sharded_beats_unsharded=False),
+            "x.json",
+        )
+        assert [v.metric for v in violations] == ["sharded_beats_unsharded"]
+
     def test_non_equivalent_answers_always_fail(self):
         violations = compare_payloads(
             _payload(), _payload(equivalent_answers=False), "x.json"

@@ -11,7 +11,11 @@ grows back:
   comparison, or the test of an ``if`` / ``while`` / conditional
   expression) — labelling a span or an error message with it is fine;
 * per-shard execution lives behind the endpoint, so the module must not
-  import ``AnyKCursor``, ``ProgressiveSearch`` or ``count_preceding``.
+  import ``AnyKCursor``, ``ProgressiveSearch`` or ``count_preceding``;
+* *where* a shard call runs is the transport's property
+  (``pool.calls_block``), decided in one place: only ``_fan_out`` may
+  submit to the step pool, and the pool is built only under a test of
+  ``calls_block`` — an in-process deployment starts no step threads.
 """
 
 import ast
@@ -94,3 +98,77 @@ def test_per_shard_execution_is_not_imported():
         for alias in node.names
     }
     assert not imported & ENDPOINT_ONLY, sorted(imported & ENDPOINT_ONLY)
+
+
+def _step_pool_sites(tree: ast.AST) -> tuple[list[str], list[tuple[str, bool]]]:
+    """Where ``tree`` hands work to the step pool and where it builds it.
+
+    Returns the functions holding a ``<x>._step_pool.submit(...)`` call,
+    and for every ``ThreadPoolExecutor(..., thread_name_prefix="repro-
+    shard-step")`` the function holding it and whether it sits on the
+    true branch of an ``if`` / conditional expression that reads
+    ``.calls_block``.
+    """
+    submits, builds = [], []
+
+    def visit(node, function, guarded):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            target = node.func
+            if (
+                isinstance(target, ast.Attribute)
+                and target.attr == "submit"
+                and isinstance(target.value, ast.Attribute)
+                and target.value.attr == "_step_pool"
+            ):
+                submits.append(function)
+            if getattr(target, "id", getattr(target, "attr", None)) == (
+                "ThreadPoolExecutor"
+            ) and any(
+                kw.arg == "thread_name_prefix"
+                and getattr(kw.value, "value", None) == "repro-shard-step"
+                for kw in node.keywords
+            ):
+                builds.append((function, guarded))
+        if isinstance(node, (ast.If, ast.IfExp)):
+            asks = any(
+                isinstance(sub, ast.Attribute) and sub.attr == "calls_block"
+                for sub in ast.walk(node.test)
+            )
+            taken = node.body if isinstance(node.body, list) else [node.body]
+            for child in ast.iter_child_nodes(node):
+                visit(child, function, guarded or (asks and child in taken))
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, function, guarded)
+
+    visit(tree, None, False)
+    return submits, builds
+
+
+def test_only_fan_out_decides_where_a_shard_call_runs():
+    submits, builds = _step_pool_sites(TREE)
+    assert submits == ["_fan_out"]
+    assert builds == [("__init__", True)]
+
+
+def test_the_checker_sees_a_stray_step_pool():
+    stray = ast.parse(
+        "class S:\n"
+        "    def __init__(self):\n"
+        "        self._step_pool = ThreadPoolExecutor(\n"
+        "            max_workers=2, thread_name_prefix='repro-shard-step')\n"
+        "        self._pool = ThreadPoolExecutor(thread_name_prefix='serve')\n"
+        "    def lazily(self):\n"
+        "        if self._transport.calls_block:\n"
+        "            self._step_pool = futures.ThreadPoolExecutor(\n"
+        "                thread_name_prefix='repro-shard-step')\n"
+        "        else:\n"
+        "            self._step_pool.submit(run)\n"
+        "    def _open_enum(self):\n"
+        "        return [self._step_pool.submit(f) for f in self.opens]\n"
+    )
+    submits, builds = _step_pool_sites(stray)
+    assert submits == ["lazily", "_open_enum"]
+    assert builds == [("__init__", False), ("lazily", True)]

@@ -85,6 +85,19 @@ class TestProcessModeService(ShardedServiceSuite):
     """The shared service suite, served by worker processes."""
 
     mode = "process"
+    #: two-step trips stop later than one-step trips: shard 3 takes one
+    #: more step on the third query than it does in thread mode
+    pinned = {
+        "rounds": [1, 1, 3, 2],
+        "steps": [9, 9, 29, 20],
+        "shard_io": [
+            {0: (3, 3, 27, 2), 1: (2, 2, 13, 2), 2: (2, 2, 14, 2), 3: (2, 2, 17, 2)},
+            {0: (4, 3, 13, 2), 1: (3, 2, 4, 2), 2: (3, 2, 7, 2), 3: (3, 2, 8, 2)},
+            {0: (10, 8, 13, 3), 1: (6, 6, 10, 3), 2: (9, 7, 15, 3), 3: (11, 8, 18, 3)},
+            {0: (4, 5, 2, 3), 1: (4, 5, 3, 3), 2: (7, 5, 6, 3), 3: (4, 5, 2, 3)},
+        ],
+        "steps_series": [19, 15, 16, 17],
+    }
 
 
 class TestProcessModeIdentity:

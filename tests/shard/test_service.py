@@ -1,6 +1,7 @@
 """Unit tests for the sharded builder and scatter-gather service."""
 
 import random
+import threading
 
 import pytest
 
@@ -89,8 +90,18 @@ class TestShardedCube:
         assert cube.shards[0].cube is not None
 
 
+#: the stream ``test_merge_counts_are_pinned`` replays
+PINNED_STREAM = [
+    query(k=25),
+    query(k=15, a1=1),
+    query(k=30, a2=2),
+    TopKQuery(4, {"a1": 0, "a2": 3}, LinearFunction(["n2"], [1.0])),
+]
+
+
 class ShardedServiceSuite:
-    """What every serving mode must do; a subclass names the ``mode``.
+    """What every serving mode must do; a subclass names the ``mode``
+    and the merge counts its transport's trips produce (``pinned``).
 
     One loop serves both modes, so one suite checks both: the thread
     subclass is below, the process subclass lives with the process-only
@@ -98,6 +109,7 @@ class ShardedServiceSuite:
     """
 
     mode: str
+    pinned: dict
 
     def service(self, cube, **kwargs):
         return ShardedQueryService(cube, mode=self.mode, **kwargs)
@@ -251,6 +263,154 @@ class ShardedServiceSuite:
         if point == "enum_open" or self.mode == "process":
             assert read > 0
 
+    @pytest.mark.parametrize("victim", [0, 1, 2, 3])
+    def test_failed_step_closes_every_session(self, victim):
+        """The merge-round twin of the failed open: one shard of four
+        faults on its first step.  The abort is typed, closes all four
+        sessions (the victim's endpoint still answers) and reports the
+        blocks the shards had read — whichever of them the round reached
+        before the fault, on whatever thread."""
+        cube = build_sharded(SCHEMA, make_rows(400), 4, block_size=8)
+
+        def hook(fired, shard_id):
+            if fired == "merge_round" and shard_id == victim:
+                raise StorageError(f"injected: shard {victim} cannot step")
+
+        registry = MetricsRegistry()
+        # one step a trip, so a worker's open does not finish the query
+        with self.service(
+            cube, workers=1, registry=registry, fault_hook=hook, step_batch=1
+        ) as service:
+            with pytest.raises(QueryAbortedError) as excinfo:
+                service.submit(query(k=20)).result()
+            assert excinfo.value.cause.shard_id == victim
+            assert service.stats.records[-1].aborted
+            for shard_id in range(4):
+                assert service._transport.handle(shard_id).open_sessions == 0
+        read = sum(
+            registry.value("shard.service.blocks_accessed", shard=str(shard_id))
+            for shard_id in range(4)
+        )
+        assert excinfo.value.blocks_accessed == read
+        # in-process shards ahead of the victim stepped before it faulted;
+        # a worker's open had already carried its first step
+        if victim > 0 or self.mode == "process":
+            assert read > 0
+
+    def test_aborted_query_counts_the_shards_it_opened(self):
+        """``shards_consulted`` is the sessions a query opens — an empty
+        shard serves nothing — whether the query finishes or aborts."""
+        # card-3 key over 5 shards leaves shards 3 and 4 empty
+        cube = build_sharded(
+            SCHEMA, make_rows(400), 5, mode="selection_key", key_dim="a1",
+            block_size=8,
+        )
+        assert cube.shards[3].cube is None and cube.shards[4].cube is None
+        armed = []
+
+        def hook(fired, shard_id):
+            if armed and fired in ("merge_round", "reverse_count") and shard_id == 0:
+                raise StorageError("injected: shard 0 is gone")
+
+        reverse = ReverseTopKQuery(7, 4, {}, simplex_grid_family(["n1", "n2"], 3))
+        with self.service(
+            cube, workers=1, fault_hook=hook, step_batch=1
+        ) as service:
+            service.submit(query(k=20)).result()
+            service.submit_reverse(reverse).result()
+            armed.append(True)
+            for submit, request in (
+                (service.submit, query(k=20)),
+                (service.submit_reverse, reverse),
+            ):
+                with pytest.raises(QueryAbortedError):
+                    submit(request).result()
+        records = service.stats.records
+        assert [r.aborted for r in records] == [False, False, True, True]
+        assert [r.shards_consulted for r in records] == [3, 3, 3, 3]
+
+    def test_shard_calls_run_where_the_transport_says(self):
+        """In-process calls run on the query's own thread and start no
+        step pool; calls that block on a pipe keep their fan-out."""
+        cube = build_sharded(SCHEMA, make_rows(400), 3, block_size=8)
+        fired: list[tuple[str, int]] = []
+
+        def hook(point, shard_id):
+            fired.append((point, threading.get_ident()))
+
+        def one_query(run) -> dict[str, set[int]]:
+            """The threads each serving point of one query fired on."""
+            del fired[:]
+            run()
+            threads: dict[str, set[int]] = {}
+            for point, ident in fired:
+                threads.setdefault(point, set()).add(ident)
+            return threads
+
+        def enumerate_some():
+            with service.open_search(query(k=3)) as cursor:
+                cursor.next_batch(40)
+
+        reverse = ReverseTopKQuery(7, 4, {}, simplex_grid_family(["n1", "n2"], 3))
+        before = set(threading.enumerate())
+        with self.service(
+            cube, workers=2, fault_hook=hook, step_batch=1
+        ) as service:
+            queries = {
+                "topk": one_query(lambda: service.submit(query(k=20)).result()),
+                "anyk": one_query(enumerate_some),
+                "reverse": one_query(
+                    lambda: service.submit_reverse(reverse).result()
+                ),
+            }
+            step_threads = [
+                t for t in set(threading.enumerate()) - before
+                if t.name.startswith("repro-shard-step")
+            ]
+            calls_block = service._transport.calls_block
+        assert set(queries["topk"]) == {"scatter", "merge_round", "finish"}
+        assert set(queries["anyk"]) == {"enum_open", "enum_next"}
+        assert set(queries["reverse"]) == {"reverse_count"}
+        assert calls_block == (self.mode == "process")
+        if not calls_block:
+            for name, threads in queries.items():
+                assert len(set().union(*threads.values())) == 1, (name, threads)
+            assert not step_threads
+        else:
+            assert len(queries["topk"]["scatter"]) > 1  # opens overlapped
+            assert step_threads
+
+    def test_merge_counts_are_pinned(self):
+        """Rounds, steps and per-shard I/O of a fixed stream, as the
+        lockstep merge produced them before shard calls moved onto the
+        query's thread: where a call runs must not change what it does."""
+        cube = build_sharded(SCHEMA, make_rows(800), 4, block_size=8)
+        registry = MetricsRegistry()
+        # two steps a trip, so the pipe transport takes merge rounds too
+        with self.service(
+            cube, workers=1, registry=registry, step_batch=2
+        ) as service:
+            service.cold_cache()
+            results = [service.submit(q).result() for q in PINNED_STREAM]
+        records = service.stats.records
+        observed = {
+            "rounds": [r.merge_rounds for r in records],
+            "steps": [r.shard_steps for r in records],
+            "shard_io": [
+                {
+                    sid: (io.blocks_accessed, io.candidates_examined,
+                          io.tuples_examined, io.device_reads)
+                    for sid, io in sorted(result.shard_io.items())
+                }
+                for result in results
+            ],
+            "steps_series": [
+                registry.value("shard.service.steps", shard=str(sid))
+                for sid in range(4)
+            ],
+        }
+        assert observed == self.pinned
+
     def test_closed_service_rejects_queries(self):
         cube = build_sharded(SCHEMA, make_rows(40), 2, block_size=8)
         service = self.service(cube, workers=1)
@@ -261,6 +421,17 @@ class ShardedServiceSuite:
 
 class TestShardedQueryService(ShardedServiceSuite):
     mode = "thread"
+    pinned = {
+        "rounds": [3, 3, 8, 5],
+        "steps": [9, 9, 28, 20],
+        "shard_io": [
+            {0: (3, 3, 27, 2), 1: (2, 2, 13, 2), 2: (2, 2, 14, 2), 3: (2, 2, 17, 2)},
+            {0: (4, 3, 13, 2), 1: (3, 2, 4, 2), 2: (3, 2, 7, 2), 3: (3, 2, 8, 2)},
+            {0: (10, 8, 13, 3), 1: (6, 6, 10, 3), 2: (9, 7, 15, 3), 3: (10, 7, 16, 3)},
+            {0: (4, 5, 2, 3), 1: (4, 5, 3, 3), 2: (7, 5, 6, 3), 3: (4, 5, 2, 3)},
+        ],
+        "steps_series": [19, 15, 16, 16],
+    }
 
     def test_caches_are_per_shard_and_invalidation_wired(self):
         rows = make_rows()
