@@ -8,14 +8,24 @@
 #                         Includes tests/core/test_single_search.py, the
 #                         structural test that the four-step loop, the plan
 #                         and the stop rule exist once (ProgressiveSearch)
-#                         and no second frontier loop has grown back
+#                         and no second frontier loop has grown back, and
+#                         tests/core/test_single_node_codec.py, the
+#                         structural test that B+-tree nodes have one
+#                         (struct-packed) format: nothing under
+#                         repro/index/ imports pickle and no tree owner
+#                         takes a fanout
 #   2. bench check      — re-runs the smoke-sized checked-in baselines in
 #                         results/ and fails on any metric outside its
-#                         declared tolerance (see repro/bench/check.py)
+#                         declared tolerance (see repro/bench/check.py).
+#                         Page counts (device_writes, device reads per
+#                         query, the build image fingerprint) are exact
+#                         or 1%-tolerance metrics here: a change to a
+#                         page format must re-bless them on purpose
 #   3. build smoke      — parallel-vs-serial cube construction at smoke
 #                         size; fails unless the parallel device image is
-#                         byte-identical and answers match (the speedup
-#                         assertion stays off at smoke size)
+#                         byte-identical (tree node pages included) and
+#                         answers match (the speedup assertion stays off
+#                         at smoke size)
 #   4. shard smoke      — sharded scatter-gather serving at smoke size:
 #                         ONE merge loop over two transports (in-process
 #                         endpoints, worker pipes).  First the structural
@@ -65,7 +75,7 @@ export PYTHONPATH=src
 # stalling the whole gate.  Tests may tighten it with @pytest.mark.timeout.
 export REPRO_TEST_TIMEOUT="${REPRO_TEST_TIMEOUT:-300}"
 
-echo "== tier1 1/10: fast test suite (incl. single-search structural test) =="
+echo "== tier1 1/10: fast test suite (incl. single-search + single-node-codec structural tests) =="
 python -m pytest -m "not slow and not serve and not faults" -q
 
 echo "== tier1 2/10: bench regression gate (smoke) =="

@@ -10,6 +10,13 @@ the free space starts on a fresh page and spans consecutive pages (one
 random read plus sequential reads).  Packing is what keeps the fragments'
 space usage in the paper's ~1-2.5x band (Figure 11) instead of paying a
 full page per sparse cell.
+
+The directory is a :class:`~repro.index.bptree.BPlusTree` whose entries
+``(key components..., locator)`` are struct-packed at 8 bytes a component,
+so a 4 KiB directory page holds 127 three-component cells and a realistic
+cuboid's directory is two levels: a cold :meth:`ChainStore.get` is two
+directory page reads plus the cell's own pages, and a warm one decodes
+nothing but the keys its binary searches touch.
 """
 
 from __future__ import annotations
@@ -30,15 +37,13 @@ class ChainStore:
         Buffer pool of the shared device.
     codec:
         Record layout of stored entries.
-    fanout:
-        Directory B+-tree fanout.
     """
 
-    def __init__(self, pool: BufferPool, codec: RecordCodec, fanout: int = 32):
+    def __init__(self, pool: BufferPool, codec: RecordCodec):
         self.pool = pool
         self.codec = codec
         self.page_size = pool.device.page_size
-        self.directory = BPlusTree(pool, fanout=fanout)
+        self.directory = BPlusTree(pool)
         self._page_ids: list[int] = []
         self._num_records = 0
         self._built = False

@@ -50,11 +50,11 @@ def decode_tid_list(blob: bytes) -> list[tuple[int, int]]:
 class CompressedChainStore:
     """Drop-in ChainStore replacement storing compressed cell payloads."""
 
-    def __init__(self, pool: BufferPool, codec=None, fanout: int = 32):
+    def __init__(self, pool: BufferPool, codec=None):
         # ``codec`` is accepted (and ignored) for interface parity with
         # ChainStore; the compressed layout fixes its own record format.
         self.pool = pool
-        self._blobs = BlobStore(pool, fanout=fanout)
+        self._blobs = BlobStore(pool)
         self._num_records = 0
 
     # ------------------------------------------------------------------

@@ -117,18 +117,19 @@ def build_shard_partial(
     for tid, point, bid in zip(tids, points, bids):
         base_groups.setdefault(bid, []).append((int(tid), *map(float, point)))
 
-    # the bid -> pid table is per scale factor, not per cuboid: one map per
-    # distinct scale so wide cuboid families share it
-    pseudo_by_scale = {
-        spec.scale: PseudoBlockMap(grid, spec.scale) for spec in specs
-    }
+    # a tuple's pid depends on its bid and the scale factor only, not on the
+    # cuboid: resolve each distinct bid once per distinct scale, and let the
+    # cuboids sharing a scale index the same per-tuple list
+    pids_by_scale: dict[int, list[int]] = {}
+    for scale in {spec.scale for spec in specs}:
+        pid_of_bid = PseudoBlockMap(grid, scale).pid_of_bid
+        pid_by_bid = {bid: pid_of_bid(bid) for bid in set(bids)}
+        pids_by_scale[scale] = [pid_by_bid[bid] for bid in bids]
 
     cuboid_groups: list[dict[tuple, list[tuple[int, int]]]] = []
     for spec in specs:
-        pid_of_bid = pseudo_by_scale[spec.scale].pid_of_bid
         groups: dict[tuple, list[tuple[int, int]]] = {}
-        for row, tid, bid in zip(sel_rows, tids, bids):
-            pid = pid_of_bid(bid)
+        for row, tid, bid, pid in zip(sel_rows, tids, bids, pids_by_scale[spec.scale]):
             key = tuple(int(row[p]) for p in spec.positions) + (pid,)
             groups.setdefault(key, []).append((int(tid), int(bid)))
         cuboid_groups.append(groups)

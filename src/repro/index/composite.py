@@ -36,18 +36,18 @@ class CompositeIndex:
         pool: BufferPool,
         selection_dims: Sequence[str],
         ranking_dims: Sequence[str],
-        fanout: int = 32,
     ):
         self.pool = pool
         self.selection_dims = tuple(selection_dims)
         self.ranking_dims = tuple(ranking_dims)
-        self._tree = BPlusTree(pool, fanout=fanout)
+        self._tree = BPlusTree(pool)
 
     # ------------------------------------------------------------------
     def build(self, rows: Iterable[tuple[tuple, tuple, int]]) -> None:
         """Bulk build from ``(selection values, ranking values, tid)`` rows."""
+        # one component type per key position, as the tree's page format needs
         keys = sorted(
-            tuple(sel) + tuple(rank) + (tid,) for sel, rank, tid in rows
+            (*map(int, sel), *map(float, rank), int(tid)) for sel, rank, tid in rows
         )
         self._tree.bulk_load((key, key[-1]) for key in keys)
 

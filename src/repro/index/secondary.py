@@ -31,10 +31,10 @@ class SecondaryIndex:
         Indexed attribute name (metadata only; the caller extracts values).
     """
 
-    def __init__(self, pool: BufferPool, attribute: str, fanout: int = 32):
+    def __init__(self, pool: BufferPool, attribute: str):
         self.pool = pool
         self.attribute = attribute
-        self._tree = BPlusTree(pool, fanout=fanout)
+        self._tree = BPlusTree(pool)
         self._chain_pages = 0
         self._num_entries = 0
 

@@ -28,7 +28,10 @@ from .relational.database import Database
 from .storage.device import PageCorruptionError, StorageError
 
 _MAGIC = b"RCUBEWS\n"
-FORMAT_VERSION = 1
+#: Bumped whenever a pickled page image changes layout.  v1 devices hold
+#: pickled B+-tree nodes; v2 holds struct-packed node pages
+#: (:mod:`repro.index.bptree`), which would misread a v1 image.
+FORMAT_VERSION = 2
 
 
 class PersistError(Exception):

@@ -21,10 +21,10 @@ from .pages import BytesPage
 class BlobStore:
     """Build-once keyed blob storage over paged memory."""
 
-    def __init__(self, pool: BufferPool, fanout: int = 32):
+    def __init__(self, pool: BufferPool):
         self.pool = pool
         self.page_size = pool.device.page_size
-        self.directory = BPlusTree(pool, fanout=fanout)
+        self.directory = BPlusTree(pool)
         self._page_ids: list[int] = []
         self._payload_capacity = BytesPage(self.page_size).max_payload
         self._built = False

@@ -1,14 +1,16 @@
 """Byte-level page layouts.
 
-Two layouts are provided:
+Two layouts are provided here:
 
 * :class:`RecordPage` — fixed-length records packed with :mod:`struct`.
   Used by heap files, the base block table, and cuboid cell storage, where
   every record of a given table has the same shape.
-* :class:`BytesPage` — a length-prefixed blob page used by the B+-tree,
-  whose node images are variable length.
+* :class:`BytesPage` — a length-prefixed blob page used by the blob store,
+  whose payloads are variable length.
 
-Both layouts begin with a small fixed header so a raw page image is
+A third, the B+-tree's node page (:mod:`repro.index.bptree`), is laid out
+by the tree itself under the two ``PAGE_TYPE_TREE_*`` tags.  All layouts
+begin with the same small fixed header so a raw page image is
 self-describing enough for integrity checks.
 """
 
@@ -23,10 +25,17 @@ from .device import PageCorruptionError, StorageError
 #: Page-type tags written into the header byte.
 PAGE_TYPE_RECORD = 1
 PAGE_TYPE_BYTES = 2
+PAGE_TYPE_TREE_LEAF = 3
+PAGE_TYPE_TREE_INTERNAL = 4
 
-_KNOWN_PAGE_TYPES = (PAGE_TYPE_RECORD, PAGE_TYPE_BYTES)
+_KNOWN_PAGE_TYPES = (
+    PAGE_TYPE_RECORD, PAGE_TYPE_BYTES, PAGE_TYPE_TREE_LEAF, PAGE_TYPE_TREE_INTERNAL
+)
 
-_HEADER = struct.Struct("<BxHI")  # type, pad, record_count/blob flag, next_page_id+1
+_HEADER = struct.Struct("<BxHI")  # type, pad, record/entry count, next page id
+
+#: The common header, for layouts defined outside this module (tree nodes).
+PAGE_HEADER = _HEADER
 
 
 NO_NEXT_PAGE = 0xFFFFFFFF
@@ -41,6 +50,17 @@ class PageFormatError(StorageError):
     structurally impossible (bit rot, torn write) — decoders raise the
     latter so damaged pages are detectably invalid, never silently wrong.
     """
+
+
+def wrong_page_type(page_type: int, expected: str, page_id: int | None) -> StorageError:
+    """The error for a page whose type byte is not the decoder's own:
+    corruption when no layout writes that byte, a format error when
+    another layout does."""
+    if page_type not in _KNOWN_PAGE_TYPES:
+        return PageCorruptionError(
+            f"unknown page type {page_type} (damaged header)", page_id=page_id
+        )
+    return PageFormatError(f"expected {expected} page, found type {page_type}")
 
 
 class RecordCodec:
@@ -170,12 +190,8 @@ def _record_header(
 ) -> tuple[int, int]:
     """Validated ``(record count, encoded next page)`` of a record page."""
     page_type, count, next_encoded = _HEADER.unpack_from(data)
-    if page_type not in _KNOWN_PAGE_TYPES:
-        raise PageCorruptionError(
-            f"unknown page type {page_type} (damaged header)", page_id=page_id
-        )
     if page_type != PAGE_TYPE_RECORD:
-        raise PageFormatError(f"expected record page, found type {page_type}")
+        raise wrong_page_type(page_type, "record", page_id)
     capacity = codec.capacity(page_size)
     if count > capacity:
         raise PageCorruptionError(
@@ -187,7 +203,7 @@ def _record_header(
 
 
 class BytesPage:
-    """A page holding a single variable-length payload (e.g. a tree node)."""
+    """A page holding a single variable-length payload (a run of blob bytes)."""
 
     def __init__(self, page_size: int, payload: bytes = b""):
         self.page_size = page_size
@@ -210,12 +226,8 @@ class BytesPage:
         cls, data: bytes, page_size: int, page_id: int | None = None
     ) -> "BytesPage":
         page_type, _count, _next = _HEADER.unpack_from(data)
-        if page_type not in _KNOWN_PAGE_TYPES:
-            raise PageCorruptionError(
-                f"unknown page type {page_type} (damaged header)", page_id=page_id
-            )
         if page_type != PAGE_TYPE_BYTES:
-            raise PageFormatError(f"expected bytes page, found type {page_type}")
+            raise wrong_page_type(page_type, "bytes", page_id)
         (length,) = struct.unpack_from("<I", data, _HEADER.size)
         start = _HEADER.size + 4
         if length > len(data) - start:

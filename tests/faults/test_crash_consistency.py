@@ -63,32 +63,37 @@ class TestFaultMatrix:
         assert "consistent=yes" in table
 
 
+def small_cube():
+    """A 120-row cube on 512-byte pages with one query over it."""
+    import random
+
+    from repro.core import RankingCube, RankingCubeExecutor
+    from repro.ranking import LinearFunction
+    from repro.relational import (
+        Database,
+        Schema,
+        TopKQuery,
+        ranking_attr,
+        selection_attr,
+    )
+
+    schema = Schema.of(
+        [selection_attr("a1", 3), ranking_attr("n1"), ranking_attr("n2")]
+    )
+    rng = random.Random(5)
+    rows = [(rng.randrange(3), rng.random(), rng.random()) for _ in range(120)]
+    db = Database(page_size=512)
+    table = db.load_table("R", schema, rows)
+    cube = RankingCube.build(table, block_size=6)
+    query = TopKQuery(5, {"a1": 1}, LinearFunction(["n1", "n2"], [1.0, 1.0]))
+    return db, cube, RankingCubeExecutor(cube, table), query
+
+
 class TestTypedFailures:
     def test_aborted_query_carries_partial_results(self):
         """A query over persistently damaged pages aborts typed, with the
         partial top-k it scored before the fault attached."""
-        import random
-
-        from repro.core import RankingCube, RankingCubeExecutor
-        from repro.ranking import LinearFunction
-        from repro.relational import (
-            Database,
-            Schema,
-            TopKQuery,
-            ranking_attr,
-            selection_attr,
-        )
-
-        schema = Schema.of(
-            [selection_attr("a1", 3), ranking_attr("n1"), ranking_attr("n2")]
-        )
-        rng = random.Random(5)
-        rows = [(rng.randrange(3), rng.random(), rng.random()) for _ in range(120)]
-        db = Database(page_size=512)
-        table = db.load_table("R", schema, rows)
-        cube = RankingCube.build(table, block_size=6)
-        executor = RankingCubeExecutor(cube, table)
-        query = TopKQuery(5, {"a1": 1}, LinearFunction(["n1", "n2"], [1.0, 1.0]))
+        db, _cube, executor, query = small_cube()
 
         # sanity: works before damage
         assert len(executor.execute(query).rows) == 5
@@ -105,3 +110,32 @@ class TestTypedFailures:
         assert err.cause.page_id is not None
         assert err.cause.expected_checksum != err.cause.actual_checksum
         assert isinstance(err.partial_rows, list)  # may be empty: typed, not silent
+
+    def test_damaged_directory_header_aborts_typed_with_or_without_checksums(self):
+        """A flipped type byte in a cuboid directory's root node ends the
+        query the same way whether the device's CRC catches it (bit rot)
+        or the image checksums clean (a bad write): the B+-tree's own
+        header check is the second net, and both name the page."""
+        outcomes = []
+        for checksummed in (False, True):
+            db, cube, executor, query = small_cube()
+            reference = executor.execute(query).rows
+            db.pool.flush()
+
+            root_id = cube.cuboid(("a1",))._store.directory._root_id
+            if checksummed:
+                image = bytearray(db.device.read(root_id))
+                image[0] ^= 0xFF
+                db.device.write(root_id, bytes(image))
+            else:
+                db.device.corrupt(root_id, offset=0)
+            db.pool.crash()
+
+            with pytest.raises(QueryAbortedError) as excinfo:
+                executor.execute(query)
+            cause = excinfo.value.cause
+            assert isinstance(cause, PageCorruptionError)
+            assert cause.page_id == root_id
+            assert (cause.expected_checksum is None) == checksummed
+            outcomes.append((type(cause), cause.page_id, len(reference)))
+        assert outcomes[0] == outcomes[1]

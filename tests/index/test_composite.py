@@ -2,7 +2,9 @@
 
 import random
 
-from repro.index import CompositeIndex
+import pytest
+
+from repro.index import BPlusTreeError, CompositeIndex
 from repro.storage import BlockDevice, BufferPool
 
 
@@ -118,3 +120,18 @@ class TestMetadata:
         rows = make_rows(count=123)
         _d, _p, index = make_index(rows)
         assert index.size_in_bytes > 0
+
+
+class TestBuildInput:
+    def test_nan_ranking_value_rejected(self):
+        rows = make_rows(count=40)
+        rows[17] = (rows[17][0], (float("nan"), 0.5), 17)
+        with pytest.raises(BPlusTreeError, match="NaN"):
+            make_index(rows)
+
+    def test_integral_ranking_values_are_stored_as_floats(self):
+        """One component type per key position: an int ranking value (or a
+        float selection value) in one row must not change the key format."""
+        rows = [((1.0, 2), (1, 0.25), 0), ((1, 2), (0.5, 1), 1)]
+        _d, _p, index = make_index(rows)
+        assert list(index.range_query([1, 2])) == [(1, (0.5, 1.0)), (0, (1.0, 0.25))]

@@ -10,7 +10,7 @@ from repro.core import (
     PseudoBlockMap,
     scale_factor,
 )
-from repro.index import BPlusTree
+from repro.index import BPlusTree, BPlusTreeError
 from repro.ranking import LinearFunction, LpDistance
 from repro.storage import BlockDevice, BufferPool
 
@@ -18,15 +18,23 @@ from repro.storage import BlockDevice, BufferPool
 # ----------------------------------------------------------------------
 # B+-tree behaves like a sorted dict
 # ----------------------------------------------------------------------
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+#: node capacity follows the page size: 3, 15 and 255 one-int-key entries
+_PAGE_SIZES = st.sampled_from([64, 256, 4096])
+
+
+def _tree(page_size):
+    pool = BufferPool(BlockDevice(page_size=page_size), capacity=1024)
+    return BPlusTree(pool)
+
+
 @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
-    entries=st.dictionaries(st.integers(0, 10_000), st.integers(), max_size=200),
-    fanout=st.sampled_from([3, 4, 8, 32]),
+    entries=st.dictionaries(st.integers(0, 10_000), _INT64, max_size=200),
+    page_size=_PAGE_SIZES,
 )
-def test_bptree_equals_dict_model(entries, fanout):
-    device = BlockDevice()
-    pool = BufferPool(device, capacity=1024)
-    tree = BPlusTree(pool, fanout=fanout)
+def test_bptree_equals_dict_model(entries, page_size):
+    tree = _tree(page_size)
     for key, value in entries.items():
         tree.insert((key,), value)
     assert len(tree) == len(entries)
@@ -37,14 +45,32 @@ def test_bptree_equals_dict_model(entries, fanout):
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
+    entries=st.dictionaries(st.integers(0, 1000), _INT64, min_size=1, max_size=40),
+    value=st.one_of(st.integers(max_value=-(2**63) - 1), st.integers(min_value=2**63)),
+    page_size=_PAGE_SIZES,
+)
+def test_bptree_rejects_values_outside_int64(entries, value, page_size):
+    """A value the page format cannot hold raises; it is never truncated,
+    and the failed call leaves the tree as it was."""
+    tree = _tree(page_size)
+    for key, stored in entries.items():
+        tree.insert((key,), stored)
+    with pytest.raises(BPlusTreeError):
+        tree.insert((2000,), value)
+    with pytest.raises(BPlusTreeError):
+        _tree(page_size).bulk_load([((0,), 0), ((1,), value)])
+    assert dict(tree.items()) == {(key,): v for key, v in entries.items()}
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
     keys=st.sets(st.integers(0, 1000), max_size=150),
     lo=st.integers(0, 1000),
     span=st.integers(0, 300),
+    page_size=_PAGE_SIZES,
 )
-def test_bptree_range_scan_equals_model(keys, lo, span):
-    device = BlockDevice()
-    pool = BufferPool(device, capacity=1024)
-    tree = BPlusTree(pool, fanout=5)
+def test_bptree_range_scan_equals_model(keys, lo, span, page_size):
+    tree = _tree(page_size)
     tree.bulk_load(sorted(((k,), k) for k in keys))
     hi = lo + span
     got = [k[0] for k, _v in tree.range_scan((lo,), (hi,))]

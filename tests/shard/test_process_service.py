@@ -93,8 +93,8 @@ class TestProcessModeService(ShardedServiceSuite):
         "shard_io": [
             {0: (3, 3, 27, 2), 1: (2, 2, 13, 2), 2: (2, 2, 14, 2), 3: (2, 2, 17, 2)},
             {0: (4, 3, 13, 2), 1: (3, 2, 4, 2), 2: (3, 2, 7, 2), 3: (3, 2, 8, 2)},
-            {0: (10, 8, 13, 3), 1: (6, 6, 10, 3), 2: (9, 7, 15, 3), 3: (11, 8, 18, 3)},
-            {0: (4, 5, 2, 3), 1: (4, 5, 3, 3), 2: (7, 5, 6, 3), 3: (4, 5, 2, 3)},
+            {0: (10, 8, 13, 2), 1: (6, 6, 10, 2), 2: (9, 7, 15, 2), 3: (11, 8, 18, 2)},
+            {0: (4, 5, 2, 2), 1: (4, 5, 3, 2), 2: (7, 5, 6, 2), 3: (4, 5, 2, 2)},
         ],
         "steps_series": [19, 15, 16, 17],
     }

@@ -7,11 +7,10 @@ import pytest
 from repro.storage import BlobStore, BlockDevice, BufferPool, StorageError
 
 
-def make_store(page_size=256, capacity=64, fanout=6):
-    # small fanout: directory nodes must fit the small test pages
+def make_store(page_size=256, capacity=64):
     device = BlockDevice(page_size=page_size)
     pool = BufferPool(device, capacity=capacity)
-    return device, pool, BlobStore(pool, fanout=fanout)
+    return device, pool, BlobStore(pool)
 
 
 class TestBuildGet:

@@ -186,3 +186,35 @@ class TestBytesPage:
         record_page = RecordPage(codec, 128)
         with pytest.raises(PageFormatError):
             BytesPage.from_bytes(record_page.to_bytes(), 128)
+
+
+class TestTreePages:
+    """The B+-tree's node pages are a known layout the other decoders refuse."""
+
+    @pytest.fixture(params=["leaf", "internal"])
+    def tree_image(self, request):
+        from repro.index import BPlusTree
+        from repro.storage import BlockDevice, BufferPool
+
+        pool = BufferPool(BlockDevice(page_size=72), capacity=64)
+        tree = BPlusTree(pool)
+        tree.bulk_load([((k,), k) for k in range(10)])
+        if request.param == "leaf":
+            leaf_id, _data, _count, _next = tree._find_leaf(None)
+            return pool.get(leaf_id)
+        return pool.get(tree._root_id)
+
+    def test_record_decoder_refuses_a_tree_page(self, tree_image):
+        with pytest.raises(PageFormatError, match="expected record page"):
+            RecordPage.from_bytes(tree_image, RecordCodec("q"), 72)
+        with pytest.raises(PageFormatError, match="expected record page"):
+            RecordPage.read_slice(tree_image, RecordCodec("q"), 72, 0, 1)
+
+    def test_bytes_decoder_refuses_a_tree_page(self, tree_image):
+        with pytest.raises(PageFormatError, match="expected bytes page"):
+            BytesPage.from_bytes(tree_image, 72)
+
+    def test_a_type_byte_no_layout_writes_is_still_corruption(self):
+        image = b"\x05" + BytesPage(72, b"x").to_bytes()[1:]
+        with pytest.raises(PageCorruptionError, match="unknown page type"):
+            BytesPage.from_bytes(image, 72, page_id=3)

@@ -97,6 +97,19 @@ class TestValidation:
         with pytest.raises(PersistError, match="format"):
             load_workspace(path)
 
+    def test_v1_snapshot_rejected(self, workspace, tmp_path):
+        """v1 devices hold pickled B+-tree nodes; the struct-page tree must
+        never be pointed at one, so the gate refuses them by version."""
+        assert FORMAT_VERSION >= 2
+        _dataset, ws = workspace
+        path = tmp_path / "s.rcube"
+        ws.save(path)
+        data = bytearray(path.read_bytes())
+        data[8:12] = (1).to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(PersistError, match="format v1 is not supported"):
+            load_workspace(path)
+
     def test_non_workspace_pickle_rejected(self, tmp_path):
         import hashlib
 
@@ -286,6 +299,28 @@ class TestShardedWorkspace:
         # simulate a torn save: one shard file reverted to the old epoch
         (directory / "shard_0000.rcube").write_bytes(stale_shard)
         with pytest.raises(PersistError, match="torn|corrupt"):
+            load_sharded_workspace(directory)
+
+    def test_v1_shard_file_rejected(self, tmp_path):
+        """A shard file is a workspace snapshot behind the same version
+        gate: a deployment saved by the v1 release (manifest pins intact)
+        is refused, not decoded."""
+        import hashlib
+        import json
+
+        from repro.persist import load_sharded_workspace, save_sharded_workspace
+        from repro.shard import build_sharded
+
+        cube = build_sharded(self._schema(), self._rows(), 2, block_size=8)
+        directory = tmp_path / "ws"
+        manifest = save_sharded_workspace(cube, directory)
+        shard_file = directory / manifest["shards"][1]["file"]
+        data = bytearray(shard_file.read_bytes())
+        data[8:12] = (1).to_bytes(4, "little")
+        shard_file.write_bytes(bytes(data))
+        manifest["shards"][1]["sha256"] = hashlib.sha256(data).hexdigest()
+        (directory / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(PersistError, match="format v1 is not supported"):
             load_sharded_workspace(directory)
 
     def test_missing_manifest_rejected(self, tmp_path):
