@@ -13,7 +13,14 @@
 #                         structural test that B+-tree nodes have one
 #                         (struct-packed) format: nothing under
 #                         repro/index/ imports pickle and no tree owner
-#                         takes a fanout
+#                         takes a fanout.  test_single_search.py also pins
+#                         min_over_box( to one (fallback) call site and the
+#                         row path's get_base_block(bid, qualifying) read;
+#                         tests/ranking/test_bound_terms.py is the bitwise
+#                         property test that per-bin bound tables fold to
+#                         min_over_box, and tests/core/test_selective_read.py
+#                         that a selective read is the full read filtered,
+#                         at identical page reads and buffer hits/misses
 #   2. bench check      — re-runs the smoke-sized checked-in baselines in
 #                         results/ and fails on any metric outside its
 #                         declared tolerance (see repro/bench/check.py).
@@ -75,7 +82,7 @@ export PYTHONPATH=src
 # stalling the whole gate.  Tests may tighten it with @pytest.mark.timeout.
 export REPRO_TEST_TIMEOUT="${REPRO_TEST_TIMEOUT:-300}"
 
-echo "== tier1 1/10: fast test suite (incl. single-search + single-node-codec structural tests) =="
+echo "== tier1 1/10: fast test suite (incl. single-search + single-node-codec structural tests, bound-table + selective-read properties) =="
 python -m pytest -m "not slow and not serve and not faults" -q
 
 echo "== tier1 2/10: bench regression gate (smoke) =="

@@ -4,6 +4,9 @@ Holds, per base block id, the tuples' real values on all ranking
 dimensions: the target of the ``get_base_block`` access method.  The
 original relation is decomposed into this table plus the selection
 sub-database that the cuboids aggregate (Table 2 of the paper).
+
+``get_base_block`` takes the evaluate step's qualifying tids and decodes
+only those records from the block's pages.
 """
 
 from __future__ import annotations
@@ -87,20 +90,20 @@ class BaseBlockTable:
             yield int(key[0]), [tuple(record) for record in records]
 
     # ------------------------------------------------------------------
-    def get_base_block(self, bid: int) -> list[tuple[int, tuple[float, ...]]]:
-        """Block-level access: all ``(tid, values)`` stored under ``bid``.
+    def get_base_block(
+        self, bid: int, tids=None
+    ) -> list[tuple[int, tuple[float, ...]]]:
+        """Block-level access: the ``(tid, values)`` stored under ``bid``.
 
         This is the paper's second data access method; one call reads the
-        block's full page chain.
+        block's full page chain.  ``tids`` is the evaluate step's
+        qualifying set: given, only those tuples are decoded and returned
+        (same pages, same order); ``None`` returns every tuple.
         """
         self.access_count += 1
         return [
-            (int(record[0]), tuple(record[1:]))
-            for record in self._store.get((bid,))
+            (record[0], record[1:]) for record in self._store.get((bid,), tids)
         ]
-
-    def block_tuple_count(self, bid: int) -> int:
-        return len(self._store.get((bid,)))
 
     @property
     def num_tuples(self) -> int:

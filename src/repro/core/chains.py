@@ -17,6 +17,12 @@ so a 4 KiB directory page holds 127 three-component cells and a realistic
 cuboid's directory is two levels: a cold :meth:`ChainStore.get` is two
 directory page reads plus the cell's own pages, and a warm one decodes
 nothing but the keys its binary searches touch.
+
+A read may name the record keys it wants (``get(key, keys=...)``): the
+run's pages are read exactly as for a full read, but of each record only
+the leading field is unpacked, and only the members are decoded whole —
+the evaluate step decodes the one or two tuples the retrieve step
+qualified, not the block's ~30.
 """
 
 from __future__ import annotations
@@ -25,7 +31,8 @@ from typing import Iterable, Sequence
 
 from ..index.bptree import BPlusTree
 from ..storage.buffer import BufferPool
-from ..storage.pages import RecordCodec, RecordPage
+from ..storage.device import PageCorruptionError
+from ..storage.pages import PAGE_HEADER, RecordCodec, RecordPage
 
 
 class ChainStore:
@@ -97,20 +104,39 @@ class ChainStore:
             self.pool.put(page_id, page.to_bytes())
         self.directory.bulk_load(directory_pairs)
 
-    def get(self, key: tuple) -> list[tuple]:
-        """All records under ``key`` (empty list if the key is absent)."""
+    def get(self, key: tuple, keys=None) -> list[tuple]:
+        """All records under ``key`` (empty list if the key is absent).
+
+        With ``keys``, only the records whose leading field is in that
+        set, in stored order — the same pages are read, but only the
+        members are decoded whole.  Each page of the run must hold the
+        records the locator places on it; a page whose header claims
+        fewer raises :class:`PageCorruptionError` instead of letting the
+        walk take the next key's records as this one's.
+        """
         locator = self.directory.get(tuple(key))
         if locator is None:
             return []
         page_index, slot, count = _unpack_locator(locator)
+        capacity = self.codec.capacity(self.page_size)
         records: list[tuple] = []
         while count > 0:
-            take = RecordPage.read_slice(
-                self.pool.get(self._page_ids[page_index]),
-                self.codec, self.page_size, slot, count,
+            # slot == capacity is a run that starts at a full page's end:
+            # that page delivers nothing and the run continues on the next
+            take = min(count, capacity - slot)
+            page_id = self._page_ids[page_index]
+            data = self.pool.get(page_id)
+            records += RecordPage.read_slice(
+                data, self.codec, self.page_size, slot, take, page_id, keys
             )
-            records.extend(take)
-            count -= len(take)
+            stored = PAGE_HEADER.unpack_from(data)[1]
+            if stored < slot + take:
+                raise PageCorruptionError(
+                    f"record page holds {stored} records, the run needs "
+                    f"{slot + take} (short page)",
+                    page_id=page_id,
+                )
+            count -= take
             page_index += 1
             slot = 0
         return records

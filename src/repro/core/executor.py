@@ -15,7 +15,13 @@ it lives here once, as :class:`ProgressiveSearch`:
   bids cost no further I/O; with several covering cuboids the tid lists are
   intersected (the semi-online computation of Section 4.2.2).
 * **Evaluate** — ``get_base_block`` fetches real ranking values for the
-  qualifying tids; exact scores feed the top-k list ``S``.
+  qualifying tids (the block's pages are read; only those tids are
+  decoded); exact scores feed the top-k list ``S``.
+
+Frontier bounds of the separable ranking families (linear, Lp distance,
+negated linear) are folded from a per-bin term table the search builds
+once, bit-identical to ``min_over_box``; other families minimize each
+block's box.
 
 The loop stops when ``S_k <= S_unseen``, i.e. the k-th best seen score is
 no worse than the best possible score of any unexamined block.
@@ -514,6 +520,9 @@ class ProgressiveSearch:
                 for cuboid in self.covering
             ]
             self._positions = grid.project(fn.dims)
+            #: ``(offset, ((position, per-bin terms), ...))``, ``()`` when
+            #: the function is not separable, ``None`` until first needed
+            self._bound_table: tuple | None = None
             self._memo = (
                 executor.bound_memo.group(fn, grid)
                 if executor.bound_memo is not None
@@ -697,7 +706,10 @@ class ProgressiveSearch:
         """``f(bid)``: minimum of the ranking function over the block box.
 
         With a shared bound memo attached, each (function, grid, bid)
-        minimization happens once across the whole query stream.
+        minimization happens once across the whole query stream.  A
+        separable function sums its per-bin terms (built at the first
+        bound the memo cannot answer) with ``sum()``, then adds the
+        offset, as ``min_over_box`` does — bit-identical to it.
         """
         memo = self._memo
         if memo is not None:
@@ -706,8 +718,20 @@ class ProgressiveSearch:
                 if self.trace is not None:
                     self.trace.bound_memo_hits += 1
                 return cached
-        lower, upper = self._grid.sub_box(bid, self._positions)
-        bound = self._fn.min_over_box(lower, upper)
+        table = self._bound_table
+        if table is None:
+            grid, positions = self._grid, self._positions
+            terms = self._fn.box_min_terms([grid.boundaries[p] for p in positions])
+            table = self._bound_table = (
+                () if terms is None else (terms[0], tuple(zip(positions, terms[1])))
+            )
+        if table:
+            offset, columns = table
+            coords = self._grid.coords_of(bid)
+            bound = offset + sum([row[coords[p]] for p, row in columns])
+        else:
+            lower, upper = self._grid.sub_box(bid, self._positions)
+            bound = self._fn.min_over_box(lower, upper)
         if memo is not None:
             self.executor.bound_memo.store(memo, bid, bound)
         return bound
@@ -787,19 +811,18 @@ class ProgressiveSearch:
         best ``k`` (sorted, ties tid-ascending) — answer-preserving,
         since at most the best ``k`` of any one block can reach a global
         top-k.  The row path ignores it and returns every pair,
-        unordered.
+        unordered.  It hands ``qualifying`` to ``get_base_block``, which
+        reads the block's pages as always but decodes only those tuples.
         """
         if self.executor.use_vector:
             return self._score_block_vector(bid, qualifying)
-        records = self.snapshot.base_table.get_base_block(bid)
+        records = self.snapshot.base_table.get_base_block(bid, qualifying)
         result, fn, positions = self.result, self._fn, self._positions
         result.blocks_accessed += 1
         if self.trace is not None:
             self.trace.base_block_reads += 1
         scored: list[tuple[float, int]] = []
         for tid, values in records:
-            if qualifying is not None and tid not in qualifying:
-                continue
             point = [values[p] for p in positions]
             score = fn.score(point)
             result.tuples_examined += 1

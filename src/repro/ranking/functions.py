@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Callable, Sequence
+from itertools import repeat
+from typing import Callable, Iterator, Sequence
 
 
 def _numpy_for(columns) -> "object | None":
@@ -88,6 +89,20 @@ class RankingFunction(ABC):
         from .boxmin import minimize_convex_over_box
 
         return minimize_convex_over_box(self.score, lower, upper)
+
+    def box_min_terms(
+        self, edges: Sequence[Sequence[float]]
+    ) -> tuple[float, list[list[float]]] | None:
+        """:meth:`min_over_box` over grid boxes as per-bin terms, if separable.
+
+        ``edges[i]`` is dimension ``i``'s bin-boundary list.  A separable
+        family returns ``(offset, terms)``, ``terms[i][c]`` being the
+        very float ``min_over_box`` adds for dimension ``i`` in bin
+        ``c``, so ``offset + sum(terms[i][c_i] ...)`` equals
+        ``min_over_box`` of that box bit for bit.  ``None`` (the default):
+        the minimum does not decompose, minimize each box instead.
+        """
+        return None
 
     def argmin_over_box(
         self, lower: Sequence[float], upper: Sequence[float]
@@ -182,6 +197,13 @@ class LinearFunction(RankingFunction):
             for w, lo, hi in zip(self.weights, lower, upper)
         )
 
+    def box_min_terms(self, edges):
+        # per bin, the edge min_over_box picks: lower for w >= 0, else upper
+        return self.offset, [
+            [w * edge for edge in (bins[:-1] if w >= 0 else bins[1:])]
+            for w, bins in zip(self.weights, edges)
+        ]
+
     def argmin_over_box(
         self, lower: Sequence[float], upper: Sequence[float]
     ) -> tuple[float, ...]:
@@ -254,26 +276,24 @@ class LpDistance(RankingFunction):
         (self.p,) = _finite([p], "p")
         self.weights = _finite(weights, "weights")
 
-    def score(self, point: Sequence[float]) -> float:
-        # The p=1 / p=2 families use plain abs/multiply instead of
-        # ``** p``: bit-for-bit reproducible in vectorized form, where
-        # ``pow`` is not (NumPy's power drifts from CPython's by an ulp
-        # on ~0.1% of inputs).  General exponents keep ``**`` and are
-        # scored by the scalar fallback in both forms.
+    def _terms(self, weights, xs, targets) -> Iterator[float]:
+        """``w * |x - t|^p`` per zipped triple: the summands of score().
+
+        The p=1 / p=2 families use plain abs/multiply instead of
+        ``** p``: bit-for-bit reproducible in vectorized form, where
+        ``pow`` is not (NumPy's power drifts from CPython's by an ulp
+        on ~0.1% of inputs).  General exponents keep ``**`` and are
+        scored by the scalar fallback in both forms.
+        """
         if self.p == 2.0:
-            return sum(
-                w * ((x - t) * (x - t))
-                for w, x, t in zip(self.weights, point, self.target)
-            )
+            return (w * ((x - t) * (x - t)) for w, x, t in zip(weights, xs, targets))
         if self.p == 1.0:
-            return sum(
-                w * abs(x - t)
-                for w, x, t in zip(self.weights, point, self.target)
-            )
-        return sum(
-            w * abs(x - t) ** self.p
-            for w, x, t in zip(self.weights, point, self.target)
-        )
+            return (w * abs(x - t) for w, x, t in zip(weights, xs, targets))
+        p = self.p
+        return (w * abs(x - t) ** p for w, x, t in zip(weights, xs, targets))
+
+    def score(self, point: Sequence[float]) -> float:
+        return sum(self._terms(self.weights, point, self.target))
 
     def eval_batch(self, columns: Sequence) -> Sequence[float]:
         np = _numpy_for(columns)
@@ -289,6 +309,18 @@ class LpDistance(RankingFunction):
         # Separable: the per-dimension minimizer clamps the target into the
         # box, so the minimum has a closed form.
         return self.score(self.argmin_over_box(lower, upper))
+
+    def box_min_terms(self, edges):
+        # score()'s own summand at the target clamped into each bin; no
+        # offset, as sum() never returns -0.0 and ``0 + s`` is ``s``
+        return 0, [
+            list(self._terms(
+                repeat(w),
+                [min(max(t, lo), hi) for lo, hi in zip(bins, bins[1:])],
+                repeat(t),
+            ))
+            for w, t, bins in zip(self.weights, self.target, edges)
+        ]
 
     def min_over_boxes(self, lowers: Sequence, uppers: Sequence) -> Sequence[float]:
         np = _numpy_for(lowers)
@@ -411,33 +443,36 @@ class NegatedFunction(RankingFunction):
             return -scores
         return [-s for s in scores]
 
+    def _flipped(self) -> LinearFunction | None:
+        """``-inner`` as a linear function, when the inner one is linear."""
+        inner = self.inner
+        if not isinstance(inner, LinearFunction):
+            return None
+        return LinearFunction(
+            inner.dims, [-w for w in inner.weights], offset=-inner.offset
+        )
+
     def min_over_boxes(self, lowers: Sequence, uppers: Sequence) -> Sequence[float]:
-        if isinstance(self.inner, LinearFunction):
-            flipped = LinearFunction(
-                self.inner.dims,
-                [-w for w in self.inner.weights],
-                offset=-self.inner.offset,
-            )
+        flipped = self._flipped()
+        if flipped is not None:
             return flipped.min_over_boxes(lowers, uppers)
         return super().min_over_boxes(lowers, uppers)
 
     def min_over_box(self, lower: Sequence[float], upper: Sequence[float]) -> float:
-        if isinstance(self.inner, LinearFunction):
-            flipped = LinearFunction(
-                self.inner.dims,
-                [-w for w in self.inner.weights],
-                offset=-self.inner.offset,
-            )
+        flipped = self._flipped()
+        if flipped is not None:
             return flipped.min_over_box(lower, upper)
         return super().min_over_box(lower, upper)
+
+    def box_min_terms(self, edges):
+        flipped = self._flipped()
+        return None if flipped is None else flipped.box_min_terms(edges)
 
     def argmin_over_box(
         self, lower: Sequence[float], upper: Sequence[float]
     ) -> tuple[float, ...]:
-        if isinstance(self.inner, LinearFunction):
-            flipped = LinearFunction(
-                self.inner.dims, [-w for w in self.inner.weights]
-            )
+        flipped = self._flipped()
+        if flipped is not None:
             return flipped.argmin_over_box(lower, upper)
         return super().argmin_over_box(lower, upper)
 

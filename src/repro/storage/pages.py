@@ -17,7 +17,7 @@ self-describing enough for integrity checks.
 from __future__ import annotations
 
 import struct
-from itertools import islice
+from itertools import compress, islice
 from typing import Iterable, Sequence
 
 from .device import PageCorruptionError, StorageError
@@ -73,6 +73,9 @@ class RecordCodec:
     def __init__(self, fmt: str):
         self._struct = struct.Struct("<" + fmt)
         self.fmt = fmt
+        # one record's leading int64 key, the rest skipped as padding (for
+        # the formats that start with ``q``)
+        self._key_field = f"q{self._struct.size - 8}x"
 
     def __getstate__(self) -> str:
         # struct.Struct objects cannot be pickled; the format string can
@@ -99,11 +102,25 @@ class RecordCodec:
     def pack(self, records: Sequence[tuple]) -> bytes:
         return b"".join(self._struct.pack(*record) for record in records)
 
-    def unpack(self, data: bytes, count: int, offset: int = 0) -> list[tuple]:
-        """``count`` consecutive records starting at byte ``offset``."""
+    def unpack(
+        self, data: bytes, count: int, offset: int = 0, keys=None
+    ) -> list[tuple]:
+        """``count`` consecutive records starting at byte ``offset``.
+
+        With ``keys`` (a set of ints), only the records whose leading
+        ``q`` field is a member are returned, in stored order: the
+        ``count`` keys are read in one ``unpack_from`` that skips every
+        other field, and only the members are decoded whole.
+        """
         size = self.record_size
         unpack_from = self._struct.unpack_from
-        return [unpack_from(data, offset + i * size) for i in range(count)]
+        if keys is None:
+            return [unpack_from(data, offset + i * size) for i in range(count)]
+        leading = struct.unpack_from("<" + self._key_field * count, data, offset)
+        return [
+            unpack_from(data, offset + i * size)
+            for i in compress(range(count), map(keys.__contains__, leading))
+        ]
 
 
 class RecordPage:
@@ -176,13 +193,19 @@ class RecordPage:
         slot: int,
         count: int,
         page_id: int | None = None,
+        keys=None,
     ) -> list[tuple]:
         """Records ``[slot, slot + count)`` of a page image, clipped to the
         records it holds — ``from_bytes(...).records[slot:slot + count]``
-        with the same header checks but only that slice decoded."""
+        with the same header checks but only that slice decoded.  With
+        ``keys``, only the slice's records whose leading field is in it
+        (see :meth:`RecordCodec.unpack`)."""
         stored, _next = _record_header(data, codec, page_size, page_id)
         taken = max(min(slot + count, stored) - slot, 0)
-        return codec.unpack(data, taken, _HEADER.size + slot * codec.record_size)
+        offset = _HEADER.size + slot * codec.record_size
+        if keys is None:  # codecs overriding the 3-argument unpack still work
+            return codec.unpack(data, taken, offset)
+        return codec.unpack(data, taken, offset, keys)
 
 
 def _record_header(

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import ChainStore
+from repro.core.chains import _unpack_locator
 from repro.storage import (
     BlockDevice,
     BufferPool,
@@ -129,3 +130,67 @@ class TestIOBehaviour:
             + store.directory.size_in_bytes
         )
         assert store.size_in_bytes == expected
+
+
+class TestRunIntegrity:
+    """Every page of a run must hold the records its locator places there.
+
+    16-byte records on 256-byte pages: 15 records to a page.
+    """
+
+    def build(self, groups):
+        device = BlockDevice(page_size=256)
+        pool = BufferPool(device, capacity=64)
+        store = ChainStore(pool, RecordCodec("qq"))
+        store.build(groups)
+        pool.flush()
+        return device, pool, store
+
+    def shorten(self, device, pool, page_id, count):
+        """Cut a page's header count, checksum kept valid (a writer bug)."""
+        image = device.read(page_id)
+        device.patch(
+            page_id, image[:2] + count.to_bytes(2, "little"), update_checksum=True
+        )
+        pool.crash()  # drop the cached frame so reads face the device
+
+    def test_short_page_mid_run_is_corruption(self):
+        run = [(100 + i, i) for i in range(20)]
+        device, pool, store = self.build(
+            [((1,), run), ((2,), [(200, 0)] * 3), ((3,), [(300, 0)] * 3)]
+        )
+        assert store.num_chain_pages == 2
+        self.shorten(device, pool, store._page_ids[0], 10)
+        for keys in (None, {100, 119}):
+            with pytest.raises(PageCorruptionError, match="short page") as excinfo:
+                store.get((1,), keys)
+            assert excinfo.value.page_id == store._page_ids[0]
+        # the keys whose pages are intact still read
+        assert store.get((2,)) == [(200, 0)] * 3
+
+    def test_short_page_at_chain_end_is_corruption(self):
+        run = [(100 + i, i) for i in range(20)]
+        device, pool, store = self.build([((1,), [(1, 1)] * 3), ((2,), run)])
+        assert store.num_chain_pages == 2
+        self.shorten(device, pool, store._page_ids[1], 5)
+        for keys in (None, {100}):
+            with pytest.raises(PageCorruptionError, match="short page") as excinfo:
+                store.get((2,), keys)
+            assert excinfo.value.page_id == store._page_ids[1]
+
+    def test_run_starting_at_a_full_pages_end_reads_through(self):
+        first = [(i, 0) for i in range(15)]
+        second = [(100 + i, i) for i in range(20)]
+        device, pool, store = self.build([((1,), first), ((2,), second)])
+        assert _unpack_locator(store.directory.get((2,))) == (0, 15, 20)
+        pool.clear()
+        device.reset_stats()
+        assert store.get((2,)) == second
+        full_reads = device.stats.reads
+        pool.clear()
+        device.reset_stats()
+        assert store.get((2,), {100, 110, 119, 7}) == [
+            second[0], second[10], second[19]
+        ]
+        assert device.stats.reads == full_reads
+        assert store.get((1,)) == first

@@ -12,7 +12,11 @@ every consumer drives it; this test fails when a copy grows back:
 * the plan is resolved in exactly one place: ``covering_cuboids(`` and
   ``argmin_over_box(`` each have a single call site in the module;
 * ``serve/endpoint.py`` hands ``kth`` to the search's stop-rule driver
-  and compares no ``best_unseen`` against a k-th score itself.
+  and compares no ``best_unseen`` against a k-th score itself;
+* a block's bound is minimized over its box (``min_over_box(``) at one
+  call site, the fallback for families without a per-bin term table,
+  and the row path's evaluate step hands its qualifying set to
+  ``get_base_block`` rather than filtering a full read.
 """
 
 import ast
@@ -90,6 +94,32 @@ def test_the_plan_is_resolved_in_one_place():
     ]
     # ... which itself runs once per search
     assert _call_sites(EXECUTOR, "_start_block") == ["ProgressiveSearch.__init__"]
+
+
+def _method(tree: ast.AST, qualname: str) -> ast.FunctionDef:
+    cls, name = qualname.split(".")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == name:
+                    return item
+    raise AssertionError(f"{qualname} not found")
+
+
+def test_bounds_minimize_a_box_only_as_the_fallback():
+    assert _call_sites(EXECUTOR, "min_over_box") == ["ProgressiveSearch._block_bound"]
+
+
+def test_the_row_path_reads_only_the_qualifying_tids():
+    calls = [
+        node
+        for node in ast.walk(_method(EXECUTOR, "ProgressiveSearch._score_block"))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "get_base_block"
+    ]
+    assert [[ast.unparse(arg) for arg in call.args] for call in calls] == [
+        ["bid", "qualifying"]
+    ]
 
 
 def test_the_endpoint_leaves_the_stop_rule_to_the_search():

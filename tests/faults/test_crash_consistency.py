@@ -139,3 +139,28 @@ class TestTypedFailures:
             assert (cause.expected_checksum is None) == checksummed
             outcomes.append((type(cause), cause.page_id, len(reference)))
         assert outcomes[0] == outcomes[1]
+
+    def test_short_record_page_aborts_typed(self):
+        """A base-table page whose header claims fewer records than the
+        directory places on it — checksum valid, so a writer bug rather
+        than bit rot — ends the query typed and naming the page, instead
+        of scoring the next block's tuples as this block's."""
+        db, cube, executor, query = small_cube()
+        assert len(executor.execute(query).rows) == 5
+        db.pool.flush()
+
+        page_ids = cube.base_table._store._page_ids
+        for page_id in page_ids:
+            image = db.device.read(page_id)
+            db.device.patch(
+                page_id, image[:2] + (0).to_bytes(2, "little"), update_checksum=True
+            )
+        db.pool.crash()
+
+        with pytest.raises(QueryAbortedError) as excinfo:
+            executor.execute(query)
+        cause = excinfo.value.cause
+        assert isinstance(cause, PageCorruptionError)
+        assert "short page" in str(cause)
+        assert cause.page_id in page_ids
+        assert cause.expected_checksum is None
