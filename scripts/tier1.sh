@@ -20,7 +20,14 @@
 #                         property test that per-bin bound tables fold to
 #                         min_over_box, and tests/core/test_selective_read.py
 #                         that a selective read is the full read filtered,
-#                         at identical page reads and buffer hits/misses
+#                         at identical page reads and buffer hits/misses.
+#                         tests/core/test_splice.py is the property that a
+#                         ChainStore splice (old run bytes + packed
+#                         additions) writes the page images build writes
+#                         for the union, and test_compaction.py's
+#                         test_device_image_equals_the_full_rewrite that a
+#                         compaction leaves the device fingerprint of a
+#                         decode-everything rewrite
 #   2. bench check      — re-runs the smoke-sized checked-in baselines in
 #                         results/ and fails on any metric outside its
 #                         declared tolerance (see repro/bench/check.py).
@@ -82,7 +89,7 @@ export PYTHONPATH=src
 # stalling the whole gate.  Tests may tighten it with @pytest.mark.timeout.
 export REPRO_TEST_TIMEOUT="${REPRO_TEST_TIMEOUT:-300}"
 
-echo "== tier1 1/10: fast test suite (incl. single-search + single-node-codec structural tests, bound-table + selective-read properties) =="
+echo "== tier1 1/10: fast test suite (incl. single-search + single-node-codec structural tests, bound-table + selective-read + splice properties, compaction fingerprint) =="
 python -m pytest -m "not slow and not serve and not faults" -q
 
 echo "== tier1 2/10: bench regression gate (smoke) =="

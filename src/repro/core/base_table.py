@@ -78,6 +78,23 @@ class BaseBlockTable:
         table._store.build(((bid,), records) for bid, records in groups.items())
         return table
 
+    def runs(self):
+        """The stored blocks as encoded runs, for :meth:`spliced`."""
+        return self._store.runs()
+
+    def spliced(
+        self, runs, additions: dict[int, list[tuple]]
+    ) -> "BaseBlockTable":
+        """A new table on fresh pages: ``runs`` (this table's, from
+        :meth:`runs`) with each bid's ``additions`` appended — the image
+        :meth:`from_groups` writes for the merged groups, without
+        decoding the stored records."""
+        table = type(self)(self.pool, self.grid)
+        table._store.splice(
+            runs, {(bid,): records for bid, records in additions.items()}
+        )
+        return table
+
     # ------------------------------------------------------------------
     def blocks(self):
         """Iterate ``(bid, records)`` in key order (maintenance scans).

@@ -23,16 +23,22 @@ run's pages are read exactly as for a full read, but of each record only
 the leading field is unpacked, and only the members are decoded whole —
 the evaluate step decodes the one or two tuples the retrieve step
 qualified, not the block's ~30.
+
+Layout works on encoded runs ``(key, record bytes, count)``: :meth:`build`
+packs each group and lays the runs out, and :meth:`splice` lays out
+another store's :meth:`runs` with packed additions appended per key, so
+a compaction copies the stored bytes instead of decoding and re-packing
+them.  The packing rule reads only run lengths, so a splice writes the
+image :meth:`build` writes for the decoded union.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..index.bptree import BPlusTree
 from ..storage.buffer import BufferPool
-from ..storage.device import PageCorruptionError
-from ..storage.pages import PAGE_HEADER, RecordCodec, RecordPage
+from ..storage.pages import RecordCodec, RecordPage, check_stored
 
 
 class ChainStore:
@@ -62,47 +68,99 @@ class ChainStore:
         Groups are laid out in sorted key order; the directory maps each
         key to ``(page_index, slot, count)`` packed into one integer.
         """
-        if self._built:
-            raise RuntimeError("ChainStore.build may only be called once")
-        self._built = True
-        capacity = self.codec.capacity(self.page_size)
+        pack = self.codec.pack
         ordered = sorted(
-            ((tuple(key), list(records)) for key, records in groups),
+            ((tuple(key), records) for key, records in groups),
             key=lambda group: group[0],
         )
+        self._layout(
+            (key, pack(records), len(records)) for key, records in ordered if records
+        )
 
-        pages: list[list[tuple]] = [[]]
+    def splice(
+        self,
+        runs: Iterable[tuple[tuple, bytes, int]],
+        additions: Mapping[tuple, Sequence[tuple]],
+    ) -> None:
+        """Build from another store's :meth:`runs` with ``additions``
+        appended per key (keys absent from ``runs`` become new runs).
+
+        Old records are copied as bytes and only the additions are packed.
+        The packing rule sees nothing but each key's record count, so the
+        image equals :meth:`build` over the decoded union, page for page.
+        """
+        pack = self.codec.pack
+        merged = {key: (data, count) for key, data, count in runs}
+        for key, records in additions.items():
+            if records:
+                data, count = merged.get(tuple(key), (b"", 0))
+                merged[tuple(key)] = (data + pack(records), count + len(records))
+        self._layout((key, *merged[key]) for key in sorted(merged))
+
+    def _layout(self, runs: Iterable[tuple[tuple, bytes, int]]) -> None:
+        """Pack encoded ``(key, record bytes, count)`` runs, in key order,
+        onto fresh pages and bulk-load the directory over them."""
+        if self._built:
+            raise RuntimeError("ChainStore may only be built once")
+        self._built = True
+        capacity = self.codec.capacity(self.page_size)
+        size = self.codec.record_size
+        pages: list[tuple[list[bytes], int]] = []  # (body parts, records)
+        parts: list[bytes] = []
+        filled = 0
         directory_pairs = []
-        for key, records in ordered:
-            if not records:
-                continue
-            free = capacity - len(pages[-1])
-            if len(records) > free and len(records) <= capacity:
+        for key, data, count in runs:
+            if capacity - filled < count <= capacity:
                 # does not fit here but fits in one fresh page: avoid a split
-                pages.append([])
-            page_index = len(pages) - 1
-            slot = len(pages[-1])
+                pages.append((parts, filled))
+                parts, filled = [], 0
             directory_pairs.append(
-                (key, _pack_locator(page_index, slot, len(records)))
+                (key, _pack_locator(len(pages), filled, count))
             )
-            remaining = list(records)
-            while remaining:
-                free = capacity - len(pages[-1])
-                if free == 0:
-                    pages.append([])
-                    free = capacity
-                pages[-1].extend(remaining[:free])
-                remaining = remaining[free:]
-            self._num_records += len(records)
+            self._num_records += count
+            view = memoryview(data)
+            done = 0
+            while done < count:
+                if filled == capacity:
+                    pages.append((parts, filled))
+                    parts, filled = [], 0
+                take = min(capacity - filled, count - done)
+                parts.append(view[done * size:(done + take) * size])
+                filled += take
+                done += take
+        if filled:
+            pages.append((parts, filled))
 
-        if pages == [[]]:
-            pages = []
         self._page_ids = self.pool.device.allocate_many(len(pages))
-        for page_id, records in zip(self._page_ids, pages):
-            page = RecordPage(self.codec, self.page_size)
-            page.extend(records)
-            self.pool.put(page_id, page.to_bytes())
+        for page_id, (body, filled) in zip(self._page_ids, pages):
+            self.pool.put(page_id, RecordPage.image(b"".join(body), filled))
         self.directory.bulk_load(directory_pairs)
+
+    def runs(self) -> Iterator[tuple[tuple, bytes, int]]:
+        """Iterate the stored ``(key, record bytes, count)`` runs in key
+        order: one pass over the directory's leaves, each record page read
+        and header-checked once (runs share pages in key order)."""
+        capacity = self.codec.capacity(self.page_size)
+        size = self.codec.record_size
+        current, body, stored = -1, b"", 0
+        for key, locator in self.directory.items():
+            page_index, slot, total = _unpack_locator(locator)
+            chunks = []
+            count = total
+            while count > 0:
+                take = min(count, capacity - slot)
+                page_id = self._page_ids[page_index]
+                if page_index != current:
+                    body, stored = RecordPage.body(
+                        self.pool.get(page_id), self.codec, self.page_size, page_id
+                    )
+                    current = page_index
+                check_stored(stored, slot, take, page_id)
+                chunks.append(body[slot * size:(slot + take) * size])
+                count -= take
+                page_index += 1
+                slot = 0
+            yield key, b"".join(chunks), total
 
     def get(self, key: tuple, keys=None) -> list[tuple]:
         """All records under ``key`` (empty list if the key is absent).
@@ -125,17 +183,10 @@ class ChainStore:
             # that page delivers nothing and the run continues on the next
             take = min(count, capacity - slot)
             page_id = self._page_ids[page_index]
-            data = self.pool.get(page_id)
             records += RecordPage.read_slice(
-                data, self.codec, self.page_size, slot, take, page_id, keys
+                self.pool.get(page_id), self.codec, self.page_size,
+                slot, take, page_id, keys,
             )
-            stored = PAGE_HEADER.unpack_from(data)[1]
-            if stored < slot + take:
-                raise PageCorruptionError(
-                    f"record page holds {stored} records, the run needs "
-                    f"{slot + take} (short page)",
-                    page_id=page_id,
-                )
             count -= take
             page_index += 1
             slot = 0
@@ -146,8 +197,9 @@ class ChainStore:
 
     def items(self) -> Iterable[tuple[tuple, list[tuple]]]:
         """Iterate ``(key, records)`` in key order (maintenance scans)."""
-        for key, _locator in self.directory.items():
-            yield key, self.get(key)
+        unpack = self.codec.unpack
+        for key, data, count in self.runs():
+            yield key, unpack(data, count)
 
     # ------------------------------------------------------------------
     @property

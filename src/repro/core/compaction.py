@@ -13,13 +13,18 @@ process.  :class:`CubeCompactor` drains it back into the materialization:
    edge bins and a clamped tuple's real values can exceed its block's
    bounding box, which would break the frontier stop's lower-bound
    soundness,
-3. **merge** — read every base block / cuboid cell of the old stores and
-   append the absorbable entries (tid-ascending, matching scan order, so
-   the merged image equals a from-scratch build over old + delta),
-4. **rebuild** fresh :class:`BaseBlockTable` / :class:`RankingCuboid`
-   objects on new pages (build-once stores are never mutated in place);
-   cuboid epochs bump so serving-cache keys from the old generation can
-   never satisfy new-generation lookups,
+3. **merge** — read the old base table's runs, then group the
+   absorbable entries per key in tid order: ``bid -> records`` for the
+   base table and ``cell -> (tid, bid) pairs`` for each cuboid (the
+   additions maps; their sizes are :attr:`CompactionReport.cells_merged`),
+4. **splice** fresh :class:`BaseBlockTable` / :class:`RankingCuboid`
+   objects onto new pages (build-once stores are never mutated in
+   place): each store's old record bytes are copied as they are and only
+   the additions are packed (:meth:`ChainStore.splice`).  Records are
+   fixed-width, the new tids sort after every stored one, and the packing
+   rule reads only record counts, so the image equals a from-scratch
+   build over old + delta; cuboid epochs bump so serving-cache keys from
+   the old generation can never satisfy new-generation lookups,
 5. **flush** the buffer pool — the new pages must be durable *before*
    anything references them (write-ahead ordering: a crash after the
    flush but before the swap leaves the new pages unreferenced garbage,
@@ -48,7 +53,6 @@ import time
 from dataclasses import dataclass, field
 
 from ..obs.tracing import maybe_span
-from .base_table import BaseBlockTable
 from .cube import RankingCube
 from .cuboid import RankingCuboid
 
@@ -60,7 +64,7 @@ from .cuboid import RankingCuboid
 COMPACTION_FAULT_POINTS = (
     "drain",          # after snapshotting cube state
     "classify",       # after splitting absorbable vs residual
-    "base-read",      # after reading the old base block groups
+    "base-read",      # after reading the old base table's runs
     "base-built",     # after materializing the new base table
     "cuboids-built",  # after materializing every new cuboid
     "flushed",        # after the pre-swap durability flush
@@ -79,7 +83,7 @@ class CompactionReport:
 
     absorbed: int = 0            #: delta tuples merged into the materialization
     residual: int = 0            #: out-of-grid tuples left in the delta
-    cells_merged: int = 0        #: cuboid cells receiving new tuples
+    cells_merged: int = 0        #: distinct cuboid cells receiving new tuples
     cuboids_rebuilt: int = 0
     swapped: bool = False        #: False means a no-op (nothing absorbable)
     wall_s: float = 0.0
@@ -187,52 +191,37 @@ class CubeCompactor:
                 self._record(report, noop=True)
                 return report
 
-            # --- merge: old groups + delta appends, in tid order ----------
+            # --- merge: the absorbed rows per key, in tid order -----------
             with maybe_span(self.tracer, "compact.merge"):
-                base_groups: dict[int, list[tuple]] = {
-                    bid: records for bid, records in state.base_table.blocks()
-                }
+                base_runs = list(state.base_table.runs())
                 self._fault("base-read")
                 ordered = sorted(absorbable, key=lambda entry: entry[0])
-                new_bids: dict[int, int] = {}
-                for tid, _sel, rank_values in ordered:
+                base_additions: dict[int, list[tuple]] = {}
+                placed = []
+                for tid, sel_values, rank_values in ordered:
                     point = tuple(
                         float(rank_values[d]) for d in state.grid.dims
                     )
                     bid = state.grid.locate(point)
-                    new_bids[tid] = bid
-                    base_groups.setdefault(bid, []).append((int(tid), *point))
-
-            # --- rebuild the stores on fresh pages ------------------------
-            with maybe_span(self.tracer, "compact.rebuild"):
-                new_base = BaseBlockTable.from_groups(
-                    self.pool, state.grid, base_groups
-                )
-                self._fault("base-built")
-                touched_cells = 0
-                new_cuboids: dict[frozenset, RankingCuboid] = {}
+                    base_additions.setdefault(bid, []).append((int(tid), *point))
+                    placed.append((int(tid), sel_values, bid))
+                cell_additions: dict[frozenset, dict[tuple, list]] = {}
                 for key, cuboid in state.cuboids.items():
-                    groups: dict[tuple, list[tuple[int, int]]] = {
-                        cell: pairs for cell, pairs in cuboid.cells()
-                    }
-                    for tid, sel_values, _rank in ordered:
-                        bid = new_bids[tid]
-                        pid = cuboid.pid_of_bid(bid)
+                    cells = cell_additions[key] = {}
+                    for tid, sel_values, bid in placed:
                         cell = tuple(
                             int(sel_values[d]) for d in cuboid.dims
-                        ) + (pid,)
-                        groups.setdefault(cell, []).append((int(tid), int(bid)))
-                        touched_cells += 1
-                    new_cuboids[key] = RankingCuboid.from_groups(
-                        self.pool,
-                        cuboid.dims,
-                        cuboid.cardinalities,
-                        state.grid,
-                        groups,
-                        scale_override=cuboid.scale_factor,
-                        compress=cuboid.compressed,
-                        epoch=cuboid.epoch + 1,
-                    )
+                        ) + (cuboid.pid_of_bid(bid),)
+                        cells.setdefault(cell, []).append((tid, bid))
+
+            # --- splice the stores onto fresh pages -----------------------
+            with maybe_span(self.tracer, "compact.rebuild"):
+                new_base = state.base_table.spliced(base_runs, base_additions)
+                self._fault("base-built")
+                new_cuboids: dict[frozenset, RankingCuboid] = {
+                    key: cuboid.spliced(cuboid.runs(), cell_additions[key])
+                    for key, cuboid in state.cuboids.items()
+                }
                 self._fault("cuboids-built")
 
             # --- durability: new pages hit the device before the swap -----
@@ -258,7 +247,7 @@ class CubeCompactor:
 
             report.absorbed = len(ordered)
             report.residual = len(residual)
-            report.cells_merged = touched_cells
+            report.cells_merged = sum(map(len, cell_additions.values()))
             report.cuboids_rebuilt = len(new_cuboids)
             report.swapped = True
             report.epochs = {c.name: c.epoch for c in new_cuboids.values()}

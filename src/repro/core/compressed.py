@@ -16,7 +16,7 @@ ablation bench).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ..storage.blobs import BlobStore
 from ..storage.buffer import BufferPool
@@ -81,6 +81,22 @@ class CompressedChainStore:
         """Iterate ``(key, records)`` in key order (maintenance scans)."""
         for key, _locator in self._blobs.directory.items():
             yield key, self.get(key)
+
+    def runs(self) -> Iterable[tuple[tuple, list[tuple[int, int]]]]:
+        """The stored groups as :meth:`splice` takes them: decoded, since a
+        gap-coded blob cannot be extended without re-encoding it."""
+        return self.items()
+
+    def splice(
+        self,
+        runs: Iterable[tuple[tuple, list[tuple[int, int]]]],
+        additions: Mapping[tuple, Sequence[tuple]],
+    ) -> None:
+        """:meth:`ChainStore.splice`'s contract by decode plus rebuild."""
+        groups = {key: list(records) for key, records in runs}
+        for key, records in additions.items():
+            groups.setdefault(tuple(key), []).extend(records)
+        self.build(groups.items())
 
     # ------------------------------------------------------------------
     @property

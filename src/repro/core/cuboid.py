@@ -152,6 +152,25 @@ class RankingCuboid:
         cuboid._store.build(groups.items())
         return cuboid
 
+    def runs(self):
+        """The stored cells in the store's own encoding, for :meth:`spliced`."""
+        return self._store.runs()
+
+    def spliced(
+        self, runs, additions: dict[tuple, list[tuple[int, int]]]
+    ) -> "RankingCuboid":
+        """The next generation on fresh pages: ``runs`` (this cuboid's,
+        from :meth:`runs`) with each cell's ``(tid, bid)`` ``additions``
+        appended, same layout as :meth:`from_groups` over the merged
+        cells, and the epoch bumped."""
+        cuboid = type(self)(
+            self._store.pool, self.dims, self.cardinalities, self.grid,
+            scale_override=self.scale_factor, compress=self.compressed,
+            epoch=self.epoch + 1,
+        )
+        cuboid._store.splice(runs, additions)
+        return cuboid
+
     # ------------------------------------------------------------------
     def cells(self):
         """Iterate ``(cell key, pairs)`` in key order (maintenance scans).

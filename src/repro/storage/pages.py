@@ -163,13 +163,18 @@ class RecordPage:
             raise PageFormatError("page is full")
 
     def to_bytes(self) -> bytes:
-        next_encoded = NO_NEXT_PAGE if self.next_page_id is None else self.next_page_id
-        header = _HEADER.pack(PAGE_TYPE_RECORD, len(self.records), next_encoded)
-        body = self.codec.pack(self.records)
-        image = header + body
+        image = self.image(
+            self.codec.pack(self.records), len(self.records), self.next_page_id
+        )
         if len(image) > self.page_size:
             raise PageFormatError("serialized page exceeds page size")
         return image
+
+    @staticmethod
+    def image(body: bytes, count: int, next_page_id: int | None = None) -> bytes:
+        """A page image: the header, then ``body``, ``count`` packed records."""
+        next_encoded = NO_NEXT_PAGE if next_page_id is None else next_page_id
+        return _HEADER.pack(PAGE_TYPE_RECORD, count, next_encoded) + body
 
     @classmethod
     def from_bytes(
@@ -195,17 +200,37 @@ class RecordPage:
         page_id: int | None = None,
         keys=None,
     ) -> list[tuple]:
-        """Records ``[slot, slot + count)`` of a page image, clipped to the
-        records it holds — ``from_bytes(...).records[slot:slot + count]``
-        with the same header checks but only that slice decoded.  With
-        ``keys``, only the slice's records whose leading field is in it
-        (see :meth:`RecordCodec.unpack`)."""
+        """Records ``[slot, slot + count)`` of a page image —
+        ``from_bytes(...).records[slot:slot + count]`` with the same header
+        checks but only that slice decoded.  A page holding fewer than
+        ``slot + count`` records raises :class:`PageCorruptionError`
+        (short page).  With ``keys``, only the slice's records whose
+        leading field is in it (see :meth:`RecordCodec.unpack`)."""
         stored, _next = _record_header(data, codec, page_size, page_id)
-        taken = max(min(slot + count, stored) - slot, 0)
+        check_stored(stored, slot, count, page_id)
         offset = _HEADER.size + slot * codec.record_size
-        if keys is None:  # codecs overriding the 3-argument unpack still work
-            return codec.unpack(data, taken, offset)
-        return codec.unpack(data, taken, offset, keys)
+        return codec.unpack(data, count, offset, keys)
+
+    @staticmethod
+    def body(
+        data: bytes, codec: RecordCodec, page_size: int, page_id: int | None = None
+    ) -> tuple[memoryview, int]:
+        """The packed records of a page image, undecoded, and their count
+        (the header checked as :meth:`read_slice` checks it)."""
+        stored, _next = _record_header(data, codec, page_size, page_id)
+        start = _HEADER.size
+        return memoryview(data)[start:start + stored * codec.record_size], stored
+
+
+def check_stored(stored: int, slot: int, count: int, page_id: int | None) -> None:
+    """Raise :class:`PageCorruptionError` unless a page holding ``stored``
+    records holds all of ``[slot, slot + count)`` (a short page)."""
+    if stored < slot + count:
+        raise PageCorruptionError(
+            f"record page holds {stored} records, the run needs "
+            f"{slot + count} (short page)",
+            page_id=page_id,
+        )
 
 
 def _record_header(

@@ -58,9 +58,9 @@ class CountingCodec(RecordCodec):
 
     decoded = 0
 
-    def unpack(self, data, count, offset=0):
+    def unpack(self, data, count, offset=0, keys=None):
         self.decoded += count
-        return super().unpack(data, count, offset)
+        return super().unpack(data, count, offset, keys)
 
 
 class TestSliceDecode:
@@ -122,6 +122,17 @@ class TestIOBehaviour:
         # tree descent + one chain page
         assert device.stats.reads <= store.directory.height + 1
 
+    def test_runs_scan_reads_each_page_once(self):
+        device, pool, store = make_store(page_size=128, capacity=8)
+        groups = [((k,), [(k, i) for i in range(k % 7)]) for k in range(12)]
+        store.build(groups)
+        assert store.directory.height == 2
+        pool.clear()
+        device.reset_stats()
+        assert list(store.items()) == [(key, recs) for key, recs in groups if recs]
+        # the root, each leaf and each record page once
+        assert device.stats.reads == store.directory.num_nodes + store.num_chain_pages
+
     def test_size_accounting(self):
         device, _pool, store = make_store()
         store.build([((k,), [(k, 0), (k, 1)]) for k in range(20)])
@@ -177,6 +188,14 @@ class TestRunIntegrity:
             with pytest.raises(PageCorruptionError, match="short page") as excinfo:
                 store.get((2,), keys)
             assert excinfo.value.page_id == store._page_ids[1]
+
+    def test_runs_scan_detects_a_short_page(self):
+        run = [(100 + i, i) for i in range(20)]
+        device, pool, store = self.build([((1,), [(1, 1)] * 3), ((2,), run)])
+        self.shorten(device, pool, store._page_ids[1], 5)
+        with pytest.raises(PageCorruptionError, match="short page") as excinfo:
+            list(store.runs())
+        assert excinfo.value.page_id == store._page_ids[1]
 
     def test_run_starting_at_a_full_pages_end_reads_through(self):
         first = [(i, 0) for i in range(15)]

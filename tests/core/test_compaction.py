@@ -8,13 +8,16 @@ import time
 import pytest
 
 from repro.core import (
+    BaseBlockTable,
     CubeCompactor,
     CompactionError,
     RankingCube,
     RankingCubeExecutor,
+    RankingCuboid,
 )
 from repro.ranking import LinearFunction
 from repro.relational import Database, Schema, TopKQuery, ranking_attr, selection_attr
+from repro.workloads.oracle import brute_force_topk
 
 SCHEMA = Schema.of(
     [selection_attr("a1", 3), selection_attr("a2", 4)]
@@ -45,11 +48,43 @@ def make_queries(rng, count=6):
     return queries
 
 
-def build_stack(rows):
+def build_stack(rows, compress=False):
     db = Database(buffer_capacity=512)
     table = db.load_table("R", SCHEMA, rows)
-    cube = RankingCube.build(table, block_size=8)
+    cube = RankingCube.build(table, block_size=8, compress=compress)
     return db, table, cube
+
+
+def compact_by_full_rewrite(pool, cube):
+    """The compaction the splice replaced, written out: decode every stored
+    block and cell, append the delta in tid order, re-pack it all through
+    ``from_groups``.  Assumes every delta entry is inside the grid."""
+    state = cube.snapshot()
+    grid = state.grid
+    ordered = sorted(state.delta, key=lambda entry: entry[0])
+    base_groups = dict(state.base_table.blocks())
+    bids = {}
+    for tid, _sel, rank_values in ordered:
+        point = tuple(float(rank_values[d]) for d in grid.dims)
+        bids[tid] = grid.locate(point)
+        base_groups.setdefault(bids[tid], []).append((int(tid), *point))
+    base = BaseBlockTable.from_groups(pool, grid, base_groups)
+    cuboids = {}
+    for key, cuboid in state.cuboids.items():
+        groups = dict(cuboid.cells())
+        for tid, sel_values, _rank in ordered:
+            cell = tuple(int(sel_values[d]) for d in cuboid.dims) + (
+                cuboid.pid_of_bid(bids[tid]),
+            )
+            groups.setdefault(cell, []).append((int(tid), int(bids[tid])))
+        cuboids[key] = RankingCuboid.from_groups(
+            pool, cuboid.dims, cuboid.cardinalities, grid, groups,
+            scale_override=cuboid.scale_factor, compress=cuboid.compressed,
+            epoch=cuboid.epoch + 1,
+        )
+    pool.flush()
+    with cube._state_lock:
+        cube.base_table, cube.cuboids, cube._delta = base, cuboids, []
 
 
 def signatures(executor, queries):
@@ -121,6 +156,68 @@ class TestForegroundCompaction:
                 assert {c.epoch for c in cube.cuboids.values()} == {
                     expected_epoch
                 }
+
+    def test_cells_merged_counts_distinct_cells(self):
+        rng = random.Random(7)
+        db, table, cube = build_stack(make_rows(rng))
+        # two equal rows: one block, and one cell in every cuboid
+        table.insert_rows([(1, 2, 0.5, 0.5), (1, 2, 0.5, 0.5)])
+        cube.refresh_delta(table)
+        report = CubeCompactor(cube, db.pool).compact_once()
+        assert report.absorbed == 2
+        assert report.cells_merged == len(cube.cuboids)
+        assert db.pool.registry.value("compact.cells_merged") == len(cube.cuboids)
+
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_device_image_equals_the_full_rewrite(self, compress):
+        """Splicing writes the pages a decode-everything rewrite writes,
+        byte for byte, in the same allocation order, over two rounds."""
+        rng = random.Random(31)
+        rows = make_rows(rng)
+        rounds = [make_rows(rng, count=count, lo=0.3, hi=0.7) for count in (25, 9)]
+        twins = [build_stack(rows, compress) for _ in range(2)]
+        for appended in rounds:
+            for db, table, cube in twins:
+                table.insert_rows(appended)
+                cube.refresh_delta(table)
+            (db, _table, cube), (twin_db, _twin_table, twin_cube) = twins
+            assert CubeCompactor(cube, db.pool).compact_once().residual == 0
+            compact_by_full_rewrite(twin_db.pool, twin_cube)
+            assert db.device.num_pages == twin_db.device.num_pages
+            assert db.device.fingerprint() == twin_db.device.fingerprint()
+
+    def test_compressed_cube_compacts_to_the_oracle(self):
+        rng = random.Random(13)
+        rows = make_rows(rng)
+        appended = make_rows(rng, count=30, lo=0.3, hi=0.7)
+        queries = make_queries(rng, count=10)
+
+        db, table, cube = build_stack(rows, compress=True)
+        assert all(c.compressed for c in cube.cuboids.values())
+        table.insert_rows(appended)
+        cube.refresh_delta(table)
+        cells_before = {
+            key: dict(cuboid.cells()) for key, cuboid in cube.cuboids.items()
+        }
+
+        report = CubeCompactor(cube, db.pool).compact_once()
+        assert report.swapped and report.absorbed == len(appended)
+        assert cube.delta_size == 0
+        assert {c.epoch for c in cube.cuboids.values()} == {1}
+        assert all(c.compressed for c in cube.cuboids.values())
+        grown = sum(
+            1
+            for key, cuboid in cube.cuboids.items()
+            for cell, pairs in cuboid.cells()
+            if pairs != cells_before[key].get(cell)
+        )
+        assert report.cells_merged == grown
+
+        executor = RankingCubeExecutor(cube, table)
+        all_rows = rows + appended
+        for query in queries:
+            got = [(r.score, r.tid) for r in executor.execute(query).rows]
+            assert got == brute_force_topk(SCHEMA, all_rows, query)
 
     def test_empty_delta_is_a_noop(self):
         rng = random.Random(4)

@@ -132,7 +132,7 @@ class TestReadSlice:
         return page.to_bytes().ljust(page_size, b"\0")
 
     @pytest.mark.parametrize(
-        "slot,count", [(0, 9), (0, 3), (4, 2), (7, 30), (9, 1), (12, 4), (3, 0)]
+        "slot,count", [(0, 9), (0, 3), (4, 2), (9, 0), (3, 0)]
     )
     def test_equals_the_slice_of_a_full_decode(self, slot, count):
         image = self.image()
@@ -141,6 +141,17 @@ class TestReadSlice:
             RecordPage.read_slice(image, self.CODEC, 256, slot, count)
             == full[slot:slot + count]
         )
+
+    @pytest.mark.parametrize("slot,count", [(7, 30), (9, 1), (12, 4)])
+    def test_slice_past_the_stored_records_is_corruption(self, slot, count):
+        # the page holds 9 records: a slice reaching past them is a short
+        # page, never a clipped answer
+        for keys in (None, {0, 7}):
+            with pytest.raises(PageCorruptionError, match="short page") as excinfo:
+                RecordPage.read_slice(
+                    self.image(), self.CODEC, 256, slot, count, page_id=3, keys=keys
+                )
+            assert excinfo.value.page_id == 3
 
     def test_unknown_page_type_is_corruption(self):
         image = b"\x07" + self.image()[1:]
