@@ -27,7 +27,19 @@
 #                         for the union, and test_compaction.py's
 #                         test_device_image_equals_the_full_rewrite that a
 #                         compaction leaves the device fingerprint of a
-#                         decode-everything rewrite
+#                         decode-everything rewrite.  tests/serve/
+#                         test_block_cache.py (unmarked) is the shared
+#                         base-block cache's equivalence test: a served
+#                         row-engine stream against a bare executor, rows
+#                         bit for bit and blocks/candidates/tuples equal,
+#                         cold and warm, across an append, a compaction
+#                         and a routed service sharing one cache; its
+#                         test_an_unpickled_table_draws_a_fresh_uid pins
+#                         the cache key's uid as unique across pickling.
+#                         test_single_search.py pins the evaluate step's
+#                         two reads: get_base_block(bid, qualifying)
+#                         without a block cache, get_base_block(bid) on a
+#                         miss
 #   2. bench check      — re-runs the smoke-sized checked-in baselines in
 #                         results/ and fails on any metric outside its
 #                         declared tolerance (see repro/bench/check.py).
@@ -89,7 +101,7 @@ export PYTHONPATH=src
 # stalling the whole gate.  Tests may tighten it with @pytest.mark.timeout.
 export REPRO_TEST_TIMEOUT="${REPRO_TEST_TIMEOUT:-300}"
 
-echo "== tier1 1/10: fast test suite (incl. single-search + single-node-codec structural tests, bound-table + selective-read + splice properties, compaction fingerprint) =="
+echo "== tier1 1/10: fast test suite (incl. single-search + single-node-codec structural tests, bound-table + selective-read + splice properties, compaction fingerprint, block-cache equivalence + table-uid tests) =="
 python -m pytest -m "not slow and not serve and not faults" -q
 
 echo "== tier1 2/10: bench regression gate (smoke) =="

@@ -7,7 +7,7 @@ ranking functions) through three serial configurations:
 * ``vector_executor`` — the same queries through the columnar batched
   kernels of :mod:`repro.vector` (``use_vector=True``).
 * ``vector_cached``   — the vector path with a shared
-  :class:`~repro.serve.cache.ColumnarBlockCache`, so repeated blocks
+  :class:`~repro.serve.cache.BlockCache`, so repeated blocks
   skip the fetch + decode entirely.
 
 All three must return **byte-identical** answers (the vector engine's
@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass
 from ..core.cube import RankingCube
 from ..core.executor import ExecutorTrace, RankingCubeExecutor
 from ..relational.database import Database
-from ..serve.cache import ColumnarBlockCache
+from ..serve.cache import BlockCache
 from ..vector.kernels import eval_scores, topk_select
 from ..vector.layout import ColumnarBlock
 from ..workloads.queries import QueryGenerator, QuerySpec
@@ -141,9 +141,9 @@ def run_scenario(
 ):
     """Serial cold-cache replay through one executor configuration."""
     db, table, cube = _build_environment(config)
-    columnar_cache = ColumnarBlockCache() if cached else None
+    block_cache = BlockCache() if cached else None
     executor = RankingCubeExecutor(
-        cube, table, use_vector=use_vector, columnar_cache=columnar_cache
+        cube, table, use_vector=use_vector, block_cache=block_cache
     )
     results = []
     total_blocks = total_tuples = total_candidates = vector_blocks = 0
@@ -168,7 +168,7 @@ def run_scenario(
         candidates_per_query=total_candidates / count,
         vector_blocks_per_query=vector_blocks / count,
         columnar_hit_rate=(
-            columnar_cache.stats.hit_rate if columnar_cache is not None else 0.0
+            block_cache.stats.hit_rate if block_cache is not None else 0.0
         ),
     )
     return report, _answers_signature(results)

@@ -32,11 +32,18 @@ class BaseBlockTable:
         codec = RecordCodec("q" + "d" * grid.num_dims)
         self._store = ChainStore(pool, codec)
         self.access_count = 0
-        #: Never-reused identity token.  The serving layer's columnar
-        #: block cache keys entries by ``(uid, bid)``, so blocks decoded
-        #: from a compacted-away table generation can never satisfy a
-        #: lookup against its replacement (``id()`` could be recycled by
-        #: the allocator; this cannot).
+        #: Never-reused identity token.  The serving layer's block cache
+        #: keys entries by ``(uid, bid, form)``, so blocks decoded from a
+        #: compacted-away table generation can never satisfy a lookup
+        #: against its replacement (``id()`` could be recycled by the
+        #: allocator; this cannot).
+        self.uid = next(_UIDS)
+
+    def __setstate__(self, state: dict) -> None:
+        # A pickled uid names a table in the process that issued it; a
+        # loaded copy draws a fresh one, or it could collide with a table
+        # this process builds later (each process counts from 0).
+        self.__dict__.update(state)
         self.uid = next(_UIDS)
 
     @classmethod

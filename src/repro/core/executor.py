@@ -168,7 +168,7 @@ class ExecutorTrace:
     frontier_peak: int = 0
     #: vector-path counters (zero on the row path): blocks scored through
     #: the batched kernels, and evaluate-step base blocks answered by the
-    #: shared columnar cache instead of a fetch + decode
+    #: shared block cache instead of a fetch + decode
     vector_blocks: int = 0
     columnar_cache_hits: int = 0
 
@@ -241,12 +241,15 @@ class RankingCubeExecutor:
         ``tests/properties/test_vector_equivalence.py``); only the work
         shape changes.  NumPy accelerates the kernels when available; a
         pure-stdlib fallback keeps the switch valid without it.
-    columnar_cache:
-        Optional shared :class:`~repro.serve.cache.ColumnarBlockCache`:
-        decoded columnar base blocks reused across queries (vector path
-        only).  Logical counters (``blocks_accessed`` etc.) are
-        unaffected by hits — the cache saves page I/O and decode work,
-        attributed in ``trace.columnar_cache_hits``.
+    block_cache:
+        Optional shared :class:`~repro.serve.cache.BlockCache`: decoded
+        base blocks reused across queries by both engines (the row
+        engine's records and the vector engine's columnar blocks, keyed
+        apart).  Logical counters (``blocks_accessed`` etc.) are
+        unaffected by hits — the cache saves the directory walk, page
+        gets and decode; the vector path attributes its hits in
+        ``trace.columnar_cache_hits``.  Without one, the row engine's
+        evaluate step is the paper's selective ``get_base_block``.
 
     The executor keeps no per-query state on ``self`` — that all lives on
     the query's :class:`ProgressiveSearch` — so one instance may be shared
@@ -263,7 +266,7 @@ class RankingCubeExecutor:
         pseudo_cache=None,
         bound_memo=None,
         use_vector: bool = False,
-        columnar_cache=None,
+        block_cache=None,
     ):
         self.cube = cube
         self.relation = relation
@@ -271,7 +274,7 @@ class RankingCubeExecutor:
         self.pseudo_cache = pseudo_cache
         self.bound_memo = bound_memo
         self.use_vector = bool(use_vector)
-        self.columnar_cache = columnar_cache
+        self.block_cache = block_cache
         # registry-counter memo for the executor.vector.* series, keyed
         # by registry identity (the cached Counter pins its registry, so
         # the id cannot be recycled while the entry lives)
@@ -381,6 +384,8 @@ class RankingCubeExecutor:
             layers.append("shared pseudo-block cache")
         if self.bound_memo is not None and query.ranking.cache_key() is not None:
             layers.append("shared bound memo")
+        if self.block_cache is not None:
+            layers.append("shared block cache")
         return QueryPlan(
             covering_cuboids=tuple(c.name for c in search.covering),
             intersection_required=len(search.covering) > 1,
@@ -811,12 +816,32 @@ class ProgressiveSearch:
         best ``k`` (sorted, ties tid-ascending) — answer-preserving,
         since at most the best ``k`` of any one block can reach a global
         top-k.  The row path ignores it and returns every pair,
-        unordered.  It hands ``qualifying`` to ``get_base_block``, which
-        reads the block's pages as always but decodes only those tuples.
+        unordered.  Without a shared block cache it hands ``qualifying``
+        to ``get_base_block``, which reads the block's pages as always
+        but decodes only those tuples.  With one, the whole block is
+        decoded once per table generation and every later visit filters
+        the cached records — the same pairs in the same stored order,
+        and the same logical counters: a hit saves physical work, not a
+        block visit.
         """
         if self.executor.use_vector:
             return self._score_block_vector(bid, qualifying)
-        records = self.snapshot.base_table.get_base_block(bid, qualifying)
+        base_table, cache = self.snapshot.base_table, self.executor.block_cache
+        if cache is None:
+            records = base_table.get_base_block(bid, qualifying)
+        else:
+            key = (base_table.uid, bid, "rows")
+            block = cache.get(key)
+            if block is None:
+                # insert only after the decode completes: a storage fault
+                # raises before the put, so no partial entry is shared
+                block = tuple(base_table.get_base_block(bid))
+                cache.put(key, block)
+            records = (
+                block
+                if qualifying is None
+                else [record for record in block if record[0] in qualifying]
+            )
         result, fn, positions = self.result, self._fn, self._positions
         result.blocks_accessed += 1
         if self.trace is not None:
@@ -835,7 +860,7 @@ class ProgressiveSearch:
         """Columnar form of :meth:`_score_block` (same logical counters).
 
         The block is decoded once into struct-of-arrays form (possibly
-        served by the shared columnar cache), the selection applied as a
+        served by the shared block cache), the selection applied as a
         batched membership test, and every qualifying tuple scored in one
         ``eval_batch`` call.  ``blocks_accessed``/``base_block_reads``
         move in lockstep with the row path *even on a columnar cache
@@ -866,11 +891,12 @@ class ProgressiveSearch:
 
         Cache keys pair the table's never-reused ``uid`` with the bid, so
         blocks decoded from a compacted-away table generation can never
-        satisfy a lookup against its replacement.
+        satisfy a lookup against its replacement; ``"columnar"`` keeps
+        them apart from the row engine's records in a shared cache.
         """
         base_table = self.snapshot.base_table
-        cache = self.executor.columnar_cache
-        key = (base_table.uid, bid)
+        cache = self.executor.block_cache
+        key = (base_table.uid, bid, "columnar")
         if cache is not None:
             cached = cache.get(key)
             if cached is not None:

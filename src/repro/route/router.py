@@ -178,7 +178,7 @@ class AdaptiveRouter:
         include_vector: bool = True,
         pseudo_cache=None,
         bound_memo=None,
-        columnar_cache=None,
+        block_cache=None,
         registry=None,
         prior_strength: float = DEFAULT_PRIOR_STRENGTH,
         probe_margin: float = DEFAULT_PROBE_MARGIN,
@@ -186,7 +186,9 @@ class AdaptiveRouter:
         """The standard path family: cube / vector / fragments / baseline.
 
         Injected caches are shared across the cube-family paths exactly
-        like :class:`~repro.serve.service.QueryService` shares them.
+        like :class:`~repro.serve.service.QueryService` shares them: the
+        cube and vector paths score through one ``block_cache``, whose
+        keys keep row records and columnar blocks apart.
         """
         paths: list[RoutePath] = [
             CubePath(
@@ -194,6 +196,7 @@ class AdaptiveRouter:
                 RankingCubeExecutor(
                     cube, table,
                     pseudo_cache=pseudo_cache, bound_memo=bound_memo,
+                    block_cache=block_cache,
                 ),
             )
         ]
@@ -204,7 +207,7 @@ class AdaptiveRouter:
                     RankingCubeExecutor(
                         cube, table,
                         pseudo_cache=pseudo_cache, bound_memo=bound_memo,
-                        use_vector=True, columnar_cache=columnar_cache,
+                        use_vector=True, block_cache=block_cache,
                     ),
                 )
             )

@@ -5,8 +5,9 @@ pseudo-block buffer); this package extends the amortization *across* a
 query stream and makes the read path safe for concurrent workers:
 
 * :class:`PseudoBlockCache` — shared LRU of decoded pseudo blocks,
-* :class:`ColumnarBlockCache` — shared LRU of decoded columnar base
-  blocks (the vectorized executor's evaluate step),
+* :class:`BlockCache` — shared LRU of decoded base blocks (the
+  evaluate step of both engines: row records and columnar blocks,
+  keyed apart by table uid, bid and form),
 * :class:`BoundMemo` — shared memo of block lower bounds ``f(bid)``,
 * :class:`QueryService` — worker-pool front end with ``submit`` /
   ``run_batch`` APIs and per-query latency/IO accounting,
@@ -30,7 +31,7 @@ per-layer cache attribution (``BENCH_serve.json``);
 against the unsharded baseline (``BENCH_shard.json``).
 """
 
-from .cache import BoundMemo, CacheStats, ColumnarBlockCache, PseudoBlockCache
+from .cache import BlockCache, BoundMemo, CacheStats, PseudoBlockCache
 from .endpoint import LocalShardPool, ProcPoolError, ShardEndpoint
 from .procpool import ProcessShardPool, ShardWorkerHandle
 from .routed import RoutedQueryService
@@ -50,9 +51,9 @@ from .sharded import (
 from .wire import WireError, WorkerDiedError
 
 __all__ = [
+    "BlockCache",
     "BoundMemo",
     "CacheStats",
-    "ColumnarBlockCache",
     "LocalShardPool",
     "ProcessShardPool",
     "ProcPoolError",

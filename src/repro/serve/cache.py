@@ -11,11 +11,15 @@ executor only amortizes *within* one query:
   append/refresh paths (see :meth:`repro.core.cube.RankingCube
   .add_invalidation_listener`); invalidation is conservative — any
   maintenance event drops every entry of the affected cuboids.
-* :class:`ColumnarBlockCache` — the same idea for the vectorized
-  executor's *evaluate* step: decoded struct-of-arrays base blocks
-  (:class:`repro.vector.ColumnarBlock`), keyed by the base table's
-  never-reused ``uid`` plus bid so stale generations miss by
-  construction.
+* :class:`BlockCache` — the same idea for the executor's *evaluate*
+  step: decoded base blocks, for both engines.  Keys are ``(base table
+  uid, bid, decoded form)``: the row engine caches the block's
+  ``(tid, values)`` records, the vector engine its struct-of-arrays
+  :class:`repro.vector.ColumnarBlock`, and one instance serves both
+  without mixing them.  A table generation is never mutated and its
+  ``uid`` is never reused (not even by an unpickled copy), so entries
+  of a compacted-away generation miss by construction and age out
+  under the LRU bound — this cache needs no invalidation listener.
 * :class:`BoundMemo` — memoizes the convex lower bound ``f(bid)`` per
   ``(ranking-function signature, grid signature)``.  The bound depends
   only on the function and the grid geometry, never on the data, so a
@@ -23,7 +27,7 @@ executor only amortizes *within* one query:
   bound exactly once.  Functions without a value-based signature (opaque
   callables) are simply not memoized.
 
-Both caches are safe under concurrent readers/writers: every public
+All three are safe under concurrent readers/writers: every public
 method holds the cache's lock for its full (short, pure-Python) critical
 section.  Entries are only inserted after a *successful* decode, so a
 query aborted mid-flight by a storage fault can never poison them.
@@ -38,6 +42,9 @@ from ..obs.metrics import MetricsRegistry, RegistryStatsView
 
 #: Key of one cached pseudo block: (cuboid name, cell values, pid).
 PseudoKey = tuple[str, tuple[int, ...], int]
+
+#: Key of one cached base block: (base table uid, bid, decoded form).
+BlockKey = tuple[int, int, str]
 
 
 class CacheStats(RegistryStatsView):
@@ -202,17 +209,20 @@ class PseudoBlockCache:
         return self.resident_entries
 
 
-class ColumnarBlockCache:
-    """Memory-bounded LRU of decoded columnar base blocks (vector path).
+class BlockCache:
+    """Memory-bounded LRU of decoded base blocks, shared across queries.
 
-    The vectorized executor decodes each base block it evaluates into
-    struct-of-arrays form (:class:`repro.vector.ColumnarBlock`); this
-    cache shares those decodes across a query stream the way
-    :class:`PseudoBlockCache` shares pseudo-block decodes.  Keys pair the
-    base table's never-reused ``uid`` with the bid, so entries decoded
-    from a compacted-away table generation can never satisfy a lookup
-    against its replacement — invalidation on top of that is purely an
-    eager memory release.
+    The evaluate step decodes each base block it scores; this cache
+    shares those decodes across a query stream the way
+    :class:`PseudoBlockCache` shares pseudo-block decodes, so a warm
+    stream scores a block it has seen before without a directory walk,
+    a buffer-pool get or a decode.  Keys are ``(table uid, bid, form)``:
+    ``form`` names the decoded representation (the row engine's
+    ``(tid, values)`` records or the vector engine's
+    :class:`~repro.vector.ColumnarBlock`), so one instance can serve
+    both engines.  The table's ``uid`` is never reused, so entries
+    decoded from a compacted-away generation can never satisfy a lookup
+    against its replacement; they simply age out.
 
     A hit does **not** change a query's logical counters
     (``blocks_accessed`` etc. still advance): the executor's
@@ -222,13 +232,13 @@ class ColumnarBlockCache:
     Parameters
     ----------
     capacity_blocks:
-        Maximum number of resident columnar blocks.
+        Maximum number of resident blocks.
     capacity_tuples:
         Optional additional bound on total cached tuples (the dominant
         memory cost); eviction runs until both bounds hold.
     registry:
         Metrics registry for the ``serve.cache.*`` counters (labeled
-        ``cache="columnar_block"``).
+        ``cache="base_block"``).
     """
 
     def __init__(
@@ -243,15 +253,15 @@ class ColumnarBlockCache:
             raise ValueError("capacity_tuples must be >= 1 (or None)")
         self.capacity_blocks = capacity_blocks
         self.capacity_tuples = capacity_tuples
-        self.stats = CacheStats(registry, cache="columnar_block")
+        self.stats = CacheStats(registry, cache="base_block")
         self._lock = threading.Lock()
-        # (table uid, bid) -> ColumnarBlock
-        self._entries: OrderedDict[tuple[int, int], object] = OrderedDict()
+        # (table uid, bid, form) -> decoded block
+        self._entries: OrderedDict[BlockKey, object] = OrderedDict()
         self._resident_tuples = 0
 
     # ------------------------------------------------------------------
-    def get(self, key: tuple[int, int]):
-        """The columnar block for ``(table uid, bid)``, or ``None``.
+    def get(self, key: BlockKey):
+        """The decoded block for ``(table uid, bid, form)``, or ``None``.
 
         Returned blocks are shared across queries and must be treated as
         immutable.
@@ -265,7 +275,7 @@ class ColumnarBlockCache:
             self._entries.move_to_end(key)
             return entry
 
-    def put(self, key: tuple[int, int], block) -> None:
+    def put(self, key: BlockKey, block) -> None:
         """Insert a fully decoded block (idempotent per key)."""
         size = len(block)
         with self._lock:
@@ -290,9 +300,9 @@ class ColumnarBlockCache:
     def clear(self) -> int:
         """Drop everything (counts as invalidation); returns entries dropped.
 
-        The uid-keyed design makes this optional for correctness — the
-        serving layer calls it on maintenance events to release memory
-        held by unreachable generations promptly.
+        The uid-keyed design makes this optional for correctness; the
+        serving layer calls it to start cold (``cold_cache``) or after
+        an external rebuild, never on routine maintenance.
         """
         with self._lock:
             dropped = len(self._entries)
@@ -311,7 +321,7 @@ class ColumnarBlockCache:
         with self._lock:
             return self._resident_tuples
 
-    def __contains__(self, key: tuple[int, int]) -> bool:
+    def __contains__(self, key: BlockKey) -> bool:
         with self._lock:
             return key in self._entries
 

@@ -1,10 +1,10 @@
 """One shard's serving endpoint, and the in-process pool of them.
 
 A :class:`ShardEndpoint` owns one shard's serving stack (executor,
-per-shard pseudo-block cache and bound memo, invalidation hook) and the
-sessions open on it.  It is the *only* place per-shard execution lives:
-the sharded front end (:mod:`repro.serve.sharded`) reaches it through
-seven calls —
+per-shard pseudo-block cache, bound memo and block cache, invalidation
+hook) and the sessions open on it.  It is the *only* place per-shard
+execution lives: the sharded front end (:mod:`repro.serve.sharded`)
+reaches it through seven calls —
 
 ==============  ========================================================
 ``open``        start a top-k session, merge-ready delta rows included,
@@ -37,7 +37,7 @@ from ..core.reverse import count_preceding
 from ..obs.metrics import MetricsRegistry, diff_counter_items
 from ..obs.tracing import Tracer, maybe_span
 from ..shard.builder import ShardedCube, clone_shard
-from .cache import BoundMemo, PseudoBlockCache
+from .cache import BlockCache, BoundMemo, PseudoBlockCache
 from .wire import WireError
 
 
@@ -105,16 +105,19 @@ class ShardEndpoint:
         if share_caches:
             self.pseudo_cache = PseudoBlockCache(registry=self.registry)
             self.bound_memo = BoundMemo(registry=self.registry)
+            self.block_cache = BlockCache(registry=self.registry)
             self._listener = self.pseudo_cache.invalidate_cuboids
             cube.add_invalidation_listener(self._listener)
         else:
             self.pseudo_cache = self.bound_memo = self._listener = None
+            self.block_cache = None
         self.executor = RankingCubeExecutor(
             cube,
             table,
             buffer_pseudo_blocks=buffer_pseudo_blocks,
             pseudo_cache=self.pseudo_cache,
             bound_memo=self.bound_memo,
+            block_cache=self.block_cache,
         )
         self._sessions: dict[int, _Session] = {}
 
@@ -260,6 +263,8 @@ class ShardEndpoint:
             self.pseudo_cache.clear()
         if self.bound_memo is not None:
             self.bound_memo.clear()
+        if self.block_cache is not None:
+            self.block_cache.clear()
 
     def unhook(self) -> None:
         if self._listener is not None:

@@ -49,7 +49,9 @@ class RoutedQueryService(QueryService):
     """A query service whose front door is the adaptive router.
 
     Accepts every :class:`QueryService` parameter (the cube-family paths
-    share the service's pseudo-block / bound-memo / columnar caches) plus:
+    share the service's pseudo-block cache, bound memo and block cache —
+    one :class:`~repro.serve.cache.BlockCache` for the cube and vector
+    paths alike) plus:
 
     Parameters
     ----------
@@ -102,7 +104,7 @@ class RoutedQueryService(QueryService):
             include_vector=include_vector,
             pseudo_cache=self.pseudo_cache,
             bound_memo=self.bound_memo,
-            columnar_cache=self.columnar_cache,
+            block_cache=self.block_cache,
             registry=self.registry,
             prior_strength=prior_strength,
             probe_margin=probe_margin,

@@ -9,6 +9,9 @@ cross-query caches of :mod:`repro.serve.cache` attached:
   and decode work entirely,
 * the **bound memo** — each ``f(bid)`` lower bound is minimized once per
   (ranking function, grid) across the whole stream,
+* the **block cache** — each base block is decoded once per table
+  generation, so a warm stream's evaluate step skips the directory
+  walk, the page gets and the decode,
 * the **thread-safe buffer pool** underneath (lock-striped page latches),
   so concurrent cold reads stay correct and metered.
 
@@ -24,6 +27,7 @@ aborted query cannot poison state used by its neighbors.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -35,7 +39,7 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import Span, Tracer
 from ..relational.query import QueryResult, TopKQuery
 from ..relational.table import Table
-from .cache import BoundMemo, ColumnarBlockCache, PseudoBlockCache
+from .cache import BlockCache, BoundMemo, PseudoBlockCache
 
 #: Retained span trees when ``trace_spans`` is enabled (a ring buffer —
 #: profiling wants recent queries, not unbounded memory).
@@ -101,8 +105,8 @@ class ServiceStats:
         if not self.records:
             return 0.0
         ordered = sorted(r.latency_s for r in self.records)
-        rank = min(len(ordered) - 1, max(0, int(fraction * len(ordered))))
-        return ordered[rank]
+        rank = math.ceil(fraction * len(ordered)) - 1
+        return ordered[min(len(ordered) - 1, max(0, rank))]
 
     def mean(self, attribute: str) -> float:
         if not self.records:
@@ -128,9 +132,12 @@ class QueryService:
     workers:
         Worker threads.  ``1`` is a valid (serial, still cache-sharing)
         configuration.
-    pseudo_cache / bound_memo:
+    pseudo_cache / bound_memo / block_cache:
         Injected shared caches; built with defaults when omitted.  Passing
         ``None`` explicitly and ``share_caches=False`` disables a layer.
+        The block cache needs no invalidation hook: it is keyed by the
+        base table's never-reused ``uid``, and maintenance installs a new
+        table rather than mutating the old one.
     share_caches:
         Ablation switch: ``False`` serves concurrently but without the
         cross-query layers (per-query buffers still apply).
@@ -159,12 +166,7 @@ class QueryService:
     use_vector:
         Serve through the vectorized columnar executor (see
         ``RankingCubeExecutor.use_vector``).  Answers stay byte-identical
-        to row-path serving; with ``share_caches`` the service also
-        attaches a shared :class:`~repro.serve.cache.ColumnarBlockCache`
-        so decoded base blocks are reused across the stream.
-    columnar_cache:
-        Injected columnar block cache (vector mode only); built with
-        defaults when omitted and ``share_caches`` is on.
+        to row-path serving.
     """
 
     def __init__(
@@ -182,7 +184,7 @@ class QueryService:
         compactor=None,
         auto_compact_delta: int | None = None,
         use_vector: bool = False,
-        columnar_cache: ColumnarBlockCache | None = None,
+        block_cache: BlockCache | None = None,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -211,18 +213,16 @@ class QueryService:
                 if bound_memo is not None
                 else BoundMemo(registry=self.registry)
             )
+            self.block_cache = (
+                block_cache
+                if block_cache is not None
+                else BlockCache(registry=self.registry)
+            )
         else:
             self.pseudo_cache = None
             self.bound_memo = None
+            self.block_cache = None
         self.use_vector = bool(use_vector)
-        if self.use_vector and share_caches:
-            self.columnar_cache = (
-                columnar_cache
-                if columnar_cache is not None
-                else ColumnarBlockCache(registry=self.registry)
-            )
-        else:
-            self.columnar_cache = columnar_cache if self.use_vector else None
         self._queries_counter = self.registry.counter("serve.service.queries")
         self._searches_counter = self.registry.counter(
             "serve.service.searches_opened"
@@ -243,7 +243,7 @@ class QueryService:
             pseudo_cache=self.pseudo_cache,
             bound_memo=self.bound_memo,
             use_vector=self.use_vector,
-            columnar_cache=self.columnar_cache,
+            block_cache=self.block_cache,
         )
         self.stats = ServiceStats()
         self._stats_lock = threading.Lock()
@@ -256,16 +256,6 @@ class QueryService:
             cube.add_invalidation_listener(self._listener)
         else:
             self._listener = None
-        if self.columnar_cache is not None:
-            # conservative eager release: uid-keyed entries of a replaced
-            # table generation already miss by construction, but dropping
-            # them on any maintenance event frees their memory now
-            self._columnar_listener = (
-                lambda _names: self.columnar_cache.clear()
-            )
-            cube.add_invalidation_listener(self._columnar_listener)
-        else:
-            self._columnar_listener = None
         self.compactor = compactor
         self._owns_compactor = False
         if auto_compact_delta is not None:
@@ -457,13 +447,13 @@ class QueryService:
     # cache administration
     # ------------------------------------------------------------------
     def invalidate_caches(self) -> None:
-        """Drop both shared caches (e.g. after an external rebuild)."""
+        """Drop every shared cache (e.g. after an external rebuild)."""
         if self.pseudo_cache is not None:
             self.pseudo_cache.clear()
         if self.bound_memo is not None:
             self.bound_memo.clear()
-        if self.columnar_cache is not None:
-            self.columnar_cache.clear()
+        if self.block_cache is not None:
+            self.block_cache.clear()
 
     def cache_hit_rate(self) -> float:
         """Shared pseudo-block cache hit rate (0.0 when disabled)."""
@@ -489,8 +479,6 @@ class QueryService:
             self.compactor.close(wait=wait)
         if self._listener is not None:
             self.cube.remove_invalidation_listener(self._listener)
-        if self._columnar_listener is not None:
-            self.cube.remove_invalidation_listener(self._columnar_listener)
 
     def __enter__(self) -> "QueryService":
         return self

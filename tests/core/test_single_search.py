@@ -15,8 +15,10 @@ every consumer drives it; this test fails when a copy grows back:
   and compares no ``best_unseen`` against a k-th score itself;
 * a block's bound is minimized over its box (``min_over_box(``) at one
   call site, the fallback for families without a per-bin term table,
-  and the row path's evaluate step hands its qualifying set to
-  ``get_base_block`` rather than filtering a full read.
+  and the row path's evaluate step reads a block in exactly two ways:
+  ``get_base_block(bid, qualifying)`` without a shared block cache (the
+  selective read, never a filtered full read), and ``get_base_block(bid)``
+  on a cache miss (the whole block, decoded once for every later visit).
 """
 
 import ast
@@ -117,8 +119,9 @@ def test_the_row_path_reads_only_the_qualifying_tids():
         if isinstance(node, ast.Call)
         and getattr(node.func, "attr", None) == "get_base_block"
     ]
-    assert [[ast.unparse(arg) for arg in call.args] for call in calls] == [
-        ["bid", "qualifying"]
+    assert sorted([ast.unparse(arg) for arg in call.args] for call in calls) == [
+        ["bid"],
+        ["bid", "qualifying"],
     ]
 
 

@@ -11,8 +11,10 @@ from repro.relational import Database, Schema, TopKQuery, ranking_attr, selectio
 from repro.serve import (
     BoundMemo,
     PseudoBlockCache,
+    QueryRecord,
     QueryService,
     ServiceClosedError,
+    ServiceStats,
 )
 from repro.storage import (
     READ_ERROR,
@@ -157,9 +159,11 @@ class TestInvalidation:
         with QueryService(cube, table, workers=1) as service:
             service.run_batch(make_queries(29, count=3))
             assert len(service.pseudo_cache) > 0
+            assert len(service.block_cache) > 0
             service.invalidate_caches()
             assert len(service.pseudo_cache) == 0
             assert service.bound_memo.resident_groups == 0
+            assert len(service.block_cache) == 0
 
 
 class TestFaultSemantics:
@@ -291,6 +295,7 @@ class TestLifecycleAndAccounting:
         assert "shared pseudo-block cache" in plan.cache_layers
         assert "shared bound memo" in plan.cache_layers
         assert "per-query pseudo-block buffer" in plan.cache_layers
+        assert "shared block cache" in plan.cache_layers
         assert "cache layers" in plan.describe()
         bare = RankingCubeExecutor(cube, table).explain(query)
         assert "shared pseudo-block cache" not in bare.cache_layers
@@ -353,3 +358,18 @@ class TestAnyKAndReverseFrontEnds:
         query = make_queries(97, count=1)[0]
         with pytest.raises(ServiceClosedError):
             service.open_search(query)
+
+
+@pytest.mark.parametrize(
+    "fraction, expected", [(0.0, 1), (0.5, 10), (0.95, 19), (1.0, 20)]
+)
+def test_latency_percentile_is_nearest_rank(fraction, expected):
+    """The smallest latency with at least ``fraction`` of the sample at
+    or below it: rank ``ceil(fraction * n)``, clamped to the sample."""
+    stats = ServiceStats(
+        [
+            QueryRecord(latency_s, 0, 0, 0, 0, 0, 0, 0, 0)
+            for latency_s in random.Random(3).sample(range(1, 21), 20)
+        ]
+    )
+    assert stats.latency_percentile(fraction) == expected
