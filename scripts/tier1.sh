@@ -39,7 +39,18 @@
 #                         test_single_search.py pins the evaluate step's
 #                         two reads: get_base_block(bid, qualifying)
 #                         without a block cache, get_base_block(bid) on a
-#                         miss
+#                         miss.  tests/core/test_delta.py is the
+#                         cell-indexed delta store: the property that
+#                         snapshot.delta_matches equals a brute filter of
+#                         the snapshot's entries under random appends,
+#                         snapshots, compactions and repartitions (old
+#                         snapshots keep their answers), a Workspace
+#                         reload, the count that an append decodes each
+#                         heap page once, the concurrent-refresh race, and
+#                         int-key bulk_load rejections;
+#                         test_compaction.py's
+#                         test_compacted_cuboids_share_the_warm_pseudo_map
+#                         that a compaction keeps the pseudo-block map
 #   2. bench check      — re-runs the smoke-sized checked-in baselines in
 #                         results/ and fails on any metric outside its
 #                         declared tolerance (see repro/bench/check.py).
@@ -101,7 +112,7 @@ export PYTHONPATH=src
 # stalling the whole gate.  Tests may tighten it with @pytest.mark.timeout.
 export REPRO_TEST_TIMEOUT="${REPRO_TEST_TIMEOUT:-300}"
 
-echo "== tier1 1/10: fast test suite (incl. single-search + single-node-codec structural tests, bound-table + selective-read + splice properties, compaction fingerprint, block-cache equivalence + table-uid tests) =="
+echo "== tier1 1/10: fast test suite (incl. single-search + single-node-codec structural tests, bound-table + selective-read + splice properties, compaction fingerprint, block-cache equivalence + table-uid tests, indexed-delta property + page-once append) =="
 python -m pytest -m "not slow and not serve and not faults" -q
 
 echo "== tier1 2/10: bench regression gate (smoke) =="

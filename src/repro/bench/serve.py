@@ -23,6 +23,7 @@ cache hit rates, so later PRs have a perf trajectory to compare against.
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 from dataclasses import asdict, dataclass
@@ -113,11 +114,13 @@ class ScenarioReport:
 
 
 def _percentile(values: list[float], fraction: float) -> float:
+    """Nearest-rank quantile: the ``ceil(fraction * n)``-th smallest value,
+    clamped to the sample."""
     if not values:
         return 0.0
     ordered = sorted(values)
-    rank = min(len(ordered) - 1, max(0, int(fraction * len(ordered))))
-    return ordered[rank]
+    rank = math.ceil(fraction * len(ordered)) - 1
+    return ordered[min(len(ordered) - 1, max(0, rank))]
 
 
 def _report(

@@ -82,20 +82,16 @@ class ChainStore:
         runs: Iterable[tuple[tuple, bytes, int]],
         additions: Mapping[tuple, Sequence[tuple]],
     ) -> None:
-        """Build from another store's :meth:`runs` with ``additions``
-        appended per key (keys absent from ``runs`` become new runs).
+        """Build from another store's :meth:`runs` (key-ordered) with
+        ``additions`` appended per key (keys absent from ``runs`` become
+        new runs).
 
-        Old records are copied as bytes and only the additions are packed.
+        Old records are copied as bytes and only the additions are packed,
+        in one merge pass over the old runs and the sorted added keys.
         The packing rule sees nothing but each key's record count, so the
         image equals :meth:`build` over the decoded union, page for page.
         """
-        pack = self.codec.pack
-        merged = {key: (data, count) for key, data, count in runs}
-        for key, records in additions.items():
-            if records:
-                data, count = merged.get(tuple(key), (b"", 0))
-                merged[tuple(key)] = (data + pack(records), count + len(records))
-        self._layout((key, *merged[key]) for key in sorted(merged))
+        self._layout(_merge_runs(runs, additions, self.codec.pack))
 
     def _layout(self, runs: Iterable[tuple[tuple, bytes, int]]) -> None:
         """Pack encoded ``(key, record bytes, count)`` runs, in key order,
@@ -118,6 +114,11 @@ class ChainStore:
                 (key, _pack_locator(len(pages), filled, count))
             )
             self._num_records += count
+            if count <= capacity - filled:
+                # the common case: the whole run lands on the current page
+                parts.append(data)
+                filled += count
+                continue
             view = memoryview(data)
             done = 0
             while done < count:
@@ -213,6 +214,31 @@ class ChainStore:
     @property
     def size_in_bytes(self) -> int:
         return (len(self._page_ids) * self.page_size) + self.directory.size_in_bytes
+
+
+def _merge_runs(
+    runs: Iterable[tuple[tuple, bytes, int]],
+    additions: Mapping[tuple, Sequence[tuple]],
+    pack,
+) -> Iterator[tuple[tuple, bytes, int]]:
+    """Key-ordered ``runs`` with each key's ``additions`` packed onto its
+    run's end; added keys no run holds come in at their key position."""
+    added = sorted(
+        ((tuple(key), records) for key, records in additions.items() if records),
+        key=lambda item: item[0],
+    )
+    i = 0
+    for key, data, count in runs:
+        while i < len(added) and added[i][0] < key:
+            yield added[i][0], pack(added[i][1]), len(added[i][1])
+            i += 1
+        if i < len(added) and added[i][0] == key:
+            records = added[i][1]
+            data, count = data + pack(records), count + len(records)
+            i += 1
+        yield key, data, count
+    for key, records in added[i:]:
+        yield key, pack(records), len(records)
 
 
 _SLOT_BITS = 12    # up to 4095 records per page

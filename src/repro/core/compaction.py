@@ -1,10 +1,11 @@
 """Background delta compaction: merge the delta store into the cube.
 
 :meth:`RankingCube.refresh_delta` absorbs appended tuples into an
-in-memory side list that every query merges at answer time (the classic
-delta-store strategy; the paper leaves maintenance as future work).
-Unbounded, that list slows every query and survives only as long as the
-process.  :class:`CubeCompactor` drains it back into the materialization:
+in-memory, cell-indexed delta store that every query merges at answer
+time (the classic delta-store strategy; the paper leaves maintenance as
+future work).  Unbounded, that store grows every query's merge and
+survives only as long as the process.  :class:`CubeCompactor` drains it
+back into the materialization:
 
 1. **snapshot** the cube's queryable state (under the cube's state lock),
 2. **classify** delta entries — a tuple whose ranking point lies inside
@@ -14,9 +15,12 @@ process.  :class:`CubeCompactor` drains it back into the materialization:
    bounding box, which would break the frontier stop's lower-bound
    soundness,
 3. **merge** — read the old base table's runs, then group the
-   absorbable entries per key in tid order: ``bid -> records`` for the
-   base table and ``cell -> (tid, bid) pairs`` for each cuboid (the
-   additions maps; their sizes are :attr:`CompactionReport.cells_merged`),
+   absorbable entries per key in tid order with the build's own grouping
+   routine (:func:`~repro.core.parallel.build_shard_partial`: one
+   :meth:`BlockGrid.locate_many`, one pid per distinct bid and scale
+   factor): ``bid -> records`` for the base table and ``cell -> (tid,
+   bid) pairs`` for each cuboid (the additions maps; their sizes are
+   :attr:`CompactionReport.cells_merged`),
 4. **splice** fresh :class:`BaseBlockTable` / :class:`RankingCuboid`
    objects onto new pages (build-once stores are never mutated in
    place): each store's old record bytes are copied as they are and only
@@ -30,8 +34,8 @@ process.  :class:`CubeCompactor` drains it back into the materialization:
    flush but before the swap leaves the new pages unreferenced garbage,
    never a referenced hole),
 6. **swap** the ``(base_table, cuboids, delta)`` triple atomically under
-   the cube's state lock, keeping only residual delta entries (plus any
-   appended concurrently),
+   the cube's state lock; the new delta store holds only the residual
+   entries (plus any appended concurrently),
 7. **notify** the cube's invalidation listeners (outside the lock), the
    same protocol ``refresh_delta`` uses, so serving caches drop stale
    cells while query traffic keeps flowing.
@@ -55,6 +59,7 @@ from dataclasses import dataclass, field
 from ..obs.tracing import maybe_span
 from .cube import RankingCube
 from .cuboid import RankingCuboid
+from .parallel import CuboidSpec, build_shard_partial
 
 #: Named instants where the crash harness may kill a compaction run, in
 #: execution order.  None of them fires while the cube's state lock is
@@ -172,7 +177,7 @@ class CubeCompactor:
 
             with maybe_span(self.tracer, "compact.classify"):
                 lower, upper = state.grid.full_box()
-                drained = len(state.delta)
+                drained = state.delta_size
                 absorbable: list[tuple[int, dict, dict]] = []
                 residual: list[tuple[int, dict, dict]] = []
                 for entry in state.delta:
@@ -196,23 +201,34 @@ class CubeCompactor:
                 base_runs = list(state.base_table.runs())
                 self._fault("base-read")
                 ordered = sorted(absorbable, key=lambda entry: entry[0])
-                base_additions: dict[int, list[tuple]] = {}
-                placed = []
-                for tid, sel_values, rank_values in ordered:
-                    point = tuple(
-                        float(rank_values[d]) for d in state.grid.dims
-                    )
-                    bid = state.grid.locate(point)
-                    base_additions.setdefault(bid, []).append((int(tid), *point))
-                    placed.append((int(tid), sel_values, bid))
-                cell_additions: dict[frozenset, dict[tuple, list]] = {}
-                for key, cuboid in state.cuboids.items():
-                    cells = cell_additions[key] = {}
-                    for tid, sel_values, bid in placed:
-                        cell = tuple(
-                            int(sel_values[d]) for d in cuboid.dims
-                        ) + (cuboid.pid_of_bid(bid),)
-                        cells.setdefault(cell, []).append((tid, bid))
+                # the build's grouping routine: one locate_many for every
+                # point, one pid per distinct (bid, scale factor), read
+                # from the cuboids' own (warm) pseudo maps
+                cuboids = list(state.cuboids.values())
+                sel_dims = sorted(set().union(*state.cuboids))
+                grouped = build_shard_partial(
+                    state.grid,
+                    [
+                        CuboidSpec(
+                            dims=c.dims,
+                            positions=tuple(sel_dims.index(d) for d in c.dims),
+                            scale=c.scale_factor,
+                        )
+                        for c in cuboids
+                    ],
+                    tids=[tid for tid, _sel, _rank in ordered],
+                    points=[
+                        tuple(float(rank[d]) for d in state.grid.dims)
+                        for _tid, _sel, rank in ordered
+                    ],
+                    sel_rows=[
+                        tuple([sel[d] for d in sel_dims])
+                        for _tid, sel, _rank in ordered
+                    ],
+                    pseudo_maps={c.scale_factor: c.pseudo for c in cuboids},
+                )
+                base_additions = grouped.base_groups
+                cell_additions = dict(zip(state.cuboids, grouped.cuboid_groups))
 
             # --- splice the stores onto fresh pages -----------------------
             with maybe_span(self.tracer, "compact.rebuild"):
@@ -233,7 +249,7 @@ class CubeCompactor:
             with cube._state_lock:
                 # Keep residual entries plus anything refresh_delta appended
                 # after our snapshot; the snapshot's prefix is what we merged.
-                survivors = residual + cube._delta[drained:]
+                survivors = residual + cube._delta.entries[drained:]
                 cube.base_table = new_base
                 cube.cuboids = new_cuboids
                 cube._delta = survivors

@@ -19,6 +19,8 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+from bisect import bisect_left
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from ..obs.tracing import maybe_span
@@ -44,10 +46,11 @@ class RankingCube:
     The materialization is immutable (the chain stores are build-once), but
     the cube supports *incremental maintenance* through a delta store: new
     tuples appended to the relation after the build are absorbed with
-    :meth:`refresh_delta` into a small in-memory side list that the query
-    executor merges into every answer.  When the delta grows past a
-    configured fraction of the data, rebuild (the classic delta-store /
-    merge maintenance strategy; the paper leaves updates as future work).
+    :meth:`refresh_delta` into a small in-memory :class:`DeltaStore` that
+    the query executor merges into every answer.  When the delta grows
+    past a configured fraction of the data, rebuild or compact (the
+    classic delta-store / merge maintenance strategy; the paper leaves
+    updates as future work).
     """
 
     def __init__(
@@ -63,8 +66,6 @@ class RankingCube:
         self.block_size = block_size
         #: tid watermark: tuples with tid >= this are not in the cube yet
         self.watermark = base_table.num_tuples
-        #: delta store: (tid, {sel dim: value}, {rank dim: value})
-        self._delta: list[tuple[int, dict, dict]] = []
         self._delta_selection_dims: frozenset = frozenset().union(
             *cuboids
         ) if cuboids else frozenset()
@@ -75,6 +76,18 @@ class RankingCube:
         #: lock, and :meth:`snapshot` reads it under the same lock, so a
         #: background compaction swap is atomic from any query's view
         self._state_lock = threading.Lock()
+        #: delta store: (tid, {sel dim: value}, {rank dim: value}) entries
+        self._delta = []
+
+    @property
+    def _delta(self) -> "DeltaStore":
+        return self._delta_store
+
+    @_delta.setter
+    def _delta(self, entries) -> None:
+        """Install a fresh store over ``entries`` (the maintenance swaps;
+        callers hold the state lock)."""
+        self._delta_store = DeltaStore(entries, self._state_lock)
 
     # ------------------------------------------------------------------
     # construction
@@ -287,17 +300,22 @@ class RankingCube:
     # copy happens under the state lock so a pickle taken while a
     # background compaction is swapping state captures either the old or
     # the new (base_table, cuboids, delta) triple — never a mix.
+    # The delta pickles as its plain entry list; the cell indexes are
+    # rebuilt on first use, bound to the loaded cube's fresh lock.
     def __getstate__(self):
         with self._state_lock:
             state = self.__dict__.copy()
+            state["_delta"] = list(state.pop("_delta_store").entries)
         state["_invalidation_listeners"] = []
         del state["_state_lock"]
         return state
 
     def __setstate__(self, state):
+        entries = state.pop("_delta")
         self.__dict__.update(state)
         self._invalidation_listeners = []
         self._state_lock = threading.Lock()
+        self._delta = entries
 
     # ------------------------------------------------------------------
     # consistent read snapshots
@@ -308,14 +326,16 @@ class RankingCube:
         Executors capture one snapshot per query and resolve every read
         (covering cuboids, base blocks, delta matches) against it, so a
         concurrent compaction swap can never hand a single query a mix of
-        old and new state.
+        old and new state.  The delta is pinned as a prefix of the
+        append-only store, not copied.
         """
         with self._state_lock:
             return CubeSnapshot(
                 grid=self.grid,
                 base_table=self.base_table,
                 cuboids=dict(self.cuboids),
-                delta=tuple(self._delta),
+                delta_store=self._delta_store,
+                delta_size=len(self._delta_store),
                 watermark=self.watermark,
                 block_size=self.block_size,
             )
@@ -331,42 +351,33 @@ class RankingCube:
         materialization itself is untouched.
         """
         schema = table.schema
-        sel_dims = sorted(self._delta_selection_dims)
-        sel_pos = {d: schema.position(d) for d in sel_dims}
+        sel_pos = {d: schema.position(d) for d in sorted(self._delta_selection_dims)}
         rank_pos = {d: schema.position(d) for d in self.grid.dims}
-        # Heap reads happen outside the lock (they can do I/O); only the
-        # append + watermark bump is a critical section.
-        entries: list[tuple[int, dict, dict]] = []
+        # Heap reads happen outside the lock (they can do I/O, one page
+        # per run of appended tids); only the append + watermark bump is
+        # a critical section.
         start = self.watermark
         target = table.num_rows
-        for tid in range(start, target):
-            row = table.fetch_by_tid(tid)
-            selections = {d: int(row[p]) for d, p in sel_pos.items()}
-            rankings = {d: float(row[p]) for d, p in rank_pos.items()}
-            entries.append((tid, selections, rankings))
+        entries = [
+            (
+                tid,
+                {d: int(row[p]) for d, p in sel_pos.items()},
+                {d: float(row[p]) for d, p in rank_pos.items()},
+            )
+            for tid, row in enumerate(table.fetch_tid_range(start, target), start)
+        ]
         with self._state_lock:
-            self._delta.extend(entries)
+            # a concurrent refresh may already have absorbed part of the range
+            entries = [entry for entry in entries if entry[0] >= self.watermark]
+            self._delta_store.extend(entries)
             self.watermark = max(self.watermark, target)
         if entries:
             self._notify_invalidation()
         return len(entries)
 
-    def delta_matches(
-        self, selections: dict
-    ) -> list[tuple[int, dict]]:
-        """Delta tuples satisfying a query's selection conditions.
-
-        Returns ``(tid, {ranking dim: value})`` pairs; the executor scores
-        them alongside block-retrieved tuples.
-        """
-        with self._state_lock:
-            delta = tuple(self._delta)
-        return _delta_matches(delta, selections)
-
     @property
     def delta_size(self) -> int:
-        with self._state_lock:
-            return len(self._delta)
+        return len(self._delta_store)
 
     @property
     def epoch(self) -> int:
@@ -430,31 +441,43 @@ class CubeSnapshot:
     Holds the exact ``(base_table, cuboids, delta)`` triple that was
     current when :meth:`RankingCube.snapshot` ran.  Store objects are
     build-once and never mutated in place (maintenance swaps whole
-    objects), so sharing them here is safe; the cuboids dict and delta
-    are shallow-copied so later swaps cannot alias into the snapshot.
+    objects), so sharing them here is safe; the cuboids dict is
+    shallow-copied so later swaps cannot alias into the snapshot, and the
+    delta is the first ``delta_size`` entries of an append-only
+    :class:`DeltaStore`, which later appends never reach.
     """
 
-    __slots__ = ("grid", "base_table", "cuboids", "delta", "watermark", "block_size")
+    __slots__ = (
+        "grid", "base_table", "cuboids", "delta_store", "delta_size",
+        "watermark", "block_size",
+    )
 
-    def __init__(self, grid, base_table, cuboids, delta, watermark, block_size):
+    def __init__(
+        self, grid, base_table, cuboids, delta_store, delta_size, watermark,
+        block_size,
+    ):
         self.grid = grid
         self.base_table = base_table
         self.cuboids = cuboids
-        self.delta = delta
+        self.delta_store = delta_store
+        self.delta_size = delta_size
         self.watermark = watermark
         self.block_size = block_size
+
+    @property
+    def delta(self) -> list[tuple[int, dict, dict]]:
+        """The pinned delta entries, in append order (a copy)."""
+        return self.delta_store.entries[:self.delta_size]
 
     def covering_cuboids(self, query_dims: Sequence[str]) -> list[RankingCuboid]:
         """Section 4.2.1 covering over the snapshotted cuboid family."""
         return _covering_cuboids(self.cuboids, query_dims)
 
     def delta_matches(self, selections: dict) -> list[tuple[int, dict]]:
-        """Snapshotted delta tuples satisfying the selection conditions."""
-        return _delta_matches(self.delta, selections)
-
-    @property
-    def delta_size(self) -> int:
-        return len(self.delta)
+        """Snapshotted delta tuples satisfying the selection conditions,
+        as ``(tid, {ranking dim: value})`` pairs in append order; the
+        executor scores them alongside block-retrieved tuples."""
+        return self.delta_store.matches(selections, self.delta_size)
 
     @property
     def epoch(self) -> int:
@@ -489,14 +512,80 @@ def _covering_cuboids(
     return [cuboids[key] for key in chosen]
 
 
-def _delta_matches(
-    delta: Sequence[tuple[int, dict, dict]], selections: dict
-) -> list[tuple[int, dict]]:
-    matches = []
-    for tid, sel_values, rank_values in delta:
-        if all(sel_values.get(d) == v for d, v in selections.items()):
-            matches.append((tid, rank_values))
-    return matches
+class DeltaStore:
+    """The delta's entries, append-only, with a cell index per queried
+    dimension set.
+
+    Entries are ``(tid, {sel dim: value}, {rank dim: value})`` in append
+    order.  A reader pins a prefix by its length (a
+    :class:`CubeSnapshot`) and reads only positions below it; the entry
+    list and every posting list only grow, so a pinned prefix never
+    changes.  Every mutation -- :meth:`extend` and the first-use build of
+    an index -- happens under ``lock`` (the owning cube's state lock);
+    reads take no lock.  Maintenance swaps replace the whole store.
+    """
+
+    __slots__ = ("entries", "lock", "_indexes")
+
+    def __init__(self, entries: Iterable[tuple[int, dict, dict]], lock):
+        self.entries: list[tuple[int, dict, dict]] = list(entries)
+        self.lock = lock
+        #: sorted dims -> {cell: ascending entry positions}
+        self._indexes: dict[tuple, dict] = {}
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def extend(self, entries: Iterable[tuple[int, dict, dict]]) -> None:
+        """Append entries and index them (the caller holds :attr:`lock`)."""
+        start = len(self.entries)
+        self.entries.extend(entries)
+        for dims, index in self._indexes.items():
+            _index_cells(index, dims, self.entries, start)
+
+    def matches(self, selections: dict, length: int) -> list[tuple[int, dict]]:
+        """``(tid, rank values)`` of the first ``length`` entries whose
+        selection values equal ``selections``, in append order."""
+        entries = self.entries
+        if not length:
+            return []
+        if not selections:
+            return [(tid, rank) for tid, _sel, rank in entries[:length]]
+        dims = tuple(sorted(selections))
+        index = self._indexes.get(dims)
+        if index is None:
+            index = self._build(dims)
+        positions = index.get(itemgetter(*dims)(selections))
+        if not positions:
+            return []
+        pinned = positions[:bisect_left(positions, length)]
+        return [(entries[p][0], entries[p][2]) for p in pinned]
+
+    def _build(self, dims: tuple) -> dict[tuple, list[int]]:
+        with self.lock:
+            index = self._indexes.get(dims)
+            if index is None:
+                index = {}
+                _index_cells(index, dims, self.entries, 0)
+                self._indexes[dims] = index
+        return index
+
+
+def _index_cells(index: dict, dims: tuple, entries: list, start: int) -> None:
+    """Post ``entries[start:]`` to ``index`` under their ``dims`` cell, as
+    ``itemgetter(*dims)`` reads it off a selection dict."""
+    cell_of = itemgetter(*dims)
+    sels = [sel for _tid, sel, _rank in entries[start:]]
+    try:
+        cells = list(map(cell_of, sels))
+    except KeyError:  # an entry without one of the dims posts None there
+        cells = [cell_of({d: sel.get(d) for d in dims}) for sel in sels]
+    for position, cell in enumerate(cells, start):
+        postings = index.get(cell)
+        if postings is None:
+            index[cell] = [position]
+        else:
+            postings.append(position)
 
 
 def full_cube_sets(selection_dims: Sequence[str]) -> list[tuple[str, ...]]:

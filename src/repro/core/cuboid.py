@@ -162,12 +162,15 @@ class RankingCuboid:
         """The next generation on fresh pages: ``runs`` (this cuboid's,
         from :meth:`runs`) with each cell's ``(tid, bid)`` ``additions``
         appended, same layout as :meth:`from_groups` over the merged
-        cells, and the epoch bumped."""
+        cells, and the epoch bumped.  The grid is unchanged, so the next
+        generation shares this one's pseudo-block map and its warm
+        ``bid -> pid`` table."""
         cuboid = type(self)(
             self._store.pool, self.dims, self.cardinalities, self.grid,
             scale_override=self.scale_factor, compress=self.compressed,
             epoch=self.epoch + 1,
         )
+        cuboid.pseudo = self.pseudo
         cuboid._store.splice(runs, additions)
         return cuboid
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .blocks import BlockGrid
 from .pseudo import PseudoBlockMap
@@ -105,12 +105,15 @@ def build_shard_partial(
     tids: Sequence[int],
     points: Sequence[Sequence[float]],
     sel_rows: Sequence[Sequence[int]],
+    pseudo_maps: Mapping[int, PseudoBlockMap] | None = None,
 ) -> ShardPartial:
     """Group one shard's tuples: bid assignment + per-cuboid cell maps.
 
     Pure CPU over picklable inputs — this is the unit of work a pool
     worker runs.  Record coercions (``int`` tids/bids, ``float`` points)
     mirror the serial build exactly so merged groups are bit-compatible.
+    ``pseudo_maps`` (scale factor -> map over ``grid``) lets a caller
+    that holds warm maps resolve pids through them; fresh ones otherwise.
     """
     bids = grid.locate_many(points) if points else []
     base_groups: dict[int, list[tuple]] = {}
@@ -122,7 +125,10 @@ def build_shard_partial(
     # cuboids sharing a scale index the same per-tuple list
     pids_by_scale: dict[int, list[int]] = {}
     for scale in {spec.scale for spec in specs}:
-        pid_of_bid = PseudoBlockMap(grid, scale).pid_of_bid
+        if pseudo_maps is None:
+            pid_of_bid = PseudoBlockMap(grid, scale).pid_of_bid
+        else:
+            pid_of_bid = pseudo_maps[scale].pid_of_bid
         pid_by_bid = {bid: pid_of_bid(bid) for bid in set(bids)}
         pids_by_scale[scale] = [pid_by_bid[bid] for bid in bids]
 

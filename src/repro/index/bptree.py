@@ -188,8 +188,17 @@ class BPlusTree:
         if self._num_keys:
             raise BPlusTreeError("bulk_load requires an empty tree")
         keys = [key for key, _value in pairs]
-        for key in keys:
-            self._check_key(key)
+        self._check_key(keys[0])
+        if "d" in self._fmt:
+            for key in keys:
+                self._check_key(key)
+        else:
+            # an all-int format: _pack's "q" fields reject any float, NaN
+            # included, so only the arity is left to check per key
+            arity = len(self._fmt)
+            for key in keys:
+                if len(key) != arity:
+                    self._check_key(key)
         if any(k1 >= k2 for k1, k2 in zip(keys, keys[1:])):
             raise BPlusTreeError("bulk_load input must be strictly sorted")
         packed = [self._pack(key, value) for key, value in pairs]

@@ -85,6 +85,24 @@ class Table:
             raise TableError(f"tid mismatch: wanted {tid}, page holds {record[0]}")
         return record[1:]
 
+    def fetch_tid_range(self, start: int, stop: int) -> Iterator[tuple]:
+        """Rows with tids ``start`` up to ``stop`` (without the tid), in
+        tid order, each heap page loaded and decoded once — the append
+        path's read of a freshly appended range."""
+        if start < stop:
+            self.rid_of(stop - 1)
+        per_page = self.heap.records_per_page
+        tid = start
+        while tid < stop:
+            rid = self.rid_of(tid)
+            for record in self.heap.fetch_run(rid, min(per_page - rid[1], stop - tid)):
+                if record[0] != tid:
+                    raise TableError(
+                        f"tid mismatch: wanted {tid}, page holds {record[0]}"
+                    )
+                yield record[1:]
+                tid += 1
+
     def fetch_by_rid(self, rid: Rid) -> tuple:
         """Random fetch by rid, returning ``(tid, values...)``."""
         return self.heap.fetch(rid)

@@ -145,7 +145,7 @@ def repartition_cube(
     with maybe_span(tracer, "route.repartition") as span:
         state = cube.snapshot()
         report.blocks_before = state.grid.num_blocks
-        drained = len(state.delta)
+        drained = state.delta_size
 
         # ---- gather the live population, tid-ordered (canonical order) --
         entries: list[tuple[int, tuple[float, ...], dict | None]] = []
@@ -242,7 +242,7 @@ def repartition_cube(
             cube.grid = new_grid
             cube.base_table = new_base
             cube.cuboids = new_cuboids
-            cube._delta = cube._delta[drained:]
+            cube._delta = cube._delta.entries[drained:]
         cube._notify_invalidation()
 
         report.swapped = True

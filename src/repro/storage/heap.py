@@ -118,11 +118,19 @@ class HeapFile:
     # ------------------------------------------------------------------
     def fetch(self, rid: Rid) -> tuple:
         """Random access: fetch one record by rid."""
+        return self.fetch_run(rid, 1)[0]
+
+    def fetch_run(self, rid: Rid, count: int) -> list[tuple]:
+        """``count`` consecutive records of one page, from ``rid`` on:
+        one page load (and decode) for the whole run."""
         page_index, slot = rid
-        page = self._load_page(page_index)
-        if slot >= len(page.records):
-            raise StorageError(f"rid {rid} has no record (page holds {len(page.records)})")
-        return page.records[slot]
+        records = self._load_page(page_index).records
+        if slot + count > len(records):
+            missing = (page_index, max(slot, len(records)))
+            raise StorageError(
+                f"rid {missing} has no record (page holds {len(records)})"
+            )
+        return records[slot:slot + count]
 
     def fetch_page(self, page_index: int) -> list[tuple]:
         """Fetch every record on one page (block-level access)."""

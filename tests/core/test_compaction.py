@@ -186,6 +186,35 @@ class TestForegroundCompaction:
             assert db.device.num_pages == twin_db.device.num_pages
             assert db.device.fingerprint() == twin_db.device.fingerprint()
 
+    def test_compacted_cuboids_share_the_warm_pseudo_map(self):
+        """Compaction keeps the grid, so each next-generation cuboid takes
+        its parent's pseudo-block map and warm bid -> pid table; a drift
+        repartition builds a new grid and with it a new map."""
+        rng = random.Random(31)
+        db, table, cube = build_stack(make_rows(rng))
+        executor = RankingCubeExecutor(cube, table)
+        for query in make_queries(rng):
+            executor.execute(query)
+        before = dict(cube.cuboids)
+        warm = {key: dict(c.pseudo._pids) for key, c in before.items()}
+        assert any(warm.values())
+
+        table.insert_rows(make_rows(rng, count=20, lo=0.1, hi=0.9))
+        cube.refresh_delta(table)
+        assert CubeCompactor(cube, db.pool).compact_once().swapped
+        for key, cuboid in cube.cuboids.items():
+            assert cuboid.epoch == before[key].epoch + 1
+            assert cuboid.pseudo is before[key].pseudo
+            assert warm[key].items() <= cuboid.pseudo._pids.items()
+
+        from repro.route.drift import repartition_cube
+
+        compacted = dict(cube.cuboids)
+        assert repartition_cube(cube, table, db.pool).swapped
+        for key, cuboid in cube.cuboids.items():
+            assert cuboid.pseudo is not compacted[key].pseudo
+            assert cuboid.pseudo.grid is cube.grid
+
     def test_compressed_cube_compacts_to_the_oracle(self):
         rng = random.Random(13)
         rows = make_rows(rng)
