@@ -10,7 +10,8 @@ suite runs under ``pytest benchmarks/ --benchmark-only``.  Each file:
 3. benchmarks the figure's characteristic code path.
 
 The full tables behind each figure are regenerated by
-``python -m repro.bench`` and recorded in EXPERIMENTS.md.
+``python -m repro.bench`` and recorded in EXPERIMENTS.md; the exact page
+counts at smoke size are pinned in ``tests/bench/test_experiments.py``.
 """
 
 import os

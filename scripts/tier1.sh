@@ -51,51 +51,29 @@
 #                         test_compaction.py's
 #                         test_compacted_cuboids_share_the_warm_pseudo_map
 #                         that a compaction keeps the pseudo-block map
-#   2. bench check      — re-runs the smoke-sized checked-in baselines in
-#                         results/ and fails on any metric outside its
-#                         declared tolerance (see repro/bench/check.py).
-#                         Page counts (device_writes, device reads per
-#                         query, the build image fingerprint) are exact
-#                         or 1%-tolerance metrics here: a change to a
-#                         page format must re-bless them on purpose
-#   3. build smoke      — parallel-vs-serial cube construction at smoke
-#                         size; fails unless the parallel device image is
-#                         byte-identical (tree node pages included) and
-#                         answers match (the speedup assertion stays off
-#                         at smoke size)
-#   4. shard smoke      — sharded scatter-gather serving at smoke size:
-#                         ONE merge loop over two transports (in-process
-#                         endpoints, worker pipes).  First the structural
-#                         test that no thread/process fork has grown back
-#                         in serve/sharded.py and that only _fan_out, on
-#                         the transport's say-so (calls_block), hands a
-#                         shard call to the step pool; then both modes;
-#                         fails unless answers are identical to the unsharded
-#                         cube in each, the hottest shard's per-query
-#                         device reads beat the unsharded baseline, and
-#                         the early-stop merge prunes vs a naive pass
-#   5. vector smoke     — columnar batched execution at smoke size; fails
-#                         unless the vector engine's answers are
-#                         byte-identical to the row executor's (the 5x
-#                         speedup assertion stays off at smoke size)
-#   6. anyk smoke       — any-k enumeration + reverse top-k at smoke size;
-#                         fails unless every streamed prefix and every
-#                         qualifying set equals the brute-force oracle and
-#                         the reverse frontier actually prunes
-#   7. ingest smoke     — WAL-backed streaming ingestion at smoke size;
-#                         fails unless crash recovery replays the exact
-#                         durable prefix, every induced shard-primary kill
-#                         heals through a warm replica with zero wrong
-#                         answers, and recovery time stays bounded
-#   8. adaptive smoke   — cost-routed planning over a drifting stream at
-#                         smoke size; fails unless the adaptive router
-#                         strictly beats the best static configuration,
-#                         the drifted append triggers an online grid
-#                         re-partition, and every answer equals the
-#                         brute-force oracle bitwise
-#   9. obs coverage     — >= 85% line coverage on src/repro/obs via the
+#   2. gate cases       — tests/serve/test_single_path.py, the structural
+#                         test that sharded serving is ONE merge loop over
+#                         two transports (no thread/process fork in
+#                         serve/sharded.py; only _fan_out, on the
+#                         transport's say-so, hands a shard call to the
+#                         step pool), plus the serve-marked gate cases the
+#                         fast suite skips: on a zipf stream, in thread and
+#                         process mode, answers equal the unsharded cube's,
+#                         the hottest shard reads fewer pages per query
+#                         than the unsharded cube and the early-stop merge
+#                         examines fewer candidates than a naive gather
+#                         (test_hot_shard_and_early_stop_gates); shared
+#                         caches cut device reads per query >= 2x against
+#                         a cold serial replay (TestServingGate); and a
+#                         clean WAL stream recovers every row
+#                         (test_clean_stream_replays_every_row).  The fast
+#                         suite holds the other ported gates: the figure
+#                         page pins (tests/bench/test_experiments.py), the
+#                         build image pin, the reverse oracle + pruning
+#                         gate and the adaptive-vs-best-static replay
+#   3. obs coverage     — >= 85% line coverage on src/repro/obs via the
 #                         stdlib tracer (scripts/obs_coverage.py)
-#  10. ledger smoke      — the end-to-end benchmark's own unit tests, then
+#   4. ledger smoke     — the end-to-end benchmark's own unit tests, then
 #                         every ledger workload at smoke size, untraced and
 #                         traced, with every op oracle-checked; fails when a
 #                         probed callable (BlockGrid.neighbors,
@@ -112,47 +90,20 @@ export PYTHONPATH=src
 # stalling the whole gate.  Tests may tighten it with @pytest.mark.timeout.
 export REPRO_TEST_TIMEOUT="${REPRO_TEST_TIMEOUT:-300}"
 
-echo "== tier1 1/10: fast test suite (incl. single-search + single-node-codec structural tests, bound-table + selective-read + splice properties, compaction fingerprint, block-cache equivalence + table-uid tests, indexed-delta property + page-once append) =="
+echo "== tier1 1/4: fast test suite (incl. structural single-search + single-node-codec tests, bound-table + selective-read + splice properties, block-cache equivalence, indexed delta, figure page pins, build image pin, reverse + adaptive gates) =="
 python -m pytest -m "not slow and not serve and not faults" -q
 
-echo "== tier1 2/10: bench regression gate (smoke) =="
-python -m repro.bench check --baseline results/ --smoke
+echo "== tier1 2/4: sharded serving single-path test + serve-marked gate cases (identity, hot shard, early stop, shared-cache reads, WAL replay) =="
+python -m pytest -q tests/serve/test_single_path.py \
+    tests/shard/test_service.py::TestShardedQueryService::test_hot_shard_and_early_stop_gates \
+    tests/shard/test_process_service.py::TestProcessModeService::test_hot_shard_and_early_stop_gates \
+    tests/serve/test_service.py::TestServingGate \
+    tests/faults/test_ingest_crash.py::TestIngestKillMatrix::test_clean_stream_replays_every_row
 
-echo "== tier1 3/10: parallel build smoke (byte-identity gate) =="
-BUILD_SMOKE_OUT="$(mktemp /tmp/BENCH_build_smoke.XXXXXX.json)"
-python -m repro.bench build --smoke --out "$BUILD_SMOKE_OUT"
-rm -f "$BUILD_SMOKE_OUT"
-
-echo "== tier1 4/10: sharded serving smoke (one loop, two transports: single-path + one-fan-out + identity + hot-shard gates) =="
-python -m pytest tests/serve/test_single_path.py -q
-SHARD_SMOKE_OUT="$(mktemp /tmp/BENCH_shard_smoke.XXXXXX.json)"
-python -m repro.bench shard --smoke --out "$SHARD_SMOKE_OUT"
-rm -f "$SHARD_SMOKE_OUT"
-
-echo "== tier1 5/10: vector engine smoke (byte-identity gate) =="
-VECTOR_SMOKE_OUT="$(mktemp /tmp/BENCH_vector_smoke.XXXXXX.json)"
-python -m repro.bench vector --smoke --out "$VECTOR_SMOKE_OUT"
-rm -f "$VECTOR_SMOKE_OUT"
-
-echo "== tier1 6/10: any-k / reverse smoke (oracle + pruning gates) =="
-ANYK_SMOKE_OUT="$(mktemp /tmp/BENCH_anyk_smoke.XXXXXX.json)"
-python -m repro.bench anyk --smoke --out "$ANYK_SMOKE_OUT"
-rm -f "$ANYK_SMOKE_OUT"
-
-echo "== tier1 7/10: durable ingestion smoke (recovery + failover gates) =="
-INGEST_SMOKE_OUT="$(mktemp /tmp/BENCH_ingest_smoke.XXXXXX.json)"
-python -m repro.bench ingest --smoke --out "$INGEST_SMOKE_OUT"
-rm -f "$INGEST_SMOKE_OUT"
-
-echo "== tier1 8/10: adaptive routing smoke (beats-best-static + oracle gates) =="
-ADAPTIVE_SMOKE_OUT="$(mktemp /tmp/BENCH_adaptive_smoke.XXXXXX.json)"
-python -m repro.bench adaptive --smoke --out "$ADAPTIVE_SMOKE_OUT"
-rm -f "$ADAPTIVE_SMOKE_OUT"
-
-echo "== tier1 9/10: obs coverage floor =="
+echo "== tier1 3/4: obs coverage floor =="
 python scripts/obs_coverage.py
 
-echo "== tier1 10/10: ledger unit tests + smoke run (call surface + oracle gates) =="
+echo "== tier1 4/4: ledger unit tests + smoke run (call surface + oracle gates) =="
 python -m pytest benchmarks/ledger/tests -q
 LEDGER_SMOKE_OUT="$(mktemp /tmp/LEDGER_smoke.XXXXXX.json)"
 python3 benchmarks/ledger/run.py run --smoke --out "$LEDGER_SMOKE_OUT"

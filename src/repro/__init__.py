@@ -12,7 +12,8 @@ A full reproduction of Xin, Han, Cheng & Li (VLDB 2006).  The public API:
   comparison methods;
 * :func:`compile_topk` — the SQL front-end;
 * :mod:`repro.workloads`, :mod:`repro.bench` — data/query generation and
-  the per-figure experiment harness.
+  the per-figure experiment harness (``python -m repro.bench fig04``);
+  end-to-end speed is measured by ``benchmarks/ledger/``.
 
 Quickstart::
 

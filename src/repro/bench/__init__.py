@@ -1,14 +1,6 @@
 """Benchmark harness and per-figure experiment definitions."""
 
 from .experiments import ALL_EXPERIMENTS
-from .faultmatrix import (
-    DEFAULT_MATRIX_SEEDS,
-    FaultMatrixResult,
-    HarnessError,
-    ScheduleOutcome,
-    run_fault_matrix,
-    run_schedule,
-)
 from .harness import (
     METHOD_BASELINE,
     METHOD_RANKING_CUBE,
@@ -24,13 +16,7 @@ from .harness import (
 
 __all__ = [
     "ALL_EXPERIMENTS",
-    "DEFAULT_MATRIX_SEEDS",
     "Environment",
-    "FaultMatrixResult",
-    "HarnessError",
-    "ScheduleOutcome",
-    "run_fault_matrix",
-    "run_schedule",
     "ExperimentResult",
     "METHOD_BASELINE",
     "METHOD_RANKING_CUBE",

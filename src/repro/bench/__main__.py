@@ -15,52 +15,6 @@ from .experiments import ALL_EXPERIMENTS
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] == "serve":
-        # the serving benchmark has its own flags (see repro.bench.serve)
-        from .serve import main as serve_main
-
-        return serve_main(argv[1:])
-    if argv and argv[0] == "build":
-        # parallel cube-construction benchmark (see repro.bench.build)
-        from .build import main as build_main
-
-        return build_main(argv[1:])
-    if argv and argv[0] == "shard":
-        # sharded scatter-gather serving benchmark (see repro.bench.shard)
-        from .shard import main as shard_main
-
-        return shard_main(argv[1:])
-    if argv and argv[0] == "vector":
-        # columnar batched-execution benchmark (see repro.bench.vector)
-        from .vector import main as vector_main
-
-        return vector_main(argv[1:])
-    if argv and argv[0] == "anyk":
-        # any-k enumeration / reverse top-k benchmark (see repro.bench.anyk)
-        from .anyk import main as anyk_main
-
-        return anyk_main(argv[1:])
-    if argv and argv[0] == "adaptive":
-        # adaptive routing / advisor / drift benchmark (see repro.bench.adaptive)
-        from .adaptive import main as adaptive_main
-
-        return adaptive_main(argv[1:])
-    if argv and argv[0] == "ingest":
-        # durable WAL ingestion / failover benchmark (see repro.bench.ingest)
-        from .ingest import main as ingest_main
-
-        return ingest_main(argv[1:])
-    if argv and argv[0] == "profile":
-        # span-tree profiling report (see repro.bench.profile)
-        from .profile import main as profile_main
-
-        return profile_main(argv[1:])
-    if argv and argv[0] == "check":
-        # baseline regression gate (see repro.bench.check)
-        from .check import main as check_main
-
-        return check_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
         description="Regenerate the paper's evaluation figures.",
@@ -69,11 +23,7 @@ def main(argv: list[str] | None = None) -> int:
         "experiments",
         nargs="*",
         default=["all"],
-        help=(
-            "experiment ids (fig04..fig15, ablation_*), 'fault-matrix', "
-            "'serve'/'build'/'shard'/'vector'/'anyk'/'ingest'/'adaptive'/"
-            "'profile'/'check' (own flags; see --help after each), or 'all'"
-        ),
+        help="experiment ids (fig04..fig15, ablation_*, extra_*), or 'all'",
     )
     parser.add_argument(
         "--tuples", type=int, default=None, help="override dataset size"
@@ -88,25 +38,14 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    wanted = list(ALL_EXPERIMENTS) if args.experiments == ["all"] or args.experiments == [] else args.experiments
-    run_faults = "fault-matrix" in wanted
-    wanted = [name for name in wanted if name != "fault-matrix"]
+    wanted = args.experiments
+    if wanted in (["all"], []):
+        wanted = list(ALL_EXPERIMENTS)
     unknown = [name for name in wanted if name not in ALL_EXPERIMENTS]
     if unknown:
         parser.error(
-            f"unknown experiments: {unknown}; "
-            f"known: {sorted(ALL_EXPERIMENTS)} + ['fault-matrix']"
+            f"unknown experiments: {unknown}; known: {sorted(ALL_EXPERIMENTS)}"
         )
-
-    if run_faults:
-        # deterministic fixed-seed fault matrix (see repro.bench.faultmatrix)
-        from .faultmatrix import run_fault_matrix
-
-        result = run_fault_matrix()
-        print(result.format_table())
-        print()
-        if not result.consistent:
-            return 1
 
     for name in wanted:
         fn = ALL_EXPERIMENTS[name]

@@ -19,7 +19,8 @@ in ascending bound order, so counting stops as soon as
   equal-score, smaller-tid predecessor).
 
 Blocks whose corner bound exceeds ``t`` are therefore never fetched —
-the pruning the bench's ``pruning_effective`` gate measures.  The delta
+the pruning ``tests/properties/test_reverse_equivalence.py`` bounds
+(``test_reverse_gate_on_qualifying_targets``).  The delta
 store carries no bounds and is counted unconditionally first.
 """
 
@@ -30,7 +31,7 @@ from typing import Mapping, Sequence
 
 from ..obs.tracing import Tracer, maybe_span
 from ..ranking.functions import LinearFunction, RankingFunction
-from ..relational.query import TopKQuery
+from ..relational.query import TopKQuery, all_integers, is_integer
 from ..storage.device import StorageError
 from .cube import CubeError
 from .executor import (
@@ -64,11 +65,16 @@ class ReverseTopKQuery:
     functions: tuple[RankingFunction, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "selections", dict(self.selections))
+        if not (is_integer(self.tid) and all_integers(self.k, self.selections)):
+            raise CubeError(
+                f"tid, k and selection values must be integers, got "
+                f"tid={self.tid!r}, k={self.k!r}, selections={self.selections!r}"
+            )
         if self.tid < 0:
             raise CubeError(f"tid must be >= 0, got {self.tid}")
         if self.k < 1:
             raise CubeError(f"k must be >= 1, got {self.k}")
-        object.__setattr__(self, "selections", dict(self.selections))
         object.__setattr__(self, "functions", tuple(self.functions))
         if not self.functions:
             raise CubeError("reverse top-k needs at least one function")

@@ -3,15 +3,15 @@
 Three output shapes, all zero-dependency:
 
 * **JSON** — :func:`registry_to_dict` / :func:`to_json` give the full
-  registry (counters, gauges, histogram summaries) as one document, the
-  format the bench regression gate diffs.
+  registry (counters, gauges, histogram summaries) as one document.
 * **Line protocol** — :func:`to_line_protocol` emits one
   ``name,label=value field=...`` line per series (Influx-flavoured), for
   piping into anything that speaks a metrics wire format.
 * **Span trees** — :func:`span_to_dict` (lossless), :func:`canonical_span`
   (deterministic subset: structure + counters, **no latencies**, the form
   golden-trace tests snapshot) and :func:`render_span_tree` (the ASCII
-  report ``python -m repro.bench profile`` prints).
+  profile of one query: pass one :class:`~repro.obs.tracing.Tracer` to
+  every ``execute`` call and render each of its ``roots``).
 """
 
 from __future__ import annotations

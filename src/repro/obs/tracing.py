@@ -15,16 +15,17 @@ carries
   shows device reads and buffer misses, attributed buffer / shared-cache
   / cold exactly as the executor saw them.
 
-Durations are recorded (``duration_s``) for the ``bench profile`` report
-but deliberately excluded from golden-trace comparisons — span structure
-and counter values are deterministic for a seeded workload, wall time is
-not (see :func:`repro.obs.export.canonical_span`).
+Durations are recorded (``duration_s``) for
+:func:`~repro.obs.export.render_span_tree` reports but deliberately
+excluded from golden-trace comparisons — span structure and counter
+values are deterministic for a seeded workload, wall time is not (see
+:func:`repro.obs.export.canonical_span`).
 
 A tracer instance is **single-threaded**: it keeps a current-span stack.
 Concurrent servers create one tracer per query over the shared registry;
 note that watched-metric deltas then include neighbours' traffic, so
 exact per-span I/O attribution requires serial execution (the regime of
-``python -m repro.bench profile`` and the golden-trace tests).
+a one-tracer profiling loop and the golden-trace tests).
 """
 
 from __future__ import annotations
@@ -207,9 +208,10 @@ def adopt_spans(parent: Span | None, spans: Iterable[Span], **extra_attributes):
     each worker traces under its own registry and ships its finished root
     spans back with the response.  The front end adopts them under its
     ``shard_merge`` span so one query still renders as one tree in
-    ``bench profile`` and the golden-trace suite.  ``extra_attributes``
-    are stamped onto each adopted root (not its descendants) — e.g.
-    ``shard=<id>`` when the shipper did not label itself.  A ``None``
+    :func:`~repro.obs.export.render_span_tree` and the golden-trace
+    suite.  ``extra_attributes`` are stamped onto each adopted root (not
+    its descendants) — e.g. ``shard=<id>`` when the shipper did not
+    label itself.  A ``None``
     parent is a no-op so call sites stay unconditional.
     """
     if parent is None:

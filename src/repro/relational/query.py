@@ -13,6 +13,7 @@ tuple.
 from __future__ import annotations
 
 import heapq
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -22,6 +23,18 @@ from .schema import Schema, SchemaError
 
 class QueryError(Exception):
     """Raised for queries inconsistent with the target schema."""
+
+
+def is_integer(value) -> bool:
+    """An integral number that is not a ``bool`` (numpy integers count)."""
+    return type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    )
+
+
+def all_integers(k, selections: Mapping) -> bool:
+    """Are ``k`` and every selection value integers?"""
+    return is_integer(k) and all(map(is_integer, selections.values()))
 
 
 @dataclass(frozen=True)
@@ -50,9 +63,14 @@ class TopKQuery:
     projection: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "selections", dict(self.selections))
+        if not all_integers(self.k, self.selections):
+            raise QueryError(
+                f"k and selection values must be integers, got k={self.k!r}, "
+                f"selections={self.selections!r}"
+            )
         if self.k < 1:
             raise QueryError(f"k must be >= 1, got {self.k}")
-        object.__setattr__(self, "selections", dict(self.selections))
         overlap = set(self.selections) & set(self.ranking.dims)
         if overlap:
             raise QueryError(f"attributes used for both selection and ranking: {overlap}")

@@ -14,8 +14,8 @@ Exploration is deterministic, not stochastic: for each new query shape
 the router probes, once each and in ascending analytic-cost order, every
 path whose analytic estimate is within ``probe_margin`` of the current
 best blend; after that it exploits the blended minimum.  Determinism
-matters here — the bench gate replays a fixed stream and must reproduce
-the same decisions run over run.
+matters here — the drifting-stream gate replays a fixed stream and must
+reproduce the same decisions run over run.
 """
 
 from __future__ import annotations

@@ -24,11 +24,13 @@ query stream and makes the read path safe for concurrent workers:
   length-prefixed pickle frames (:mod:`repro.serve.wire`), with no GIL
   on the steps.
 
-``python -m repro.bench serve`` replays a skewed multi-tenant stream
-through these layers and reports throughput, latency percentiles, and
-per-layer cache attribution (``BENCH_serve.json``);
-``python -m repro.bench shard`` compares 1/2/4/8-way sharded serving
-against the unsharded baseline (``BENCH_shard.json``).
+The ledger (``benchmarks/ledger/``) measures these layers end to end:
+``serve_hot`` replays a skewed multi-tenant stream through
+:class:`QueryService`, ``shard_thread`` / ``shard_process`` the sharded
+merge in each mode.  The page-count gates live in the tests:
+``tests/serve/test_service.py::TestServingGate`` (shared caches cut
+device reads) and ``tests/shard/test_service.py``
+(``test_hot_shard_and_early_stop_gates``).
 """
 
 from .cache import BlockCache, BoundMemo, CacheStats, PseudoBlockCache

@@ -28,7 +28,7 @@ front end a :class:`ShardWorkerHandle` with the endpoint's own calls:
   :class:`~repro.obs.metrics.MetricsRegistry`; each closed session ships
   the per-query counter deltas and completed span trees back, and the
   front end folds them into its registry/span tree (see
-  ``ShardedQueryService``), so ``bench profile`` and the golden-trace
+  ``ShardedQueryService``), so rendered span trees and the golden-trace
   suite see one coherent tree per query.
 """
 

@@ -53,8 +53,8 @@ the query's own thread (under one GIL a hand-off buys no overlap).  A
 pipe round trip waits, GIL released: it carries ``step_batch`` steps,
 the open the first batch, and a round's trips overlap on a step pool
 that exists only for such a transport.  Batching trades round trips for
-blocks — at 4 shards batch-8 stepping reads 21.5 blocks/query where
-step-at-a-time reads 17.8 (``results/BENCH_shard.json``) — which is why
+blocks — at 4 shards batch-8 stepping read 21.5 blocks/query where
+step-at-a-time read 17.8 on a 20,000-row zipf replay — which is why
 it is not applied where trips cost nothing.  Either way the endpoint
 stops a batch on the strict complement of the eligibility test, so
 answers do not depend on it.

@@ -210,7 +210,7 @@ class FaultInjector:
 
     The same seed and rule list always produce the same fault schedule for
     the same access sequence, which is what makes the crash-consistency
-    harness and the fault-matrix benchmark reproducible.
+    harness (``tests/faults/harness.py``) and its fault matrix reproducible.
     """
 
     def __init__(self, seed: int = 0, rules: Iterable[FaultRule] = ()):

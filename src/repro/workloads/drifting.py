@@ -1,8 +1,9 @@
 """Drifting workloads: phased query streams and shifted-row appends.
 
-The adaptive-routing bench (``python -m repro.bench adaptive``) needs a
-workload whose *shape* changes mid-stream — that is what an adaptive
-planner exists for and what any single static configuration loses to.
+The adaptive-routing gate (``TestDriftingStream`` in
+``tests/route/test_router.py``) needs a workload whose *shape* changes
+mid-stream — that is what an adaptive planner exists for and what any
+single static configuration loses to.
 Two generators cover the two kinds of drift:
 
 * :class:`DriftingQueryStream` — a phased, zipf-skewed query stream.
@@ -16,7 +17,7 @@ Two generators cover the two kinds of drift:
   unbalances an equi-depth grid (new data piles into the top bins) and
   should trip :class:`~repro.route.drift.DriftDetector`.
 
-Everything is seeded and deterministic: the bench replays the exact same
+Everything is seeded and deterministic: the gate replays the exact same
 stream for the adaptive and every static configuration.
 """
 

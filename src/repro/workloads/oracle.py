@@ -4,8 +4,8 @@ Each oracle answers a query by scanning the raw rows with the same
 :class:`~repro.relational.query.TopKQuery` scoring/matching helpers the
 row executor uses — identical float operations in identical order — so
 exact (bitwise) equality against the cube executors is the expected
-outcome, not an approximation.  The property suites, the golden bench
-gates, and the sharded differential tests all share these definitions;
+outcome, not an approximation.  The property suites, the ported gate
+tests, and the sharded differential tests all share these definitions;
 there is deliberately exactly one statement of what "correct" means per
 scenario.
 

@@ -1,4 +1,4 @@
-"""Tests for the ``python -m repro.bench`` experiment runner."""
+"""Tests for the ``python -m repro.bench`` figure runner."""
 
 import pytest
 
@@ -37,63 +37,3 @@ class TestCli:
         assert code == 0
         assert "[space_bytes]" in capsys.readouterr().out
 
-
-@pytest.mark.serve
-@pytest.mark.slow
-class TestServeCli:
-    def test_smoke_mode_writes_report(self, capsys, tmp_path):
-        import json
-
-        out = tmp_path / "BENCH_serve.json"
-        code = main(["serve", "--smoke", "--out", str(out)])
-        assert code == 0
-        stdout = capsys.readouterr().out
-        assert "serve_shared" in stdout
-        payload = json.loads(out.read_text())
-        assert payload["benchmark"] == "serve"
-        assert payload["equivalent_answers"] is True
-        assert set(payload["scenarios"]) == {
-            "serial_cold", "serial_warm", "serve_unshared", "serve_shared",
-        }
-        # fixed-seed CI mode: the smoke config is deterministic
-        assert payload["config"]["seed"] == 17
-        assert payload["config"]["num_tuples"] == 2000
-
-    def test_serve_rejects_unknown_flag(self):
-        with pytest.raises(SystemExit):
-            main(["serve", "--nonsense"])
-
-
-@pytest.mark.anyk
-@pytest.mark.reverse
-@pytest.mark.slow
-class TestAnyKCli:
-    def test_smoke_mode_writes_report(self, capsys, tmp_path):
-        import json
-
-        out = tmp_path / "BENCH_anyk.json"
-        code = main(["anyk", "--smoke", "--out", str(out)])
-        assert code == 0
-        stdout = capsys.readouterr().out
-        assert "reverse pruning ratio" in stdout
-        payload = json.loads(out.read_text())
-        assert payload["benchmark"] == "anyk"
-        assert payload["enumeration_matches_oracle"] is True
-        assert payload["reverse_matches_oracle"] is True
-        assert payload["pruning_effective"] is True
-        assert payload["equivalent_answers"] is True
-        assert set(payload["scenarios"]) == {
-            "anyk_row", "anyk_vector", "reverse_row", "reverse_vector",
-        }
-        # fixed-seed CI mode: the smoke config is deterministic
-        assert payload["config"]["seed"] == 23
-        assert payload["config"]["num_tuples"] == 4000
-        # row and vector replay identical logical work on a fixed seed
-        row = payload["scenarios"]["anyk_row"]
-        vec = payload["scenarios"]["anyk_vector"]
-        assert row["blocks_per_query"] == vec["blocks_per_query"]
-        assert row["tuples_per_query"] == vec["tuples_per_query"]
-
-    def test_anyk_rejects_unknown_flag(self):
-        with pytest.raises(SystemExit):
-            main(["anyk", "--nonsense"])

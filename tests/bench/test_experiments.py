@@ -2,8 +2,11 @@
 
 These verify each experiment runs end to end and produces a fully
 populated series; the benchmarks directory asserts the paper shapes at a
-larger scale.
+larger scale.  ``test_figure_pages_are_pinned`` is the exact-I/O
+tripwire: every figure's page counts at smoke size, as literals.
 """
+
+import inspect
 
 import pytest
 
@@ -70,8 +73,6 @@ class TestSmallRuns:
 )
 def test_every_experiment_runs_tiny(name):
     fn = ALL_EXPERIMENTS[name]
-    import inspect
-
     kwargs = {}
     params = inspect.signature(fn).parameters
     if "num_tuples" in params:
@@ -92,3 +93,97 @@ def test_every_experiment_runs_tiny(name):
     assert result.points
     for point in result.points:
         assert point.metrics
+
+
+#: Device pages read per query (``space_bytes`` for fig11) of every
+#: method at every x, at ``num_tuples=3000``, one query per point and
+#: fig07 over ``sizes=(1500, 3000)``.  Identical under any
+#: ``PYTHONHASHSEED``.  A change that moves one of these changes the
+#: paper figures: re-bless on purpose, with the diff in the change log.
+FIGURE_PINS = {
+    "fig04": {
+        "x": [10, 20, 50, 100],
+        "baseline": [27, 27, 27, 27],
+        "rank_mapping": [3, 2, 2, 43],
+        "ranking_cube": [14, 16, 20, 22],
+    },
+    "fig05": {
+        "x": [1.0, 0.5, 0.25, 0.1],
+        "baseline": [27, 27, 27, 27],
+        "rank_mapping": [43, 43, 6, 43],
+        "ranking_cube": [14, 10, 10, 8],
+    },
+    "fig06": {
+        "x": [1, 2, 3, 4],
+        "baseline": [39, 39, 39, 39],
+        "rank_mapping": [55, 3, 2, 55],
+        "ranking_cube": [12, 16, 20, 20],
+    },
+    "fig07": {
+        "x": [1500, 3000],
+        "baseline": [14, 27],
+        "rank_mapping": [22, 6],
+        "ranking_cube": [11, 13],
+    },
+    "fig08": {
+        "x": [5, 10, 20, 50, 100],
+        "baseline": [27, 27, 27, 27, 27],
+        "rank_mapping": [43, 6, 43, 43, 0],
+        "ranking_cube": [9, 12, 9, 7, 2],
+    },
+    "fig09": {
+        "x": [1, 2, 3, 4],
+        "baseline": [30, 30, 30, 30],
+        "rank_mapping": [49, 2, 49, 0],
+        "ranking_cube": [8, 8, 10, 2],
+    },
+    "fig10": {
+        "x": [10, 30, 100, 300, 1000],
+        "ranking_cube": [13, 12, 13, 15, 21],
+    },
+    "fig11": {
+        "x": [3, 6, 9, 12],
+        "baseline": [245760, 417792, 589824, 761856],
+        "rank_mapping": [286720, 602112, 917504, 1130496],
+        "ranking_fragments": [376832, 638976, 856064, 1118208],
+    },
+    "fig12": {
+        "x": [1, 2, 3],
+        "ranking_fragments": [10, 7, 17],
+    },
+    "fig13": {
+        "x": [1, 2, 3],
+        "ranking_fragments": [13, 13, 13],
+    },
+    "fig14": {
+        "x": [3, 6, 9, 12],
+        "baseline": [27, 36, 45, 54],
+        "rank_mapping": [0, 42, 50, 90],
+        "ranking_fragments": [4, 11, 14, 10],
+    },
+    "fig15": {
+        "x": [10, 20, 50, 100],
+        "baseline": [59, 59, 59, 59],
+        "rank_mapping": [106, 71, 0, 108],
+        "ranking_fragments": [13, 22, 5, 28],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIGURE_PINS))
+def test_figure_pages_are_pinned(name):
+    fn = ALL_EXPERIMENTS[name]
+    params = inspect.signature(fn).parameters
+    kwargs = {}
+    if "num_tuples" in params:
+        kwargs["num_tuples"] = 3000
+    if "queries_per_point" in params:
+        kwargs["queries_per_point"] = 1
+    if "sizes" in params:
+        kwargs["sizes"] = (1500, 3000)
+    result = fn(**kwargs)
+    metric = "space_bytes" if name == "fig11" else "pages_read"
+    observed = {"x": result.xs()}
+    for method in result.methods:
+        observed[method] = result.series(method, metric)
+    assert observed == FIGURE_PINS[name]

@@ -1,10 +1,16 @@
-"""The bench harness's latency quantile is the nearest rank."""
+"""Latency quantiles are the nearest rank (``ServiceStats``)."""
 
 import random
 
 import pytest
 
-from repro.bench.serve import _percentile
+from repro.serve import QueryRecord, ServiceStats
+
+
+def stats_of(latencies):
+    return ServiceStats(
+        [QueryRecord(latency, 0, 0, 0, 0, 0, 0, 0, 0) for latency in latencies]
+    )
 
 
 @pytest.mark.parametrize("fraction", [0.0, 0.5, 0.95, 1.0])
@@ -17,8 +23,8 @@ def test_percentile_is_the_nearest_rank(size, fraction):
         value for value in sample
         if sum(v <= value for v in sample) >= fraction * size
     )
-    assert _percentile(sample, fraction) == expected
+    assert stats_of(sample).latency_percentile(fraction) == expected
 
 
 def test_percentile_of_nothing_is_zero():
-    assert _percentile([], 0.5) == 0.0
+    assert ServiceStats().latency_percentile(0.5) == 0.0

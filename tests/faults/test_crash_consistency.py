@@ -8,11 +8,15 @@ schedule does.
 
 import pytest
 
-from repro.bench.faultmatrix import DEFAULT_MATRIX_SEEDS, run_fault_matrix
 from repro.core import QueryAbortedError
 from repro.storage import PageCorruptionError, StorageError
 
-from .harness import assert_schedule_consistent, run_schedule
+from .harness import (
+    DEFAULT_MATRIX_SEEDS,
+    assert_schedule_consistent,
+    run_fault_matrix,
+    run_schedule,
+)
 
 pytestmark = pytest.mark.faults
 

@@ -23,12 +23,25 @@ during the promotion itself (:func:`run_failover_schedule` with
 and the very next query must heal through a warm promotion.
 """
 
+import random
+
 import pytest
+
+from repro.core import RankingCube, RankingCubeExecutor
+from repro.ingest import StreamIngestor
+from repro.obs.metrics import MetricsRegistry
+from repro.persist import Workspace
+from repro.relational import Database
 
 from .harness import (
     INGEST_FAULT_POINTS,
+    _queries,
+    _rows,
+    _schema,
+    _scores_match,
     assert_failover_consistent,
     assert_ingest_crash_consistent,
+    brute_force_scores,
     run_ingest_schedule,
 )
 
@@ -78,6 +91,44 @@ class TestIngestKillMatrix:
             appended = outcome.rows_durable - 48  # num_base default
             assert outcome.replayed_rows == appended
             assert outcome.recovery_wall_s < 30.0
+
+    def test_clean_stream_replays_every_row(self, tmp_path):
+        """No kill: 2,000 rows in 100-row batches over a 400-row snapshot,
+        compacting every 500.  After a clean close, recovery replays every
+        appended row, repairs no tail and answers like brute force over
+        all rows; after a checkpoint, a second recovery replays none."""
+        rng = random.Random(23)
+        schema = _schema()
+        base, stream = _rows(rng, 400), _rows(rng, 2_000)
+        queries = _queries(rng, 4)
+        snapshot, wal = tmp_path / "stream.snapshot", tmp_path / "stream.wal"
+        db = Database(buffer_capacity=4096)
+        table = db.load_table("R", schema, base)
+        cube = RankingCube.build(table, block_size=8)
+        workspace = Workspace(db=db, cubes={"R": cube})
+        workspace.save(snapshot)
+        registry = MetricsRegistry()
+        with StreamIngestor(
+            workspace, "R", wal, compact_threshold=500, registry=registry
+        ) as ingestor:
+            for start in range(0, len(stream), 100):
+                ingestor.append(stream[start : start + 100])
+        assert registry.value("ingest.compactions") == 4
+
+        recovered = StreamIngestor.recover(snapshot, "R", wal)
+        assert recovered.recovered_rows == len(stream)
+        assert recovered.repaired_tail_bytes == 0
+        assert recovered.table.num_rows == len(base) + len(stream)
+        executor = RankingCubeExecutor(recovered.cube, recovered.table)
+        for query in queries:
+            recovered.workspace.db.cold_cache()
+            expected = brute_force_scores(schema, base + stream, query)
+            assert _scores_match(executor.execute(query).rows, expected)
+        recovered.checkpoint(snapshot)
+        recovered.close()
+        with StreamIngestor.recover(snapshot, "R", wal) as again:
+            assert again.recovered_rows == 0
+            assert again.table.num_rows == len(base) + len(stream)
 
     def test_schedules_are_deterministic(self, tmp_path):
         """Same seed + fault point => identical observable outcome."""

@@ -110,6 +110,22 @@ class TestByteIdentity:
         assert len(set(fps.values())) == 1
 
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_synthetic_image_is_pinned(self, workers):
+        """2,500 synthetic rows at block size 30: load plus build writes
+        115 pages and leaves this exact image, at any worker count.  A
+        page-format change moves both: re-bless them on purpose."""
+        dataset = generate(SyntheticSpec(num_tuples=2_500, cardinality=8, seed=23))
+        db = Database(buffer_capacity=8192)
+        table = dataset.load_into(db)
+        RankingCube.build(table, block_size=30, workers=workers)
+        db.pool.flush()
+        assert db.device.stats.writes == 115
+        assert db.device.fingerprint() == (
+            "d8dc8ef74730a02e4a34a04960e5ec95e61a3d7ea404fa83d9efc12f173b823c"
+        )
+
+
 class TestAnswerIdentity:
     def test_answers_identical_across_worker_counts(self, seed):
         rng = random.Random(seed)

@@ -25,7 +25,13 @@ from repro.core import (
 )
 from repro.core.executor import QueryAbortedError
 from repro.ranking import LinearFunction, LpDistance
-from repro.relational import Database, Schema, ranking_attr, selection_attr
+from repro.relational import (
+    Database,
+    Schema,
+    TopKQuery,
+    ranking_attr,
+    selection_attr,
+)
 from repro.storage import (
     READ_ERROR,
     BlockDevice,
@@ -36,7 +42,8 @@ from repro.storage import (
     StorageError,
     transient_fault_plan,
 )
-from repro.workloads.oracle import brute_force_reverse_topk
+from repro.workloads.oracle import brute_force_reverse_topk, brute_force_topk
+from repro.workloads.synthetic import SyntheticSpec, generate
 
 pytestmark = pytest.mark.reverse
 
@@ -186,6 +193,59 @@ def test_hard_faults_abort_typed_never_wrong():
     assert reverse_topk(executor, query).qualifying == expected
 
 
+def test_reverse_gate_on_qualifying_targets():
+    """At bench size, on targets that do qualify: every qualifying set
+    equals the oracle, row and vector engines agree bitwise, and the
+    frontier pops at most half of the exhaustive blocks-times-functions
+    candidates.
+
+    The targets are each simplex weight's top-1 row within ``a1=0`` and
+    ``a1=1`` (qualifying by construction) plus four random tids that
+    qualify nowhere, so the gate cannot pass by comparing empty sets.
+    """
+    dataset = generate(SyntheticSpec(num_tuples=4_000, cardinality=6, seed=23))
+    schema, rows = dataset.schema, dataset.rows
+    db = Database(buffer_capacity=8192)
+    table = dataset.load_into(db)
+    cube = RankingCube.build(table, block_size=50)
+    family = simplex_grid_family(["n1", "n2"], 4)
+    targets = []
+    for value in (0, 1):
+        for function in family:
+            [(_score, tid)] = brute_force_topk(
+                schema, rows, TopKQuery(1, {"a1": value}, function)
+            )
+            if tid not in targets:
+                targets.append(tid)
+    rng = random.Random(30)
+    targets += [rng.randrange(len(rows)) for _ in range(4)]
+    # scope each competition to the target's own a1, so it always matches
+    queries = [ReverseTopKQuery(t, 10, {"a1": rows[t][0]}, family) for t in targets]
+
+    answers, work = {}, {}
+    for use_vector in (False, True):
+        executor = RankingCubeExecutor(cube, table, use_vector=use_vector)
+        answers[use_vector], totals = [], [0, 0, 0]
+        for query in queries:
+            db.cold_cache()
+            result = reverse_topk(executor, query)
+            assert result.qualifying == brute_force_reverse_topk(schema, rows, query)
+            answers[use_vector].append((result.qualifying, result.target_scores))
+            totals[0] += result.blocks_accessed
+            totals[1] += result.candidates_examined
+            totals[2] += result.tuples_examined
+        work[use_vector] = totals
+    assert answers[False] == answers[True]
+    assert work[False] == work[True]
+
+    qualifying = [len(q) for q, _scores in answers[False]]
+    assert qualifying == [1, 4, 4, 1, 4, 3, 1, 0, 0, 0, 0]
+    blocks, candidates, tuples = work[False]
+    assert (blocks, candidates, tuples) == (224, 153, 1219)
+    exhaustive = len(queries) * len(family) * cube.grid.num_blocks
+    assert candidates / exhaustive <= 0.5  # 0.034 here
+
+
 def test_invalid_target_tid_raises():
     rows = [(0, 0, 0.5, 0.5), (1, 1, 0.2, 0.8)]
     _db, executor = build(rows)
@@ -198,6 +258,31 @@ def test_invalid_target_tid_raises():
         ReverseTopKQuery(0, 0, {}, family)
     with pytest.raises(CubeError):
         ReverseTopKQuery(0, 1, {}, ())
+
+
+@pytest.mark.parametrize(
+    "tid, k, selections",
+    [
+        (1.5, 1, {}),
+        (True, 1, {}),
+        (0, 2.5, {}),
+        (0, True, {}),
+        (0, "3", {}),
+        (0, 1, {"a1": 0.5}),
+        (0, 1, {"a1": "0"}),
+    ],
+)
+def test_non_integer_fields_raise_typed(tid, k, selections):
+    family = simplex_grid_family(["n1", "n2"], 2)
+    with pytest.raises(CubeError, match="must be integers"):
+        ReverseTopKQuery(tid, k, selections, family)
+
+
+def test_numpy_integer_fields_accepted():
+    np = pytest.importorskip("numpy")
+    family = simplex_grid_family(["n1", "n2"], 2)
+    query = ReverseTopKQuery(np.int64(0), np.int32(1), {"a1": np.int8(0)}, family)
+    assert query == ReverseTopKQuery(0, 1, {"a1": 0}, family)
 
 
 def test_non_matching_target_qualifies_nowhere():

@@ -49,6 +49,27 @@ class TestConstruction:
         query = TopKQuery(1, {"a2": 0, "a1": 1}, linear())
         assert query.selection_names == ("a1", "a2")
 
+    @pytest.mark.parametrize(
+        "k, selections",
+        [
+            (3, {"a1": 2.5}),  # was truncated to a1=2 by validate_against
+            (3, {"a1": "1"}),  # was answered as a1=1
+            (2.5, {"a1": 1}),  # returned 3 rows
+            (True, {"a1": 1}),  # was accepted as k=1
+            ("3", {"a1": 1}),  # raised a bare TypeError
+        ],
+    )
+    def test_non_integer_k_or_selection_rejected(self, k, selections):
+        with pytest.raises(QueryError, match="must be integers"):
+            TopKQuery(k, selections, linear())
+
+    def test_numpy_integers_accepted(self):
+        np = pytest.importorskip("numpy")
+        ranking = linear()
+        query = TopKQuery(np.int64(3), {"a1": np.int32(1)}, ranking)
+        query.validate_against(make_schema())
+        assert query == TopKQuery(3, {"a1": 1}, ranking)
+
 
 class TestValidation:
     def test_valid_query_passes(self):

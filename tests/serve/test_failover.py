@@ -4,7 +4,7 @@ Replicated deployments (``replication_factor > 1``) must *degrade to a
 warm replica*, not abort, when a shard primary dies mid-query — and the
 answer served across the failover must be byte-identical to the
 unsharded oracle's.  The seeded schedules in
-:mod:`repro.bench.faultmatrix` drive a primary death at every kill point
+``tests/faults/harness.py`` drive a primary death at every kill point
 (mid-scatter, mid-merge, mid-any-k-enumeration, mid-reverse-count, and
 during the promotion itself) in both serving modes and compare
 ``(tid, score)`` for ``(tid, score)``; the direct tests below pin the

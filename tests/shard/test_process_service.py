@@ -98,6 +98,14 @@ class TestProcessModeService(ShardedServiceSuite):
         ],
         "steps_series": [19, 15, 16, 17],
     }
+    deployment_pinned = {
+        2: {"blocks": 463, "candidates": 1581, "naive_candidates": 1943,
+            "tuples": 551, "device_reads": 484, "hot_shard_reads": 262,
+            "merge_rounds": 81, "shard_steps": 1581},
+        4: {"blocks": 621, "candidates": 2352, "naive_candidates": 3466,
+            "tuples": 593, "device_reads": 695, "hot_shard_reads": 199,
+            "merge_rounds": 65, "shard_steps": 2352},
+    }
 
 
 class TestProcessModeIdentity:

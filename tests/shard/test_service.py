@@ -1,11 +1,18 @@
 """Unit tests for the sharded builder and scatter-gather service."""
 
+import functools
 import random
 import threading
 
 import pytest
 
-from repro.core import QueryAbortedError, ReverseTopKQuery, simplex_grid_family
+from repro.core import (
+    QueryAbortedError,
+    RankingCube,
+    RankingCubeExecutor,
+    ReverseTopKQuery,
+    simplex_grid_family,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.ranking import LinearFunction
 from repro.relational import (
@@ -27,6 +34,8 @@ from repro.storage import (
     StorageError,
 )
 from repro.workloads.oracle import brute_force_topk
+
+from ..serve.test_service import signature, zipf_dataset, zipf_stream
 
 pytestmark = pytest.mark.serve
 
@@ -99,9 +108,31 @@ PINNED_STREAM = [
 ]
 
 
+@functools.lru_cache(maxsize=1)
+def zipf_deployment_baseline():
+    """A 40-query zipf stream over 2,000 rows, replayed on one unsharded
+    cube from a cold buffer pool per query: ``(dataset, stream, answers,
+    (blocks, candidates, device reads))``."""
+    dataset = zipf_dataset(2_000, seed=23)
+    stream = zipf_stream(dataset.schema, distinct=8, count=40, seed=23)
+    db = Database(buffer_capacity=4096)
+    table = dataset.load_into(db)
+    executor = RankingCubeExecutor(RankingCube.build(table, block_size=30), table)
+    db.device.reset_stats()
+    answers, blocks, candidates = [], 0, 0
+    for q in stream:
+        db.cold_cache()
+        result = executor.execute(q)
+        answers.append(signature(result))
+        blocks += result.blocks_accessed
+        candidates += result.candidates_examined
+    return dataset, stream, answers, (blocks, candidates, db.device.stats.reads)
+
+
 class ShardedServiceSuite:
-    """What every serving mode must do; a subclass names the ``mode``
-    and the merge counts its transport's trips produce (``pinned``).
+    """What every serving mode must do; a subclass names the ``mode``,
+    the merge counts its transport's trips produce (``pinned``) and the
+    zipf-stream deployment counters (``deployment_pinned``).
 
     One loop serves both modes, so one suite checks both: the thread
     subclass is below, the process subclass lives with the process-only
@@ -110,6 +141,7 @@ class ShardedServiceSuite:
 
     mode: str
     pinned: dict
+    deployment_pinned: dict
 
     def service(self, cube, **kwargs):
         return ShardedQueryService(cube, mode=self.mode, **kwargs)
@@ -411,6 +443,52 @@ class ShardedServiceSuite:
         }
         assert observed == self.pinned
 
+    @pytest.mark.parametrize("num_shards", [2, 4])
+    def test_hot_shard_and_early_stop_gates(self, num_shards):
+        """Sharding pays on the zipf stream: answers equal the unsharded
+        cube's, the hottest shard reads fewer pages per query than the
+        unsharded cube, and the early-stop merge examines fewer candidates
+        than a naive gather in which every consulted shard computes its
+        full local top-k."""
+        dataset, stream, expected, unsharded = zipf_deployment_baseline()
+        assert unsharded == (455, 1692, 397)
+        cube = build_sharded(
+            dataset.schema, dataset.rows, num_shards,
+            block_size=30, buffer_capacity=4096,
+        )
+        answers, hot_reads, reads = [], 0, 0
+        with self.service(cube, workers=2, share_caches=False) as service:
+            for q in stream:
+                service.cold_cache()
+                result = service.submit(q).result()
+                answers.append(signature(result))
+                shard_reads = [io.device_reads for io in result.shard_io.values()]
+                hot_reads += max(shard_reads)
+                reads += sum(shard_reads)
+            stats = service.stats
+        naive = 0
+        for q in stream:
+            for shard_id in cube.shard_map.shards_for_query(q.selections):
+                shard = cube.shards[shard_id]
+                if shard.cube is not None:
+                    local = RankingCubeExecutor(shard.cube, shard.table)
+                    naive += local.execute(q).candidates_examined
+        candidates = stats.total("candidates_examined")
+        assert answers == expected
+        assert hot_reads < unsharded[2]
+        assert candidates < naive
+        observed = {
+            "blocks": stats.total("blocks_accessed"),
+            "candidates": candidates,
+            "naive_candidates": naive,
+            "tuples": stats.total("tuples_examined"),
+            "device_reads": reads,
+            "hot_shard_reads": hot_reads,
+            "merge_rounds": stats.total("merge_rounds"),
+            "shard_steps": stats.total("shard_steps"),
+        }
+        assert observed == self.deployment_pinned[num_shards]
+
     def test_closed_service_rejects_queries(self):
         cube = build_sharded(SCHEMA, make_rows(40), 2, block_size=8)
         service = self.service(cube, workers=1)
@@ -431,6 +509,14 @@ class TestShardedQueryService(ShardedServiceSuite):
             {0: (4, 5, 2, 2), 1: (4, 5, 3, 2), 2: (7, 5, 6, 2), 3: (4, 5, 2, 2)},
         ],
         "steps_series": [19, 15, 16, 16],
+    }
+    deployment_pinned = {
+        2: {"blocks": 460, "candidates": 1558, "naive_candidates": 1943,
+            "tuples": 548, "device_reads": 481, "hot_shard_reads": 259,
+            "merge_rounds": 784, "shard_steps": 1558},
+        4: {"blocks": 587, "candidates": 2278, "naive_candidates": 3466,
+            "tuples": 528, "device_reads": 678, "hot_shard_reads": 199,
+            "merge_rounds": 594, "shard_steps": 2278},
     }
 
     def test_caches_are_per_shard_and_invalidation_wired(self):
