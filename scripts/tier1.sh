@@ -15,7 +15,16 @@
 #                         repro/index/ imports pickle and no tree owner
 #                         takes a fanout.  test_single_search.py also pins
 #                         min_over_box( to one (fallback) call site and the
-#                         row path's get_base_block(bid, qualifying) read;
+#                         evaluate step's get_base_block(bid, qualifying)
+#                         read, and keeps one scoring engine: _score_block
+#                         is the only base-block reader, _expand_neighbors
+#                         bounds only through _block_bound, the executor
+#                         imports nothing from repro.vector, and no
+#                         use_vector / include_vector / block_k identifier
+#                         is left under src/repro.  tests/test_doc_references.py
+#                         checks that every repro.x.y name in README.md
+#                         and DESIGN.md resolves and every file.py:N
+#                         reference points at an existing line;
 #                         tests/ranking/test_bound_terms.py is the bitwise
 #                         property test that per-bin bound tables fold to
 #                         min_over_box, and tests/core/test_selective_read.py
@@ -30,10 +39,11 @@
 #                         decode-everything rewrite.  tests/serve/
 #                         test_block_cache.py (unmarked) is the shared
 #                         base-block cache's equivalence test: a served
-#                         row-engine stream against a bare executor, rows
-#                         bit for bit and blocks/candidates/tuples equal,
-#                         cold and warm, across an append, a compaction
-#                         and a routed service sharing one cache; its
+#                         stream against a bare executor, rows bit for bit
+#                         and blocks/candidates/tuples equal, cold and
+#                         warm, across an append and a compaction, and a
+#                         routed service whose cube path shares the
+#                         service's (uid, bid)-keyed cache; its
 #                         test_an_unpickled_table_draws_a_fresh_uid pins
 #                         the cache key's uid as unique across pickling.
 #                         test_single_search.py pins the evaluate step's
@@ -90,7 +100,7 @@ export PYTHONPATH=src
 # stalling the whole gate.  Tests may tighten it with @pytest.mark.timeout.
 export REPRO_TEST_TIMEOUT="${REPRO_TEST_TIMEOUT:-300}"
 
-echo "== tier1 1/4: fast test suite (incl. structural single-search + single-node-codec tests, bound-table + selective-read + splice properties, block-cache equivalence, indexed delta, figure page pins, build image pin, reverse + adaptive gates) =="
+echo "== tier1 1/4: fast test suite (incl. structural single-search/one-engine + single-node-codec tests, doc-reference test, bound-table + selective-read + splice properties, block-cache equivalence, indexed delta, figure page pins, build image pin, reverse + adaptive gates) =="
 python -m pytest -m "not slow and not serve and not faults" -q
 
 echo "== tier1 2/4: sharded serving single-path test + serve-marked gate cases (identity, hot shard, early stop, shared-cache reads, WAL replay) =="

@@ -9,8 +9,8 @@ blocks in ascending ``f(bid)`` bound order, so a tuple may be *emitted*
 as soon as its exact score is below the frontier's ``best_unseen`` bound
 — no block that could beat it remains unexamined.
 
-:class:`AnyKCursor` wraps a :class:`ProgressiveSearch` opened with
-``block_k=None`` (no per-block truncation — enumeration runs past
+:class:`AnyKCursor` wraps a :class:`ProgressiveSearch` (whose steps
+return every qualifying tuple of a block, so enumeration runs past
 ``query.k``) plus a buffer heap of scored-but-uncertified tuples.  The
 delta store is folded into the buffer at open time, since delta rows
 carry no block bound.  Emission uses the *strict* test
@@ -52,7 +52,9 @@ class AnyKCursor:
     serving layer's ``open_search`` front ends).  Not thread-safe; one
     consumer steps it.  Storage faults surface from :meth:`next_batch`
     as typed :class:`~repro.core.executor.QueryAbortedError` carrying
-    the rows certified before the fault; the cursor is then dead.
+    the rows certified before the fault; the block that faulted stays on
+    the frontier, so once the device heals the next call resumes the
+    same certified order.
     """
 
     def __init__(
@@ -65,7 +67,7 @@ class AnyKCursor:
         self.executor = executor
         self.query = query
         self.tracer = tracer
-        self.search = ProgressiveSearch(executor, query, trace, block_k=None)
+        self.search = ProgressiveSearch(executor, query, trace)
         #: scored but not yet certified tuples, min-heap on (score, tid)
         self._buffer: list[tuple[float, int]] = []
         #: rows emitted so far (== the rank of the last emitted row)

@@ -33,7 +33,7 @@ class BaseBlockTable:
         self._store = ChainStore(pool, codec)
         self.access_count = 0
         #: Never-reused identity token.  The serving layer's block cache
-        #: keys entries by ``(uid, bid, form)``, so blocks decoded from a
+        #: keys entries by ``(uid, bid)``, so blocks decoded from a
         #: compacted-away table generation can never satisfy a lookup
         #: against its replacement (``id()`` could be recycled by the
         #: allocator; this cannot).

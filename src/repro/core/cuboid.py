@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from ..storage.buffer import BufferPool
 from ..storage.pages import RecordCodec
 from .blocks import BlockGrid
@@ -216,23 +218,19 @@ class RankingCuboid:
         pairs = self.get_pseudo_block(sel_values, pid)
         by_bid: dict[int, list[int]] = {}
         if len(pairs) >= _VECTOR_DECODE_THRESHOLD:
-            from ..vector.layout import numpy_or_none
-
-            np = numpy_or_none()
-            if np is not None:
-                # batched group-by-bid: one stable sort + one split
-                # instead of a per-pair dict probe.  Stability keeps each
-                # bid's tid list in pair order, identical to the loop.
-                arr = np.asarray(pairs, dtype=np.int64)
-                order = np.argsort(arr[:, 1], kind="stable")
-                bids = arr[order, 1]
-                tids = arr[order, 0]
-                cuts = np.nonzero(bids[1:] != bids[:-1])[0] + 1
-                starts = [0, *cuts.tolist(), len(bids)]
-                for i in range(len(starts) - 1):
-                    lo, hi = starts[i], starts[i + 1]
-                    by_bid[int(bids[lo])] = tids[lo:hi].tolist()
-                return by_bid
+            # batched group-by-bid: one stable sort + one split instead
+            # of a per-pair dict probe.  Stability keeps each bid's tid
+            # list in pair order, identical to the loop.
+            arr = np.asarray(pairs, dtype=np.int64)
+            order = np.argsort(arr[:, 1], kind="stable")
+            bids = arr[order, 1]
+            tids = arr[order, 0]
+            cuts = np.nonzero(bids[1:] != bids[:-1])[0] + 1
+            starts = [0, *cuts.tolist(), len(bids)]
+            for i in range(len(starts) - 1):
+                lo, hi = starts[i], starts[i + 1]
+                by_bid[int(bids[lo])] = tids[lo:hi].tolist()
+            return by_bid
         for tid, entry_bid in pairs:
             by_bid.setdefault(entry_bid, []).append(tid)
         return by_bid

@@ -36,7 +36,7 @@ stop rule and merges the delta store, ``explain`` reads its plan without
 stepping, a shard session (:mod:`repro.serve.endpoint`) runs it a few
 steps at a time under the global k-th score, any-k cursors
 (:mod:`repro.core.anyk`) and reverse top-k (:mod:`repro.core.reverse`)
-step it untruncated.
+step it past the stop rule.
 
 Beyond the paper, the executor composes with the serving layer
 (:mod:`repro.serve`): it accepts an injected shared
@@ -64,14 +64,6 @@ from ..relational.query import (
 )
 from ..relational.table import Table
 from ..storage.device import StorageError
-from ..vector.kernels import (
-    apply_selection,
-    block_bounds,
-    eval_scores,
-    gather_tids,
-    topk_select,
-)
-from ..vector.layout import ColumnarBlock
 from .cube import CubeError, RankingCube
 
 #: Reusable inert context for untraced executions (stateless, shareable).
@@ -166,11 +158,6 @@ class ExecutorTrace:
     base_block_reads: int = 0
     empty_cells_skipped: int = 0
     frontier_peak: int = 0
-    #: vector-path counters (zero on the row path): blocks scored through
-    #: the batched kernels, and evaluate-step base blocks answered by the
-    #: shared block cache instead of a fetch + decode
-    vector_blocks: int = 0
-    columnar_cache_hits: int = 0
 
     def cache_attribution(self) -> dict[str, int]:
         """Retrieve-step requests by answering layer (for ablation tables)."""
@@ -233,23 +220,12 @@ class RankingCubeExecutor:
     bound_memo:
         Optional shared :class:`~repro.serve.cache.BoundMemo` for frontier
         lower bounds.
-    use_vector:
-        Route the evaluate step and frontier-bound computation through
-        the batched columnar kernels of :mod:`repro.vector` instead of
-        the per-tuple row loops.  **Answers are byte-identical either
-        way** (the kernels' bitwise contract, property-tested in
-        ``tests/properties/test_vector_equivalence.py``); only the work
-        shape changes.  NumPy accelerates the kernels when available; a
-        pure-stdlib fallback keeps the switch valid without it.
     block_cache:
         Optional shared :class:`~repro.serve.cache.BlockCache`: decoded
-        base blocks reused across queries by both engines (the row
-        engine's records and the vector engine's columnar blocks, keyed
-        apart).  Logical counters (``blocks_accessed`` etc.) are
-        unaffected by hits — the cache saves the directory walk, page
-        gets and decode; the vector path attributes its hits in
-        ``trace.columnar_cache_hits``.  Without one, the row engine's
-        evaluate step is the paper's selective ``get_base_block``.
+        base blocks reused across queries.  Logical counters
+        (``blocks_accessed`` etc.) are unaffected by hits — the cache
+        saves the directory walk, page gets and decode.  Without one,
+        the evaluate step is the paper's selective ``get_base_block``.
 
     The executor keeps no per-query state on ``self`` — that all lives on
     the query's :class:`ProgressiveSearch` — so one instance may be shared
@@ -265,7 +241,6 @@ class RankingCubeExecutor:
         buffer_pseudo_blocks: bool = True,
         pseudo_cache=None,
         bound_memo=None,
-        use_vector: bool = False,
         block_cache=None,
     ):
         self.cube = cube
@@ -273,12 +248,7 @@ class RankingCubeExecutor:
         self.buffer_pseudo_blocks = buffer_pseudo_blocks
         self.pseudo_cache = pseudo_cache
         self.bound_memo = bound_memo
-        self.use_vector = bool(use_vector)
         self.block_cache = block_cache
-        # registry-counter memo for the executor.vector.* series, keyed
-        # by registry identity (the cached Counter pins its registry, so
-        # the id cannot be recycled while the entry lives)
-        self._vector_counter_memo: dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
     def execute(
@@ -307,10 +277,6 @@ class RankingCubeExecutor:
                 selections=dict(sorted(query.selections.items())),
                 ranking=",".join(query.ranking.dims),
             )
-            if self.use_vector:
-                # only stamped in vector mode, so row-path golden traces
-                # keep their exact historical attribute set
-                attrs["executor"] = "vector"
         with maybe_span(tracer, "query", **attrs) as query_span:
             search = ProgressiveSearch(self, query, trace, tracer=tracer)
             result, topk = search.result, search.topk
@@ -397,21 +363,6 @@ class RankingCubeExecutor:
             cache_layers=tuple(layers),
         )
 
-    def _bump_vector_counters(self, base_table, tuples: int) -> None:
-        """Advance the ``executor.vector.*`` registry series, if metered."""
-        registry = getattr(base_table.pool, "registry", None)
-        if registry is None:
-            return
-        counters = self._vector_counter_memo.get(id(registry))
-        if counters is None:
-            counters = (
-                registry.counter("executor.vector.blocks"),
-                registry.counter("executor.vector.tuples"),
-            )
-            self._vector_counter_memo[id(registry)] = counters
-        counters[0].inc()
-        counters[1].inc(tuples)
-
     def _project(self, row: ResultRow, query: TopKQuery) -> ResultRow:
         """Fetch projected attribute values from the original relation."""
         if self.relation is None:
@@ -422,11 +373,6 @@ class RankingCubeExecutor:
             record[schema.position(name)] for name in (query.projection or ())
         )
         return ResultRow(tid=row.tid, score=row.score, values=values)
-
-
-#: Sentinel: ``ProgressiveSearch(block_k=...)`` default, meaning
-#: "truncate each block's scores to the query's k" (the top-k fast path).
-_BLOCK_K_QUERY = object()
 
 
 class ProgressiveSearch:
@@ -460,12 +406,9 @@ class ProgressiveSearch:
     :func:`~repro.relational.query.push_topk` is insertion-order
     independent.
 
-    ``block_k`` controls per-block truncation: the default keeps only
-    each block's best ``query.k`` scores (sufficient for a top-k answer,
-    and what the vector engine's batched ``topk_select`` exploits), while
-    ``block_k=None`` returns *every* qualifying tuple of each block —
-    required by consumers that rank past k (enumeration) or count
-    arbitrary predecessors (reverse top-k).
+    Each step returns *every* qualifying tuple of its block, unordered:
+    top-k keeps the best ``query.k`` through :meth:`offer`, enumeration
+    ranks past k, and reverse top-k counts arbitrary predecessors.
 
     ``tracer`` makes the search emit the executor's span tree: ``plan``
     (with ``cuboid_selection``) from the constructor, and from
@@ -481,8 +424,9 @@ class ProgressiveSearch:
     concurrently over one (thread-safe) executor.  Storage faults
     propagate from :meth:`step` as typed
     :class:`~repro.storage.device.StorageError`\\ s; the search object
-    stays consistent and the caller decides whether to abort the whole
-    query.
+    stays consistent (the faulted block stays on the frontier, so a
+    later step examines it again) and the caller decides whether to
+    abort the whole query.
     """
 
     def __init__(
@@ -490,7 +434,6 @@ class ProgressiveSearch:
         executor: RankingCubeExecutor,
         query: TopKQuery,
         trace: ExecutorTrace | None = None,
-        block_k: int | None | object = _BLOCK_K_QUERY,
         tracer: Tracer | None = None,
     ):
         if tracer is not None and trace is None:
@@ -498,7 +441,6 @@ class ProgressiveSearch:
         self.executor = executor
         self.query = query
         self.trace = trace
-        self.block_k = query.k if block_k is _BLOCK_K_QUERY else block_k
         self._tracer = tracer
         self.snapshot = state = executor.cube.snapshot()
         self._grid = grid = state.grid
@@ -592,11 +534,7 @@ class ProgressiveSearch:
         with maybe_span(self._tracer, "block_frontier") as span:
             if span is not None:
                 self._retrieve_span = span.child("retrieve")
-                # the vector path renames the aggregate so traces make the
-                # executing engine explicit (and goldens can diff on it)
-                self._evaluate_span = span.child(
-                    "evaluate_batch" if self.executor.use_vector else "evaluate"
-                )
+                self._evaluate_span = span.child("evaluate")
             while frontier and steps != max_steps:
                 bound = frontier[0][0]
                 if (kth is not None and bound > kth) or (
@@ -629,17 +567,23 @@ class ProgressiveSearch:
         if not frontier:
             return []
         trace = self.trace
-        _bound, bid = heapq.heappop(frontier)
+        entry = heapq.heappop(frontier)
+        bid = entry[1]
+        scored: list[tuple[float, int]] = []
+        try:
+            qualifying = self._retrieve(bid)
+            if qualifying is None or qualifying:
+                with _measured(self._tracer, self._evaluate_span):
+                    scored = self._score_block(bid, qualifying)
+        except StorageError:
+            # the block stays a candidate, so a resumed search examines it
+            heapq.heappush(frontier, entry)
+            raise
         self.result.candidates_examined += 1
         if trace is not None:
             trace.candidate_bids.append(bid)
-        qualifying = self._retrieve(bid)
-        scored: list[tuple[float, int]] = []
-        if qualifying is None or qualifying:
-            with _measured(self._tracer, self._evaluate_span):
-                scored = self._score_block(bid, qualifying)
-        elif trace is not None:
-            trace.empty_cells_skipped += 1
+            if qualifying is not None and not qualifying:
+                trace.empty_cells_skipped += 1
         self._expand_neighbors(bid)
         if trace is not None and len(frontier) > self.frontier_peak:
             self.frontier_peak = len(frontier)
@@ -685,12 +629,6 @@ class ProgressiveSearch:
             base_block_reads=mine("base_block_reads"),
             tuples_examined=result.tuples_examined,
         )
-        if self.executor.use_vector:
-            # vector-only keys: row-path goldens never grow them
-            self._evaluate_span.add_many(
-                vector_blocks=mine("vector_blocks"),
-                columnar_cache_hits=mine("columnar_cache_hits"),
-            )
 
     # ------------------------------------------------------------------
     # the four steps
@@ -812,25 +750,19 @@ class ProgressiveSearch:
         whoever drives the search (:meth:`run`, a cursor's buffer, a
         predecessor count).
 
-        :attr:`block_k` lets the vector path truncate to the block-local
-        best ``k`` (sorted, ties tid-ascending) — answer-preserving,
-        since at most the best ``k`` of any one block can reach a global
-        top-k.  The row path ignores it and returns every pair,
-        unordered.  Without a shared block cache it hands ``qualifying``
-        to ``get_base_block``, which reads the block's pages as always
-        but decodes only those tuples.  With one, the whole block is
+        Returns every pair, unordered.  Without a shared block cache it
+        hands ``qualifying`` to ``get_base_block``, which reads the
+        block's pages as always but decodes only those tuples.  With one, the whole block is
         decoded once per table generation and every later visit filters
         the cached records — the same pairs in the same stored order,
         and the same logical counters: a hit saves physical work, not a
         block visit.
         """
-        if self.executor.use_vector:
-            return self._score_block_vector(bid, qualifying)
         base_table, cache = self.snapshot.base_table, self.executor.block_cache
         if cache is None:
             records = base_table.get_base_block(bid, qualifying)
         else:
-            key = (base_table.uid, bid, "rows")
+            key = (base_table.uid, bid)
             block = cache.get(key)
             if block is None:
                 # insert only after the decode completes: a storage fault
@@ -854,98 +786,10 @@ class ProgressiveSearch:
             scored.append((score, tid))
         return scored
 
-    def _score_block_vector(
-        self, bid: int, qualifying: set[int] | None
-    ) -> list[tuple[float, int]]:
-        """Columnar form of :meth:`_score_block` (same logical counters).
-
-        The block is decoded once into struct-of-arrays form (possibly
-        served by the shared block cache), the selection applied as a
-        batched membership test, and every qualifying tuple scored in one
-        ``eval_batch`` call.  ``blocks_accessed``/``base_block_reads``
-        move in lockstep with the row path *even on a columnar cache
-        hit* — the hit saves physical work, not a logical block visit —
-        which is what keeps full :class:`QueryResult` equality exact.
-        """
-        trace, base_table = self.trace, self.snapshot.base_table
-        block = self._columnar_block(bid)
-        self.result.blocks_accessed += 1
-        if trace is not None:
-            trace.base_block_reads += 1
-        if len(block) == 0:
-            return []
-        indices = apply_selection(block, qualifying)
-        tids = gather_tids(block, indices)
-        n = len(tids)
-        if n == 0:
-            return []
-        scores = eval_scores(self._fn, block, self._positions, indices)
-        self.result.tuples_examined += n
-        if trace is not None:
-            trace.vector_blocks += 1
-        self.executor._bump_vector_counters(base_table, n)
-        return topk_select(scores, tids, self.block_k)
-
-    def _columnar_block(self, bid: int) -> ColumnarBlock:
-        """Decode ``bid`` to columnar form, via the shared cache if any.
-
-        Cache keys pair the table's never-reused ``uid`` with the bid, so
-        blocks decoded from a compacted-away table generation can never
-        satisfy a lookup against its replacement; ``"columnar"`` keeps
-        them apart from the row engine's records in a shared cache.
-        """
-        base_table = self.snapshot.base_table
-        cache = self.executor.block_cache
-        key = (base_table.uid, bid, "columnar")
-        if cache is not None:
-            cached = cache.get(key)
-            if cached is not None:
-                if self.trace is not None:
-                    self.trace.columnar_cache_hits += 1
-                return cached
-        block = ColumnarBlock.from_records(
-            base_table.get_base_block(bid), base_table.grid.num_dims
-        )
-        if cache is not None:
-            cache.put(key, block)
-        return block
-
     def _expand_neighbors(self, bid: int) -> None:
-        """Push ``bid``'s unseen neighbors onto the frontier (Lemma 1).
-
-        The vector path memo-checks every fresh neighbor first, then
-        computes the remaining bounds in one :func:`block_bounds` batch.
-        Push order differs from the row path's one-at-a-time loop, but
-        heap *pop* order is deterministic for a given entry set (bounds
-        are pure functions of bid and ``(bound, bid)`` entries are
-        unique), so the search examines identical block sequences.
-        """
+        """Push ``bid``'s unseen neighbors onto the frontier (Lemma 1)."""
         inserted, frontier = self._inserted, self._frontier
-        if not self.executor.use_vector:
-            for neighbor in self._grid.neighbors(bid):
-                if neighbor not in inserted:
-                    inserted.add(neighbor)
-                    heapq.heappush(frontier, (self._block_bound(neighbor), neighbor))
-            return
-        fresh = [nb for nb in self._grid.neighbors(bid) if nb not in inserted]
-        if not fresh:
-            return
-        inserted.update(fresh)
-        memo, bound_memo = self._memo, self.executor.bound_memo
-        pending: list[int] = []
-        for neighbor in fresh:
-            cached = bound_memo.lookup(memo, neighbor) if memo is not None else None
-            if cached is not None:
-                if self.trace is not None:
-                    self.trace.bound_memo_hits += 1
-                heapq.heappush(frontier, (cached, neighbor))
-            else:
-                pending.append(neighbor)
-        if not pending:
-            return
-        for neighbor, bound in zip(
-            pending, block_bounds(self._grid, pending, self._fn, self._positions)
-        ):
-            if memo is not None:
-                bound_memo.store(memo, neighbor, bound)
-            heapq.heappush(frontier, (bound, neighbor))
+        for neighbor in self._grid.neighbors(bid):
+            if neighbor not in inserted:
+                inserted.add(neighbor)
+                heapq.heappush(frontier, (self._block_bound(neighbor), neighbor))

@@ -118,7 +118,7 @@ def count_preceding(
     search_result)`` where the result carries the usual counters.
     Storage faults propagate as raw ``StorageError``; callers wrap.
     """
-    search = ProgressiveSearch(executor, query, trace, block_k=None)
+    search = ProgressiveSearch(executor, query, trace)
     cap = query.k
     preceding = 0
     for score, tid in search.delta_rows():

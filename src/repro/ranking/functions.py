@@ -21,21 +21,7 @@ from abc import ABC, abstractmethod
 from itertools import repeat
 from typing import Callable, Iterator, Sequence
 
-
-def _numpy_for(columns) -> "object | None":
-    """The NumPy module iff the active backend supplies ndarray columns.
-
-    The batched forms vectorize only when the caller actually passed
-    ndarrays (the :mod:`repro.vector` kernels under the NumPy backend);
-    list/array columns take the scalar fallback, which is the reference
-    semantics by construction.
-    """
-    from ..vector.layout import numpy_or_none
-
-    np = numpy_or_none()
-    if np is not None and columns and isinstance(columns[0], np.ndarray):
-        return np
-    return None
+import numpy as np
 
 
 class RankingFunctionError(Exception):
@@ -117,10 +103,10 @@ class RankingFunction(ABC):
         return self.argmin_over_box([0.0] * self.arity, [1.0] * self.arity)
 
     # ------------------------------------------------------------------
-    # batched forms (the vectorized executor's kernel surface)
+    # batched form (the surface of repro.vector.kernels.eval_scores)
     # ------------------------------------------------------------------
     def eval_batch(self, columns: Sequence) -> Sequence[float]:
-        """Score many points given as per-dimension columns.
+        """Score many points given as per-dimension ``float64`` columns.
 
         ``columns[d][i]`` is point ``i``'s value on dimension ``d`` (the
         struct-of-arrays shape of :class:`repro.vector.ColumnarBlock`).
@@ -135,22 +121,6 @@ class RankingFunction(ABC):
         this scalar fallback.
         """
         return [self.score(point) for point in zip(*columns)]
-
-    def min_over_boxes(self, lowers: Sequence, uppers: Sequence) -> Sequence[float]:
-        """Batched :meth:`min_over_box` over per-dimension edge columns.
-
-        ``lowers[d][i]`` / ``uppers[d][i]`` bound box ``i`` on dimension
-        ``d``.  Same bitwise contract as :meth:`eval_batch`, with
-        :meth:`min_over_box` as the scalar reference.  Edge values are
-        coerced to Python floats first (bit-preserving) so subclasses
-        without a vectorized override run their scalar math on exactly
-        the inputs the row path would hand them, even when the caller
-        gathered the edges into NumPy arrays.
-        """
-        return [
-            self.min_over_box([float(v) for v in lo], [float(v) for v in hi])
-            for lo, hi in zip(zip(*lowers), zip(*uppers))
-        ]
 
     def cache_key(self) -> tuple | None:
         """Value-based signature for cross-query bound memoization.
@@ -212,23 +182,11 @@ class LinearFunction(RankingFunction):
         )
 
     def eval_batch(self, columns: Sequence) -> Sequence[float]:
-        np = _numpy_for(columns)
-        if np is None:
-            return super().eval_batch(columns)
         # mirror the scalar accumulation order exactly: sum() folds left
         # from 0, then the offset is added last
         acc = np.zeros(len(columns[0]), dtype=np.float64)
         for w, col in zip(self.weights, columns):
             acc = acc + w * col
-        return self.offset + acc
-
-    def min_over_boxes(self, lowers: Sequence, uppers: Sequence) -> Sequence[float]:
-        np = _numpy_for(lowers)
-        if np is None:
-            return super().min_over_boxes(lowers, uppers)
-        acc = np.zeros(len(lowers[0]), dtype=np.float64)
-        for w, lo, hi in zip(self.weights, lowers, uppers):
-            acc = acc + w * (lo if w >= 0 else hi)
         return self.offset + acc
 
     def cache_key(self) -> tuple:
@@ -296,8 +254,7 @@ class LpDistance(RankingFunction):
         return sum(self._terms(self.weights, point, self.target))
 
     def eval_batch(self, columns: Sequence) -> Sequence[float]:
-        np = _numpy_for(columns)
-        if np is None or self.p not in (1.0, 2.0):
+        if self.p not in (1.0, 2.0):
             return super().eval_batch(columns)
         acc = np.zeros(len(columns[0]), dtype=np.float64)
         for w, col, t in zip(self.weights, columns, self.target):
@@ -321,16 +278,6 @@ class LpDistance(RankingFunction):
             ))
             for w, t, bins in zip(self.weights, self.target, edges)
         ]
-
-    def min_over_boxes(self, lowers: Sequence, uppers: Sequence) -> Sequence[float]:
-        np = _numpy_for(lowers)
-        if np is None or self.p not in (1.0, 2.0):
-            return super().min_over_boxes(lowers, uppers)
-        clamped = [
-            np.minimum(np.maximum(t, lo), hi)
-            for t, lo, hi in zip(self.target, lowers, uppers)
-        ]
-        return self.eval_batch(clamped)
 
     def argmin_over_box(
         self, lower: Sequence[float], upper: Sequence[float]
@@ -438,8 +385,7 @@ class NegatedFunction(RankingFunction):
     def eval_batch(self, columns: Sequence) -> Sequence[float]:
         # unary negation is exact, so the inner batch's contract carries
         scores = self.inner.eval_batch(columns)
-        np = _numpy_for(columns)
-        if np is not None and isinstance(scores, np.ndarray):
+        if isinstance(scores, np.ndarray):
             return -scores
         return [-s for s in scores]
 
@@ -451,12 +397,6 @@ class NegatedFunction(RankingFunction):
         return LinearFunction(
             inner.dims, [-w for w in inner.weights], offset=-inner.offset
         )
-
-    def min_over_boxes(self, lowers: Sequence, uppers: Sequence) -> Sequence[float]:
-        flipped = self._flipped()
-        if flipped is not None:
-            return flipped.min_over_boxes(lowers, uppers)
-        return super().min_over_boxes(lowers, uppers)
 
     def min_over_box(self, lower: Sequence[float], upper: Sequence[float]) -> float:
         flipped = self._flipped()

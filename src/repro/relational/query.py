@@ -195,8 +195,8 @@ class QueryResult:
     The same contract governs *enumeration cursors*
     (:class:`~repro.core.anyk.AnyKCursor` and the sharded
     ``ShardedAnyKCursor``): rows stream in ascending ``(score, tid)``
-    order at every depth past ``k``, identically on the row executor,
-    the vectorized executor, and thread/process shard modes — an any-k
+    order at every depth past ``k``, identically on the executor and in
+    thread/process shard modes — an any-k
     cursor drained to depth ``k`` yields exactly this result's ``rows``.
 
     ``tuples_examined`` counts tuples whose ranking values were actually

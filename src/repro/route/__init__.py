@@ -1,7 +1,8 @@
 """Workload-adaptive routing: cost-routed planning over answer-identical paths.
 
-``AdaptiveRouter`` picks cube / vector / fragment / baseline execution per
-query by blending analytic estimates with observed cost per query shape;
+``AdaptiveRouter`` picks cube / fragment / baseline execution per
+query by blending analytic estimates with cost observed per query shape
+at the current cube epoch;
 ``CubeAdvisor`` promotes hot and demotes cold cuboids under a space budget;
 ``DriftDetector`` + ``repartition_cube`` rebuild the equi-depth grid online
 when the live distribution drifts away from it.

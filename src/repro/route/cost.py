@@ -71,6 +71,12 @@ class CostBook:
             obs.total_io += float(io_cost)
             obs.total_wall_s += float(wall_s)
 
+    def forget(self, path: str) -> None:
+        """Drop every observation of ``path``, for every shape."""
+        with self._lock:
+            for key in [key for key in self._observations if key[1] == path]:
+                del self._observations[key]
+
     def samples(self, shape: QueryShape, path: str) -> int:
         with self._lock:
             obs = self._observations.get((shape, path))

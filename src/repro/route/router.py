@@ -1,7 +1,7 @@
 """The adaptive router: one ``execute()`` over every access path.
 
-:class:`AdaptiveRouter` wraps the cube, fragment, vectorized and baseline
-executors behind a single entry point and picks the path per query by
+:class:`AdaptiveRouter` wraps the cube, fragment and baseline executors
+behind a single entry point and picks the path per query by
 *blended* cost — the analytic estimate of :mod:`repro.core.estimate`
 shrunk toward the observed weighted page cost of past queries with the
 same :class:`~repro.route.signature.QueryShape` (see
@@ -16,6 +16,11 @@ path whose analytic estimate is within ``probe_margin`` of the current
 best blend; after that it exploits the blended minimum.  Determinism
 matters here — the drifting-stream gate replays a fixed stream and must
 reproduce the same decisions run over run.
+
+Observations are only as current as the materialization they measured.
+A cube path's observations belong to the :attr:`RankingCube.epoch` they
+were taken at: a compaction or re-partition bumps the epoch, the router
+forgets that path's samples, and exploration re-probes it.
 """
 
 from __future__ import annotations
@@ -54,6 +59,11 @@ class RoutePath:
 
     name: str
 
+    def generation(self) -> int | None:
+        """What this path's observed costs are valid for; the router
+        forgets them when it changes (``None``: valid for ever)."""
+        return None
+
     def estimate_io(self, query: TopKQuery) -> float:
         raise NotImplementedError
 
@@ -62,7 +72,7 @@ class RoutePath:
 
 
 class CubePath(RoutePath):
-    """Progressive ranking-cube search (row, vector, or fragment family)."""
+    """Progressive ranking-cube search (full cube or fragment family)."""
 
     def __init__(
         self, name: str, cube: RankingCube, table: Table,
@@ -72,6 +82,9 @@ class CubePath(RoutePath):
         self.cube = cube
         self.table = table
         self.executor = executor
+
+    def generation(self) -> int:
+        return self.cube.snapshot().epoch
 
     def estimate_io(self, query: TopKQuery) -> float:
         try:
@@ -164,6 +177,8 @@ class AdaptiveRouter:
         self.paths = {p.name: p for p in paths}
         self.registry = registry
         self.book = CostBook(prior_strength=prior_strength)
+        #: path name -> the generation its observations in ``book`` measured
+        self._generations = {p.name: p.generation() for p in paths}
         self.probe_margin = probe_margin
         self.last_decision: RouteDecision | None = None
         self._decide_lock = threading.Lock()
@@ -175,7 +190,6 @@ class AdaptiveRouter:
         cube: RankingCube,
         table: Table,
         fragment_cube: RankingCube | None = None,
-        include_vector: bool = True,
         pseudo_cache=None,
         bound_memo=None,
         block_cache=None,
@@ -183,12 +197,11 @@ class AdaptiveRouter:
         prior_strength: float = DEFAULT_PRIOR_STRENGTH,
         probe_margin: float = DEFAULT_PROBE_MARGIN,
     ) -> "AdaptiveRouter":
-        """The standard path family: cube / vector / fragments / baseline.
+        """The standard path family: cube / fragments / baseline.
 
-        Injected caches are shared across the cube-family paths exactly
-        like :class:`~repro.serve.service.QueryService` shares them: the
-        cube and vector paths score through one ``block_cache``, whose
-        keys keep row records and columnar blocks apart.
+        Injected caches go to the cube path exactly as
+        :class:`~repro.serve.service.QueryService` hands them to its
+        executor.
         """
         paths: list[RoutePath] = [
             CubePath(
@@ -200,17 +213,6 @@ class AdaptiveRouter:
                 ),
             )
         ]
-        if include_vector:
-            paths.append(
-                CubePath(
-                    "vector", cube, table,
-                    RankingCubeExecutor(
-                        cube, table,
-                        pseudo_cache=pseudo_cache, bound_memo=bound_memo,
-                        use_vector=True, block_cache=block_cache,
-                    ),
-                )
-            )
         if fragment_cube is not None:
             paths.append(
                 CubePath(
@@ -234,6 +236,11 @@ class AdaptiveRouter:
         if shape is None:
             shape = shape_of(self.table, query)
         with self._decide_lock:
+            for name, path in self.paths.items():
+                generation = path.generation()
+                if generation != self._generations[name]:
+                    self._generations[name] = generation
+                    self.book.forget(name)
             analytic = {
                 name: path.estimate_io(query)
                 for name, path in self.paths.items()
@@ -272,6 +279,7 @@ class AdaptiveRouter:
         """
         decision = self.decide(query)
         path = self.paths[decision.path]
+        generation = path.generation()
         started = time.perf_counter()
         with maybe_span(
             tracer, "route.query", path=decision.path, probe=decision.probe
@@ -283,7 +291,9 @@ class AdaptiveRouter:
                     observed_io=observed_io,
                     observed_pages=result.blocks_accessed,
                 )
-        self.book.record(decision.shape, decision.path, observed_io, wall_s)
+        if path.generation() == generation:
+            # a swap mid-query leaves a cost of neither generation
+            self.book.record(decision.shape, decision.path, observed_io, wall_s)
         finished = RouteDecision(
             path=decision.path, shape=decision.shape, probe=decision.probe,
             analytic=decision.analytic, blended=decision.blended,

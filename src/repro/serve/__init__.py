@@ -6,8 +6,7 @@ query stream and makes the read path safe for concurrent workers:
 
 * :class:`PseudoBlockCache` — shared LRU of decoded pseudo blocks,
 * :class:`BlockCache` — shared LRU of decoded base blocks (the
-  evaluate step of both engines: row records and columnar blocks,
-  keyed apart by table uid, bid and form),
+  evaluate step's records, keyed by table uid and bid),
 * :class:`BoundMemo` — shared memo of block lower bounds ``f(bid)``,
 * :class:`QueryService` — worker-pool front end with ``submit`` /
   ``run_batch`` APIs and per-query latency/IO accounting,

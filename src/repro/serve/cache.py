@@ -12,12 +12,9 @@ executor only amortizes *within* one query:
   .add_invalidation_listener`); invalidation is conservative — any
   maintenance event drops every entry of the affected cuboids.
 * :class:`BlockCache` — the same idea for the executor's *evaluate*
-  step: decoded base blocks, for both engines.  Keys are ``(base table
-  uid, bid, decoded form)``: the row engine caches the block's
-  ``(tid, values)`` records, the vector engine its struct-of-arrays
-  :class:`repro.vector.ColumnarBlock`, and one instance serves both
-  without mixing them.  A table generation is never mutated and its
-  ``uid`` is never reused (not even by an unpickled copy), so entries
+  step: one base block's decoded ``(tid, values)`` records per key
+  ``(base table uid, bid)``.  A table generation is never mutated and
+  its ``uid`` is never reused (not even by an unpickled copy), so entries
   of a compacted-away generation miss by construction and age out
   under the LRU bound — this cache needs no invalidation listener.
 * :class:`BoundMemo` — memoizes the convex lower bound ``f(bid)`` per
@@ -43,8 +40,8 @@ from ..obs.metrics import MetricsRegistry, RegistryStatsView
 #: Key of one cached pseudo block: (cuboid name, cell values, pid).
 PseudoKey = tuple[str, tuple[int, ...], int]
 
-#: Key of one cached base block: (base table uid, bid, decoded form).
-BlockKey = tuple[int, int, str]
+#: Key of one cached base block: (base table uid, bid).
+BlockKey = tuple[int, int]
 
 
 class CacheStats(RegistryStatsView):
@@ -216,13 +213,11 @@ class BlockCache:
     shares those decodes across a query stream the way
     :class:`PseudoBlockCache` shares pseudo-block decodes, so a warm
     stream scores a block it has seen before without a directory walk,
-    a buffer-pool get or a decode.  Keys are ``(table uid, bid, form)``:
-    ``form`` names the decoded representation (the row engine's
-    ``(tid, values)`` records or the vector engine's
-    :class:`~repro.vector.ColumnarBlock`), so one instance can serve
-    both engines.  The table's ``uid`` is never reused, so entries
-    decoded from a compacted-away generation can never satisfy a lookup
-    against its replacement; they simply age out.
+    a buffer-pool get or a decode.  Keys are ``(table uid, bid)`` and
+    values the block's ``(tid, values)`` records.  The table's ``uid``
+    is never reused, so entries decoded from a compacted-away generation
+    can never satisfy a lookup against its replacement; they simply age
+    out.
 
     A hit does **not** change a query's logical counters
     (``blocks_accessed`` etc. still advance): the executor's
@@ -255,13 +250,13 @@ class BlockCache:
         self.capacity_tuples = capacity_tuples
         self.stats = CacheStats(registry, cache="base_block")
         self._lock = threading.Lock()
-        # (table uid, bid, form) -> decoded block
+        # (table uid, bid) -> decoded block
         self._entries: OrderedDict[BlockKey, object] = OrderedDict()
         self._resident_tuples = 0
 
     # ------------------------------------------------------------------
     def get(self, key: BlockKey):
-        """The decoded block for ``(table uid, bid, form)``, or ``None``.
+        """The decoded block for ``(table uid, bid)``, or ``None``.
 
         Returned blocks are shared across queries and must be treated as
         immutable.

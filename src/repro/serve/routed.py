@@ -3,8 +3,8 @@
 :class:`RoutedQueryService` is a :class:`~repro.serve.service.QueryService`
 whose per-query execution goes through an
 :class:`~repro.route.router.AdaptiveRouter` instead of straight into the
-cube executor: each query is priced across the cube / vector / fragment /
-baseline paths, routed to the blended-cost minimum, and its observed cost
+cube executor: each query is priced across the cube / fragment / baseline
+paths, routed to the blended-cost minimum, and its observed cost
 is folded back into the router's cost book.  The answer contract is
 untouched — every path returns byte-identical results, so a client cannot
 tell which path served it except through ``route.*`` metrics.
@@ -48,19 +48,13 @@ from .service import QueryService
 class RoutedQueryService(QueryService):
     """A query service whose front door is the adaptive router.
 
-    Accepts every :class:`QueryService` parameter (the cube-family paths
-    share the service's pseudo-block cache, bound memo and block cache —
-    one :class:`~repro.serve.cache.BlockCache` for the cube and vector
-    paths alike) plus:
+    Accepts every :class:`QueryService` parameter (the cube path shares
+    the service's pseudo-block cache, bound memo and block cache) plus:
 
     Parameters
     ----------
     fragment_cube:
-        Optional fragment-family cube added as a fourth route path.
-    include_vector:
-        Offer the vectorized executor as a route path (default on; this
-        is independent of ``use_vector``, which picks the executor the
-        *non-routed* APIs like :meth:`open_search` use).
+        Optional fragment-family cube added as a third route path.
     prior_strength / probe_margin:
         Router tuning, passed through to :class:`AdaptiveRouter`.
     auto_advise_observations:
@@ -85,7 +79,6 @@ class RoutedQueryService(QueryService):
         relation: Table,
         *,
         fragment_cube: RankingCube | None = None,
-        include_vector: bool = True,
         prior_strength: float = DEFAULT_PRIOR_STRENGTH,
         probe_margin: float = DEFAULT_PROBE_MARGIN,
         auto_advise_observations: int | None = None,
@@ -101,7 +94,6 @@ class RoutedQueryService(QueryService):
             cube,
             relation,
             fragment_cube=fragment_cube,
-            include_vector=include_vector,
             pseudo_cache=self.pseudo_cache,
             bound_memo=self.bound_memo,
             block_cache=self.block_cache,

@@ -163,10 +163,6 @@ class QueryService:
         while it runs — swaps are atomic under the cube's state lock and
         the invalidation-listener protocol drops stale cache entries.
         :meth:`close` stops it.  Mutually exclusive with ``compactor``.
-    use_vector:
-        Serve through the vectorized columnar executor (see
-        ``RankingCubeExecutor.use_vector``).  Answers stay byte-identical
-        to row-path serving.
     """
 
     def __init__(
@@ -183,7 +179,6 @@ class QueryService:
         span_capacity: int = DEFAULT_SPAN_CAPACITY,
         compactor=None,
         auto_compact_delta: int | None = None,
-        use_vector: bool = False,
         block_cache: BlockCache | None = None,
     ):
         if workers < 1:
@@ -222,7 +217,6 @@ class QueryService:
             self.pseudo_cache = None
             self.bound_memo = None
             self.block_cache = None
-        self.use_vector = bool(use_vector)
         self._queries_counter = self.registry.counter("serve.service.queries")
         self._searches_counter = self.registry.counter(
             "serve.service.searches_opened"
@@ -242,7 +236,6 @@ class QueryService:
             buffer_pseudo_blocks=buffer_pseudo_blocks,
             pseudo_cache=self.pseudo_cache,
             bound_memo=self.bound_memo,
-            use_vector=self.use_vector,
             block_cache=self.block_cache,
         )
         self.stats = ServiceStats()

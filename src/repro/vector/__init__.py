@@ -1,37 +1,26 @@
-"""Vectorized columnar block execution (ROADMAP open item 1).
+"""Columnar block layout and batched NumPy kernels.
 
-The per-tuple Python loops in block decode, bound evaluation, and
-frontier scoring are the system's hot path everywhere the benchmarks
-look.  This package batches them: a struct-of-arrays *columnar* layout
-for base blocks (:mod:`repro.vector.layout`) plus batched kernels over
-whole blocks (:mod:`repro.vector.kernels`) — decode, selection masking,
-score evaluation, corner-bound computation, and top-k selection.
+A struct-of-arrays *columnar* layout for base blocks
+(:mod:`repro.vector.layout`) plus batched kernels over whole blocks
+(:mod:`repro.vector.kernels`): decode, score evaluation and top-k
+selection, each bitwise-identical to the row executor's scalar
+arithmetic (see ``tests/vector/``).
 
-NumPy accelerates every kernel when available; a pure-stdlib fallback
-(``array``/``memoryview`` buffers, plain loops) keeps the package fully
-functional without it.  Either way the kernels are **bitwise-identical**
-to the row executor's scalar arithmetic — that equivalence contract is
-what lets ``use_vector=True`` switch the executor's evaluate step over
-wholesale while the row format stays behind as the property-tested
-oracle (see ``tests/properties/test_vector_equivalence.py``).
+The executor does not use them.  A query scores about one qualifying
+tuple per base block it examines, too few for a batch to amortize, so
+the columnar engine that once ran on these kernels lost to the row loop
+on every workload and was removed.  The ledger's ``kernel_micro``
+(``benchmarks/ledger/stack.py``) measures the kernels beside row
+scoring, per tuple and per block.
 """
 
-from .layout import HAVE_NUMPY, ColumnarBlock, numpy_or_none
-from .kernels import (
-    apply_selection,
-    block_bounds,
-    decode_block,
-    eval_scores,
-    topk_select,
-)
+from .layout import ColumnarBlock
+from .kernels import decode_block, eval_scores, gather_tids, topk_select
 
 __all__ = [
-    "HAVE_NUMPY",
     "ColumnarBlock",
-    "numpy_or_none",
-    "apply_selection",
-    "block_bounds",
     "decode_block",
     "eval_scores",
+    "gather_tids",
     "topk_select",
 ]

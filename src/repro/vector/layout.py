@@ -7,38 +7,16 @@ The batched kernels in :mod:`repro.vector.kernels` operate on these
 columns directly, so scoring a block touches R contiguous buffers
 instead of N boxed tuples.
 
-Backend selection happens once at import: NumPy when importable (columns
-are ``float64``/``int64`` ndarrays), otherwise stdlib ``array`` buffers
-with plain-Python kernels.  Tests force the fallback by monkeypatching
-:data:`_np` to ``None`` — every call site re-reads it through
-:func:`numpy_or_none` rather than binding the module at import time.
-
-Both backends decode to *identical logical content*: the round-trip
+Columns are NumPy ``float64`` / ``int64`` arrays, and the round trip
 ``ColumnarBlock.from_records(rs).to_records() == rs`` holds exactly
 (float64 columns preserve every bit of the stored binary64 values).
 """
 
 from __future__ import annotations
 
-from array import array
 from typing import Iterable, Sequence
 
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as _np
-except ImportError:  # pragma: no cover - the stdlib-only environment
-    _np = None
-
-#: True when the NumPy backend is active by default.
-HAVE_NUMPY = _np is not None
-
-
-def numpy_or_none():
-    """The active NumPy module, or ``None`` under the stdlib fallback.
-
-    Call-time indirection (not an import-time ``from``-binding) so tests
-    can flip the backend per-test by monkeypatching ``layout._np``.
-    """
-    return _np
+import numpy as np
 
 
 class ColumnarBlock:
@@ -47,12 +25,10 @@ class ColumnarBlock:
     Attributes
     ----------
     tids:
-        Tuple ids, in the block's storage order (``int64`` ndarray or
-        ``array('q')``).
+        Tuple ids, in the block's storage order (``int64`` ndarray).
     columns:
-        One value buffer per ranking dimension, aligned with ``tids``
-        (``float64`` ndarrays or ``array('d')``), ordered as the grid's
-        dimensions.
+        One ``float64`` ndarray per ranking dimension, aligned with
+        ``tids``, ordered as the grid's dimensions.
     """
 
     __slots__ = ("tids", "columns")
@@ -72,34 +48,21 @@ class ColumnarBlock:
         the right shape.
         """
         records = records if isinstance(records, list) else list(records)
-        np = numpy_or_none()
-        if np is not None:
-            n = len(records)
-            tids = np.fromiter((r[0] for r in records), dtype=np.int64, count=n)
-            if n:
-                values = np.array([r[1] for r in records], dtype=np.float64)
-                columns = [np.ascontiguousarray(values[:, d]) for d in range(num_dims)]
-            else:
-                columns = [np.empty(0, dtype=np.float64) for _ in range(num_dims)]
-            return cls(tids, columns)
-        tids_arr = array("q")
-        columns_arr = [array("d") for _ in range(num_dims)]
-        for tid, values in records:
-            tids_arr.append(int(tid))
-            for d in range(num_dims):
-                columns_arr[d].append(values[d])
-        return cls(tids_arr, columns_arr)
+        n = len(records)
+        tids = np.fromiter((r[0] for r in records), dtype=np.int64, count=n)
+        if n:
+            values = np.array([r[1] for r in records], dtype=np.float64)
+            columns = [np.ascontiguousarray(values[:, d]) for d in range(num_dims)]
+        else:
+            columns = [np.empty(0, dtype=np.float64) for _ in range(num_dims)]
+        return cls(tids, columns)
 
     def to_records(self) -> list[tuple[int, tuple[float, ...]]]:
         """The row format back out (exact inverse of :meth:`from_records`)."""
-        tids = self.tids.tolist() if hasattr(self.tids, "tolist") else list(self.tids)
-        cols = [
-            col.tolist() if hasattr(col, "tolist") else list(col)
-            for col in self.columns
-        ]
+        cols = [col.tolist() for col in self.columns]
         return [
-            (int(tid), tuple(col[i] for col in cols))
-            for i, tid in enumerate(tids)
+            (tid, tuple(col[i] for col in cols))
+            for i, tid in enumerate(self.tids.tolist())
         ]
 
     # ------------------------------------------------------------------
@@ -109,14 +72,6 @@ class ColumnarBlock:
     @property
     def num_dims(self) -> int:
         return len(self.columns)
-
-    @property
-    def nbytes(self) -> int:
-        """Approximate resident size (what the columnar cache bounds)."""
-        total = getattr(self.tids, "nbytes", len(self.tids) * 8)
-        for col in self.columns:
-            total += getattr(col, "nbytes", len(col) * 8)
-        return total
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ColumnarBlock(n={len(self)}, dims={self.num_dims})"

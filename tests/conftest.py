@@ -58,23 +58,6 @@ def _alarm_timeout(request):
         signal.signal(signal.SIGALRM, previous)
 
 
-def pytest_collection_modifyitems(config, items):
-    """Skip ``vector``-marked tests cleanly when NumPy is unavailable.
-
-    The columnar engine itself degrades to a stdlib fallback without
-    NumPy; the ``vector`` marker is for tests that exercise the NumPy
-    backend specifically.
-    """
-    from repro.vector.layout import HAVE_NUMPY
-
-    if HAVE_NUMPY:
-        return
-    skip = pytest.mark.skip(reason="NumPy not installed; vector backend tests skipped")
-    for item in items:
-        if "vector" in item.keywords:
-            item.add_marker(skip)
-
-
 def pytest_addoption(parser):
     parser.addoption(
         "--update-golden",

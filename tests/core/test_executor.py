@@ -303,6 +303,27 @@ class TestTieBreaking:
         result = executor.execute(query)
         assert [r.tid for r in result.rows] == [2, 0, 1]
 
+    @pytest.mark.parametrize("k", [1, 3, 10, 40])
+    def test_tie_dense_cells_keep_smallest_tids(self, k):
+        """Four distinct ranking values, so every block holds many ties."""
+        schema = Schema.of(
+            [selection_attr("a1", 3), ranking_attr("n1"), ranking_attr("n2")]
+        )
+        rng = random.Random(17)
+        values = (0.1, 0.4, 0.4, 0.7)
+        rows = [
+            (rng.randrange(3), rng.choice(values), rng.choice(values))
+            for _ in range(150)
+        ]
+        db = Database()
+        table = db.load_table("R", schema, rows)
+        executor = RankingCubeExecutor(RankingCube.build(table, block_size=6), table)
+        query = TopKQuery(k, {"a1": 1}, LinearFunction(("n1", "n2"), (1.0, 1.0)))
+        result = executor.execute(query)
+        assert [(r.score, r.tid) for r in result.rows] == brute_force(
+            schema, rows, query
+        )
+
     def test_delta_tuples_respect_tie_breaking(self):
         schema = Schema.of(
             [selection_attr("a1", 2), ranking_attr("n1"), ranking_attr("n2")]

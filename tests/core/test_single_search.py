@@ -19,11 +19,25 @@ every consumer drives it; this test fails when a copy grows back:
   ``get_base_block(bid, qualifying)`` without a shared block cache (the
   selective read, never a filtered full read), and ``get_base_block(bid)``
   on a cache miss (the whole block, decoded once for every later visit).
+
+It also keeps one scoring engine.  A columnar engine once forked the
+evaluate step and the neighbor expansion behind a ``use_vector`` switch;
+it lost to the row loop on every workload and was deleted.  So:
+
+* ``_score_block`` is the only function that reads a base block, and
+  ``_expand_neighbors`` bounds neighbors only through ``_block_bound``;
+* ``core/executor.py`` imports nothing from ``repro.vector``;
+* no ``use_vector``, ``include_vector`` or ``block_k`` identifier is left
+  anywhere under ``src/repro`` (tokens, not prose: a docstring may still
+  tell the story).
 """
 
 import ast
+import io
+import tokenize
 from pathlib import Path
 
+import repro
 import repro.core.executor as executor
 import repro.serve.endpoint as endpoint
 
@@ -125,6 +139,60 @@ def test_the_row_path_reads_only_the_qualifying_tids():
     ]
 
 
+def test_one_routine_reads_base_blocks():
+    assert set(_call_sites(EXECUTOR, "get_base_block")) == {
+        "ProgressiveSearch._score_block"
+    }
+
+
+def test_neighbors_are_bounded_only_through_block_bound():
+    called = {
+        getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+        for node in ast.walk(_method(EXECUTOR, "ProgressiveSearch._expand_neighbors"))
+        if isinstance(node, ast.Call)
+    }
+    assert called == {"neighbors", "add", "heappush", "_block_bound"}
+
+
+def _imported_modules(tree: ast.AST) -> set[str]:
+    """Every module a tree imports, relative imports as written (``..x``)."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add("." * node.level + (node.module or ""))
+    return modules
+
+
+def test_the_executor_imports_no_columnar_kernels():
+    assert [
+        name
+        for name in _imported_modules(EXECUTOR)
+        if name.lstrip(".").split(".")[0] == "vector"
+        or name.startswith("repro.vector")
+    ] == []
+
+
+def _identifiers(source: str) -> set[str]:
+    return {
+        token.string
+        for token in tokenize.generate_tokens(io.StringIO(source).readline)
+        if token.type == tokenize.NAME
+    }
+
+
+def test_no_engine_switch_is_left_in_the_package():
+    package = Path(repro.__file__).parent
+    retired = {"use_vector", "include_vector", "block_k"}
+    found = {
+        str(path.relative_to(package)): hits
+        for path in sorted(package.rglob("*.py"))
+        if (hits := retired & _identifiers(path.read_text()))
+    }
+    assert found == {}
+
+
 def test_the_endpoint_leaves_the_stop_rule_to_the_search():
     assert _stop_rule_comparisons(ENDPOINT) == []
     assert _call_sites(ENDPOINT, "run") == ["ShardEndpoint._batch"]
@@ -146,3 +214,10 @@ def test_the_checkers_see_a_copy_when_there_is_one():
     )
     assert _call_sites(forked, "heappop") == ["Executor.execute"]
     assert _stop_rule_comparisons(forked) == [6, 6, 8]
+    switched = (
+        "from ..vector.kernels import topk_select\n"
+        "def run(use_vector=False):\n"
+        "    'block_k in prose is fine'\n"
+    )
+    assert _imported_modules(ast.parse(switched)) == {"..vector.kernels"}
+    assert {"use_vector", "block_k"} & _identifiers(switched) == {"use_vector"}

@@ -3,8 +3,8 @@
 The executor goldens pin the one-shot ``query`` span; this suite pins
 the two new scenario span families on the same seeded cube:
 
-* ``anyk_query`` — an enumeration cursor opened on the bare executor
-  (row and vector), stepped through a fixed batch schedule under an
+* ``anyk_query`` — an enumeration cursor opened on the bare executor,
+  stepped through a fixed batch schedule under an
   externally-opened root span (the serving layers build the same root
   at cursor close),
 * ``reverse_query`` — :func:`repro.core.reverse.reverse_topk`'s own
@@ -71,20 +71,17 @@ def environment():
     return db, table, cube, dataset
 
 
-def _tracer(db, use_vector):
-    watch = DEFAULT_WATCHED_METRICS
-    if use_vector:
-        watch = watch + ("executor.vector.blocks",)
-    return Tracer(db.pool.registry, watch=watch)
+def _tracer(db):
+    return Tracer(db.pool.registry, watch=DEFAULT_WATCHED_METRICS)
 
 
-def _run_anyk(environment, name, use_vector=False):
+def _run_anyk(environment, name):
     db, table, cube, _dataset = environment
     k, selections = ANYK_CASES[name]
     query = TopKQuery(k, selections, LinearFunction(["n1", "n2"], [0.6, 0.4]))
     db.cold_cache()
-    executor = RankingCubeExecutor(cube, table, use_vector=use_vector)
-    tracer = _tracer(db, use_vector)
+    executor = RankingCubeExecutor(cube, table)
+    tracer = _tracer(db)
     # the bare executor has no serving front end to fold spans for it, so
     # open the root here; anyk_open / anyk_batch children nest under it
     with tracer.span(
@@ -99,7 +96,7 @@ def _run_anyk(environment, name, use_vector=False):
     return canonical_span(tracer.root)
 
 
-def _run_reverse(environment, name, use_vector=False):
+def _run_reverse(environment, name):
     db, table, cube, dataset = environment
     k, selections = REVERSE_CASES[name]
     schema = dataset.schema
@@ -112,25 +109,19 @@ def _run_reverse(environment, name, use_vector=False):
         tid, k, selections, simplex_grid_family(["n1", "n2"], 4)
     )
     db.cold_cache()
-    executor = RankingCubeExecutor(cube, table, use_vector=use_vector)
-    tracer = _tracer(db, use_vector)
+    executor = RankingCubeExecutor(cube, table)
+    tracer = _tracer(db)
     reverse_topk(executor, query, tracer=tracer)
     return canonical_span(tracer.root)
 
 
-RUNNERS = {}
-for _name in ANYK_CASES:
-    RUNNERS[_name] = (_run_anyk, _name, False)
-    RUNNERS[f"vector_{_name}"] = (_run_anyk, _name, True)
-for _name in REVERSE_CASES:
-    RUNNERS[_name] = (_run_reverse, _name, False)
-    RUNNERS[f"vector_{_name}"] = (_run_reverse, _name, True)
+RUNNERS = {name: _run_anyk for name in ANYK_CASES}
+RUNNERS.update((name, _run_reverse) for name in REVERSE_CASES)
 
 
 @pytest.mark.parametrize("name", sorted(RUNNERS))
 def test_golden_anyk_reverse_trace(environment, update_golden, name):
-    runner, case, use_vector = RUNNERS[name]
-    actual = runner(environment, case, use_vector=use_vector)
+    actual = RUNNERS[name](environment, name)
     golden_path = GOLDEN_DIR / f"{name}.json"
     if update_golden:
         golden_path.parent.mkdir(exist_ok=True)
@@ -151,9 +142,8 @@ def test_golden_anyk_reverse_trace(environment, update_golden, name):
 
 @pytest.mark.parametrize("name", sorted(RUNNERS))
 def test_traces_are_deterministic(environment, name):
-    runner, case, use_vector = RUNNERS[name]
-    first = runner(environment, case, use_vector=use_vector)
-    second = runner(environment, case, use_vector=use_vector)
+    first = RUNNERS[name](environment, name)
+    second = RUNNERS[name](environment, name)
     assert span_diff(first, second) == []
 
 

@@ -60,20 +60,15 @@ def environment():
     return db, table, cube
 
 
-def _run_canonical(environment, name, use_vector=False):
+def _run_canonical(environment, name):
     db, table, cube = environment
     k, selections = CANONICAL_QUERIES[name]
     query = TopKQuery(k, selections, LinearFunction(["n1", "n2"], [0.6, 0.4]))
     # cold cache + fresh executor: the trace depends only on the seed and
     # the query, never on which other canonical queries ran first
     db.cold_cache()
-    executor = RankingCubeExecutor(cube, table, use_vector=use_vector)
-    watch = DEFAULT_WATCHED_METRICS
-    if use_vector:
-        # a fresh executor starts with a cold columnar cache, so the
-        # per-query block counter is as deterministic as the device reads
-        watch = watch + ("executor.vector.blocks",)
-    tracer = Tracer(db.pool.registry, watch=watch)
+    executor = RankingCubeExecutor(cube, table)
+    tracer = Tracer(db.pool.registry, watch=DEFAULT_WATCHED_METRICS)
     executor.execute(query, tracer=tracer)
     return canonical_span(tracer.root)
 
@@ -106,49 +101,3 @@ def test_canonical_traces_are_deterministic(environment, name):
     first = _run_canonical(environment, name)
     second = _run_canonical(environment, name)
     assert span_diff(first, second) == []
-
-
-#: Subset re-snapshotted under the vector engine: the span tree swaps
-#: ``evaluate`` for ``evaluate_batch``, tags the query span with
-#: ``executor=vector``, and folds ``executor.vector.blocks`` deltas in.
-VECTOR_CASES = ("sel1_low_k", "sel2_high_k", "sel3_low_k")
-
-
-@pytest.mark.parametrize("name", VECTOR_CASES)
-def test_golden_trace_vector(environment, update_golden, name):
-    actual = _run_canonical(environment, name, use_vector=True)
-    golden_path = GOLDEN_DIR / f"vector_{name}.json"
-    if update_golden:
-        golden_path.parent.mkdir(exist_ok=True)
-        golden_path.write_text(json.dumps(actual, indent=2, sort_keys=True) + "\n")
-        return
-    assert golden_path.exists(), (
-        f"missing golden snapshot {golden_path}; "
-        f"generate it with --update-golden"
-    )
-    expected = json.loads(golden_path.read_text())
-    diffs = span_diff(expected, actual)
-    assert not diffs, (
-        f"vector trace for {name!r} drifted from {golden_path.name}:\n  "
-        + "\n  ".join(diffs)
-        + "\n(re-bless with --update-golden if the change is intentional)"
-    )
-
-
-@pytest.mark.parametrize("name", VECTOR_CASES)
-def test_vector_trace_shape(environment, name):
-    """Structural guarantees that must hold regardless of the snapshot:
-    the vector spans exist in vector mode and are absent from row mode."""
-    vector = _run_canonical(environment, name, use_vector=True)
-    row = _run_canonical(environment, name)
-
-    def span_names(span):
-        yield span["name"]
-        for child in span.get("children", ()):
-            yield from span_names(child)
-
-    assert vector["attributes"]["executor"] == "vector"
-    assert "executor" not in row.get("attributes", {})
-    assert "evaluate_batch" in set(span_names(vector))
-    assert "evaluate_batch" not in set(span_names(row))
-    assert "evaluate" not in set(span_names(vector))

@@ -4,9 +4,8 @@ For any data, target tuple, selections, and family of candidate ranking
 functions, :func:`repro.core.reverse.reverse_topk` must return exactly
 the function indices for which the target ranks in the top-k — the set a
 naive full scan (:func:`repro.workloads.oracle.brute_force_reverse_topk`)
-computes — with exact target scores, on the row executor, the vectorized
-executor, and through a transient-fault device behind a deep retry
-budget.  Hard faults must abort typed, never return a wrong set.
+computes — with exact target scores, on a pristine device and through a
+transient-fault device behind a deep retry budget.  Hard faults must abort typed, never return a wrong set.
 """
 
 import random
@@ -90,11 +89,11 @@ family_strategy = st.one_of(
 )
 
 
-def build(rows, block_size=5, make_db=None, use_vector=False):
+def build(rows, block_size=5, make_db=None):
     db = make_db() if make_db is not None else Database(buffer_capacity=64)
     table = db.load_table("R", SCHEMA, rows)
     cube = RankingCube.build(table, block_size=block_size)
-    return db, RankingCubeExecutor(cube, table, use_vector=use_vector)
+    return db, RankingCubeExecutor(cube, table)
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -117,26 +116,6 @@ def test_row_reverse_matches_oracle(rows, tid_seed, selections, functions, k, bl
         for fn in functions
     ]
     assert result.target_scores == expected_scores
-
-
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
-    rows=rows_strategy,
-    tid_seed=st.integers(0, 10**6),
-    selections=selection_strategy,
-    functions=family_strategy,
-    k=st.integers(1, 8),
-)
-def test_vector_reverse_is_identical(rows, tid_seed, selections, functions, k):
-    query = ReverseTopKQuery(tid_seed % len(rows), k, selections, functions)
-    _rdb, row_ex = build(rows)
-    _vdb, vec_ex = build(rows, use_vector=True)
-    row_result = reverse_topk(row_ex, query)
-    vec_result = reverse_topk(vec_ex, query)
-    assert row_result.qualifying == brute_force_reverse_topk(SCHEMA, rows, query)
-    assert vec_result.qualifying == row_result.qualifying
-    assert vec_result.target_scores == row_result.target_scores
-    assert vec_result.target_matches == row_result.target_matches
 
 
 @pytest.mark.faults
@@ -195,8 +174,7 @@ def test_hard_faults_abort_typed_never_wrong():
 
 def test_reverse_gate_on_qualifying_targets():
     """At bench size, on targets that do qualify: every qualifying set
-    equals the oracle, row and vector engines agree bitwise, and the
-    frontier pops at most half of the exhaustive blocks-times-functions
+    equals the oracle and the frontier pops at most half of the exhaustive blocks-times-functions
     candidates.
 
     The targets are each simplex weight's top-1 row within ``a1=0`` and
@@ -222,25 +200,18 @@ def test_reverse_gate_on_qualifying_targets():
     # scope each competition to the target's own a1, so it always matches
     queries = [ReverseTopKQuery(t, 10, {"a1": rows[t][0]}, family) for t in targets]
 
-    answers, work = {}, {}
-    for use_vector in (False, True):
-        executor = RankingCubeExecutor(cube, table, use_vector=use_vector)
-        answers[use_vector], totals = [], [0, 0, 0]
-        for query in queries:
-            db.cold_cache()
-            result = reverse_topk(executor, query)
-            assert result.qualifying == brute_force_reverse_topk(schema, rows, query)
-            answers[use_vector].append((result.qualifying, result.target_scores))
-            totals[0] += result.blocks_accessed
-            totals[1] += result.candidates_examined
-            totals[2] += result.tuples_examined
-        work[use_vector] = totals
-    assert answers[False] == answers[True]
-    assert work[False] == work[True]
+    executor = RankingCubeExecutor(cube, table)
+    qualifying, blocks, candidates, tuples = [], 0, 0, 0
+    for query in queries:
+        db.cold_cache()
+        result = reverse_topk(executor, query)
+        assert result.qualifying == brute_force_reverse_topk(schema, rows, query)
+        qualifying.append(len(result.qualifying))
+        blocks += result.blocks_accessed
+        candidates += result.candidates_examined
+        tuples += result.tuples_examined
 
-    qualifying = [len(q) for q, _scores in answers[False]]
     assert qualifying == [1, 4, 4, 1, 4, 3, 1, 0, 0, 0, 0]
-    blocks, candidates, tuples = work[False]
     assert (blocks, candidates, tuples) == (224, 153, 1219)
     exhaustive = len(queries) * len(family) * cube.grid.num_blocks
     assert candidates / exhaustive <= 0.5  # 0.034 here

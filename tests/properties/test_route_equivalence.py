@@ -3,7 +3,7 @@
 The router's whole contract is that path choice is *invisible* in the
 result: whatever the cost book says, whatever it probes, the answer is
 the brute-force oracle's, byte for byte.  These suites drive the full
-standard path family (cube / vector / baseline) with hypothesis-generated
+standard path family (cube / baseline) with hypothesis-generated
 relations and query streams and check
 
 * answer identity on a pristine device — for the routed choice, for every

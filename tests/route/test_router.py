@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.baselines.scan import BaselineExecutor
-from repro.core import RankingCube, RankingCubeExecutor
+from repro.core import CubeCompactor, RankingCube, RankingCubeExecutor
 from repro.obs import MetricsRegistry
 from repro.ranking import LinearFunction
 from repro.relational import Database, Schema, TopKQuery, ranking_attr, selection_attr
@@ -180,7 +180,7 @@ class TestForCube:
         answer, byte for byte."""
         db, table, cube, rows = make_env()
         router = AdaptiveRouter.for_cube(cube, table)
-        assert set(router.paths) == {"cube", "vector", "baseline"}
+        assert set(router.paths) == {"cube", "baseline"}
 
         queries = [
             query(k=5, selections={"a1": 1}),
@@ -201,10 +201,36 @@ class TestForCube:
                 got = [(r.score, r.tid) for r in decision.result.rows]
                 assert got == expected
 
-    def test_include_vector_false_drops_the_vector_path(self):
+    def test_an_epoch_bump_makes_the_cube_path_probe_again(self):
+        """Cube-path observations belong to the epoch they measured: after
+        a compaction swaps the materialization, the router has no cube
+        samples for the shape and re-probes the cube once."""
         db, table, cube, _rows = make_env()
-        router = AdaptiveRouter.for_cube(cube, table, include_vector=False)
-        assert set(router.paths) == {"cube", "baseline"}
+        cube_path = AdaptiveRouter.for_cube(cube, table).paths["cube"]
+        q = query()
+        # a scripted path the book prefers once sampled, and whose blend
+        # keeps an unsampled cube within the probe margin
+        stub = StubPath("stub", analytic=cube_path.estimate_io(q), observed=1.0)
+        router = AdaptiveRouter(table, [cube_path, stub])
+        s = shape_of(table, q)
+        decisions = [router.execute(q) for _ in range(3)]
+        assert [(d.path, d.probe) for d in decisions] == [
+            ("stub", True), ("cube", True), ("stub", False),
+        ]
+        assert router.book.samples(s, "cube") == 1
+
+        table.insert_rows([(1, 0, 0.5, 0.5), (2, 3, 0.4, 0.6)])
+        cube.refresh_delta(table)
+        epoch = cube.epoch
+        assert CubeCompactor(cube, db.pool).compact_once().swapped
+        assert cube.epoch == epoch + 1
+
+        assert router.book.samples(s, "cube") == 1  # forgotten on decide
+        decision = router.execute(q)
+        assert (decision.path, decision.probe) == ("cube", True)
+        assert router.book.samples(s, "cube") == 1
+        assert router.book.samples(s, "stub") == 2
+        assert router.execute(q).path == "stub"
 
     def test_uncoverable_query_estimates_inf_but_still_answers(self):
         """A cube materializing only {a1} cannot cover a2-queries: its
@@ -215,7 +241,7 @@ class TestForCube:
         for name in SCHEMA.selection_names:
             table.create_secondary_index(name)
         cube = RankingCube.build(table, block_size=12, cuboid_sets=[("a1",)])
-        router = AdaptiveRouter.for_cube(cube, table, include_vector=False)
+        router = AdaptiveRouter.for_cube(cube, table)
         q = query(k=5, selections={"a2": 1})
         decision = router.execute(q)
         assert decision.analytic["cube"] == math.inf
@@ -273,7 +299,7 @@ def replay_drifting_stream(
     territory), and phase C repeats A after a skewed append unbalances
     the grid.  ``scenario`` is ``"adaptive"`` (router over every path,
     advisor re-plans, drift-triggered re-partition) or a static path:
-    ``"cube"``, ``"vector"``, ``"baseline"``.  Costs are logical weighted
+    ``"cube"`` or ``"baseline"``.  Costs are logical weighted
     pages, so the replay is deterministic.  Returns ``(weighted pages,
     pages, repartitions)``; every answer must equal the oracle.
     """
@@ -325,7 +351,7 @@ def replay_drifting_stream(
         )
         detector = DriftDetector(cube, threshold=2.0)
     elif scenario != "baseline":
-        executor = RankingCubeExecutor(cube, table, use_vector=scenario == "vector")
+        executor = RankingCubeExecutor(cube, table)
     weighted = pages = repartitions = 0
     for index, query in enumerate(stream):
         if index == phase_a + phase_b:
@@ -369,13 +395,13 @@ class TestDriftingStream:
         [
             (
                 DRIFT_SMOKE,
-                {"adaptive": (2561, 1814, 1), "cube": (2880, 288, 0),
-                 "vector": (2880, 288, 0), "baseline": (3192, 3192, 0)},
+                {"adaptive": (2488, 1876, 1), "cube": (2880, 288, 0),
+                 "baseline": (3192, 3192, 0)},
             ),
             pytest.param(
                 DRIFT_FULL,
-                {"adaptive": (12131, 4391, 1), "cube": (13200, 1320, 0),
-                 "vector": (13200, 1320, 0), "baseline": (18359, 17396, 0)},
+                {"adaptive": (13111, 8260, 1), "cube": (13200, 1320, 0),
+                 "baseline": (18359, 17396, 0)},
                 marks=pytest.mark.slow,
             ),
         ],

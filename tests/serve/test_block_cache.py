@@ -1,4 +1,4 @@
-"""The shared base-block cache: one cache, both engines, same answers.
+"""The shared base-block cache: one cache per service, same answers.
 
 A :class:`~repro.serve.cache.BlockCache` attached to an executor lets a
 query stream decode each base block once per table generation.  These
@@ -10,9 +10,9 @@ tests pin what that may and may not change:
   block cache), cold and warm, across a delta append and a compaction;
 * a warm stream reads no base block at all, and a cached executor
   decodes a block once even for queries on different cells;
-* the cube and vector paths of a :class:`RoutedQueryService` share one
-  cache without mixing their decoded forms, and every shard endpoint
-  owns one that ``cold_cache`` drops;
+* a :class:`RoutedQueryService`'s cube path and its own executor share
+  one cache keyed by ``(table uid, bid)``, and every shard endpoint owns
+  one that ``cold_cache`` drops;
 * the key's table ``uid`` stays unique across a pickle round trip.
 
 Unmarked on purpose: this is the fast equivalence check of the tier-1
@@ -305,16 +305,15 @@ class TestServiceEquivalence:
         bare = RankingCubeExecutor(cube, table)
         expected = [work(bare.execute(q))[0] for q in stream]
         with RoutedQueryService(cube, table, workers=1) as service:
-            paths = service.router.paths
-            assert paths["cube"].executor.block_cache is service.block_cache
-            assert paths["vector"].executor.block_cache is service.block_cache
-            # drive both engines through the one cache: the decoded forms
-            # sit side by side under the same (uid, bid)
-            for name in ("cube", "vector"):
-                got = [paths[name].executor.execute(q) for q in stream]
-                assert [work(r)[0] for r in got] == expected
-            forms = {key[2] for key in service.block_cache._entries}
-            assert forms == {"rows", "columnar"}
+            cube_path = service.router.paths["cube"]
+            assert cube_path.executor.block_cache is service.block_cache
+            assert service.executor.block_cache is service.block_cache
+            got = [cube_path.executor.execute(q) for q in stream]
+            assert [work(r)[0] for r in got] == expected
+            assert {key[0] for key in service.block_cache._entries} == {
+                cube.base_table.uid
+            }
+            assert all(len(key) == 2 for key in service.block_cache._entries)
             served = service.run_batch(stream)
         assert [work(r)[0] for r in served] == expected
 

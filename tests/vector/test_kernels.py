@@ -2,17 +2,14 @@
 
 The kernels' contract is *bitwise* agreement with the row executor's
 scalar arithmetic — every comparison here is ``==`` on floats, never
-``approx``.  Each test runs under both backends: the NumPy one (marked
-``vector``, auto-skipped when NumPy is absent) and the stdlib fallback
-(forced by monkeypatching ``repro.vector.layout._np``).
+``approx``.
 """
 
 import random
 
+import numpy as np
 import pytest
 
-import repro.vector.layout as layout
-from repro.core.blocks import BlockGrid
 from repro.ranking.functions import (
     ConvexFunction,
     LinearFunction,
@@ -21,25 +18,11 @@ from repro.ranking.functions import (
     QuadraticForm,
 )
 from repro.vector.kernels import (
-    apply_selection,
-    block_bounds,
     decode_block,
     eval_scores,
     gather_tids,
     topk_select,
 )
-from repro.vector.layout import ColumnarBlock
-
-
-@pytest.fixture(params=["numpy", "fallback"])
-def backend(request, monkeypatch):
-    """Run the test under the active backend, then the forced fallback."""
-    if request.param == "numpy":
-        if not layout.HAVE_NUMPY:
-            pytest.skip("NumPy not installed")
-    else:
-        monkeypatch.setattr(layout, "_np", None)
-    return request.param
 
 
 def random_records(n, dims, seed):
@@ -66,28 +49,15 @@ FUNCTIONS = [
 # layout
 # ----------------------------------------------------------------------
 class TestDecodeRoundTrip:
-    def test_round_trip_identity(self, backend):
+    def test_round_trip_identity(self):
         records = random_records(37, 3, seed=1)
         assert decode_block(records, 3).to_records() == records
 
-    def test_empty_block_keeps_shape(self, backend):
+    def test_empty_block_keeps_shape(self):
         block = decode_block([], 2)
         assert len(block) == 0
         assert block.num_dims == 2
         assert block.to_records() == []
-
-    def test_backends_agree_on_content(self):
-        if not layout.HAVE_NUMPY:
-            pytest.skip("NumPy not installed")
-        records = random_records(24, 2, seed=2)
-        via_numpy = ColumnarBlock.from_records(records, 2).to_records()
-        saved = layout._np
-        layout._np = None
-        try:
-            via_fallback = ColumnarBlock.from_records(records, 2).to_records()
-        finally:
-            layout._np = saved
-        assert via_numpy == via_fallback == records
 
 
 # ----------------------------------------------------------------------
@@ -95,7 +65,7 @@ class TestDecodeRoundTrip:
 # ----------------------------------------------------------------------
 class TestEvalBatchAgreement:
     @pytest.mark.parametrize("fn", FUNCTIONS, ids=repr)
-    def test_bitwise_agreement_with_scalar(self, backend, fn):
+    def test_bitwise_agreement_with_scalar(self, fn):
         records = random_records(50, 2, seed=3)
         block = decode_block(records, 2)
         batch = list(eval_scores(fn, block, (0, 1)))
@@ -103,7 +73,7 @@ class TestEvalBatchAgreement:
         assert batch == scalar  # exact equality: no tolerance
         assert not any(s != s for s in batch)  # NaN-free
 
-    def test_agreement_on_projected_dims(self, backend):
+    def test_agreement_on_projected_dims(self):
         fn = LinearFunction(("n3", "n1"), (1.5, -0.5))
         records = random_records(40, 3, seed=4)
         block = decode_block(records, 3)
@@ -111,110 +81,40 @@ class TestEvalBatchAgreement:
         scalar = [fn.score((values[2], values[0])) for _tid, values in records]
         assert batch == scalar
 
-    def test_agreement_with_ties_and_negative_weights(self, backend):
+    def test_agreement_with_ties_and_negative_weights(self):
         fn = LinearFunction(("n1", "n2"), (-2.0, 0.0))
         records = [(i, (0.5, float(i % 3))) for i in range(30)]
         block = decode_block(records, 2)
         assert list(eval_scores(fn, block, (0, 1))) == [-1.0] * 30
 
-    def test_empty_block(self, backend):
+    def test_empty_block(self):
         fn = LinearFunction(("n1", "n2"), (1.0, 1.0))
         block = decode_block([], 2)
         assert list(eval_scores(fn, block, (0, 1))) == []
 
 
 # ----------------------------------------------------------------------
-# apply_selection
+# row-filtered gathers
 # ----------------------------------------------------------------------
-class TestApplySelection:
-    def test_none_means_every_tuple(self, backend):
-        block = decode_block(random_records(10, 2, seed=5), 2)
-        assert apply_selection(block, None) is None
-        assert list(gather_tids(block, None)) == list(block.tids)
-
-    def test_membership_filtering(self, backend):
-        records = random_records(60, 2, seed=6)
-        block = decode_block(records, 2)
-        wanted = {tid for tid, _values in records[::3]}
-        indices = apply_selection(block, wanted)
-        expected = [i for i, (tid, _v) in enumerate(records) if tid in wanted]
-        assert list(indices) == expected
-        assert all(tid in wanted for tid in gather_tids(block, indices))
-
-    def test_empty_selection_set(self, backend):
-        block = decode_block(random_records(12, 2, seed=7), 2)
-        indices = apply_selection(block, set())
-        assert len(indices) == 0
-        assert list(gather_tids(block, indices)) == []
-
-    def test_filtered_scores_match_scalar(self, backend):
+class TestFilteredGather:
+    def test_filtered_scores_match_scalar(self):
         fn = LpDistance(("n1", "n2"), (0.0, 0.0), p=2.0)
         records = random_records(45, 2, seed=8)
         block = decode_block(records, 2)
-        wanted = {tid for tid, _values in records if tid % 2 == 0}
-        indices = apply_selection(block, wanted)
+        indices = np.nonzero(block.tids % 2 == 0)[0]
         batch = list(eval_scores(fn, block, (0, 1), indices))
-        scalar = [fn.score(v) for tid, v in records if tid in wanted]
+        scalar = [fn.score(v) for tid, v in records if tid % 2 == 0]
         assert batch == scalar
-
-
-# ----------------------------------------------------------------------
-# block_bounds
-# ----------------------------------------------------------------------
-class TestBlockBounds:
-    def grid(self):
-        return BlockGrid(
-            dims=("n1", "n2"),
-            boundaries=(
-                (0.0, 0.25, 0.5, 0.75, 1.0),
-                (0.0, 1 / 3, 2 / 3, 1.0),
-            ),
-        )
-
-    @pytest.mark.parametrize("fn", FUNCTIONS, ids=repr)
-    def test_matches_scalar_min_over_box(self, backend, fn):
-        grid = self.grid()
-        bids = list(range(grid.num_blocks))
-        batch = block_bounds(grid, bids, fn, (0, 1))
-        scalar = [fn.min_over_box(*grid.sub_box(bid, (0, 1))) for bid in bids]
-        assert batch == scalar
-
-    @pytest.mark.parametrize(
-        "fn",
-        [f for f in FUNCTIONS if not isinstance(f, ConvexFunction)],
-        ids=repr,
-    )
-    def test_bound_is_lower_bound_on_block_scores(self, backend, fn):
-        """f(bid) <= every in-block score: the frontier's soundness."""
-        grid = self.grid()
-        rng = random.Random(9)
-        bounds = block_bounds(
-            grid, list(range(grid.num_blocks)), fn, (0, 1)
-        )
-        for bid in range(grid.num_blocks):
-            (lo1, lo2), (hi1, hi2) = grid.sub_box(bid, (0, 1))
-            for _ in range(25):
-                point = (rng.uniform(lo1, hi1), rng.uniform(lo2, hi2))
-                assert bounds[bid] <= fn.score(point) + 1e-12
-
-    def test_empty_bid_list(self, backend):
-        fn = LinearFunction(("n1", "n2"), (1.0, 1.0))
-        assert block_bounds(self.grid(), [], fn, (0, 1)) == []
-
-    def test_projected_single_dimension(self, backend):
-        grid = self.grid()
-        fn = LinearFunction(("n2",), (-1.0,))
-        bids = list(range(grid.num_blocks))
-        batch = block_bounds(grid, bids, fn, (1,))
-        scalar = [fn.min_over_box(*grid.sub_box(bid, (1,))) for bid in bids]
-        assert batch == scalar
+        assert list(gather_tids(block, indices)) == [
+            tid for tid, _v in records if tid % 2 == 0
+        ]
 
 
 # ----------------------------------------------------------------------
 # topk_select
 # ----------------------------------------------------------------------
 class TestTopkSelect:
-    def test_orders_by_score_then_tid(self, backend):
+    def test_orders_by_score_then_tid(self):
         records = [(5, (0.2,)), (1, (0.1,)), (9, (0.1,)), (3, (0.3,))]
         block = decode_block(records, 1)
         fn = LinearFunction(("n1",), (1.0,))
@@ -223,7 +123,7 @@ class TestTopkSelect:
             (0.1, 1), (0.1, 9), (0.2, 5), (0.3, 3),
         ]
 
-    def test_truncates_to_k(self, backend):
+    def test_truncates_to_k(self):
         records = random_records(80, 1, seed=10)
         block = decode_block(records, 1)
         fn = LinearFunction(("n1",), (1.0,))
@@ -231,27 +131,25 @@ class TestTopkSelect:
         full = sorted((fn.score(v), tid) for tid, v in records)
         assert topk_select(scores, block.tids, 7) == full[:7]
 
-    def test_k_larger_than_block(self, backend):
+    def test_k_larger_than_block(self):
         records = random_records(5, 1, seed=11)
         block = decode_block(records, 1)
         fn = LinearFunction(("n1",), (1.0,))
         scores = eval_scores(fn, block, (0,))
         assert len(topk_select(scores, block.tids, 50)) == 5
 
-    def test_empty(self, backend):
+    def test_empty(self):
         block = decode_block([], 1)
         fn = LinearFunction(("n1",), (1.0,))
         assert topk_select(eval_scores(fn, block, (0,)), block.tids, 3) == []
 
 
 # ----------------------------------------------------------------------
-# NumPy-backend specifics
+# NumPy layout and sort specifics
 # ----------------------------------------------------------------------
 @pytest.mark.vector
 class TestNumpyBackend:
     def test_columns_are_contiguous_float64(self):
-        import numpy as np
-
         block = decode_block(random_records(20, 3, seed=12), 3)
         assert block.tids.dtype == np.int64
         for col in block.columns:
@@ -259,7 +157,7 @@ class TestNumpyBackend:
             assert col.flags["C_CONTIGUOUS"]
 
     def test_lexsort_is_the_stable_tie_order(self):
-        """The kernel's lexsort and the fallback's sorted() agree exactly."""
+        """The kernel's lexsort and a plain sorted() agree exactly."""
         rng = random.Random(13)
         scores = [rng.choice([0.1, 0.2, 0.3]) for _ in range(200)]
         tids = rng.sample(range(1000), 200)

@@ -1,77 +1,19 @@
-"""Regression tests for the tie-breaking contract under batched scoring.
+"""Regression test for the tie-breaking contract under batched sorting.
 
 The answer contract orders rows ascending by ``(score, tid)``; the k-th
-place is decided toward the *smaller* tid.  The vector engine's
-``topk_select`` implements this with a batched sort, which is only
-correct if tid is genuinely the secondary key (a plain argsort on scores
-alone would surface ties in arbitrary order).  These tests engineer
-dense score ties and pin the contract on both engines.
+place is decided toward the *smaller* tid.  ``topk_select`` implements
+this with a batched sort, which is only correct if tid is genuinely the
+secondary key (a plain argsort on scores alone would surface ties in
+arbitrary order).  The executor's own tie tests live in
+``tests/core/test_executor.py::TestTieBreaking``.
 """
 
 import random
 
+import numpy as np
 import pytest
 
-import repro.vector.layout as layout
-from repro.core import RankingCube, RankingCubeExecutor
-from repro.ranking import LinearFunction
-from repro.relational import Database, Schema, TopKQuery, ranking_attr, selection_attr
-from repro.workloads.oracle import brute_force_topk
 from repro.vector.kernels import topk_select
-
-SCHEMA = Schema.of(
-    [selection_attr("a1", 3), ranking_attr("n1"), ranking_attr("n2")]
-)
-
-#: Only a handful of distinct ranking values -> every block is tie-dense.
-TIE_VALUES = (0.1, 0.4, 0.4, 0.7)
-
-
-def tie_dense_rows(n, seed):
-    rng = random.Random(seed)
-    return [
-        (rng.randrange(3), rng.choice(TIE_VALUES), rng.choice(TIE_VALUES))
-        for _ in range(n)
-    ]
-
-
-def build(rows, block_size=6):
-    db = Database()
-    table = db.load_table("R", SCHEMA, rows)
-    return table, RankingCube.build(table, block_size=block_size)
-
-
-def brute_force(rows, query):
-    return brute_force_topk(SCHEMA, rows, query)
-
-
-@pytest.mark.parametrize("backend", ["numpy", "fallback"])
-@pytest.mark.parametrize("k", [1, 3, 10, 40])
-def test_vector_executor_breaks_ties_tid_ascending(backend, k, monkeypatch):
-    if backend == "numpy" and not layout.HAVE_NUMPY:
-        pytest.skip("NumPy not installed")
-    if backend == "fallback":
-        monkeypatch.setattr(layout, "_np", None)
-    rows = tie_dense_rows(150, seed=17)
-    table, cube = build(rows)
-    query = TopKQuery(k, {"a1": 1}, LinearFunction(("n1", "n2"), (1.0, 1.0)))
-    result = RankingCubeExecutor(cube, table, use_vector=True).execute(query)
-    assert [(r.score, r.tid) for r in result.rows] == brute_force(rows, query)
-
-
-def test_row_and_vector_agree_on_every_tie(monkeypatch):
-    """Both engines, both backends: one exact answer for a tie-dense table."""
-    rows = tie_dense_rows(200, seed=23)
-    table, cube = build(rows, block_size=10)
-    query = TopKQuery(25, {}, LinearFunction(("n1", "n2"), (0.5, 0.5)))
-    row_result = RankingCubeExecutor(cube, table).execute(query)
-    vec_result = RankingCubeExecutor(cube, table, use_vector=True).execute(query)
-    assert row_result == vec_result
-    answers = [(r.score, r.tid) for r in row_result.rows]
-    assert answers == brute_force(rows, query)
-    # within a tie group the tids ascend — the contract, stated directly
-    for (s1, t1), (s2, t2) in zip(answers, answers[1:]):
-        assert s1 < s2 or (s1 == s2 and t1 < t2)
 
 
 @pytest.mark.vector
@@ -81,8 +23,6 @@ def test_batched_sort_is_stable_on_ties():
     Shuffled tids sharing one score must come back tid-ascending; a
     non-stable score-only argsort would return them in insertion order.
     """
-    import numpy as np
-
     rng = random.Random(31)
     tids = rng.sample(range(500), 64)
     scores = np.full(64, 0.25)
