@@ -80,11 +80,11 @@ def test_hybrid_routing_tracks_cheaper_path(benchmark, bench_tuples, bench_queri
         assert hy <= max(bl, rc) + 1e-9
         assert hy <= 2.0 * min(bl, rc) + 30
 
-    # micro-benchmark the estimate itself (it runs per query)
+    # micro-benchmark the routing decision itself (it runs per query)
     from repro.core import RankingCube
-    from repro.core.hybrid import HybridExecutor
     from repro.ranking import LinearFunction
     from repro.relational import Database, TopKQuery
+    from repro.route import AdaptiveRouter
     from repro.workloads import SyntheticSpec, generate
 
     dataset = generate(SyntheticSpec(num_tuples=4000, seed=109))
@@ -92,12 +92,14 @@ def test_hybrid_routing_tracks_cheaper_path(benchmark, bench_tuples, bench_queri
     table = dataset.load_into(db)
     for name in dataset.schema.selection_names:
         table.create_secondary_index(name)
-    hybrid_executor = HybridExecutor(RankingCube.build(table), table)
+    router = AdaptiveRouter.for_cube(
+        RankingCube.build(table), table, probe_margin=1.0
+    )
     query = TopKQuery(5, {"a1": 1}, LinearFunction(["n1", "n2"], [1, 1]))
 
-    def estimate():
-        return hybrid_executor.estimate(query)
+    def decide():
+        return router.decide(query)
 
-    cube_cost, baseline_cost = benchmark(estimate)
-    assert cube_cost.pages > 0
-    assert baseline_cost.pages > 0
+    decision = benchmark(decide)
+    assert decision.analytic["cube"] > 0
+    assert decision.analytic["baseline"] > 0

@@ -8,7 +8,7 @@ here:
    folds them in when the delta outgrows a threshold.
 2. **Workload-aware fragment grouping** — dimensions that co-occur in the
    query log share a fragment, so hot queries avoid online intersection.
-3. **Many ranking dimensions** — a router over cubes built on
+3. **Many ranking dimensions** — the router over cubes built on
    ranking-dimension groups serves functions over any covered subset.
 
 Run with:  python examples/advanced_features.py
@@ -26,12 +26,12 @@ from repro import (
     TopKQuery,
 )
 from repro.core import (
-    MultiCubeRouter,
     cooccurrence_grouping,
     evenly_partition,
     expected_covering_fragments,
 )
 from repro.relational import ranking_attr, selection_attr
+from repro.route import AdaptiveRouter, CubePath
 from repro.workloads import SyntheticSpec, generate
 
 
@@ -91,7 +91,7 @@ def workload_aware_fragments() -> None:
 
 
 def many_ranking_dimensions() -> None:
-    print("\n=== 3. many ranking dimensions (MultiCubeRouter) ===")
+    print("\n=== 3. many ranking dimensions (one cube per group) ===")
     schema = Schema.of(
         [selection_attr("a1", 5)]
         + [ranking_attr(f"n{j}") for j in range(1, 7)]  # six ranking dims
@@ -103,16 +103,24 @@ def many_ranking_dimensions() -> None:
     ]
     db = Database()
     table = db.load_table("R", schema, rows)
-    router = MultiCubeRouter.build(
+    groups = [("n1", "n2"), ("n3", "n4"), ("n5", "n6"), ("n1", "n4")]
+    cubes = [RankingCube.build(table, ranking_dims=group) for group in groups]
+    # a cube whose grid misses a ranking dimension of the query is priced
+    # at inf, so the router sends each query to a covering cube
+    router = AdaptiveRouter(
         table,
-        ranking_groups=[("n1", "n2"), ("n3", "n4"), ("n5", "n6"), ("n1", "n4")],
+        [
+            CubePath(",".join(c.grid.dims), c, table, RankingCubeExecutor(c, table))
+            for c in cubes
+        ],
+        probe_margin=1.0,
     )
-    print(f"grids: {router.grids()}")
+    print(f"grids: {list(router.paths)}")
     for dims, weights in ((["n3", "n4"], [1.0, 0.5]), (["n1", "n4"], [2.0, 1.0])):
         query = TopKQuery(3, {"a1": 1}, LinearFunction(dims, weights))
-        chosen = router.route(query).cube.grid.dims
         result = router.execute(query)
-        print(f"query on {dims} -> cube {chosen}: top-3 {result.tids}")
+        print(f"query on {dims} -> cube {router.last_decision.path}: "
+              f"top-3 {result.tids}")
 
 
 if __name__ == "__main__":

@@ -22,8 +22,8 @@
 #                         imports nothing from repro.vector, and no
 #                         use_vector / include_vector / block_k identifier
 #                         is left under src/repro.  tests/test_doc_references.py
-#                         checks that every repro.x.y name in README.md
-#                         and DESIGN.md resolves and every file.py:N
+#                         checks that every repro.x.y name in README.md,
+#                         DESIGN.md and ROADMAP.md resolves and every file.py:N
 #                         reference points at an existing line;
 #                         tests/ranking/test_bound_terms.py is the bitwise
 #                         property test that per-bin bound tables fold to
@@ -60,7 +60,15 @@
 #                         int-key bulk_load rejections;
 #                         test_compaction.py's
 #                         test_compacted_cuboids_share_the_warm_pseudo_map
-#                         that a compaction keeps the pseudo-block map
+#                         that a compaction keeps the pseudo-block map.
+#                         tests/test_examples.py runs every examples/*.py
+#                         script to completion (in-process, output
+#                         captured), and tests/route/test_single_router.py
+#                         is the structural test that AdaptiveRouter is the
+#                         only router: repro.core.hybrid / multigrid do not
+#                         import, only route/router.py calls the cost
+#                         estimators, and no HybridExecutor /
+#                         MultiCubeRouter identifier is left
 #   2. gate cases       — tests/serve/test_single_path.py, the structural
 #                         test that sharded serving is ONE merge loop over
 #                         two transports (no thread/process fork in
@@ -100,7 +108,7 @@ export PYTHONPATH=src
 # stalling the whole gate.  Tests may tighten it with @pytest.mark.timeout.
 export REPRO_TEST_TIMEOUT="${REPRO_TEST_TIMEOUT:-300}"
 
-echo "== tier1 1/4: fast test suite (incl. structural single-search/one-engine + single-node-codec tests, doc-reference test, bound-table + selective-read + splice properties, block-cache equivalence, indexed delta, figure page pins, build image pin, reverse + adaptive gates) =="
+echo "== tier1 1/4: fast test suite (incl. structural single-search/one-engine + single-node-codec + one-router tests, examples test, doc-reference test, bound-table + selective-read + splice properties, block-cache equivalence, indexed delta, figure page pins, build image pin, reverse + adaptive gates) =="
 python -m pytest -m "not slow and not serve and not faults" -q
 
 echo "== tier1 2/4: sharded serving single-path test + serve-marked gate cases (identity, hot shard, early stop, shared-cache reads, WAL replay) =="

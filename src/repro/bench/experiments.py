@@ -577,10 +577,11 @@ def extra_hybrid_routing(
     Sweeps the number of selection conditions on an S=4 dataset (the
     Figure 9 setting): at low s the cube wins, at s=4 almost nothing
     qualifies and fetch-and-sort wins ("ranking is even not necessary",
-    the paper notes).  The hybrid executor should track whichever is
-    cheaper at every point.
+    the paper notes).  The router should track whichever is cheaper at
+    every point; at ``probe_margin=1.0`` it explores only paths the cost
+    model prices no higher than its best, so it follows the model.
     """
-    from ..core.hybrid import HybridExecutor
+    from ..route.router import AdaptiveRouter
 
     dataset = generate(
         SyntheticSpec(num_selection_dims=4, num_tuples=num_tuples, seed=seed)
@@ -598,7 +599,7 @@ def extra_hybrid_routing(
         {
             METHOD_BASELINE: BaselineExecutor(table),
             METHOD_RANKING_CUBE: RankingCubeExecutor(cube, table),
-            "hybrid": HybridExecutor(cube, table),
+            "hybrid": AdaptiveRouter.for_cube(cube, table, probe_margin=1.0),
         },
         cube=cube,
     )

@@ -44,14 +44,12 @@ from .fragments import (
     evenly_partition,
     fragment_cuboid_sets,
 )
-from .hybrid import HybridExecutor
 from .parallel import CuboidSpec, compute_build_groups, shard_ranges
 from .grouping import (
     cooccurrence_counts,
     cooccurrence_grouping,
     expected_covering_fragments,
 )
-from .multigrid import MultiCubeRouter
 from .partition import (
     EquiDepthPartitioner,
     EquiWidthPartitioner,
@@ -91,8 +89,6 @@ __all__ = [
     "FragmentDesign",
     "FragmentedRankingCube",
     "GridError",
-    "HybridExecutor",
-    "MultiCubeRouter",
     "Partitioner",
     "ProgressiveSearch",
     "PseudoBlockMap",

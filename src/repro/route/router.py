@@ -1,21 +1,28 @@
-"""The adaptive router: one ``execute()`` over every access path.
+"""The router: one ``execute()`` over every access path.
 
-:class:`AdaptiveRouter` wraps the cube, fragment and baseline executors
-behind a single entry point and picks the path per query by
-*blended* cost — the analytic estimate of :mod:`repro.core.estimate`
-shrunk toward the observed weighted page cost of past queries with the
-same :class:`~repro.route.signature.QueryShape` (see
-:mod:`repro.route.cost`).  Because every path honors the byte-identical
+:class:`AdaptiveRouter` is the repository's only router.  It wraps the
+cube, fragment and baseline executors — or one cube per ranking-dimension
+group (Section 6's extension) — behind a single entry point and picks
+the path per query by *blended* cost — the analytic estimate of
+:mod:`repro.core.estimate` shrunk toward the observed weighted page cost
+of past queries with the same :class:`~repro.route.signature.QueryShape`
+(see :mod:`repro.route.cost`).  Because every path honors the byte-identical
 answers contract (property-tested in ``tests/properties``), routing is
 purely a cost decision: the answer is the same object no matter which
-path runs, so the router can never trade correctness for speed.
+path runs, so the router can never trade correctness for speed.  A path
+the model cannot use (a cube whose grid or cuboids miss a dimension of
+the query) prices at ``inf``; a query no path can answer raises
+:class:`~repro.core.cube.CubeError` before anything runs.
 
 Exploration is deterministic, not stochastic: for each new query shape
 the router probes, once each and in ascending analytic-cost order, every
 path whose analytic estimate is within ``probe_margin`` of the current
-best blend; after that it exploits the blended minimum.  Determinism
-matters here — the drifting-stream gate replays a fixed stream and must
-reproduce the same decisions run over run.
+best blend; after that it exploits the blended minimum.  At
+``probe_margin=1.0`` a path is explored only when the model prices it no
+higher than the current best, so a fresh router makes the analytic choice
+(Figure 9's index-vs-cube call).  Determinism matters here — the
+drifting-stream gate replays a fixed stream and must reproduce the same
+decisions run over run.
 
 Observations are only as current as the materialization they measured.
 A cube path's observations belong to the :attr:`RankingCube.epoch` they
@@ -131,7 +138,6 @@ class RouteDecision:
     probe: bool                      #: was this a deterministic exploration?
     analytic: dict = field(default_factory=dict)   #: path -> analytic io
     blended: dict = field(default_factory=dict)    #: path -> blended io
-    result: QueryResult | None = None
     observed_io: float = 0.0
     observed_pages: int = 0
     wall_s: float = 0.0
@@ -146,13 +152,13 @@ class AdaptiveRouter:
         The base relation (supplies selectivity statistics for shapes and
         the baseline path).
     paths:
-        The :class:`RoutePath` family to route over, tried in the given
-        order for deterministic tie-breaks.
+        The :class:`RoutePath` family to route over.  Names must be
+        unique: equal blended costs break toward the smaller name, and
+        equal analytic estimates probe in name order.
     registry:
         Optional metrics registry; decisions bump ``route.decision``
-        (labeled by path — the same series :class:`HybridExecutor`
-        emits), probes bump ``route.probes``, observed pages accumulate
-        under ``route.observed_pages``.
+        (labeled by path), probes bump ``route.probes``, observed pages
+        accumulate under ``route.observed_pages``.
     prior_strength / probe_margin:
         Shrinkage prior weight (see :mod:`repro.route.cost`) and the
         exploration cutoff factor.
@@ -232,7 +238,11 @@ class AdaptiveRouter:
     def decide(
         self, query: TopKQuery, shape: QueryShape | None = None
     ) -> RouteDecision:
-        """Pick a path for one query without executing it."""
+        """Pick a path for one query without executing it.
+
+        Raises :class:`~repro.core.cube.CubeError` when every path prices
+        the query at ``inf``: no path can answer it.
+        """
         if shape is None:
             shape = shape_of(self.table, query)
         with self._decide_lock:
@@ -245,6 +255,17 @@ class AdaptiveRouter:
                 name: path.estimate_io(query)
                 for name, path in self.paths.items()
             }
+            if all(math.isinf(cost) for cost in analytic.values()):
+                grids = [
+                    path.cube.grid.dims
+                    for path in self.paths.values()
+                    if isinstance(path, CubePath)
+                ]
+                raise CubeError(
+                    f"no path covers ranking dimensions "
+                    f"{sorted(query.ranking.dims)} with selections "
+                    f"{sorted(query.selections)}; available grids: {grids}"
+                )
             blended = {
                 name: self.book.blended(shape, name, analytic[name])
                 for name in self.paths
@@ -268,11 +289,12 @@ class AdaptiveRouter:
 
     def execute(
         self, query: TopKQuery, trace=None, tracer=None
-    ) -> RouteDecision:
+    ) -> QueryResult:
         """Route, run, observe: the router's single entry point.
 
-        Returns the full :class:`RouteDecision` (the answer is
-        ``decision.result``).  A storage-fault abort propagates as
+        Returns the answer, as every executor does; the full
+        :class:`RouteDecision` is kept on :attr:`last_decision`.  A
+        storage-fault abort propagates as
         :class:`~repro.core.executor.QueryAbortedError` and leaves the
         cost book untouched — a partial run's cost would poison the
         observed mean.
@@ -294,13 +316,12 @@ class AdaptiveRouter:
         if path.generation() == generation:
             # a swap mid-query leaves a cost of neither generation
             self.book.record(decision.shape, decision.path, observed_io, wall_s)
-        finished = RouteDecision(
+        self.last_decision = RouteDecision(
             path=decision.path, shape=decision.shape, probe=decision.probe,
             analytic=decision.analytic, blended=decision.blended,
-            result=result, observed_io=observed_io,
+            observed_io=observed_io,
             observed_pages=result.blocks_accessed, wall_s=wall_s,
         )
-        self.last_decision = finished
         if self.registry is not None:
             self.registry.counter("route.queries").inc()
             self.registry.counter("route.decision", path=decision.path).inc()
@@ -310,4 +331,4 @@ class AdaptiveRouter:
                 result.blocks_accessed
             )
             self.registry.histogram("route.wall_s").observe(wall_s)
-        return finished
+        return result

@@ -26,11 +26,8 @@ The service can also own the two adaptive maintenance daemons:
 from __future__ import annotations
 
 import threading
-import time
 
 from ..core.cube import RankingCube
-from ..core.executor import ExecutorTrace, QueryAbortedError
-from ..obs.tracing import Tracer
 from ..relational.query import QueryResult, TopKQuery
 from ..relational.table import Table
 from ..route.advisor import CubeAdvisor
@@ -138,33 +135,11 @@ class RoutedQueryService(QueryService):
         self.repartitions: list[RepartitionReport] = []
 
     # ------------------------------------------------------------------
+    def _execute(self, query: TopKQuery, trace, tracer) -> QueryResult:
+        return self.router.execute(query, trace=trace, tracer=tracer)
+
     def _run_one(self, query: TopKQuery) -> QueryResult:
-        trace = ExecutorTrace()
-        tracer = Tracer(self.registry) if self.trace_spans else None
-        started = time.perf_counter()
-        try:
-            decision = self.router.execute(query, trace=trace, tracer=tracer)
-        except QueryAbortedError as exc:
-            self._retain_spans(tracer)
-            self._record(
-                trace,
-                time.perf_counter() - started,
-                blocks=exc.blocks_accessed,
-                candidates=len(trace.candidate_bids),
-                tuples=0,
-                aborted=True,
-            )
-            raise
-        self._retain_spans(tracer)
-        result = decision.result
-        self._record(
-            trace,
-            time.perf_counter() - started,
-            blocks=result.blocks_accessed,
-            candidates=result.candidates_examined,
-            tuples=result.tuples_examined,
-            aborted=False,
-        )
+        result = super()._run_one(query)
         if self.advisor is not None:
             self.advisor.observe(query)
         self._after_routed()

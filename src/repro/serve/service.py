@@ -372,7 +372,7 @@ class QueryService:
         tracer = Tracer(self.registry) if self.trace_spans else None
         started = time.perf_counter()
         try:
-            result = self.executor.execute(query, trace=trace, tracer=tracer)
+            result = self._execute(query, trace, tracer)
         except QueryAbortedError as exc:
             self._retain_spans(tracer)
             self._record(
@@ -394,6 +394,10 @@ class QueryService:
             aborted=False,
         )
         return result
+
+    def _execute(self, query: TopKQuery, trace, tracer) -> QueryResult:
+        """The one call :meth:`_run_one` times; a routed service routes it."""
+        return self.executor.execute(query, trace=trace, tracer=tracer)
 
     def _record(
         self,

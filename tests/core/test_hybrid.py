@@ -1,4 +1,4 @@
-"""Tests for cost estimation and the hybrid executor."""
+"""Tests for cost estimation and the cube-or-index routing decision."""
 
 import random
 
@@ -12,9 +12,9 @@ from repro.core.estimate import (
     expected_blocks_to_k,
     expected_heap_pages,
 )
-from repro.core.hybrid import HybridExecutor
 from repro.ranking import LinearFunction
 from repro.relational import Database, Schema, TopKQuery, ranking_attr, selection_attr
+from repro.route import AdaptiveRouter
 
 
 def make_env(num_rows=8000, cards=(10, 10, 500), seed=113):
@@ -186,32 +186,33 @@ class TestEstimates:
 
 
 class TestHybridExecutor:
+    """Figure 9's cube-or-index call, made per query by the router at
+    ``probe_margin=1.0`` (it follows the cost model)."""
+
     def test_unselective_query_routes_to_cube(self):
         _db, table, _rows, _schema, cube = make_env()
-        hybrid = HybridExecutor(cube, table)
-        query = TopKQuery(5, {"a1": 3}, fn())
-        hybrid.execute(query)
-        assert hybrid.last_choice == "ranking_cube"
+        router = AdaptiveRouter.for_cube(cube, table, probe_margin=1.0)
+        router.execute(TopKQuery(5, {"a1": 3}, fn()))
+        assert router.last_decision.path == "cube"
 
     def test_ultra_selective_index_routes_to_baseline(self):
         # a3 has cardinality 5000 over 8000 rows: the secondary index
         # returns ~1-2 rids, cheaper than any progressive search
         _db, table, _rows, _schema, cube = make_env(cards=(10, 10, 5000))
-        hybrid = HybridExecutor(cube, table)
-        query = TopKQuery(10, {"a3": 5}, fn())
-        hybrid.execute(query)
-        assert hybrid.last_choice == "baseline"
+        router = AdaptiveRouter.for_cube(cube, table, probe_margin=1.0)
+        router.execute(TopKQuery(10, {"a3": 5}, fn()))
+        assert router.last_decision.path == "baseline"
 
     def test_both_routes_return_identical_answers(self):
         _db, table, rows, schema, cube = make_env()
-        hybrid = HybridExecutor(cube, table)
+        router = AdaptiveRouter.for_cube(cube, table, probe_margin=1.0)
         rng = random.Random(3)
         for _ in range(8):
             selections = {"a1": rng.randrange(10)}
             if rng.random() < 0.5:
                 selections["a3"] = rng.randrange(500)
             query = TopKQuery(5, selections, fn())
-            result = hybrid.execute(query)
+            result = router.execute(query)
             expected = sorted(
                 (
                     (query.score_row(schema, row), tid)
@@ -223,60 +224,29 @@ class TestHybridExecutor:
                 [s for s, _t in expected]
             )
 
-    def test_bias_shifts_decisions(self):
-        _db, table, _rows, _schema, cube = make_env()
-        query = TopKQuery(5, {"a1": 3}, fn())
-        neutral = HybridExecutor(cube, table)
-        neutral.execute(query)
-        assert neutral.last_choice == "ranking_cube"
-        paranoid = HybridExecutor(cube, table, bias=10_000.0)
-        paranoid.execute(query)
-        assert paranoid.last_choice == "baseline"
-
-    def test_invalid_bias(self):
-        _db, table, _rows, _schema, cube = make_env()
-        with pytest.raises(ValueError):
-            HybridExecutor(cube, table, bias=0.0)
-
-    def test_explain_names_choice(self):
-        _db, table, _rows, _schema, cube = make_env()
-        hybrid = HybridExecutor(cube, table)
-        text = hybrid.explain(TopKQuery(5, {"a1": 3}, fn()))
-        assert "-> ranking_cube" in text
-        assert "qualifying" in text
-
     def test_estimates_recorded(self):
-        _db, table, _rows, _schema, cube = make_env()
-        hybrid = HybridExecutor(cube, table)
-        hybrid.execute(TopKQuery(5, {"a1": 3}, fn()))
-        assert hybrid.last_estimates is not None
-        cube_cost, baseline_cost = hybrid.last_estimates
-        assert cube_cost.method == "ranking_cube"
-        assert baseline_cost.method == "baseline"
-
-    def test_explain_updates_last_choice(self):
-        """Regression: ``explain`` used to refresh ``last_estimates`` but
-        leave ``last_choice`` stale, so traces after an explain call
-        attributed the wrong routing decision."""
+        """The last decision holds both analytic estimates, for the
+        latest query and not a stale one."""
         _db, table, _rows, _schema, cube = make_env(cards=(10, 10, 5000))
-        hybrid = HybridExecutor(cube, table)
-        hybrid.execute(TopKQuery(5, {"a1": 3}, fn()))
-        assert hybrid.last_choice == "ranking_cube"
-        text = hybrid.explain(TopKQuery(10, {"a3": 5}, fn()))
-        assert "-> baseline" in text
-        # last_choice must describe the explained query, not the stale one
-        assert hybrid.last_choice == "baseline"
-        cube_cost, baseline_cost = hybrid.last_estimates
-        assert baseline_cost.io_cost < cube_cost.io_cost
+        router = AdaptiveRouter.for_cube(cube, table, probe_margin=1.0)
+        router.execute(TopKQuery(5, {"a1": 3}, fn()))
+        assert router.last_decision.path == "cube"
+        router.execute(TopKQuery(10, {"a3": 5}, fn()))
+        decision = router.last_decision
+        assert decision.path == "baseline"
+        assert set(decision.analytic) == {"cube", "baseline"}
+        assert decision.analytic["baseline"] < decision.analytic["cube"]
 
     def test_decision_counter_labels_path(self):
         from repro.obs import MetricsRegistry
 
         _db, table, _rows, _schema, cube = make_env(cards=(10, 10, 5000))
         registry = MetricsRegistry()
-        hybrid = HybridExecutor(cube, table, registry=registry)
-        hybrid.execute(TopKQuery(5, {"a1": 3}, fn()))
-        hybrid.explain(TopKQuery(10, {"a3": 5}, fn()))
-        hybrid.execute(TopKQuery(10, {"a3": 5}, fn()))
-        assert registry.value("route.decision", path="ranking_cube") == 1
+        router = AdaptiveRouter.for_cube(
+            cube, table, registry=registry, probe_margin=1.0
+        )
+        router.execute(TopKQuery(5, {"a1": 3}, fn()))
+        router.execute(TopKQuery(10, {"a3": 5}, fn()))
+        router.execute(TopKQuery(10, {"a3": 5}, fn()))
+        assert registry.value("route.decision", path="cube") == 1
         assert registry.value("route.decision", path="baseline") == 2

@@ -1,15 +1,30 @@
-"""Tests for the many-ranking-dimensions extension (MultiCubeRouter)."""
+"""Tests for the many-ranking-dimensions extension (Section 6).
+
+One ranking cube is built per group of ranking dimensions, and the router
+sends each query to a cube whose grid covers its function.  Coverage is
+part of the one cost model: ``estimate_cube_cost`` raises ``CubeError``
+for a grid that lacks a ranking dimension of the query (the router prices
+that cube at inf), and prices the columns of tied blocks a grid makes a
+function visit along the dimensions it ignores.
+"""
 
 import random
+from itertools import combinations
 
 import pytest
 
-from repro.core import CubeError, MultiCubeRouter
+from repro.core import CubeError, RankingCube, RankingCubeExecutor
+from repro.core.estimate import estimate_cube_cost
 from repro.ranking import LinearFunction, LpDistance
 from repro.relational import Database, Schema, TopKQuery, ranking_attr, selection_attr
+from repro.route import AdaptiveRouter, CubePath
+from repro.storage.device import RANDOM_READ_WEIGHT
+from repro.workloads.oracle import brute_force_topk as brute_force
 
 
-def make_env(num_rank=4, num_rows=1200, seed=37, **build_kwargs):
+def make_env(num_rank=4, num_rows=1200, seed=37, ranking_groups=None):
+    """A relation, one cube per ranking group (default: every pair) and a
+    router over the cubes, each path named after its grid."""
     schema = Schema.of(
         [selection_attr("a1", 4), selection_attr("a2", 3)]
         + [ranking_attr(f"n{j}") for j in range(1, num_rank + 1)]
@@ -22,32 +37,32 @@ def make_env(num_rank=4, num_rows=1200, seed=37, **build_kwargs):
     ]
     db = Database()
     table = db.load_table("R", schema, rows)
-    router = MultiCubeRouter.build(table, block_size=25, **build_kwargs)
+    if ranking_groups is None:
+        ranking_groups = list(combinations(schema.ranking_names, 2))
+    cubes = [
+        RankingCube.build(table, ranking_dims=group, block_size=25)
+        for group in ranking_groups
+    ]
+    router = AdaptiveRouter(
+        table,
+        [
+            CubePath(",".join(c.grid.dims), c, table, RankingCubeExecutor(c, table))
+            for c in cubes
+        ],
+        probe_margin=1.0,
+    )
     return db, table, rows, schema, router
 
 
-from repro.workloads.oracle import brute_force_topk as brute_force
+def grid_of(router, name):
+    return router.paths[name].cube.grid.dims
 
 
 class TestBuild:
-    def test_default_all_pairs(self):
-        _db, _t, _rows, _schema, router = make_env(num_rank=4)
-        assert len(router.cubes) == 6  # C(4, 2)
-        assert all(len(dims) == 2 for dims in router.grids())
-
-    def test_group_size_covering_all(self):
-        _db, _t, _rows, _schema, router = make_env(num_rank=3, group_size=3)
-        assert router.grids() == [("n1", "n2", "n3")]
-
-    def test_explicit_groups(self):
-        _db, _t, _rows, _schema, router = make_env(
-            num_rank=4, ranking_groups=[("n1", "n2"), ("n3", "n4")]
-        )
-        assert router.grids() == [("n1", "n2"), ("n3", "n4")]
-
     def test_empty_cubes_rejected(self):
-        with pytest.raises(CubeError):
-            MultiCubeRouter([])
+        _db, table, _rows, _schema, _router = make_env(num_rank=2)
+        with pytest.raises(ValueError, match="at least one"):
+            AdaptiveRouter(table, [])
 
 
 class TestRouting:
@@ -56,22 +71,25 @@ class TestRouting:
             num_rank=3, ranking_groups=[("n1", "n2"), ("n1", "n2", "n3")]
         )
         query = TopKQuery(3, {}, LinearFunction(["n1", "n2"], [1, 1]))
-        executor = router.route(query)
-        assert executor.cube.grid.dims == ("n1", "n2")
+        decision = router.decide(query)
+        assert grid_of(router, decision.path) == ("n1", "n2")
+        assert decision.analytic["n1,n2"] < decision.analytic["n1,n2,n3"]
 
     def test_single_dim_routes_to_covering_pair(self):
         _db, _t, _rows, _schema, router = make_env(num_rank=4)
         query = TopKQuery(3, {}, LinearFunction(["n3"], [1.0]))
-        executor = router.route(query)
-        assert "n3" in executor.cube.grid.dims
+        router.execute(query)
+        assert "n3" in grid_of(router, router.last_decision.path)
 
     def test_uncoverable_rejected(self):
         _db, _t, _rows, _schema, router = make_env(
-            num_rank=4, ranking_groups=[("n1", "n2")]
+            num_rank=4, ranking_groups=[("n1", "n2"), ("n1", "n3")]
         )
         query = TopKQuery(3, {}, LinearFunction(["n3", "n4"], [1, 1]))
-        with pytest.raises(CubeError):
-            router.route(query)
+        with pytest.raises(CubeError, match="available grids") as raised:
+            router.decide(query)
+        assert "('n1', 'n2')" in str(raised.value)
+        assert "('n1', 'n3')" in str(raised.value)
 
 
 class TestExecution:
@@ -102,6 +120,52 @@ class TestExecution:
             [s for s, _t in expected]
         )
 
-    def test_size_accounts_all_cubes(self):
-        _db, _t, _rows, _schema, router = make_env(num_rank=3)
-        assert router.size_in_bytes == sum(c.size_in_bytes for c in router.cubes)
+
+class TestCostModel:
+    @staticmethod
+    def cubes():
+        db, table, _rows, _schema, router = make_env(
+            num_rank=3, ranking_groups=[("n1", "n2"), ("n1", "n2", "n3")]
+        )
+        return db, table, router.paths["n1,n2"].cube, router.paths["n1,n2,n3"].cube
+
+    def test_uncovered_ranking_dimension_raises(self):
+        _db, table, pair, _triple = self.cubes()
+        query = TopKQuery(3, {}, LinearFunction(["n1", "n3"], [1, 1]))
+        with pytest.raises(CubeError, match="n3"):
+            estimate_cube_cost(pair, table, query)
+
+    def test_ignored_grid_dimensions_are_priced_in_whole_tied_columns(self):
+        """A function over (n1, n2) gives every block of an n3 column
+        the same bound, so on the (n1, n2, n3) grid the expected block
+        count rounds up from 1 to a whole column of 4 (pages 4 -> 7, with
+        3 directory descents) — what the search actually reads there."""
+        db, table, pair, triple = self.cubes()
+        query = TopKQuery(3, {}, LinearFunction(["n1", "n2"], [1, 1]))
+        assert triple.grid.bins_per_dim[2] == 4
+        priced = [estimate_cube_cost(c, table, query).pages for c in (pair, triple)]
+        assert priced == [4.0, 7.0]
+        blocks = []
+        for cube in (pair, triple):
+            db.cold_cache()
+            blocks.append(RankingCubeExecutor(cube, table).execute(query).blocks_accessed)
+        assert blocks == [1, 4]
+
+    @pytest.mark.parametrize(
+        "grid, k, selections, fn, pages",
+        [
+            ("n1,n2", 3, {}, LinearFunction(["n1", "n2"], [1, 1]), 4.0),
+            ("n1,n2", 20, {"a1": 2}, LpDistance(["n2", "n1"], [0.3, 0.6]), 8.0),
+            ("n1,n2", 6, {"a1": 1, "a2": 0}, LinearFunction(["n1", "n2"], [2, 1]), 8.0),
+            ("n1,n2,n3", 5, {"a2": 1}, LinearFunction(["n1", "n2", "n3"], [1, 1, 1]), 5.0),
+            ("n1,n2,n3", 300, {}, LpDistance(["n1", "n2", "n3"], [0.5] * 3), 19.0),
+        ],
+    )
+    def test_a_function_over_every_grid_dimension_prices_as_before(
+        self, grid, k, selections, fn, pages
+    ):
+        """Literals from the cost model before it priced tied columns."""
+        _db, table, pair, triple = self.cubes()
+        cube = {"n1,n2": pair, "n1,n2,n3": triple}[grid]
+        estimate = estimate_cube_cost(cube, table, TopKQuery(k, selections, fn))
+        assert (estimate.pages, estimate.io_cost) == (pages, RANDOM_READ_WEIGHT * pages)

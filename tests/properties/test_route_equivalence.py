@@ -103,8 +103,7 @@ def test_routed_answers_equal_oracle_on_pristine_device(rows, queries):
         # repeat each query: the first run may probe, later runs exploit —
         # both kinds of decision must be answer-invisible
         for _ in range(3):
-            decision = router.execute(query)
-            assert pairs(decision.result) == expected
+            assert pairs(router.execute(query)) == expected
         # and each path agrees individually, not just the routed one
         for path in router.paths.values():
             result, _io = path.execute(query)
@@ -132,7 +131,7 @@ def test_routed_answers_survive_transient_fault_storms(rows, queries, fault_seed
         expected = brute_force_topk(SCHEMA, rows, query)
         for _ in range(2):
             db.cold_cache()  # force real reads so the storm can hit
-            assert pairs(router.execute(query).result) == expected
+            assert pairs(router.execute(query)) == expected
 
 
 def drain(cursor, batch=7):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.baselines.scan import BaselineExecutor
-from repro.core import CubeCompactor, RankingCube, RankingCubeExecutor
+from repro.core import CubeCompactor, CubeError, RankingCube, RankingCubeExecutor
 from repro.obs import MetricsRegistry
 from repro.ranking import LinearFunction
 from repro.relational import Database, Schema, TopKQuery, ranking_attr, selection_attr
@@ -81,6 +81,12 @@ def make_table(seed=13):
     return db.load_table("R", SCHEMA, make_rows(seed, 120))
 
 
+def run(router, q):
+    """Execute one query; return the decision the router kept for it."""
+    router.execute(q)
+    return router.last_decision
+
+
 class TestValidation:
     def test_needs_at_least_one_path(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -108,11 +114,11 @@ class TestDecide:
         router = AdaptiveRouter(table, [cheap, near, far], probe_margin=3.0)
         q = query()
 
-        first = router.execute(q)
+        first = run(router, q)
         assert (first.path, first.probe) == ("near", True)
-        second = router.execute(q)
+        second = run(router, q)
         assert (second.path, second.probe) == ("cheap", False)
-        third = router.execute(q)
+        third = run(router, q)
         assert (third.path, third.probe) == ("cheap", False)
         assert far.executions == 0  # never worth a probe
 
@@ -122,7 +128,7 @@ class TestDecide:
             table, [StubPath("a", 10.0), StubPath("b", 11.0)]
         )
         q = query()
-        probes = [router.execute(q).probe for _ in range(6)]
+        probes = [run(router, q).probe for _ in range(6)]
         assert probes.count(True) == 1
 
     def test_new_shape_gets_its_own_probes(self):
@@ -130,9 +136,9 @@ class TestDecide:
         router = AdaptiveRouter(
             table, [StubPath("a", 10.0), StubPath("b", 11.0)]
         )
-        assert router.execute(query(k=5)).probe is True
+        assert run(router, query(k=5)).probe is True
         # a different k bucket is a different shape: the book is empty there
-        assert router.execute(query(k=64)).probe is True
+        assert run(router, query(k=64)).probe is True
 
     def test_observed_costs_override_a_wrong_analytic_ranking(self):
         """The path the model prices worse wins once observations say so."""
@@ -144,7 +150,7 @@ class TestDecide:
         q = query()
         for _ in range(8):
             router.execute(q)
-        settled = router.execute(q)
+        settled = run(router, q)
         assert settled.path == "fast"
         assert settled.blended["fast"] < settled.blended["slow"]
 
@@ -161,6 +167,19 @@ class TestDecide:
         router.book.record(s, "alpha", 10.0, 0.0)
         decision = router.decide(q)
         assert (decision.path, decision.probe) == ("alpha", False)
+
+    def test_no_usable_path_raises_before_running_one(self):
+        """Regression: with every path priced at inf, ``inf <= margin *
+        inf`` held and the router ran one of them as a probe."""
+        table = make_table()
+        paths = [StubPath("a", math.inf), StubPath("b", math.inf)]
+        router = AdaptiveRouter(table, paths, probe_margin=1.0)
+        with pytest.raises(CubeError, match="available grids"):
+            router.decide(query())
+        with pytest.raises(CubeError):
+            router.execute(query())
+        assert [p.executions for p in paths] == [0, 0]
+        assert router.last_decision is None
 
     def test_decision_records_full_cost_tables(self):
         table = make_table()
@@ -197,8 +216,7 @@ class TestForCube:
                 assert [(r.score, r.tid) for r in result.rows] == expected
                 assert observed_io >= 0.0
             for _ in range(3):  # cover probe and settled decisions
-                decision = router.execute(q)
-                got = [(r.score, r.tid) for r in decision.result.rows]
+                got = [(r.score, r.tid) for r in router.execute(q).rows]
                 assert got == expected
 
     def test_an_epoch_bump_makes_the_cube_path_probe_again(self):
@@ -213,7 +231,7 @@ class TestForCube:
         stub = StubPath("stub", analytic=cube_path.estimate_io(q), observed=1.0)
         router = AdaptiveRouter(table, [cube_path, stub])
         s = shape_of(table, q)
-        decisions = [router.execute(q) for _ in range(3)]
+        decisions = [run(router, q) for _ in range(3)]
         assert [(d.path, d.probe) for d in decisions] == [
             ("stub", True), ("cube", True), ("stub", False),
         ]
@@ -226,11 +244,11 @@ class TestForCube:
         assert cube.epoch == epoch + 1
 
         assert router.book.samples(s, "cube") == 1  # forgotten on decide
-        decision = router.execute(q)
+        decision = run(router, q)
         assert (decision.path, decision.probe) == ("cube", True)
         assert router.book.samples(s, "cube") == 1
         assert router.book.samples(s, "stub") == 2
-        assert router.execute(q).path == "stub"
+        assert run(router, q).path == "stub"
 
     def test_uncoverable_query_estimates_inf_but_still_answers(self):
         """A cube materializing only {a1} cannot cover a2-queries: its
@@ -243,10 +261,10 @@ class TestForCube:
         cube = RankingCube.build(table, block_size=12, cuboid_sets=[("a1",)])
         router = AdaptiveRouter.for_cube(cube, table)
         q = query(k=5, selections={"a2": 1})
-        decision = router.execute(q)
+        got = [(r.score, r.tid) for r in router.execute(q).rows]
+        decision = router.last_decision
         assert decision.analytic["cube"] == math.inf
         assert decision.path == "baseline"
-        got = [(r.score, r.tid) for r in decision.result.rows]
         assert got == brute_force_topk(SCHEMA, rows, q)
 
 
@@ -367,8 +385,8 @@ def replay_drifting_stream(
                 if repartition_cube(cube, table, table.pool, registry=registry).swapped:
                     repartitions += 1
         if scenario == "adaptive":
-            decision = router.execute(query)
-            result, cost = decision.result, decision.observed_io
+            result = router.execute(query)
+            cost = router.last_decision.observed_io
             advisor.observe(query)
             if (index + 1) % advise_interval == 0:
                 advisor.advise_once()

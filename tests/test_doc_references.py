@@ -1,4 +1,4 @@
-"""The README and DESIGN name only code that exists.
+"""The README, DESIGN and ROADMAP name only code that exists.
 
 Docs drift when code is deleted: a section keeps advertising a switch or
 a kernel that is gone.  Two kinds of reference are checkable, so they
@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-DOCS = ("README.md", "DESIGN.md")
+DOCS = ("README.md", "DESIGN.md", "ROADMAP.md")
 
 DOTTED = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
 FILE_LINE = re.compile(r"([\w./-]+\.py):(\d+)(?:-(\d+))?")
