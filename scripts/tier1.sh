@@ -68,7 +68,17 @@
 #                         only router: repro.core.hybrid / multigrid do not
 #                         import, only route/router.py calls the cost
 #                         estimators, and no HybridExecutor /
-#                         MultiCubeRouter identifier is left
+#                         MultiCubeRouter identifier is left.
+#                         tests/core/test_maintenance_races.py is the race
+#                         matrix: every (outer, inner) pair of compaction,
+#                         repartition and the cuboid advisor, the inner
+#                         run inside the outer's pre-swap pool.flush(); the
+#                         outer aborts, the inner's change survives and
+#                         answers equal the oracle.  tests/core/
+#                         test_single_install.py is the structural test
+#                         that only core/cube.py writes cube state (one
+#                         RankingCube.install) and the maintenance daemon
+#                         loop (start / wake / _worker) is written once
 #   2. gate cases       — tests/serve/test_single_path.py, the structural
 #                         test that sharded serving is ONE merge loop over
 #                         two transports (no thread/process fork in
@@ -108,7 +118,7 @@ export PYTHONPATH=src
 # stalling the whole gate.  Tests may tighten it with @pytest.mark.timeout.
 export REPRO_TEST_TIMEOUT="${REPRO_TEST_TIMEOUT:-300}"
 
-echo "== tier1 1/4: fast test suite (incl. structural single-search/one-engine + single-node-codec + one-router tests, examples test, doc-reference test, bound-table + selective-read + splice properties, block-cache equivalence, indexed delta, figure page pins, build image pin, reverse + adaptive gates) =="
+echo "== tier1 1/4: fast test suite (incl. structural single-search/one-engine + single-node-codec + one-router + single-install tests, maintenance race matrix, examples test, doc-reference test, bound-table + selective-read + splice properties, block-cache equivalence, indexed delta, figure page pins, build image pin, reverse + adaptive gates) =="
 python -m pytest -m "not slow and not serve and not faults" -q
 
 echo "== tier1 2/4: sharded serving single-path test + serve-marked gate cases (identity, hot shard, early stop, shared-cache reads, WAL replay) =="

@@ -7,7 +7,7 @@ future work).  Unbounded, that store grows every query's merge and
 survives only as long as the process.  :class:`CubeCompactor` drains it
 back into the materialization:
 
-1. **snapshot** the cube's queryable state (under the cube's state lock),
+1. **snapshot** the cube's queryable state,
 2. **classify** delta entries — a tuple whose ranking point lies inside
    the grid's full box is *absorbable*; an out-of-grid tuple stays
    *residual* in the delta, because :meth:`BlockGrid.locate` clamps to
@@ -22,27 +22,16 @@ back into the materialization:
    bid) pairs`` for each cuboid (the additions maps; their sizes are
    :attr:`CompactionReport.cells_merged`),
 4. **splice** fresh :class:`BaseBlockTable` / :class:`RankingCuboid`
-   objects onto new pages (build-once stores are never mutated in
-   place): each store's old record bytes are copied as they are and only
-   the additions are packed (:meth:`ChainStore.splice`).  Records are
-   fixed-width, the new tids sort after every stored one, and the packing
-   rule reads only record counts, so the image equals a from-scratch
-   build over old + delta; cuboid epochs bump so serving-cache keys from
-   the old generation can never satisfy new-generation lookups,
-5. **flush** the buffer pool — the new pages must be durable *before*
-   anything references them (write-ahead ordering: a crash after the
-   flush but before the swap leaves the new pages unreferenced garbage,
-   never a referenced hole),
-6. **swap** the ``(base_table, cuboids, delta)`` triple atomically under
-   the cube's state lock; the new delta store holds only the residual
-   entries (plus any appended concurrently),
-7. **notify** the cube's invalidation listeners (outside the lock), the
-   same protocol ``refresh_delta`` uses, so serving caches drop stale
-   cells while query traffic keeps flowing.
-
-Queries run against per-query snapshots (:meth:`RankingCube.snapshot`),
-so a query started before the swap finishes against the old triple and a
-query started after sees the new one — never a mix.
+   objects onto new pages: each store's old record bytes are copied as
+   they are and only the additions are packed (:meth:`ChainStore.splice`),
+   so the image equals a from-scratch build over old + delta; cuboid
+   epochs bump so serving-cache keys from the old generation can never
+   satisfy new-generation lookups,
+5. **flush** the buffer pool, then :meth:`RankingCube.install` the new
+   base table and cuboids with the residual entries as the delta.  If
+   another install (a compaction, re-partition or advisor swap) landed
+   since the snapshot, nothing changes and the run reports ``aborted``;
+   the delta is still pending, so the next run absorbs it.
 
 Crash consistency is exercised by ``tests/faults/test_compaction_crash.py``
 through the :data:`COMPACTION_FAULT_POINTS` hook: killing the compactor
@@ -52,13 +41,12 @@ state, never a partial one.
 
 from __future__ import annotations
 
-import threading
-import time
 from dataclasses import dataclass, field
 
 from ..obs.tracing import maybe_span
 from .cube import RankingCube
 from .cuboid import RankingCuboid
+from .daemon import MaintenanceDaemon
 from .parallel import CuboidSpec, build_shard_partial
 
 #: Named instants where the crash harness may kill a compaction run, in
@@ -73,8 +61,8 @@ COMPACTION_FAULT_POINTS = (
     "base-built",     # after materializing the new base table
     "cuboids-built",  # after materializing every new cuboid
     "flushed",        # after the pre-swap durability flush
-    "swapped",        # after the atomic state swap
-    "notified",       # after invalidation listeners ran
+    "swapped",        # after the install (swap + listeners)
+    "notified",       # after the on_swap callback
 )
 
 
@@ -90,12 +78,13 @@ class CompactionReport:
     residual: int = 0            #: out-of-grid tuples left in the delta
     cells_merged: int = 0        #: distinct cuboid cells receiving new tuples
     cuboids_rebuilt: int = 0
-    swapped: bool = False        #: False means a no-op (nothing absorbable)
+    swapped: bool = False        #: False: nothing absorbable, or aborted
+    aborted: bool = False        #: another install landed first
     wall_s: float = 0.0
     epochs: dict = field(default_factory=dict)  #: cuboid name -> new epoch
 
 
-class CubeCompactor:
+class CubeCompactor(MaintenanceDaemon):
     """Foreground and background delta compaction for one cube.
 
     Parameters
@@ -115,11 +104,15 @@ class CubeCompactor:
         as the run passes it; raising simulates a kill at that instant.
     on_swap:
         Optional callback invoked with the number of absorbed tuples
-        after each successful swap (and after the ``swapped`` fault
+        after each successful install (and after the ``swapped`` fault
         point, so a simulated kill models a crash *between* the swap and
         the callback).  The ingestion layer uses it to retire drained
         delta runs and advance the WAL checkpoint.
     """
+
+    error = CompactionError
+    thread_name = "cube-compactor"
+    metric_prefix = "compact"
 
     def __init__(
         self,
@@ -132,26 +125,17 @@ class CubeCompactor:
     ):
         if min_delta < 1:
             raise CompactionError(f"min_delta must be >= 1, got {min_delta}")
+        super().__init__(getattr(pool, "registry", None))
         self.cube = cube
         self.pool = pool
         self.min_delta = min_delta
         self.tracer = tracer
         self.fault_hook = fault_hook
         self.on_swap = on_swap
-        self.registry = getattr(pool, "registry", None)
-        #: serializes compaction runs (foreground drain vs background worker)
-        self._run_lock = threading.Lock()
-        self._cond = threading.Condition()
-        self._thread: threading.Thread | None = None
-        self._closed = False
-        self._wake_requested = False
         #: residual watermark: a delta of only unabsorbable tuples must not
         #: busy-loop the worker; it re-runs only when the delta grows past
         #: what the last run left behind
         self._last_residual = 0
-        self.runs = 0
-        self.last_report: CompactionReport | None = None
-        self.last_error: BaseException | None = None
 
     # ------------------------------------------------------------------
     # one compaction run (foreground)
@@ -162,13 +146,12 @@ class CubeCompactor:
         Safe to call while queries run: the swap is a pointer flip under
         the cube's state lock, and queries execute against per-query
         snapshots.  Returns a report; ``swapped=False`` means nothing was
-        absorbable (the delta was empty or entirely out-of-grid).
+        absorbable (the delta was empty or entirely out-of-grid) or, with
+        ``aborted=True``, that another install landed first.
         """
-        with self._run_lock:
-            return self._compact_locked()
+        return self._pass()
 
-    def _compact_locked(self) -> CompactionReport:
-        started = time.perf_counter()
+    def _run(self) -> CompactionReport:
         report = CompactionReport()
         cube = self.cube
         with maybe_span(self.tracer, "compact") as span:
@@ -177,7 +160,6 @@ class CubeCompactor:
 
             with maybe_span(self.tracer, "compact.classify"):
                 lower, upper = state.grid.full_box()
-                drained = state.delta_size
                 absorbable: list[tuple[int, dict, dict]] = []
                 residual: list[tuple[int, dict, dict]] = []
                 for entry in state.delta:
@@ -188,12 +170,9 @@ class CubeCompactor:
                     )
                     (absorbable if inside else residual).append(entry)
             self._fault("classify")
-
+            report.residual = len(residual)
             if not absorbable:
                 self._last_residual = len(residual)
-                report.residual = len(residual)
-                report.wall_s = time.perf_counter() - started
-                self._record(report, noop=True)
                 return report
 
             # --- merge: the absorbed rows per key, in tid order -----------
@@ -227,12 +206,11 @@ class CubeCompactor:
                     ],
                     pseudo_maps={c.scale_factor: c.pseudo for c in cuboids},
                 )
-                base_additions = grouped.base_groups
                 cell_additions = dict(zip(state.cuboids, grouped.cuboid_groups))
 
             # --- splice the stores onto fresh pages -----------------------
             with maybe_span(self.tracer, "compact.rebuild"):
-                new_base = state.base_table.spliced(base_runs, base_additions)
+                new_base = state.base_table.spliced(base_runs, grouped.base_groups)
                 self._fault("base-built")
                 new_cuboids: dict[frozenset, RankingCuboid] = {
                     key: cuboid.spliced(cuboid.runs(), cell_additions[key])
@@ -245,52 +223,37 @@ class CubeCompactor:
                 self.pool.flush()
             self._fault("flushed")
 
-            # --- atomic swap ----------------------------------------------
-            with cube._state_lock:
-                # Keep residual entries plus anything refresh_delta appended
-                # after our snapshot; the snapshot's prefix is what we merged.
-                survivors = residual + cube._delta.entries[drained:]
-                cube.base_table = new_base
-                cube.cuboids = new_cuboids
-                cube._delta = survivors
+            # --- install: the snapshot's delta prefix is what we merged ---
+            if not cube.install(
+                state, base_table=new_base, cuboids=new_cuboids,
+                residual=residual,
+            ):
+                report.aborted = True
+                return report
             self._last_residual = len(residual)
             self._fault("swapped")
             if self.on_swap is not None:
                 self.on_swap(len(ordered))
-
-            cube._notify_invalidation()
             self._fault("notified")
 
             report.absorbed = len(ordered)
-            report.residual = len(residual)
             report.cells_merged = sum(map(len, cell_additions.values()))
             report.cuboids_rebuilt = len(new_cuboids)
             report.swapped = True
             report.epochs = {c.name: c.epoch for c in new_cuboids.values()}
-            report.wall_s = time.perf_counter() - started
             if span is not None:
                 span.add_many(
                     absorbed=report.absorbed,
                     residual=report.residual,
                     cuboids_rebuilt=report.cuboids_rebuilt,
                 )
-        self._record(report, noop=False)
         return report
 
     def _fault(self, point: str) -> None:
         if self.fault_hook is not None:
             self.fault_hook(point)
 
-    def _record(self, report: CompactionReport, noop: bool) -> None:
-        self.runs += 1
-        self.last_report = report
-        if self.registry is None:
-            return
-        self.registry.counter("compact.runs").inc()
-        if noop:
-            self.registry.counter("compact.noops").inc()
-            return
-        self.registry.counter("compact.swaps").inc()
+    def _record_swap(self, report: CompactionReport) -> None:
         self.registry.counter("compact.tuples_absorbed").inc(report.absorbed)
         self.registry.counter("compact.tuples_residual").inc(report.residual)
         self.registry.counter("compact.cells_merged").inc(report.cells_merged)
@@ -300,67 +263,7 @@ class CubeCompactor:
         self.registry.histogram("compact.wall_s").observe(report.wall_s)
 
     # ------------------------------------------------------------------
-    # background worker
+    # background worker (MaintenanceDaemon)
     # ------------------------------------------------------------------
-    def start(self) -> "CubeCompactor":
-        """Start the background worker thread (idempotent)."""
-        with self._cond:
-            if self._closed:
-                raise CompactionError("compactor is closed")
-            if self._thread is not None:
-                return self
-            self._thread = threading.Thread(
-                target=self._worker, name="cube-compactor", daemon=True
-            )
-            self._thread.start()
-        return self
-
-    @property
-    def running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
-
-    def wake(self) -> None:
-        """Ask the background worker to compact now, regardless of size."""
-        with self._cond:
-            self._wake_requested = True
-            self._cond.notify_all()
-
-    def drain(self) -> CompactionReport:
-        """Foreground convenience: compact now and return the report."""
-        return self.compact_once()
-
-    def close(self, wait: bool = True) -> None:
-        """Stop the background worker.  Idempotent; safe without start."""
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-            thread = self._thread
-        if wait and thread is not None:
-            thread.join()
-
     def _pending(self) -> bool:
-        if self._wake_requested:
-            return True
         return self.cube.delta_size > max(self._last_residual, self.min_delta - 1)
-
-    def _worker(self) -> None:
-        while True:
-            with self._cond:
-                while not self._closed and not self._pending():
-                    self._cond.wait(timeout=0.05)
-                if self._closed:
-                    return
-                self._wake_requested = False
-            try:
-                self.compact_once()
-            except BaseException as exc:  # noqa: BLE001 - worker must survive
-                self.last_error = exc
-                if self.registry is not None:
-                    self.registry.counter("compact.errors").inc()
-
-    # ------------------------------------------------------------------
-    def __enter__(self) -> "CubeCompactor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

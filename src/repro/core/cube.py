@@ -21,7 +21,7 @@ import threading
 import time
 from bisect import bisect_left
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from ..obs.tracing import maybe_span
 from ..relational.table import Table
@@ -71,13 +71,16 @@ class RankingCube:
         ) if cuboids else frozenset()
         #: serving-layer caches subscribed to maintenance events
         self._invalidation_listeners: list = []
-        #: guards every mutation of cube state visible to queries — the
-        #: (base_table, cuboids, delta) triple changes only under this
+        #: guards every mutation of cube state visible to queries — only
+        #: :meth:`install` and :meth:`refresh_delta` change it, under this
         #: lock, and :meth:`snapshot` reads it under the same lock, so a
-        #: background compaction swap is atomic from any query's view
+        #: maintenance swap is atomic from any query's view
         self._state_lock = threading.Lock()
         #: delta store: (tid, {sel dim: value}, {rank dim: value}) entries
         self._delta = []
+        #: maintenance generation: bumped by every :meth:`install` (not by
+        #: appends) and recorded by every snapshot
+        self._generation = 0
 
     @property
     def _delta(self) -> "DeltaStore":
@@ -148,22 +151,13 @@ class RankingCube:
             if selection_dims is None:
                 selection_dims = schema.selection_names
             ranking_dims = tuple(ranking_dims)
-            selection_dims = tuple(selection_dims)
             if not ranking_dims:
                 raise CubeError("a ranking cube needs at least one ranking dimension")
 
             # One scan of the relation gathers everything the build needs.
             with maybe_span(tracer, "build.scan"):
-                rank_pos = [schema.position(d) for d in ranking_dims]
-                sel_pos = [schema.position(d) for d in selection_dims]
-                tids: list[int] = []
-                points: list[tuple[float, ...]] = []
-                sel_rows: list[tuple[int, ...]] = []
-                for record in table.scan():
-                    tids.append(int(record[0]))
-                    points.append(tuple(float(record[1 + p]) for p in rank_pos))
-                    sel_rows.append(tuple(int(record[1 + p]) for p in sel_pos))
-                if not tids:
+                rows = scan_rows(table, ranking_dims, selection_dims)
+                if not rows.tids:
                     raise CubeError(
                         "cannot build a ranking cube over an empty relation"
                     )
@@ -171,74 +165,31 @@ class RankingCube:
             if grid is None:
                 if partitioner is None:
                     partitioner = EquiDepthPartitioner()
-                columns = list(zip(*points))
+                columns = list(zip(*rows.points))
                 grid = partitioner.build_grid(ranking_dims, columns, block_size)
 
-            # Resolve the cuboid family up front (names, key positions, and
-            # scale factors) so the grouping phase — serial or sharded — is
-            # policy-free arithmetic.
             if cuboid_sets is None:
                 cuboid_sets = full_cube_sets(selection_dims)
-            sel_index = {dim: i for i, dim in enumerate(selection_dims)}
-            specs: list[CuboidSpec] = []
-            spec_meta: list[tuple[frozenset, tuple[str, ...], tuple[int, ...]]] = []
-            seen: set[frozenset] = set()
-            for dims in cuboid_sets:
-                dims = tuple(dims)
-                key = frozenset(dims)
-                if key in seen:
-                    continue
-                seen.add(key)
-                missing = [d for d in dims if d not in sel_index]
+            family: dict[frozenset, tuple] = {}
+            for dims in map(tuple, cuboid_sets):
+                missing = [d for d in dims if d not in rows.selection_dims]
                 if missing:
                     raise CubeError(f"unknown selection dimensions {missing}")
-                positions = tuple(sel_index[d] for d in dims)
-                cardinalities = tuple(schema.cardinalities(dims))
-                scale = (
-                    scale_factor(cardinalities, grid.num_dims)
-                    if pseudo_scale_override is None
-                    else pseudo_scale_override
-                )
-                specs.append(CuboidSpec(dims=dims, positions=positions, scale=scale))
-                spec_meta.append((key, dims, cardinalities))
-
-            with maybe_span(tracer, "build.group", workers=workers) as group_span:
-                grouped = compute_build_groups(
-                    grid, specs, tids, points, sel_rows, workers=workers
-                )
-                if group_span is not None:
-                    group_span.add("shards", grouped.shards)
-
-            # Materialization (page allocation + writes) is single-threaded
-            # in the parent, in the exact order the serial build uses —
-            # this is what makes the parallel image byte-identical.
-            with maybe_span(tracer, "build.materialize"):
-                base_table = BaseBlockTable.from_groups(
-                    table.pool, grid, grouped.base_groups
-                )
-                cuboids: dict[frozenset, RankingCuboid] = {}
-                for (key, dims, cardinalities), groups in zip(
-                    spec_meta, grouped.cuboid_groups
-                ):
-                    cuboids[key] = RankingCuboid.from_groups(
-                        table.pool,
-                        dims,
-                        cardinalities,
-                        grid,
-                        groups,
-                        scale_override=pseudo_scale_override,
-                        compress=compress,
-                    )
+                family.setdefault(frozenset(dims), (dims, pseudo_scale_override))
+            base_table, cuboids, shards = materialize(
+                table.pool, grid, schema, list(family.values()), rows,
+                compress=compress, workers=workers, tracer=tracer,
+            )
 
             if build_span is not None:
                 build_span.add_many(
-                    tuples=len(tids), cuboids=len(cuboids), shards=grouped.shards
+                    tuples=len(rows.tids), cuboids=len(cuboids), shards=shards
                 )
         if registry is not None:
             registry.counter("build.runs").inc()
-            registry.counter("build.tuples").inc(len(tids))
+            registry.counter("build.tuples").inc(len(rows.tids))
             registry.counter("build.cuboids").inc(len(cuboids))
-            registry.counter("build.shards").inc(grouped.shards)
+            registry.counter("build.shards").inc(shards)
             registry.histogram("build.wall_s").observe(time.perf_counter() - started)
         return cls(grid, base_table, cuboids, block_size)
 
@@ -298,16 +249,18 @@ class RankingCube:
     # Listeners are live serving-layer caches; a persisted snapshot must
     # not capture them (they hold locks and process-local state).  The
     # copy happens under the state lock so a pickle taken while a
-    # background compaction is swapping state captures either the old or
+    # maintenance install is swapping state captures either the old or
     # the new (base_table, cuboids, delta) triple — never a mix.
     # The delta pickles as its plain entry list; the cell indexes are
-    # rebuilt on first use, bound to the loaded cube's fresh lock.
+    # rebuilt on first use, bound to the loaded cube's fresh lock.  The
+    # maintenance generation is, like the lock, process-local: no
+    # snapshot outlives the process that took it.
     def __getstate__(self):
         with self._state_lock:
             state = self.__dict__.copy()
             state["_delta"] = list(state.pop("_delta_store").entries)
         state["_invalidation_listeners"] = []
-        del state["_state_lock"]
+        del state["_state_lock"], state["_generation"]
         return state
 
     def __setstate__(self, state):
@@ -316,6 +269,7 @@ class RankingCube:
         self._invalidation_listeners = []
         self._state_lock = threading.Lock()
         self._delta = entries
+        self._generation = 0
 
     # ------------------------------------------------------------------
     # consistent read snapshots
@@ -338,7 +292,46 @@ class RankingCube:
                 delta_size=len(self._delta_store),
                 watermark=self.watermark,
                 block_size=self.block_size,
+                generation=self._generation,
             )
+
+    def install(
+        self,
+        snapshot: "CubeSnapshot",
+        *,
+        grid: BlockGrid | None = None,
+        base_table: BaseBlockTable | None = None,
+        cuboids: dict[frozenset, RankingCuboid] | None = None,
+        residual: Iterable[tuple[int, dict, dict]] = (),
+    ) -> bool:
+        """Replace parts of the cube with stores rebuilt from ``snapshot``.
+
+        The one writer of the materialization: compaction, re-partition
+        and the cuboid advisor build fresh stores from a snapshot, flush
+        the pool (write-ahead: new pages are durable before anything
+        references them) and call this.  If another install landed since
+        ``snapshot``, the stores were built from dead state: nothing
+        changes and it returns ``False`` (the caller reports an abort).
+        Otherwise the given parts replace the current ones under the state
+        lock; the delta (live rows the base table lacks) changes with the
+        base table, to ``residual`` plus every entry appended after the
+        snapshot.  Invalidation listeners run after the lock is released.
+        """
+        with self._state_lock:
+            if self._generation != snapshot.generation:
+                return False
+            self._generation += 1
+            if grid is not None:
+                self.grid = grid
+            if cuboids is not None:
+                self.cuboids = cuboids
+            if base_table is not None:
+                self.base_table = base_table
+                self._delta = (
+                    list(residual) + self._delta.entries[snapshot.delta_size:]
+                )
+        self._notify_invalidation()
+        return True
 
     # ------------------------------------------------------------------
     # incremental maintenance (delta store)
@@ -381,18 +374,9 @@ class RankingCube:
 
     @property
     def epoch(self) -> int:
-        """The cube's materialization generation.
-
-        Compaction rebuilds every cuboid with a bumped epoch and swaps
-        them in together, so the per-cuboid epochs always agree; this is
-        that common value (0 for a freshly built cube).  Snapshot
-        manifests pin it so a reloaded or replicated deployment can prove
-        which generation it serves.
-        """
-        epochs = {c.epoch for c in self.cuboids.values()}
-        if len(epochs) > 1:
-            raise CubeError(f"mixed cuboid generations: {sorted(epochs)}")
-        return epochs.pop() if epochs else 0
+        """The cube's materialization generation (see
+        :attr:`CubeSnapshot.epoch`)."""
+        return self.snapshot().epoch
 
     def needs_rebuild(self, max_delta_fraction: float = 0.1) -> bool:
         """Whether the delta store has outgrown the materialization."""
@@ -449,12 +433,12 @@ class CubeSnapshot:
 
     __slots__ = (
         "grid", "base_table", "cuboids", "delta_store", "delta_size",
-        "watermark", "block_size",
+        "watermark", "block_size", "generation",
     )
 
     def __init__(
         self, grid, base_table, cuboids, delta_store, delta_size, watermark,
-        block_size,
+        block_size, generation,
     ):
         self.grid = grid
         self.base_table = base_table
@@ -463,6 +447,8 @@ class CubeSnapshot:
         self.delta_size = delta_size
         self.watermark = watermark
         self.block_size = block_size
+        #: the cube's maintenance generation (see :meth:`RankingCube.install`)
+        self.generation = generation
 
     @property
     def delta(self) -> list[tuple[int, dict, dict]]:
@@ -481,11 +467,25 @@ class CubeSnapshot:
 
     @property
     def epoch(self) -> int:
-        """Materialization generation this snapshot pinned (see
-        :attr:`RankingCube.epoch`); snapshots never span a swap, so the
-        per-cuboid epochs here agree by construction."""
+        """The materialization generation this snapshot pinned.
+
+        Compaction and re-partition rebuild every cuboid with a bumped
+        epoch and install them together (the advisor stamps promotions
+        with the current one), so the per-cuboid epochs always agree;
+        this is that common value (0 for a freshly built cube).  Snapshot
+        manifests pin it so a reloaded or replicated deployment can prove
+        which generation it serves.
+        """
         epochs = {c.epoch for c in self.cuboids.values()}
-        return epochs.pop() if len(epochs) == 1 else 0
+        if len(epochs) > 1:
+            raise CubeError(f"mixed cuboid generations: {sorted(epochs)}")
+        return epochs.pop() if epochs else 0
+
+    @property
+    def compressed(self) -> bool:
+        """Whether the cuboids use the gap-coded encoding; a maintenance
+        rebuild writes its cuboids in the same one."""
+        return any(c.compressed for c in self.cuboids.values())
 
 
 def _covering_cuboids(
@@ -595,6 +595,91 @@ def full_cube_sets(selection_dims: Sequence[str]) -> list[tuple[str, ...]]:
     for size in range(1, len(dims) + 1):
         sets.extend(itertools.combinations(dims, size))
     return sets
+
+
+class ScannedRows(NamedTuple):
+    """One scan's rows in tid order: ``points`` over the ranking
+    dimensions, ``sel_rows`` over ``selection_dims``."""
+
+    selection_dims: tuple[str, ...]
+    tids: list[int]
+    points: list[tuple[float, ...]]
+    sel_rows: list[tuple[int, ...]]
+
+
+def scan_rows(
+    table: Table,
+    ranking_dims: Sequence[str],
+    selection_dims: Sequence[str],
+    keep=None,
+) -> ScannedRows:
+    """One sequential scan of ``table``; ``keep(tid)`` restricts it (a
+    maintenance rebuild reads a snapshot's live or base-resident rows)."""
+    schema = table.schema
+    rank_pos = [schema.position(d) for d in ranking_dims]
+    sel_pos = [schema.position(d) for d in selection_dims]
+    records = table.scan()
+    if keep is not None:
+        records = (record for record in records if keep(int(record[0])))
+    tids, points, sel_rows = [], [], []
+    for record in records:
+        tids.append(int(record[0]))
+        points.append(tuple(float(record[1 + p]) for p in rank_pos))
+        sel_rows.append(tuple(int(record[1 + p]) for p in sel_pos))
+    return ScannedRows(tuple(selection_dims), tids, points, sel_rows)
+
+
+def materialize(
+    pool: BufferPool,
+    grid: BlockGrid,
+    schema,
+    family: Sequence[tuple[tuple[str, ...], int | None]],
+    rows: ScannedRows,
+    *,
+    with_base: bool = True,
+    compress: bool = False,
+    epoch: int = 0,
+    workers: int = 1,
+    tracer=None,
+) -> tuple[BaseBlockTable | None, dict[frozenset, RankingCuboid], int]:
+    """Group ``rows`` on ``grid`` and write fresh stores: the base block
+    table (unless ``with_base`` is false) and one cuboid per ``(dims,
+    scale factor)`` of ``family`` (``None``: the computed factor),
+    stamped ``epoch``.  Returns ``(base table or None, {dims set:
+    cuboid}, shards)``.  Only grouping fans out to ``workers``; pages are
+    allocated and written here in the serial order, which is what makes a
+    parallel build's device image byte-identical.
+    """
+    sel_index = {dim: i for i, dim in enumerate(rows.selection_dims)}
+    metas, specs = [], []
+    for dims, scale in family:
+        cardinalities = tuple(schema.cardinalities(dims))
+        if scale is None:
+            scale = scale_factor(cardinalities, grid.num_dims)
+        metas.append((dims, cardinalities, scale))
+        specs.append(CuboidSpec(dims, tuple(sel_index[d] for d in dims), scale))
+    with maybe_span(tracer, "build.group", workers=workers) as group_span:
+        grouped = compute_build_groups(
+            grid, specs, rows.tids, rows.points, rows.sel_rows, workers=workers
+        )
+        if group_span is not None:
+            group_span.add("shards", grouped.shards)
+    with maybe_span(tracer, "build.materialize"):
+        base_table = (
+            BaseBlockTable.from_groups(pool, grid, grouped.base_groups)
+            if with_base
+            else None
+        )
+        cuboids = {
+            frozenset(dims): RankingCuboid.from_groups(
+                pool, dims, cardinalities, grid, groups,
+                scale_override=scale, compress=compress, epoch=epoch,
+            )
+            for (dims, cardinalities, scale), groups in zip(
+                metas, grouped.cuboid_groups
+            )
+        }
+    return base_table, cuboids, grouped.shards
 
 
 def _minimum_cover(candidates: list[frozenset], wanted: frozenset) -> list[frozenset]:

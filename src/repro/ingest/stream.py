@@ -429,22 +429,20 @@ class ShardedStreamIngestor:
         shard = self.cube.shards[shard_id]
         if shard.cube is None:
             return None
-        compactor = CubeCompactor(
-            shard.cube,
-            shard.db.pool,
-            min_delta=1,
-            fault_hook=self._compactor_fault,
-        )
-        report = compactor.compact_once()
+        report = self._shard_compactor(shard).compact_once()
         if report.swapped:
             self._count("ingest.compactions", shard=shard_id)
             if self.directory is not None:
                 self._workspace.save_shard(self.directory, shard_id)
         return report
 
-    def _compactor_fault(self, point: str) -> None:
-        if point == "swapped" and self.fault_hook is not None:
-            self.fault_hook("compaction-swap")
+    _compactor_fault = StreamIngestor._compactor_fault
+
+    def _shard_compactor(self, shard) -> CubeCompactor:
+        return CubeCompactor(
+            shard.cube, shard.db.pool, min_delta=1,
+            fault_hook=self._compactor_fault,
+        )
 
     # ------------------------------------------------------------------
     def checkpoint(self, directory: str | Path | None = None) -> dict:
@@ -455,13 +453,7 @@ class ShardedStreamIngestor:
         self.directory = target
         for shard in self.cube.shards:
             if shard.cube is not None and shard.cube.delta_size:
-                compactor = CubeCompactor(
-                    shard.cube,
-                    shard.db.pool,
-                    min_delta=1,
-                    fault_hook=self._compactor_fault,
-                )
-                compactor.compact_once()
+                self._shard_compactor(shard).compact_once()
         self.tiers.drain(self.tiers.total_rows)
         self._workspace.save(target)
         covered = self.cube.num_rows

@@ -8,34 +8,28 @@ space budget (in Lemma 2's tuple-entry units) it
 * **promotes** a hot, not-yet-materialized dimension set to a real
   cuboid — built from the *base-table-resident* tuples only (delta tuples
   are merged by every query separately, so materializing them twice
-  would double-count), grouped by the same
-  :func:`~repro.core.parallel.compute_build_groups` arithmetic the
-  builder and compactor use, and stamped with the cube's **current**
-  epoch so the mixed-generation guard in :attr:`RankingCube.epoch` holds;
+  would double-count) by :meth:`RankingCube.build`'s own scan -> group
+  -> materialize routine, in the cube's encoding, and stamped with the
+  cube's **current** epoch so the mixed-generation guard in
+  :attr:`RankingCube.epoch` holds;
 * **demotes** cold non-singleton cuboids to reclaim budget.  Singletons
   are never demoted: they are the covering safety net — as long as every
   selection dimension keeps its singleton cuboid, any query stays
   answerable (Section 4.2.1's covering always succeeds).
 
-The swap protocol is :class:`~repro.core.compaction.CubeCompactor`'s:
-build on fresh pages, flush the pool (write-ahead ordering), swap the
-cuboid map atomically under the cube's state lock, then notify
-invalidation listeners.  If a concurrent compaction replaced the base
-table between our snapshot and the swap, the run aborts without swapping
-(the promoted cuboids would index a dead generation) and retries on the
-next round.
+The new cuboid map goes in through :meth:`RankingCube.install`; a run
+that loses a race to another install aborts, keeps its observations and
+retries on the next round.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..core.cube import RankingCube
+from ..core.cube import RankingCube, materialize, scan_rows
 from ..core.cuboid import RankingCuboid
-from ..core.parallel import CuboidSpec, compute_build_groups
-from ..core.pseudo import scale_factor
+from ..core.daemon import MaintenanceDaemon
 from ..obs.tracing import maybe_span
 from ..relational.query import TopKQuery
 from ..relational.table import Table
@@ -56,11 +50,11 @@ class AdvisorReport:
     entries_before: int = 0
     entries_after: int = 0
     swapped: bool = False
-    aborted: bool = False        #: a concurrent compaction raced the swap
+    aborted: bool = False        #: another install landed first
     wall_s: float = 0.0
 
 
-class CubeAdvisor:
+class CubeAdvisor(MaintenanceDaemon):
     """Popularity-driven cuboid promotion/demotion under a space budget.
 
     Parameters
@@ -87,6 +81,10 @@ class CubeAdvisor:
         factor, so the advisor tracks the *recent* workload.
     """
 
+    error = AdvisorError
+    thread_name = "cube-advisor"
+    metric_prefix = "route.advisor"
+
     def __init__(
         self,
         cube: RankingCube,
@@ -107,6 +105,7 @@ class CubeAdvisor:
             raise AdvisorError("fractions must lie in (0,1] / [0,1)")
         if not 0 <= decay <= 1:
             raise AdvisorError("decay must lie in [0, 1]")
+        super().__init__(registry)
         self.cube = cube
         self.table = table
         self.pool = pool
@@ -116,19 +115,10 @@ class CubeAdvisor:
         self.cold_fraction = cold_fraction
         self.max_promote_dims = max_promote_dims
         self.decay = decay
-        self.registry = registry
         self.tracer = tracer
         self._counts: dict[frozenset, float] = {}
         self._observed_since = 0
         self._counts_lock = threading.Lock()
-        self._run_lock = threading.Lock()
-        self._cond = threading.Condition()
-        self._thread: threading.Thread | None = None
-        self._closed = False
-        self._wake_requested = False
-        self.runs = 0
-        self.last_report: AdvisorReport | None = None
-        self.last_error: BaseException | None = None
 
     # ------------------------------------------------------------------
     # workload observation
@@ -153,11 +143,9 @@ class CubeAdvisor:
     # one advisory run (foreground)
     # ------------------------------------------------------------------
     def advise_once(self) -> AdvisorReport:
-        with self._run_lock:
-            return self._advise_locked()
+        return self._pass()
 
-    def _advise_locked(self) -> AdvisorReport:
-        started = time.perf_counter()
+    def _run(self) -> AdvisorReport:
         report = AdvisorReport()
         with self._counts_lock:
             counts = dict(self._counts)
@@ -168,12 +156,9 @@ class CubeAdvisor:
             c.num_entries for c in state.cuboids.values()
         )
         if report.observations < self.min_observations or total <= 0:
-            report.wall_s = time.perf_counter() - started
-            self._record(report)
             return report
 
         with maybe_span(self.tracer, "route.advise") as span:
-            epoch = state.epoch
             num_tuples = state.base_table.num_tuples
             # Promotion candidates: hot sets with no exact cuboid.  Delta
             # correctness bound: the delta rows only carry values for the
@@ -234,12 +219,10 @@ class CubeAdvisor:
                 ",".join(sorted(key)) for key in skipped
             )
             if not promote and not demote:
-                report.wall_s = time.perf_counter() - started
-                self._record(report)
                 return report
 
             new_cuboids = (
-                self._build_promotions(state, promote, epoch)
+                self._build_promotions(state, promote, state.epoch)
                 if promote
                 else {}
             )
@@ -247,20 +230,17 @@ class CubeAdvisor:
             # write-ahead ordering: fresh pages durable before the swap
             self.pool.flush()
 
-            with self.cube._state_lock:
-                if self.cube.base_table is not state.base_table:
-                    # a compaction swapped generations under us: the
-                    # promoted cuboids index dead bids — drop them
-                    report.aborted = True
-                    report.wall_s = time.perf_counter() - started
-                    self._record(report)
-                    return report
-                updated = dict(self.cube.cuboids)
-                for key in demote:
-                    updated.pop(key, None)
-                updated.update(new_cuboids)
-                self.cube.cuboids = updated
-            self.cube._notify_invalidation()
+            updated = {
+                key: cuboid
+                for key, cuboid in state.cuboids.items()
+                if key not in demote
+            }
+            updated.update(new_cuboids)
+            if not self.cube.install(state, cuboids=updated):
+                # another install landed under us: the promoted cuboids
+                # may index dead bids, and the demotions a dead map
+                report.aborted = True
+                return report
 
             with self._counts_lock:
                 self._observed_since = 0
@@ -285,86 +265,35 @@ class CubeAdvisor:
                     demoted=len(report.demoted),
                     entries=report.entries_after,
                 )
-        report.wall_s = time.perf_counter() - started
-        self._record(report)
         return report
 
     def _build_promotions(
         self, state, promote: list[frozenset], epoch: int
     ) -> dict[frozenset, RankingCuboid]:
-        """Materialize the promoted sets from base-table-resident tuples."""
-        schema = self.table.schema
-        # one maintenance scan of the base table: tid-ordered, matching
-        # the canonical scan-order grouping of the from-scratch build
-        pairs: list[tuple[int, tuple[float, ...]]] = []
-        for _bid, records in state.base_table.blocks():
-            for record in records:
-                pairs.append((int(record[0]), tuple(record[1:])))
-        pairs.sort(key=lambda item: item[0])
-        tids = [tid for tid, _point in pairs]
-        points = [point for _tid, point in pairs]
-
-        needed_dims = tuple(sorted(set().union(*promote)))
-        needed_pos = {d: schema.position(d) for d in needed_dims}
-        sel_by_tid: dict[int, tuple[int, ...]] = {}
-        wanted = set(tids)
-        for record in self.table.scan():
-            tid = int(record[0])
-            if tid in wanted:
-                sel_by_tid[tid] = tuple(
-                    int(record[1 + needed_pos[d]]) for d in needed_dims
-                )
-        sel_rows = [sel_by_tid[tid] for tid in tids]
-
-        sel_index = {dim: i for i, dim in enumerate(needed_dims)}
-        specs: list[CuboidSpec] = []
-        spec_meta: list[tuple[frozenset, tuple[str, ...], tuple[int, ...]]] = []
-        for key in promote:
-            dims = tuple(sorted(key))
-            cardinalities = tuple(schema.cardinalities(dims))
-            scale = scale_factor(cardinalities, state.grid.num_dims)
-            specs.append(
-                CuboidSpec(
-                    dims=dims,
-                    positions=tuple(sel_index[d] for d in dims),
-                    scale=scale,
-                )
-            )
-            spec_meta.append((key, dims, cardinalities))
-
-        grouped = compute_build_groups(
-            state.grid, specs, tids, points, sel_rows
+        """Materialize the promoted sets from base-table-resident tuples:
+        the snapshot's live rows (``tid < watermark``) minus its delta."""
+        delta_tids = {tid for tid, _sel, _rank in state.delta}
+        needed_dims = sorted(set().union(*promote))
+        rows = scan_rows(
+            self.table,
+            state.grid.dims,
+            needed_dims,
+            keep=lambda tid: tid < state.watermark and tid not in delta_tids,
         )
-        built: dict[frozenset, RankingCuboid] = {}
-        for (key, dims, cardinalities), groups, spec in zip(
-            spec_meta, grouped.cuboid_groups, specs
-        ):
-            built[key] = RankingCuboid.from_groups(
-                self.pool,
-                dims,
-                cardinalities,
-                state.grid,
-                groups,
-                scale_override=spec.scale,
-                epoch=epoch,
-            )
+        _base, built, _shards = materialize(
+            self.pool,
+            state.grid,
+            self.table.schema,
+            [(tuple(sorted(key)), None) for key in promote],
+            rows,
+            with_base=False,
+            compress=state.compressed,
+            epoch=epoch,
+            tracer=self.tracer,
+        )
         return built
 
-    def _record(self, report: AdvisorReport) -> None:
-        self.runs += 1
-        self.last_report = report
-        if self.registry is None:
-            return
-        self.registry.counter("route.advisor.runs").inc()
-        if not report.swapped:
-            name = (
-                "route.advisor.aborts"
-                if report.aborted
-                else "route.advisor.noops"
-            )
-            self.registry.counter(name).inc()
-            return
-        self.registry.counter("route.advisor.swaps").inc()
+    def _record_swap(self, report: AdvisorReport) -> None:
         self.registry.counter("route.advisor.promotions").inc(
             len(report.promoted)
         )
@@ -374,62 +303,7 @@ class CubeAdvisor:
         self.registry.gauge("route.advisor.entries").set(report.entries_after)
 
     # ------------------------------------------------------------------
-    # background daemon
+    # background daemon (MaintenanceDaemon)
     # ------------------------------------------------------------------
-    def start(self) -> "CubeAdvisor":
-        """Start the background worker thread (idempotent)."""
-        with self._cond:
-            if self._closed:
-                raise AdvisorError("advisor is closed")
-            if self._thread is not None:
-                return self
-            self._thread = threading.Thread(
-                target=self._worker, name="cube-advisor", daemon=True
-            )
-            self._thread.start()
-        return self
-
-    @property
-    def running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
-
-    def wake(self) -> None:
-        with self._cond:
-            self._wake_requested = True
-            self._cond.notify_all()
-
-    def close(self, wait: bool = True) -> None:
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-            thread = self._thread
-        if wait and thread is not None:
-            thread.join()
-
     def _pending(self) -> bool:
-        return (
-            self._wake_requested
-            or self.observed_since_swap >= self.min_observations
-        )
-
-    def _worker(self) -> None:
-        while True:
-            with self._cond:
-                while not self._closed and not self._pending():
-                    self._cond.wait(timeout=0.05)
-                if self._closed:
-                    return
-                self._wake_requested = False
-            try:
-                self.advise_once()
-            except BaseException as exc:  # noqa: BLE001 - worker must survive
-                self.last_error = exc
-                if self.registry is not None:
-                    self.registry.counter("route.advisor.errors").inc()
-
-    # ------------------------------------------------------------------
-    def __enter__(self) -> "CubeAdvisor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        return self.observed_since_swap >= self.min_observations

@@ -13,10 +13,8 @@ counts the *live* population (base-table tuples plus the delta) per
 existing bin and reports the worst ``max bin depth / expected depth``
 ratio.  A fresh equi-depth build sits near 1.0 by construction; a drifted
 stream pushes it up.  Past a threshold, :func:`repartition_cube` rebuilds
-the grid over the current data and re-materializes base table and every
-cuboid through the same snapshot → build-on-fresh-pages → flush → atomic
-swap → invalidate seam the compactor uses, bumping every cuboid epoch so
-no stale cache entry survives.  Queries in flight keep their pinned
+the grid and every store over the live data and installs them (see
+:meth:`RankingCube.install`).  Queries in flight keep their pinned
 snapshots (old grid, old stores) and finish exactly; queries opened after
 the swap see the new geometry — never a mix.
 """
@@ -27,10 +25,7 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from ..core.base_table import BaseBlockTable
-from ..core.cube import RankingCube
-from ..core.cuboid import RankingCuboid
-from ..core.parallel import CuboidSpec, compute_build_groups
+from ..core.cube import RankingCube, materialize, scan_rows
 from ..core.partition import EquiDepthPartitioner, Partitioner
 from ..obs.tracing import maybe_span
 from ..relational.table import Table
@@ -129,14 +124,12 @@ def repartition_cube(
 ) -> RepartitionReport:
     """Rebuild the grid over the live data and swap it in online.
 
-    Follows the compactor's crash/concurrency discipline: everything is
-    built from one snapshot on fresh pages, the pool is flushed before
-    the swap (write-ahead ordering), the ``(grid, base_table, cuboids,
-    delta)`` quadruple flips atomically under the cube's state lock, and
-    invalidation listeners run after.  The whole snapshotted delta is
-    absorbed — the new grid is built over base *and* delta points, so
-    every one of them lands inside the new full box (no residuals).
-    Cuboid epochs bump by one, exactly like a compaction generation.
+    The build's own scan -> group -> materialize over one snapshot's live
+    rows (below its watermark: the base table plus the whole delta, so
+    nothing stays residual), on a new equi-depth grid, keeping each
+    cuboid's dimensions, scale factor and encoding and bumping every
+    epoch by one.  The stores go in through :meth:`RankingCube.install`;
+    a run that loses a race to another install reports ``aborted``.
     """
     started = time.perf_counter()
     report = RepartitionReport()
@@ -145,108 +138,41 @@ def repartition_cube(
     with maybe_span(tracer, "route.repartition") as span:
         state = cube.snapshot()
         report.blocks_before = state.grid.num_blocks
-        drained = state.delta_size
+        old = sorted(
+            state.cuboids.values(), key=lambda c: (len(c.dims), sorted(c.dims))
+        )
+        rows = scan_rows(
+            table,
+            state.grid.dims,
+            sorted(set().union(*state.cuboids)),
+            keep=lambda tid: tid < state.watermark,
+        )
+        report.tuples = len(rows.tids)
+        report.absorbed_delta = state.delta_size
 
-        # ---- gather the live population, tid-ordered (canonical order) --
-        entries: list[tuple[int, tuple[float, ...], dict | None]] = []
-        for _bid, records in state.base_table.blocks():
-            for record in records:
-                entries.append((int(record[0]), tuple(record[1:]), None))
-        for tid, sel_values, rank_values in state.delta:
-            point = tuple(
-                float(rank_values[dim]) for dim in state.grid.dims
-            )
-            entries.append((int(tid), point, sel_values))
-        entries.sort(key=lambda item: item[0])
-        tids = [tid for tid, _point, _sel in entries]
-        points = [point for _tid, point, _sel in entries]
-        report.tuples = len(tids)
-        report.absorbed_delta = drained
-
-        # ---- new equi-depth geometry over the live distribution ---------
-        columns = [list(column) for column in zip(*points)]
         new_grid = partitioner.build_grid(
-            state.grid.dims, columns, cube.block_size
+            state.grid.dims, list(zip(*rows.points)), cube.block_size
         )
         report.blocks_after = new_grid.num_blocks
-
-        # ---- selection values: base rows from one relation scan, delta
-        # rows from their stored selection dicts -------------------------
-        cuboid_keys = sorted(
-            state.cuboids, key=lambda key: (len(key), sorted(key))
+        new_base, new_cuboids, _shards = materialize(
+            pool,
+            new_grid,
+            table.schema,
+            [(c.dims, c.scale_factor) for c in old],
+            rows,
+            compress=state.compressed,
+            epoch=state.epoch + 1,
+            tracer=tracer,
         )
-        needed_dims = tuple(
-            sorted(set().union(*cuboid_keys)) if cuboid_keys else ()
-        )
-        schema = table.schema
-        needed_pos = {dim: schema.position(dim) for dim in needed_dims}
-        sel_by_tid: dict[int, tuple[int, ...]] = {}
-        delta_sel = {
-            tid: sel for tid, _point, sel in entries if sel is not None
-        }
-        if needed_dims:
-            wanted = set(tids)
-            for record in table.scan():
-                tid = int(record[0])
-                if tid in wanted and tid not in delta_sel:
-                    sel_by_tid[tid] = tuple(
-                        int(record[1 + needed_pos[d]]) for d in needed_dims
-                    )
-            for tid, sel in delta_sel.items():
-                sel_by_tid[tid] = tuple(
-                    int(sel[d]) for d in needed_dims
-                )
-        sel_rows = [sel_by_tid.get(tid, ()) for tid in tids]
-
-        # ---- regroup and rebuild every store on fresh pages -------------
-        sel_index = {dim: i for i, dim in enumerate(needed_dims)}
-        specs = [
-            CuboidSpec(
-                dims=state.cuboids[key].dims,
-                positions=tuple(
-                    sel_index[d] for d in state.cuboids[key].dims
-                ),
-                scale=state.cuboids[key].scale_factor,
-            )
-            for key in cuboid_keys
-        ]
-        grouped = compute_build_groups(new_grid, specs, tids, points, sel_rows)
-        new_base = BaseBlockTable.from_groups(
-            pool, new_grid, grouped.base_groups
-        )
-        new_cuboids: dict[frozenset, RankingCuboid] = {}
-        for key, groups in zip(cuboid_keys, grouped.cuboid_groups):
-            old = state.cuboids[key]
-            new_cuboids[key] = RankingCuboid.from_groups(
-                pool,
-                old.dims,
-                old.cardinalities,
-                new_grid,
-                groups,
-                scale_override=old.scale_factor,
-                compress=old.compressed,
-                epoch=old.epoch + 1,
-            )
         report.cuboids_rebuilt = len(new_cuboids)
 
-        # ---- durability before visibility -------------------------------
         pool.flush()
-
-        # ---- atomic swap -------------------------------------------------
-        with cube._state_lock:
-            if cube.base_table is not state.base_table:
-                report.aborted = True
-                report.wall_s = time.perf_counter() - started
-                _record(registry, report)
-                return report
-            cube.grid = new_grid
-            cube.base_table = new_base
-            cube.cuboids = new_cuboids
-            cube._delta = cube._delta.entries[drained:]
-        cube._notify_invalidation()
-
-        report.swapped = True
-        report.epochs = {c.name: c.epoch for c in new_cuboids.values()}
+        report.swapped = cube.install(
+            state, grid=new_grid, base_table=new_base, cuboids=new_cuboids
+        )
+        report.aborted = not report.swapped
+        if report.swapped:
+            report.epochs = {c.name: c.epoch for c in new_cuboids.values()}
         if span is not None:
             span.add_many(
                 tuples=report.tuples,

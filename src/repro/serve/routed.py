@@ -99,35 +99,31 @@ class RoutedQueryService(QueryService):
             probe_margin=probe_margin,
         )
         self.relation = relation
-        pool = getattr(cube.base_table, "pool", None)
+        if drift_check_interval is not None and drift_check_interval < 1:
+            raise ValueError("drift_check_interval must be >= 1")
+        #: the pages maintenance installs are written through
+        self._maintenance_pool = getattr(cube.base_table, "pool", None)
+        if self._maintenance_pool is None and (
+            auto_advise_observations is not None or drift_check_interval is not None
+        ):
+            raise ValueError(
+                "auto_advise_observations and drift_check_interval need a "
+                "cube whose base table exposes its buffer pool"
+            )
         self.advisor: CubeAdvisor | None = None
-        self._owns_advisor = False
-        if auto_advise_observations is not None:
-            if pool is None:
-                raise ValueError(
-                    "auto_advise_observations needs a cube whose base "
-                    "table exposes its buffer pool"
-                )
+        self._owns_advisor = auto_advise_observations is not None
+        if self._owns_advisor:
             self.advisor = CubeAdvisor(
                 cube,
                 relation,
-                pool,
+                self._maintenance_pool,
                 space_budget_entries=advisor_budget_entries,
                 min_observations=auto_advise_observations,
                 registry=self.registry,
             ).start()
-            self._owns_advisor = True
         self.drift_detector: DriftDetector | None = None
         self._drift_interval = drift_check_interval
-        self._drift_pool = pool
         if drift_check_interval is not None:
-            if drift_check_interval < 1:
-                raise ValueError("drift_check_interval must be >= 1")
-            if pool is None:
-                raise ValueError(
-                    "drift_check_interval needs a cube whose base table "
-                    "exposes its buffer pool"
-                )
             self.drift_detector = DriftDetector(cube, threshold=drift_threshold)
         self._routed_count = 0
         self._route_lock = threading.Lock()
@@ -159,7 +155,7 @@ class RoutedQueryService(QueryService):
         """Probe for drift; re-partition the grid if it has drifted.
 
         Returns the :class:`RepartitionReport` when a rebuild ran (check
-        ``report.swapped`` — a concurrent compaction can abort it), or
+        ``report.swapped`` — another maintenance install can abort it), or
         ``None`` when the grid is still balanced or another repartition
         is already in flight.
         """
@@ -175,7 +171,7 @@ class RoutedQueryService(QueryService):
             rebuilt = repartition_cube(
                 self.cube,
                 self.relation,
-                self._drift_pool or self.cube.base_table.pool,
+                self._maintenance_pool or self.cube.base_table.pool,
                 registry=self.registry,
             )
             self.repartitions.append(rebuilt)

@@ -1,0 +1,76 @@
+"""Keep the cube's maintenance path written once.
+
+Compaction, drift re-partition and the cuboid advisor each used to carry
+their own copy of the snapshot -> fresh pages -> flush -> swap under the
+state lock -> notify protocol (only some of them checked for a concurrent
+swap), and two of them a copy of the same daemon loop.  Now
+``RankingCube.install`` is the one writer of cube state and
+``repro.core.daemon.MaintenanceDaemon`` the one background loop.  This
+test fails when a second copy grows back:
+
+* under ``src/repro`` only ``core/cube.py`` assigns a cube's ``grid``,
+  ``base_table``, ``cuboids`` or ``_delta`` (any object's but ``self``:
+  the base table and the cuboids keep their own ``self.grid``), touches
+  ``_state_lock`` or calls ``_notify_invalidation``;
+* ``def start`` / ``def wake`` / ``def _worker`` are written once among
+  the compactor's, the advisor's and the daemon's modules.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import repro
+
+PACKAGE = Path(repro.__file__).resolve().parent
+STATE = {"grid", "base_table", "cuboids", "_delta"}
+PROTOCOL = {"_state_lock", "_notify_invalidation"}
+DAEMONS = ("core/compaction.py", "route/advisor.py", "core/daemon.py")
+
+
+def _targets(node):
+    if isinstance(node, ast.Assign):
+        stack = list(node.targets)
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        stack = [node.target]
+    else:
+        return
+    while stack:
+        target = stack.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            stack.extend(target.elts)
+        else:
+            yield target
+
+
+def test_only_the_cube_writes_its_state():
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = path.relative_to(PACKAGE).as_posix()
+        if module == "core/cube.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            writes = [
+                target
+                for target in _targets(node)
+                if isinstance(target, ast.Attribute)
+                and target.attr in STATE
+                and not (isinstance(target.value, ast.Name) and target.value.id == "self")
+            ]
+            protocol = isinstance(node, ast.Attribute) and node.attr in PROTOCOL
+            if writes or protocol:
+                found.append(f"{module}:{node.lineno}")
+    assert found == []
+
+
+def test_one_daemon_loop():
+    defined = Counter()
+    for module in DAEMONS:
+        for node in ast.walk(ast.parse((PACKAGE / module).read_text())):
+            if isinstance(node, ast.FunctionDef):
+                defined[node.name] += 1
+    assert {name: defined[name] for name in ("start", "wake", "_worker")} == {
+        "start": 1,
+        "wake": 1,
+        "_worker": 1,
+    }

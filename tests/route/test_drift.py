@@ -173,3 +173,41 @@ class TestDriftingWorkload:
             a1, a2, n1, n2 = row
             assert 0 <= a1 < CARDS[0] and 0 <= a2 < CARDS[1]
             assert 0.85 <= n1 < 1.0 and 0.85 <= n2 < 1.0
+
+
+class TestRepartitionIsABuild:
+    def test_stores_equal_a_fresh_build_over_the_snapshot_rows(self, monkeypatch):
+        """A repartition materializes exactly what RankingCube.build makes
+        of its snapshot's live rows on the new grid: the base rows plus
+        the whole delta, residuals included, and nothing appended after
+        the snapshot (those rows stay in the delta)."""
+        db, table, cube, rows = make_env()
+        rng = random.Random(37)
+        # a compaction leaves out-of-grid rows residual in the delta
+        table.insert_rows([(1, 2, 1.5, 0.5), (0, 3, 0.2, -0.5)])
+        cube.refresh_delta(table)
+        assert CubeCompactor(cube, db.pool).compact_once().residual == 2
+        appended = skewed_append(table, cube, count=60)
+        live = rows + [(1, 2, 1.5, 0.5), (0, 3, 0.2, -0.5)] + appended
+        late = [(rng.randrange(3), rng.randrange(4), 0.5, 0.5) for _ in range(5)]
+        flush = db.pool.flush
+
+        def flush_after_a_late_append():
+            monkeypatch.setattr(db.pool, "flush", flush)
+            table.insert_rows(late)
+            cube.refresh_delta(table)
+            flush()
+
+        monkeypatch.setattr(db.pool, "flush", flush_after_a_late_append)
+        assert repartition_cube(cube, table, db.pool).swapped
+        assert cube.delta_size == len(late)
+
+        fresh_db = Database(buffer_capacity=128)
+        fresh = RankingCube.build(
+            fresh_db.load_table("R", SCHEMA, live), block_size=12, grid=cube.grid
+        )
+        assert dict(cube.base_table.blocks()) == dict(fresh.base_table.blocks())
+        assert cube.cuboids.keys() == fresh.cuboids.keys()
+        for key, cuboid in cube.cuboids.items():
+            assert dict(cuboid.cells()) == dict(fresh.cuboids[key].cells())
+        assert cube.size_in_bytes == fresh.size_in_bytes
