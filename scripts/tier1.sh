@@ -78,7 +78,17 @@
 #                         test_single_install.py is the structural test
 #                         that only core/cube.py writes cube state (one
 #                         RankingCube.install) and the maintenance daemon
-#                         loop (start / wake / _worker) is written once
+#                         loop (start / wake / _worker) is written once.
+#                         tests/serve/test_single_front_end.py is the
+#                         structural test that the serving front end is
+#                         written once under src/repro/serve/: _admit,
+#                         _record, _retain_spans, run_batch,
+#                         submit_reverse and __exit__ each in one service
+#                         class, submit only where the ledger probes it,
+#                         one latency_s record dataclass and one
+#                         PseudoBlockCache( call site; tests/serve/
+#                         test_close_race.py that a submit racing close()
+#                         raises ServiceClosedError on every service
 #   2. gate cases       — tests/serve/test_single_path.py, the structural
 #                         test that sharded serving is ONE merge loop over
 #                         two transports (no thread/process fork in
@@ -118,7 +128,7 @@ export PYTHONPATH=src
 # stalling the whole gate.  Tests may tighten it with @pytest.mark.timeout.
 export REPRO_TEST_TIMEOUT="${REPRO_TEST_TIMEOUT:-300}"
 
-echo "== tier1 1/4: fast test suite (incl. structural single-search/one-engine + single-node-codec + one-router + single-install tests, maintenance race matrix, examples test, doc-reference test, bound-table + selective-read + splice properties, block-cache equivalence, indexed delta, figure page pins, build image pin, reverse + adaptive gates) =="
+echo "== tier1 1/4: fast test suite (incl. structural single-search/one-engine + single-node-codec + one-router + single-install + single-front-end tests, submit/close race, maintenance race matrix, examples test, doc-reference test, bound-table + selective-read + splice properties, block-cache equivalence, indexed delta, figure page pins, build image pin, reverse + adaptive gates) =="
 python -m pytest -m "not slow and not serve and not faults" -q
 
 echo "== tier1 2/4: sharded serving single-path test + serve-marked gate cases (identity, hot shard, early stop, shared-cache reads, WAL replay) =="

@@ -184,9 +184,9 @@ def compute_build_groups(
         raise ValueError(f"workers must be >= 1, got {workers}")
     ranges = shard_ranges(len(tids), workers)
     if workers == 1 or len(ranges) <= 1:
+        # one partial is already in scan order: merging would only copy it
         partial = build_shard_partial(grid, specs, tids, points, sel_rows)
-        base_groups, cuboid_groups = merge_partials([partial], len(specs))
-        return BuildGroups(base_groups, cuboid_groups, shards=1)
+        return BuildGroups(partial.base_groups, partial.cuboid_groups, shards=1)
 
     from concurrent.futures import ProcessPoolExecutor
 

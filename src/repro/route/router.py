@@ -91,7 +91,9 @@ class CubePath(RoutePath):
         self.executor = executor
 
     def generation(self) -> int:
-        return self.cube.snapshot().epoch
+        # the install generation, not the epoch: an advisor promotion
+        # keeps the epoch yet changes which cuboids can answer
+        return self.cube.snapshot().generation
 
     def estimate_io(self, query: TopKQuery) -> float:
         try:

@@ -8,17 +8,25 @@ query stream and makes the read path safe for concurrent workers:
 * :class:`BlockCache` — shared LRU of decoded base blocks (the
   evaluate step's records, keyed by table uid and bid),
 * :class:`BoundMemo` — shared memo of block lower bounds ``f(bid)``,
-* :class:`QueryService` — worker-pool front end with ``submit`` /
-  ``run_batch`` APIs and per-query latency/IO accounting,
-* :class:`RoutedQueryService` — the same front end with
-  :class:`~repro.route.AdaptiveRouter` as its door: per-query
-  cost-routed path choice plus optional cuboid-advisor and
+* one **front end** (``service._FrontEnd``) every service shares: the
+  worker pool, ``submit`` / ``run_batch`` / ``submit_reverse``,
+  admission control (``max_inflight`` →
+  :class:`ServiceOverloadedError`) and duplicate coalescing, the timed
+  run that keeps one :class:`QueryRecord` per query (answered or
+  aborted) in :class:`ServiceStats`, the span ring and the lifecycle.
+  Each service below supplies only its answering engine:
+* :class:`QueryService` — one cube's executor behind the shared caches
+  (:class:`~repro.serve.service.ServingStack`, the same stack every
+  shard endpoint builds),
+* :class:`RoutedQueryService` — the same, with
+  :class:`~repro.route.AdaptiveRouter` choosing each query's path
+  (cube / fragment / baseline) plus optional cuboid-advisor and
   drift-repartition maintenance (:mod:`repro.route`),
-* :class:`ShardedQueryService` — the same front end over a horizontally
-  sharded deployment (:mod:`repro.shard`), scatter-gathering per-shard
-  progressive searches under a global early-termination bound.  One
-  merge loop over per-shard endpoints (:mod:`repro.serve.endpoint`):
-  called directly in this process, or — ``mode="process"`` — each in a
+* :class:`ShardedQueryService` — a horizontally sharded deployment
+  (:mod:`repro.shard`), scatter-gathering per-shard progressive
+  searches under a global early-termination bound.  One merge loop
+  over per-shard endpoints (:mod:`repro.serve.endpoint`): called
+  directly in this process, or — ``mode="process"`` — each in a
   long-lived worker process (:mod:`repro.serve.procpool`) speaking
   length-prefixed pickle frames (:mod:`repro.serve.wire`), with no GIL
   on the steps.
@@ -43,12 +51,7 @@ from .service import (
     ServiceOverloadedError,
     ServiceStats,
 )
-from .sharded import (
-    ShardedAnyKCursor,
-    ShardedQueryRecord,
-    ShardedQueryService,
-    ShardedServiceStats,
-)
+from .sharded import ShardedAnyKCursor, ShardedQueryService
 from .wire import WireError, WorkerDiedError
 
 __all__ = [
@@ -68,9 +71,7 @@ __all__ = [
     "ShardEndpoint",
     "ShardWorkerHandle",
     "ShardedAnyKCursor",
-    "ShardedQueryRecord",
     "ShardedQueryService",
-    "ShardedServiceStats",
     "WireError",
     "WorkerDiedError",
 ]

@@ -1,10 +1,11 @@
 """One shard's serving endpoint, and the in-process pool of them.
 
-A :class:`ShardEndpoint` owns one shard's serving stack (executor,
-per-shard pseudo-block cache, bound memo and block cache, invalidation
-hook) and the sessions open on it.  It is the *only* place per-shard
-execution lives: the sharded front end (:mod:`repro.serve.sharded`)
-reaches it through seven calls —
+A :class:`ShardEndpoint` owns one shard's serving stack (the
+:class:`~repro.serve.service.ServingStack` the unsharded service builds
+too: executor, per-shard pseudo-block cache, bound memo and block
+cache, invalidation hook) and the sessions open on it.  It is the
+*only* place per-shard execution lives: the sharded front end
+(:mod:`repro.serve.sharded`) reaches it through seven calls —
 
 ==============  ========================================================
 ``open``        start a top-k session, merge-ready delta rows included,
@@ -32,12 +33,12 @@ import threading
 from dataclasses import replace
 
 from ..core.anyk import AnyKCursor
-from ..core.executor import ProgressiveSearch, RankingCubeExecutor
+from ..core.executor import ProgressiveSearch
 from ..core.reverse import count_preceding
 from ..obs.metrics import MetricsRegistry, diff_counter_items
 from ..obs.tracing import Tracer, maybe_span
 from ..shard.builder import ShardedCube, clone_shard
-from .cache import BlockCache, BoundMemo, PseudoBlockCache
+from .service import ServingStack
 from .wire import WireError
 
 
@@ -102,23 +103,17 @@ class ShardEndpoint:
         self.cube = cube
         self.registry = getattr(db.pool, "registry", None) or MetricsRegistry()
         self._ship_counters = ship_counters
-        if share_caches:
-            self.pseudo_cache = PseudoBlockCache(registry=self.registry)
-            self.bound_memo = BoundMemo(registry=self.registry)
-            self.block_cache = BlockCache(registry=self.registry)
-            self._listener = self.pseudo_cache.invalidate_cuboids
-            cube.add_invalidation_listener(self._listener)
-        else:
-            self.pseudo_cache = self.bound_memo = self._listener = None
-            self.block_cache = None
-        self.executor = RankingCubeExecutor(
+        self._stack = ServingStack(
             cube,
             table,
+            self.registry,
+            share_caches=share_caches,
             buffer_pseudo_blocks=buffer_pseudo_blocks,
-            pseudo_cache=self.pseudo_cache,
-            bound_memo=self.bound_memo,
-            block_cache=self.block_cache,
         )
+        self.pseudo_cache = self._stack.pseudo_cache
+        self.bound_memo = self._stack.bound_memo
+        self.block_cache = self._stack.block_cache
+        self.executor = self._stack.executor
         self._sessions: dict[int, _Session] = {}
 
     @property
@@ -259,17 +254,10 @@ class ShardEndpoint:
         self.clear_caches()
 
     def clear_caches(self) -> None:
-        if self.pseudo_cache is not None:
-            self.pseudo_cache.clear()
-        if self.bound_memo is not None:
-            self.bound_memo.clear()
-        if self.block_cache is not None:
-            self.block_cache.clear()
+        self._stack.clear()
 
     def unhook(self) -> None:
-        if self._listener is not None:
-            self.cube.remove_invalidation_listener(self._listener)
-            self._listener = None
+        self._stack.unhook()
 
 
 class LocalShardPool:

@@ -131,7 +131,7 @@ class RoutedQueryService(QueryService):
         self.repartitions: list[RepartitionReport] = []
 
     # ------------------------------------------------------------------
-    def _execute(self, query: TopKQuery, trace, tracer) -> QueryResult:
+    def _answer(self, query: TopKQuery, trace, tracer) -> QueryResult:
         return self.router.execute(query, trace=trace, tracer=tracer)
 
     def _run_one(self, query: TopKQuery) -> QueryResult:
@@ -180,7 +180,7 @@ class RoutedQueryService(QueryService):
             self._repartition_lock.release()
 
     # ------------------------------------------------------------------
-    def close(self, wait: bool = True) -> None:
-        super().close(wait=wait)
+    def _close_engine(self, wait: bool) -> None:
+        super()._close_engine(wait)
         if self._owns_advisor and self.advisor is not None:
             self.advisor.close(wait=wait)

@@ -41,9 +41,12 @@ such endpoints (``shard_ids / handle / promote / cold_cache / close``).
 * ``mode="process"`` — :class:`~repro.serve.procpool.ProcessShardPool`:
   each endpoint lives in a long-lived worker **process**, warm-started
   from a SHA-256-pinned shard snapshot, and a call is one length-
-  prefixed pickle frame each way (:mod:`repro.serve.wire`).  The front
-  end adds admission control (``max_inflight``) and, by default,
-  duplicate in-flight query coalescing.
+  prefixed pickle frame each way (:mod:`repro.serve.wire`).  Duplicate
+  in-flight queries coalesce by default here.
+
+Submission, admission control (``max_inflight``), coalescing, timing,
+records and the lifecycle are the shared front end of
+:mod:`repro.serve.service`; this module supplies the answering engine.
 
 How many frontier steps one call runs (``pool.trip_steps``) and where
 a round's calls run (``pool.calls_block``) belong to the transport, not
@@ -84,22 +87,20 @@ it is.
 from __future__ import annotations
 
 import json
-import pickle
 import shutil
 import tempfile
 import threading
-import time
 from bisect import bisect_left
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from itertools import count
 from pathlib import Path
 
 from ..core.executor import QueryAbortedError
 from ..core.reverse import ReverseTopKQuery, ReverseTopKResult
 from ..obs.metrics import MetricsRegistry
-from ..obs.tracing import Span, Tracer, adopt_spans, maybe_span
+from ..obs.tracing import Tracer, adopt_spans, maybe_span
 from ..relational.query import (
     QueryResult,
     ResultRow,
@@ -113,53 +114,12 @@ from ..storage.device import StorageError
 from . import wire
 from .endpoint import LocalShardPool, ProcPoolError
 from .procpool import ProcessShardPool
-from .service import (
-    DEFAULT_SPAN_CAPACITY,
-    ServiceClosedError,
-    ServiceOverloadedError,
-)
+from .service import DEFAULT_SPAN_CAPACITY, ServiceClosedError, _FrontEnd
 
 #: What a shard call raises when the shard cannot answer: a storage
 #: fault past its retry budget, a worker that hung up, a pool that
 #: cannot revive one.  The only exceptions the abort paths handle.
 _SHARD_FAULTS = (StorageError, wire.WorkerDiedError, ProcPoolError)
-
-
-@dataclass(frozen=True)
-class ShardedQueryRecord:
-    """Per-query accounting for one scatter-gathered execution."""
-
-    latency_s: float
-    shards_consulted: int
-    merge_rounds: int
-    shard_steps: int
-    blocks_accessed: int
-    candidates_examined: int
-    tuples_examined: int
-    aborted: bool = False
-
-
-@dataclass
-class ShardedServiceStats:
-    """Aggregate view over every query the service has finished."""
-
-    records: list[ShardedQueryRecord] = field(default_factory=list)
-
-    @property
-    def queries(self) -> int:
-        return len(self.records)
-
-    @property
-    def aborted(self) -> int:
-        return sum(1 for r in self.records if r.aborted)
-
-    def mean(self, attribute: str) -> float:
-        if not self.records:
-            return 0.0
-        return sum(getattr(r, attribute) for r in self.records) / len(self.records)
-
-    def total(self, attribute: str) -> int:
-        return sum(getattr(r, attribute) for r in self.records)
 
 
 def _blame_shard(exc: BaseException, shard_id: int) -> None:
@@ -415,7 +375,7 @@ class ShardedAnyKCursor:
             self.close()
 
 
-class ShardedQueryService:
+class ShardedQueryService(_FrontEnd):
     """Thread-pooled scatter-gather serving over a :class:`ShardedCube`.
 
     Parameters
@@ -499,28 +459,24 @@ class ShardedQueryService:
         worker_timeout_s: float = 60.0,
         fault_hook=None,
     ):
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
+        super().__init__(
+            metrics="shard.service",
+            thread_name="repro-shard-serve",
+            workers=workers,
+            registry=registry if registry is not None else MetricsRegistry(),
+            trace_spans=trace_spans,
+            span_capacity=span_capacity,
+            max_inflight=max_inflight,
+            coalesce=coalesce if coalesce is not None else mode == "process",
+        )
         if mode not in ("thread", "process"):
             raise ValueError(f"mode must be 'thread' or 'process', got {mode!r}")
         self.cube = cube
-        self.workers = workers
         self.mode = mode
         self.share_caches = share_caches
         self.buffer_pseudo_blocks = buffer_pseudo_blocks
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.trace_spans = trace_spans
-        self.span_capacity = span_capacity
-        self.spans: list[Span] = []
-        self.stats = ShardedServiceStats()
-        self._stats_lock = threading.Lock()
-        self.max_inflight = max_inflight
-        self.coalesce = coalesce if coalesce is not None else mode == "process"
         self.step_batch = step_batch
         self._fault_hook = fault_hook
-        self._inflight_lock = threading.Lock()
-        self._inflight_count = 0
-        self._inflight: dict[bytes, Future] = {}
         self._request_ids = count(1)
         #: replication: N-1 warm copies per shard (``ShardMap``), so a
         #: dead primary fails the query over instead of aborting it
@@ -550,20 +506,6 @@ class ShardedQueryService:
         #: per-shard labelled series, resolved once per shard rather than
         #: once per step (a lookup sorts the labels under the registry lock)
         self._series: dict[int, tuple] = {}
-        self._queries_counter = self.registry.counter("shard.service.queries")
-        self._searches_counter = self.registry.counter(
-            "shard.service.searches_opened"
-        )
-        self._reverse_counter = self.registry.counter(
-            "shard.service.reverse_queries"
-        )
-        self._aborted_counter = self.registry.counter("shard.service.aborted")
-        self._coalesced_counter = self.registry.counter("shard.service.coalesced")
-        self._overloaded_counter = self.registry.counter("shard.service.overloaded")
-        self._latency_hist = self.registry.histogram("shard.service.latency_s")
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-shard-serve"
-        )
         #: where a round's shard calls overlap; None when they do not block
         self._step_pool = None
         if self._transport.calls_block:
@@ -571,7 +513,6 @@ class ShardedQueryService:
                 max_workers=step_workers or max(workers, cube.num_shards),
                 thread_name_prefix="repro-shard-step",
             )
-        self._closed = False
 
     def _start_transport(
         self, spill_dir: str | None, options: dict, worker_timeout_s: float,
@@ -763,7 +704,7 @@ class ShardedQueryService:
                 span.add("promoted", 1)
         return True
 
-    def _with_failover(self, attempt):
+    def _with_failover(self, attempt, tracer: Tracer | None = None):
         """Run one query attempt, retrying whole on replica promotion.
 
         Failover retries the *entire* query rather than resuming the
@@ -772,7 +713,9 @@ class ShardedQueryService:
         replica is byte-identical to a run that never saw the fault.
         Each failed attempt is still recorded as an aborted attempt in
         :attr:`stats`; the failover itself shows up in the
-        ``shard.replica.failovers`` counter.
+        ``shard.replica.failovers`` counter.  The ``failover`` span goes
+        to ``tracer`` (a cursor's, kept when it closes) or, by default,
+        to the span ring at once.
         """
         attempts = 0
         while True:
@@ -782,48 +725,16 @@ class ShardedQueryService:
                 sid = self._dead_shard_of(exc)
                 if sid is None or attempts >= self._max_failovers:
                     raise
-                tracer = Tracer(self.registry) if self.trace_spans else None
-                if not self._failover(sid, tracer):
+                spans = tracer if tracer is not None else self._tracer()
+                if not self._failover(sid, spans):
                     raise
-                self._retain_spans(tracer)
+                if tracer is None:
+                    self._retain_spans(spans)
                 attempts += 1
 
     # ------------------------------------------------------------------
     # serving APIs
     # ------------------------------------------------------------------
-    def _admit(self, run, query, key: bytes | None = None) -> Future:
-        """Admission control (``max_inflight``) and duplicate coalescing
-        (``key``) in front of the query pool."""
-        if self._closed:
-            raise ServiceClosedError("ShardedQueryService is closed")
-        with self._inflight_lock:
-            if key is not None:
-                existing = self._inflight.get(key)
-                if existing is not None:
-                    self._coalesced_counter.inc()
-                    return existing
-            if (
-                self.max_inflight is not None
-                and self._inflight_count >= self.max_inflight
-            ):
-                self._overloaded_counter.inc()
-                raise ServiceOverloadedError(
-                    f"{self._inflight_count} query(ies) already in flight "
-                    f"(max_inflight={self.max_inflight})"
-                )
-            future = self._pool.submit(run, query)
-            self._inflight_count += 1
-            if key is not None:
-                self._inflight[key] = future
-        future.add_done_callback(lambda _f: self._release_inflight(key))
-        return future
-
-    def _release_inflight(self, key: bytes | None) -> None:
-        with self._inflight_lock:
-            self._inflight_count -= 1
-            if key is not None:
-                self._inflight.pop(key, None)
-
     def submit(self, query: TopKQuery) -> "Future[QueryResult]":
         """Enqueue one query; the future resolves to its merged answer.
 
@@ -831,22 +742,9 @@ class ShardedQueryService:
         coalescing: an identical query already in flight returns the
         *same* future instead of executing again.
         """
-        key = pickle.dumps(query) if self.coalesce else None
-        return self._admit(self._run_one, query, key)
-
-    def run_batch(self, queries) -> list[QueryResult]:
-        """Run a batch concurrently, returning answers in request order."""
-        futures = [self.submit(q) for q in queries]
-        return [f.result() for f in futures]
-
-    def submit_reverse(
-        self, query: ReverseTopKQuery
-    ) -> "Future[ReverseTopKResult]":
-        """Enqueue one reverse top-k query (admission-controlled like
-        :meth:`submit`; never coalesced — the payload includes function
-        families that are awkward as cache keys and reverse queries are
-        rarely identical)."""
-        return self._admit(self._run_reverse, query)
+        # written out here rather than inherited: the ledger's probes wrap
+        # vars(QueryService)["submit"] and vars(ShardedQueryService)["submit"]
+        return self._admit(self._run_one, query, coalescable=True)
 
     def open_search(self, query: TopKQuery) -> ShardedAnyKCursor:
         """Open a resumable any-k cursor over every consulted shard.
@@ -858,30 +756,15 @@ class ShardedQueryService:
         time is exhausted.  Projection is applied at the front end from
         global tids; the shards enumerate bare ``(score, tid)`` pairs.
         """
-        if self._closed:
-            raise ServiceClosedError("ShardedQueryService is closed")
         query.validate_against(self.cube.schema)
-        self._searches_counter.inc()
-        tracer = Tracer(self.registry) if self.trace_spans else None
+        tracer = self._begin_search()
         shard_query = (
             query if query.projection is None
             else replace(query, projection=None)
         )
-        attempts = 0
-        while True:
-            try:
-                streams = self._open_enum(shard_query, tracer)
-                break
-            except QueryAbortedError as exc:
-                sid = self._dead_shard_of(exc)
-                if (
-                    sid is not None
-                    and attempts < self._max_failovers
-                    and self._failover(sid, tracer)
-                ):
-                    attempts += 1
-                    continue
-                raise
+        streams = self._with_failover(
+            lambda: self._open_enum(shard_query, tracer), tracer
+        )
         return ShardedAnyKCursor(
             self, query, streams, self.step_batch, tracer,
             shard_query=shard_query,
@@ -923,14 +806,10 @@ class ShardedQueryService:
     # ------------------------------------------------------------------
     # reverse top-k
     # ------------------------------------------------------------------
-    def _run_reverse(self, query: ReverseTopKQuery) -> ReverseTopKResult:
-        return self._with_failover(lambda: self._run_reverse_attempt(query))
-
-    def _run_reverse_attempt(self, query: ReverseTopKQuery) -> ReverseTopKResult:
-        tracer = Tracer(self.registry) if self.trace_spans else None
-        started = time.perf_counter()
-        self._reverse_counter.inc()
-        consulted = len(self._targets(query.selections))
+    def _answer_reverse(
+        self, query: ReverseTopKQuery, trace, tracer: Tracer | None
+    ) -> ReverseTopKResult:
+        trace.shards_consulted = len(self._targets(query.selections))
         with maybe_span(
             tracer,
             "reverse_query",
@@ -939,25 +818,13 @@ class ShardedQueryService:
             selections=dict(sorted(query.selections.items())),
             functions=len(query.functions),
         ) as qspan:
-            try:
-                result = self._reverse(query, tracer)
-            except QueryAbortedError as exc:
-                self._retain_spans(tracer)
-                self._record(
-                    started, consulted, 0, 0, exc.blocks_accessed, 0, 0, True
-                )
-                raise
+            result = self._reverse(query, tracer)
             if qspan is not None:
                 qspan.add_many(
                     qualifying=len(result.qualifying),
                     blocks_accessed=result.blocks_accessed,
                     candidates_examined=result.candidates_examined,
                 )
-        self._retain_spans(tracer)
-        self._record(
-            started, consulted, 0, 0, result.blocks_accessed,
-            result.candidates_examined, result.tuples_examined, False,
-        )
         return result
 
     def _reverse_target(self, query: ReverseTopKQuery):
@@ -1041,13 +908,9 @@ class ShardedQueryService:
     # ------------------------------------------------------------------
     # top-k scatter-gather
     # ------------------------------------------------------------------
-    def _run_one(self, query: TopKQuery) -> QueryResult:
+    def _answer(self, query: TopKQuery, trace, tracer: Tracer | None) -> QueryResult:
         query.validate_against(self.cube.schema)
-        return self._with_failover(lambda: self._run_one_attempt(query))
-
-    def _run_one_attempt(self, query: TopKQuery) -> QueryResult:
-        tracer = Tracer(self.registry) if self.trace_spans else None
-        started = time.perf_counter()
+        trace.shards_consulted = len(self._targets(query.selections))
         with maybe_span(
             tracer,
             "query",
@@ -1055,15 +918,7 @@ class ShardedQueryService:
             selections=dict(sorted(query.selections.items())),
             ranking=",".join(query.ranking.dims),
         ) as query_span:
-            try:
-                result, rounds, steps = self._scatter_gather(query, tracer)
-            except QueryAbortedError as exc:
-                self._retain_spans(tracer)
-                consulted = len(self._targets(query.selections))
-                self._record(
-                    started, consulted, 0, 0, exc.blocks_accessed, 0, 0, True
-                )
-                raise
+            result = self._scatter_gather(query, trace, tracer)
             if query_span is not None:
                 query_span.add_many(
                     blocks_accessed=result.blocks_accessed,
@@ -1071,18 +926,12 @@ class ShardedQueryService:
                     tuples_examined=result.tuples_examined,
                     rows_returned=len(result.rows),
                 )
-        self._retain_spans(tracer)
-        self._record(
-            started, len(result.shard_io), rounds, steps,
-            result.blocks_accessed, result.candidates_examined,
-            result.tuples_examined, False,
-        )
         return result
 
     def _scatter_gather(
-        self, query: TopKQuery, tracer: Tracer | None
-    ) -> tuple[QueryResult, int, int]:
-        """The merge loop; returns (result, merge rounds, shard steps)."""
+        self, query: TopKQuery, trace, tracer: Tracer | None
+    ) -> QueryResult:
+        """The merge loop; its rounds and steps go to ``trace``."""
         pool = self._transport
         targets = self._targets(query.selections)
         request_id = next(self._request_ids)
@@ -1186,7 +1035,8 @@ class ShardedQueryService:
         if query.projection:
             rows = [self._project(row, query) for row in rows]
         result.rows = rows
-        return result, rounds, steps
+        trace.merge_rounds, trace.shard_steps = rounds, steps
+        return result
 
     def _project(self, row: ResultRow, query: TopKQuery) -> ResultRow:
         try:
@@ -1201,44 +1051,6 @@ class ShardedQueryService:
             record[schema.position(name)] for name in (query.projection or ())
         )
         return ResultRow(tid=row.tid, score=row.score, values=values)
-
-    # ------------------------------------------------------------------
-    def _record(
-        self,
-        started: float,
-        shards: int,
-        rounds: int,
-        steps: int,
-        blocks: int,
-        candidates: int,
-        tuples: int,
-        aborted: bool,
-    ) -> None:
-        latency_s = time.perf_counter() - started
-        record = ShardedQueryRecord(
-            latency_s=latency_s,
-            shards_consulted=shards,
-            merge_rounds=rounds,
-            shard_steps=steps,
-            blocks_accessed=blocks,
-            candidates_examined=candidates,
-            tuples_examined=tuples,
-            aborted=aborted,
-        )
-        with self._stats_lock:
-            self.stats.records.append(record)
-        self._queries_counter.inc()
-        if aborted:
-            self._aborted_counter.inc()
-        self._latency_hist.observe(latency_s)
-
-    def _retain_spans(self, tracer: Tracer | None) -> None:
-        if tracer is None or not tracer.roots:
-            return
-        with self._stats_lock:
-            self.spans.extend(tracer.roots)
-            if len(self.spans) > self.span_capacity:
-                del self.spans[: len(self.spans) - self.span_capacity]
 
     # ------------------------------------------------------------------
     # cache administration
@@ -1263,24 +1075,11 @@ class ShardedQueryService:
             if endpoint.pseudo_cache is not None
         }
 
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def close(self, wait: bool = True) -> None:
-        """Stop accepting queries, drain pools, release the shards."""
-        if self._closed:
-            return
-        self._closed = True
-        self._pool.shutdown(wait=wait)
+    def _close_engine(self, wait: bool) -> None:
+        """Drain the step pool, release the shards, drop an owned spill."""
         if self._step_pool is not None:
             self._step_pool.shutdown(wait=wait)
         self._transport.close()
         if self._owned_spill_dir is not None:
             shutil.rmtree(self._owned_spill_dir, ignore_errors=True)
             self._owned_spill_dir = None
-
-    def __enter__(self) -> "ShardedQueryService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -250,6 +250,35 @@ class TestForCube:
         assert router.book.samples(s, "stub") == 2
         assert run(router, q).path == "stub"
 
+    def test_a_promotion_makes_the_cube_path_probe_again(self):
+        """An advisor promotion keeps the epoch but changes the cuboids
+        the cube path answers from: its samples measured the old set, so
+        the router forgets them and re-probes the cube once."""
+        db, table, _cube, _rows = make_env()
+        cube = RankingCube.build(table, block_size=12, cuboid_sets=[("a1",), ("a2",)])
+        cube_path = AdaptiveRouter.for_cube(cube, table).paths["cube"]
+        q = query()
+        stub = StubPath("stub", analytic=cube_path.estimate_io(q), observed=1.0)
+        router = AdaptiveRouter(table, [cube_path, stub])
+        s = shape_of(table, q)
+        decisions = [run(router, q) for _ in range(3)]
+        assert [(d.path, d.probe) for d in decisions] == [
+            ("stub", True), ("cube", True), ("stub", False),
+        ]
+
+        epoch = cube.epoch
+        advisor = CubeAdvisor(cube, table, db.pool, min_observations=8)
+        for _ in range(12):
+            advisor.observe(query(selections={"a1": 1, "a2": 2}))
+        report = advisor.advise_once()
+        assert report.swapped and report.promoted
+        assert cube.epoch == epoch
+
+        decision = run(router, q)
+        assert (decision.path, decision.probe) == ("cube", True)
+        assert router.book.samples(s, "cube") == 1
+        assert run(router, q).path == "stub"
+
     def test_uncoverable_query_estimates_inf_but_still_answers(self):
         """A cube materializing only {a1} cannot cover a2-queries: its
         analytic cost is inf and routing falls through to the baseline."""
@@ -413,12 +442,12 @@ class TestDriftingStream:
         [
             (
                 DRIFT_SMOKE,
-                {"adaptive": (2488, 1876, 1), "cube": (2880, 288, 0),
+                {"adaptive": (2483, 1835, 1), "cube": (2880, 288, 0),
                  "baseline": (3192, 3192, 0)},
             ),
             pytest.param(
                 DRIFT_FULL,
-                {"adaptive": (13111, 8260, 1), "cube": (13200, 1320, 0),
+                {"adaptive": (12879, 7542, 1), "cube": (13200, 1320, 0),
                  "baseline": (18359, 17396, 0)},
                 marks=pytest.mark.slow,
             ),
