@@ -92,9 +92,7 @@ def test_hybrid_routing_tracks_cheaper_path(benchmark, bench_tuples, bench_queri
     table = dataset.load_into(db)
     for name in dataset.schema.selection_names:
         table.create_secondary_index(name)
-    router = AdaptiveRouter.for_cube(
-        RankingCube.build(table), table, probe_margin=1.0
-    )
+    router = AdaptiveRouter.for_cube(RankingCube.build(table), table)
     query = TopKQuery(5, {"a1": 1}, LinearFunction(["n1", "n2"], [1, 1]))
 
     def decide():

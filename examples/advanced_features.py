@@ -113,7 +113,6 @@ def many_ranking_dimensions() -> None:
             CubePath(",".join(c.grid.dims), c, table, RankingCubeExecutor(c, table))
             for c in cubes
         ],
-        probe_margin=1.0,
     )
     print(f"grids: {list(router.paths)}")
     for dims, weights in ((["n3", "n4"], [1.0, 0.5]), (["n1", "n4"], [2.0, 1.0])):

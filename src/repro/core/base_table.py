@@ -134,6 +134,11 @@ class BaseBlockTable:
         return self._store.num_records
 
     @property
+    def counts(self) -> dict[tuple, int]:
+        """Tuples per stored block, keyed ``(bid,)``; in memory, no I/O."""
+        return self._store.counts
+
+    @property
     def size_in_bytes(self) -> int:
         return self._store.size_in_bytes
 

@@ -59,6 +59,9 @@ class ChainStore:
         self.directory = BPlusTree(pool)
         self._page_ids: list[int] = []
         self._num_records = 0
+        #: record count per stored key, as the directory locators pack it:
+        #: statistics a planner reads without page I/O
+        self.counts: dict[tuple, int] = {}
         self._built = False
 
     # ------------------------------------------------------------------
@@ -113,6 +116,7 @@ class ChainStore:
             directory_pairs.append(
                 (key, _pack_locator(len(pages), filled, count))
             )
+            self.counts[key] = count
             self._num_records += count
             if count <= capacity - filled:
                 # the common case: the whole run lands on the current page

@@ -56,6 +56,8 @@ class CompressedChainStore:
         self.pool = pool
         self._blobs = BlobStore(pool)
         self._num_records = 0
+        #: record count per stored key (see ``ChainStore.counts``)
+        self.counts: dict[tuple, int] = {}
 
     # ------------------------------------------------------------------
     def build(self, groups: Iterable[tuple[tuple, Sequence[tuple]]]) -> None:
@@ -64,7 +66,9 @@ class CompressedChainStore:
             records = [(int(tid), int(bid)) for tid, bid in records]
             if not records:
                 continue
-            encoded.append((tuple(key), encode_tid_list(records)))
+            key = tuple(key)
+            encoded.append((key, encode_tid_list(records)))
+            self.counts[key] = len(records)
             self._num_records += len(records)
         self._blobs.build(encoded)
 

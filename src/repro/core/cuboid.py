@@ -252,6 +252,12 @@ class RankingCuboid:
         return self._store.num_records
 
     @property
+    def counts(self) -> dict[tuple, int]:
+        """Pairs per stored cell, keyed ``(sel values..., pid)``; in
+        memory, no I/O (the cost model's statistics)."""
+        return self._store.counts
+
+    @property
     def size_in_bytes(self) -> int:
         return self._store.size_in_bytes
 

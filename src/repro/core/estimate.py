@@ -1,4 +1,4 @@
-"""Analytic cost estimation for top-k access paths.
+"""Cost estimation for top-k access paths.
 
 The paper's Figure 9 experiment ends with an observation the system itself
 should act on: "with 4 selection conditions, the number of qualified
@@ -11,26 +11,23 @@ router (:class:`repro.route.router.AdaptiveRouter`) makes both calls on:
 * :func:`estimate_qualifying` — expected qualifying tuples under the
   standard attribute-independence assumption over the table's exact
   per-value histograms;
-* :func:`estimate_cube_cost` — expected page reads for the ranking cube's
-  progressive search: to surface k qualifying tuples it must visit about
-  ``k / (q * B)`` base blocks (each block holds ~B tuples of which a
-  fraction ``q`` qualify), in whole columns of tied blocks along grid
-  dimensions the function ignores, each costing a base-block read plus
-  amortized pseudo-block and directory reads.  A cube whose grid lacks a
-  ranking dimension of the query, or whose cuboids cannot cover its
-  selections, raises :class:`~repro.core.cube.CubeError`;
+* :func:`estimate_cube_cost` — expected page reads of the ranking cube's
+  progressive search, priced from the record counts the cube keeps in
+  memory for every stored block and cell (a walk over counts, no page
+  read).  A cube whose grid lacks a ranking dimension of the query, or
+  whose cuboids cannot cover its selections, raises
+  :class:`~repro.core.cube.CubeError`;
 * :func:`estimate_baseline_cost` — the baseline's index-or-scan cost, the
   same model its planner uses.
-
-These are *estimates*: coarse by design (independence, uniform spread of
-qualifying tuples over blocks), good enough to separate the regimes — the
-router's tests check decisions, not digits.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..relational.query import TopKQuery
 from ..relational.table import Table
@@ -62,46 +59,133 @@ def estimate_qualifying(table: Table, query: TopKQuery) -> float:
 def estimate_cube_cost(
     cube: RankingCube, table: Table, query: TopKQuery
 ) -> CostEstimate:
-    """Expected cost of the progressive ranking-cube search."""
-    grid = cube.grid
-    missing = set(query.ranking.dims) - set(grid.dims)
+    """Expected pages of the progressive search, from the cube's counts.
+
+    Per base block ``b`` with ``n_b`` stored tuples, the expected
+    qualifying tuples are ``q_b = n_b * prod_j c_j / N_j`` over the
+    covering cuboids, ``c_j`` being the count of the query's cell in
+    ``b``'s pseudo block and ``N_j`` the base tuples in that pseudo
+    block.  Their scores are spread uniformly between the block's lower
+    bound and its maximum (a corner of the box, ``f`` being convex).  The
+    search stops at the score ``t`` where k tuples are expected, having
+    popped exactly the blocks whose bound is ``<= t`` (Lemma 1 and the
+    stop rule).  The pages are the ones the executor counts: one fetch
+    per distinct pseudo block of the first covering cuboid; one of a
+    later cuboid where the earlier cells are expected non-empty; a base
+    read where the block is expected to hold a qualifying tuple (``1 -
+    exp(-q_b)``), or, with no selections, at every popped block.  Delta
+    tuples are merged in memory after the search and cost no page, so
+    they are left out.
+    """
+    state = cube.snapshot()
+    grid, fn = state.grid, query.ranking
+    missing = set(fn.dims) - set(grid.dims)
     if missing:
         raise CubeError(
             f"grid {grid.dims} does not cover ranking dimensions "
             f"{sorted(missing)}"
         )
-    qualifying = estimate_qualifying(table, query)
-    total_blocks = grid.num_blocks
-    expected_blocks = expected_blocks_to_k(query.k, qualifying, total_blocks)
-    # a block's bound ignores the grid dimensions the function does not
-    # rank on, so the frontier visits whole columns of tied blocks along
-    # them (Figure 6): round up to a multiple of one column
-    column = math.prod(
-        bins
-        for dim, bins in zip(grid.dims, grid.bins_per_dim)
-        if dim not in query.ranking.dims
-    )
-    expected_blocks = min(
-        float(total_blocks), float(column * math.ceil(expected_blocks / column))
-    )
-    # base blocks are only read where the cell is non-empty: when fewer
-    # tuples qualify than blocks get visited, most probes skip the base
-    # read entirely (the empty-cell optimization of Section 3.2.1)
-    base_reads = min(expected_blocks, max(qualifying, 0.0))
-    covering = cube.covering_cuboids(query.selection_names)
-    # pseudo-block fetches amortize over the scale factor's merge window
-    pseudo_reads = sum(
-        max(1.0, expected_blocks / max(1, c.scale_factor ** grid.num_dims))
-        for c in covering
-    )
-    descent = 3.0 * max(1, len(covering))  # directory descents, mostly cached
-    pages = base_reads + pseudo_reads + descent
+    covering = state.covering_cuboids(query.selection_names)
+    bids = np.arange(grid.num_blocks)
+    coords, stride = [], 1
+    for bins in grid.bins_per_dim:
+        coords.append(bids // stride % bins)
+        stride *= bins
+    lower, upper = _score_ranges(fn, grid, coords)
+
+    stored = state.base_table.counts
+    tuples = np.zeros(grid.num_blocks)
+    tuples[[bid for (bid,) in stored]] = list(stored.values())
+    # passing[j]: expected tuples per block that pass the first j cuboids
+    passing, pids = [tuples], []
+    for cuboid in covering:
+        pseudo = cuboid.pseudo
+        pid, pstride = 0, 1
+        for coord, pbins in zip(coords, pseudo.pbins_per_dim):
+            pid = pid + coord // pseudo.sf * pstride
+            pstride *= pbins
+        in_pid = np.bincount(pid, weights=tuples, minlength=pstride)
+        values = tuple(query.selections[d] for d in cuboid.dims)
+        counts = cuboid.counts
+        cell = np.array([counts.get(values + (p,), 0) for p in range(pstride)], float)
+        share = np.divide(cell, in_pid, out=np.zeros(pstride), where=in_pid > 0)
+        passing.append(passing[-1] * share[pid])
+        pids.append(pid)
+    qualifying = passing[-1]
+
+    popped = lower <= _kth_score(query.k, qualifying, lower, upper)
+    if not covering:
+        pages = float(np.count_nonzero(popped))
+    else:
+        pages = float(len(np.unique(pids[0][popped])))
+        for pid, before in zip(pids[1:], passing[1:-1]):
+            expected = np.bincount(pid[popped], weights=before[popped])
+            pages += float(-np.expm1(-expected).sum())
+        pages += float(-np.expm1(-qualifying[popped]).sum())
     return CostEstimate(
         method="ranking_cube",
         pages=pages,
         io_cost=RANDOM_READ_WEIGHT * pages,
-        qualifying=qualifying,
+        qualifying=estimate_qualifying(table, query),
     )
+
+
+def _score_ranges(fn, grid, coords) -> tuple[np.ndarray, np.ndarray]:
+    """Per block: the search's lower bound of ``fn`` over the box, and its
+    maximum there (at a corner: ``fn`` is convex)."""
+    positions = grid.project(fn.dims)
+    edges = [np.asarray(grid.boundaries[p], float) for p in positions]
+    ranked = [coords[p] for p in positions]
+    terms = fn.box_min_terms([grid.boundaries[p] for p in positions])
+    if terms is not None:
+        offset, per_bin = terms
+        lower = offset + sum(
+            np.asarray(row, float)[coord] for row, coord in zip(per_bin, ranked)
+        )
+    else:
+        lower = np.array([
+            fn.min_over_box(*grid.sub_box(bid, positions))
+            for bid in range(grid.num_blocks)
+        ])
+    upper = np.full(grid.num_blocks, -math.inf)
+    for corner in itertools.product((0, 1), repeat=len(positions)):
+        columns = [e[c + side] for e, c, side in zip(edges, ranked, corner)]
+        upper = np.maximum(upper, np.asarray(fn.eval_batch(columns), float))
+    return lower, np.maximum(upper, lower)
+
+
+def _kth_score(
+    k: int, qualifying: np.ndarray, lower: np.ndarray, upper: np.ndarray
+) -> float:
+    """The least score at which ``k`` tuples are expected, each block's
+    spread uniformly over ``[lower, upper]``; ``inf`` when fewer qualify.
+
+    The expected count below ``t`` is piecewise linear in ``t``: a block
+    adds slope ``q / width`` from its lower bound to its upper one (a
+    block of zero width adds a step of ``q``).  One sweep over the sorted
+    kinks finds where it reaches ``k``.
+    """
+    if qualifying.sum() < k:
+        return math.inf
+    live = qualifying > 0
+    q, lo, hi = qualifying[live], lower[live], upper[live]
+    ramp = hi > lo
+    slope = np.divide(q, hi - lo, out=np.zeros(len(q)), where=ramp)
+    at = np.concatenate([lo, hi[ramp]])
+    order = np.argsort(at, kind="stable")
+    at = at[order]
+    # clipped: the ramps' ends cancel their starts only up to rounding
+    slopes = np.maximum(np.cumsum(np.concatenate([slope, -slope[ramp]])[order]), 0.0)
+    steps = np.concatenate([np.where(ramp, 0.0, q), np.zeros(ramp.sum())])[order]
+    # reached[i]: the expected count at kink i, its step included
+    reached = np.cumsum(steps)
+    reached[1:] += np.cumsum(slopes[:-1] * np.diff(at))
+    i = min(int(np.searchsorted(reached, k)), len(at) - 1)
+    if i > 0 and slopes[i - 1] > 0:
+        # on the ramp into kink i, unless kink i's own step gets there
+        t = at[i - 1] + (k - reached[i - 1]) / slopes[i - 1]
+        return float(min(t, at[i]))
+    return float(at[i])
 
 
 def expected_heap_pages(rows: float, num_pages: int) -> float:
@@ -143,23 +227,3 @@ def estimate_baseline_cost(table: Table, query: TopKQuery) -> CostEstimate:
         io_cost=best_io,
         qualifying=qualifying,
     )
-
-
-def expected_blocks_to_k(
-    k: int, qualifying: float, total_blocks: int
-) -> float:
-    """Blocks to visit before k qualifying tuples surface.
-
-    The single formula behind the cube cost model: :func:`estimate_cube_cost`
-    and the estimate tests both call it, so the cost model and its
-    oracle can never round or clamp the same quantity differently.  Blocks
-    come in whole units (``ceil``), at least one is always visited
-    (``k >= 1`` forces the ceil to 1+), and the frontier can never visit
-    more blocks than the grid holds.
-    """
-    if total_blocks <= 0:
-        raise ValueError("total_blocks must be positive")
-    if qualifying <= 0:
-        return float(total_blocks)
-    per_block = qualifying / total_blocks
-    return min(float(total_blocks), math.ceil(k / per_block))

@@ -28,10 +28,12 @@ from .relational.database import Database
 from .storage.device import PageCorruptionError, StorageError
 
 _MAGIC = b"RCUBEWS\n"
-#: Bumped whenever a pickled page image changes layout.  v1 devices hold
-#: pickled B+-tree nodes; v2 holds struct-packed node pages
-#: (:mod:`repro.index.bptree`), which would misread a v1 image.
-FORMAT_VERSION = 2
+#: Bumped whenever a pickled page image or store changes layout.  v1
+#: devices hold pickled B+-tree nodes; v2 holds struct-packed node pages
+#: (:mod:`repro.index.bptree`), which would misread a v1 image; v3 stores
+#: pickle their per-key record counts (``ChainStore.counts``), which the
+#: cost model reads and a v2 store lacks.
+FORMAT_VERSION = 3
 
 
 class PersistError(Exception):

@@ -2,11 +2,11 @@
 
 The equi-depth grid (Section 3.1.2) is balanced for the data it was built
 over: every bin holds ~``T / bins`` tuples per dimension, which is what
-makes ``expected_blocks_to_k`` honest and block occupancy uniform.  As
-appended tuples shift the score distribution, new data piles into a few
-bins (delta tuples are merged per query, and once compacted they inflate
-the corresponding base blocks), progressive search degrades, and the cost
-model quietly diverges from reality.
+keeps block occupancy uniform.  As appended tuples shift the score
+distribution, new data piles into a few bins (delta tuples are merged per
+query, and once compacted they inflate the corresponding base blocks),
+and progressive search degrades: the blocks holding the best scores
+overflow while their neighbors stay thin.
 
 :class:`DriftDetector` measures exactly that: per ranking dimension it
 counts the *live* population (base-table tuples plus the delta) per

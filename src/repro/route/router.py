@@ -2,38 +2,23 @@
 
 :class:`AdaptiveRouter` is the repository's only router.  It wraps the
 cube, fragment and baseline executors — or one cube per ranking-dimension
-group (Section 6's extension) — behind a single entry point and picks
-the path per query by *blended* cost — the analytic estimate of
-:mod:`repro.core.estimate` shrunk toward the observed weighted page cost
-of past queries with the same :class:`~repro.route.signature.QueryShape`
-(see :mod:`repro.route.cost`).  Because every path honors the byte-identical
+group (Section 6's extension) — behind a single entry point and sends
+each query down the path with the cheapest estimate from
+:mod:`repro.core.estimate`.  The cube's estimate is a walk over the
+record counts it keeps in memory, so pricing a query reads no page, and
+it follows every install (compaction, re-partition, promotion) with no
+observation to forget.  Because every path honors the byte-identical
 answers contract (property-tested in ``tests/properties``), routing is
 purely a cost decision: the answer is the same object no matter which
 path runs, so the router can never trade correctness for speed.  A path
 the model cannot use (a cube whose grid or cuboids miss a dimension of
 the query) prices at ``inf``; a query no path can answer raises
 :class:`~repro.core.cube.CubeError` before anything runs.
-
-Exploration is deterministic, not stochastic: for each new query shape
-the router probes, once each and in ascending analytic-cost order, every
-path whose analytic estimate is within ``probe_margin`` of the current
-best blend; after that it exploits the blended minimum.  At
-``probe_margin=1.0`` a path is explored only when the model prices it no
-higher than the current best, so a fresh router makes the analytic choice
-(Figure 9's index-vs-cube call).  Determinism matters here — the
-drifting-stream gate replays a fixed stream and must reproduce the same
-decisions run over run.
-
-Observations are only as current as the materialization they measured.
-A cube path's observations belong to the :attr:`RankingCube.epoch` they
-were taken at: a compaction or re-partition bumps the epoch, the router
-forgets that path's samples, and exploration re-probes it.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -45,13 +30,6 @@ from ..obs.tracing import maybe_span
 from ..relational.query import QueryResult, TopKQuery
 from ..relational.table import Table
 from ..storage.device import RANDOM_READ_WEIGHT, SEQ_READ_WEIGHT
-from .cost import DEFAULT_PRIOR_STRENGTH, CostBook
-from .signature import QueryShape, shape_of
-
-#: Explore an unsampled path only while its analytic estimate is within
-#: this factor of the best blended cost — paths the model prices far off
-#: the frontier are never worth a probe.
-DEFAULT_PROBE_MARGIN = 3.0
 
 
 class RoutePath:
@@ -60,16 +38,11 @@ class RoutePath:
     ``execute`` returns ``(result, observed_io)`` where ``observed_io``
     is the *weighted* logical page cost of the run — sequential pages at
     ``SEQ_READ_WEIGHT``, random pages at ``RANDOM_READ_WEIGHT`` — i.e.
-    the same currency the analytic estimates price in, so observations
-    and priors blend without unit conversion.
+    the same currency the estimates price in, so each query's decision
+    can be checked against what it cost.
     """
 
     name: str
-
-    def generation(self) -> int | None:
-        """What this path's observed costs are valid for; the router
-        forgets them when it changes (``None``: valid for ever)."""
-        return None
 
     def estimate_io(self, query: TopKQuery) -> float:
         raise NotImplementedError
@@ -89,11 +62,6 @@ class CubePath(RoutePath):
         self.cube = cube
         self.table = table
         self.executor = executor
-
-    def generation(self) -> int:
-        # the install generation, not the epoch: an advisor promotion
-        # keeps the epoch yet changes which cuboids can answer
-        return self.cube.snapshot().generation
 
     def estimate_io(self, query: TopKQuery) -> float:
         try:
@@ -136,10 +104,7 @@ class RouteDecision:
     """Everything one routed query decided and observed."""
 
     path: str
-    shape: QueryShape
-    probe: bool                      #: was this a deterministic exploration?
-    analytic: dict = field(default_factory=dict)   #: path -> analytic io
-    blended: dict = field(default_factory=dict)    #: path -> blended io
+    analytic: dict = field(default_factory=dict)   #: path -> estimated io
     observed_io: float = 0.0
     observed_pages: int = 0
     wall_s: float = 0.0
@@ -151,45 +116,26 @@ class AdaptiveRouter:
     Parameters
     ----------
     table:
-        The base relation (supplies selectivity statistics for shapes and
-        the baseline path).
+        The base relation.
     paths:
         The :class:`RoutePath` family to route over.  Names must be
-        unique: equal blended costs break toward the smaller name, and
-        equal analytic estimates probe in name order.
+        unique: equal estimates break toward the smaller name.
     registry:
         Optional metrics registry; decisions bump ``route.decision``
-        (labeled by path), probes bump ``route.probes``, observed pages
-        accumulate under ``route.observed_pages``.
-    prior_strength / probe_margin:
-        Shrinkage prior weight (see :mod:`repro.route.cost`) and the
-        exploration cutoff factor.
+        (labeled by path), observed pages accumulate under
+        ``route.observed_pages``.
     """
 
-    def __init__(
-        self,
-        table: Table,
-        paths: list[RoutePath],
-        registry=None,
-        prior_strength: float = DEFAULT_PRIOR_STRENGTH,
-        probe_margin: float = DEFAULT_PROBE_MARGIN,
-    ):
+    def __init__(self, table: Table, paths: list[RoutePath], registry=None):
         if not paths:
             raise ValueError("need at least one route path")
         names = [p.name for p in paths]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate path names: {names}")
-        if probe_margin < 1.0:
-            raise ValueError(f"probe_margin must be >= 1.0, got {probe_margin}")
         self.table = table
         self.paths = {p.name: p for p in paths}
         self.registry = registry
-        self.book = CostBook(prior_strength=prior_strength)
-        #: path name -> the generation its observations in ``book`` measured
-        self._generations = {p.name: p.generation() for p in paths}
-        self.probe_margin = probe_margin
         self.last_decision: RouteDecision | None = None
-        self._decide_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     @classmethod
@@ -198,29 +144,20 @@ class AdaptiveRouter:
         cube: RankingCube,
         table: Table,
         fragment_cube: RankingCube | None = None,
-        pseudo_cache=None,
-        bound_memo=None,
-        block_cache=None,
+        executor: RankingCubeExecutor | None = None,
         registry=None,
-        prior_strength: float = DEFAULT_PRIOR_STRENGTH,
-        probe_margin: float = DEFAULT_PROBE_MARGIN,
     ) -> "AdaptiveRouter":
         """The standard path family: cube / fragments / baseline.
 
-        Injected caches go to the cube path exactly as
-        :class:`~repro.serve.service.QueryService` hands them to its
-        executor.
+        The cube path runs on ``executor`` when given — a service hands
+        over its own, caches and buffering included — else on a bare
+        executor over ``cube``.
         """
-        paths: list[RoutePath] = [
-            CubePath(
-                "cube", cube, table,
-                RankingCubeExecutor(
-                    cube, table,
-                    pseudo_cache=pseudo_cache, bound_memo=bound_memo,
-                    block_cache=block_cache,
-                ),
-            )
-        ]
+        if executor is None:
+            executor = RankingCubeExecutor(cube, table)
+        elif executor.cube is not cube:
+            raise ValueError("the cube path's executor must run over the cube")
+        paths: list[RoutePath] = [CubePath("cube", cube, table, executor)]
         if fragment_cube is not None:
             paths.append(
                 CubePath(
@@ -229,106 +166,62 @@ class AdaptiveRouter:
                 )
             )
         paths.append(BaselinePath(table))
-        return cls(
-            table, paths,
-            registry=registry,
-            prior_strength=prior_strength,
-            probe_margin=probe_margin,
-        )
+        return cls(table, paths, registry=registry)
 
     # ------------------------------------------------------------------
-    def decide(
-        self, query: TopKQuery, shape: QueryShape | None = None
-    ) -> RouteDecision:
-        """Pick a path for one query without executing it.
+    def decide(self, query: TopKQuery) -> RouteDecision:
+        """Pick the path with the cheapest estimate, without executing it.
 
         Raises :class:`~repro.core.cube.CubeError` when every path prices
         the query at ``inf``: no path can answer it.
         """
-        if shape is None:
-            shape = shape_of(self.table, query)
-        with self._decide_lock:
-            for name, path in self.paths.items():
-                generation = path.generation()
-                if generation != self._generations[name]:
-                    self._generations[name] = generation
-                    self.book.forget(name)
-            analytic = {
-                name: path.estimate_io(query)
-                for name, path in self.paths.items()
-            }
-            if all(math.isinf(cost) for cost in analytic.values()):
-                grids = [
-                    path.cube.grid.dims
-                    for path in self.paths.values()
-                    if isinstance(path, CubePath)
-                ]
-                raise CubeError(
-                    f"no path covers ranking dimensions "
-                    f"{sorted(query.ranking.dims)} with selections "
-                    f"{sorted(query.selections)}; available grids: {grids}"
-                )
-            blended = {
-                name: self.book.blended(shape, name, analytic[name])
-                for name in self.paths
-            }
-            best = min(blended, key=lambda name: (blended[name], name))
-            probe = False
-            # deterministic exploration: unsampled paths near the frontier
-            # get exactly one probe each, cheapest analytic first
-            for name in sorted(self.paths, key=lambda n: (analytic[n], n)):
-                if name == best:
-                    continue
-                if self.book.samples(shape, name) > 0:
-                    continue
-                if analytic[name] <= self.probe_margin * blended[best]:
-                    best, probe = name, True
-                    break
-        return RouteDecision(
-            path=best, shape=shape, probe=probe,
-            analytic=analytic, blended=blended,
-        )
+        analytic = {
+            name: path.estimate_io(query) for name, path in self.paths.items()
+        }
+        cost, best = min((cost, name) for name, cost in analytic.items())
+        if math.isinf(cost):
+            grids = [
+                path.cube.grid.dims
+                for path in self.paths.values()
+                if isinstance(path, CubePath)
+            ]
+            raise CubeError(
+                f"no path covers ranking dimensions "
+                f"{sorted(query.ranking.dims)} with selections "
+                f"{sorted(query.selections)}; available grids: {grids}"
+            )
+        return RouteDecision(path=best, analytic=analytic)
 
     def execute(
         self, query: TopKQuery, trace=None, tracer=None
     ) -> QueryResult:
-        """Route, run, observe: the router's single entry point.
+        """Route and run: the router's single entry point.
 
         Returns the answer, as every executor does; the full
-        :class:`RouteDecision` is kept on :attr:`last_decision`.  A
-        storage-fault abort propagates as
-        :class:`~repro.core.executor.QueryAbortedError` and leaves the
-        cost book untouched — a partial run's cost would poison the
-        observed mean.
+        :class:`RouteDecision` (estimates beside the observed cost) is
+        kept on :attr:`last_decision`.  A storage-fault abort propagates
+        as :class:`~repro.core.executor.QueryAbortedError`.
         """
         decision = self.decide(query)
-        path = self.paths[decision.path]
-        generation = path.generation()
         started = time.perf_counter()
-        with maybe_span(
-            tracer, "route.query", path=decision.path, probe=decision.probe
-        ) as span:
-            result, observed_io = path.execute(query, trace=trace, tracer=tracer)
+        with maybe_span(tracer, "route.query", path=decision.path) as span:
+            result, observed_io = self.paths[decision.path].execute(
+                query, trace=trace, tracer=tracer
+            )
             wall_s = time.perf_counter() - started
             if span is not None:
                 span.add_many(
                     observed_io=observed_io,
                     observed_pages=result.blocks_accessed,
                 )
-        if path.generation() == generation:
-            # a swap mid-query leaves a cost of neither generation
-            self.book.record(decision.shape, decision.path, observed_io, wall_s)
         self.last_decision = RouteDecision(
-            path=decision.path, shape=decision.shape, probe=decision.probe,
-            analytic=decision.analytic, blended=decision.blended,
+            path=decision.path, analytic=decision.analytic,
             observed_io=observed_io,
             observed_pages=result.blocks_accessed, wall_s=wall_s,
         )
         if self.registry is not None:
             self.registry.counter("route.queries").inc()
             self.registry.counter("route.decision", path=decision.path).inc()
-            if decision.probe:
-                self.registry.counter("route.probes").inc()
             self.registry.counter("route.observed_pages").inc(
                 result.blocks_accessed
             )

@@ -4,8 +4,8 @@
 whose per-query execution goes through an
 :class:`~repro.route.router.AdaptiveRouter` instead of straight into the
 cube executor: each query is priced across the cube / fragment / baseline
-paths, routed to the blended-cost minimum, and its observed cost
-is folded back into the router's cost book.  The answer contract is
+paths and routed to the cheapest estimate; the cube path runs on the
+service's own executor, caches and buffering included.  The answer contract is
 untouched — every path returns byte-identical results, so a client cannot
 tell which path served it except through ``route.*`` metrics.
 
@@ -30,30 +30,27 @@ import threading
 from ..core.cube import RankingCube
 from ..relational.query import QueryResult, TopKQuery
 from ..relational.table import Table
-from ..route.advisor import CubeAdvisor
+from ..route.advisor import AdvisorError, CubeAdvisor
 from ..route.drift import (
     DEFAULT_DRIFT_THRESHOLD,
     DriftDetector,
     RepartitionReport,
     repartition_cube,
 )
-from ..route.router import DEFAULT_PROBE_MARGIN, AdaptiveRouter
-from ..route.cost import DEFAULT_PRIOR_STRENGTH
+from ..route.router import AdaptiveRouter
 from .service import QueryService
 
 
 class RoutedQueryService(QueryService):
     """A query service whose front door is the adaptive router.
 
-    Accepts every :class:`QueryService` parameter (the cube path shares
-    the service's pseudo-block cache, bound memo and block cache) plus:
+    Accepts every :class:`QueryService` parameter (the cube path runs on
+    the service's executor) plus:
 
     Parameters
     ----------
     fragment_cube:
         Optional fragment-family cube added as a third route path.
-    prior_strength / probe_margin:
-        Router tuning, passed through to :class:`AdaptiveRouter`.
     auto_advise_observations:
         When set, the service owns a background :class:`CubeAdvisor`
         with ``min_observations`` set to this value; every routed query
@@ -76,31 +73,20 @@ class RoutedQueryService(QueryService):
         relation: Table,
         *,
         fragment_cube: RankingCube | None = None,
-        prior_strength: float = DEFAULT_PRIOR_STRENGTH,
-        probe_margin: float = DEFAULT_PROBE_MARGIN,
         auto_advise_observations: int | None = None,
         advisor_budget_entries: int | None = None,
         drift_check_interval: int | None = None,
         drift_threshold: float = DEFAULT_DRIFT_THRESHOLD,
         **service_kwargs,
     ):
+        # every check runs before QueryService.__init__ hooks a cache
+        # listener on the cube: a rejected constructor leaves none behind
         if relation is None:
             raise ValueError("RoutedQueryService needs the base relation")
-        super().__init__(cube, relation, **service_kwargs)
-        self.router = AdaptiveRouter.for_cube(
-            cube,
-            relation,
-            fragment_cube=fragment_cube,
-            pseudo_cache=self.pseudo_cache,
-            bound_memo=self.bound_memo,
-            block_cache=self.block_cache,
-            registry=self.registry,
-            prior_strength=prior_strength,
-            probe_margin=probe_margin,
-        )
-        self.relation = relation
         if drift_check_interval is not None and drift_check_interval < 1:
             raise ValueError("drift_check_interval must be >= 1")
+        if auto_advise_observations is not None and auto_advise_observations < 1:
+            raise AdvisorError("min_observations must be >= 1")
         #: the pages maintenance installs are written through
         self._maintenance_pool = getattr(cube.base_table, "pool", None)
         if self._maintenance_pool is None and (
@@ -110,6 +96,19 @@ class RoutedQueryService(QueryService):
                 "auto_advise_observations and drift_check_interval need a "
                 "cube whose base table exposes its buffer pool"
             )
+        self.drift_detector: DriftDetector | None = None
+        self._drift_interval = drift_check_interval
+        if drift_check_interval is not None:
+            self.drift_detector = DriftDetector(cube, threshold=drift_threshold)
+        super().__init__(cube, relation, **service_kwargs)
+        self.router = AdaptiveRouter.for_cube(
+            cube,
+            relation,
+            fragment_cube=fragment_cube,
+            executor=self.executor,
+            registry=self.registry,
+        )
+        self.relation = relation
         self.advisor: CubeAdvisor | None = None
         self._owns_advisor = auto_advise_observations is not None
         if self._owns_advisor:
@@ -121,10 +120,6 @@ class RoutedQueryService(QueryService):
                 min_observations=auto_advise_observations,
                 registry=self.registry,
             ).start()
-        self.drift_detector: DriftDetector | None = None
-        self._drift_interval = drift_check_interval
-        if drift_check_interval is not None:
-            self.drift_detector = DriftDetector(cube, threshold=drift_threshold)
         self._routed_count = 0
         self._route_lock = threading.Lock()
         self._repartition_lock = threading.Lock()

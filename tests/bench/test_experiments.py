@@ -167,12 +167,12 @@ FIGURE_PINS = {
         "rank_mapping": [106, 71, 0, 108],
         "ranking_fragments": [13, 22, 5, 28],
     },
-    # the "hybrid" method is the router at probe_margin=1.0
+    # the "hybrid" method is the router: the cheaper path at every s
     "extra_hybrid_routing": {
         "x": [1, 2, 3, 4],
         "baseline": [30, 30, 30, 30],
         "ranking_cube": [7, 14, 2, 2],
-        "hybrid": [30, 30, 30, 30],
+        "hybrid": [30, 30, 2, 2],
     },
 }
 

@@ -9,7 +9,6 @@ from repro.core.estimate import (
     estimate_baseline_cost,
     estimate_cube_cost,
     estimate_qualifying,
-    expected_blocks_to_k,
     expected_heap_pages,
 )
 from repro.ranking import LinearFunction
@@ -135,63 +134,27 @@ class TestEstimates:
         with pytest.raises(ValueError):
             expected_heap_pages(10, 0)
 
-    def test_expected_blocks_helper(self):
-        assert expected_blocks_to_k(10, 100.0, 50) == pytest.approx(5.0)
-        assert expected_blocks_to_k(10, 0.0, 50) == 50.0
-        assert expected_blocks_to_k(1000, 10.0, 50) == 50.0
-        with pytest.raises(ValueError):
-            expected_blocks_to_k(1, 1.0, 0)
-
-
-    def test_cube_cost_routes_through_expected_blocks_to_k(self, monkeypatch):
-        """Regression: the planner's cost and the advisor's oracle must use
-        the SAME block-count formula — ``estimate_cube_cost`` has to call
-        :func:`expected_blocks_to_k` with exactly (k, qualifying, grid
-        blocks), not re-derive (and round differently) its own copy."""
-        import repro.core.estimate as estimate_mod
-
-        _db, table, _rows, _schema, cube = make_env()
-        query = TopKQuery(10, {"a1": 3}, fn())
-        calls = []
-        real = estimate_mod.expected_blocks_to_k
-
-        def spy(k, qualifying, total_blocks):
-            calls.append((k, qualifying, total_blocks))
-            return real(k, qualifying, total_blocks)
-
-        monkeypatch.setattr(estimate_mod, "expected_blocks_to_k", spy)
-        estimate = estimate_mod.estimate_cube_cost(cube, table, query)
-        assert calls == [
-            (
-                query.k,
-                estimate_mod.estimate_qualifying(table, query),
-                cube.grid.num_blocks,
-            )
-        ]
-        # arithmetic consistency: base reads never exceed the shared
-        # formula's block count, and pages include them
-        expected_blocks = real(query.k, calls[0][1], cube.grid.num_blocks)
-        assert estimate.pages >= min(expected_blocks, calls[0][1])
-
     def test_cube_cost_saturates_at_grid_size(self):
-        """k beyond what the data holds never predicts more block visits
-        than the grid has — the shared helper's clamp must flow through."""
+        """Past the qualifying tuples the search pops every block: the
+        estimate stops growing with k, and never exceeds one fetch per
+        pseudo block plus one read per base block."""
         _db, table, _rows, _schema, cube = make_env(num_rows=500)
-        estimate = estimate_cube_cost(
-            cube, table, TopKQuery(10_000, {"a1": 3}, fn())
+        big, bigger = (
+            estimate_cube_cost(cube, table, TopKQuery(k, {"a1": 3}, fn()))
+            for k in (10_000, 10**9)
         )
-        qualifying = estimate_qualifying(table, TopKQuery(10_000, {"a1": 3}, fn()))
-        cap = cube.grid.num_blocks + qualifying  # base reads + bookkeeping
-        assert estimate.pages <= cap + 3.0 * 8  # descent term upper bound
+        assert big.pages == bigger.pages
+        (cuboid,) = cube.covering_cuboids(["a1"])
+        assert big.pages <= cuboid.pseudo.num_pseudo_blocks + cube.grid.num_blocks
 
 
 class TestHybridExecutor:
-    """Figure 9's cube-or-index call, made per query by the router at
-    ``probe_margin=1.0`` (it follows the cost model)."""
+    """Figure 9's cube-or-index call, made per query by the router on
+    the cheaper estimate."""
 
     def test_unselective_query_routes_to_cube(self):
         _db, table, _rows, _schema, cube = make_env()
-        router = AdaptiveRouter.for_cube(cube, table, probe_margin=1.0)
+        router = AdaptiveRouter.for_cube(cube, table)
         router.execute(TopKQuery(5, {"a1": 3}, fn()))
         assert router.last_decision.path == "cube"
 
@@ -199,13 +162,13 @@ class TestHybridExecutor:
         # a3 has cardinality 5000 over 8000 rows: the secondary index
         # returns ~1-2 rids, cheaper than any progressive search
         _db, table, _rows, _schema, cube = make_env(cards=(10, 10, 5000))
-        router = AdaptiveRouter.for_cube(cube, table, probe_margin=1.0)
+        router = AdaptiveRouter.for_cube(cube, table)
         router.execute(TopKQuery(10, {"a3": 5}, fn()))
         assert router.last_decision.path == "baseline"
 
     def test_both_routes_return_identical_answers(self):
         _db, table, rows, schema, cube = make_env()
-        router = AdaptiveRouter.for_cube(cube, table, probe_margin=1.0)
+        router = AdaptiveRouter.for_cube(cube, table)
         rng = random.Random(3)
         for _ in range(8):
             selections = {"a1": rng.randrange(10)}
@@ -225,10 +188,10 @@ class TestHybridExecutor:
             )
 
     def test_estimates_recorded(self):
-        """The last decision holds both analytic estimates, for the
-        latest query and not a stale one."""
+        """The last decision holds both estimates, for the latest query
+        and not a stale one."""
         _db, table, _rows, _schema, cube = make_env(cards=(10, 10, 5000))
-        router = AdaptiveRouter.for_cube(cube, table, probe_margin=1.0)
+        router = AdaptiveRouter.for_cube(cube, table)
         router.execute(TopKQuery(5, {"a1": 3}, fn()))
         assert router.last_decision.path == "cube"
         router.execute(TopKQuery(10, {"a3": 5}, fn()))
@@ -242,9 +205,7 @@ class TestHybridExecutor:
 
         _db, table, _rows, _schema, cube = make_env(cards=(10, 10, 5000))
         registry = MetricsRegistry()
-        router = AdaptiveRouter.for_cube(
-            cube, table, registry=registry, probe_margin=1.0
-        )
+        router = AdaptiveRouter.for_cube(cube, table, registry=registry)
         router.execute(TopKQuery(5, {"a1": 3}, fn()))
         router.execute(TopKQuery(10, {"a3": 5}, fn()))
         router.execute(TopKQuery(10, {"a3": 5}, fn()))

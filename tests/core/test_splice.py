@@ -64,6 +64,10 @@ def built_and_spliced(codec, old, additions):
             store.build(union.items())
         pool.flush()
         assert store.num_records == sum(map(len, union.values()))
+        # the in-memory counts the cost model walks, on either path
+        assert store.counts == {
+            key: len(records) for key, records in union.items() if records
+        }
         assert list(store.items()) == [
             (key, union[key]) for key in sorted(union) if union[key]
         ]

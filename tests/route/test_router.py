@@ -3,10 +3,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.baselines.scan import BaselineExecutor
-from repro.core import CubeCompactor, CubeError, RankingCube, RankingCubeExecutor
+from repro.core import CubeError, RankingCube, RankingCubeExecutor
+from repro.core.estimate import estimate_cube_cost
 from repro.obs import MetricsRegistry
 from repro.ranking import LinearFunction
 from repro.relational import Database, Schema, TopKQuery, ranking_attr, selection_attr
@@ -16,7 +18,6 @@ from repro.route import (
     DriftDetector,
     RoutePath,
     repartition_cube,
-    shape_of,
 )
 from repro.storage.device import RANDOM_READ_WEIGHT, SEQ_READ_WEIGHT
 from repro.workloads.drifting import DriftingQueryStream, WorkloadPhase, shifted_rows
@@ -55,16 +56,16 @@ def query(k=5, selections=None):
 
 
 class StubPath(RoutePath):
-    """A scripted path: fixed analytic estimate, scripted observed cost."""
+    """A scripted path: a fixed estimate, a scripted observed cost."""
 
-    def __init__(self, name, analytic, observed=None):
+    def __init__(self, name, estimate, observed=None):
         self.name = name
-        self.analytic = analytic
-        self.observed = observed if observed is not None else analytic
+        self.estimate = estimate
+        self.observed = observed if observed is not None else estimate
         self.executions = 0
 
     def estimate_io(self, q):
-        return self.analytic
+        return self.estimate
 
     def execute(self, q, trace=None, tracer=None):
         self.executions += 1
@@ -98,82 +99,38 @@ class TestValidation:
                 make_table(), [StubPath("p", 1.0), StubPath("p", 2.0)]
             )
 
-    def test_rejects_probe_margin_below_one(self):
-        with pytest.raises(ValueError, match="probe_margin"):
-            AdaptiveRouter(make_table(), [StubPath("p", 1.0)], probe_margin=0.5)
+    def test_for_cube_rejects_an_executor_over_another_cube(self):
+        _db, table, cube, _rows = make_env()
+        other = RankingCube.build(table, block_size=12)
+        with pytest.raises(ValueError, match="executor"):
+            AdaptiveRouter.for_cube(
+                cube, table, executor=RankingCubeExecutor(other, table)
+            )
 
 
 class TestDecide:
-    def test_unsampled_decision_follows_analytic_order_with_probes(self):
-        """First query probes the near-frontier paths once each, cheapest
-        analytic first, then the router settles on the blended minimum."""
+    def test_routes_to_the_cheapest_estimate_every_time(self):
+        """No exploration and no learning: observed costs never move the
+        decision, which is the minimum estimate on every query."""
         table = make_table()
-        cheap = StubPath("cheap", analytic=10.0)
-        near = StubPath("near", analytic=20.0)      # within 3x of 10
-        far = StubPath("far", analytic=100.0)       # outside the margin
-        router = AdaptiveRouter(table, [cheap, near, far], probe_margin=3.0)
-        q = query()
-
-        first = run(router, q)
-        assert (first.path, first.probe) == ("near", True)
-        second = run(router, q)
-        assert (second.path, second.probe) == ("cheap", False)
-        third = run(router, q)
-        assert (third.path, third.probe) == ("cheap", False)
-        assert far.executions == 0  # never worth a probe
-
-    def test_probe_happens_at_most_once_per_shape_and_path(self):
-        table = make_table()
-        router = AdaptiveRouter(
-            table, [StubPath("a", 10.0), StubPath("b", 11.0)]
-        )
-        q = query()
-        probes = [run(router, q).probe for _ in range(6)]
-        assert probes.count(True) == 1
-
-    def test_new_shape_gets_its_own_probes(self):
-        table = make_table()
-        router = AdaptiveRouter(
-            table, [StubPath("a", 10.0), StubPath("b", 11.0)]
-        )
-        assert run(router, query(k=5)).probe is True
-        # a different k bucket is a different shape: the book is empty there
-        assert run(router, query(k=64)).probe is True
-
-    def test_observed_costs_override_a_wrong_analytic_ranking(self):
-        """The path the model prices worse wins once observations say so."""
-        table = make_table()
-        # model says `slow` is cheapest, but it observes 200 per run
-        slow = StubPath("slow", analytic=10.0, observed=200.0)
-        fast = StubPath("fast", analytic=25.0, observed=5.0)
-        router = AdaptiveRouter(table, [slow, fast], prior_strength=2.0)
-        q = query()
-        for _ in range(8):
-            router.execute(q)
-        settled = run(router, q)
-        assert settled.path == "fast"
-        assert settled.blended["fast"] < settled.blended["slow"]
+        cheap = StubPath("cheap", estimate=10.0, observed=500.0)
+        near = StubPath("near", estimate=11.0, observed=1.0)
+        router = AdaptiveRouter(table, [near, cheap])
+        assert [run(router, query()).path for _ in range(4)] == ["cheap"] * 4
+        assert near.executions == 0
 
     def test_ties_break_deterministically_by_name(self):
         table = make_table()
         router = AdaptiveRouter(
             table, [StubPath("zeta", 10.0), StubPath("alpha", 10.0)],
         )
-        q = query()
-        # sample both paths at identical cost so no probe is pending and
-        # the blended costs tie exactly
-        s = shape_of(table, q)
-        router.book.record(s, "zeta", 10.0, 0.0)
-        router.book.record(s, "alpha", 10.0, 0.0)
-        decision = router.decide(q)
-        assert (decision.path, decision.probe) == ("alpha", False)
+        assert router.decide(query()).path == "alpha"
 
     def test_no_usable_path_raises_before_running_one(self):
-        """Regression: with every path priced at inf, ``inf <= margin *
-        inf`` held and the router ran one of them as a probe."""
+        """With every path priced at inf, nothing runs."""
         table = make_table()
         paths = [StubPath("a", math.inf), StubPath("b", math.inf)]
-        router = AdaptiveRouter(table, paths, probe_margin=1.0)
+        router = AdaptiveRouter(table, paths)
         with pytest.raises(CubeError, match="available grids"):
             router.decide(query())
         with pytest.raises(CubeError):
@@ -182,15 +139,35 @@ class TestDecide:
         assert router.last_decision is None
 
     def test_decision_records_full_cost_tables(self):
+        """Every path's estimate, beside what the chosen one cost."""
         table = make_table()
         router = AdaptiveRouter(
-            table, [StubPath("a", 10.0), StubPath("b", 30.0)]
+            table, [StubPath("a", 10.0, observed=12.0), StubPath("b", 30.0)]
         )
-        decision = router.decide(query())
-        assert set(decision.analytic) == {"a", "b"}
-        assert decision.analytic["b"] == pytest.approx(30.0)
-        assert decision.blended["a"] == pytest.approx(10.0)  # no samples yet
-        assert decision.shape == shape_of(table, query())
+        assert router.decide(query()).analytic == {"a": 10.0, "b": 30.0}
+        decision = run(router, query())
+        assert decision.path == "a"
+        assert decision.analytic == {"a": 10.0, "b": 30.0}
+        assert (decision.observed_io, decision.observed_pages) == (12.0, 1)
+        assert decision.wall_s >= 0.0
+
+    def test_planning_reads_no_device_page(self):
+        """Pricing a cold query reads the cube's in-memory counts and
+        the table's histograms: with the buffer pool dropped, deciding
+        moves no device read."""
+        db, table, cube, _rows = make_env()
+        router = AdaptiveRouter.for_cube(cube, table)
+        queries = [
+            query(k=5, selections={"a1": 1}),
+            query(k=3, selections={"a1": 0, "a2": 2}),
+            query(k=4, selections={}),
+        ]
+        for q in queries:
+            db.pool.clear()
+            before = db.device.stats.reads
+            decision = router.decide(q)
+            assert db.device.stats.reads == before
+            assert decision.analytic["cube"] > 0
 
 
 class TestForCube:
@@ -215,73 +192,56 @@ class TestForCube:
                 result, observed_io = path.execute(q)
                 assert [(r.score, r.tid) for r in result.rows] == expected
                 assert observed_io >= 0.0
-            for _ in range(3):  # cover probe and settled decisions
-                got = [(r.score, r.tid) for r in router.execute(q).rows]
-                assert got == expected
+            got = [(r.score, r.tid) for r in router.execute(q).rows]
+            assert got == expected
 
-    def test_an_epoch_bump_makes_the_cube_path_probe_again(self):
-        """Cube-path observations belong to the epoch they measured: after
-        a compaction swaps the materialization, the router has no cube
-        samples for the shape and re-probes the cube once."""
-        db, table, cube, _rows = make_env()
-        cube_path = AdaptiveRouter.for_cube(cube, table).paths["cube"]
-        q = query()
-        # a scripted path the book prefers once sampled, and whose blend
-        # keeps an unsampled cube within the probe margin
-        stub = StubPath("stub", analytic=cube_path.estimate_io(q), observed=1.0)
-        router = AdaptiveRouter(table, [cube_path, stub])
-        s = shape_of(table, q)
-        decisions = [run(router, q) for _ in range(3)]
-        assert [(d.path, d.probe) for d in decisions] == [
-            ("stub", True), ("cube", True), ("stub", False),
-        ]
-        assert router.book.samples(s, "cube") == 1
-
-        table.insert_rows([(1, 0, 0.5, 0.5), (2, 3, 0.4, 0.6)])
-        cube.refresh_delta(table)
-        epoch = cube.epoch
-        assert CubeCompactor(cube, db.pool).compact_once().swapped
-        assert cube.epoch == epoch + 1
-
-        assert router.book.samples(s, "cube") == 1  # forgotten on decide
-        decision = run(router, q)
-        assert (decision.path, decision.probe) == ("cube", True)
-        assert router.book.samples(s, "cube") == 1
-        assert router.book.samples(s, "stub") == 2
-        assert run(router, q).path == "stub"
-
-    def test_a_promotion_makes_the_cube_path_probe_again(self):
+    def test_a_promotion_changes_the_cube_estimate(self):
         """An advisor promotion keeps the epoch but changes the cuboids
-        the cube path answers from: its samples measured the old set, so
-        the router forgets them and re-probes the cube once."""
+        the cube path answers from; the estimate reads the installed
+        cuboid's counts at once, with no query observed."""
         db, table, _cube, _rows = make_env()
         cube = RankingCube.build(table, block_size=12, cuboid_sets=[("a1",), ("a2",)])
-        cube_path = AdaptiveRouter.for_cube(cube, table).paths["cube"]
-        q = query()
-        stub = StubPath("stub", analytic=cube_path.estimate_io(q), observed=1.0)
-        router = AdaptiveRouter(table, [cube_path, stub])
-        s = shape_of(table, q)
-        decisions = [run(router, q) for _ in range(3)]
-        assert [(d.path, d.probe) for d in decisions] == [
-            ("stub", True), ("cube", True), ("stub", False),
-        ]
+        router = AdaptiveRouter.for_cube(cube, table)
+        q = query(selections={"a1": 1, "a2": 2})
+        before = router.decide(q).analytic["cube"]
 
-        epoch = cube.epoch
         advisor = CubeAdvisor(cube, table, db.pool, min_observations=8)
         for _ in range(12):
-            advisor.observe(query(selections={"a1": 1, "a2": 2}))
+            advisor.observe(q)
         report = advisor.advise_once()
         assert report.swapped and report.promoted
-        assert cube.epoch == epoch
+        assert frozenset({"a1", "a2"}) in cube.cuboids
 
-        decision = run(router, q)
-        assert (decision.path, decision.probe) == ("cube", True)
-        assert router.book.samples(s, "cube") == 1
-        assert run(router, q).path == "stub"
+        after = router.decide(q).analytic["cube"]
+        assert after != before
+        # the estimate after the promotion is what a fresh router prices
+        fresh = AdaptiveRouter.for_cube(cube, table).decide(q)
+        assert after == fresh.analytic["cube"]
+
+    def test_a_repartition_changes_the_cube_estimate(self):
+        """A re-partition installs a new grid and new stores: the next
+        estimate walks their counts, with no query observed."""
+        db, table, cube, _rows = make_env()
+        router = AdaptiveRouter.for_cube(cube, table)
+        q = query(selections={"a1": 1})
+        before = router.decide(q).analytic["cube"]
+        rng = random.Random(5)
+        table.insert_rows([
+            (rng.randrange(CARDS[0]), rng.randrange(CARDS[1]),
+             rng.uniform(0.0, 0.1), rng.uniform(0.0, 0.1))
+            for _ in range(150)
+        ])
+        cube.refresh_delta(table)
+        # delta tuples are merged in memory and priced at no page
+        assert router.decide(q).analytic["cube"] == before
+        grid = cube.grid
+        assert repartition_cube(cube, table, table.pool).swapped
+        assert cube.grid != grid
+        assert router.decide(q).analytic["cube"] != before
 
     def test_uncoverable_query_estimates_inf_but_still_answers(self):
         """A cube materializing only {a1} cannot cover a2-queries: its
-        analytic cost is inf and routing falls through to the baseline."""
+        estimate is inf and routing falls through to the baseline."""
         rows = make_rows(17, 200)
         db = Database(buffer_capacity=64)
         table = db.load_table("R", SCHEMA, rows)
@@ -298,7 +258,7 @@ class TestForCube:
 
 
 class TestObservability:
-    def test_counters_and_cost_book_after_a_stream(self):
+    def test_counters_after_a_stream(self):
         db, table, cube, _rows = make_env()
         registry = MetricsRegistry()
         router = AdaptiveRouter.for_cube(cube, table, registry=registry)
@@ -313,9 +273,6 @@ class TestObservability:
         )
         assert decisions == 5
         assert registry.counter("route.observed_pages").value > 0
-        s = shape_of(table, q)
-        sampled = sum(router.book.samples(s, name) for name in router.paths)
-        assert sampled == 5
         assert router.last_decision is not None
         assert router.last_decision.observed_io > 0
 
@@ -338,6 +295,7 @@ DRIFT_FULL = dict(
 def replay_drifting_stream(
     scenario, *, num_tuples, append_tuples, phase_queries,
     low_cardinality, high_cardinality, block_size, advise_interval, seed=41,
+    ratios=None,
 ):
     """Replay a three-phase drifting stream through one configuration.
 
@@ -348,7 +306,9 @@ def replay_drifting_stream(
     advisor re-plans, drift-triggered re-partition) or a static path:
     ``"cube"`` or ``"baseline"``.  Costs are logical weighted
     pages, so the replay is deterministic.  Returns ``(weighted pages,
-    pages, repartitions)``; every answer must equal the oracle.
+    pages, repartitions)``; every answer must equal the oracle.  Given a
+    ``ratios`` list, the adaptive run also appends, per query, the cube
+    path's estimate over the cost a cube executor observes for it.
     """
     schema = Schema.of(
         [
@@ -414,6 +374,10 @@ def replay_drifting_stream(
                 if repartition_cube(cube, table, table.pool, registry=registry).swapped:
                     repartitions += 1
         if scenario == "adaptive":
+            if ratios is not None:
+                observed = RankingCubeExecutor(cube, table).execute(query)
+                estimate = estimate_cube_cost(cube, table, query).io_cost
+                ratios.append(estimate / (RANDOM_READ_WEIGHT * observed.blocks_accessed))
             result = router.execute(query)
             cost = router.last_decision.observed_io
             advisor.observe(query)
@@ -442,12 +406,12 @@ class TestDriftingStream:
         [
             (
                 DRIFT_SMOKE,
-                {"adaptive": (2483, 1835, 1), "cube": (2880, 288, 0),
+                {"adaptive": (2200, 1111, 1), "cube": (2880, 288, 0),
                  "baseline": (3192, 3192, 0)},
             ),
             pytest.param(
                 DRIFT_FULL,
-                {"adaptive": (12879, 7542, 1), "cube": (13200, 1320, 0),
+                {"adaptive": (10850, 2048, 1), "cube": (13200, 1320, 0),
                  "baseline": (18359, 17396, 0)},
                 marks=pytest.mark.slow,
             ),
@@ -467,3 +431,17 @@ class TestDriftingStream:
         cost, _pages, repartitions = observed.pop("adaptive")
         assert cost < min(static for static, _pages, _swaps in observed.values())
         assert repartitions == 1
+
+    @pytest.mark.parametrize(
+        "size",
+        [DRIFT_SMOKE, pytest.param(DRIFT_FULL, marks=pytest.mark.slow)],
+        ids=["smoke", "full"],
+    )
+    def test_cube_estimate_tracks_the_observed_cost(self, size):
+        """The count walk's estimate over the cube's observed cost, on
+        every query of the adaptive replay (after promotions and the
+        re-partition too), lies within [0.8, 1.3] from p10 to p90."""
+        ratios = []
+        replay_drifting_stream("adaptive", ratios=ratios, **size)
+        p10, _p50, p90 = np.percentile(ratios, [10, 50, 90])
+        assert 0.8 <= p10 and p90 <= 1.3

@@ -15,6 +15,17 @@ back:
 * no ``HybridExecutor`` or ``MultiCubeRouter`` identifier is left in the
   package, the tests, the benchmarks or the examples (tokens, not prose:
   a docstring may still tell the story).
+
+The router also once corrected a coarse cube estimate with a second,
+learned cost model: a per-query-shape cost book blending observed costs
+into the estimate, with probing and two knobs.  The cube now prices
+itself from its own record counts and the router takes the cheapest
+estimate, so that model is gone too:
+
+* the modules ``repro.route.cost`` and ``repro.route.signature`` do not
+  import;
+* no ``CostBook``, ``prior_strength``, ``probe_margin`` or ``shape_of``
+  identifier is left in the same four trees.
 """
 
 import ast
@@ -30,7 +41,10 @@ import repro
 PACKAGE = Path(repro.__file__).resolve().parent
 ROOT = PACKAGE.parents[1]
 ESTIMATORS = {"estimate_cube_cost", "estimate_baseline_cost"}
-GONE = {"HybridExecutor", "MultiCubeRouter"}
+GONE = {
+    "HybridExecutor", "MultiCubeRouter",
+    "CostBook", "prior_strength", "probe_margin", "shape_of",
+}
 
 
 def _sources(*roots: Path):
@@ -38,7 +52,13 @@ def _sources(*roots: Path):
         yield from sorted(root.rglob("*.py"))
 
 
-@pytest.mark.parametrize("module", ["repro.core.hybrid", "repro.core.multigrid"])
+@pytest.mark.parametrize(
+    "module",
+    [
+        "repro.core.hybrid", "repro.core.multigrid",
+        "repro.route.cost", "repro.route.signature",
+    ],
+)
 def test_the_old_routers_do_not_import(module):
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module(module)

@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from repro.core import RankingCube, RankingCubeExecutor
+from repro.core import RankingCube, RankingCubeExecutor, estimate_cube_cost
 from repro.persist import FORMAT_VERSION, PersistError, Workspace, load_workspace, save_workspace
 from repro.ranking import LinearFunction
 from repro.relational import Database, TopKQuery
@@ -53,6 +53,25 @@ class TestRoundtrip:
         executor = RankingCubeExecutor(restored.cube("R"), restored.db.table("R"))
         query = TopKQuery(1, {"a1": 0, "a2": 0}, LinearFunction(["n1", "n2"], [1, 1]))
         assert executor.execute(query).scores == [pytest.approx(0.0)]
+
+    def test_a_reloaded_cube_prices_queries_identically(self, workspace, tmp_path):
+        """The per-key record counts the cost model walks pickle with
+        their stores: a reloaded cube holds the same counts and prices
+        every query to the same float."""
+        dataset, ws = workspace
+        path = tmp_path / "s.rcube"
+        ws.save(path)
+        restored = load_workspace(path)
+        cube, again = ws.cube("R"), restored.cube("R")
+        assert again.base_table.counts == cube.base_table.counts
+        for key, cuboid in cube.cuboids.items():
+            assert again.cuboids[key].counts == cuboid.counts
+        table, reloaded = ws.db.table("R"), restored.db.table("R")
+        gen = QueryGenerator(dataset.schema, QuerySpec(k=10, seed=5))
+        for query in gen.batch(6):
+            assert estimate_cube_cost(again, reloaded, query) == estimate_cube_cost(
+                cube, table, query
+            )
 
     def test_save_workspace_helper(self, workspace, tmp_path):
         _dataset, ws = workspace
@@ -248,6 +267,11 @@ class TestShardedWorkspace:
 
         restored = load_sharded_workspace(tmp_path / "ws")
         assert restored.num_rows == len(rows)
+        # the cost model's record counts travel with every shard's stores
+        for shard, again in zip(cube.shards, restored.shards):
+            assert again.cube.base_table.counts == shard.cube.base_table.counts
+            for key, cuboid in shard.cube.cuboids.items():
+                assert again.cube.cuboids[key].counts == cuboid.counts
         with ShardedQueryService(restored, workers=1) as service:
             got = [
                 [(r.tid, round(r.score, 9)) for r in res.rows]
