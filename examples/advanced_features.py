@@ -6,8 +6,9 @@ here:
 1. **Incremental maintenance** — tuples inserted after the cube build land
    in a delta store and are visible to queries immediately; a rebuild
    folds them in when the delta outgrows a threshold.
-2. **Workload-aware fragment grouping** — dimensions that co-occur in the
-   query log share a fragment, so hot queries avoid online intersection.
+2. **Offline cuboid design** — the online advisor, fed a prior workload,
+   materializes the cuboids the cube's estimate says save the most pages,
+   so hot queries avoid online intersection.
 3. **Many ranking dimensions** — the router over cubes built on
    ranking-dimension groups serves functions over any covered subset.
 
@@ -18,21 +19,15 @@ import random
 
 from repro import (
     Database,
-    FragmentedRankingCube,
     LinearFunction,
     RankingCube,
     RankingCubeExecutor,
     Schema,
     TopKQuery,
 )
-from repro.core import (
-    cooccurrence_grouping,
-    evenly_partition,
-    expected_covering_fragments,
-)
 from repro.relational import ranking_attr, selection_attr
-from repro.route import AdaptiveRouter, CubePath
-from repro.workloads import SyntheticSpec, generate
+from repro.route import AdaptiveRouter, CubeAdvisor, CubePath
+from repro.workloads import QueryGenerator, QuerySpec, SyntheticSpec, generate
 
 
 def incremental_updates() -> None:
@@ -57,37 +52,41 @@ def incremental_updates() -> None:
           f"{cube.needs_rebuild(0.1)}")
 
 
-def workload_aware_fragments() -> None:
-    print("\n=== 2. workload-aware fragment grouping ===")
+def offline_cuboid_design() -> None:
+    print("\n=== 2. offline cuboid design (the advisor over a prior workload) ===")
     dataset = generate(SyntheticSpec(num_selection_dims=8, num_tuples=8_000, seed=6))
     db = Database()
     table = dataset.load_into(db)
     dims = dataset.schema.selection_names
+    cube = RankingCube.build(table, cuboid_sets=[(d,) for d in dims])
 
-    # the query log pairs distant dimensions — worst case for even grouping
+    # the prior workload: Section 5's random three-condition queries, and a
+    # query log that keeps pairing two distant dimensions
     rng = random.Random(1)
-    workload = [("a1", "a8"), ("a2", "a7"), ("a3", "a6"), ("a4", "a5")] * 10
-
-    even = evenly_partition(dims, 2)
-    aware = cooccurrence_grouping(dims, workload, 2)
-    print(f"even grouping:  {even}")
-    print(f"  avg covering fragments: "
-          f"{expected_covering_fragments(even, workload):.2f}")
-    print(f"aware grouping: {aware}")
-    print(f"  avg covering fragments: "
-          f"{expected_covering_fragments(aware, workload):.2f}")
-
-    cube = FragmentedRankingCube.build_fragments(table, fragments=aware)
-    executor = RankingCubeExecutor(cube, table)
-    query = TopKQuery(
+    hot = TopKQuery(
         5,
         {"a1": rng.randrange(10), "a8": rng.randrange(10)},
         LinearFunction(["n1", "n2"], [1, 1]),
     )
-    covering = cube.covering_cuboids(query.selection_names)
+    prior = QueryGenerator(dataset.schema, QuerySpec(num_selections=3)).batch(32)
+    prior += [hot] * 8
+    entries = sum(c.num_entries for c in cube.cuboids.values())
+    advisor = CubeAdvisor(
+        cube, table, db.pool,
+        space_budget_entries=entries + 2 * table.num_rows,  # room for two
+        min_observations=len(prior),
+    )
+    for query in prior:
+        advisor.observe(query)
+    # promoted by the estimated pages a cuboid saves over the workload,
+    # not by how often its shape is asked
+    report = advisor.advise_once()
+    print(f"promoted {list(report.promoted)}, saving ~{report.benefit:.0f} "
+          f"estimated weighted pages over the prior workload")
+    covering = cube.covering_cuboids(hot.selection_names)
     print(f"hot query (a1, a8) is covered by {len(covering)} cuboid(s): "
           f"{[c.name for c in covering]}")
-    print(f"answer: {executor.execute(query).tids}")
+    print(f"answer: {RankingCubeExecutor(cube, table).execute(hot).tids}")
 
 
 def many_ranking_dimensions() -> None:
@@ -124,5 +123,5 @@ def many_ranking_dimensions() -> None:
 
 if __name__ == "__main__":
     incremental_updates()
-    workload_aware_fragments()
+    offline_cuboid_design()
     many_ranking_dimensions()

@@ -67,11 +67,18 @@
 #                         is the structural test that AdaptiveRouter is the
 #                         only router: repro.core.hybrid / multigrid do not
 #                         import, only route/router.py calls the cost
-#                         estimators, and no HybridExecutor /
-#                         MultiCubeRouter identifier is left; and that
+#                         estimators (and route/advisor.py, which chooses
+#                         cuboids, not paths), and no HybridExecutor /
+#                         MultiCubeRouter identifier is left; that
 #                         the learned cost model is gone: repro.route.cost
 #                         / signature do not import and no CostBook /
 #                         prior_strength / probe_margin / shape_of
+#                         identifier is left; and that cuboid selection
+#                         has one objective: repro.core.advisor / grouping
+#                         do not import and no hot_fraction /
+#                         cold_fraction / max_promote_dims /
+#                         recommend_fragments / FragmentDesign /
+#                         cooccurrence_grouping / realized_fragment_entries
 #                         identifier is left.
 #                         tests/core/test_maintenance_races.py is the race
 #                         matrix: every (outer, inner) pair of compaction,
@@ -132,7 +139,7 @@ export PYTHONPATH=src
 # stalling the whole gate.  Tests may tighten it with @pytest.mark.timeout.
 export REPRO_TEST_TIMEOUT="${REPRO_TEST_TIMEOUT:-300}"
 
-echo "== tier1 1/4: fast test suite (incl. structural single-search/one-engine + single-node-codec + one-router/one-cost-model + single-install + single-front-end tests, submit/close race, maintenance race matrix, examples test, doc-reference test, bound-table + selective-read + splice properties, block-cache equivalence, indexed delta, figure page pins, build image pin, reverse + adaptive gates) =="
+echo "== tier1 1/4: fast test suite (incl. structural single-search/one-engine + single-node-codec + one-router/one-cost-model/one-cuboid-objective + single-install + single-front-end tests, submit/close race, maintenance race matrix, examples test, doc-reference test, bound-table + selective-read + splice properties, block-cache equivalence, indexed delta, figure page pins, build image pin, reverse + adaptive gates) =="
 python -m pytest -m "not slow and not serve and not faults" -q
 
 echo "== tier1 2/4: sharded serving single-path test + serve-marked gate cases (identity, hot shard, early stop, shared-cache reads, WAL replay) =="

@@ -5,7 +5,6 @@ cuboids (Section 3.1.3), the progressive query algorithm (Section 3.2),
 and ranking fragments for high-dimensional data (Section 4).
 """
 
-from .advisor import FragmentDesign, Recommendation, recommend_fragments
 from .anyk import AnyKCursor
 from .base_table import BaseBlockTable
 from .blocks import BlockGrid, GridError
@@ -45,11 +44,6 @@ from .fragments import (
     fragment_cuboid_sets,
 )
 from .parallel import CuboidSpec, compute_build_groups, shard_ranges
-from .grouping import (
-    cooccurrence_counts,
-    cooccurrence_grouping,
-    expected_covering_fragments,
-)
 from .partition import (
     EquiDepthPartitioner,
     EquiWidthPartitioner,
@@ -86,7 +80,6 @@ __all__ = [
     "EquiDepthPartitioner",
     "EquiWidthPartitioner",
     "ExecutorTrace",
-    "FragmentDesign",
     "FragmentedRankingCube",
     "GridError",
     "Partitioner",
@@ -98,7 +91,6 @@ __all__ = [
     "RankingCube",
     "RankingCubeExecutor",
     "RankingCuboid",
-    "Recommendation",
     "ReverseTopKQuery",
     "ReverseTopKResult",
     "bins_for",
@@ -111,15 +103,11 @@ __all__ = [
     "estimate_baseline_cost",
     "estimate_cube_cost",
     "estimate_qualifying",
-    "cooccurrence_counts",
-    "cooccurrence_grouping",
     "estimated_fragment_space",
     "evenly_partition",
-    "expected_covering_fragments",
     "fragment_cuboid_sets",
     "full_cube_sets",
     "grid_from_boundaries",
-    "recommend_fragments",
     "scale_factor",
     "shard_ranges",
 ]

@@ -14,6 +14,8 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
+import numpy as np
+
 from ..storage.buffer import BufferPool
 from ..storage.pages import RecordCodec
 from .blocks import BlockGrid
@@ -38,6 +40,12 @@ class BaseBlockTable:
         #: against its replacement (``id()`` could be recycled by the
         #: allocator; this cannot).
         self.uid = next(_UIDS)
+        self._tuple_array = None
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_tuple_array"]  # derived from the counts
+        return state
 
     def __setstate__(self, state: dict) -> None:
         # A pickled uid names a table in the process that issued it; a
@@ -45,6 +53,7 @@ class BaseBlockTable:
         # this process builds later (each process counts from 0).
         self.__dict__.update(state)
         self.uid = next(_UIDS)
+        self._tuple_array = None
 
     @classmethod
     def build(
@@ -137,6 +146,16 @@ class BaseBlockTable:
     def counts(self) -> dict[tuple, int]:
         """Tuples per stored block, keyed ``(bid,)``; in memory, no I/O."""
         return self._store.counts
+
+    @property
+    def tuple_array(self) -> np.ndarray:
+        """:attr:`counts` over every bid of the grid (0 where none), as
+        floats; computed on first use (the table is build-once)."""
+        if self._tuple_array is None:
+            tuples = np.zeros(self.grid.num_blocks)
+            tuples[[bid for (bid,) in self.counts]] = list(self.counts.values())
+            self._tuple_array = tuples
+        return self._tuple_array
 
     @property
     def size_in_bytes(self) -> int:

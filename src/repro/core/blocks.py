@@ -27,6 +27,8 @@ import bisect
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 
 class GridError(Exception):
     """Raised for malformed grids or out-of-range block ids."""
@@ -89,6 +91,7 @@ class BlockGrid:
         derived["_neighbors"] = {}   # bid -> face-adjacent bids
         derived["_boxes"] = {}       # bid -> (lower, upper)
         derived["_sub_boxes"] = {}   # positions -> {bid -> (lower, upper)}
+        derived["_coord_arrays"] = None  # per dimension: every bid's coordinate
 
     def __getstate__(self) -> dict:
         return {"dims": self.dims, "boundaries": self.boundaries}
@@ -126,6 +129,18 @@ class BlockGrid:
                 raise GridError(f"coordinate {coord} out of range [0, {bin_count})")
             bid += coord * stride
         return bid
+
+    @property
+    def coord_arrays(self) -> tuple[np.ndarray, ...]:
+        """Per dimension, the coordinate of every bid (row-major), for
+        whole-grid arithmetic; computed on first use."""
+        if self._coord_arrays is None:
+            bids = np.arange(self._num_blocks)
+            self.__dict__["_coord_arrays"] = tuple(
+                bids // stride % count
+                for count, stride in zip(self._bins, self._strides)
+            )
+        return self._coord_arrays
 
     def coords_of(self, bid: int) -> tuple[int, ...]:
         """Grid coordinates of a block id."""
@@ -169,8 +184,6 @@ class BlockGrid:
         :meth:`locate` (half-open bins, clamped extremes).  Used by the
         bulk cube build, where per-tuple Python bisects dominate.
         """
-        import numpy as np
-
         array = np.asarray(points, dtype=float)
         if array.ndim != 2 or array.shape[1] != self.num_dims:
             raise GridError(

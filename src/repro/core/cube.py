@@ -650,20 +650,9 @@ def materialize(
     allocated and written here in the serial order, which is what makes a
     parallel build's device image byte-identical.
     """
-    sel_index = {dim: i for i, dim in enumerate(rows.selection_dims)}
-    metas, specs = [], []
-    for dims, scale in family:
-        cardinalities = tuple(schema.cardinalities(dims))
-        if scale is None:
-            scale = scale_factor(cardinalities, grid.num_dims)
-        metas.append((dims, cardinalities, scale))
-        specs.append(CuboidSpec(dims, tuple(sel_index[d] for d in dims), scale))
-    with maybe_span(tracer, "build.group", workers=workers) as group_span:
-        grouped = compute_build_groups(
-            grid, specs, rows.tids, rows.points, rows.sel_rows, workers=workers
-        )
-        if group_span is not None:
-            group_span.add("shards", grouped.shards)
+    metas, grouped = group_rows(
+        grid, schema, family, rows, workers=workers, tracer=tracer
+    )
     with maybe_span(tracer, "build.materialize"):
         base_table = (
             BaseBlockTable.from_groups(pool, grid, grouped.base_groups)
@@ -680,6 +669,35 @@ def materialize(
             )
         }
     return base_table, cuboids, grouped.shards
+
+
+def group_rows(
+    grid: BlockGrid,
+    schema,
+    family: Sequence[tuple[tuple[str, ...], int | None]],
+    rows: ScannedRows,
+    *,
+    workers: int = 1,
+    tracer=None,
+):
+    """:func:`materialize`'s grouping step, which writes no page.
+    Returns ``([(dims, cardinalities, scale factor)] per member of
+    family, BuildGroups)``."""
+    sel_index = {dim: i for i, dim in enumerate(rows.selection_dims)}
+    metas, specs = [], []
+    for dims, scale in family:
+        cardinalities = tuple(schema.cardinalities(dims))
+        if scale is None:
+            scale = scale_factor(cardinalities, grid.num_dims)
+        metas.append((dims, cardinalities, scale))
+        specs.append(CuboidSpec(dims, tuple(sel_index[d] for d in dims), scale))
+    with maybe_span(tracer, "build.group", workers=workers) as group_span:
+        grouped = compute_build_groups(
+            grid, specs, rows.tids, rows.points, rows.sel_rows, workers=workers
+        )
+        if group_span is not None:
+            group_span.add("shards", grouped.shards)
+    return metas, grouped
 
 
 def _minimum_cover(candidates: list[frozenset], wanted: frozenset) -> list[frozenset]:

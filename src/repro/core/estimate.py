@@ -16,7 +16,10 @@ router (:class:`repro.route.router.AdaptiveRouter`) makes both calls on:
   memory for every stored block and cell (a walk over counts, no page
   read).  A cube whose grid lacks a ranking dimension of the query, or
   whose cuboids cannot cover its selections, raises
-  :class:`~repro.core.cube.CubeError`;
+  :class:`~repro.core.cube.CubeError`.  Its core,
+  :func:`estimate_cube_pages`, prices any covering family over a
+  snapshot: the cuboid advisor (:mod:`repro.route.advisor`) prices
+  cuboids it has not built with it;
 * :func:`estimate_baseline_cost` — the baseline's index-or-scan cost, the
   same model its planner uses.
 """
@@ -26,13 +29,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from ..relational.query import TopKQuery
 from ..relational.table import Table
 from ..storage.device import RANDOM_READ_WEIGHT, SEQ_READ_WEIGHT
-from .cube import CubeError, RankingCube
+from .cube import CubeError, CubeSnapshot, RankingCube
 
 
 @dataclass(frozen=True)
@@ -59,25 +63,44 @@ def estimate_qualifying(table: Table, query: TopKQuery) -> float:
 def estimate_cube_cost(
     cube: RankingCube, table: Table, query: TopKQuery
 ) -> CostEstimate:
-    """Expected pages of the progressive search, from the cube's counts.
-
-    Per base block ``b`` with ``n_b`` stored tuples, the expected
-    qualifying tuples are ``q_b = n_b * prod_j c_j / N_j`` over the
-    covering cuboids, ``c_j`` being the count of the query's cell in
-    ``b``'s pseudo block and ``N_j`` the base tuples in that pseudo
-    block.  Their scores are spread uniformly between the block's lower
-    bound and its maximum (a corner of the box, ``f`` being convex).  The
-    search stops at the score ``t`` where k tuples are expected, having
-    popped exactly the blocks whose bound is ``<= t`` (Lemma 1 and the
-    stop rule).  The pages are the ones the executor counts: one fetch
-    per distinct pseudo block of the first covering cuboid; one of a
-    later cuboid where the earlier cells are expected non-empty; a base
-    read where the block is expected to hold a qualifying tuple (``1 -
-    exp(-q_b)``), or, with no selections, at every popped block.  Delta
-    tuples are merged in memory after the search and cost no page, so
-    they are left out.
-    """
+    """Expected cost of the cube's progressive search over its current
+    state: :func:`estimate_cube_pages` over the cuboids that cover the
+    query."""
     state = cube.snapshot()
+    pages = estimate_cube_pages(
+        state, state.covering_cuboids(query.selection_names), query
+    )
+    return CostEstimate(
+        method="ranking_cube",
+        pages=pages,
+        io_cost=RANDOM_READ_WEIGHT * pages,
+        qualifying=estimate_qualifying(table, query),
+    )
+
+
+def estimate_cube_pages(
+    state: CubeSnapshot, covering: Sequence, query: TopKQuery
+) -> float:
+    """Expected pages of the progressive search, from the counts.
+
+    ``covering`` are the cuboids the search reads: the snapshot's own, or
+    any family with each member's ``dims``, ``pseudo`` map and
+    ``counts`` (the advisor prices cuboids it has not built).  Per base
+    block ``b`` with ``n_b`` stored tuples, the expected qualifying
+    tuples are ``q_b = n_b * prod_j c_j / N_j`` over the covering
+    cuboids, ``c_j`` being the count of the query's cell in ``b``'s
+    pseudo block and ``N_j`` the base tuples in that pseudo block.  Their
+    scores are spread uniformly between the block's lower bound and its
+    maximum (a corner of the box, ``f`` being convex).  The search stops
+    at the score ``t`` where k tuples are expected, having popped exactly
+    the blocks whose bound is ``<= t`` (Lemma 1 and the stop rule).  The
+    pages are the ones the executor counts: one fetch per distinct pseudo
+    block of the first covering cuboid; one of a later cuboid where the
+    earlier cells are expected non-empty; a base read where the block is
+    expected to hold a qualifying tuple (``1 - exp(-q_b)``), or, with no
+    selections, at every popped block.  Delta tuples are merged in memory
+    after the search and cost no page, so they are left out.
+    """
     grid, fn = state.grid, query.ranking
     missing = set(fn.dims) - set(grid.dims)
     if missing:
@@ -85,49 +108,30 @@ def estimate_cube_cost(
             f"grid {grid.dims} does not cover ranking dimensions "
             f"{sorted(missing)}"
         )
-    covering = state.covering_cuboids(query.selection_names)
-    bids = np.arange(grid.num_blocks)
-    coords, stride = [], 1
-    for bins in grid.bins_per_dim:
-        coords.append(bids // stride % bins)
-        stride *= bins
-    lower, upper = _score_ranges(fn, grid, coords)
-
-    stored = state.base_table.counts
-    tuples = np.zeros(grid.num_blocks)
-    tuples[[bid for (bid,) in stored]] = list(stored.values())
+    lower, upper = _score_ranges(fn, grid, grid.coord_arrays)
+    tuples = state.base_table.tuple_array
     # passing[j]: expected tuples per block that pass the first j cuboids
     passing, pids = [tuples], []
     for cuboid in covering:
         pseudo = cuboid.pseudo
-        pid, pstride = 0, 1
-        for coord, pbins in zip(coords, pseudo.pbins_per_dim):
-            pid = pid + coord // pseudo.sf * pstride
-            pstride *= pbins
-        in_pid = np.bincount(pid, weights=tuples, minlength=pstride)
+        pid, size = pseudo.pid_array, pseudo.num_pseudo_blocks
+        in_pid = np.bincount(pid, weights=tuples, minlength=size)
         values = tuple(query.selections[d] for d in cuboid.dims)
         counts = cuboid.counts
-        cell = np.array([counts.get(values + (p,), 0) for p in range(pstride)], float)
-        share = np.divide(cell, in_pid, out=np.zeros(pstride), where=in_pid > 0)
+        cell = np.array([counts.get(values + (p,), 0) for p in range(size)], float)
+        share = np.divide(cell, in_pid, out=np.zeros(size), where=in_pid > 0)
         passing.append(passing[-1] * share[pid])
         pids.append(pid)
     qualifying = passing[-1]
 
     popped = lower <= _kth_score(query.k, qualifying, lower, upper)
     if not covering:
-        pages = float(np.count_nonzero(popped))
-    else:
-        pages = float(len(np.unique(pids[0][popped])))
-        for pid, before in zip(pids[1:], passing[1:-1]):
-            expected = np.bincount(pid[popped], weights=before[popped])
-            pages += float(-np.expm1(-expected).sum())
-        pages += float(-np.expm1(-qualifying[popped]).sum())
-    return CostEstimate(
-        method="ranking_cube",
-        pages=pages,
-        io_cost=RANDOM_READ_WEIGHT * pages,
-        qualifying=estimate_qualifying(table, query),
-    )
+        return float(np.count_nonzero(popped))
+    pages = float(len(np.unique(pids[0][popped])))
+    for pid, before in zip(pids[1:], passing[1:-1]):
+        expected = np.bincount(pid[popped], weights=before[popped])
+        pages += float(-np.expm1(-expected).sum())
+    return pages + float(-np.expm1(-qualifying[popped]).sum())
 
 
 def _score_ranges(fn, grid, coords) -> tuple[np.ndarray, np.ndarray]:

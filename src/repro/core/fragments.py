@@ -74,28 +74,6 @@ def estimated_fragment_space(
     return cuboid_entries + base_entries
 
 
-def realized_fragment_entries(
-    fragments: Sequence[Sequence[str]],
-    num_ranking_dims: int,
-    num_tuples: int,
-) -> int:
-    """Entry count of a *concrete* fragment family, in Lemma 2's units.
-
-    :func:`estimated_fragment_space` assumes every fragment has exactly
-    ``F`` dimensions, but real groupings are uneven: even partitioning
-    leaves a short tail when ``F`` does not divide ``S``, and workload
-    co-occurrence grouping packs fragments by affinity, not size.  Each
-    fragment of size ``f`` stores ``(2^f - 1) * T`` entries, so the
-    realized total can undercut the nominal bound — the advisor compares
-    designs by this number, not the bound.
-    """
-    cuboid_entries = sum(
-        num_tuples * (2 ** len(fragment) - 1) for fragment in fragments
-    )
-    base_entries = (num_ranking_dims + 2) * num_tuples
-    return cuboid_entries + base_entries
-
-
 class FragmentedRankingCube(RankingCube):
     """A ranking cube materialized as ranking fragments."""
 

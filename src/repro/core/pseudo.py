@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .blocks import BlockGrid, GridError
 
 
@@ -67,6 +69,7 @@ class PseudoBlockMap:
         derived["_pbins"] = pbins
         derived["_num_pseudo_blocks"] = total
         derived["_pids"] = {}  # bid -> pid
+        derived["_pid_array"] = None  # every bid's pid
 
     def __getstate__(self) -> dict:
         return {"grid": self.grid, "sf": self.sf}
@@ -96,6 +99,18 @@ class PseudoBlockMap:
             stride *= pbins
         self._pids[bid] = pid
         return pid
+
+    @property
+    def pid_array(self) -> np.ndarray:
+        """Every bid's pid, for whole-grid arithmetic; computed on first
+        use."""
+        if self._pid_array is None:
+            pid, stride = 0, 1
+            for coord, pbins in zip(self.grid.coord_arrays, self._pbins):
+                pid = pid + coord // self.sf * stride
+                stride *= pbins
+            self.__dict__["_pid_array"] = pid
+        return self._pid_array
 
     def pcoords_of_pid(self, pid: int) -> tuple[int, ...]:
         if not 0 <= pid < self._num_pseudo_blocks:

@@ -2,7 +2,8 @@
 
 ``AdaptiveRouter`` picks cube / fragment / baseline execution per
 query by the cheapest estimate, the cube's priced from its own counts;
-``CubeAdvisor`` promotes hot and demotes cold cuboids under a space budget;
+``CubeAdvisor`` promotes and demotes cuboids by the estimated pages they
+save over the observed queries, under a space budget;
 ``DriftDetector`` + ``repartition_cube`` rebuild the equi-depth grid online
 when the live distribution drifts away from it.
 """

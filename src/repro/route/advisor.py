@@ -1,38 +1,56 @@
-"""Online materialization advisor: promote hot cuboids, demote cold ones.
+"""Cuboid advisor: materialize the cuboids that save the most pages.
 
-:func:`repro.core.advisor.recommend_fragments` answers the *offline*
-design question.  :class:`CubeAdvisor` closes the loop at runtime: it
-counts which selection-dimension sets queries actually use, and under a
-space budget (in Lemma 2's tuple-entry units) it
+Choosing cuboids is the view-selection problem in the paper's terms:
+Lemma 2's space against the covering cost of Figures 12-13.
+:class:`CubeAdvisor` solves it greedily by benefit (Harinarayan,
+Rajaraman and Ullman, SIGMOD 1996) over its *window*, the queries it
+observed since its last run.  A family's cost is the sum over the window
+of the cube estimate (:func:`~repro.core.estimate.estimate_cube_pages`,
+which reads no page), skipping queries the family cannot cover; a
+cuboid's benefit is the cost without it minus the cost with it.
 
-* **promotes** a hot, not-yet-materialized dimension set to a real
-  cuboid — built from the *base-table-resident* tuples only (delta tuples
-  are merged by every query separately, so materializing them twice
-  would double-count) by :meth:`RankingCube.build`'s own scan -> group
-  -> materialize routine, in the cube's encoding, and stamped with the
-  cube's **current** epoch so the mixed-generation guard in
-  :attr:`RankingCube.epoch` holds;
-* **demotes** cold non-singleton cuboids to reclaim budget.  Singletons
-  are never demoted: they are the covering safety net — as long as every
-  selection dimension keeps its singleton cuboid, any query stays
-  answerable (Section 4.2.1's covering always succeeds).
+Candidates are the window's selection sets that have no cuboid and lie
+inside the dimensions the delta rows carry.  One scan of the
+base-resident rows, grouped by the build's own routine, gives each the
+per-cell counts its cuboid would store, so it is priced exactly as it
+will be once installed.  Each greedy step promotes the candidate of
+largest positive benefit (ties by sorted name); every cuboid stores one
+entry per base tuple, so no per-entry ratio is needed.  A promotion the
+space budget cannot take demotes non-singletons in ascending benefit
+while the benefit given up stays below the candidate's, or is skipped;
+an over-budget cube sheds its lowest-benefit non-singletons first.
+Singletons are never demoted: they keep every query coverable (Section
+4.2.1).
 
-The new cuboid map goes in through :meth:`RankingCube.install`; a run
-that loses a race to another install aborts, keeps its observations and
-retries on the next round.
+Promotions are built from the same rows (delta rows are merged by every
+query, so materializing them would double-count), in the cube's
+encoding and at its current epoch, and go in through
+:meth:`RankingCube.install`.  A run uses up its window whether it swaps
+or not; a run that loses a race to another install aborts and keeps its
+window for the retry.  Offline design is the same call: a cube of
+singleton cuboids, a prior workload to :meth:`~CubeAdvisor.observe`
+(Section 5's random three-condition queries), and
+:meth:`~CubeAdvisor.advise_once`.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from ..core.cube import RankingCube, materialize, scan_rows
+from ..core.cube import (
+    CubeError, RankingCube, _covering_cuboids, group_rows, materialize,
+    scan_rows,
+)
 from ..core.cuboid import RankingCuboid
 from ..core.daemon import MaintenanceDaemon
+from ..core.estimate import estimate_cube_pages
+from ..core.pseudo import PseudoBlockMap
 from ..obs.tracing import maybe_span
 from ..relational.query import TopKQuery
 from ..relational.table import Table
+from ..storage.device import RANDOM_READ_WEIGHT
 
 
 class AdvisorError(Exception):
@@ -46,7 +64,8 @@ class AdvisorReport:
     observations: int = 0
     promoted: tuple = ()         #: cuboid names newly materialized
     demoted: tuple = ()          #: cuboid names dropped
-    skipped: tuple = ()          #: hot sets that did not fit the budget
+    skipped: tuple = ()          #: candidates that did not fit the budget
+    benefit: float = 0.0         #: est. weighted pages saved over the window
     entries_before: int = 0
     entries_after: int = 0
     swapped: bool = False
@@ -54,8 +73,16 @@ class AdvisorReport:
     wall_s: float = 0.0
 
 
+class Candidate(NamedTuple):
+    """A cuboid priced but not built: what the estimate reads of one."""
+
+    dims: tuple[str, ...]
+    pseudo: PseudoBlockMap
+    counts: dict[tuple, int]
+
+
 class CubeAdvisor(MaintenanceDaemon):
-    """Popularity-driven cuboid promotion/demotion under a space budget.
+    """Greedy benefit-driven cuboid promotion/demotion under a space budget.
 
     Parameters
     ----------
@@ -66,19 +93,7 @@ class CubeAdvisor(MaintenanceDaemon):
         Cap on total stored cuboid entries.  ``None`` means promotion is
         unconstrained and nothing is ever demoted for space.
     min_observations:
-        A run is a no-op until this many queries have been observed since
-        the last swap — popularity over a handful of queries is noise.
-    hot_fraction / cold_fraction:
-        A missing set whose query share is >= ``hot_fraction`` is a
-        promotion candidate; a materialized non-singleton whose *usage*
-        share (queries whose dimensions contain it) is <= ``cold_fraction``
-        is a demotion candidate.
-    max_promote_dims:
-        Never materialize cuboids wider than this (space is ``~T``
-        regardless, but build cost and marginal benefit fall off).
-    decay:
-        After each swap the popularity counters are multiplied by this
-        factor, so the advisor tracks the *recent* workload.
+        A run is a no-op until the window holds this many queries.
     """
 
     error = AdvisorError
@@ -92,52 +107,38 @@ class CubeAdvisor(MaintenanceDaemon):
         pool,
         space_budget_entries: int | None = None,
         min_observations: int = 16,
-        hot_fraction: float = 0.10,
-        cold_fraction: float = 0.01,
-        max_promote_dims: int = 3,
-        decay: float = 0.5,
         registry=None,
         tracer=None,
     ):
         if min_observations < 1:
             raise AdvisorError("min_observations must be >= 1")
-        if not 0 < hot_fraction <= 1 or not 0 <= cold_fraction < 1:
-            raise AdvisorError("fractions must lie in (0,1] / [0,1)")
-        if not 0 <= decay <= 1:
-            raise AdvisorError("decay must lie in [0, 1]")
         super().__init__(registry)
         self.cube = cube
         self.table = table
         self.pool = pool
         self.space_budget_entries = space_budget_entries
         self.min_observations = min_observations
-        self.hot_fraction = hot_fraction
-        self.cold_fraction = cold_fraction
-        self.max_promote_dims = max_promote_dims
-        self.decay = decay
         self.tracer = tracer
-        self._counts: dict[frozenset, float] = {}
-        self._observed_since = 0
-        self._counts_lock = threading.Lock()
+        self._window: list[TopKQuery] = []
+        self._window_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # workload observation
     # ------------------------------------------------------------------
     def observe(self, query: TopKQuery) -> None:
-        """Count one query's selection-dimension set."""
-        key = frozenset(query.selection_names)
-        if not key:
+        """Add one query with selections to the window."""
+        if not query.selections:
             return
-        with self._counts_lock:
-            self._counts[key] = self._counts.get(key, 0.0) + 1.0
-            self._observed_since += 1
+        with self._window_lock:
+            self._window.append(query)
         with self._cond:
             self._cond.notify_all()
 
     @property
-    def observed_since_swap(self) -> int:
-        with self._counts_lock:
-            return self._observed_since
+    def window_size(self) -> int:
+        """Queries observed since the last completed run."""
+        with self._window_lock:
+            return len(self._window)
 
     # ------------------------------------------------------------------
     # one advisory run (foreground)
@@ -147,163 +148,184 @@ class CubeAdvisor(MaintenanceDaemon):
 
     def _run(self) -> AdvisorReport:
         report = AdvisorReport()
-        with self._counts_lock:
-            counts = dict(self._counts)
-            report.observations = self._observed_since
-        total = sum(counts.values())
+        with self._window_lock:
+            window = list(self._window)
+        report.observations = len(window)
         state = self.cube.snapshot()
         report.entries_before = report.entries_after = sum(
             c.num_entries for c in state.cuboids.values()
         )
-        if report.observations < self.min_observations or total <= 0:
+        if len(window) < self.min_observations:
             return report
 
         with maybe_span(self.tracer, "route.advise") as span:
-            num_tuples = state.base_table.num_tuples
-            # Promotion candidates: hot sets with no exact cuboid.  Delta
-            # correctness bound: the delta rows only carry values for the
-            # dimensions the cube was built over.
-            legal_dims = self.cube._delta_selection_dims
-            hot = [
-                (key, count)
-                for key, count in counts.items()
-                if count / total >= self.hot_fraction
-                and key not in state.cuboids
-                and 1 <= len(key) <= self.max_promote_dims
-                and key <= legal_dims
-            ]
-            hot.sort(key=lambda item: (-item[1], sorted(item[0])))
-
-            # Demotion candidates: materialized non-singletons whose usage
-            # share (any query constraining a superset uses them) is cold.
-            def usage(key: frozenset) -> float:
-                return sum(c for q, c in counts.items() if key <= q)
-
-            cold = sorted(
-                (
-                    key
-                    for key in state.cuboids
-                    if len(key) > 1 and usage(key) / total <= self.cold_fraction
-                ),
-                key=lambda key: (usage(key), sorted(key)),
-            )
-
-            budget = self.space_budget_entries
-            entries = report.entries_before
-            promote: list[frozenset] = []
-            demote: list[frozenset] = []
-            skipped: list[frozenset] = []
-            cold_pool = list(cold)
-            # an already-over-budget cube sheds cold cuboids even with
-            # nothing to promote
-            while budget is not None and entries > budget and cold_pool:
-                victim = cold_pool.pop(0)
-                demote.append(victim)
-                entries -= state.cuboids[victim].num_entries
-            for key, _count in hot:
-                added = num_tuples  # a cuboid stores one entry per tuple
-                projected = entries + added
-                while (
-                    budget is not None and projected > budget and cold_pool
-                ):
-                    victim = cold_pool.pop(0)
-                    demote.append(victim)
-                    projected -= state.cuboids[victim].num_entries
-                if budget is not None and projected > budget:
-                    skipped.append(key)
-                    continue
-                promote.append(key)
-                entries = projected
-
-            report.skipped = tuple(
-                ",".join(sorted(key)) for key in skipped
-            )
-            if not promote and not demote:
-                return report
-
-            new_cuboids = (
-                self._build_promotions(state, promote, state.epoch)
-                if promote
-                else {}
-            )
-
-            # write-ahead ordering: fresh pages durable before the swap
-            self.pool.flush()
-
-            updated = {
-                key: cuboid
-                for key, cuboid in state.cuboids.items()
-                if key not in demote
-            }
-            updated.update(new_cuboids)
-            if not self.cube.install(state, cuboids=updated):
-                # another install landed under us: the promoted cuboids
-                # may index dead bids, and the demotions a dead map
-                report.aborted = True
-                return report
-
-            with self._counts_lock:
-                self._observed_since = 0
-                if self.decay < 1.0:
-                    self._counts = {
-                        key: count * self.decay
-                        for key, count in self._counts.items()
-                        if count * self.decay >= 0.5
-                    }
-
-            report.promoted = tuple(c.name for c in new_cuboids.values())
-            report.demoted = tuple(
-                state.cuboids[key].name for key in demote
-            )
-            report.entries_after = sum(
-                c.num_entries for c in updated.values()
-            )
-            report.swapped = True
+            rows, family, promote, demote, skipped = self._plan(state, window)
+            report.skipped = tuple(",".join(sorted(key)) for key in skipped)
+            if promote or demote:
+                benefit = _saving(state, state.cuboids, family, window)
+                new_cuboids = self._build_promotions(state, rows, promote)
+                # write-ahead ordering: fresh pages durable before the swap
+                self.pool.flush()
+                updated = {
+                    key: cuboid
+                    for key, cuboid in state.cuboids.items()
+                    if key not in demote
+                }
+                updated.update(new_cuboids)
+                if not self.cube.install(state, cuboids=updated):
+                    # another install landed under us: the promoted cuboids
+                    # may index dead bids, and the demotions a dead map
+                    report.aborted = True
+                    return report
+                report.promoted = tuple(c.name for c in new_cuboids.values())
+                report.demoted = tuple(state.cuboids[key].name for key in demote)
+                report.entries_after = sum(c.num_entries for c in updated.values())
+                report.benefit = benefit
+                report.swapped = True
+            with self._window_lock:
+                del self._window[:len(window)]
             if span is not None:
                 span.add_many(
                     promoted=len(report.promoted),
                     demoted=len(report.demoted),
                     entries=report.entries_after,
+                    benefit=report.benefit,
                 )
         return report
 
-    def _build_promotions(
-        self, state, promote: list[frozenset], epoch: int
-    ) -> dict[frozenset, RankingCuboid]:
-        """Materialize the promoted sets from base-table-resident tuples:
-        the snapshot's live rows (``tid < watermark``) minus its delta."""
+    def _plan(self, state, window: list[TopKQuery]):
+        """The greedy: ``(rows, family, promote, demote, skipped)``."""
+        shapes = [(frozenset(q.selection_names), q) for q in window]
+        keys = sorted(
+            {
+                dims for dims, _q in shapes
+                if dims not in state.cuboids
+                and dims <= self.cube._delta_selection_dims
+            },
+            key=sorted,
+        )
+        rows, pending = self._price_candidates(state, keys)
+        family = dict(state.cuboids)
+        budget = self.space_budget_entries
+        entries = sum(c.num_entries for c in family.values())
+        promote, demote, skipped = [], [], []
+
+        def benefit(key, cuboid) -> float:
+            rest = {k: c for k, c in family.items() if k != key}
+            served = [q for dims, q in shapes if key <= dims]
+            return _saving(state, rest, {**rest, key: cuboid}, served)
+
+        def victims() -> list[tuple[float, frozenset]]:
+            """Demotable cuboids by ascending benefit, then name."""
+            ranked = sorted(
+                (benefit(key, family[key]), sorted(key), key)
+                for key in state.cuboids if len(key) > 1 and key in family
+            )
+            return [(gain, key) for gain, _name, key in ranked]
+
+        over = budget is not None and entries > budget
+        for _gain, key in victims() if over else ():
+            if entries <= budget:
+                break
+            demote.append(key)
+            entries -= family.pop(key).num_entries
+
+        gains = None
+        while pending:
+            if gains is None:  # the family changed: re-price
+                gains = {key: benefit(key, c) for key, c in pending.items()}
+            key = min(pending, key=lambda k: (-gains[k], sorted(k)))
+            gain = gains.pop(key)
+            if gain <= 0:
+                break
+            candidate = pending.pop(key)
+            projected = entries + state.base_table.num_tuples
+            freed, given_up = [], 0.0
+            if budget is not None and projected > budget:
+                for loss, victim in victims():
+                    if projected <= budget or given_up + loss >= gain:
+                        break
+                    freed.append(victim)
+                    given_up += loss
+                    projected -= family[victim].num_entries
+                if projected > budget:
+                    skipped.append(key)
+                    continue
+            for victim in freed:
+                demote.append(victim)
+                del family[victim]
+            family[key] = candidate
+            promote.append(key)
+            entries = projected
+            gains = None
+        return rows, family, promote, demote, skipped
+
+    def _price_candidates(self, state, keys: list[frozenset]):
+        """One scan of the snapshot's base-resident rows (``tid <
+        watermark``, minus its delta), grouped as the build groups them.
+        Returns the rows and ``{key: Candidate}``."""
+        if not keys:
+            return None, {}
         delta_tids = {tid for tid, _sel, _rank in state.delta}
-        needed_dims = sorted(set().union(*promote))
         rows = scan_rows(
             self.table,
             state.grid.dims,
-            needed_dims,
+            sorted(set().union(*keys)),
             keep=lambda tid: tid < state.watermark and tid not in delta_tids,
         )
+        metas, grouped = group_rows(
+            state.grid, self.table.schema,
+            [(tuple(sorted(key)), None) for key in keys], rows,
+            tracer=self.tracer,
+        )
+        return rows, {
+            frozenset(dims): Candidate(
+                dims,
+                PseudoBlockMap(state.grid, scale),
+                {cell: len(pairs) for cell, pairs in groups.items()},
+            )
+            for (dims, _cards, scale), groups in zip(metas, grouped.cuboid_groups)
+        }
+
+    def _build_promotions(
+        self, state, rows, promote: list[frozenset]
+    ) -> dict[frozenset, RankingCuboid]:
+        """Materialize the promoted sets from the priced rows, at the
+        snapshot's epoch."""
+        if not promote:
+            return {}
         _base, built, _shards = materialize(
-            self.pool,
-            state.grid,
-            self.table.schema,
-            [(tuple(sorted(key)), None) for key in promote],
-            rows,
-            with_base=False,
-            compress=state.compressed,
-            epoch=epoch,
+            self.pool, state.grid, self.table.schema,
+            [(tuple(sorted(key)), None) for key in promote], rows,
+            with_base=False, compress=state.compressed, epoch=state.epoch,
             tracer=self.tracer,
         )
         return built
 
     def _record_swap(self, report: AdvisorReport) -> None:
-        self.registry.counter("route.advisor.promotions").inc(
-            len(report.promoted)
-        )
-        self.registry.counter("route.advisor.demotions").inc(
-            len(report.demoted)
-        )
+        counter = self.registry.counter
+        counter("route.advisor.promotions").inc(len(report.promoted))
+        counter("route.advisor.demotions").inc(len(report.demoted))
         self.registry.gauge("route.advisor.entries").set(report.entries_after)
 
     # ------------------------------------------------------------------
     # background daemon (MaintenanceDaemon)
     # ------------------------------------------------------------------
     def _pending(self) -> bool:
-        return self.observed_since_swap >= self.min_observations
+        return self.window_size >= self.min_observations
+
+
+def _saving(state, before: dict, after: dict, queries) -> float:
+    """Estimated weighted pages ``after`` saves over ``before`` across
+    ``queries``; a query either family cannot cover is skipped."""
+    total = 0.0
+    for query in queries:
+        try:
+            total += estimate_cube_pages(
+                state, _covering_cuboids(before, query.selection_names), query
+            ) - estimate_cube_pages(
+                state, _covering_cuboids(after, query.selection_names), query
+            )
+        except CubeError:
+            continue
+    return RANDOM_READ_WEIGHT * total

@@ -13,8 +13,9 @@ The service can also own the two adaptive maintenance daemons:
 
 * ``auto_advise_observations=N`` attaches a
   :class:`~repro.route.advisor.CubeAdvisor` that sees every routed
-  query's selection set and, in the background, promotes hot cuboids and
-  demotes cold ones under ``advisor_budget_entries``.
+  query and, in the background, promotes the cuboids that save the most
+  estimated pages over them and demotes the ones that save the least
+  under ``advisor_budget_entries``.
 * ``drift_check_interval=N`` runs a
   :class:`~repro.route.drift.DriftDetector` probe every ``N`` routed
   queries and, when the live distribution has drifted past

@@ -10,7 +10,7 @@ Two generators cover the two kinds of drift:
   Each :class:`WorkloadPhase` names which selection-dimension sets are
   hot and how selective they are; within a phase, queries draw their
   selection set from the phase's sets and their values zipf-skewed, so
-  the cuboid advisor's popularity counters see a stable
+  the cuboid advisor's window sees a stable
   regime that then *rotates* at the phase boundary.
 * :func:`shifted_rows` — appended tuples whose ranking values are pushed
   into a narrow high band, the canonical distribution drift that

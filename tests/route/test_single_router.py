@@ -10,8 +10,10 @@ back:
 * the modules ``repro.core.hybrid`` and ``repro.core.multigrid`` do not
   import;
 * under ``src/repro`` only ``route/router.py`` calls
-  ``estimate_cube_cost`` or ``estimate_baseline_cost``: a second caller
-  would be a second place that turns estimates into a choice;
+  ``estimate_cube_cost``, its core ``estimate_cube_pages`` or
+  ``estimate_baseline_cost`` (besides ``route/advisor.py``, which
+  chooses cuboids, not paths): another caller would be another place
+  that turns estimates into a choice;
 * no ``HybridExecutor`` or ``MultiCubeRouter`` identifier is left in the
   package, the tests, the benchmarks or the examples (tokens, not prose:
   a docstring may still tell the story).
@@ -26,6 +28,17 @@ estimate, so that model is gone too:
   import;
 * no ``CostBook``, ``prior_strength``, ``probe_margin`` or ``shape_of``
   identifier is left in the same four trees.
+
+Which cuboids to materialize was once three heuristics: a fragment-size
+recommender, co-occurrence grouping, and an online advisor promoting by
+popularity thresholds.  The advisor now promotes what the cube estimate
+says saves the most pages, so the other two and the thresholds are gone:
+
+* the modules ``repro.core.advisor`` and ``repro.core.grouping`` do not
+  import;
+* no ``hot_fraction``, ``cold_fraction``, ``max_promote_dims``,
+  ``recommend_fragments``, ``FragmentDesign``, ``cooccurrence_grouping``
+  or ``realized_fragment_entries`` identifier is left in the same trees.
 """
 
 import ast
@@ -40,10 +53,20 @@ import repro
 
 PACKAGE = Path(repro.__file__).resolve().parent
 ROOT = PACKAGE.parents[1]
-ESTIMATORS = {"estimate_cube_cost", "estimate_baseline_cost"}
+ESTIMATORS = {"estimate_cube_cost", "estimate_cube_pages", "estimate_baseline_cost"}
+#: the module that defines the estimators (its wrapper calls the core)
+DEFINED_IN = "core/estimate.py"
+ALLOWED_CALLERS = {
+    "route/router.py",
+    #: chooses cuboids, not paths
+    "route/advisor.py",
+}
 GONE = {
     "HybridExecutor", "MultiCubeRouter",
     "CostBook", "prior_strength", "probe_margin", "shape_of",
+    "hot_fraction", "cold_fraction", "max_promote_dims",
+    "recommend_fragments", "FragmentDesign", "cooccurrence_grouping",
+    "realized_fragment_entries",
 }
 
 
@@ -57,6 +80,7 @@ def _sources(*roots: Path):
     [
         "repro.core.hybrid", "repro.core.multigrid",
         "repro.route.cost", "repro.route.signature",
+        "repro.core.advisor", "repro.core.grouping",
     ],
 )
 def test_the_old_routers_do_not_import(module):
@@ -73,7 +97,7 @@ def test_only_the_router_turns_estimates_into_a_choice():
                 name = getattr(func, "attr", None) or getattr(func, "id", None)
                 if name in ESTIMATORS:
                     callers.add(path.relative_to(PACKAGE).as_posix())
-    assert callers == {"route/router.py"}
+    assert callers - {DEFINED_IN} == ALLOWED_CALLERS
 
 
 def test_no_old_router_name_is_left():
