@@ -89,7 +89,12 @@
 #                         test_single_install.py is the structural test
 #                         that only core/cube.py writes cube state (one
 #                         RankingCube.install) and the maintenance daemon
-#                         loop (start / wake / _worker) is written once.
+#                         loop (start / wake / _worker) is written once,
+#                         and (test_one_build_path) that the build has one
+#                         grouping path: repro.core.parallel does not
+#                         import, locate_many( is called only in
+#                         group_rows, no ProcessPoolExecutor is left under
+#                         core/, and no build entry point takes workers.
 #                         tests/serve/test_single_front_end.py is the
 #                         structural test that the serving front end is
 #                         written once under src/repro/serve/: _admit,
@@ -139,7 +144,7 @@ export PYTHONPATH=src
 # stalling the whole gate.  Tests may tighten it with @pytest.mark.timeout.
 export REPRO_TEST_TIMEOUT="${REPRO_TEST_TIMEOUT:-300}"
 
-echo "== tier1 1/4: fast test suite (incl. structural single-search/one-engine + single-node-codec + one-router/one-cost-model/one-cuboid-objective + single-install + single-front-end tests, submit/close race, maintenance race matrix, examples test, doc-reference test, bound-table + selective-read + splice properties, block-cache equivalence, indexed delta, figure page pins, build image pin, reverse + adaptive gates) =="
+echo "== tier1 1/4: fast test suite (incl. structural single-search/one-engine + single-node-codec + one-router/one-cost-model/one-cuboid-objective + single-install/one-build-path + single-front-end tests, submit/close race, maintenance race matrix, examples test, doc-reference test, bound-table + selective-read + splice properties, block-cache equivalence, indexed delta, figure page pins, build image pin, reverse + adaptive gates) =="
 python -m pytest -m "not slow and not serve and not faults" -q
 
 echo "== tier1 2/4: sharded serving single-path test + serve-marked gate cases (identity, hot shard, early stop, shared-cache reads, WAL replay) =="

@@ -43,7 +43,6 @@ from .fragments import (
     evenly_partition,
     fragment_cuboid_sets,
 )
-from .parallel import CuboidSpec, compute_build_groups, shard_ranges
 from .partition import (
     EquiDepthPartitioner,
     EquiWidthPartitioner,
@@ -75,7 +74,6 @@ __all__ = [
     "CubeError",
     "CubeSnapshot",
     "CuboidError",
-    "CuboidSpec",
     "DEFAULT_BLOCK_SIZE",
     "EquiDepthPartitioner",
     "EquiWidthPartitioner",
@@ -97,7 +95,6 @@ __all__ = [
     "count_preceding",
     "reverse_topk",
     "simplex_grid_family",
-    "compute_build_groups",
     "decode_tid_list",
     "encode_tid_list",
     "estimate_baseline_cost",
@@ -109,5 +106,4 @@ __all__ = [
     "full_cube_sets",
     "grid_from_boundaries",
     "scale_factor",
-    "shard_ranges",
 ]

@@ -12,8 +12,6 @@ only those records from the block's pages.
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
-
 import numpy as np
 
 from ..storage.buffer import BufferPool
@@ -56,40 +54,16 @@ class BaseBlockTable:
         self._tuple_array = None
 
     @classmethod
-    def build(
-        cls,
-        pool: BufferPool,
-        grid: BlockGrid,
-        tids: Sequence[int],
-        points: Sequence[Sequence[float]],
-    ) -> tuple["BaseBlockTable", list[int]]:
-        """Assign bids and materialize the table.
-
-        Returns the table and the per-tuple bid assignment (the new block
-        dimension ``B`` that the cuboids need).
-        """
-        if len(tids) != len(points):
-            raise ValueError("tids and points must align")
-        bids = grid.locate_many(points) if points else []
-        groups: dict[int, list[tuple]] = {}
-        for tid, point, bid in zip(tids, points, bids):
-            groups.setdefault(bid, []).append((int(tid), *map(float, point)))
-        return cls.from_groups(pool, grid, groups), bids
-
-    @classmethod
     def from_groups(
         cls,
         pool: BufferPool,
         grid: BlockGrid,
         groups: dict[int, list[tuple]],
     ) -> "BaseBlockTable":
-        """Materialize from an already-grouped ``bid -> records`` map.
-
-        The parallel builder and the compactor both produce group maps
-        up front; this path packs them with the exact store layout
-        :meth:`build` uses (the chain store sorts groups by key, so the
-        on-page image depends only on the map contents).
-        """
+        """Materialize from a grouped ``bid -> records`` map (the base
+        groups of :func:`~repro.core.cube.group_rows`).  The chain store
+        sorts groups by key, so the on-page image depends only on the map
+        contents."""
         table = cls(pool, grid)
         table._store.build(((bid,), records) for bid, records in groups.items())
         return table

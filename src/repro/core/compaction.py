@@ -16,7 +16,7 @@ back into the materialization:
    soundness,
 3. **merge** — read the old base table's runs, then group the
    absorbable entries per key in tid order with the build's own grouping
-   routine (:func:`~repro.core.parallel.build_shard_partial`: one
+   routine (:func:`~repro.core.cube.group_rows`: one
    :meth:`BlockGrid.locate_many`, one pid per distinct bid and scale
    factor): ``bid -> records`` for the base table and ``cell -> (tid,
    bid) pairs`` for each cuboid (the additions maps; their sizes are
@@ -44,10 +44,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..obs.tracing import maybe_span
-from .cube import RankingCube
+from .cube import RankingCube, ScannedRows, group_rows
 from .cuboid import RankingCuboid
 from .daemon import MaintenanceDaemon
-from .parallel import CuboidSpec, build_shard_partial
 
 #: Named instants where the crash harness may kill a compaction run, in
 #: execution order.  None of them fires while the cube's state lock is
@@ -184,33 +183,30 @@ class CubeCompactor(MaintenanceDaemon):
                 # point, one pid per distinct (bid, scale factor), read
                 # from the cuboids' own (warm) pseudo maps
                 cuboids = list(state.cuboids.values())
-                sel_dims = sorted(set().union(*state.cuboids))
-                grouped = build_shard_partial(
-                    state.grid,
+                sel_dims = tuple(sorted(set().union(*state.cuboids)))
+                rows = ScannedRows(
+                    sel_dims,
+                    [tid for tid, _sel, _rank in ordered],
                     [
-                        CuboidSpec(
-                            dims=c.dims,
-                            positions=tuple(sel_dims.index(d) for d in c.dims),
-                            scale=c.scale_factor,
-                        )
-                        for c in cuboids
-                    ],
-                    tids=[tid for tid, _sel, _rank in ordered],
-                    points=[
                         tuple(float(rank[d]) for d in state.grid.dims)
                         for _tid, _sel, rank in ordered
                     ],
-                    sel_rows=[
+                    [
                         tuple([sel[d] for d in sel_dims])
                         for _tid, sel, _rank in ordered
                     ],
+                )
+                base_additions, cuboid_additions = group_rows(
+                    state.grid,
+                    [(c.dims, c.scale_factor) for c in cuboids],
+                    rows,
                     pseudo_maps={c.scale_factor: c.pseudo for c in cuboids},
                 )
-                cell_additions = dict(zip(state.cuboids, grouped.cuboid_groups))
+                cell_additions = dict(zip(state.cuboids, cuboid_additions))
 
             # --- splice the stores onto fresh pages -----------------------
             with maybe_span(self.tracer, "compact.rebuild"):
-                new_base = state.base_table.spliced(base_runs, grouped.base_groups)
+                new_base = state.base_table.spliced(base_runs, base_additions)
                 self._fault("base-built")
                 new_cuboids: dict[frozenset, RankingCuboid] = {
                     key: cuboid.spliced(cuboid.runs(), cell_additions[key])

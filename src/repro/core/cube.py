@@ -29,9 +29,8 @@ from ..storage.buffer import BufferPool
 from .base_table import BaseBlockTable
 from .blocks import BlockGrid
 from .cuboid import RankingCuboid
-from .parallel import CuboidSpec, compute_build_groups
 from .partition import EquiDepthPartitioner, Partitioner
-from .pseudo import scale_factor
+from .pseudo import PseudoBlockMap, scale_factor
 
 DEFAULT_BLOCK_SIZE = 30  # the paper's default B (expected tuples per block)
 
@@ -107,7 +106,6 @@ class RankingCube:
         grid: BlockGrid | None = None,
         pseudo_scale_override: int | None = None,
         compress: bool = False,
-        workers: int = 1,
         tracer=None,
     ) -> "RankingCube":
         """Materialize a ranking cube from a loaded table.
@@ -131,20 +129,13 @@ class RankingCube:
         grid:
             Pre-built grid (the paper's worked example supplies explicit
             boundaries); overrides ``partitioner``.
-        workers:
-            Process-pool width for the grouping phase.  ``1`` (default)
-            groups in-process; ``N > 1`` shards the scanned relation by
-            tid range across ``N`` worker processes and merges the partial
-            group maps (see :mod:`repro.core.parallel`).  The resulting
-            device image is byte-identical either way; only wall-clock
-            changes.  All page I/O stays in the calling process.
         tracer:
             Optional :class:`~repro.obs.tracing.Tracer`; when given, the
             build emits a ``build`` span tree (scan/group/materialize).
         """
         started = time.perf_counter()
         registry = getattr(table.pool, "registry", None)
-        with maybe_span(tracer, "build", workers=workers) as build_span:
+        with maybe_span(tracer, "build") as build_span:
             schema = table.schema
             if ranking_dims is None:
                 ranking_dims = schema.ranking_names
@@ -176,20 +167,17 @@ class RankingCube:
                 if missing:
                     raise CubeError(f"unknown selection dimensions {missing}")
                 family.setdefault(frozenset(dims), (dims, pseudo_scale_override))
-            base_table, cuboids, shards = materialize(
+            base_table, cuboids = materialize(
                 table.pool, grid, schema, list(family.values()), rows,
-                compress=compress, workers=workers, tracer=tracer,
+                compress=compress, tracer=tracer,
             )
 
             if build_span is not None:
-                build_span.add_many(
-                    tuples=len(rows.tids), cuboids=len(cuboids), shards=shards
-                )
+                build_span.add_many(tuples=len(rows.tids), cuboids=len(cuboids))
         if registry is not None:
             registry.counter("build.runs").inc()
             registry.counter("build.tuples").inc(len(rows.tids))
             registry.counter("build.cuboids").inc(len(cuboids))
-            registry.counter("build.shards").inc(shards)
             registry.histogram("build.wall_s").observe(time.perf_counter() - started)
         return cls(grid, base_table, cuboids, block_size)
 
@@ -639,65 +627,98 @@ def materialize(
     with_base: bool = True,
     compress: bool = False,
     epoch: int = 0,
-    workers: int = 1,
     tracer=None,
-) -> tuple[BaseBlockTable | None, dict[frozenset, RankingCuboid], int]:
+) -> tuple[BaseBlockTable | None, dict[frozenset, RankingCuboid]]:
     """Group ``rows`` on ``grid`` and write fresh stores: the base block
     table (unless ``with_base`` is false) and one cuboid per ``(dims,
     scale factor)`` of ``family`` (``None``: the computed factor),
     stamped ``epoch``.  Returns ``(base table or None, {dims set:
-    cuboid}, shards)``.  Only grouping fans out to ``workers``; pages are
-    allocated and written here in the serial order, which is what makes a
-    parallel build's device image byte-identical.
-    """
-    metas, grouped = group_rows(
-        grid, schema, family, rows, workers=workers, tracer=tracer
-    )
+    cuboid})``."""
+    family = resolve_scales(grid, schema, family)
+    base_groups, cuboid_groups = group_rows(grid, family, rows, tracer=tracer)
     with maybe_span(tracer, "build.materialize"):
         base_table = (
-            BaseBlockTable.from_groups(pool, grid, grouped.base_groups)
+            BaseBlockTable.from_groups(pool, grid, base_groups)
             if with_base
             else None
         )
         cuboids = {
             frozenset(dims): RankingCuboid.from_groups(
-                pool, dims, cardinalities, grid, groups,
+                pool, dims, schema.cardinalities(dims), grid, groups,
                 scale_override=scale, compress=compress, epoch=epoch,
             )
-            for (dims, cardinalities, scale), groups in zip(
-                metas, grouped.cuboid_groups
-            )
+            for (dims, scale), groups in zip(family, cuboid_groups)
         }
-    return base_table, cuboids, grouped.shards
+    return base_table, cuboids
+
+
+def resolve_scales(
+    grid: BlockGrid,
+    schema,
+    family: Sequence[tuple[tuple[str, ...], int | None]],
+) -> list[tuple[tuple[str, ...], int]]:
+    """``family`` with each ``None`` scale factor replaced by the one
+    computed from the dimensions' cardinalities (Section 3.1.3)."""
+    return [
+        (
+            dims,
+            scale_factor(schema.cardinalities(dims), grid.num_dims)
+            if scale is None
+            else scale,
+        )
+        for dims, scale in family
+    ]
 
 
 def group_rows(
     grid: BlockGrid,
-    schema,
-    family: Sequence[tuple[tuple[str, ...], int | None]],
+    family: Sequence[tuple[tuple[str, ...], int]],
     rows: ScannedRows,
     *,
-    workers: int = 1,
+    pseudo_maps: dict[int, PseudoBlockMap] | None = None,
     tracer=None,
-):
-    """:func:`materialize`'s grouping step, which writes no page.
-    Returns ``([(dims, cardinalities, scale factor)] per member of
-    family, BuildGroups)``."""
-    sel_index = {dim: i for i, dim in enumerate(rows.selection_dims)}
-    metas, specs = [], []
-    for dims, scale in family:
-        cardinalities = tuple(schema.cardinalities(dims))
-        if scale is None:
-            scale = scale_factor(cardinalities, grid.num_dims)
-        metas.append((dims, cardinalities, scale))
-        specs.append(CuboidSpec(dims, tuple(sel_index[d] for d in dims), scale))
-    with maybe_span(tracer, "build.group", workers=workers) as group_span:
-        grouped = compute_build_groups(
-            grid, specs, rows.tids, rows.points, rows.sel_rows, workers=workers
-        )
-        if group_span is not None:
-            group_span.add("shards", grouped.shards)
-    return metas, grouped
+) -> tuple[dict[int, list[tuple]], list[dict[tuple, list[tuple[int, int]]]]]:
+    """The one grouping of rows into store records (Section 3.1.3): give
+    each row its bid, then group ``(tid, bid)`` pairs by cell and pseudo
+    block.  Writes no page.
+
+    Returns ``(base_groups, cuboid_groups)``: ``bid -> [(tid, ranking
+    values...)]``, and per ``(dims, scale factor)`` of ``family`` a
+    ``(selection values..., pid) -> [(tid, bid)]`` map.  Each key's
+    records are in ``rows`` order, which is all a store's page image
+    depends on.  ``pseudo_maps`` (scale factor -> map over ``grid``)
+    lets a caller that holds warm maps resolve pids through them.
+    """
+    with maybe_span(tracer, "build.group"):
+        tids, points = rows.tids, rows.points
+        bids = grid.locate_many(points) if points else []
+        base_groups: dict[int, list[tuple]] = {}
+        for tid, point, bid in zip(tids, points, bids):
+            base_groups.setdefault(bid, []).append((int(tid), *map(float, point)))
+
+        # a row's pid depends on its bid and the scale factor only, not on
+        # the cuboid: resolve each distinct bid once per distinct scale
+        pids_by_scale: dict[int, list[int]] = {}
+        for scale in {scale for _dims, scale in family}:
+            pseudo = (
+                PseudoBlockMap(grid, scale) if pseudo_maps is None
+                else pseudo_maps[scale]
+            )
+            pid_by_bid = {bid: pseudo.pid_of_bid(bid) for bid in set(bids)}
+            pids_by_scale[scale] = [pid_by_bid[bid] for bid in bids]
+
+        sel_index = {dim: i for i, dim in enumerate(rows.selection_dims)}
+        cuboid_groups: list[dict[tuple, list[tuple[int, int]]]] = []
+        for dims, scale in family:
+            positions = [sel_index[d] for d in dims]
+            groups: dict[tuple, list[tuple[int, int]]] = {}
+            for row, tid, bid, pid in zip(
+                rows.sel_rows, tids, bids, pids_by_scale[scale]
+            ):
+                key = tuple(int(row[p]) for p in positions) + (pid,)
+                groups.setdefault(key, []).append((int(tid), int(bid)))
+            cuboid_groups.append(groups)
+    return base_groups, cuboid_groups
 
 
 def _minimum_cover(candidates: list[frozenset], wanted: frozenset) -> list[frozenset]:

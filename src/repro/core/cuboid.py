@@ -14,7 +14,7 @@ the same pseudo block cost no further I/O.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -95,40 +95,6 @@ class RankingCuboid:
 
     # ------------------------------------------------------------------
     @classmethod
-    def build(
-        cls,
-        pool: BufferPool,
-        dims: Sequence[str],
-        cardinalities: Sequence[int],
-        grid: BlockGrid,
-        rows: Iterable[tuple[tuple[int, ...], int, int]],
-        scale_override: int | None = None,
-        compress: bool = False,
-    ) -> "RankingCuboid":
-        """Materialize from ``(selection values, tid, bid)`` rows.
-
-        ``selection values`` must already be projected to this cuboid's
-        dimensions, in :attr:`dims` order.  ``scale_override`` replaces the
-        computed pseudo-block scale factor (``1`` disables pseudo blocking
-        entirely — the ablation of Section 3.1.3's design choice).
-        """
-        cuboid = cls(
-            pool, dims, cardinalities, grid,
-            scale_override=scale_override, compress=compress,
-        )
-        groups: dict[tuple, list[tuple[int, int]]] = {}
-        for sel_values, tid, bid in rows:
-            if len(sel_values) != len(cuboid.dims):
-                raise CuboidError(
-                    f"expected {len(cuboid.dims)} selection values, got {len(sel_values)}"
-                )
-            pid = cuboid.pseudo.pid_of_bid(bid)
-            key = tuple(int(v) for v in sel_values) + (pid,)
-            groups.setdefault(key, []).append((int(tid), int(bid)))
-        cuboid._store.build(groups.items())
-        return cuboid
-
-    @classmethod
     def from_groups(
         cls,
         pool: BufferPool,
@@ -140,12 +106,14 @@ class RankingCuboid:
         compress: bool = False,
         epoch: int = 0,
     ) -> "RankingCuboid":
-        """Materialize from an already-grouped ``cell key -> pairs`` map.
+        """Materialize from a grouped ``cell key -> pairs`` map (one of
+        the cuboid groups of :func:`~repro.core.cube.group_rows`).
 
         Keys carry the full cell shape ``(sel values..., pid)`` and values
-        the ``(tid, bid)`` pairs in tid order; the parallel builder and
-        the compactor both produce exactly this.  The store layout is
-        identical to :meth:`build`'s for equal map contents.
+        the ``(tid, bid)`` pairs in tid order.  ``scale_override``
+        replaces the computed pseudo-block scale factor (``1`` disables
+        pseudo blocking entirely — the ablation of Section 3.1.3's design
+        choice).
         """
         cuboid = cls(
             pool, dims, cardinalities, grid,

@@ -99,16 +99,12 @@ class FragmentedRankingCube(RankingCube):
         partitioner: Partitioner | None = None,
         fragments: Sequence[Sequence[str]] | None = None,
         compress: bool = False,
-        workers: int = 1,
         tracer=None,
     ) -> "FragmentedRankingCube":
         """Materialize ranking fragments over a loaded table.
 
         ``fragments`` overrides the even grouping when the caller wants a
         workload-aware grouping (Section 6 discusses such criteria).
-        ``workers`` parallelizes the grouping phase across the whole
-        fragment family at once (the per-fragment cuboids are just more
-        specs for the sharded builder — see :mod:`repro.core.parallel`).
         """
         schema = table.schema
         if selection_dims is None:
@@ -131,7 +127,6 @@ class FragmentedRankingCube(RankingCube):
             partitioner=partitioner,
             cuboid_sets=fragment_cuboid_sets(fragments),
             compress=compress,
-            workers=workers,
             tracer=tracer,
         )
         return cls(

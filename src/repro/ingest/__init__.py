@@ -3,15 +3,13 @@
 The paper assumes a static base table; this package makes the
 incremental-maintenance path (``refresh_delta`` + ``CubeCompactor``)
 production-shaped: a checksummed write-ahead log ahead of the delta
-store, LSM-style tiered delta runs driving compaction, checkpoints that
-bound recovery time, and crash recovery that replays the WAL suffix
+store, a pending-row count driving compaction, checkpoints that bound
+recovery time, and crash recovery that replays the WAL suffix
 into a reconstructed delta.  See DESIGN.md §16.
 """
 
 from .stream import (
     INGEST_FAULT_POINTS,
-    DeltaRun,
-    DeltaTiers,
     IngestError,
     ShardedStreamIngestor,
     StreamIngestor,
@@ -20,8 +18,6 @@ from .wal import WalError, WalRecord, WriteAheadLog, decode_records, encode_reco
 
 __all__ = [
     "INGEST_FAULT_POINTS",
-    "DeltaRun",
-    "DeltaTiers",
     "IngestError",
     "ShardedStreamIngestor",
     "StreamIngestor",

@@ -1,4 +1,4 @@
-"""Durable streaming ingestion: WAL → delta tiers → compaction.
+"""Durable streaming ingestion: WAL → delta store → compaction.
 
 :class:`StreamIngestor` wraps one :class:`~repro.persist.Workspace` and
 turns batch appends into a crash-safe pipeline:
@@ -9,15 +9,11 @@ turns batch appends into a crash-safe pipeline:
 2. **apply** — rows land in the table heap and
    :meth:`RankingCube.refresh_delta` absorbs them into the in-memory
    delta store, immediately visible to query snapshots,
-3. **tier** — :class:`DeltaTiers` accounts the batch as an L0 run and
-   cascades LSM-style merges (``fanout`` runs of a level fold into one
-   run a level up), so compaction pressure is measured in *runs*, not
-   just raw tuples,
-4. **compact** — once the tiers cross ``compact_threshold`` tuples, the
-   ingestor drains the delta through
-   :class:`~repro.core.compaction.CubeCompactor`; the compactor's
-   ``on_swap`` callback retires the drained runs,
-5. **checkpoint** — :meth:`StreamIngestor.checkpoint` compacts, saves a
+3. **compact** — once ``compact_threshold`` appended rows are pending
+   (appended and not yet absorbed), the ingestor drains the delta
+   through :class:`~repro.core.compaction.CubeCompactor`; the
+   compactor's ``on_swap`` callback subtracts the rows it absorbed,
+4. **checkpoint** — :meth:`StreamIngestor.checkpoint` compacts, saves a
    workspace snapshot, and truncates the WAL to records the snapshot
    does not cover — which is what bounds recovery time: replay work is
    proportional to rows appended since the last checkpoint, never to
@@ -43,7 +39,6 @@ fresher per-shard snapshot already covers.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from ..core.compaction import CubeCompactor
@@ -59,114 +54,13 @@ from .wal import WalError, WalRecord, WriteAheadLog
 INGEST_FAULT_POINTS = (
     "wal-append",       # record buffered to the OS, not yet fsynced
     "wal-fsync",        # record durable on stable storage
-    "delta-tier-flush", # batch flushed into the L0 run list
+    "delta-tier-flush", # batch applied to the table and the delta store
     "compaction-swap",  # compactor swapped the merged materialization in
 )
 
 
 class IngestError(Exception):
     """Raised on ingestor misuse or snapshot/WAL mismatch at recovery."""
-
-
-@dataclass
-class DeltaRun:
-    """One tier run: a contiguous tid range of not-yet-compacted rows."""
-
-    level: int
-    rows: int
-    first_tid: int
-    last_tid: int
-
-
-class DeltaTiers:
-    """LSM-style accounting of the cube's delta store as tiered runs.
-
-    The delta itself stays one flat list inside the cube (queries merge
-    it wholesale); the tiers track *how it got there* — every append
-    batch is an L0 run, and ``fanout`` runs of any level merge into one
-    run a level above.  That gives the ingestor an LSM-shaped signal for
-    compaction pressure (run count and tier depth, not just tuple
-    count) and gives the kill matrix its ``delta-tier-flush`` instant.
-    """
-
-    def __init__(self, fanout: int = 4, fault_hook=None):
-        if fanout < 2:
-            raise IngestError(f"tier fanout must be >= 2, got {fanout}")
-        self.fanout = fanout
-        self.fault_hook = fault_hook
-        #: level -> runs at that level, oldest (lowest tid) first.
-        self.levels: dict[int, list[DeltaRun]] = {}
-        self.flushes = 0
-        self.merges = 0
-
-    def add_run(self, first_tid: int, rows: int) -> None:
-        """Flush one append batch into L0 and cascade fanout merges."""
-        if rows <= 0:
-            return
-        run = DeltaRun(0, rows, first_tid, first_tid + rows - 1)
-        self.levels.setdefault(0, []).append(run)
-        self.flushes += 1
-        if self.fault_hook is not None:
-            self.fault_hook("delta-tier-flush")
-        level = 0
-        while len(self.levels.get(level, ())) >= self.fanout:
-            merged_runs = self.levels.pop(level)
-            merged = DeltaRun(
-                level + 1,
-                sum(r.rows for r in merged_runs),
-                min(r.first_tid for r in merged_runs),
-                max(r.last_tid for r in merged_runs),
-            )
-            self.levels.setdefault(level + 1, []).append(merged)
-            self.levels[level + 1].sort(key=lambda r: r.first_tid)
-            self.merges += 1
-            level += 1
-
-    def drain(self, absorbed: int) -> None:
-        """Retire ``absorbed`` rows, oldest tids first (compaction ran)."""
-        remaining = absorbed
-        runs = sorted(
-            (r for rs in self.levels.values() for r in rs),
-            key=lambda r: r.first_tid,
-        )
-        survivors: list[DeltaRun] = []
-        for run in runs:
-            if remaining >= run.rows:
-                remaining -= run.rows
-                continue
-            if remaining:
-                run = DeltaRun(
-                    run.level,
-                    run.rows - remaining,
-                    run.first_tid + remaining,
-                    run.last_tid,
-                )
-                remaining = 0
-            survivors.append(run)
-        self.levels = {}
-        for run in survivors:
-            self.levels.setdefault(run.level, []).append(run)
-
-    @property
-    def total_rows(self) -> int:
-        return sum(r.rows for rs in self.levels.values() for r in rs)
-
-    @property
-    def run_count(self) -> int:
-        return sum(len(rs) for rs in self.levels.values())
-
-    @property
-    def depth(self) -> int:
-        return 1 + max(self.levels, default=-1)
-
-    def describe(self) -> dict:
-        return {
-            "runs": self.run_count,
-            "rows": self.total_rows,
-            "depth": self.depth,
-            "flushes": self.flushes,
-            "merges": self.merges,
-        }
 
 
 class StreamIngestor:
@@ -181,12 +75,10 @@ class StreamIngestor:
     wal_path:
         The write-ahead log file.
     compact_threshold:
-        Compact once the tiers hold at least this many tuples.
-    tier_fanout:
-        Runs per level before an LSM merge cascades upward.
+        Compact once at least this many appended rows are pending.
     fault_hook:
-        Test seam forwarded to the WAL, the tiers, and (translated) the
-        compactor — see :data:`INGEST_FAULT_POINTS`.
+        Test seam forwarded to the WAL and (translated) the compactor —
+        see :data:`INGEST_FAULT_POINTS`.
     registry:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`.
     """
@@ -198,7 +90,6 @@ class StreamIngestor:
         wal_path: str | Path,
         *,
         compact_threshold: int = 256,
-        tier_fanout: int = 4,
         fault_hook=None,
         tracer=None,
         registry=None,
@@ -211,14 +102,17 @@ class StreamIngestor:
         self.fault_hook = fault_hook
         self.registry = registry
         self.wal = WriteAheadLog(wal_path, fault_hook=fault_hook)
-        self.tiers = DeltaTiers(tier_fanout, fault_hook=fault_hook)
+        #: rows appended (or replayed) and not yet absorbed by a compaction:
+        #: the compaction trigger.  Not ``cube.delta_size``, which also
+        #: counts out-of-grid residuals and a recovered snapshot's delta.
+        self.pending_rows = 0
         self.compactor = CubeCompactor(
             self.cube,
             workspace.db.pool,
             min_delta=compact_threshold,
             tracer=tracer,
             fault_hook=self._compactor_fault,
-            on_swap=self.tiers.drain,
+            on_swap=self._absorbed,
         )
         self.snapshot_path: Path | None = None
         self.last_checkpoint_rows = self.table.num_rows
@@ -237,6 +131,15 @@ class StreamIngestor:
         if self.registry is not None:
             self.registry.counter(name).inc(value)
 
+    def _absorbed(self, rows: int) -> None:
+        # the first compaction after a recovery also absorbs the
+        # snapshot's own delta, which was never pending here
+        self.pending_rows = max(0, self.pending_rows - rows)
+
+    def _applied(self) -> None:
+        if self.fault_hook is not None:
+            self.fault_hook("delta-tier-flush")
+
     # ------------------------------------------------------------------
     def append(self, rows) -> int:
         """Durably log then apply one batch; returns rows appended.
@@ -254,15 +157,17 @@ class StreamIngestor:
         self._count("ingest.wal.records")
         self.table.insert_rows(rows)
         self.cube.refresh_delta(self.table)
-        self.tiers.add_run(record.first_tid, len(rows))
+        self.pending_rows += len(rows)
+        self._applied()
         self._count("ingest.rows", len(rows))
         self._count("ingest.batches")
-        if self.tiers.total_rows >= self.compact_threshold:
+        if self.pending_rows >= self.compact_threshold:
             self.compact()
         return len(rows)
 
     def compact(self):
-        """Drain the delta through the compactor; retires tier runs."""
+        """Drain the delta through the compactor; a swap subtracts the
+        absorbed rows from :attr:`pending_rows`."""
         report = self.compactor.compact_once()
         if report.swapped:
             self._count("ingest.compactions")
@@ -332,9 +237,9 @@ class StreamIngestor:
                     f"record starts at tid {record.first_tid}"
                 )
             suffix = record.rows[table.num_rows - record.first_tid :]
-            first = table.num_rows
             table.insert_rows(suffix)
-            ingestor.tiers.add_run(first, len(suffix))
+            ingestor.pending_rows += len(suffix)
+            ingestor._applied()
             replayed += len(suffix)
         ingestor.cube.refresh_delta(table)
         ingestor.recovered_rows = replayed
@@ -378,7 +283,6 @@ class ShardedStreamIngestor:
         *,
         directory: str | Path | None = None,
         compact_threshold: int = 256,
-        tier_fanout: int = 4,
         fault_hook=None,
         registry=None,
     ):
@@ -388,7 +292,6 @@ class ShardedStreamIngestor:
         self.fault_hook = fault_hook
         self.registry = registry
         self.wal = WriteAheadLog(wal_path, fault_hook=fault_hook)
-        self.tiers = DeltaTiers(tier_fanout, fault_hook=fault_hook)
         self._workspace = ShardedWorkspace(cube=cube)
         self.last_checkpoint_rows = cube.num_rows
         self.recovered_rows = 0
@@ -408,7 +311,7 @@ class ShardedStreamIngestor:
         self.wal.append_durable(record)
         self._count("ingest.wal.records")
         self.cube.append_rows(rows)
-        self.tiers.add_run(record.first_tid, len(rows))
+        self._applied()
         self._count("ingest.rows", len(rows))
         for shard in self.cube.shards:
             if (
@@ -437,6 +340,7 @@ class ShardedStreamIngestor:
         return report
 
     _compactor_fault = StreamIngestor._compactor_fault
+    _applied = StreamIngestor._applied
 
     def _shard_compactor(self, shard) -> CubeCompactor:
         return CubeCompactor(
@@ -454,7 +358,6 @@ class ShardedStreamIngestor:
         for shard in self.cube.shards:
             if shard.cube is not None and shard.cube.delta_size:
                 self._shard_compactor(shard).compact_once()
-        self.tiers.drain(self.tiers.total_rows)
         self._workspace.save(target)
         covered = self.cube.num_rows
         keep = [r for r in self.wal.replay() if r.last_tid >= covered]
@@ -527,7 +430,7 @@ class ShardedStreamIngestor:
             else:
                 shard.cube.refresh_delta(shard.table)
         if replayed:
-            ingestor.tiers.add_run(cube.num_rows - replayed, replayed)
+            ingestor._applied()
         ingestor.recovered_rows = replayed
         ingestor.last_checkpoint_rows = cube.num_rows - replayed
         ingestor.recovery_wall_s = time.perf_counter() - started

@@ -234,7 +234,10 @@ def load_workspace(path: str | Path) -> Workspace:
 # ----------------------------------------------------------------------
 
 SHARD_MANIFEST = "manifest.json"
-SHARD_MANIFEST_VERSION = 1
+#: v2: a shard's ``build_kwargs`` no longer carry ``workers`` (the build
+#: has one serial grouping path); a v1 manifest's would fail its first
+#: deferred shard build, so it is refused at load.
+SHARD_MANIFEST_VERSION = 2
 
 
 @dataclass

@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 from ..core.cube import (
     CubeError, RankingCube, _covering_cuboids, group_rows, materialize,
-    scan_rows,
+    resolve_scales, scan_rows,
 )
 from ..core.cuboid import RankingCuboid
 from ..core.daemon import MaintenanceDaemon
@@ -273,10 +273,12 @@ class CubeAdvisor(MaintenanceDaemon):
             sorted(set().union(*keys)),
             keep=lambda tid: tid < state.watermark and tid not in delta_tids,
         )
-        metas, grouped = group_rows(
+        family = resolve_scales(
             state.grid, self.table.schema,
-            [(tuple(sorted(key)), None) for key in keys], rows,
-            tracer=self.tracer,
+            [(tuple(sorted(key)), None) for key in keys],
+        )
+        _base, cuboid_groups = group_rows(
+            state.grid, family, rows, tracer=self.tracer
         )
         return rows, {
             frozenset(dims): Candidate(
@@ -284,7 +286,7 @@ class CubeAdvisor(MaintenanceDaemon):
                 PseudoBlockMap(state.grid, scale),
                 {cell: len(pairs) for cell, pairs in groups.items()},
             )
-            for (dims, _cards, scale), groups in zip(metas, grouped.cuboid_groups)
+            for (dims, scale), groups in zip(family, cuboid_groups)
         }
 
     def _build_promotions(
@@ -294,7 +296,7 @@ class CubeAdvisor(MaintenanceDaemon):
         snapshot's epoch."""
         if not promote:
             return {}
-        _base, built, _shards = materialize(
+        _base, built = materialize(
             self.pool, state.grid, self.table.schema,
             [(tuple(sorted(key)), None) for key in promote], rows,
             with_base=False, compress=state.compressed, epoch=state.epoch,

@@ -154,7 +154,7 @@ def repartition_cube(
             state.grid.dims, list(zip(*rows.points)), cube.block_size
         )
         report.blocks_after = new_grid.num_blocks
-        new_base, new_cuboids, _shards = materialize(
+        new_base, new_cuboids = materialize(
             pool,
             new_grid,
             table.schema,

@@ -10,7 +10,7 @@ long-lived **worker process** that owns it exclusively, and gives the
 front end a :class:`ShardWorkerHandle` with the endpoint's own calls:
 
 * **Bootstrap** — workers start from the spawn context
-  (:func:`repro.core.parallel.spawn_context`) and warm-start from the
+  (:func:`spawn_context`) and warm-start from the
   shard's persisted :class:`~repro.persist.Workspace` snapshot, verified
   against the SHA-256 pin in the shard manifest.  A respawned worker
   therefore always serves byte-identical state to the one it replaces.
@@ -35,12 +35,12 @@ front end a :class:`ShardWorkerHandle` with the endpoint's own calls:
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
 import os
 import threading
 import time
 from pathlib import Path
 
-from ..core.parallel import spawn_context
 from ..obs.metrics import MetricsRegistry
 from . import wire
 from .endpoint import ProcPoolError, ShardEndpoint
@@ -51,6 +51,20 @@ DEFAULT_WORKER_TIMEOUT = 60.0
 DEFAULT_START_TIMEOUT = 120.0
 #: Respawn attempts before the pool gives a shard up as unservable.
 DEFAULT_RESPAWN_RETRIES = 2
+
+
+def spawn_context() -> multiprocessing.context.BaseContext:
+    """The multiprocessing context every shard worker starts from.
+
+    ``spawn`` starts workers from a fresh interpreter instead of forking:
+    a forked child inherits the parent's locks and threads mid-state (the
+    serving layer runs background compactors and worker pools, so a fork
+    taken at the wrong instant can deadlock on a held registry or buffer
+    latch), while a spawned child re-imports and rebuilds its state from
+    pickled payloads only, so "what a worker sees" is always "what was
+    explicitly shipped to it".
+    """
+    return multiprocessing.get_context("spawn")
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,7 @@
 
 :func:`build_sharded` routes an initial load through a
 :class:`~repro.shard.map.ShardMap`, builds one fully independent stack
-per shard — device, buffer pool, table, :class:`RankingCube` (reusing
-the partitioned parallel builder per shard via ``workers``) — and wraps
+per shard — device, buffer pool, table, :class:`RankingCube` — and wraps
 them in a :class:`ShardedCube` that preserves *global* tid semantics:
 global tids are assigned sequentially in load order, exactly as a
 single-table :meth:`~repro.relational.table.Table.insert_rows` would,
@@ -209,7 +208,6 @@ def build_sharded(
     key_dim: str | None = None,
     replication_factor: int = 1,
     block_size: int = DEFAULT_BLOCK_SIZE,
-    workers: int = 1,
     buffer_capacity: int = 4096,
     database_factory: Callable[[int], Database] | None = None,
     **cube_kwargs,
@@ -225,9 +223,8 @@ def build_sharded(
         Routing policy — see :class:`~repro.shard.map.ShardMap`.  A
         ``replication_factor > 1`` makes the serving tier keep warm
         replicas and fail over instead of aborting on a dead primary.
-    block_size, workers, **cube_kwargs:
-        Passed through to each shard's :meth:`RankingCube.build`
-        (``workers`` engages the partitioned parallel builder per shard).
+    block_size, **cube_kwargs:
+        Passed through to each shard's :meth:`RankingCube.build`.
     database_factory:
         ``shard_id -> Database`` override, e.g. to wrap one shard's
         device in a :class:`~repro.storage.faults.FaultyBlockDevice`
@@ -260,7 +257,7 @@ def build_sharded(
             db = Database(buffer_capacity=buffer_capacity)
         pairs = per_shard[shard_id]
         table = db.load_table(name, schema, [row for _gtid, row in pairs])
-        build_kwargs = dict(block_size=block_size, workers=workers, **cube_kwargs)
+        build_kwargs = dict(block_size=block_size, **cube_kwargs)
         cube = RankingCube.build(table, **build_kwargs) if pairs else None
         shards.append(
             CubeShard(

@@ -2,10 +2,10 @@
 
 Two modes, chosen at build time and frozen into the map:
 
-* ``tid_range`` — contiguous near-equal global-tid ranges (the same
-  :func:`~repro.core.parallel.shard_ranges` split the parallel builder
-  uses).  Every query fans out to all shards; appended rows spread
-  round-robin by global tid so no shard becomes the append hot spot.
+* ``tid_range`` — contiguous near-equal global-tid ranges
+  (:func:`shard_ranges`).  Every query fans out to all shards; appended
+  rows spread round-robin by global tid so no shard becomes the append
+  hot spot.
 * ``selection_key`` — rows hash by one selection dimension's encoded
   value (``value % num_shards``).  A query that pins the key dimension
   with an equality selection routes to exactly one shard; all other
@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from ..core.parallel import shard_ranges
 from ..relational.schema import Schema
 
 MODES = ("tid_range", "selection_key")
@@ -29,6 +28,30 @@ MODES = ("tid_range", "selection_key")
 
 class ShardError(Exception):
     """Raised for invalid shard configuration or routing requests."""
+
+
+def shard_ranges(count: int, shards: int) -> list[tuple[int, int]]:
+    """Split ``[0, count)`` into up to ``shards`` contiguous ranges.
+
+    Ranges are near-equal (first ``count % shards`` ranges take one extra
+    element) and ascending, so concatenating per-shard results restores
+    the original order.  Empty ranges are dropped.
+    """
+    if count < 0:
+        raise ValueError("count must be non-negative")
+    if shards < 1:
+        raise ValueError("shards must be >= 1")
+    shards = min(shards, count) if count else 0
+    if shards == 0:
+        return []
+    base, extra = divmod(count, shards)
+    ranges = []
+    start = 0
+    for index in range(shards):
+        stop = start + base + (1 if index < extra else 0)
+        ranges.append((start, stop))
+        start = stop
+    return ranges
 
 
 @dataclass(frozen=True)

@@ -84,31 +84,9 @@ class SyntheticDataset:
         return db.load_table(name, self.schema, self.rows)
 
 
-def generate(spec: SyntheticSpec, workers: int = 1) -> SyntheticDataset:
-    """Generate a dataset according to ``spec`` (deterministic per seed).
-
-    ``workers > 1`` generates the tuple range in shards, one independent
-    RNG stream per shard.  Child streams derive from
-    ``np.random.SeedSequence(spec.seed).spawn(...)`` — spawn keys, not
-    ``seed ^ worker_id`` arithmetic, because XOR-derived seeds collide
-    across datasets (worker 1 of seed 0 equals worker 0 of seed 1) and
-    correlated streams would silently deflate the dataset's entropy.
-    The output is deterministic per ``(seed, workers)`` pair; shard
-    results are concatenated in shard order.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers == 1:
-        rows = _generate_rows(spec, np.random.default_rng(spec.seed), spec.num_tuples)
-        return SyntheticDataset(spec=spec, schema=spec.schema(), rows=rows)
-
-    from ..core.parallel import shard_ranges
-
-    ranges = shard_ranges(spec.num_tuples, workers)
-    children = np.random.SeedSequence(spec.seed).spawn(len(ranges))
-    rows = []
-    for child, (start, stop) in zip(children, ranges):
-        rows.extend(_generate_rows(spec, np.random.default_rng(child), stop - start))
+def generate(spec: SyntheticSpec) -> SyntheticDataset:
+    """Generate a dataset according to ``spec`` (deterministic per seed)."""
+    rows = _generate_rows(spec, np.random.default_rng(spec.seed), spec.num_tuples)
     return SyntheticDataset(spec=spec, schema=spec.schema(), rows=rows)
 
 

@@ -275,11 +275,11 @@ class TestForegroundCompaction:
         rng = random.Random(8)
         db = Database(buffer_capacity=512)
         table = db.load_table("R", SCHEMA, make_rows(rng))
-        RankingCube.build(table, block_size=8, workers=2)
+        cube = RankingCube.build(table, block_size=8)
         registry = db.pool.registry
         assert registry.value("build.runs") == 1
         assert registry.value("build.tuples") == 80
-        assert registry.value("build.shards") == 2
+        assert registry.value("build.cuboids") == len(cube.cuboids)
 
     def test_min_delta_validation(self):
         rng = random.Random(1)

@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from repro.core import BaseBlockTable, BlockGrid, CuboidError, RankingCuboid
+from repro.core import (
+    BaseBlockTable,
+    BlockGrid,
+    CuboidError,
+    RankingCuboid,
+    scale_factor,
+)
+from repro.core.cube import ScannedRows, group_rows
 from repro.storage import BlockDevice, BufferPool
 
 
@@ -23,20 +30,40 @@ def random_points(count=200, seed=3):
     return [(rng.random(), rng.random()) for _ in range(count)]
 
 
+def build_table(pool, grid, points):
+    """The base block table over ``points`` (tid = position)."""
+    rows = ScannedRows((), list(range(len(points))), points, [()] * len(points))
+    base_groups, _cuboids = group_rows(grid, [], rows)
+    return BaseBlockTable.from_groups(pool, grid, base_groups)
+
+
+def build_cuboid(pool, grid, dims, cards, sels, points):
+    """The cuboid on ``dims`` over ``(sels, points)`` (tid = position)."""
+    rows = ScannedRows(tuple(dims), list(range(len(points))), points, sels)
+    family = [(tuple(dims), scale_factor(cards, grid.num_dims))]
+    _base, (groups,) = group_rows(grid, family, rows)
+    return RankingCuboid.from_groups(pool, dims, cards, grid, groups)
+
+
 class TestBaseBlockTable:
     def test_build_assigns_bids_by_grid(self):
         _d, pool = make_pool()
         grid = make_grid()
         points = random_points()
-        table, bids = BaseBlockTable.build(pool, grid, list(range(len(points))), points)
-        for point, bid in zip(points, bids):
-            assert grid.locate(point) == bid
+        table = build_table(pool, grid, points)
+        seen = 0
+        for bid in range(grid.num_blocks):
+            for tid, _values in table.get_base_block(bid):
+                assert grid.locate(points[tid]) == bid
+                seen += 1
+        assert seen == len(points)
 
     def test_get_base_block_returns_block_members(self):
         _d, pool = make_pool()
         grid = make_grid()
         points = random_points()
-        table, bids = BaseBlockTable.build(pool, grid, list(range(len(points))), points)
+        table = build_table(pool, grid, points)
+        bids = [grid.locate(point) for point in points]
         target_bid = bids[0]
         members = table.get_base_block(target_bid)
         expected_tids = sorted(t for t, b in enumerate(bids) if b == target_bid)
@@ -48,44 +75,43 @@ class TestBaseBlockTable:
     def test_empty_block_returns_nothing(self):
         _d, pool = make_pool()
         grid = make_grid()
-        table, _bids = BaseBlockTable.build(pool, grid, [0], [(0.01, 0.01)])
+        table = build_table(pool, grid, [(0.01, 0.01)])
         far_bid = grid.bid_of((3, 3))
         assert table.get_base_block(far_bid) == []
 
     def test_access_count(self):
         _d, pool = make_pool()
         grid = make_grid()
-        table, _bids = BaseBlockTable.build(pool, grid, [0], [(0.01, 0.01)])
+        table = build_table(pool, grid, [(0.01, 0.01)])
         table.get_base_block(0)
         table.get_base_block(0)
         assert table.access_count == 2
 
-    def test_misaligned_inputs_rejected(self):
-        _d, pool = make_pool()
-        with pytest.raises(ValueError):
-            BaseBlockTable.build(pool, make_grid(), [0, 1], [(0.5, 0.5)])
-
     def test_num_tuples(self):
         _d, pool = make_pool()
-        points = random_points(50)
-        table, _ = BaseBlockTable.build(
-            pool, make_grid(), list(range(50)), points
-        )
+        table = build_table(pool, make_grid(), random_points(50))
         assert table.num_tuples == 50
 
 
 class TestRankingCuboid:
-    def make_cuboid(self, rows=None, dims=("a1",), cards=(2,)):
+    def make_cuboid(self, members=None, dims=("a1",), cards=(2,)):
+        """A cuboid over ``members`` ``(sel values, point)``; returns it
+        and its ``(sel values, tid, bid)`` rows."""
         _d, pool = make_pool()
         grid = make_grid()
-        if rows is None:
+        if members is None:
             rng = random.Random(9)
-            rows = []
-            for tid in range(100):
+            members = []
+            for _tid in range(100):
                 point = (rng.random(), rng.random())
-                sel = tuple(rng.randrange(c) for c in cards)
-                rows.append((sel, tid, grid.locate(point)))
-        return RankingCuboid.build(pool, dims, cards, grid, rows), rows
+                members.append((tuple(rng.randrange(c) for c in cards), point))
+        sels = [sel for sel, _point in members]
+        points = [point for _sel, point in members]
+        rows = [
+            (sel, tid, grid.locate(point))
+            for tid, (sel, point) in enumerate(members)
+        ]
+        return build_cuboid(pool, grid, dims, cards, sels, points), rows
 
     def test_get_pseudo_block_partitions_entries(self):
         cuboid, rows = self.make_cuboid()
@@ -110,7 +136,7 @@ class TestRankingCuboid:
 
     def test_absent_cell_empty(self):
         cuboid, _rows = self.make_cuboid(
-            rows=[((0,), 0, 0)], dims=("a1",), cards=(2,)
+            members=[((0,), (0.01, 0.01))], dims=("a1",), cards=(2,)
         )
         assert cuboid.get_pseudo_block((1,), 0) == []
 
@@ -132,12 +158,6 @@ class TestRankingCuboid:
         _d, pool = make_pool()
         with pytest.raises(CuboidError):
             RankingCuboid(pool, ("a1",), (2, 3), make_grid())
-
-    def test_build_rejects_wrong_width_rows(self):
-        _d, pool = make_pool()
-        grid = make_grid()
-        with pytest.raises(CuboidError):
-            RankingCuboid.build(pool, ("a1",), (2,), grid, [((0, 1), 0, 0)])
 
     def test_name_and_repr(self):
         cuboid, _rows = self.make_cuboid(dims=("a1",), cards=(2,))

@@ -133,7 +133,7 @@ def test_an_aborted_ingest_compaction_keeps_its_tier_runs(tmp_path, monkeypatch)
             batch = make_rows(env.rng, 10, lo=0.2, hi=0.8)
             ingestor.append(batch)
             env.rows += batch
-        runs = ingestor.tiers.total_rows
+        runs = ingestor.pending_rows
         delta = env.cube.delta_size
         # an advisor promotion lands inside the compaction's flush
         seen = race(env, monkeypatch, "advise", appended=0)
@@ -141,12 +141,12 @@ def test_an_aborted_ingest_compaction_keeps_its_tier_runs(tmp_path, monkeypatch)
         report = ingestor.compact()
         assert seen["report"].swapped and HOT in env.cube.cuboids
         assert report.aborted and not report.swapped
-        assert ingestor.tiers.total_rows == runs == 30
+        assert ingestor.pending_rows == runs == 30
         assert env.cube.delta_size == delta
 
         retry = ingestor.compact()
         assert retry.swapped and retry.absorbed + retry.residual == delta
-        assert ingestor.tiers.total_rows == 0
+        assert ingestor.pending_rows == 0
         assert HOT in env.cube.cuboids
         env.assert_answers_exact()
     finally:

@@ -1,18 +1,15 @@
-"""Units for the partitioned builder: sharding, partials, merge."""
+"""Units for the build's grouping: ``shard_ranges`` (the tid-range split
+the sharded tier routes by) and ``group_rows`` (the one routine that
+groups rows into store records)."""
 
 import random
 
 import pytest
 
-from repro.core import (
-    CuboidSpec,
-    RankingCube,
-    compute_build_groups,
-    shard_ranges,
-)
-from repro.core.parallel import build_shard_partial, merge_partials
+from repro.core.cube import ScannedRows, group_rows, resolve_scales
 from repro.core.partition import EquiDepthPartitioner
-from repro.relational import Database, Schema, ranking_attr, selection_attr
+from repro.relational import Schema, ranking_attr, selection_attr
+from repro.shard.map import shard_ranges
 
 SCHEMA = Schema.of(
     [selection_attr("a1", 3), selection_attr("a2", 4)]
@@ -54,106 +51,32 @@ class TestShardRanges:
                     assert stop == start
 
 
-def _scan_arrays(rows):
-    tids = list(range(len(rows)))
-    points = [(float(r[2]), float(r[3])) for r in rows]
-    sel_rows = [(int(r[0]), int(r[1])) for r in rows]
-    return tids, points, sel_rows
-
-
 def _grid(points, block_size=6):
     return EquiDepthPartitioner().build_grid(
         ("n1", "n2"), list(zip(*points)), block_size
     )
 
 
-def _rows(rng, count=60):
-    return [
-        (rng.randrange(3), rng.randrange(4), rng.random(), rng.random())
-        for _ in range(count)
-    ]
-
-
-def _specs(grid):
-    from repro.core.cube import scale_factor
-
-    return [
-        CuboidSpec(
-            dims=("a1",),
-            positions=(0,),
-            scale=scale_factor((3,), grid.num_dims),
-        ),
-        CuboidSpec(
-            dims=("a1", "a2"),
-            positions=(0, 1),
-            scale=scale_factor((3, 4), grid.num_dims),
-        ),
-    ]
-
-
-class TestMergePartials:
-    def test_sharded_partials_merge_to_the_serial_maps(self):
-        rng = random.Random(7)
-        rows = _rows(rng)
-        tids, points, sel_rows = _scan_arrays(rows)
-        grid = _grid(points)
-        specs = _specs(grid)
-
-        whole = build_shard_partial(grid, specs, tids, points, sel_rows)
-        serial_base, serial_cuboids = merge_partials([whole], len(specs))
-
-        for shards in (2, 3, 5):
-            partials = [
-                build_shard_partial(
-                    grid, specs, tids[a:b], points[a:b], sel_rows[a:b]
-                )
-                for a, b in shard_ranges(len(tids), shards)
-            ]
-            base, cuboids = merge_partials(partials, len(specs))
-            assert base == serial_base
-            assert cuboids == serial_cuboids
-
+class TestGroupRows:
     def test_per_key_record_order_is_scan_order(self):
+        """Each key's records keep the order of ``rows``, whatever the
+        tids: a store's page image depends only on that order."""
         rng = random.Random(3)
-        rows = _rows(rng, count=40)
-        tids, points, sel_rows = _scan_arrays(rows)
+        count = 40
+        tids = rng.sample(range(10 * count), count)
+        points = [(rng.random(), rng.random()) for _ in range(count)]
+        sel_rows = [(rng.randrange(3), rng.randrange(4)) for _ in range(count)]
+        rows = ScannedRows(("a1", "a2"), tids, points, sel_rows)
         grid = _grid(points)
-        specs = _specs(grid)
-        partials = [
-            build_shard_partial(grid, specs, tids[a:b], points[a:b], sel_rows[a:b])
-            for a, b in shard_ranges(len(tids), 4)
-        ]
-        base, cuboids = merge_partials(partials, len(specs))
+        family = resolve_scales(grid, SCHEMA, [(("a1",), None), (("a1", "a2"), None)])
+        base, cuboids = group_rows(grid, family, rows)
+        position = {tid: i for i, tid in enumerate(tids)}
+        assert sum(map(len, base.values())) == count
         for records in base.values():
-            assert [r[0] for r in records] == sorted(r[0] for r in records)
+            order = [position[r[0]] for r in records]
+            assert order == sorted(order)
         for groups in cuboids:
+            assert sum(map(len, groups.values())) == count
             for pairs in groups.values():
-                assert [p[0] for p in pairs] == sorted(p[0] for p in pairs)
-
-
-class TestComputeBuildGroups:
-    def test_workers_one_equals_workers_many(self):
-        rng = random.Random(11)
-        rows = _rows(rng, count=80)
-        tids, points, sel_rows = _scan_arrays(rows)
-        grid = _grid(points)
-        specs = _specs(grid)
-        serial = compute_build_groups(grid, specs, tids, points, sel_rows)
-        assert serial.shards == 1
-        parallel = compute_build_groups(
-            grid, specs, tids, points, sel_rows, workers=3
-        )
-        assert parallel.shards == 3
-        assert parallel.base_groups == serial.base_groups
-        assert parallel.cuboid_groups == serial.cuboid_groups
-
-    def test_invalid_workers(self):
-        with pytest.raises(ValueError):
-            compute_build_groups(None, [], [], [], [], workers=0)
-
-    def test_build_rejects_invalid_workers(self):
-        db = Database(buffer_capacity=64)
-        rng = random.Random(1)
-        table = db.load_table("R", SCHEMA, _rows(rng, count=20))
-        with pytest.raises(ValueError):
-            RankingCube.build(table, block_size=4, workers=0)
+                order = [position[tid] for tid, _bid in pairs]
+                assert order == sorted(order)

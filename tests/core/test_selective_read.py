@@ -11,6 +11,7 @@ import random
 import pytest
 
 from repro.core import BaseBlockTable, BlockGrid
+from repro.core.cube import ScannedRows, group_rows
 from repro.storage import BlockDevice, BufferPool, RecordCodec
 
 
@@ -24,7 +25,8 @@ def build_table(seed=11, count=400, page_size=256):
     device = BlockDevice(page_size=page_size)
     pool = BufferPool(device, capacity=256)
     tids = rng.sample(range(10 * count), count)
-    table, _bids = BaseBlockTable.build(pool, grid, tids, points)
+    rows = ScannedRows((), tids, points, [()] * count)
+    table = BaseBlockTable.from_groups(pool, grid, group_rows(grid, [], rows)[0])
     pool.flush()
     return device, pool, table
 

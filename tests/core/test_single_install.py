@@ -14,13 +14,29 @@ test fails when a second copy grows back:
   ``_state_lock`` or calls ``_notify_invalidation``;
 * ``def start`` / ``def wake`` / ``def _worker`` are written once among
   the compactor's, the advisor's and the daemon's modules.
+
+The build has one path too: ``repro.core.cube.group_rows`` is the only
+code that groups rows for a store.  The process-pool build
+(``repro.core.parallel``) and the ``workers=`` knob that picked it are
+gone, and this test fails when either grows back: the module imports,
+``locate_many(`` is called outside ``group_rows``, a
+``ProcessPoolExecutor`` appears under ``core/``, or a build entry point
+takes ``workers``.
 """
 
 import ast
+import importlib
+import inspect
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import repro
+from repro.core import FragmentedRankingCube, RankingCube
+from repro.core.cube import group_rows, materialize
+from repro.shard.builder import build_sharded
+from repro.workloads.synthetic import generate
 
 PACKAGE = Path(repro.__file__).resolve().parent
 STATE = {"grid", "base_table", "cuboids", "_delta"}
@@ -74,3 +90,39 @@ def test_one_daemon_loop():
         "wake": 1,
         "_worker": 1,
     }
+
+
+def test_one_build_path():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.core.parallel")
+
+    callers = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = path.relative_to(PACKAGE).as_posix()
+        for function in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for node in ast.walk(function):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "locate_many"
+                ):
+                    callers.append(f"{module}:{function.name}")
+    assert callers == ["core/cube.py:group_rows"]
+
+    pools = [
+        path.relative_to(PACKAGE).as_posix()
+        for path in sorted((PACKAGE / "core").rglob("*.py"))
+        if "ProcessPoolExecutor" in path.read_text()
+    ]
+    assert pools == []
+
+    builders = (
+        RankingCube.build, FragmentedRankingCube.build_fragments,
+        build_sharded, materialize, group_rows, generate,
+    )
+    assert [
+        f.__qualname__ for f in builders
+        if "workers" in inspect.signature(f).parameters
+    ] == []

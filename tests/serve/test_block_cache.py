@@ -28,6 +28,7 @@ import pytest
 
 from repro.core import BaseBlockTable, BlockGrid, RankingCube, RankingCubeExecutor
 from repro.core.compaction import CubeCompactor
+from repro.core.cube import ScannedRows, group_rows
 from repro.core.executor import QueryAbortedError
 from repro.ranking import LinearFunction
 from repro.relational import Database, Schema, TopKQuery, ranking_attr, selection_attr
@@ -123,9 +124,14 @@ def assert_same_work(served, bare):
 def test_an_unpickled_table_draws_a_fresh_uid():
     grid = BlockGrid(("n1", "n2"), ((0.0, 0.5, 1.0), (0.0, 0.5, 1.0)))
     pool = BufferPool(BlockDevice(page_size=256), capacity=16)
-    original, _bids = BaseBlockTable.build(pool, grid, [0, 1], [(0.1, 0.2), (0.7, 0.9)])
+
+    def build(tids, points):
+        rows = ScannedRows((), tids, points, [()] * len(tids))
+        return BaseBlockTable.from_groups(pool, grid, group_rows(grid, [], rows)[0])
+
+    original = build([0, 1], [(0.1, 0.2), (0.7, 0.9)])
     blob = pickle.dumps(original)
-    later, _bids = BaseBlockTable.build(pool, grid, [2], [(0.3, 0.3)])
+    later = build([2], [(0.3, 0.3)])
     loaded = pickle.loads(blob)
     # every uid issued before the load is smaller: a process that loads
     # a table and then builds one cannot hand both the same cache key

@@ -347,6 +347,25 @@ class TestShardedWorkspace:
         with pytest.raises(PersistError, match="format v1 is not supported"):
             load_sharded_workspace(directory)
 
+    def test_v1_manifest_rejected(self, tmp_path):
+        """A v1 manifest's shard build arguments carry ``workers``, which
+        the build no longer takes: the first deferred shard build would
+        raise a ``TypeError`` mid-append, so the load refuses it."""
+        import json
+
+        from repro.persist import load_sharded_workspace, save_sharded_workspace
+        from repro.shard import build_sharded
+
+        cube = build_sharded(self._schema(), self._rows(), 2, block_size=8)
+        directory = tmp_path / "ws"
+        manifest = save_sharded_workspace(cube, directory)
+        manifest["format_version"] = 1
+        for entry in manifest["shards"]:
+            entry["build_kwargs"]["workers"] = 1
+        (directory / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(PersistError, match="manifest v1 is not supported"):
+            load_sharded_workspace(directory)
+
     def test_missing_manifest_rejected(self, tmp_path):
         from repro.persist import load_sharded_workspace
 

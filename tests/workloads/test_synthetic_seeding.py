@@ -1,117 +1,23 @@
-"""Per-worker RNG seeding: spawn keys, not seed arithmetic.
-
-The sharded generator derives each worker's stream from
-``np.random.SeedSequence(seed).spawn(...)``.  The tempting alternative —
-``seed ^ worker_id`` or ``seed + worker_id`` — collides *across
-datasets*: worker 1 of seed 0 would replay worker 0 of seed 1, silently
-correlating datasets that are supposed to be independent.  These tests
-pin the spawn-key behavior: distinct streams within a run, no
-cross-dataset replay, determinism per ``(seed, workers)``, and the
-``workers=1`` path bit-identical to the historical single-stream output.
-"""
+"""Synthetic datasets are a function of their spec: ``generate`` replays
+one RNG stream seeded by ``spec.seed``, bit-identical to the historical
+output that every checked-in baseline and seeded test was drawn from."""
 
 import numpy as np
-import pytest
 
-from repro.workloads.synthetic import SyntheticSpec, generate, _generate_rows
-
-
-def spec_with(seed, tuples=400):
-    return SyntheticSpec(
-        num_selection_dims=2,
-        num_ranking_dims=2,
-        num_tuples=tuples,
-        cardinality=6,
-        seed=seed,
-    )
-
-
-def shard_of(rows, count, workers, index):
-    from repro.core.parallel import shard_ranges
-
-    start, stop = shard_ranges(count, workers)[index]
-    return rows[start:stop]
-
-
-class TestDistinctStreams:
-    def test_shards_of_one_run_differ(self):
-        spec = spec_with(seed=0)
-        rows = generate(spec, workers=4).rows
-        shards = [shard_of(rows, spec.num_tuples, 4, i) for i in range(4)]
-        for i in range(4):
-            for j in range(i + 1, 4):
-                assert shards[i] != shards[j], f"shards {i} and {j} replay"
-
-    def test_no_cross_dataset_stream_collision(self):
-        """The XOR/addition failure mode: seed 0's shard 1 must not equal
-        seed 1's shard 0 (nor any other cross-seed shard pair)."""
-        a = generate(spec_with(seed=0), workers=2).rows
-        b = generate(spec_with(seed=1), workers=2).rows
-        n = spec_with(seed=0).num_tuples
-        for i in range(2):
-            for j in range(2):
-                assert shard_of(a, n, 2, i) != shard_of(b, n, 2, j)
-
-    def test_seed_arithmetic_would_fail_this_suite(self):
-        """Documents the collision spawn keys avoid: with ``seed + k``
-        child seeding, dataset 0's stream 1 IS dataset 1's stream 0."""
-        colliding_a = _generate_rows(
-            spec_with(0), np.random.default_rng(0 + 1), 100
-        )
-        colliding_b = _generate_rows(
-            spec_with(1), np.random.default_rng(1 + 0), 100
-        )
-        assert colliding_a == colliding_b  # the trap is real
-        # ...and the spawn-key generator does not fall into it
-        real_a = generate(spec_with(seed=0), workers=2).rows
-        real_b = generate(spec_with(seed=1), workers=2).rows
-        assert real_a != real_b
+from repro.workloads.synthetic import SyntheticSpec, _generate_rows, generate
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_same_seed_same_workers_same_rows(self, workers):
-        spec = spec_with(seed=7)
-        assert (
-            generate(spec, workers=workers).rows
-            == generate(spec, workers=workers).rows
+    def test_matches_legacy_single_stream(self):
+        spec = SyntheticSpec(
+            num_selection_dims=2,
+            num_ranking_dims=2,
+            num_tuples=400,
+            cardinality=6,
+            seed=13,
         )
-
-    def test_workers_one_matches_legacy_single_stream(self):
-        """workers=1 must replay the exact pre-sharding output so every
-        checked-in baseline and seeded test keeps its data."""
-        spec = spec_with(seed=13)
         legacy = _generate_rows(
             spec, np.random.default_rng(spec.seed), spec.num_tuples
         )
         assert generate(spec).rows == legacy
-        assert generate(spec, workers=1).rows == legacy
-
-    def test_row_count_and_schema_stable_across_workers(self):
-        spec = spec_with(seed=3, tuples=101)  # odd count: uneven shards
-        for workers in (1, 2, 4, 7):
-            dataset = generate(spec, workers=workers)
-            assert len(dataset.rows) == 101
-            assert dataset.schema == spec.schema()
-
-    def test_invalid_workers_rejected(self):
-        with pytest.raises(ValueError):
-            generate(spec_with(seed=0), workers=0)
-
-    @pytest.mark.parametrize(
-        "selection_distribution,ranking_distribution",
-        [("zipf", "gaussian"), ("uniform", "correlated")],
-    )
-    def test_distributions_deterministic_when_sharded(
-        self, selection_distribution, ranking_distribution
-    ):
-        spec = SyntheticSpec(
-            num_selection_dims=2,
-            num_ranking_dims=2,
-            num_tuples=200,
-            cardinality=5,
-            selection_distribution=selection_distribution,
-            ranking_distribution=ranking_distribution,
-            seed=29,
-        )
-        assert generate(spec, workers=3).rows == generate(spec, workers=3).rows
+        assert generate(spec).rows == legacy
