@@ -1,7 +1,6 @@
 """Ablation benchmarks for the design choices DESIGN.md §6 calls out.
 
 * partitioning strategy (equi-depth vs. equi-width) on skewed data,
-* pseudo-block buffering at the retrieve step,
 * micro-benchmarks of the structural primitives the query path leans on
   (block bound computation, pseudo-block mapping, covering selection).
 """
@@ -9,7 +8,7 @@
 import pytest
 
 from conftest import emit
-from repro.bench.experiments import ablation_buffering, ablation_partitioner
+from repro.bench.experiments import ablation_partitioner
 from repro.core import BlockGrid, PseudoBlockMap, RankingCube
 from repro.ranking import LinearFunction
 from repro.relational import Database
@@ -44,16 +43,7 @@ def test_partitioner_ablation(benchmark, bench_tuples, bench_queries):
     assert grid.num_blocks > 1
 
 
-def test_buffering_ablation(benchmark, bench_tuples, bench_queries):
-    result = ablation_buffering(
-        num_tuples=bench_tuples, queries_per_point=bench_queries
-    )
-    emit(result)
-    on = result.points[0].metrics["ranking_cube"]
-    off = result.points[1].metrics["ranking_cube"]
-    # buffering never hurts and usually saves pseudo-block re-reads
-    assert on.pages_read <= off.pages_read
-
+def test_bound_and_pid_hot_path(benchmark):
     # micro-benchmark the hot structural path: block bound + pid mapping
     grid = BlockGrid(
         ("n1", "n2"),

@@ -123,6 +123,7 @@ def main() -> None:
     print(f"\n  answer: {answers}")
     print(f"  executor trace: candidate blocks "
           f"{[paper_name(b, grid) for b in trace.candidate_bids]}, "
+          f"{trace.pseudo_entries} pseudo block(s) opened, "
           f"{trace.pseudo_block_fetches} pseudo-block fetch(es), "
           f"{trace.pseudo_block_buffer_hits} buffer hit(s)")
 

@@ -27,7 +27,16 @@
 #                         reference points at an existing line;
 #                         tests/ranking/test_bound_terms.py is the bitwise
 #                         property test that per-bin bound tables fold to
-#                         min_over_box, and tests/core/test_selective_read.py
+#                         min_over_box and each pseudo block's frontier key
+#                         to its bids' least bound;
+#                         tests/properties/test_sparse_frontier.py that the
+#                         sparse frontier (pseudo blocks, then only their
+#                         non-empty bids) reads the pages of a test-local
+#                         copy of the bid frontier — execute and any-k
+#                         batch ends: answers, blocks, tuples and fetched
+#                         (cuboid, pid) / read-bid sets; count_preceding:
+#                         equal counts — and pops bids before pseudo blocks
+#                         at equal bounds; and tests/core/test_selective_read.py
 #                         that a selective read is the full read filtered,
 #                         at identical page reads and buffer hits/misses.
 #                         tests/core/test_splice.py is the property that a
@@ -144,7 +153,7 @@ export PYTHONPATH=src
 # stalling the whole gate.  Tests may tighten it with @pytest.mark.timeout.
 export REPRO_TEST_TIMEOUT="${REPRO_TEST_TIMEOUT:-300}"
 
-echo "== tier1 1/4: fast test suite (incl. structural single-search/one-engine + single-node-codec + one-router/one-cost-model/one-cuboid-objective + single-install/one-build-path + single-front-end tests, submit/close race, maintenance race matrix, examples test, doc-reference test, bound-table + selective-read + splice properties, block-cache equivalence, indexed delta, figure page pins, build image pin, reverse + adaptive gates) =="
+echo "== tier1 1/4: fast test suite (incl. structural single-search/one-engine + single-node-codec + one-router/one-cost-model/one-cuboid-objective + single-install/one-build-path + single-front-end tests, submit/close race, maintenance race matrix, examples test, doc-reference test, bound-table + sparse-frontier + selective-read + splice properties, block-cache equivalence, indexed delta, figure page pins, build image pin, reverse + adaptive gates) =="
 python -m pytest -m "not slow and not serve and not faults" -q
 
 echo "== tier1 2/4: sharded serving single-path test + serve-marked gate cases (identity, hot shard, early stop, shared-cache reads, WAL replay) =="

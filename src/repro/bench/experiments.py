@@ -417,39 +417,6 @@ def ablation_partitioner(
     return result
 
 
-def ablation_buffering(
-    num_tuples: int = 30_000, queries_per_point: int = 6, seed: int = 83
-) -> ExperimentResult:
-    """Pseudo-block buffering on vs. off (Section 3.2.2's retrieve step)."""
-    dataset = generate(SyntheticSpec(num_tuples=num_tuples, seed=seed))
-    db = Database()
-    table = dataset.load_into(db)
-    cube = RankingCube.build(table)
-    gen = QueryGenerator(dataset.schema, QuerySpec(seed=seed))
-    queries = gen.batch(queries_per_point)
-    result = ExperimentResult(
-        "ablation_buffering", "pseudo-block buffering", "buffering",
-        notes="buffering makes repeat bids of one pseudo block free",
-    )
-    for name, buffering in (("on", True), ("off", False)):
-        env = Environment(
-            db,
-            table,
-            {
-                METHOD_RANKING_CUBE: RankingCubeExecutor(
-                    cube, table, buffer_pseudo_blocks=buffering
-                )
-            },
-            cube=cube,
-        )
-        result.points.append(
-            SeriesPoint(
-                x=name, metrics=_run_point(env, (METHOD_RANKING_CUBE,), queries)
-            )
-        )
-    return result
-
-
 def ablation_pseudo_blocking(
     num_tuples: int = 30_000, queries_per_point: int = 6, seed: int = 89
 ) -> ExperimentResult:
@@ -633,7 +600,6 @@ ALL_EXPERIMENTS = {
     "fig14": fig14_num_dims,
     "fig15": fig15_covertype,
     "ablation_partitioner": ablation_partitioner,
-    "ablation_buffering": ablation_buffering,
     "ablation_pseudo_blocking": ablation_pseudo_blocking,
     "ablation_compression": ablation_compression,
     "extra_prior_art": extra_prior_art,

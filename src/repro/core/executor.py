@@ -6,13 +6,18 @@ it lives here once, as :class:`ProgressiveSearch`:
 * **Pre-process** — pick the covering cuboid(s) for the query's selection
   dimensions (a single cuboid for a full cube; several, intersected, for
   ranking fragments — Section 4.2) and the base block table.
-* **Search** — maintain the frontier ``H`` of candidate base blocks ordered
-  by their lower bound ``f(bid)`` (minimum of the convex ranking function
-  over the block's box).  The first candidate contains the global minimizer
-  of ``f``; subsequent candidates come from Lemma 1's neighbor expansion.
-* **Retrieve** — ``get_pseudo_block`` on each covering cuboid for the
-  candidate bid's pid; results are buffered per pseudo block so sibling
-  bids cost no further I/O; with several covering cuboids the tid lists are
+* **Search** — maintain the frontier ``H`` of candidates ordered by their
+  lower bound (minimum of the convex ranking function over the
+  candidate's box).  The frontier is sparse: with a selection, it holds
+  pseudo blocks of the lead covering cuboid and, once one is opened, only
+  the bids in it that hold a tuple of the query's cell.  The first entry
+  contains the global minimizer of ``f``; the next come from Lemma 1's
+  neighbor expansion on the pseudo-block grid.  A query with no selection
+  walks base blocks on the fine grid.
+* **Retrieve** — ``get_pseudo_block`` on the lead cuboid when a pseudo
+  entry is opened, and on every other covering cuboid for a popped bid's
+  pid; results are buffered per pseudo block so sibling bids cost no
+  further I/O; with several covering cuboids the tid lists are
   intersected (the semi-online computation of Section 4.2.2).
 * **Evaluate** — ``get_base_block`` fetches real ranking values for the
   qualifying tids (the block's pages are read; only those tids are
@@ -20,8 +25,9 @@ it lives here once, as :class:`ProgressiveSearch`:
 
 Frontier bounds of the separable ranking families (linear, Lp distance,
 negated linear) are folded from a per-bin term table the search builds
-once, bit-identical to ``min_over_box``; other families minimize each
-block's box.
+once, bit-identical to ``min_over_box``, and a pseudo block's from the
+same table's minima over each group of ``sf`` bins; other families
+minimize each block's box, and a pseudo block takes its bids' least.
 
 The loop stops when ``S_k <= S_unseen``, i.e. the k-th best seen score is
 no worse than the best possible score of any unexamined block.
@@ -68,6 +74,10 @@ from .cube import CubeError, RankingCube
 
 #: Reusable inert context for untraced executions (stateless, shareable).
 _NULL_CM = nullcontext()
+
+#: Frontier entry kinds, the entry's second field: at equal bounds a bid
+#: pops before a pseudo block (see DESIGN.md section 3, "Sparse frontier").
+_BID, _PSEUDO = 0, 1
 
 
 def _measured(tracer: Tracer | None, span):
@@ -145,12 +155,18 @@ class ExecutorTrace:
     ``bound_memo_hits`` counts frontier bounds served by the shared
     :class:`~repro.serve.cache.BoundMemo` instead of being minimized anew.
 
+    A search's ``candidates_examined`` counts frontier pops of both kinds:
+    the bids in ``candidate_bids`` plus ``pseudo_entries`` pseudo blocks
+    opened.  ``empty_cells_skipped`` counts popped bids whose tid lists
+    the covering cuboids' intersection emptied.
+
     A trace may be reused across queries: counters then accumulate
     (``frontier_peak`` is the largest peak of any of them), and each
     search reports only its own share to its spans.
     """
 
     candidate_bids: list[int] = field(default_factory=list)
+    pseudo_entries: int = 0
     pseudo_block_fetches: int = 0
     pseudo_block_buffer_hits: int = 0
     shared_cache_hits: int = 0
@@ -209,9 +225,6 @@ class RankingCubeExecutor:
     relation:
         The original relation; only needed when queries project attributes
         beyond tid and score.
-    buffer_pseudo_blocks:
-        The paper's retrieve-step buffering.  Disabling it (ablation) makes
-        every bid request re-read its pseudo block.
     pseudo_cache:
         Optional shared :class:`~repro.serve.cache.PseudoBlockCache`
         consulted between the per-query buffer and a cold fetch.  The
@@ -238,14 +251,12 @@ class RankingCubeExecutor:
         self,
         cube: RankingCube,
         relation: Table | None = None,
-        buffer_pseudo_blocks: bool = True,
         pseudo_cache=None,
         bound_memo=None,
         block_cache=None,
     ):
         self.cube = cube
         self.relation = relation
-        self.buffer_pseudo_blocks = buffer_pseudo_blocks
         self.pseudo_cache = pseudo_cache
         self.bound_memo = bound_memo
         self.block_cache = block_cache
@@ -343,9 +354,7 @@ class RankingCubeExecutor:
         search = ProgressiveSearch(
             RankingCubeExecutor(self.cube, self.relation), query
         )
-        layers = []
-        if self.buffer_pseudo_blocks:
-            layers.append("per-query pseudo-block buffer")
+        layers = ["per-query pseudo-block buffer"]
         if self.pseudo_cache is not None:
             layers.append("shared pseudo-block cache")
         if self.bound_memo is not None and query.ranking.cache_key() is not None:
@@ -388,9 +397,13 @@ class ProgressiveSearch:
     block, and owns all per-query state from then on (frontier, inserted
     set, pseudo-block buffers, the :attr:`topk` heap, the
     :attr:`result` counters, the trace).  Each :meth:`step` pops the
-    frontier's best block, runs retrieve + evaluate on it, expands its
-    neighbors (Lemma 1), and returns the ``(score, tid)`` pairs found
-    there; :meth:`run` drives ``step`` under the stop rule.  Between
+    frontier's best entry.  A pseudo block of the lead cuboid is opened:
+    its non-empty bids and its unseen neighbors on the pseudo-block grid
+    (Lemma 1) join the frontier, and the step returns no pair.  A bid
+    runs retrieve + evaluate and the step returns the ``(score, tid)``
+    pairs found there; only a query with no selection, whose frontier
+    holds bids alone, expands a bid's neighbors.  :meth:`run` drives
+    ``step`` under the stop rule.  Between
     steps, :attr:`best_unseen` is a certified lower bound on the score of
     every tuple this search has not yet returned — except the delta
     store, whose rows carry no block bound and must be merged
@@ -406,7 +419,7 @@ class ProgressiveSearch:
     :func:`~repro.relational.query.push_topk` is insertion-order
     independent.
 
-    Each step returns *every* qualifying tuple of its block, unordered:
+    Each bid's step returns *every* qualifying tuple of its block, unordered:
     top-k keeps the best ``query.k`` through :meth:`offer`, enumeration
     ranks past k, and reverse top-k counts arbitrary predecessors.
 
@@ -493,9 +506,26 @@ class ProgressiveSearch:
         self.topk: list[tuple[float, int]] = []
         #: largest frontier this search held after any step (traced only)
         self.frontier_peak = 0
-        # frontier of candidate blocks as a min-heap of (f(bid), bid)
-        self._frontier = [(self._block_bound(self.start_bid), self.start_bid)]
-        self._inserted = {self.start_bid}
+        #: the lead cuboid's pseudo-block grid (None: no selection)
+        self._coarse = None
+        #: ``_bound_table``'s least term per pseudo bin; None until needed
+        self._pseudo_table: tuple | None = None
+        #: pid -> its bids' bounds, for a non-separable function's open
+        self._pseudo_bids: dict[int, dict[int, float]] = {}
+        # the frontier: a min-heap of (bound, kind, id), kind _BID or
+        # _PSEUDO.  With a selection it starts at the lead cuboid's pseudo
+        # block that holds start_bid (its bound is start_bid's), else at
+        # start_bid itself.
+        if self._cells:
+            pseudo = self.covering[0].pseudo
+            self._coarse = pseudo.coarse
+            start = pseudo.pid_of_bid(self.start_bid)
+            self._frontier = [(self._pseudo_bound(start), _PSEUDO, start)]
+        else:
+            start = self.start_bid
+            self._frontier = [(self._block_bound(start), _BID, start)]
+        #: ids ever pushed: pids with a selection, else bids
+        self._inserted = {start}
 
     # ------------------------------------------------------------------
     @property
@@ -557,34 +587,42 @@ class ProgressiveSearch:
             push_topk(topk, k, score, tid)
 
     def step(self) -> list[tuple[float, int]]:
-        """Examine the frontier's best block; return its scored tuples.
+        """Examine the frontier's best entry; return its scored tuples.
 
-        Returns an empty list when the block held no qualifying tuples
-        *or* the search is exhausted — check :attr:`exhausted` to tell
-        the two apart.
+        Returns an empty list when the entry was a pseudo block, when the
+        block held no qualifying tuples *or* when the search is exhausted
+        — check :attr:`exhausted` to tell the last apart.
         """
         frontier = self._frontier
         if not frontier:
             return []
         trace = self.trace
         entry = heapq.heappop(frontier)
-        bid = entry[1]
+        _bound, kind, key = entry
         scored: list[tuple[float, int]] = []
         try:
-            qualifying = self._retrieve(bid)
-            if qualifying is None or qualifying:
-                with _measured(self._tracer, self._evaluate_span):
-                    scored = self._score_block(bid, qualifying)
+            if kind == _PSEUDO:
+                self._open_pseudo_block(key)
+            else:
+                qualifying = self._retrieve(key)
+                if qualifying is None or qualifying:
+                    with _measured(self._tracer, self._evaluate_span):
+                        scored = self._score_block(key, qualifying)
         except StorageError:
-            # the block stays a candidate, so a resumed search examines it
+            # the entry stays a candidate, so a resumed search examines it
             heapq.heappush(frontier, entry)
             raise
         self.result.candidates_examined += 1
-        if trace is not None:
-            trace.candidate_bids.append(bid)
-            if qualifying is not None and not qualifying:
-                trace.empty_cells_skipped += 1
-        self._expand_neighbors(bid)
+        if kind == _PSEUDO:
+            if trace is not None:
+                trace.pseudo_entries += 1
+        else:
+            if trace is not None:
+                trace.candidate_bids.append(key)
+                if qualifying is not None and not qualifying:
+                    trace.empty_cells_skipped += 1
+            if self._coarse is None:
+                self._expand_neighbors(key)
         if trace is not None and len(frontier) > self.frontier_peak:
             self.frontier_peak = len(frontier)
             if self.frontier_peak > trace.frontier_peak:
@@ -645,6 +683,18 @@ class ProgressiveSearch:
             point[p] = value
         return self._grid.locate(point)
 
+    def _terms(self) -> tuple:
+        """The per-bin term table ``(offset, ((position, terms), ...))``,
+        ``()`` when the function is not separable; built on first use."""
+        table = self._bound_table
+        if table is None:
+            grid, positions = self._grid, self._positions
+            terms = self._fn.box_min_terms([grid.boundaries[p] for p in positions])
+            table = self._bound_table = (
+                () if terms is None else (terms[0], tuple(zip(positions, terms[1])))
+            )
+        return table
+
     def _block_bound(self, bid: int) -> float:
         """``f(bid)``: minimum of the ranking function over the block box.
 
@@ -661,13 +711,7 @@ class ProgressiveSearch:
                 if self.trace is not None:
                     self.trace.bound_memo_hits += 1
                 return cached
-        table = self._bound_table
-        if table is None:
-            grid, positions = self._grid, self._positions
-            terms = self._fn.box_min_terms([grid.boundaries[p] for p in positions])
-            table = self._bound_table = (
-                () if terms is None else (terms[0], tuple(zip(positions, terms[1])))
-            )
+        table = self._terms()
         if table:
             offset, columns = table
             coords = self._grid.coords_of(bid)
@@ -678,6 +722,38 @@ class ProgressiveSearch:
         if memo is not None:
             self.executor.bound_memo.store(memo, bid, bound)
         return bound
+
+    def _pseudo_bound(self, pid: int) -> float:
+        """Minimum of the ranking function over the lead cuboid's pseudo
+        block ``pid``: the least ``f(bid)`` of the bids it merges.
+
+        A separable function folds, per dimension, the least term of the
+        pseudo bin's ``sf`` fine bins, in ``_block_bound``'s order.  Float
+        addition is monotone in each operand, so the fold is the bound of
+        the bid that takes every least term, and no other bid's bound is
+        smaller: the minimum, bit for bit.  Other families take the least
+        ``_block_bound`` of the bids and keep those bounds for the open.
+        """
+        table = self._pseudo_table
+        if table is None:
+            table = self._terms()
+            if table:
+                sf = self.covering[0].scale_factor
+                offset, columns = table
+                table = (offset, tuple(
+                    (p, [min(row[c:c + sf]) for c in range(0, len(row), sf)])
+                    for p, row in columns
+                ))
+            self._pseudo_table = table
+        if table:
+            offset, columns = table
+            coords = self._coarse.coords_of(pid)
+            return offset + sum([row[coords[p]] for p, row in columns])
+        bounds = self._pseudo_bids[pid] = {
+            bid: self._block_bound(bid)
+            for bid in self.covering[0].pseudo.bids_of_pid(pid)
+        }
+        return min(bounds.values())
 
     def _retrieve(self, bid: int) -> set[int] | None:
         """Qualifying tids in ``bid``; ``None`` means "every tuple" (no
@@ -692,19 +768,8 @@ class ProgressiveSearch:
         if not self._cells:
             return None
         qualifying: set[int] | None = None
-        for cuboid, values, buffer in self._cells:
-            pid = cuboid.pid_of_bid(bid)
-            by_bid = buffer.get(pid)
-            if by_bid is None:
-                # the buffer answers most requests of a query and moves no
-                # metric; only what goes past it is measured for the span
-                with _measured(self._tracer, self._retrieve_span):
-                    by_bid = self._fetch_pseudo_block(cuboid, values, pid)
-                if self.executor.buffer_pseudo_blocks:
-                    buffer[pid] = by_bid
-            elif self.trace is not None:
-                self.trace.pseudo_block_buffer_hits += 1
-            tids = by_bid.get(bid)
+        for cell in self._cells:
+            tids = self._pseudo_block(cell, cell[0].pid_of_bid(bid)).get(bid)
             if not tids:
                 return set()
             qualifying = (
@@ -714,6 +779,20 @@ class ProgressiveSearch:
                 return set()
         assert qualifying is not None
         return qualifying
+
+    def _pseudo_block(self, cell: tuple, pid: int) -> dict[int, list[int]]:
+        """One covering cell's pseudo block ``pid`` as ``{bid: [tid,
+        ...]}``: from the query's buffer, else past it (and buffered)."""
+        cuboid, values, buffer = cell
+        by_bid = buffer.get(pid)
+        if by_bid is None:
+            # the buffer answers most requests of a query and moves no
+            # metric; only what goes past it is measured for the span
+            with _measured(self._tracer, self._retrieve_span):
+                by_bid = buffer[pid] = self._fetch_pseudo_block(cuboid, values, pid)
+        elif self.trace is not None:
+            self.trace.pseudo_block_buffer_hits += 1
+        return by_bid
 
     def _fetch_pseudo_block(self, cuboid, values, pid: int) -> dict[int, list[int]]:
         """One cell's pseudo block from the shared cache, else a cold fetch."""
@@ -786,10 +865,30 @@ class ProgressiveSearch:
             scored.append((score, tid))
         return scored
 
+    def _open_pseudo_block(self, pid: int) -> None:
+        """Open the lead cuboid's pseudo block ``pid``: push each bid it
+        holds a tuple of the query's cell in, with its bound, and the
+        block's unseen neighbors on the pseudo-block grid (Lemma 1)."""
+        by_bid = self._pseudo_block(self._cells[0], pid)
+        inserted, frontier = self._inserted, self._frontier
+        bounds = self._pseudo_bids.pop(pid, None)
+        for bid in by_bid:
+            bound = self._block_bound(bid) if bounds is None else bounds[bid]
+            heapq.heappush(frontier, (bound, _BID, bid))
+        for neighbor in self._coarse.neighbors(pid):
+            if neighbor not in inserted:
+                inserted.add(neighbor)
+                heapq.heappush(
+                    frontier, (self._pseudo_bound(neighbor), _PSEUDO, neighbor)
+                )
+
     def _expand_neighbors(self, bid: int) -> None:
-        """Push ``bid``'s unseen neighbors onto the frontier (Lemma 1)."""
+        """Push ``bid``'s unseen neighbors onto the frontier (Lemma 1);
+        the fine-grid walk of a query with no selection."""
         inserted, frontier = self._inserted, self._frontier
         for neighbor in self._grid.neighbors(bid):
             if neighbor not in inserted:
                 inserted.add(neighbor)
-                heapq.heappush(frontier, (self._block_bound(neighbor), neighbor))
+                heapq.heappush(
+                    frontier, (self._block_bound(neighbor), _BID, neighbor)
+                )

@@ -70,6 +70,7 @@ class PseudoBlockMap:
         derived["_num_pseudo_blocks"] = total
         derived["_pids"] = {}  # bid -> pid
         derived["_pid_array"] = None  # every bid's pid
+        derived["_coarse"] = None  # the pseudo blocks as a grid
 
     def __getstate__(self) -> dict:
         return {"grid": self.grid, "sf": self.sf}
@@ -111,6 +112,25 @@ class PseudoBlockMap:
                 stride *= pbins
             self.__dict__["_pid_array"] = pid
         return self._pid_array
+
+    @property
+    def coarse(self) -> BlockGrid:
+        """The pseudo blocks as a grid of their own: every ``sf``-th
+        boundary of each dimension, plus the last.  Pid ``p`` is block
+        ``p`` of this grid, so its ``coords_of`` are :meth:`pcoords_of_pid`
+        and its ``neighbors`` are the face-adjacent pseudo blocks — the
+        coarse level the query's frontier walks (Lemma 1 holds on any box
+        grid).  Built on first use."""
+        if self._coarse is None:
+            sf = self.sf
+            boundaries = []
+            for edges in self.grid.boundaries:
+                coarse = tuple(edges[::sf])
+                if (len(edges) - 1) % sf:  # a partial last pseudo bin
+                    coarse += (edges[-1],)
+                boundaries.append(coarse)
+            self.__dict__["_coarse"] = BlockGrid(self.grid.dims, tuple(boundaries))
+        return self._coarse
 
     def pcoords_of_pid(self, pid: int) -> tuple[int, ...]:
         if not 0 <= pid < self._num_pseudo_blocks:

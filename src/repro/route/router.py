@@ -150,7 +150,7 @@ class AdaptiveRouter:
         """The standard path family: cube / fragments / baseline.
 
         The cube path runs on ``executor`` when given — a service hands
-        over its own, caches and buffering included — else on a bare
+        over its own, caches included — else on a bare
         executor over ``cube``.
         """
         if executor is None:

@@ -95,7 +95,6 @@ class ShardEndpoint:
         cube,
         *,
         share_caches: bool = True,
-        buffer_pseudo_blocks: bool = True,
         ship_counters: bool = False,
     ):
         self.shard_id = shard_id
@@ -108,7 +107,6 @@ class ShardEndpoint:
             table,
             self.registry,
             share_caches=share_caches,
-            buffer_pseudo_blocks=buffer_pseudo_blocks,
         )
         self.pseudo_cache = self._stack.pseudo_cache
         self.bound_memo = self._stack.bound_memo
@@ -299,9 +297,9 @@ class LocalShardPool:
     def trip_steps(self, step_batch: int) -> tuple[int, int]:
         """``(steps run by open, steps per later call)``.  A call is
         free here — no hand-off, no round trip — so the merge refreshes
-        the global k-th after every step and takes none before every
-        shard's delta rows are merged; batching would only step shards
-        the fresher bound prunes."""
+        the global k-th and picks the lowest-bound shard after every
+        step, and takes none before every shard's delta rows are merged;
+        batching would only step shards the fresher bound prunes."""
         return 0, 1
 
     @property

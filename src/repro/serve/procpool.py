@@ -103,7 +103,6 @@ def _load_endpoint(
         workspace.db.table(cube_name),
         workspace.cubes[cube_name],
         share_caches=options.get("share_caches", True),
-        buffer_pseudo_blocks=options.get("buffer_pseudo_blocks", True),
         ship_counters=True,
     )
 
@@ -412,8 +411,10 @@ class ProcessShardPool:
     def trip_steps(self, step_batch: int) -> tuple[int, int]:
         """``(steps run by open, steps per later call)``.  A pipe round
         trip costs far more than a step, so each carries ``step_batch``
-        of them and the open carries the first batch."""
-        return step_batch, step_batch
+        of them, up to the next shard's bound.  The open carries none:
+        until every shard reports its first bound, a batch could read
+        pages that a lower-bounded shard makes unnecessary."""
+        return 0, step_batch
 
     @property
     def shard_ids(self) -> list[int]:

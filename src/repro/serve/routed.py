@@ -5,7 +5,7 @@ whose per-query execution goes through an
 :class:`~repro.route.router.AdaptiveRouter` instead of straight into the
 cube executor: each query is priced across the cube / fragment / baseline
 paths and routed to the cheapest estimate; the cube path runs on the
-service's own executor, caches and buffering included.  The answer contract is
+service's own executor and caches.  The answer contract is
 untouched — every path returns byte-identical results, so a client cannot
 tell which path served it except through ``route.*`` metrics.
 

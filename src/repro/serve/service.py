@@ -153,7 +153,6 @@ class ServingStack:
         registry: MetricsRegistry,
         *,
         share_caches: bool = True,
-        buffer_pseudo_blocks: bool = True,
         pseudo_cache: PseudoBlockCache | None = None,
         bound_memo: BoundMemo | None = None,
         block_cache: BlockCache | None = None,
@@ -176,7 +175,6 @@ class ServingStack:
         self.executor = RankingCubeExecutor(
             cube,
             relation,
-            buffer_pseudo_blocks=buffer_pseudo_blocks,
             pseudo_cache=pseudo_cache,
             bound_memo=bound_memo,
             block_cache=block_cache,
@@ -480,7 +478,6 @@ class QueryService(_FrontEnd):
         pseudo_cache: PseudoBlockCache | None = None,
         bound_memo: BoundMemo | None = None,
         share_caches: bool = True,
-        buffer_pseudo_blocks: bool = True,
         registry: MetricsRegistry | None = None,
         trace_spans: bool = False,
         span_capacity: int = DEFAULT_SPAN_CAPACITY,
@@ -508,7 +505,6 @@ class QueryService(_FrontEnd):
             relation,
             self.registry,
             share_caches=share_caches,
-            buffer_pseudo_blocks=buffer_pseudo_blocks,
             pseudo_cache=pseudo_cache,
             bound_memo=bound_memo,
             block_cache=block_cache,

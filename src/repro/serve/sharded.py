@@ -7,15 +7,17 @@ candidate streams in a global frontier:
 * **Scatter** — the :class:`~repro.shard.map.ShardMap` picks the shards
   (a single one when an equality selection pins the shard key, all of
   them otherwise); each gets its own session over its own cube snapshot.
-* **Gather** — a merge loop steps every *eligible* shard once per
-  round, pushing returned ``(score, global tid)`` pairs into one
-  global top-k heap.  A shard stays eligible while the global answer is
-  short of ``k`` **or** its certified ``best_unseen`` bound is ``<=``
-  the k-th best seen score — the same non-strict continue condition the
-  serial executor uses, so tid-ascending tie-breaking survives the
-  merge.  The loop stops when no shard is eligible: every unexamined
-  block on every shard then bounds strictly above the k-th score and
-  can never displace a kept row.
+* **Gather** — a merge loop steps, each round, the shard with the least
+  certified ``best_unseen`` bound (ties by shard id) up to the next
+  shard's bound, pushing returned ``(score, global tid)`` pairs into one
+  global top-k heap: a best-first merge of the shards' frontiers.  A
+  shard is eligible while the global answer is short of ``k`` **or**
+  its ``best_unseen`` is ``<=`` the k-th best seen score — the same
+  non-strict continue condition the serial executor uses, so
+  tid-ascending tie-breaking survives the merge.  The loop stops when
+  the least-bound shard is not eligible: every unexamined block on
+  every shard then bounds strictly above the k-th score and can never
+  displace a kept row.
 * **Delta** — per-shard delta rows carry no block bound and merge
   unconditionally as each session opens (seeding the heap tightens the
   stop).
@@ -49,18 +51,17 @@ records and the lifecycle are the shared front end of
 :mod:`repro.serve.service`; this module supplies the answering engine.
 
 How many frontier steps one call runs (``pool.trip_steps``) and where
-a round's calls run (``pool.calls_block``) belong to the transport, not
-to the loop.  An in-process call is free and never blocks: the merge
-takes one step per call, refreshing the global k-th score after each, on
-the query's own thread (under one GIL a hand-off buys no overlap).  A
-pipe round trip waits, GIL released: it carries ``step_batch`` steps,
-the open the first batch, and a round's trips overlap on a step pool
-that exists only for such a transport.  Batching trades round trips for
-blocks — at 4 shards batch-8 stepping read 21.5 blocks/query where
-step-at-a-time read 17.8 on a 20,000-row zipf replay — which is why
-it is not applied where trips cost nothing.  Either way the endpoint
-stops a batch on the strict complement of the eligibility test, so
-answers do not depend on it.
+the opens run (``pool.calls_block``) belong to the transport, not to
+the loop.  An in-process call is free and never blocks: the merge takes
+one step per call, refreshing the global k-th score after each, on the
+query's own thread (under one GIL a hand-off buys no overlap).  A pipe
+round trip waits, GIL released: it carries up to ``step_batch`` steps,
+and the opens overlap on a step pool that exists only for such a
+transport.  Opens take no step in either transport.  A batch stops at
+the next shard's bound, where the one-step merge would switch shards,
+so both transports read the same blocks; and the endpoint stops a batch
+on the strict complement of the eligibility test, so answers do not
+depend on it.
 
 Failure semantics: shards are independent — a storage fault on one
 (past its retry budget) or a dead worker aborts the *query* with
@@ -120,6 +121,11 @@ from .service import DEFAULT_SPAN_CAPACITY, ServiceClosedError, _FrontEnd
 #: fault past its retry budget, a worker that hung up, a pool that
 #: cannot revive one.  The only exceptions the abort paths handle.
 _SHARD_FAULTS = (StorageError, wire.WorkerDiedError, ProcPoolError)
+
+
+def _by_bound(item: tuple[int, float]) -> tuple[float, int]:
+    """A merge frontier entry ``(sid, best_unseen)``'s stepping order."""
+    return item[1], item[0]
 
 
 def _blame_shard(exc: BaseException, shard_id: int) -> None:
@@ -389,7 +395,7 @@ class ShardedQueryService(_FrontEnd):
         overlap on (default ``max(workers, num_shards)``; steps submit
         no further work, so the two pools cannot deadlock).  Unused in
         thread mode, whose calls do not block and start no step pool.
-    share_caches / buffer_pseudo_blocks:
+    share_caches:
         As on :class:`~repro.serve.service.QueryService`, but the shared
         caches are **per shard** (see module docstring).
     registry:
@@ -447,7 +453,6 @@ class ShardedQueryService(_FrontEnd):
         workers: int = 4,
         step_workers: int | None = None,
         share_caches: bool = True,
-        buffer_pseudo_blocks: bool = True,
         registry: MetricsRegistry | None = None,
         trace_spans: bool = False,
         span_capacity: int = DEFAULT_SPAN_CAPACITY,
@@ -474,7 +479,6 @@ class ShardedQueryService(_FrontEnd):
         self.cube = cube
         self.mode = mode
         self.share_caches = share_caches
-        self.buffer_pseudo_blocks = buffer_pseudo_blocks
         self.step_batch = step_batch
         self._fault_hook = fault_hook
         self._request_ids = count(1)
@@ -485,10 +489,7 @@ class ShardedQueryService(_FrontEnd):
         self._max_failovers = (
             max(1, self.replication_factor - 1) if self._replicas_enabled else 0
         )
-        options = {
-            "share_caches": share_caches,
-            "buffer_pseudo_blocks": buffer_pseudo_blocks,
-        }
+        options = {"share_caches": share_caches}
         self._owned_spill_dir: str | None = None
         if mode == "thread":
             self._transport = LocalShardPool(
@@ -993,21 +994,18 @@ class ShardedQueryService(_FrontEnd):
                 for sid in targets:
                     _absorb(sid, batches[sid], open_steps)
 
-                # gather: step the eligible shards, refreshing kth
-                while True:
+                # gather: step the shard with the least (best_unseen, sid)
+                # while it is eligible, up to the next shard's bound
+                while frontier:
                     kth = -topk[0][0] if len(topk) >= k else None
-                    eligible = [
-                        sid
-                        for sid, bound in frontier.items()
-                        if kth is None or bound <= kth
-                    ]
-                    if not eligible:
+                    sid, bound = min(frontier.items(), key=_by_bound)
+                    if kth is not None and bound > kth:
                         break
+                    caps = [b for other, b in frontier.items() if other != sid]
+                    if kth is not None:
+                        caps.append(kth)
                     rounds += 1
-                    batches = {}
-                    self._fan_out(eligible, _step, batches, kth)
-                    for sid in eligible:
-                        _absorb(sid, batches[sid], trip_steps)
+                    _absorb(sid, _step(sid, min(caps, default=None)), trip_steps)
 
                 # finish: collect per-shard accounting + observability.
                 # Inside the merge span on purpose: session span trees

@@ -20,12 +20,12 @@ class TestCli:
 
     def test_multiple_experiments(self, capsys):
         code = main(
-            ["ablation_buffering", "ablation_pseudo_blocking",
+            ["ablation_partitioner", "ablation_pseudo_blocking",
              "--tuples", "1500", "--queries", "1"]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "ablation_buffering" in out
+        assert "ablation_partitioner" in out
         assert "ablation_pseudo_blocking" in out
 
     def test_unknown_experiment_rejected(self):

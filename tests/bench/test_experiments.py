@@ -12,7 +12,6 @@ import pytest
 
 from repro.bench.experiments import (
     ALL_EXPERIMENTS,
-    ablation_buffering,
     ablation_partitioner,
     fig04_topk,
     fig11_space,
@@ -29,7 +28,7 @@ class TestRegistry:
 
     def test_ablations_registered(self):
         assert "ablation_partitioner" in ALL_EXPERIMENTS
-        assert "ablation_buffering" in ALL_EXPERIMENTS
+        assert "ablation_pseudo_blocking" in ALL_EXPERIMENTS
 
 
 class TestSmallRuns:
@@ -59,12 +58,6 @@ class TestSmallRuns:
     def test_ablation_partitioner_runs(self):
         result = ablation_partitioner(num_tuples=TINY, queries_per_point=2)
         assert result.xs() == ["equi-depth", "equi-width"]
-
-    def test_ablation_buffering_shows_effect(self):
-        result = ablation_buffering(num_tuples=3000, queries_per_point=3)
-        on = result.points[0].metrics["ranking_cube"]
-        off = result.points[1].metrics["ranking_cube"]
-        assert on.pages_read <= off.pages_read
 
 
 @pytest.mark.parametrize(

@@ -202,17 +202,6 @@ class TestEfficiency:
         if trace.pseudo_block_buffer_hits:
             assert trace.pseudo_block_fetches < len(trace.candidate_bids)
 
-    def test_unbuffered_ablation_fetches_more(self):
-        db, table, rows, schema, executor = make_env()
-        unbuffered = RankingCubeExecutor(
-            executor.cube, table, buffer_pseudo_blocks=False
-        )
-        query = TopKQuery(20, {"a1": 1}, LinearFunction(["n1", "n2"], [1, 1]))
-        t_on, t_off = ExecutorTrace(), ExecutorTrace()
-        executor.execute(query, trace=t_on)
-        unbuffered.execute(query, trace=t_off)
-        assert t_off.pseudo_block_fetches >= t_on.pseudo_block_fetches
-
     def test_empty_cells_skip_base_blocks(self):
         db, table, rows, schema, executor = make_env(num_rows=300, cards=(30, 3))
         query = TopKQuery(3, {"a1": 7}, LinearFunction(["n1", "n2"], [1, 1]))
@@ -235,19 +224,23 @@ class TestAccounting:
         assert result.blocks_accessed == (
             trace.pseudo_block_fetches + trace.base_block_reads
         )
-        assert result.candidates_examined == len(trace.candidate_bids)
+        # frontier pops of both kinds: bids and opened pseudo blocks
+        assert result.candidates_examined == (
+            len(trace.candidate_bids) + trace.pseudo_entries
+        )
 
     def test_empty_cell_skips_cost_no_block_io(self):
-        # high-cardinality selection: most candidate blocks have no
-        # qualifying tuples, answered from the buffered pseudo block with
-        # zero new I/O — they must not inflate blocks_accessed
+        # high-cardinality selection: most of the cell's bids hold no
+        # qualifying tuple.  An opened pseudo block pushes only the bids
+        # it holds, so no empty bid reaches the frontier: every popped
+        # bid reads its base block and nothing inflates blocks_accessed
         db, table, rows, schema, executor = make_env(num_rows=300, cards=(30, 3))
         query = TopKQuery(3, {"a1": 7}, LinearFunction(["n1", "n2"], [1, 1]))
         trace = ExecutorTrace()
         result = executor.execute(query, trace=trace)
         assert result.candidates_examined >= result.blocks_accessed
-        if trace.empty_cells_skipped:
-            assert result.candidates_examined > result.blocks_accessed
+        assert trace.empty_cells_skipped == 0
+        assert trace.base_block_reads == len(trace.candidate_bids)
 
     def test_buffered_candidates_do_not_recount(self):
         db, table, rows, schema, executor = make_env()

@@ -154,9 +154,11 @@ class TestQueryWalkthrough:
         _db, _t, _grid, _cube, executor = example
         trace = ExecutorTrace()
         executor.execute(self.query(), trace=trace)
-        # b1 and b5 share pseudo block p1: one cuboid fetch, one buffer hit
+        # b1 and b5 share pseudo block p1: one cuboid fetch opens it, and
+        # both bids' tid lists come from the buffer
+        assert trace.pseudo_entries == 1
         assert trace.pseudo_block_fetches == 1
-        assert trace.pseudo_block_buffer_hits == 1
+        assert trace.pseudo_block_buffer_hits == 2
         assert trace.base_block_reads == 2
 
     def test_tuples_examined(self, example):

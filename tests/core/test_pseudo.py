@@ -144,6 +144,18 @@ def test_pid_tables_equal_reference_arithmetic(bins, sf):
             assert pseudo.pid_of_bid(bid) == ref_pid_of_bid(bins, sf, bid)
         for pid in range(pseudo.num_pseudo_blocks):
             assert pseudo.bids_of_pid(pid) == members[pid]
+    # the coarse grid: pid p is its block p, and face-adjacent pseudo
+    # blocks are exactly those holding face-adjacent bids
+    coarse = pseudo.coarse
+    assert coarse.bins_per_dim == pbins
+    for pid in range(pseudo.num_pseudo_blocks):
+        assert coarse.coords_of(pid) == pseudo.pcoords_of_pid(pid)
+        adjacent = {
+            pseudo.pid_of_bid(neighbor)
+            for bid in members[pid]
+            for neighbor in grid.neighbors(bid)
+        } - {pid}
+        assert set(coarse.neighbors(pid)) == adjacent
 
 
 class TestCompiledTableIsNotTheValue:
@@ -164,6 +176,7 @@ class TestCompiledTableIsNotTheValue:
 
     def test_warm_map_is_the_same_value_and_pickle(self):
         warm = self.warm(PseudoBlockMap(make_grid(), 2))
+        warm.coarse.neighbors(0)
         fresh = PseudoBlockMap(make_grid(), 2)
         assert warm == fresh
         assert hash(warm) == hash(fresh)

@@ -8,7 +8,7 @@ every consumer drives it; this test fails when a copy grows back:
 
 * the frontier is popped in exactly one function,
   ``ProgressiveSearch.step``, and the retrieve / score / expand steps
-  are called from nowhere else;
+  and the opening of a pseudo-block entry are called from nowhere else;
 * the plan is resolved in exactly one place: ``covering_cuboids(`` and
   ``argmin_over_box(`` each have a single call site in the module;
 * ``serve/endpoint.py`` hands ``kth`` to the search's stop-rule driver
@@ -99,7 +99,9 @@ def test_the_frontier_is_popped_in_one_function():
 
 
 def test_the_four_steps_run_only_under_step():
-    for helper in ("_retrieve", "_score_block", "_expand_neighbors"):
+    for helper in (
+        "_retrieve", "_score_block", "_expand_neighbors", "_open_pseudo_block"
+    ):
         assert _call_sites(EXECUTOR, helper) == [STEP], helper
 
 

@@ -14,6 +14,7 @@ in a different order (Figure 6's r < R).  Non-separable families report
 import random
 import struct
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -124,28 +125,31 @@ SCHEMA = Schema.of(
 )
 
 
-def small_executor():
+def small_executor(scale=None):
     rng = random.Random(4)
     rows = [(rng.randrange(3), rng.random(), rng.random(), rng.random())
             for _ in range(300)]
     db = Database(buffer_capacity=64)
     table = db.load_table("R", SCHEMA, rows)
-    return RankingCubeExecutor(RankingCube.build(table, block_size=8), table)
+    cube = RankingCube.build(table, block_size=8, pseudo_scale_override=scale)
+    return RankingCubeExecutor(cube, table)
+
+
+FUNCTIONS = [
+    LinearFunction(["n1", "n2", "n3"], [0.7, -1.2, -0.0], offset=0.25),
+    LinearFunction(["n3", "n1"], [1.0, 2.0]),  # r < R, reordered
+    NegatedFunction(LinearFunction(["n2", "n1"], [1.0, -0.5])),
+    LpDistance(["n1", "n2"], [0.3, 1.4], p=2.0),
+    LpDistance(["n2"], [-0.2], p=1.0),
+    LpDistance(["n1", "n2", "n3"], [0.5, 0.5, 0.9], p=3.5),
+    QuadraticForm(["n1", "n2"], [[1.0, 0.2], [0.2, 1.0]], center=[0.4, 0.4]),
+    ConvexFunction(["n1", "n3"], lambda a, b: abs(a - 0.6) + (b - 0.1) ** 2),
+]
 
 
 def test_search_bounds_equal_min_over_box_on_every_block():
     executor = small_executor()
-    functions = [
-        LinearFunction(["n1", "n2", "n3"], [0.7, -1.2, -0.0], offset=0.25),
-        LinearFunction(["n3", "n1"], [1.0, 2.0]),  # r < R, reordered
-        NegatedFunction(LinearFunction(["n2", "n1"], [1.0, -0.5])),
-        LpDistance(["n1", "n2"], [0.3, 1.4], p=2.0),
-        LpDistance(["n2"], [-0.2], p=1.0),
-        LpDistance(["n1", "n2", "n3"], [0.5, 0.5, 0.9], p=3.5),
-        QuadraticForm(["n1", "n2"], [[1.0, 0.2], [0.2, 1.0]], center=[0.4, 0.4]),
-        ConvexFunction(["n1", "n3"], lambda a, b: abs(a - 0.6) + (b - 0.1) ** 2),
-    ]
-    for fn in functions:
+    for fn in FUNCTIONS:
         search = ProgressiveSearch(executor, TopKQuery(5, {"a1": 1}, fn))
         grid, positions = search.snapshot.grid, search._positions
         for bid in range(grid.num_blocks):
@@ -153,3 +157,23 @@ def test_search_bounds_equal_min_over_box_on_every_block():
             assert bits(search._block_bound(bid)) == bits(expected), (fn, bid)
         separable = fn.box_min_terms([grid.boundaries[p] for p in positions])
         assert bool(search._bound_table) == (separable is not None)
+
+
+@pytest.mark.parametrize("scale", [None, 1, 3, 4])
+def test_pseudo_keys_are_their_bids_least_bound(scale):
+    """A pseudo block's frontier key is the least bound of its bids, bit
+    for bit: folded from each pseudo bin's least per-bin term for a
+    separable function (float addition is monotone), the least
+    ``_block_bound`` otherwise.  The start entry's key is the start
+    block's own bound, so ``explain``'s ``start_bound`` is the bid's."""
+    executor = small_executor(scale)
+    for fn in FUNCTIONS:
+        search = ProgressiveSearch(executor, TopKQuery(5, {"a1": 1}, fn))
+        pseudo = search.covering[0].pseudo
+        for pid in range(pseudo.num_pseudo_blocks):
+            least = min(search._block_bound(b) for b in pseudo.bids_of_pid(pid))
+            assert bits(search._pseudo_bound(pid)) == bits(least), (fn, pid)
+        if search._bound_table:  # separable: the start key is folded
+            assert bits(search.best_unseen) == bits(
+                search._block_bound(search.start_bid)
+            ), fn

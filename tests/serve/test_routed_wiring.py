@@ -1,8 +1,8 @@
 """How a routed service wires its router (repro.serve.routed).
 
 * The cube path runs on the service's own executor, so every executor
-  option of the service — the shared caches and ``buffer_pseudo_blocks``
-  alike — holds on the routed path too.
+  option of the service — the shared caches, and their absence under
+  ``share_caches=False`` — holds on the routed path too.
 * A constructor that rejects its arguments does so before the service
   hooks its pseudo-block cache on the cube, so no listener is left
   behind.
@@ -43,24 +43,20 @@ def test_the_cube_path_runs_on_the_service_executor():
         assert service.router.paths["cube"].executor is service.executor
 
 
-def test_the_cube_path_honours_unbuffered_pseudo_blocks():
+def test_the_cube_path_honours_share_caches_off():
     table, cube = make_env()
     query = TopKQuery(40, {"a1": 1}, LinearFunction(["n1", "n2"], [1.0, 0.5]))
-    buffered = RankingCubeExecutor(cube, table).execute(query).blocks_accessed
-    unbuffered = RankingCubeExecutor(
-        cube, table, buffer_pseudo_blocks=False
-    ).execute(query).blocks_accessed
-    assert unbuffered > buffered
-    # without shared caches, the per-query buffer is the only layer
-    # that answers a repeated pseudo-block request
-    with RoutedQueryService(
-        cube, table, workers=1, share_caches=False, buffer_pseudo_blocks=False
-    ) as service:
+    bare = RankingCubeExecutor(cube, table).execute(query)
+    # without shared caches, the cube path is the service's bare executor:
+    # every pseudo block it opens is a cold fetch
+    with RoutedQueryService(cube, table, workers=1, share_caches=False) as service:
         path = service.router.paths["cube"]
         assert path.executor is service.executor
-        assert path.executor.buffer_pseudo_blocks is False
+        assert path.executor.pseudo_cache is None
+        assert path.executor.block_cache is None
         result, _observed_io = path.execute(query)
-        assert result.blocks_accessed == unbuffered
+        assert result.rows == bare.rows
+        assert result.blocks_accessed == bare.blocks_accessed
 
 
 @pytest.mark.parametrize(

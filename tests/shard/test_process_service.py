@@ -85,26 +85,26 @@ class TestProcessModeService(ShardedServiceSuite):
     """The shared service suite, served by worker processes."""
 
     mode = "process"
-    #: two-step trips stop later than one-step trips: shard 3 takes one
-    #: more step on the third query than it does in thread mode
+    #: two-step trips capped at the next shard's bound read what
+    #: one-step trips read: thread mode's steps and I/O, in fewer rounds
     pinned = {
-        "rounds": [1, 1, 3, 2],
-        "steps": [9, 9, 29, 20],
+        "rounds": [9, 9, 23, 10],
+        "steps": [9, 13, 35, 19],
         "shard_io": [
             {0: (3, 3, 27, 2), 1: (2, 2, 13, 2), 2: (2, 2, 14, 2), 3: (2, 2, 17, 2)},
-            {0: (4, 3, 13, 2), 1: (3, 2, 4, 2), 2: (3, 2, 7, 2), 3: (3, 2, 8, 2)},
-            {0: (10, 8, 13, 2), 1: (6, 6, 10, 2), 2: (9, 7, 15, 2), 3: (11, 8, 18, 2)},
-            {0: (4, 5, 2, 2), 1: (4, 5, 3, 2), 2: (7, 5, 6, 2), 3: (4, 5, 2, 2)},
+            {0: (4, 4, 13, 2), 1: (3, 3, 4, 2), 2: (3, 3, 7, 2), 3: (3, 3, 8, 2)},
+            {0: (10, 10, 13, 2), 1: (6, 6, 10, 2), 2: (9, 9, 15, 2), 3: (10, 10, 16, 2)},
+            {0: (4, 4, 2, 2), 1: (4, 4, 3, 2), 2: (7, 7, 6, 2), 3: (4, 4, 2, 2)},
         ],
-        "steps_series": [19, 15, 16, 17],
+        "steps_series": [21, 15, 21, 19],
     }
     deployment_pinned = {
-        2: {"blocks": 463, "candidates": 1581, "naive_candidates": 1943,
-            "tuples": 551, "device_reads": 484, "hot_shard_reads": 262,
-            "merge_rounds": 81, "shard_steps": 1581},
-        4: {"blocks": 621, "candidates": 2352, "naive_candidates": 3466,
-            "tuples": 593, "device_reads": 695, "hot_shard_reads": 199,
-            "merge_rounds": 65, "shard_steps": 2352},
+        2: {"blocks": 460, "candidates": 460, "naive_candidates": 654,
+            "tuples": 548, "device_reads": 481, "hot_shard_reads": 259,
+            "merge_rounds": 278, "shard_steps": 460},
+        4: {"blocks": 587, "candidates": 587, "naive_candidates": 1084,
+            "tuples": 528, "device_reads": 678, "hot_shard_reads": 199,
+            "merge_rounds": 468, "shard_steps": 587},
     }
 
 

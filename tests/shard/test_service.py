@@ -290,17 +290,16 @@ class ShardedServiceSuite:
             for shard_id in survivors
         )
         assert excinfo.value.blocks_accessed == read
-        # an enumeration open fetches first rows in both modes; a top-k
-        # open takes steps only where a round trip is worth batching
-        if point == "enum_open" or self.mode == "process":
-            assert read > 0
+        # an enumeration open fetches first rows; a top-k open takes no
+        # step in either mode, so its survivors read nothing
+        assert read == {"scatter": 0, "enum_open": 10}[point]
 
     @pytest.mark.parametrize("victim", [0, 1, 2, 3])
     def test_failed_step_closes_every_session(self, victim):
         """The merge-round twin of the failed open: one shard of four
         faults on its first step.  The abort is typed, closes all four
         sessions (the victim's endpoint still answers) and reports the
-        blocks the shards had read — whichever of them the round reached
+        blocks the shards had read — whichever of them the merge stepped
         before the fault, on whatever thread."""
         cube = build_sharded(SCHEMA, make_rows(400), 4, block_size=8)
 
@@ -319,15 +318,17 @@ class ShardedServiceSuite:
             assert service.stats.records[-1].aborted
             for shard_id in range(4):
                 assert service._transport.handle(shard_id).open_sessions == 0
-        read = sum(
+        per_shard = [
             registry.value("shard.service.blocks_accessed", shard=str(shard_id))
             for shard_id in range(4)
-        )
+        ]
+        read = sum(per_shard)
         assert excinfo.value.blocks_accessed == read
-        # in-process shards ahead of the victim stepped before it faulted;
-        # a worker's open had already carried its first step
-        if victim > 0 or self.mode == "process":
-            assert read > 0
+        # opens take no step, and the merge steps the lowest-bound shard:
+        # the shards whose first entry bounds below the victim's opened
+        # it (one pseudo-block fetch each) before the victim faulted
+        assert per_shard == {0: [0, 1, 1, 1], 1: [0, 0, 1, 0],
+                             2: [0, 0, 0, 0], 3: [0, 1, 1, 0]}[victim]
 
     def test_aborted_query_counts_the_shards_it_opened(self):
         """``shards_consulted`` is the sessions a query opens — an empty
@@ -363,20 +364,20 @@ class ShardedServiceSuite:
 
     def test_shard_calls_run_where_the_transport_says(self):
         """In-process calls run on the query's own thread and start no
-        step pool; calls that block on a pipe keep their fan-out."""
+        step pool; calls that block on a pipe fan the opens out on it."""
         cube = build_sharded(SCHEMA, make_rows(400), 3, block_size=8)
-        fired: list[tuple[str, int]] = []
+        fired: list[tuple[str, str]] = []
 
         def hook(point, shard_id):
-            fired.append((point, threading.get_ident()))
+            fired.append((point, threading.current_thread().name))
 
-        def one_query(run) -> dict[str, set[int]]:
+        def one_query(run) -> dict[str, set[str]]:
             """The threads each serving point of one query fired on."""
             del fired[:]
             run()
-            threads: dict[str, set[int]] = {}
-            for point, ident in fired:
-                threads.setdefault(point, set()).add(ident)
+            threads: dict[str, set[str]] = {}
+            for point, name in fired:
+                threads.setdefault(point, set()).add(name)
             return threads
 
         def enumerate_some():
@@ -409,13 +410,18 @@ class ShardedServiceSuite:
                 assert len(set().union(*threads.values())) == 1, (name, threads)
             assert not step_threads
         else:
-            assert len(queries["topk"]["scatter"]) > 1  # opens overlapped
+            # every open ran on the step pool, none on the query's thread
+            assert all(
+                name.startswith("repro-shard-step")
+                for name in queries["topk"]["scatter"]
+            ), queries["topk"]["scatter"]
             assert step_threads
 
     def test_merge_counts_are_pinned(self):
-        """Rounds, steps and per-shard I/O of a fixed stream, as the
-        lockstep merge produced them before shard calls moved onto the
-        query's thread: where a call runs must not change what it does."""
+        """Rounds, steps and per-shard I/O of a fixed stream under the
+        lowest-bound-first merge.  Where a call runs and how many steps a
+        trip carries must not change what the shards read: both modes pin
+        the same steps and I/O, and differ only in rounds."""
         cube = build_sharded(SCHEMA, make_rows(800), 4, block_size=8)
         registry = MetricsRegistry()
         # two steps a trip, so the pipe transport takes merge rounds too
@@ -451,7 +457,7 @@ class ShardedServiceSuite:
         than a naive gather in which every consulted shard computes its
         full local top-k."""
         dataset, stream, expected, unsharded = zipf_deployment_baseline()
-        assert unsharded == (455, 1692, 397)
+        assert unsharded == (455, 455, 397)
         cube = build_sharded(
             dataset.schema, dataset.rows, num_shards,
             block_size=30, buffer_capacity=4096,
@@ -499,24 +505,25 @@ class ShardedServiceSuite:
 
 class TestShardedQueryService(ShardedServiceSuite):
     mode = "thread"
+    #: one step a round, so rounds equal steps
     pinned = {
-        "rounds": [3, 3, 8, 5],
-        "steps": [9, 9, 28, 20],
+        "rounds": [9, 13, 35, 19],
+        "steps": [9, 13, 35, 19],
         "shard_io": [
             {0: (3, 3, 27, 2), 1: (2, 2, 13, 2), 2: (2, 2, 14, 2), 3: (2, 2, 17, 2)},
-            {0: (4, 3, 13, 2), 1: (3, 2, 4, 2), 2: (3, 2, 7, 2), 3: (3, 2, 8, 2)},
-            {0: (10, 8, 13, 2), 1: (6, 6, 10, 2), 2: (9, 7, 15, 2), 3: (10, 7, 16, 2)},
-            {0: (4, 5, 2, 2), 1: (4, 5, 3, 2), 2: (7, 5, 6, 2), 3: (4, 5, 2, 2)},
+            {0: (4, 4, 13, 2), 1: (3, 3, 4, 2), 2: (3, 3, 7, 2), 3: (3, 3, 8, 2)},
+            {0: (10, 10, 13, 2), 1: (6, 6, 10, 2), 2: (9, 9, 15, 2), 3: (10, 10, 16, 2)},
+            {0: (4, 4, 2, 2), 1: (4, 4, 3, 2), 2: (7, 7, 6, 2), 3: (4, 4, 2, 2)},
         ],
-        "steps_series": [19, 15, 16, 16],
+        "steps_series": [21, 15, 21, 19],
     }
     deployment_pinned = {
-        2: {"blocks": 460, "candidates": 1558, "naive_candidates": 1943,
+        2: {"blocks": 460, "candidates": 460, "naive_candidates": 654,
             "tuples": 548, "device_reads": 481, "hot_shard_reads": 259,
-            "merge_rounds": 784, "shard_steps": 1558},
-        4: {"blocks": 587, "candidates": 2278, "naive_candidates": 3466,
+            "merge_rounds": 460, "shard_steps": 460},
+        4: {"blocks": 587, "candidates": 587, "naive_candidates": 1084,
             "tuples": 528, "device_reads": 678, "hot_shard_reads": 199,
-            "merge_rounds": 594, "shard_steps": 2278},
+            "merge_rounds": 587, "shard_steps": 587},
     }
 
     def test_caches_are_per_shard_and_invalidation_wired(self):
