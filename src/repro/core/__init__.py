@@ -55,7 +55,7 @@ from .pseudo import PseudoBlockMap, scale_factor
 from .reverse import (
     ReverseTopKQuery,
     ReverseTopKResult,
-    count_preceding,
+    count_family,
     reverse_topk,
     simplex_grid_family,
 )
@@ -92,7 +92,7 @@ __all__ = [
     "ReverseTopKQuery",
     "ReverseTopKResult",
     "bins_for",
-    "count_preceding",
+    "count_family",
     "reverse_topk",
     "simplex_grid_family",
     "decode_tid_list",

@@ -384,6 +384,32 @@ class RankingCubeExecutor:
         return ResultRow(tid=row.tid, score=row.score, values=values)
 
 
+class SharedRetrieval:
+    """The plan and the retrieved data that a family of searches shares.
+
+    A reverse top-k query (:func:`repro.core.reverse.count_family`) runs
+    one search per candidate function over one selection.  The first
+    search pins the snapshot and resolves the covering cuboids and the
+    cells into this object; every later one adopts them, and with them
+    the per-cell pseudo-block buffers and :attr:`records`, the ``(tid,
+    values)`` pairs read per bid.  A bid's qualifying tids depend on the
+    selection alone, so every member reads the same records: each
+    ``(cuboid, cell, pid)`` is decoded once and each bid read once per
+    family, and ``blocks_accessed`` counts those first visits only.
+    :attr:`records` grows with every block the family reads, so a lone
+    search and a cursor, whose memory must stay bounded, run without one.
+    """
+
+    __slots__ = ("snapshot", "covering", "cells", "records")
+
+    def __init__(self) -> None:
+        self.snapshot = None
+        self.covering: list = []
+        self.cells: list = []
+        #: bid -> its qualifying ``(tid, values)`` pairs, as first read
+        self.records: dict[int, list] = {}
+
+
 class ProgressiveSearch:
     """The paper's progressive search over one executor + query: the only
     implementation of the four steps, shared by every consumer — plain
@@ -440,6 +466,11 @@ class ProgressiveSearch:
     stays consistent (the faulted block stays on the frontier, so a
     later step examines it again) and the caller decides whether to
     abort the whole query.
+
+    ``shared`` (internal, reverse top-k only) is the
+    :class:`SharedRetrieval` of a family of searches over one selection:
+    the first search resolves the plan into it, later ones adopt its
+    snapshot, cuboids and buffers instead of resolving their own.
     """
 
     def __init__(
@@ -448,6 +479,7 @@ class ProgressiveSearch:
         query: TopKQuery,
         trace: ExecutorTrace | None = None,
         tracer: Tracer | None = None,
+        shared: SharedRetrieval | None = None,
     ):
         if tracer is not None and trace is None:
             trace = ExecutorTrace()  # the spans report from its counters
@@ -455,30 +487,42 @@ class ProgressiveSearch:
         self.query = query
         self.trace = trace
         self._tracer = tracer
-        self.snapshot = state = executor.cube.snapshot()
+        adopted = shared is not None and shared.snapshot is not None
+        self.snapshot = state = (
+            shared.snapshot if adopted else executor.cube.snapshot()
+        )
         self._grid = grid = state.grid
         self._fn = fn = query.ranking
+        self._records = None if shared is None else shared.records
 
         # --- pre-process (plan): covering cuboids + start block ----------
         with maybe_span(tracer, "plan") as plan_span:
             missing = [d for d in fn.dims if d not in grid.dims]
             if missing:
                 raise CubeError(f"ranking dimensions {missing} not in the cube")
-            if executor.relation is not None:
-                query.validate_against(executor.relation.schema)
-            with maybe_span(tracer, "cuboid_selection") as cuboid_span:
-                self.covering = state.covering_cuboids(query.selection_names)
-                if cuboid_span is not None:
-                    cuboid_span.attributes["covering"] = tuple(
-                        c.name for c in self.covering
-                    )
-                    cuboid_span.add("covering_cuboids", len(self.covering))
-            # per covering cuboid: (cuboid, its cell's values, the query's
-            # buffer for it: pid -> {bid: [tid, ...]})
-            self._cells = [
-                (cuboid, tuple(query.selections[d] for d in cuboid.dims), {})
-                for cuboid in self.covering
-            ]
+            if adopted:
+                # the family's first search validated the selection, and a
+                # grid dimension is a ranking attribute of the schema
+                self.covering, self._cells = shared.covering, shared.cells
+            else:
+                if executor.relation is not None:
+                    query.validate_against(executor.relation.schema)
+                with maybe_span(tracer, "cuboid_selection") as cuboid_span:
+                    self.covering = state.covering_cuboids(query.selection_names)
+                    if cuboid_span is not None:
+                        cuboid_span.attributes["covering"] = tuple(
+                            c.name for c in self.covering
+                        )
+                        cuboid_span.add("covering_cuboids", len(self.covering))
+                # per covering cuboid: (cuboid, its cell's values, the
+                # buffer for it: pid -> {bid: [tid, ...]})
+                self._cells = [
+                    (cuboid, tuple(query.selections[d] for d in cuboid.dims), {})
+                    for cuboid in self.covering
+                ]
+                if shared is not None:
+                    shared.snapshot = state
+                    shared.covering, shared.cells = self.covering, self._cells
             self._positions = grid.project(fn.dims)
             #: ``(offset, ((position, per-bin terms), ...))``, ``()`` when
             #: the function is not separable, ``None`` until first needed
@@ -835,28 +879,36 @@ class ProgressiveSearch:
         decoded once per table generation and every later visit filters
         the cached records — the same pairs in the same stored order,
         and the same logical counters: a hit saves physical work, not a
-        block visit.
+        block visit.  A family's shared records (:class:`SharedRetrieval`)
+        answer before either, and a bid they hold is no block visit.
         """
-        base_table, cache = self.snapshot.base_table, self.executor.block_cache
-        if cache is None:
-            records = base_table.get_base_block(bid, qualifying)
-        else:
-            key = (base_table.uid, bid)
-            block = cache.get(key)
-            if block is None:
-                # insert only after the decode completes: a storage fault
-                # raises before the put, so no partial entry is shared
-                block = tuple(base_table.get_base_block(bid))
-                cache.put(key, block)
-            records = (
-                block
-                if qualifying is None
-                else [record for record in block if record[0] in qualifying]
-            )
-        result, fn, positions = self.result, self._fn, self._positions
-        result.blocks_accessed += 1
-        if self.trace is not None:
-            self.trace.base_block_reads += 1
+        result, shared = self.result, self._records
+        records = None if shared is None else shared.get(bid)
+        if records is None:
+            base_table = self.snapshot.base_table
+            cache = self.executor.block_cache
+            if cache is None:
+                records = base_table.get_base_block(bid, qualifying)
+            else:
+                key = (base_table.uid, bid)
+                block = cache.get(key)
+                if block is None:
+                    # insert only after the decode completes: a storage
+                    # fault raises before the put, so no partial entry is
+                    # shared
+                    block = tuple(base_table.get_base_block(bid))
+                    cache.put(key, block)
+                records = (
+                    block
+                    if qualifying is None
+                    else [record for record in block if record[0] in qualifying]
+                )
+            result.blocks_accessed += 1
+            if self.trace is not None:
+                self.trace.base_block_reads += 1
+            if shared is not None:
+                shared[bid] = records
+        fn, positions = self._fn, self._positions
         scored: list[tuple[float, int]] = []
         for tid, values in records:
             point = [values[p] for p in positions]

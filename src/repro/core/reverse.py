@@ -6,11 +6,13 @@ this tuple among the best k?" — the monomial-weight-vector variant of
 Chester et al.'s *Indexing Reverse Top-k Queries*, generalized to any
 family of convex ranking functions the cube can bound.
 
-The cube answers it with the same geometry as the forward search, one
-function at a time: the target's exact score ``t`` is a fixed threshold,
-and a tuple *precedes* the target iff ``(score, tid) < (t, target_tid)``
-under the usual tie-breaking order.  The Lemma-1 frontier visits blocks
-in ascending bound order, so counting stops as soon as
+The cube answers it with the same geometry as the forward search, in
+one *family pass* (:func:`count_family`): one progressive search per
+candidate function, over one pinned snapshot and one retrieval buffer.
+Per function the target's exact score ``t`` is a fixed threshold, and a
+tuple *precedes* the target iff ``(score, tid) < (t, target_tid)`` under
+the usual tie-breaking order.  The Lemma-1 frontier visits blocks in
+ascending bound order, so counting stops as soon as
 
 * ``k`` predecessors were found (the target is out — early *reject*), or
 * ``best_unseen > t`` (no unexamined block can contain a predecessor —
@@ -20,8 +22,13 @@ in ascending bound order, so counting stops as soon as
 
 Blocks whose corner bound exceeds ``t`` are therefore never fetched —
 the pruning ``tests/properties/test_reverse_equivalence.py`` bounds
-(``test_reverse_gate_on_qualifying_targets``).  The delta
-store carries no bounds and is counted unconditionally first.
+(``test_reverse_gate_on_qualifying_targets``).  The functions' searches
+share their snapshot, their plan and what they retrieve
+(:class:`~repro.core.executor.SharedRetrieval`): each ``(cuboid, cell,
+pid)`` is decoded and each base block read at most once per query, so
+``blocks_accessed`` counts the family's distinct fetches while
+candidates and tuples still count per function.  The delta store
+carries no bounds and is counted unconditionally first.
 """
 
 from __future__ import annotations
@@ -39,13 +46,15 @@ from .executor import (
     ProgressiveSearch,
     QueryAbortedError,
     RankingCubeExecutor,
+    SharedRetrieval,
 )
 
 __all__ = [
     "ReverseTopKQuery",
     "ReverseTopKResult",
-    "count_preceding",
+    "count_family",
     "reverse_topk",
+    "score_target",
     "simplex_grid_family",
 ]
 
@@ -99,40 +108,81 @@ class ReverseTopKResult:
     tuples_examined: int = 0
 
 
-def count_preceding(
+def count_family(
     executor: RankingCubeExecutor,
-    query: TopKQuery,
-    t_score: float,
+    selections: Mapping[str, int],
+    members: Sequence[tuple[RankingFunction, float, int]],
     tie_tid: int,
+    work: ReverseTopKResult,
     trace: ExecutorTrace | None = None,
-):
-    """Count matching tuples with ``(score, tid) < (t_score, tie_tid)``,
-    capped at ``query.k``.
+    tracer: Tracer | None = None,
+) -> list[int]:
+    """Count, per member ``(fn, t_score, cap)``, the tuples matching
+    ``selections`` with ``(fn score, tid) < (t_score, tie_tid)``.  A
+    member stops counting once it has seen ``cap`` of them (the target
+    then provably misses the top-k), so a count at or past ``cap`` means
+    only "at least ``cap``".
 
-    ``query.ranking`` is the candidate function and ``query.k`` the cap:
-    once that many predecessors are seen the target provably misses the
-    top-k and counting stops.  ``tie_tid`` is the tid threshold for
-    score ties — shard-local callers pass the target's *rank position*
-    within their tid order rather than the tid itself (any tuple at an
-    earlier position precedes on ties).  Returns ``(count,
-    search_result)`` where the result carries the usual counters.
-    Storage faults propagate as raw ``StorageError``; callers wrap.
+    One search per member, all over the snapshot the first one pins and
+    the retrieval buffer they share.  ``tie_tid`` is the tid threshold
+    for score ties — shard-local callers pass the target's *rank
+    position* within their tid order rather than the tid itself (any
+    tuple at an earlier position precedes on ties).  Each finished
+    member's work is added to ``work``'s ``blocks_accessed``,
+    ``candidates_examined`` and ``tuples_examined``; a ``reverse_function``
+    span per member goes to ``tracer`` when given.  Returns the counts in
+    member order.  Storage faults propagate as raw ``StorageError``;
+    callers wrap.
     """
-    search = ProgressiveSearch(executor, query, trace)
-    cap = query.k
-    preceding = 0
-    for score, tid in search.delta_rows():
-        if (score, tid) < (t_score, tie_tid):
-            preceding += 1
-    while (
-        preceding < cap
-        and not search.exhausted
-        and search.best_unseen <= t_score
-    ):
-        for score, tid in search.step():
-            if (score, tid) < (t_score, tie_tid):
-                preceding += 1
-    return preceding, search.result
+    shared = SharedRetrieval()
+    counts = []
+    for index, (fn, t_score, cap) in enumerate(members):
+        with maybe_span(
+            tracer, "reverse_function", index=index, ranking=",".join(fn.dims)
+        ) as span:
+            search = ProgressiveSearch(
+                executor, TopKQuery(cap, selections, fn), trace, shared=shared
+            )
+            threshold = (t_score, tie_tid)
+            preceding = 0
+            for pair in search.delta_rows():
+                if pair < threshold:
+                    preceding += 1
+            while (
+                preceding < cap
+                and not search.exhausted
+                and search.best_unseen <= t_score
+            ):
+                for pair in search.step():
+                    if pair < threshold:
+                        preceding += 1
+            counts.append(preceding)
+            sub = search.result
+            work.blocks_accessed += sub.blocks_accessed
+            work.candidates_examined += sub.candidates_examined
+            work.tuples_examined += sub.tuples_examined
+            if span is not None:
+                span.add_many(
+                    preceding=preceding,
+                    blocks_accessed=sub.blocks_accessed,
+                    candidates_examined=sub.candidates_examined,
+                    in_topk=int(preceding < cap),
+                )
+    return counts
+
+
+def score_target(schema, target, query: ReverseTopKQuery):
+    """``(matches, scores)``: whether the target row satisfies the
+    query's selections, and its exact score under each function."""
+    matches = all(
+        target[schema.position(name)] == value
+        for name, value in query.selections.items()
+    )
+    scores = [
+        fn.score([target[schema.position(d)] for d in fn.dims])
+        for fn in query.functions
+    ]
+    return matches, scores
 
 
 def reverse_topk(
@@ -157,7 +207,6 @@ def reverse_topk(
             f"target tid {query.tid} outside relation "
             f"[0, {relation.num_rows})"
         )
-    schema = relation.schema
     attrs = dict(
         tid=query.tid,
         k=query.k,
@@ -168,39 +217,20 @@ def reverse_topk(
         result = ReverseTopKResult()
         try:
             target = relation.fetch_by_tid(query.tid)
-            matches = all(
-                target[schema.position(name)] == value
-                for name, value in query.selections.items()
-            )
-            result.target_matches = matches
-            for index, fn in enumerate(query.functions):
-                t_score = fn.score(
-                    [target[schema.position(d)] for d in fn.dims]
+            matches, scores = score_target(relation.schema, target, query)
+            result.target_matches, result.target_scores = matches, scores
+            if matches:
+                members = [
+                    (fn, t_score, query.k)
+                    for fn, t_score in zip(query.functions, scores)
+                ]
+                counts = count_family(
+                    executor, query.selections, members, query.tid, result,
+                    trace, tracer,
                 )
-                result.target_scores.append(t_score)
-                if not matches:
-                    continue
-                with maybe_span(
-                    tracer, "reverse_function",
-                    index=index, ranking=",".join(fn.dims),
-                ) as fspan:
-                    forward = TopKQuery(query.k, query.selections, fn)
-                    preceding, sub = count_preceding(
-                        executor, forward, t_score, query.tid, trace
-                    )
-                    result.blocks_accessed += sub.blocks_accessed
-                    result.candidates_examined += sub.candidates_examined
-                    result.tuples_examined += sub.tuples_examined
-                    in_topk = preceding < query.k
-                    if in_topk:
-                        result.qualifying.append(index)
-                    if fspan is not None:
-                        fspan.add("preceding", preceding)
-                        fspan.add("blocks_accessed", sub.blocks_accessed)
-                        fspan.add(
-                            "candidates_examined", sub.candidates_examined
-                        )
-                        fspan.add("in_topk", int(in_topk))
+                result.qualifying = [
+                    index for index, n in enumerate(counts) if n < query.k
+                ]
         except StorageError as exc:
             if isinstance(exc, QueryAbortedError):
                 raise

@@ -13,7 +13,8 @@ cache, invalidation hook) and the sessions open on it.  It is the
 ``step``        up to ``max_steps`` more steps under the global ``kth``
 ``open_enum``   start an any-k enumeration session, first rows included
 ``next_rows``   the next certified ``(score, local tid)`` rows
-``reverse_count``  predecessors of a reverse top-k target (no session)
+``reverse_count``  predecessors of a reverse top-k target, per live
+                   function (no session)
 ``close``       end a session; returns its work and I/O accounting
 ``cold_cache``  drop buffered pages and shared caches
 ==============  ========================================================
@@ -34,7 +35,7 @@ from dataclasses import replace
 
 from ..core.anyk import AnyKCursor
 from ..core.executor import ProgressiveSearch
-from ..core.reverse import count_preceding
+from ..core.reverse import ReverseTopKResult, count_family
 from ..obs.metrics import MetricsRegistry, diff_counter_items
 from ..obs.tracing import Tracer, maybe_span
 from ..shard.builder import ShardedCube, clone_shard
@@ -228,16 +229,20 @@ class ShardEndpoint:
     # ------------------------------------------------------------------
     # stateless calls
     # ------------------------------------------------------------------
-    def reverse_count(self, query, t_score, tie_tid):
+    def reverse_count(self, selections, members, tie_tid):
         """``(preceding, blocks_accessed, candidates_examined,
-        tuples_examined, device_reads, counter_deltas)`` — this shard's
-        tuples ranked before a reverse top-k target, capped at
-        ``query.k``; ``tie_tid`` is shard-local."""
+        tuples_examined, device_reads, counter_deltas)`` — per member
+        ``(fn, t_score, cap)``, this shard's tuples ranked before a
+        reverse top-k target, capped at ``cap``, counted in one family
+        pass over one snapshot; ``tie_tid`` is shard-local."""
         io_before = self.db.io_snapshot()
         counters_before = (
             self.registry.counter_items() if self._ship_counters else None
         )
-        preceding, work = count_preceding(self.executor, query, t_score, tie_tid)
+        work = ReverseTopKResult()
+        preceding = count_family(
+            self.executor, selections, members, tie_tid, work
+        )
         return (
             preceding,
             work.blocks_accessed,

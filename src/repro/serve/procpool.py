@@ -167,7 +167,7 @@ def _dispatch(msg, endpoint: ShardEndpoint):
         )
     if isinstance(msg, wire.ReverseCount):
         return wire.ReverseCounted(
-            rid, *endpoint.reverse_count(msg.query, msg.t_score, msg.tie_tid)
+            rid, *endpoint.reverse_count(msg.selections, msg.members, msg.tie_tid)
         )
     if isinstance(msg, wire.CloseSearch):
         return wire.SearchClosed(rid, *endpoint.close(rid))
@@ -291,9 +291,9 @@ class ShardWorkerHandle:
         b = self.request(wire.StepNext(request_id, count))
         return b.rows, b.exhausted
 
-    def reverse_count(self, query, t_score, tie_tid):
+    def reverse_count(self, selections, members, tie_tid):
         # stateless: no session, so the id names none (real ids start at 1)
-        r = self.request(wire.ReverseCount(0, query, t_score, tie_tid))
+        r = self.request(wire.ReverseCount(0, selections, members, tie_tid))
         return (
             r.preceding, r.blocks_accessed, r.candidates_examined,
             r.tuples_examined, r.device_reads, r.counter_deltas,

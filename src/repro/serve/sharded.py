@@ -99,7 +99,7 @@ from itertools import count
 from pathlib import Path
 
 from ..core.executor import QueryAbortedError
-from ..core.reverse import ReverseTopKQuery, ReverseTopKResult
+from ..core.reverse import ReverseTopKQuery, ReverseTopKResult, score_target
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import Tracer, adopt_spans, maybe_span
 from ..relational.query import (
@@ -829,8 +829,8 @@ class ShardedQueryService(_FrontEnd):
         return result
 
     def _reverse_target(self, query: ReverseTopKQuery):
-        """The target row and whether it matches the query selections."""
-        schema = self.cube.schema
+        """Whether the target row matches the query selections, and its
+        exact score under each function."""
         try:
             target = self.cube.fetch_by_tid(query.tid)
         except StorageError as exc:
@@ -839,62 +839,75 @@ class ShardedQueryService(_FrontEnd):
             if owner is not None:
                 _blame_shard(exc, owner[0])
             raise
-        matches = all(
-            target[schema.position(name)] == value
-            for name, value in query.selections.items()
-        )
-        return schema, target, matches
+        return score_target(self.cube.schema, target, query)
 
     def _reverse(
         self, query: ReverseTopKQuery, tracer: Tracer | None
     ) -> ReverseTopKResult:
+        """One ``reverse_count`` trip per consulted shard, in shard order.
+
+        Each trip carries the functions still live with what is left of
+        their cap (``k`` minus the predecessors found so far); a function
+        retires at ``k`` predecessors, and once none is live the
+        remaining shards are not asked.
+        """
         pool = self._transport
         result = ReverseTopKResult()
-        targets = self._targets(query.selections)
+        k = query.k
         try:
-            schema, target, matches = self._reverse_target(query)
-            result.target_matches = matches
-            for index, fn in enumerate(query.functions):
-                t_score = fn.score(
-                    [target[schema.position(d)] for d in fn.dims]
-                )
-                result.target_scores.append(t_score)
-                if not matches:
-                    continue
+            matches, scores = self._reverse_target(query)
+            result.target_matches, result.target_scores = matches, scores
+            preceding = [0] * len(query.functions)
+            targets = self._targets(query.selections) if matches else []
+            for sid in targets:
+                live = [i for i, n in enumerate(preceding) if n < k]
+                if not live:
+                    break
+                members = [
+                    (query.functions[i], scores[i], k - preceding[i])
+                    for i in live
+                ]
+                # the target's insertion position in this shard's
+                # (monotone) tid map: local tids before it precede the
+                # target on score ties, all others do not
+                tie_bound = bisect_left(self.cube.shards[sid].tid_map, query.tid)
                 with maybe_span(
-                    tracer, "reverse_function",
-                    index=index, ranking=",".join(fn.dims),
-                ) as fspan:
-                    forward = TopKQuery(query.k, query.selections, fn)
-                    preceding = 0
-                    for sid in targets:
-                        # the target's insertion position in this shard's
-                        # (monotone) tid map: local tids before it precede
-                        # the target on score ties, all others do not
-                        tie_bound = bisect_left(
-                            self.cube.shards[sid].tid_map, query.tid
+                    tracer, "reverse_shard", shard=sid, live=len(live)
+                ) as span:
+                    counts, blocks, candidates, tuples, device_reads, deltas = (
+                        self._guard(
+                            "reverse_count", sid,
+                            lambda: pool.handle(sid).reverse_count(
+                                query.selections, members, tie_bound
+                            ),
                         )
-                        n, blocks, candidates, tuples, device_reads, deltas = (
-                            self._guard(
-                                "reverse_count", sid,
-                                lambda: pool.handle(sid).reverse_count(
-                                    forward, t_score, tie_bound
-                                ),
+                    )
+                    # inside the span: a worker's shipped counters land here
+                    self._account(sid, blocks, device_reads, deltas)
+                    if span is not None:
+                        span.add_many(
+                            blocks_accessed=blocks,
+                            candidates_examined=candidates,
+                        )
+                for i, n in zip(live, counts):
+                    preceding[i] += n
+                result.blocks_accessed += blocks
+                result.candidates_examined += candidates
+                result.tuples_examined += tuples
+            if matches:
+                result.qualifying = [
+                    i for i, n in enumerate(preceding) if n < k
+                ]
+                for index, fn in enumerate(query.functions):
+                    with maybe_span(
+                        tracer, "reverse_function",
+                        index=index, ranking=",".join(fn.dims),
+                    ) as fspan:
+                        if fspan is not None:
+                            fspan.add_many(
+                                preceding=preceding[index],
+                                in_topk=int(preceding[index] < k),
                             )
-                        )
-                        preceding += n
-                        result.blocks_accessed += blocks
-                        result.candidates_examined += candidates
-                        result.tuples_examined += tuples
-                        self._account(sid, blocks, device_reads, deltas)
-                        if preceding >= query.k:
-                            break
-                    in_topk = preceding < query.k
-                    if in_topk:
-                        result.qualifying.append(index)
-                    if fspan is not None:
-                        fspan.add("preceding", preceding)
-                        fspan.add("in_topk", int(in_topk))
         except _SHARD_FAULTS as exc:
             self._abort_cleanup({}, 0, exc)  # no session; respawn only
             raise QueryAbortedError(

@@ -173,17 +173,18 @@ class StepNext:
 class ReverseCount:
     """Count this shard's tuples preceding a reverse top-k target.
 
-    Stateless single round trip (no session): ``query`` carries the
-    candidate ranking function with ``k`` as the predecessor cap,
-    ``t_score`` the target's exact score, and ``tie_tid`` the
-    *shard-local* tid threshold for score ties — the target's insertion
-    position in this shard's tid map, so local order agrees with global
-    ``(score, gtid)`` order (tid maps are monotone).
+    Stateless single round trip (no session), one per shard and query:
+    ``members`` holds a ``(ranking function, target's exact score,
+    predecessor cap)`` triple per function still live, ``selections``
+    scope the competition, and ``tie_tid`` is the *shard-local* tid
+    threshold for score ties — the target's insertion position in this
+    shard's tid map, so local order agrees with global ``(score, gtid)``
+    order (tid maps are monotone).
     """
 
     request_id: int
-    query: TopKQuery
-    t_score: float
+    selections: dict
+    members: list
     tie_tid: int
 
 
@@ -260,10 +261,11 @@ class NextBatch:
 
 @dataclass(frozen=True)
 class ReverseCounted:
-    """Answer to :class:`ReverseCount`, with per-call work accounting."""
+    """Answer to :class:`ReverseCount`: the predecessors per member, in
+    member order, with per-call work accounting."""
 
     request_id: int
-    preceding: int
+    preceding: list
     blocks_accessed: int
     candidates_examined: int
     tuples_examined: int

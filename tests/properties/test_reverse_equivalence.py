@@ -213,8 +213,10 @@ def test_reverse_gate_on_qualifying_targets():
 
     assert qualifying == [1, 4, 4, 1, 4, 3, 1, 0, 0, 0, 0]
     # candidates count frontier pops of both kinds (pseudo blocks opened
-    # and non-empty bids): 153 bid pops before the sparse frontier
-    assert (blocks, candidates, tuples) == (224, 224, 1219)
+    # and non-empty bids): 153 bid pops before the sparse frontier.
+    # Blocks count each query's distinct fetches: the family's searches
+    # share what they retrieve (224 when each function fetched its own)
+    assert (blocks, candidates, tuples) == (113, 224, 1219)
     exhaustive = len(queries) * len(family) * cube.grid.num_blocks
     assert candidates / exhaustive <= 0.5  # 0.034 here
 

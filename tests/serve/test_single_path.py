@@ -11,7 +11,7 @@ grows back:
   comparison, or the test of an ``if`` / ``while`` / conditional
   expression) — labelling a span or an error message with it is fine;
 * per-shard execution lives behind the endpoint, so the module must not
-  import ``AnyKCursor``, ``ProgressiveSearch`` or ``count_preceding``;
+  import ``AnyKCursor``, ``ProgressiveSearch`` or ``count_family``;
 * *where* a shard call runs is the transport's property
   (``pool.calls_block``), decided in one place: only ``_fan_out`` may
   submit to the step pool, and the pool is built only under a test of
@@ -30,7 +30,7 @@ pytestmark = pytest.mark.serve
 TREE = ast.parse(Path(sharded.__file__).read_text())
 FRONT_END = ("ShardedQueryService", "ShardedAnyKCursor")
 ALLOWED = {("ShardedQueryService", "__init__")}
-ENDPOINT_ONLY = {"AnyKCursor", "ProgressiveSearch", "count_preceding"}
+ENDPOINT_ONLY = {"AnyKCursor", "ProgressiveSearch", "count_family"}
 
 
 def _mentions_mode(node: ast.AST) -> bool:

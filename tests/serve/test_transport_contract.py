@@ -122,13 +122,15 @@ def test_enumeration_session_agrees_row_for_row(endpoints):
 
 
 def test_reverse_count_agrees(endpoints):
-    q = query(k=9, a1=0)
+    fn = query().ranking
+    steep = LinearFunction(["n1", "n2"], [0.2, 1.0])
     for t_score, tie_tid in ((0.35, 40), (0.8, 0), (0.0, 10**6)):
+        members = [(fn, t_score, 9), (steep, t_score, 3)]
         counted = both(
-            endpoints, lambda e: e.reverse_count(q, t_score, tie_tid)
+            endpoints, lambda e: e.reverse_count({"a1": 0}, members, tie_tid)
         )
         assert counted[0][:4] == counted[1][:4]
-    assert counted[0][0] == 0  # nothing scores below zero
+    assert counted[0][0] == [0, 0]  # nothing scores below zero
 
 
 def test_traced_sessions_produce_the_same_span_trees(endpoints):
