@@ -29,6 +29,13 @@
 #                         property test that per-bin bound tables fold to
 #                         min_over_box and each pseudo block's frontier key
 #                         to its bids' least bound;
+#                         tests/ranking/test_certified_bounds.py that every
+#                         ranking function's min_over_box is a lower bound
+#                         of its score on 10,000 random boxes per family
+#                         (linear, Lp p=1/2/3, quadratic, smooth and kinked
+#                         ConvexFunction), that descending and SQL DESC
+#                         refuse non-linear functions, and that a bad row
+#                         batch reaches neither the table nor the WAL;
 #                         tests/properties/test_sparse_frontier.py that the
 #                         sparse frontier (pseudo blocks, then only their
 #                         non-empty bids) reads the pages of a test-local
@@ -168,7 +175,7 @@ export PYTHONPATH=src
 # stalling the whole gate.  Tests may tighten it with @pytest.mark.timeout.
 export REPRO_TEST_TIMEOUT="${REPRO_TEST_TIMEOUT:-300}"
 
-echo "== tier1 1/4: fast test suite (incl. structural single-search/one-engine + single-node-codec + one-router/one-cost-model/one-cuboid-objective + single-install/one-build-path + single-front-end tests, submit/close race, maintenance race matrix, examples test, doc-reference test, bound-table + sparse-frontier + selective-read + splice properties, reverse family pass (one snapshot, decode once, single-reverse), block-cache equivalence, indexed delta, figure page pins, build image pin, reverse + adaptive gates) =="
+echo "== tier1 1/4: fast test suite (incl. structural single-search/one-engine + single-node-codec + one-router/one-cost-model/one-cuboid-objective + single-install/one-build-path + single-front-end tests, submit/close race, maintenance race matrix, examples test, doc-reference test, bound-table + certified-bound (test_certified_bounds.py) + sparse-frontier + selective-read + splice properties, reverse family pass (one snapshot, decode once, single-reverse), block-cache equivalence, indexed delta, figure page pins, build image pin, reverse + adaptive gates) =="
 python -m pytest -m "not slow and not serve and not faults" -q
 
 echo "== tier1 2/4: sharded serving single-path test + serve-marked gate cases (identity, hot shard, early stop, shared-cache reads, WAL replay) =="

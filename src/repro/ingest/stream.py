@@ -44,6 +44,7 @@ from pathlib import Path
 from ..core.compaction import CubeCompactor
 from ..core.cube import RankingCube
 from ..persist import PersistError, ShardedWorkspace, Workspace
+from ..relational.table import check_rows
 from .wal import WalError, WalRecord, WriteAheadLog
 
 #: Named instants where the ingestion kill matrix may kill a run, in
@@ -144,12 +145,13 @@ class StreamIngestor:
     def append(self, rows) -> int:
         """Durably log then apply one batch; returns rows appended.
 
-        Write-ahead ordering: the WAL record is fsynced before the
-        table heap or delta store change, so an acknowledged batch
-        survives any crash and an unacknowledged one is at worst a torn
-        tail that recovery chops.
+        Write-ahead ordering: the batch is checked (``check_rows``), then
+        the WAL record is fsynced before the table heap or delta store
+        change, so an acknowledged batch survives any crash, an
+        unacknowledged one is at worst a torn tail that recovery chops,
+        and a rejected one never reaches the log.
         """
-        rows = [tuple(row) for row in rows]
+        rows = [tuple(row) for row in check_rows(self.table.schema, rows)]
         if not rows:
             return 0
         record = WalRecord(first_tid=self.table.num_rows, rows=tuple(rows))
@@ -303,8 +305,8 @@ class ShardedStreamIngestor:
 
     # ------------------------------------------------------------------
     def append(self, rows) -> int:
-        """Durably log then route one batch across the shards."""
-        rows = [tuple(row) for row in rows]
+        """Check, durably log, then route one batch across the shards."""
+        rows = [tuple(row) for row in check_rows(self.cube.schema, rows)]
         if not rows:
             return 0
         record = WalRecord(first_tid=self.cube.num_rows, rows=tuple(rows))

@@ -5,12 +5,11 @@ functions) plus the block lower-bound computation ``f(bid)`` needed by the
 ranking-cube search step.
 """
 
-from .boxmin import argmin_convex_over_box, golden_section_minimize, minimize_convex_over_box
+from .boxmin import argmin_convex_over_box, golden_section_minimize
 from .functions import (
     ConvexFunction,
     LinearFunction,
     LpDistance,
-    NegatedFunction,
     QuadraticForm,
     RankingFunction,
     RankingFunctionError,
@@ -22,7 +21,6 @@ __all__ = [
     "ConvexFunction",
     "LinearFunction",
     "LpDistance",
-    "NegatedFunction",
     "QuadraticForm",
     "RankingFunction",
     "RankingFunctionError",
@@ -30,5 +28,4 @@ __all__ = [
     "descending",
     "golden_section_minimize",
     "is_convex_on_samples",
-    "minimize_convex_over_box",
 ]

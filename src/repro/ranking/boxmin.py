@@ -1,11 +1,11 @@
-"""Minimization of convex functions over axis-aligned boxes.
+"""Approximate minimizers of convex functions over axis-aligned boxes.
 
-The ranking-cube search step needs ``f(bid) = min over the block's box`` for
-every frontier block (Section 3.2.2).  Linear and distance functions have
-closed forms (implemented on their classes); this module supplies the
-numeric fallback for generic convex callables: projected coordinate descent
-with golden-section line searches, which converges for convex objectives on
-boxes and needs no gradients.
+Linear and distance functions minimize a box in closed form (on their
+classes).  For every other family this module supplies the *descent
+point*: projected coordinate descent with golden-section line searches.
+The point is approximate, so its value is never used as a bound; it is
+where :meth:`RankingFunction.min_over_box` takes its affine minorant, and
+where the search starts (the global minimizer's block).
 """
 
 from __future__ import annotations
@@ -53,11 +53,11 @@ def argmin_convex_over_box(
     """Approximate argmin of a convex ``fn`` over ``[lower, upper]``.
 
     Cyclic coordinate descent: each round line-searches every coordinate on
-    its interval with the others held fixed.  For convex (not necessarily
-    differentiable along coordinates... but separably unimodal) objectives
-    this converges to a global minimizer on a box; the functions used in
-    ranking workloads (sums of convex 1-d terms, PSD quadratics) satisfy
-    this.  Rounds stop when an entire sweep improves the value by < tol.
+    its interval with the others held fixed.  On smooth convex objectives
+    (PSD quadratics, sums of convex 1-d terms) this converges to a global
+    minimizer on a box; on a kinked one it can stall (``|x - y|`` stops it
+    on the diagonal), which is why the point's value is never a bound.
+    Rounds stop when an entire sweep improves the value by < tol.
     """
     lower = [float(v) for v in lower]
     upper = [float(v) for v in upper]
@@ -83,23 +83,10 @@ def argmin_convex_over_box(
 
             x_star = golden_section_minimize(along, lo, hi, tol=tol / 10)
             value = along(x_star)
-            if value < best - tol:
-                best = value
-                point[i] = x_star
-                improved = True
-            elif value < best:
+            if value < best:
+                improved |= value < best - tol
                 best = value
                 point[i] = x_star
         if not improved:
             break
     return tuple(point)
-
-
-def minimize_convex_over_box(
-    fn: Callable[[Sequence[float]], float],
-    lower: Sequence[float],
-    upper: Sequence[float],
-    tol: float = 1e-8,
-) -> float:
-    """Approximate minimum value of a convex ``fn`` over a box."""
-    return float(fn(argmin_convex_over_box(fn, lower, upper, tol=tol)))

@@ -3,12 +3,15 @@
 A ranking function scores a point in the unit hypercube ``[0, 1]^r`` spanned
 by the query's ranking dimensions; top-k queries return the k tuples with
 the smallest scores (Section 2 of the paper fixes ascending order without
-loss of generality; :func:`descending` rewrites the other direction).
+loss of generality; :func:`descending` rewrites the other direction of a
+linear function).
 
 The ranking-cube query algorithm requires only that the function be
 *convex* (Definition 1): convexity is what makes the block lower bound
-``f(bid) = min over the block box`` sound and Lemma 1's frontier expansion
-complete.  The classes here cover the families the paper discusses —
+``f(bid)`` sound and Lemma 1's frontier expansion complete.  Linear and Lp
+functions bound a box by its exact minimum, every other family by the
+affine minorant at a subgradient (:meth:`RankingFunction.min_over_box`).
+The classes here cover the families the paper discusses —
 linear with arbitrary-sign weights, distance-to-target measures (the
 ``(price - 10k)^2 + (mileage - 20k)^2`` style of query Q2), quadratic
 forms — plus a generic wrapper for user-supplied convex callables.
@@ -17,6 +20,7 @@ forms — plus a generic wrapper for user-supplied convex callables.
 from __future__ import annotations
 
 import math
+import sys
 from abc import ABC, abstractmethod
 from itertools import repeat
 from typing import Callable, Iterator, Sequence
@@ -26,6 +30,10 @@ import numpy as np
 
 class RankingFunctionError(Exception):
     """Raised for malformed ranking-function constructions."""
+
+
+# rounding margin of the default bound, in ulps per summed term
+_MARGIN_ULPS = 4
 
 
 def _finite(values: Sequence[float], what: str) -> tuple[float, ...]:
@@ -67,14 +75,30 @@ class RankingFunction(ABC):
         """Score one point (components ordered as :attr:`dims`)."""
 
     def min_over_box(self, lower: Sequence[float], upper: Sequence[float]) -> float:
-        """Minimum of the function over an axis-aligned box.
+        """A certified lower bound of the function over an axis-aligned box.
 
-        The default implementation delegates to the numeric minimizer in
-        :mod:`repro.ranking.boxmin`; subclasses with closed forms override.
+        For convex ``f``, any subgradient ``g`` at a point ``p`` of the box
+        gives the affine minorant ``f(x) >= f(p) + g.(x - p)``, least at
+        the corner each ``g_i``'s sign picks (as for a linear function).
+        ``p`` is the descent point :meth:`argmin_over_box`: it decides how
+        tight the bound is, not whether it holds.  A margin of a few ulps
+        of the terms' magnitude absorbs the sum's rounding.  Families with
+        a closed form override.
         """
-        from .boxmin import minimize_convex_over_box
+        point = self.argmin_over_box(lower, upper)
+        value = self.score(point)
+        slopes = self.subgradient(point)
+        _finite((value, *slopes), "score and subgradient at the descent point")
+        scale = abs(value)
+        for g, lo, hi, p in zip(slopes, lower, upper, point):
+            value += g * ((lo if g >= 0 else hi) - p)
+            scale += abs(g) * max(abs(lo), abs(hi), abs(p))
+        return value - _MARGIN_ULPS * (len(slopes) + 2) * sys.float_info.epsilon * scale
 
-        return minimize_convex_over_box(self.score, lower, upper)
+    def subgradient(self, point: Sequence[float]) -> Sequence[float]:
+        """A subgradient at ``point``: the slopes of :meth:`min_over_box`'s
+        minorant.  Families with a closed-form bound need none."""
+        raise RankingFunctionError(f"{self!r} has no subgradient")
 
     def box_min_terms(
         self, edges: Sequence[Sequence[float]]
@@ -97,10 +121,6 @@ class RankingFunction(ABC):
         from .boxmin import argmin_convex_over_box
 
         return argmin_convex_over_box(self.score, lower, upper)
-
-    def global_minimizer(self) -> tuple[float, ...]:
-        """A minimizer over the unit hypercube (query start point)."""
-        return self.argmin_over_box([0.0] * self.arity, [1.0] * self.arity)
 
     # ------------------------------------------------------------------
     # batched form (the surface of repro.vector.kernels.eval_scores)
@@ -297,7 +317,8 @@ class QuadraticForm(RankingFunction):
     """``f(x) = (x - c)' Q (x - c) + b' x`` with positive semidefinite Q.
 
     Covers correlated quadratic preferences; convexity requires Q to be
-    PSD, which the constructor verifies via a Cholesky-style check.
+    PSD, which the constructor verifies via a Cholesky-style check.  Block
+    bounds take the default affine minorant at the exact gradient.
     """
 
     def __init__(
@@ -328,6 +349,15 @@ class QuadraticForm(RankingFunction):
         )
         return quad + sum(b * x for b, x in zip(self.linear, point))
 
+    def subgradient(self, point: Sequence[float]) -> list[float]:
+        # the exact gradient (Q + Q')(x - c) + b
+        diff = [x - c for x, c in zip(point, self.center)]
+        q = self.matrix
+        return [
+            sum((q[i][j] + q[j][i]) * d for j, d in enumerate(diff)) + b
+            for i, b in enumerate(self.linear)
+        ]
+
     def cache_key(self) -> tuple:
         return (
             "quadratic",
@@ -342,96 +372,59 @@ class QuadraticForm(RankingFunction):
 
 
 class ConvexFunction(RankingFunction):
-    """Wrapper for an arbitrary user-supplied convex callable.
+    """Wrapper for a user-supplied convex callable and its subgradient.
 
     Convexity cannot be verified for a black box; the caller asserts it.
-    Block lower bounds fall back to the numeric minimizer, which is exact
-    (to tolerance) precisely when the assertion holds.
+    ``subgradient(*point)`` returns one slope per dimension, a subgradient
+    of ``fn`` at ``point``: block bounds are the affine minorant it spans
+    (:meth:`RankingFunction.min_over_box`), a proven lower bound exactly
+    when the assertion holds.  A non-finite score or slope raises
+    :class:`RankingFunctionError` instead of reaching the frontier heap.
     """
 
     def __init__(
         self,
         dims: Sequence[str],
         fn: Callable[..., float],
+        subgradient: Callable[..., Sequence[float]],
         name: str = "convex",
     ):
         super().__init__(dims)
         self._fn = fn
+        self._subgradient = subgradient
         self.name = name
 
     def score(self, point: Sequence[float]) -> float:
-        return float(self._fn(*point))
+        value = float(self._fn(*point))
+        if not math.isfinite(value):
+            raise RankingFunctionError(f"{self!r} scored {value} at {tuple(point)}")
+        return value
+
+    def subgradient(self, point: Sequence[float]) -> Sequence[float]:
+        slopes = _finite(self._subgradient(*point), f"{self!r} subgradient")
+        if len(slopes) != self.arity:
+            raise RankingFunctionError(
+                f"{self!r} subgradient has {len(slopes)} slopes for {self.arity} dims"
+            )
+        return slopes
 
     def __repr__(self) -> str:
         return f"ConvexFunction({self.name}, dims={self.dims})"
 
 
-class NegatedFunction(RankingFunction):
-    """``-g`` for a concave ``g``: lets ``ORDER BY g DESC`` run ascending.
-
-    The negation of a *concave* function is convex, so all machinery
-    applies unchanged.  Negating a general convex function would not be
-    convex; this class exists for the DESC rewrite of linear functions
-    (linear is both convex and concave) and user-asserted concave scores.
-    """
-
-    def __init__(self, inner: RankingFunction):
-        super().__init__(inner.dims)
-        self.inner = inner
-
-    def score(self, point: Sequence[float]) -> float:
-        return -self.inner.score(point)
-
-    def eval_batch(self, columns: Sequence) -> Sequence[float]:
-        # unary negation is exact, so the inner batch's contract carries
-        scores = self.inner.eval_batch(columns)
-        if isinstance(scores, np.ndarray):
-            return -scores
-        return [-s for s in scores]
-
-    def _flipped(self) -> LinearFunction | None:
-        """``-inner`` as a linear function, when the inner one is linear."""
-        inner = self.inner
-        if not isinstance(inner, LinearFunction):
-            return None
-        return LinearFunction(
-            inner.dims, [-w for w in inner.weights], offset=-inner.offset
-        )
-
-    def min_over_box(self, lower: Sequence[float], upper: Sequence[float]) -> float:
-        flipped = self._flipped()
-        if flipped is not None:
-            return flipped.min_over_box(lower, upper)
-        return super().min_over_box(lower, upper)
-
-    def box_min_terms(self, edges):
-        flipped = self._flipped()
-        return None if flipped is None else flipped.box_min_terms(edges)
-
-    def argmin_over_box(
-        self, lower: Sequence[float], upper: Sequence[float]
-    ) -> tuple[float, ...]:
-        flipped = self._flipped()
-        if flipped is not None:
-            return flipped.argmin_over_box(lower, upper)
-        return super().argmin_over_box(lower, upper)
-
-    def cache_key(self) -> tuple | None:
-        inner = self.inner.cache_key()
-        return None if inner is None else ("negated", inner)
-
-    def __repr__(self) -> str:
-        return f"NegatedFunction({self.inner!r})"
-
-
-def descending(fn: RankingFunction) -> RankingFunction:
+def descending(fn: RankingFunction) -> LinearFunction:
     """Rewrite ``ORDER BY fn DESC`` as an ascending convex problem.
 
-    Valid when ``fn`` is concave (linear functions always are).
+    Only a linear function is both convex and concave, so only its
+    negation (the flipped linear function) is convex again; any other
+    family raises :class:`RankingFunctionError`.
     """
-    if isinstance(fn, NegatedFunction):
-        return fn.inner
-    return NegatedFunction(fn)
+    if not isinstance(fn, LinearFunction):
+        raise RankingFunctionError(
+            f"descending order needs a linear function; the negation of {fn!r} "
+            "is not convex"
+        )
+    return LinearFunction(fn.dims, [-w for w in fn.weights], offset=-fn.offset)
 
 
 def is_convex_on_samples(

@@ -6,18 +6,17 @@ query: given a score threshold ``s`` (the paper feeds the *optimal* value,
 the true k-th score), it needs per-dimension bounds ``n_i`` such that every
 tuple with ``f(x) <= s`` satisfies ``lo_i <= x_i <= hi_i``.
 
-For a convex ``f`` on a box, ``g_i(c) = min f over the box with x_i fixed
-at c`` is convex in ``c``, so the extreme coordinates of the level set can
-be found by bisection on each side of the minimizer.  Linear and
-Lp-distance functions get exact closed forms.
+Linear and Lp-distance functions -- the families the baseline is measured
+with -- get exact closed forms.  Any other family raises
+:class:`RankingFunctionError`: an approximate edge would narrow the range
+and drop tuples.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .boxmin import minimize_convex_over_box
-from .functions import LinearFunction, LpDistance, RankingFunction
+from .functions import LinearFunction, LpDistance, RankingFunction, RankingFunctionError
 
 
 def level_set_box(
@@ -25,7 +24,6 @@ def level_set_box(
     threshold: float,
     lower: Sequence[float],
     upper: Sequence[float],
-    tol: float = 1e-6,
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Tight per-dimension bounds of ``{x in box : f(x) <= threshold}``.
 
@@ -38,7 +36,9 @@ def level_set_box(
         return _linear_bounds(fn, threshold, lower, upper)
     if isinstance(fn, LpDistance):
         return _lp_bounds(fn, threshold, lower, upper)
-    return _generic_bounds(fn, threshold, lower, upper, tol)
+    raise RankingFunctionError(
+        f"level-set bounds need a linear or Lp function, got {fn!r}"
+    )
 
 
 def _linear_bounds(
@@ -82,51 +82,3 @@ def _lp_bounds(
             clamped = min(max(t, lower[i]), upper[i])
             los[i] = his[i] = clamped
     return tuple(los), tuple(his)
-
-
-def _generic_bounds(
-    fn: RankingFunction,
-    threshold: float,
-    lower: list[float],
-    upper: list[float],
-    tol: float,
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    minimizer = fn.argmin_over_box(lower, upper)
-    if fn.score(minimizer) > threshold:
-        return tuple(minimizer), tuple(minimizer)
-    los: list[float] = []
-    his: list[float] = []
-    for i in range(fn.arity):
-
-        def sliced_min(c: float, i: int = i) -> float:
-            lo = list(lower)
-            hi = list(upper)
-            lo[i] = hi[i] = c
-            return minimize_convex_over_box(fn.score, lo, hi)
-
-        his.append(
-            _bisect_boundary(sliced_min, minimizer[i], upper[i], threshold, tol)
-        )
-        los.append(
-            _bisect_boundary(sliced_min, minimizer[i], lower[i], threshold, tol)
-        )
-    return tuple(los), tuple(his)
-
-
-def _bisect_boundary(sliced_min, start: float, limit: float, threshold: float, tol: float) -> float:
-    """Furthest coordinate from ``start`` toward ``limit`` still in the set.
-
-    ``sliced_min`` is convex, minimal near ``start``, and non-decreasing
-    toward ``limit``; bisection finds where it crosses ``threshold``.
-    """
-    if sliced_min(limit) <= threshold:
-        return limit
-    inside, outside = start, limit
-    while abs(outside - inside) > tol:
-        mid = (inside + outside) / 2
-        if sliced_min(mid) <= threshold:
-            inside = mid
-        else:
-            outside = mid
-    # return the outside edge so the bound is conservative (a superset)
-    return outside

@@ -9,6 +9,7 @@ keeps in its catalog.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import Iterable, Iterator, Sequence
 
@@ -22,6 +23,31 @@ from .schema import Schema, SchemaError
 
 class TableError(Exception):
     """Raised for table-level misuse (bad rows, unknown indexes)."""
+
+
+def check_rows(schema: Schema, rows: Iterable[Sequence]) -> list[Sequence]:
+    """``rows`` as a list, every row checked before any is written.
+
+    A row must match the schema's width, and its ranking values must be
+    finite numbers: a NaN score has no place in the ranking order, so the
+    cube and a brute-force sort would answer it differently.  One bad row
+    rejects the whole batch with :class:`TableError`.
+    """
+    rows = list(rows)
+    width = len(schema)
+    ranked = [schema.position(name) for name in schema.ranking_names]
+    for row in rows:
+        if len(row) != width:
+            raise TableError(
+                f"row of width {len(row)} does not fit schema of width {width}"
+            )
+        try:
+            finite = all([math.isfinite(row[p]) for p in ranked])
+        except TypeError:
+            finite = False
+        if not finite:
+            raise TableError(f"ranking values must be finite numbers, got row {row!r}")
+    return rows
 
 
 class Table:
@@ -50,26 +76,24 @@ class Table:
     # loading
     # ------------------------------------------------------------------
     def insert_rows(self, rows: Iterable[Sequence]) -> None:
-        """Bulk load rows (tuples in schema order); assigns tids."""
-        sel_positions = [
-            (name, self.schema.position(name)) for name in self.schema.selection_names
-        ]
-        records = []
-        for row in rows:
-            if len(row) != len(self.schema):
-                raise TableError(
-                    f"row of width {len(row)} does not fit schema of width "
-                    f"{len(self.schema)}"
-                )
-            tid = self._num_rows
-            records.append((tid, *row))
-            for name, pos in sel_positions:
-                self._value_counts[name][int(row[pos])] += 1
-            self._num_rows += 1
+        """Bulk load rows (tuples in schema order); assigns tids.
+
+        The whole batch is checked (:func:`check_rows`) before the heap or
+        the statistics change, so a rejected batch leaves no trace.
+        """
+        rows = check_rows(self.schema, rows)
+        counts = {
+            name: Counter(int(row[self.schema.position(name)]) for row in rows)
+            for name in self.schema.selection_names
+        }
+        first = self._num_rows
         # The initial load takes the one-pass sequential path (bulk_load on
         # an empty heap degrades to extend+seal otherwise) so build I/O is
         # metered as a sequential write stream.
-        self.heap.bulk_load(records)
+        self.heap.bulk_load([(first + i, *row) for i, row in enumerate(rows)])
+        for name, counted in counts.items():
+            self._value_counts[name].update(counted)
+        self._num_rows += len(rows)
 
     # ------------------------------------------------------------------
     # access paths

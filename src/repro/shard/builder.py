@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 from ..core.cube import DEFAULT_BLOCK_SIZE, RankingCube
 from ..relational.database import Database
 from ..relational.schema import Schema
-from ..relational.table import Table
+from ..relational.table import Table, check_rows
 from .map import ShardError, ShardMap
 
 
@@ -173,7 +173,9 @@ class ShardedCube:
         touched shard bulk-inserts its slice and refreshes its cube's
         delta store, so the next query snapshot on every shard sees the
         new tuples (under local tids — the serving layer translates).
+        The whole batch is checked first, so a bad row changes no shard.
         """
+        rows = check_rows(self.schema, rows)
         buckets: dict[int, list[tuple[int, Sequence]]] = {}
         count = 0
         for row in rows:

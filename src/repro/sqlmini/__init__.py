@@ -2,9 +2,8 @@
 
 ``SELECT TOP k ... FROM R WHERE A = a AND ... ORDER BY f(N1..Nj) [DESC]``
 parses into :class:`~repro.relational.query.TopKQuery` objects; ORDER BY
-expressions classify into the structured ranking-function families when
-their shape allows (linear, Lp distance), falling back to a generic convex
-wrapper otherwise.
+expressions classify into a linear function or an Lp distance, and any
+other shape raises :class:`SqlError`.
 """
 
 from .expr import (

@@ -1,25 +1,26 @@
 """Arithmetic expression AST for ORDER BY clauses.
 
-Expressions are parsed into a small AST, then *classified* into the most
-structured ranking function available:
+Expressions are parsed into a small AST, then *classified* into one of
+the two families whose convexity the shape itself proves:
 
 1. affine       -> :class:`LinearFunction` (+ constant offset),
-2. Lp distance  -> :class:`LpDistance` (``w*(x-t)**p`` / ``w*abs(x-t)`` sums),
-3. anything else -> :class:`ConvexFunction` wrapping an AST evaluator —
-   the caller asserts convexity, exactly as with a hand-built
-   :class:`ConvexFunction`.
+2. Lp distance  -> :class:`LpDistance` (``w*(x-t)**p`` / ``w*abs(x-t)`` sums).
 
-Classification matters because the structured classes carry exact
-closed-form block lower bounds; the fallback pays the numeric minimizer.
+Anything else (``n1*n2``, ``-(n1-0.5)**2``, ...) raises :class:`SqlError`:
+the dialect cannot tell a convex expression from a concave one, and a
+block bound over a non-convex score is not a bound.  ``DESC`` negates
+the score, which keeps it convex only for an affine expression, so
+``DESC`` on an Lp distance raises too.  A convex function of another
+shape is built by hand as a :class:`~repro.ranking.ConvexFunction` with
+its subgradient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from ..ranking.functions import (
-    ConvexFunction,
     LinearFunction,
     LpDistance,
     RankingFunction,
@@ -34,9 +35,6 @@ class Expr:
     def columns(self) -> set[str]:
         raise NotImplementedError
 
-    def evaluate(self, env: Mapping[str, float]) -> float:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Num(Expr):
@@ -45,9 +43,6 @@ class Num(Expr):
     def columns(self) -> set[str]:
         return set()
 
-    def evaluate(self, env: Mapping[str, float]) -> float:
-        return self.value
-
 
 @dataclass(frozen=True)
 class Col(Expr):
@@ -55,12 +50,6 @@ class Col(Expr):
 
     def columns(self) -> set[str]:
         return {self.name}
-
-    def evaluate(self, env: Mapping[str, float]) -> float:
-        try:
-            return float(env[self.name])
-        except KeyError:
-            raise SqlError(f"unbound column {self.name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -72,23 +61,6 @@ class BinOp(Expr):
     def columns(self) -> set[str]:
         return self.left.columns() | self.right.columns()
 
-    def evaluate(self, env: Mapping[str, float]) -> float:
-        a = self.left.evaluate(env)
-        b = self.right.evaluate(env)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if self.op == "/":
-            if b == 0:
-                raise SqlError("division by zero in ranking expression")
-            return a / b
-        if self.op == "**":
-            return a ** b
-        raise SqlError(f"unknown operator {self.op!r}")
-
 
 @dataclass(frozen=True)
 class Neg(Expr):
@@ -96,9 +68,6 @@ class Neg(Expr):
 
     def columns(self) -> set[str]:
         return self.inner.columns()
-
-    def evaluate(self, env: Mapping[str, float]) -> float:
-        return -self.inner.evaluate(env)
 
 
 @dataclass(frozen=True)
@@ -111,14 +80,6 @@ class Call(Expr):
         for arg in self.args:
             cols |= arg.columns()
         return cols
-
-    def evaluate(self, env: Mapping[str, float]) -> float:
-        values = [arg.evaluate(env) for arg in self.args]
-        if self.name == "abs" and len(values) == 1:
-            return abs(values[0])
-        if self.name == "pow" and len(values) == 2:
-            return values[0] ** values[1]
-        raise SqlError(f"unknown function {self.name!r}/{len(values)}")
 
 
 # ----------------------------------------------------------------------
@@ -144,6 +105,11 @@ def to_ranking_function(
 
     fn = _classify(expr, columns)
     if order == "desc":
+        if not isinstance(fn, LinearFunction):
+            raise SqlError(
+                "ORDER BY ... DESC needs an affine expression: the negation "
+                f"of {fn!r} is not convex"
+            )
         fn = descending(fn)
     return fn
 
@@ -166,10 +132,9 @@ def _classify(expr: Expr, columns: list[str]) -> RankingFunction:
                 p=p,
                 weights=[w for w, _t in ordered],
             )
-    return ConvexFunction(
-        columns,
-        lambda *values: expr.evaluate(dict(zip(columns, values))),
-        name="sql",
+    raise SqlError(
+        "ORDER BY expression is neither affine nor an Lp distance "
+        "sum(w*|x-t|**p), so its convexity is unproven"
     )
 
 

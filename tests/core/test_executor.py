@@ -95,7 +95,9 @@ class TestCorrectness:
     def test_generic_convex(self):
         db, table, rows, schema, executor = make_env(num_rows=800)
         fn = ConvexFunction(
-            ["n1", "n2"], lambda x, y: (x - 0.5) ** 2 + 2 * (y - 0.2) ** 2 + x * y * 0
+            ["n1", "n2"],
+            lambda x, y: (x - 0.5) ** 2 + 2 * (y - 0.2) ** 2 + x * y * 0,
+            subgradient=lambda x, y: (2 * (x - 0.5), 4 * (y - 0.2)),
         )
         query = TopKQuery(5, {"a1": 1}, fn)
         assert_matches_brute(executor, schema, rows, query)

@@ -8,7 +8,7 @@ trace — depends on those bounds' exact bits, so this suite compares
 them bitwise (``-0.0`` and ``0.0`` differ) over every block of random
 grids, including functions that rank a subset of the grid's dimensions
 in a different order (Figure 6's r < R).  Non-separable families report
-``None`` and keep ``min_over_box``.
+``None`` and keep ``min_over_box`` (the affine minorant).
 """
 
 import random
@@ -24,8 +24,8 @@ from repro.ranking import (
     ConvexFunction,
     LinearFunction,
     LpDistance,
-    NegatedFunction,
     QuadraticForm,
+    descending,
 )
 from repro.relational import Database, Schema, TopKQuery, ranking_attr, selection_attr
 
@@ -81,7 +81,7 @@ def test_linear_table_folds_to_min_over_box(data):
         offset=data.draw(st.one_of(st.floats(-2, 2), st.sampled_from([0.0, -0.0]))),
     )
     assert_table_is_min_over_box(fn, grid)
-    assert_table_is_min_over_box(NegatedFunction(fn), grid)
+    assert_table_is_min_over_box(descending(fn), grid)
 
 
 @settings(max_examples=150, deadline=None)
@@ -104,16 +104,19 @@ def test_signed_zero_weights_and_offsets():
     for w in (0.0, -0.0):
         assert_table_is_min_over_box(LinearFunction(["a", "b"], [w, -1.5]), grid)
         assert_table_is_min_over_box(
-            NegatedFunction(LinearFunction(["b"], [w], offset=-0.0)), grid
+            descending(LinearFunction(["b"], [w], offset=-0.0)), grid
         )
 
 
 def test_non_separable_families_report_none():
     quadratic = QuadraticForm(["a", "b"], [[2.0, 0.5], [0.5, 1.0]], center=[0.3, 0.6])
-    convex = ConvexFunction(["a", "b"], lambda a, b: (a - 0.2) ** 2 + abs(b - 0.7))
-    lp_negated = NegatedFunction(LpDistance(["a"], [0.5]))
+    convex = ConvexFunction(
+        ["a", "b"],
+        lambda a, b: (a - 0.2) ** 2 + abs(b - 0.7),
+        subgradient=lambda a, b: (2 * (a - 0.2), (b > 0.7) - (b < 0.7)),
+    )
     edges_ab = [(0.0, 0.5, 1.0), (0.0, 0.25, 1.0)]
-    for fn in (quadratic, convex, lp_negated):
+    for fn in (quadratic, convex):
         assert fn.box_min_terms(edges_ab[: fn.arity]) is None
 
 
@@ -138,12 +141,16 @@ def small_executor(scale=None):
 FUNCTIONS = [
     LinearFunction(["n1", "n2", "n3"], [0.7, -1.2, -0.0], offset=0.25),
     LinearFunction(["n3", "n1"], [1.0, 2.0]),  # r < R, reordered
-    NegatedFunction(LinearFunction(["n2", "n1"], [1.0, -0.5])),
+    descending(LinearFunction(["n2", "n1"], [1.0, -0.5])),
     LpDistance(["n1", "n2"], [0.3, 1.4], p=2.0),
     LpDistance(["n2"], [-0.2], p=1.0),
     LpDistance(["n1", "n2", "n3"], [0.5, 0.5, 0.9], p=3.5),
     QuadraticForm(["n1", "n2"], [[1.0, 0.2], [0.2, 1.0]], center=[0.4, 0.4]),
-    ConvexFunction(["n1", "n3"], lambda a, b: abs(a - 0.6) + (b - 0.1) ** 2),
+    ConvexFunction(
+        ["n1", "n3"],
+        lambda a, b: abs(a - 0.6) + (b - 0.1) ** 2,
+        subgradient=lambda a, b: ((a > 0.6) - (a < 0.6), 2 * (b - 0.1)),
+    ),
 ]
 
 

@@ -6,7 +6,6 @@ from repro.ranking import (
     ConvexFunction,
     LinearFunction,
     LpDistance,
-    NegatedFunction,
     QuadraticForm,
     RankingFunctionError,
     descending,
@@ -33,8 +32,9 @@ class TestLinearFunction:
         assert fn.argmin_over_box([0.0, 0.0], [1.0, 1.0]) == (0.0, 1.0)
 
     def test_global_minimizer(self):
+        # the search's start point: the minimizer over the unit hypercube
         fn = LinearFunction(["x", "y"], [1.0, 1.0])
-        assert fn.global_minimizer() == (0.0, 0.0)
+        assert fn.argmin_over_box([0.0, 0.0], [1.0, 1.0]) == (0.0, 0.0)
 
     def test_skewness(self):
         assert LinearFunction(["x", "y"], [1.0, 0.25]).skewness() == 0.25
@@ -127,6 +127,14 @@ class TestQuadraticForm:
         fn = QuadraticForm(["x", "y"], [[1.0, 0.0], [0.0, 1.0]], center=[0.5, 0.5])
         assert fn.min_over_box([0.0, 0.0], [1.0, 1.0]) == pytest.approx(0.0, abs=1e-6)
         assert fn.min_over_box([0.7, 0.7], [1.0, 1.0]) == pytest.approx(0.08, abs=1e-5)
+        # a bound, never above the true minimum
+        assert fn.min_over_box([0.0, 0.0], [1.0, 1.0]) <= 0.0
+        assert fn.min_over_box([0.7, 0.7], [1.0, 1.0]) <= fn.score([0.7, 0.7])
+
+    def test_gradient(self):
+        # (Q + Q')(x - c) + b, with an asymmetric Q
+        fn = QuadraticForm(["x", "y"], [[1.0, 2.0], [0.0, 1.0]], linear=[0.5, -1.0])
+        assert fn.subgradient([1.0, 2.0]) == [1.0 * 2 + 2.0 * 2 + 0.5, 2.0 * 1 + 2.0 * 2 - 1.0]
 
     def test_non_square_matrix_rejected(self):
         with pytest.raises(RankingFunctionError):
@@ -140,16 +148,36 @@ class TestQuadraticForm:
 
 class TestConvexFunction:
     def test_wraps_callable(self):
-        fn = ConvexFunction(["x", "y"], lambda x, y: x * x + y, name="mixed")
+        fn = ConvexFunction(
+            ["x", "y"],
+            lambda x, y: x * x + y,
+            subgradient=lambda x, y: (2 * x, 1.0),
+            name="mixed",
+        )
         assert fn.score([2.0, 1.0]) == 5.0
+        assert fn.subgradient([2.0, 1.0]) == (4.0, 1.0)
 
     def test_numeric_min_over_box(self):
-        fn = ConvexFunction(["x"], lambda x: (x - 0.3) ** 2)
+        fn = ConvexFunction(
+            ["x"], lambda x: (x - 0.3) ** 2, subgradient=lambda x: (2 * (x - 0.3),)
+        )
         assert fn.min_over_box([0.0], [1.0]) == pytest.approx(0.0, abs=1e-6)
         assert fn.min_over_box([0.5], [1.0]) == pytest.approx(0.04, abs=1e-5)
+        assert fn.min_over_box([0.5], [1.0]) <= fn.score([0.5])
+
+    def test_subgradient_is_required(self):
+        with pytest.raises(TypeError):
+            ConvexFunction(["x"], lambda x: x * x)
+
+    def test_subgradient_length_checked(self):
+        fn = ConvexFunction(["x", "y"], lambda x, y: x + y, subgradient=lambda x, y: (1.0,))
+        with pytest.raises(RankingFunctionError, match="slopes"):
+            fn.min_over_box([0.0, 0.0], [1.0, 1.0])
 
     def test_convexity_spot_check_rejects_concave(self):
-        fn = ConvexFunction(["x"], lambda x: -(x - 0.5) ** 2)
+        fn = ConvexFunction(
+            ["x"], lambda x: -(x - 0.5) ** 2, subgradient=lambda x: (-2 * (x - 0.5),)
+        )
         assert not is_convex_on_samples(fn, [(0.0,), (1.0,), (0.5,)])
 
 
@@ -160,8 +188,10 @@ class TestDescending:
         assert flipped.score([0.7]) == -0.7
 
     def test_double_negation_returns_original(self):
-        fn = LinearFunction(["x"], [1.0])
-        assert descending(descending(fn)) is fn
+        fn = LinearFunction(["x"], [1.0], offset=0.5)
+        twice = descending(descending(fn))
+        assert isinstance(twice, LinearFunction)
+        assert twice.cache_key() == fn.cache_key()
 
     def test_min_over_box_linear_closed_form(self):
         fn = descending(LinearFunction(["x", "y"], [1.0, 1.0]))
@@ -174,10 +204,13 @@ class TestDescending:
         assert fn.min_over_box([0.0], [1.0]) == pytest.approx(-3.0)
         assert fn.score([1.0]) == pytest.approx(-3.0)
 
-    def test_wraps_generic(self):
-        inner = LpDistance(["x"], [0.5])
-        flipped = NegatedFunction(inner)
-        assert flipped.score([0.5]) == 0.0
+    def test_rejects_non_linear(self):
+        # the negation of a convex, non-linear function is concave
+        generic = ConvexFunction(["x"], lambda x: x * x, subgradient=lambda x: (2 * x,))
+        quadratic = QuadraticForm(["x"], [[1.0]])
+        for fn in (LpDistance(["x"], [0.5]), quadratic, generic):
+            with pytest.raises(RankingFunctionError, match="linear"):
+                descending(fn)
 
 
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]

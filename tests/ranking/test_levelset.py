@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from repro.ranking import ConvexFunction, LinearFunction, LpDistance
+from repro.ranking import (
+    ConvexFunction,
+    LinearFunction,
+    LpDistance,
+    QuadraticForm,
+    RankingFunctionError,
+)
 from repro.ranking.levelset import level_set_box
 
 UNIT = ([0.0, 0.0], [1.0, 1.0])
@@ -95,28 +101,16 @@ class TestLpBounds:
                     assert all(l - 1e-9 <= v <= h + 1e-9 for v, l, h in zip(point, lo, hi))
 
 
-class TestGenericBounds:
-    def test_matches_l2_closed_form(self):
+class TestOtherFamiliesRejected:
+    def test_non_closed_form_families_raise(self):
+        """Only linear and Lp functions have exact level-set edges; an
+        approximate edge would narrow the range and drop tuples."""
         generic = ConvexFunction(
-            ["x", "y"], lambda x, y: (x - 0.5) ** 2 + (y - 0.5) ** 2
+            ["x", "y"],
+            lambda x, y: (x - 0.5) ** 2 + (y - 0.5) ** 2,
+            subgradient=lambda x, y: (2 * (x - 0.5), 2 * (y - 0.5)),
         )
-        lo, hi = level_set_box(generic, 0.04, *UNIT)
-        assert lo[0] == pytest.approx(0.3, abs=1e-3)
-        assert hi[0] == pytest.approx(0.7, abs=1e-3)
-
-    def test_bounds_conservative(self):
-        generic = ConvexFunction(["x", "y"], lambda x, y: x * x + 2 * y * y + x * y)
-        threshold = 0.5
-        lo, hi = level_set_box(generic, threshold, *UNIT)
-        rng = random.Random(31)
-        for _ in range(60):
-            point = (rng.random(), rng.random())
-            if generic.score(point) <= threshold:
-                assert all(
-                    l - 1e-4 <= v <= h + 1e-4 for v, l, h in zip(point, lo, hi)
-                )
-
-    def test_empty_level_set(self):
-        generic = ConvexFunction(["x"], lambda x: (x - 0.5) ** 2 + 1.0)
-        lo, hi = level_set_box(generic, 0.5, [0.0], [1.0])
-        assert lo == hi
+        quadratic = QuadraticForm(["x", "y"], [[1.0, 0.0], [0.0, 1.0]], center=[0.5, 0.5])
+        for fn in (generic, quadratic):
+            with pytest.raises(RankingFunctionError, match="linear or Lp"):
+                level_set_box(fn, 0.04, *UNIT)

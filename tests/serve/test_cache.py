@@ -182,7 +182,13 @@ class TestBoundMemo:
         assert memo.group(FakeFn(("f1",)), FakeGrid()) == {}
 
     def test_real_ranking_functions_have_value_keys(self):
-        from repro.ranking import ConvexFunction, LinearFunction, LpDistance, descending
+        from repro.ranking import (
+            ConvexFunction,
+            LinearFunction,
+            LpDistance,
+            RankingFunctionError,
+            descending,
+        )
 
         a = LinearFunction(["n1", "n2"], [1.0, 2.0])
         b = LinearFunction(["n1", "n2"], [1.0, 2.0])
@@ -191,9 +197,10 @@ class TestBoundMemo:
         assert a.cache_key() != c.cache_key()
         assert LpDistance(["n1"], [0.5]).cache_key() is not None
         assert descending(a).cache_key() is not None
-        opaque = ConvexFunction(["n1"], lambda x: x * x)
+        opaque = ConvexFunction(["n1"], lambda x: x * x, subgradient=lambda x: (2 * x,))
         assert opaque.cache_key() is None
-        assert descending(opaque).cache_key() is None
+        with pytest.raises(RankingFunctionError):  # only linear functions flip
+            descending(opaque)
 
 
 class TestTidBoundProperty:

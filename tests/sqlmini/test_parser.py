@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.ranking import (
-    ConvexFunction,
-    LinearFunction,
-    LpDistance,
-    NegatedFunction,
-)
+from repro.ranking import LinearFunction, LpDistance
 from repro.relational import Schema, ranking_attr, selection_attr
 from repro.sqlmini import SqlError, compile_topk, parse_topk
 
@@ -131,15 +126,16 @@ class TestCompilation:
         query = compile_topk(
             "SELECT TOP 5 FROM R ORDER BY price + mileage DESC", make_schema()
         )
-        assert isinstance(query.ranking, NegatedFunction)
+        assert isinstance(query.ranking, LinearFunction)
+        assert query.ranking.weights == (-1.0, -1.0)
         assert query.ranking.score([1.0, 1.0]) == -2.0
 
     def test_generic_convex_fallback(self):
-        query = compile_topk(
-            "SELECT TOP 5 FROM R ORDER BY price*price + mileage", make_schema()
-        )
-        assert isinstance(query.ranking, ConvexFunction)
-        assert query.ranking.score([3.0, 1.0]) == pytest.approx(10.0)
+        """There is none: an expression that is neither affine nor an Lp
+        distance has no proven convexity, so it is refused."""
+        for order_by in ("price*price + mileage", "price*mileage"):
+            with pytest.raises(SqlError, match="neither affine nor an Lp"):
+                compile_topk(f"SELECT TOP 5 FROM R ORDER BY {order_by}", make_schema())
 
     def test_value_encoders(self):
         query = compile_topk(

@@ -14,8 +14,8 @@ from repro.ranking.functions import (
     ConvexFunction,
     LinearFunction,
     LpDistance,
-    NegatedFunction,
     QuadraticForm,
+    descending,
 )
 from repro.vector.kernels import (
     decode_block,
@@ -40,8 +40,18 @@ FUNCTIONS = [
     LpDistance(("n1", "n2"), (0.5, 0.1), p=1.0),
     LpDistance(("n1", "n2"), (0.2, 0.9), p=1.7),  # scalar-fallback exponent
     QuadraticForm(("n1", "n2"), [[2.0, 0.5], [0.5, 1.0]], center=(0.4, 0.6)),
-    NegatedFunction(LinearFunction(("n1", "n2"), (0.9, 0.2))),
-    ConvexFunction(("n1", "n2"), lambda x, y: max(x, y), name="max"),
+    # The descending case keeps the id it had when descending order was a
+    # NegatedFunction wrapper; its repr is now a plain LinearFunction's.
+    pytest.param(
+        descending(LinearFunction(("n1", "n2"), (0.9, 0.2))),
+        id="NegatedFunction(descending(LinearFunction))",
+    ),
+    ConvexFunction(
+        ("n1", "n2"),
+        lambda x, y: max(x, y),
+        subgradient=lambda x, y: (1.0, 0.0) if x >= y else (0.0, 1.0),
+        name="max",
+    ),
 ]
 
 
