@@ -107,29 +107,3 @@ def test_pseudo_blocking_ablation(benchmark, bench_tuples, bench_queries):
         return sum(pseudo.pid_of_bid(bid) for bid in range(0, grid.num_blocks, 13))
 
     benchmark(map_all)
-
-
-def test_compression_ablation(benchmark, bench_tuples, bench_queries):
-    from repro.bench.experiments import ablation_compression
-
-    result = ablation_compression(
-        num_tuples=bench_tuples, queries_per_point=bench_queries
-    )
-    emit(result, metric="space_bytes")
-    off = result.points[0].metrics["ranking_cube"]
-    on = result.points[1].metrics["ranking_cube"]
-    # compression saves at least 20% of cuboid storage
-    assert on.space_bytes < 0.8 * off.space_bytes
-    # and costs no extra page I/O per query
-    assert on.pages_read <= off.pages_read * 1.2
-
-    # micro-benchmark encode+decode of a realistic cell
-    from repro.core import decode_tid_list, encode_tid_list
-
-    records = [(tid * 3, tid % 50) for tid in range(500)]
-
-    def codec_roundtrip():
-        return decode_tid_list(encode_tid_list(records))
-
-    decoded = benchmark(codec_roundtrip)
-    assert len(decoded) == 500

@@ -13,7 +13,11 @@
 #                         structural test that B+-tree nodes have one
 #                         (struct-packed) format: nothing under
 #                         repro/index/ imports pickle and no tree owner
-#                         takes a fanout.  test_single_search.py also pins
+#                         takes a fanout; and that every cuboid is a
+#                         ChainStore: no function under src/repro takes
+#                         a compress parameter and no CompressedChainStore
+#                         / compressed / encode_tid_list / decode_tid_list
+#                         identifier is left.  test_single_search.py also pins
 #                         min_over_box( to one (fallback) call site and the
 #                         evaluate step's get_base_block(bid, qualifying)
 #                         read, and keeps one scoring engine: _score_block

@@ -452,42 +452,6 @@ def ablation_pseudo_blocking(
     return result
 
 
-def ablation_compression(
-    num_tuples: int = 30_000, queries_per_point: int = 6, seed: int = 97
-) -> ExperimentResult:
-    """Tid-list compression on vs. off (Section 6's compression note).
-
-    Compares cuboid storage bytes (reported via ``space_bytes``) and query
-    cost: gap+varint coding shrinks the cuboids substantially and, because
-    cells span fewer pages, usually reads slightly less per query too.
-    """
-    dataset = generate(SyntheticSpec(num_tuples=num_tuples, seed=seed))
-    gen = QueryGenerator(dataset.schema, QuerySpec(seed=seed))
-    queries = gen.batch(queries_per_point)
-    result = ExperimentResult(
-        "ablation_compression", "tid-list compression", "compression",
-        notes="space_bytes = cuboid storage; io_cost = per-query cost",
-    )
-    for name, compress in (("off", False), ("on", True)):
-        db = Database()
-        table = dataset.load_into(db)
-        cube = RankingCube.build(table, compress=compress)
-        env = Environment(
-            db,
-            table,
-            {METHOD_RANKING_CUBE: RankingCubeExecutor(cube, table)},
-            cube=cube,
-        )
-        metrics = env.run(METHOD_RANKING_CUBE, queries)
-        metrics.space_bytes = float(
-            sum(c.size_in_bytes for c in cube.cuboids.values())
-        )
-        result.points.append(
-            SeriesPoint(x=name, metrics={METHOD_RANKING_CUBE: metrics})
-        )
-    return result
-
-
 def extra_prior_art(
     num_tuples: int = 30_000, queries_per_point: int = 6, seed: int = 103
 ) -> ExperimentResult:
@@ -601,7 +565,6 @@ ALL_EXPERIMENTS = {
     "fig15": fig15_covertype,
     "ablation_partitioner": ablation_partitioner,
     "ablation_pseudo_blocking": ablation_pseudo_blocking,
-    "ablation_compression": ablation_compression,
     "extra_prior_art": extra_prior_art,
     "extra_hybrid_routing": extra_hybrid_routing,
 }

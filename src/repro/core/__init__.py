@@ -15,7 +15,6 @@ from .compaction import (
     CompactionReport,
     CubeCompactor,
 )
-from .compressed import CompressedChainStore, decode_tid_list, encode_tid_list
 from .cube import (
     DEFAULT_BLOCK_SIZE,
     CubeError,
@@ -69,7 +68,6 @@ __all__ = [
     "CompactionError",
     "CompactionReport",
     "CostEstimate",
-    "CompressedChainStore",
     "CubeCompactor",
     "CubeError",
     "CubeSnapshot",
@@ -95,8 +93,6 @@ __all__ = [
     "count_family",
     "reverse_topk",
     "simplex_grid_family",
-    "decode_tid_list",
-    "encode_tid_list",
     "estimate_baseline_cost",
     "estimate_cube_cost",
     "estimate_qualifying",

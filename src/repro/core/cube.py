@@ -105,7 +105,6 @@ class RankingCube:
         cuboid_sets: Iterable[Sequence[str]] | None = None,
         grid: BlockGrid | None = None,
         pseudo_scale_override: int | None = None,
-        compress: bool = False,
         tracer=None,
     ) -> "RankingCube":
         """Materialize a ranking cube from a loaded table.
@@ -169,7 +168,7 @@ class RankingCube:
                 family.setdefault(frozenset(dims), (dims, pseudo_scale_override))
             base_table, cuboids = materialize(
                 table.pool, grid, schema, list(family.values()), rows,
-                compress=compress, tracer=tracer,
+                tracer=tracer,
             )
 
             if build_span is not None:
@@ -469,12 +468,6 @@ class CubeSnapshot:
             raise CubeError(f"mixed cuboid generations: {sorted(epochs)}")
         return epochs.pop() if epochs else 0
 
-    @property
-    def compressed(self) -> bool:
-        """Whether the cuboids use the gap-coded encoding; a maintenance
-        rebuild writes its cuboids in the same one."""
-        return any(c.compressed for c in self.cuboids.values())
-
 
 def _covering_cuboids(
     cuboids: dict[frozenset, RankingCuboid], query_dims: Sequence[str]
@@ -625,7 +618,6 @@ def materialize(
     rows: ScannedRows,
     *,
     with_base: bool = True,
-    compress: bool = False,
     epoch: int = 0,
     tracer=None,
 ) -> tuple[BaseBlockTable | None, dict[frozenset, RankingCuboid]]:
@@ -645,7 +637,7 @@ def materialize(
         cuboids = {
             frozenset(dims): RankingCuboid.from_groups(
                 pool, dims, schema.cardinalities(dims), grid, groups,
-                scale_override=scale, compress=compress, epoch=epoch,
+                scale_override=scale, epoch=epoch,
             )
             for (dims, scale), groups in zip(family, cuboid_groups)
         }

@@ -21,6 +21,7 @@ import numpy as np
 from ..storage.buffer import BufferPool
 from ..storage.pages import RecordCodec
 from .blocks import BlockGrid
+from .chains import ChainStore
 from .pseudo import PseudoBlockMap, scale_factor
 
 
@@ -56,7 +57,6 @@ class RankingCuboid:
         cardinalities: Sequence[int],
         grid: BlockGrid,
         scale_override: int | None = None,
-        compress: bool = False,
         epoch: int = 0,
     ):
         if len(dims) != len(cardinalities):
@@ -75,16 +75,7 @@ class RankingCuboid:
             else scale_override
         )
         self.pseudo = PseudoBlockMap(grid, sf)
-        # local imports avoid a cycle at module load
-        if compress:
-            from .compressed import CompressedChainStore
-
-            self._store = CompressedChainStore(pool)
-        else:
-            from .chains import ChainStore
-
-            self._store = ChainStore(pool, RecordCodec("qi"))  # (tid, bid)
-        self.compressed = compress
+        self._store = ChainStore(pool, RecordCodec("qi"))  # (tid, bid)
         self.access_count = 0
         #: maintenance generation: bumped each time compaction replaces
         #: this cuboid with a rebuilt one.  Part of serving-cache keys, so
@@ -103,7 +94,6 @@ class RankingCuboid:
         grid: BlockGrid,
         groups: dict[tuple, list[tuple[int, int]]],
         scale_override: int | None = None,
-        compress: bool = False,
         epoch: int = 0,
     ) -> "RankingCuboid":
         """Materialize from a grouped ``cell key -> pairs`` map (one of
@@ -117,7 +107,7 @@ class RankingCuboid:
         """
         cuboid = cls(
             pool, dims, cardinalities, grid,
-            scale_override=scale_override, compress=compress, epoch=epoch,
+            scale_override=scale_override, epoch=epoch,
         )
         cuboid._store.build(groups.items())
         return cuboid
@@ -137,8 +127,7 @@ class RankingCuboid:
         ``bid -> pid`` table."""
         cuboid = type(self)(
             self._store.pool, self.dims, self.cardinalities, self.grid,
-            scale_override=self.scale_factor, compress=self.compressed,
-            epoch=self.epoch + 1,
+            scale_override=self.scale_factor, epoch=self.epoch + 1,
         )
         cuboid.pseudo = self.pseudo
         cuboid._store.splice(runs, additions)

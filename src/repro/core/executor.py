@@ -175,14 +175,6 @@ class ExecutorTrace:
     empty_cells_skipped: int = 0
     frontier_peak: int = 0
 
-    def cache_attribution(self) -> dict[str, int]:
-        """Retrieve-step requests by answering layer (for ablation tables)."""
-        return {
-            "cold_fetches": self.pseudo_block_fetches,
-            "query_buffer_hits": self.pseudo_block_buffer_hits,
-            "shared_cache_hits": self.shared_cache_hits,
-        }
-
 
 @dataclass(frozen=True)
 class QueryPlan:

@@ -98,7 +98,6 @@ class FragmentedRankingCube(RankingCube):
         block_size: int = DEFAULT_BLOCK_SIZE,
         partitioner: Partitioner | None = None,
         fragments: Sequence[Sequence[str]] | None = None,
-        compress: bool = False,
         tracer=None,
     ) -> "FragmentedRankingCube":
         """Materialize ranking fragments over a loaded table.
@@ -126,7 +125,6 @@ class FragmentedRankingCube(RankingCube):
             block_size=block_size,
             partitioner=partitioner,
             cuboid_sets=fragment_cuboid_sets(fragments),
-            compress=compress,
             tracer=tracer,
         )
         return cls(

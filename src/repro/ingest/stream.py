@@ -42,7 +42,6 @@ import time
 from pathlib import Path
 
 from ..core.compaction import CubeCompactor
-from ..core.cube import RankingCube
 from ..persist import PersistError, ShardedWorkspace, Workspace
 from ..relational.table import check_rows
 from .wal import WalError, WalRecord, WriteAheadLog
@@ -398,39 +397,26 @@ class ShardedStreamIngestor:
             wal.rewrite(records)
         ingestor = cls(cube, wal_path, directory=directory, **kwargs)
         ingestor.repaired_tail_bytes = torn
-        replayed = 0
-        touched: set[int] = set()
+        missed: dict[int, tuple] = {}
         for record in records:
             for offset, row in enumerate(record.rows):
                 gtid = record.first_tid + offset
-                if gtid in cube._owner:
-                    continue  # a per-shard refresh already covers it
-                shard_id = cube.shard_map.shard_of_append_row(
-                    gtid, row, cube.schema
-                )
-                shard = cube.shards[shard_id]
-                shard.table.insert_rows([row])
-                cube._owner[gtid] = (shard_id, len(shard.tid_map))
-                shard.tid_map.append(gtid)
-                cube._num_rows += 1
-                touched.add(shard_id)
-                replayed += 1
+                # a per-shard refresh may already cover a logged row
+                if cube.owner_of(gtid) is None:
+                    missed.setdefault(gtid, row)
+        cube.place_rows(missed.items())
+        replayed = len(missed)
         # Global tids must come out contiguous: snapshots plus the
         # replayed suffix cover 0..num_rows-1 exactly, or the WAL and
         # snapshot directory are from different histories.
-        if cube.num_rows and max(cube._owner) != cube.num_rows - 1:
+        gap = next(
+            (t for t in range(cube.num_rows) if cube.owner_of(t) is None), None
+        )
+        if gap is not None:
             raise IngestError(
-                f"WAL gap: deployment holds {cube.num_rows} rows but the "
-                f"highest covered tid is {max(cube._owner)}"
+                f"WAL gap: deployment holds {cube.num_rows} rows but no "
+                f"shard holds tid {gap}"
             )
-        for shard_id in sorted(touched):
-            shard = cube.shards[shard_id]
-            if shard.cube is None:
-                shard.cube = RankingCube.build(
-                    shard.table, **shard.build_kwargs
-                )
-            else:
-                shard.cube.refresh_delta(shard.table)
         if replayed:
             ingestor._applied()
         ingestor.recovered_rows = replayed

@@ -16,6 +16,7 @@ a different release.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -25,7 +26,7 @@ from pathlib import Path
 
 from .core.cube import RankingCube
 from .relational.database import Database
-from .storage.device import PageCorruptionError, StorageError
+from .storage.device import StorageError
 
 _MAGIC = b"RCUBEWS\n"
 #: Bumped whenever a pickled page image or store changes layout.  v1
@@ -165,23 +166,6 @@ class Workspace:
         cube = self.cube(name)
         return CubeCompactor(cube, self.db.pool, **kwargs).compact_once()
 
-    def verify_integrity(self) -> list[int]:
-        """Read every device page, returning the ids that are damaged.
-
-        The crash-consistency check: after reopening a workspace (or after
-        a simulated crash dropped unflushed pages), every page must be
-        readable or *detectably* invalid.  Detection is by typed error;
-        anything else propagates as the bug it would be.
-        """
-        device = self.db.device
-        corrupt: list[int] = []
-        for page_id in range(device.num_pages):
-            try:
-                device.read(page_id)
-            except (PageCorruptionError, StorageError):
-                corrupt.append(page_id)
-        return corrupt
-
     @classmethod
     def load(cls, path: str | Path) -> "Workspace":
         """Read and validate a snapshot written by :meth:`save`."""
@@ -189,32 +173,45 @@ class Workspace:
             data = Path(path).read_bytes()
         except OSError as exc:
             raise PersistError(f"cannot read snapshot: {exc}") from exc
-        stream = io.BytesIO(data)
-        magic = stream.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise PersistError("not a ranking-cube workspace snapshot")
-        version = int.from_bytes(stream.read(4), "little")
-        if version != FORMAT_VERSION:
-            raise PersistError(
-                f"snapshot format v{version} is not supported "
-                f"(this build reads v{FORMAT_VERSION})"
-            )
-        length = int.from_bytes(stream.read(8), "little")
-        digest = stream.read(32)
-        payload = stream.read()
-        if len(payload) != length:
-            raise PersistError(
-                f"snapshot truncated: header promises {length} bytes, "
-                f"found {len(payload)}"
-            )
-        if hashlib.sha256(payload).digest() != digest:
-            raise PersistError("snapshot checksum mismatch (corrupted file)")
+        return _decode_workspace(data)
+
+
+def _decode_workspace(data: bytes) -> Workspace:
+    """Check a snapshot's header and checksum, then unpickle it."""
+    stream = io.BytesIO(data)
+    magic = stream.read(len(_MAGIC))
+    if magic != _MAGIC:
+        raise PersistError("not a ranking-cube workspace snapshot")
+    version = int.from_bytes(stream.read(4), "little")
+    if version != FORMAT_VERSION:
+        raise PersistError(
+            f"snapshot format v{version} is not supported "
+            f"(this build reads v{FORMAT_VERSION})"
+        )
+    length = int.from_bytes(stream.read(8), "little")
+    digest = stream.read(32)
+    payload = stream.read()
+    if len(payload) != length:
+        raise PersistError(
+            f"snapshot truncated: header promises {length} bytes, "
+            f"found {len(payload)}"
+        )
+    if hashlib.sha256(payload).digest() != digest:
+        raise PersistError("snapshot checksum mismatch (corrupted file)")
+    try:
         workspace = pickle.loads(payload)
-        if not isinstance(workspace, cls):
-            raise PersistError(
-                f"snapshot holds a {type(workspace).__name__}, not a Workspace"
-            )
-        return workspace
+    except Exception as exc:
+        # An intact payload that names a class or module this build
+        # lacks (say, a store type since retired) fails here.
+        raise PersistError(
+            f"snapshot payload does not unpickle in this build "
+            f"({type(exc).__name__}: {exc})"
+        ) from exc
+    if not isinstance(workspace, Workspace):
+        raise PersistError(
+            f"snapshot holds a {type(workspace).__name__}, not a Workspace"
+        )
+    return workspace
 
 
 def save_workspace(
@@ -238,6 +235,32 @@ SHARD_MANIFEST = "manifest.json"
 #: has one serial grouping path); a v1 manifest's would fail its first
 #: deferred shard build, so it is refused at load.
 SHARD_MANIFEST_VERSION = 2
+
+
+#: What a manifest's ``build_kwargs`` may name: the shard builder replays
+#: them into :meth:`RankingCube.build` at the first deferred build.
+_BUILD_PARAMETERS = frozenset(
+    inspect.signature(RankingCube.build).parameters
+) - {"table"}
+
+
+def load_pinned_shard(directory: str | Path, entry: dict) -> Workspace:
+    """Load the shard snapshot a manifest ``entry`` names, after checking
+    the file's SHA-256 against the entry's pin.  The one pin check: a
+    sharded reload and a process-mode worker both load through it."""
+    name = entry["file"]
+    try:
+        data = (Path(directory) / name).read_bytes()
+    except OSError as exc:
+        raise PersistError(f"missing shard snapshot {name!r}: {exc}") from exc
+    digest = hashlib.sha256(data).hexdigest()
+    if digest != entry["sha256"]:
+        raise PersistError(
+            f"shard snapshot {name!r} does not match its manifest pin "
+            f"(torn multi-file save or corruption: expected "
+            f"{entry['sha256'][:12]}…, found {digest[:12]}…)"
+        )
+    return _decode_workspace(data)
 
 
 @dataclass
@@ -363,19 +386,14 @@ class ShardedWorkspace:
         shard_map = ShardMap.from_manifest(manifest["shard_map"])
         shards = []
         for entry in manifest["shards"]:
-            path = directory / entry["file"]
-            try:
-                data = path.read_bytes()
-            except OSError as exc:
+            build_kwargs = dict(entry.get("build_kwargs", {}))
+            unknown = sorted(set(build_kwargs) - _BUILD_PARAMETERS)
+            if unknown:
                 raise PersistError(
-                    f"missing shard snapshot {entry['file']!r}: {exc}"
-                ) from exc
-            if hashlib.sha256(data).hexdigest() != entry["sha256"]:
-                raise PersistError(
-                    f"shard snapshot {entry['file']!r} does not match the "
-                    "manifest (torn multi-file save or corruption)"
+                    f"shard {entry['shard_id']} build_kwargs name "
+                    f"{unknown}, which RankingCube.build does not take"
                 )
-            workspace = Workspace.load(path)
+            workspace = load_pinned_shard(directory, entry)
             table = workspace.db.table(name)
             shards.append(
                 CubeShard(
@@ -384,7 +402,7 @@ class ShardedWorkspace:
                     table=table,
                     cube=workspace.cubes.get(name),
                     tid_map=[int(t) for t in entry["tid_map"]],
-                    build_kwargs=dict(entry.get("build_kwargs", {})),
+                    build_kwargs=build_kwargs,
                 )
             )
         shards.sort(key=lambda s: s.shard_id)

@@ -18,7 +18,7 @@ from ..index.secondary import SecondaryIndex
 from ..storage.buffer import BufferPool
 from ..storage.heap import HeapFile, Rid
 from ..storage.pages import RecordCodec
-from .schema import Schema, SchemaError
+from .schema import Schema
 
 
 class TableError(Exception):
@@ -238,13 +238,3 @@ class Table:
         secondary = sum(ix.size_in_bytes for ix in self.secondary_indexes.values())
         composite = sum(ix.size_in_bytes for ix in self.composite_indexes.values())
         return secondary + composite
-
-    def ranking_positions(self, dims: Sequence[str]) -> list[int]:
-        """Tuple positions (tid-offset included) of the given ranking dims."""
-        positions = []
-        for dim in dims:
-            attr = self.schema.attribute(dim)
-            if not attr.is_ranking:
-                raise SchemaError(f"{dim!r} is not a ranking attribute")
-            positions.append(1 + self.schema.position(dim))
-        return positions

@@ -299,7 +299,7 @@ class CubeAdvisor(MaintenanceDaemon):
         _base, built = materialize(
             self.pool, state.grid, self.table.schema,
             [(tuple(sorted(key)), None) for key in promote], rows,
-            with_base=False, compress=state.compressed, epoch=state.epoch,
+            with_base=False, epoch=state.epoch,
             tracer=self.tracer,
         )
         return built

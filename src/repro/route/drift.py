@@ -160,7 +160,6 @@ def repartition_cube(
             table.schema,
             [(c.dims, c.scale_factor) for c in old],
             rows,
-            compress=state.compressed,
             epoch=state.epoch + 1,
             tracer=tracer,
         )

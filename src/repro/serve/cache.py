@@ -307,11 +307,6 @@ class BlockCache:
             return dropped
 
     @property
-    def resident_blocks(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    @property
     def resident_tuples(self) -> int:
         with self._lock:
             return self._resident_tuples
@@ -321,7 +316,8 @@ class BlockCache:
             return key in self._entries
 
     def __len__(self) -> int:
-        return self.resident_blocks
+        with self._lock:
+            return len(self._entries)
 
 
 class BoundMemo:
@@ -407,8 +403,3 @@ class BoundMemo:
     def resident_groups(self) -> int:
         with self._lock:
             return len(self._groups)
-
-    @property
-    def resident_bounds(self) -> int:
-        with self._lock:
-            return sum(len(memo) for memo in self._groups.values())

@@ -34,7 +34,6 @@ front end a :class:`ShardWorkerHandle` with the endpoint's own calls:
 
 from __future__ import annotations
 
-import hashlib
 import multiprocessing
 import os
 import threading
@@ -70,33 +69,13 @@ def spawn_context() -> multiprocessing.context.BaseContext:
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-def _verify_pinned_snapshot(directory: Path, entry: dict) -> bytes:
-    """Read a shard snapshot and check it against its manifest pin."""
-    from ..persist import PersistError
-
-    path = directory / entry["file"]
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise PersistError(f"missing shard snapshot {entry['file']!r}: {exc}") from exc
-    digest = hashlib.sha256(data).hexdigest()
-    if digest != entry["sha256"]:
-        raise PersistError(
-            f"shard snapshot {entry['file']!r} does not match its manifest "
-            f"pin (expected {entry['sha256'][:12]}…, found {digest[:12]}…)"
-        )
-    return data
-
-
 def _load_endpoint(
     directory: str, entry: dict, cube_name: str, options: dict
 ) -> ShardEndpoint:
     """Load the pinned snapshot and stand the shard's endpoint on it."""
-    from ..persist import Workspace
+    from ..persist import load_pinned_shard
 
-    directory = Path(directory)
-    _verify_pinned_snapshot(directory, entry)
-    workspace = Workspace.load(directory / entry["file"])
+    workspace = load_pinned_shard(directory, entry)
     return ShardEndpoint(
         int(entry["shard_id"]),
         workspace.db,

@@ -835,9 +835,9 @@ class ShardedQueryService(_FrontEnd):
             target = self.cube.fetch_by_tid(query.tid)
         except StorageError as exc:
             # the fetch touched exactly the owning shard's device
-            owner = self.cube._owner.get(query.tid)
+            owner = self.cube.owner_of(query.tid)
             if owner is not None:
-                _blame_shard(exc, owner[0])
+                _blame_shard(exc, owner)
             raise
         return score_target(self.cube.schema, target, query)
 
@@ -1053,9 +1053,9 @@ class ShardedQueryService(_FrontEnd):
         try:
             record = self.cube.fetch_by_tid(row.tid)
         except StorageError as exc:
-            owner = self.cube._owner.get(row.tid)
+            owner = self.cube.owner_of(row.tid)
             if owner is not None:
-                _blame_shard(exc, owner[0])
+                _blame_shard(exc, owner)
             raise
         schema = self.cube.schema
         values = tuple(

@@ -134,6 +134,12 @@ class ShardedCube:
             raise ShardError(f"no shard owns tid {gtid}") from None
         return self.shards[shard_id], local
 
+    def owner_of(self, gtid: int) -> int | None:
+        """The id of the shard holding global tid ``gtid``, or ``None``
+        when no shard does."""
+        owner = self._owner.get(gtid)
+        return None if owner is None else owner[0]
+
     def fetch_by_tid(self, gtid: int) -> tuple:
         """Point-fetch one row by global tid (projection support)."""
         shard, local = self.locate_tid(gtid)
@@ -169,20 +175,28 @@ class ShardedCube:
     def append_rows(self, rows: Iterable[Sequence]) -> int:
         """Append rows with fresh sequential global tids; returns count.
 
-        Rows route per :meth:`ShardMap.shard_of_append_row`; each
-        touched shard bulk-inserts its slice and refreshes its cube's
-        delta store, so the next query snapshot on every shard sees the
-        new tuples (under local tids — the serving layer translates).
-        The whole batch is checked first, so a bad row changes no shard.
+        The whole batch is checked first, so a bad row changes no shard;
+        then :meth:`place_rows` routes it.
         """
         rows = check_rows(self.schema, rows)
+        self.place_rows(enumerate(rows, start=self._num_rows))
+        return len(rows)
+
+    def place_rows(self, placed: Iterable[tuple[int, Sequence]]) -> None:
+        """Insert each ``(global tid, row)`` of ``placed`` on the shard
+        :meth:`ShardMap.shard_of_append_row` routes it to.
+
+        ``placed`` runs in ascending tid order, so every shard's tid map
+        stays sorted.  Each touched shard bulk-inserts its slice and
+        refreshes its cube's delta store, so the next query snapshot on
+        every shard sees the new tuples (under local tids — the serving
+        layer translates).  Appends and the WAL replay both place rows
+        through here.
+        """
         buckets: dict[int, list[tuple[int, Sequence]]] = {}
-        count = 0
-        for row in rows:
-            gtid = self._num_rows + count
+        for gtid, row in placed:
             shard_id = self.shard_map.shard_of_append_row(gtid, row, self.schema)
             buckets.setdefault(shard_id, []).append((gtid, row))
-            count += 1
         for shard_id in sorted(buckets):
             shard = self.shards[shard_id]
             pairs = buckets[shard_id]
@@ -196,8 +210,7 @@ class ShardedCube:
             for gtid, _row in pairs:
                 self._owner[gtid] = (shard.shard_id, len(shard.tid_map))
                 shard.tid_map.append(gtid)
-        self._num_rows += count
-        return count
+            self._num_rows += len(pairs)
 
 
 def build_sharded(

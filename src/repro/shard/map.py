@@ -139,21 +139,6 @@ class ShardMap:
             replication_factor=replication_factor,
         )
 
-    @property
-    def replicas_per_shard(self) -> int:
-        """Warm standbys per shard (0 when replication is off)."""
-        return self.replication_factor - 1
-
-    def with_replication(self, replication_factor: int) -> "ShardMap":
-        """A copy of this map at a different replication factor."""
-        return ShardMap(
-            num_shards=self.num_shards,
-            mode=self.mode,
-            key_dim=self.key_dim,
-            ranges=self.ranges,
-            replication_factor=replication_factor,
-        )
-
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------

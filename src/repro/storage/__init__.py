@@ -40,15 +40,6 @@ from .faults import (
 )
 from .heap import HeapFile, Rid
 from .pages import BytesPage, PageFormatError, RecordCodec, RecordPage
-from .varint import (
-    VarintError,
-    decode_uvarint,
-    delta_decode_sorted,
-    delta_encode_sorted,
-    encode_uvarint,
-    zigzag_decode,
-    zigzag_encode,
-)
 
 __all__ = [
     "BIT_FLIP",
@@ -83,12 +74,5 @@ __all__ = [
     "TransientReadError",
     "TransientStorageFault",
     "TransientWriteError",
-    "VarintError",
     "transient_fault_plan",
-    "decode_uvarint",
-    "delta_decode_sorted",
-    "delta_encode_sorted",
-    "encode_uvarint",
-    "zigzag_decode",
-    "zigzag_encode",
 ]

@@ -4,8 +4,7 @@ The variable-length counterpart of :class:`~repro.core.chains.ChainStore`:
 keyed byte blobs packed back to back into pages, located by
 ``(page_index, offset, length)`` packed into a single directory value.
 A blob that does not fit in the current page's free space starts on a
-fresh page; blobs larger than a page span consecutive pages.  Used by the
-compressed cuboid store.
+fresh page; blobs larger than a page span consecutive pages.
 """
 
 from __future__ import annotations

@@ -96,10 +96,6 @@ class DriftingQueryStream:
         if self.num_ranking_dims > len(self.schema.ranking_names):
             raise ValueError("not enough ranking dimensions in schema")
 
-    @property
-    def total_queries(self) -> int:
-        return sum(phase.queries for phase in self.phases)
-
     def _zipf_value(self, rng: random.Random, cardinality: int, s: float) -> int:
         if s == 0:
             return rng.randrange(cardinality)

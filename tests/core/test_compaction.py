@@ -48,10 +48,10 @@ def make_queries(rng, count=6):
     return queries
 
 
-def build_stack(rows, compress=False):
+def build_stack(rows):
     db = Database(buffer_capacity=512)
     table = db.load_table("R", SCHEMA, rows)
-    cube = RankingCube.build(table, block_size=8, compress=compress)
+    cube = RankingCube.build(table, block_size=8)
     return db, table, cube
 
 
@@ -79,8 +79,7 @@ def compact_by_full_rewrite(pool, cube):
             groups.setdefault(cell, []).append((int(tid), int(bids[tid])))
         cuboids[key] = RankingCuboid.from_groups(
             pool, cuboid.dims, cuboid.cardinalities, grid, groups,
-            scale_override=cuboid.scale_factor, compress=cuboid.compressed,
-            epoch=cuboid.epoch + 1,
+            scale_override=cuboid.scale_factor, epoch=cuboid.epoch + 1,
         )
     pool.flush()
     with cube._state_lock:
@@ -168,14 +167,13 @@ class TestForegroundCompaction:
         assert report.cells_merged == len(cube.cuboids)
         assert db.pool.registry.value("compact.cells_merged") == len(cube.cuboids)
 
-    @pytest.mark.parametrize("compress", [False, True])
-    def test_device_image_equals_the_full_rewrite(self, compress):
+    def test_device_image_equals_the_full_rewrite(self):
         """Splicing writes the pages a decode-everything rewrite writes,
         byte for byte, in the same allocation order, over two rounds."""
         rng = random.Random(31)
         rows = make_rows(rng)
         rounds = [make_rows(rng, count=count, lo=0.3, hi=0.7) for count in (25, 9)]
-        twins = [build_stack(rows, compress) for _ in range(2)]
+        twins = [build_stack(rows) for _ in range(2)]
         for appended in rounds:
             for db, table, cube in twins:
                 table.insert_rows(appended)
@@ -214,39 +212,6 @@ class TestForegroundCompaction:
         for key, cuboid in cube.cuboids.items():
             assert cuboid.pseudo is not compacted[key].pseudo
             assert cuboid.pseudo.grid is cube.grid
-
-    def test_compressed_cube_compacts_to_the_oracle(self):
-        rng = random.Random(13)
-        rows = make_rows(rng)
-        appended = make_rows(rng, count=30, lo=0.3, hi=0.7)
-        queries = make_queries(rng, count=10)
-
-        db, table, cube = build_stack(rows, compress=True)
-        assert all(c.compressed for c in cube.cuboids.values())
-        table.insert_rows(appended)
-        cube.refresh_delta(table)
-        cells_before = {
-            key: dict(cuboid.cells()) for key, cuboid in cube.cuboids.items()
-        }
-
-        report = CubeCompactor(cube, db.pool).compact_once()
-        assert report.swapped and report.absorbed == len(appended)
-        assert cube.delta_size == 0
-        assert {c.epoch for c in cube.cuboids.values()} == {1}
-        assert all(c.compressed for c in cube.cuboids.values())
-        grown = sum(
-            1
-            for key, cuboid in cube.cuboids.items()
-            for cell, pairs in cuboid.cells()
-            if pairs != cells_before[key].get(cell)
-        )
-        assert report.cells_merged == grown
-
-        executor = RankingCubeExecutor(cube, table)
-        all_rows = rows + appended
-        for query in queries:
-            got = [(r.score, r.tid) for r in executor.execute(query).rows]
-            assert got == brute_force_topk(SCHEMA, all_rows, query)
 
     def test_empty_delta_is_a_noop(self):
         rng = random.Random(4)

@@ -332,27 +332,3 @@ class TestDaemon:
         assert not advisor.running
         with pytest.raises(AdvisorError):
             advisor.start()
-
-
-class TestEncoding:
-    def test_promoted_cuboids_take_the_cube_encoding(self):
-        rng = random.Random(23)
-        rows = [
-            tuple(rng.randrange(c) for c in CARDS) + (rng.random(), rng.random())
-            for _ in range(240)
-        ]
-        db = Database(buffer_capacity=128)
-        table = db.load_table("R", SCHEMA, rows)
-        cube = RankingCube.build(
-            table, block_size=12, compress=True,
-            cuboid_sets=[(d,) for d in SCHEMA.selection_names],
-        )
-        advisor = CubeAdvisor(cube, table, db.pool, min_observations=4)
-        observe_n(advisor, {"a1": 2, "a3": 4}, 8)
-        assert advisor.advise_once().swapped
-        promoted = cube.cuboids[frozenset({"a1", "a3"})]
-        assert promoted.compressed
-        assert all(c.compressed for c in cube.cuboids.values())
-        q = query({"a1": 2, "a3": 4}, k=7)
-        got = [(r.score, r.tid) for r in RankingCubeExecutor(cube, table).execute(q).rows]
-        assert got == brute_force_topk(SCHEMA, rows, q)

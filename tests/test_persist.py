@@ -144,6 +144,27 @@ class TestValidation:
         with pytest.raises(PersistError, match="not a Workspace"):
             load_workspace(path)
 
+    @pytest.mark.parametrize("missing", [
+        b"crepro.core.compressed\nCompressedChainStore\n.",
+        b"crepro.core.cuboid\nCompressedChainStore\n.",
+    ], ids=["module", "class"])
+    def test_payload_naming_a_retired_class_rejected(self, tmp_path, missing):
+        """An intact snapshot whose pickle names a module or class this
+        build lacks (a cuboid in a retired store layout) is refused as a
+        PersistError, not a raw import error."""
+        import hashlib
+
+        header = (
+            b"RCUBEWS\n"
+            + FORMAT_VERSION.to_bytes(4, "little")
+            + len(missing).to_bytes(8, "little")
+            + hashlib.sha256(missing).digest()
+        )
+        path = tmp_path / "s.rcube"
+        path.write_bytes(header + missing)
+        with pytest.raises(PersistError, match="does not unpickle"):
+            load_workspace(path)
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(PersistError, match="cannot read"):
             load_workspace(tmp_path / "ghost.rcube")
@@ -364,6 +385,25 @@ class TestShardedWorkspace:
             entry["build_kwargs"]["workers"] = 1
         (directory / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(PersistError, match="manifest v1 is not supported"):
+            load_sharded_workspace(directory)
+
+    def test_build_kwargs_the_build_does_not_take_rejected(self, tmp_path):
+        """A manifest entry's ``build_kwargs`` replay into
+        ``RankingCube.build`` at a shard's first deferred build; a key the
+        build does not take (the retired ``compress``) is refused at load,
+        not as a ``TypeError`` mid-append."""
+        import json
+
+        from repro.persist import load_sharded_workspace, save_sharded_workspace
+        from repro.shard import build_sharded
+
+        cube = build_sharded(self._schema(), self._rows(), 2, block_size=8)
+        directory = tmp_path / "ws"
+        manifest = save_sharded_workspace(cube, directory)
+        assert load_sharded_workspace(directory).num_rows == cube.num_rows
+        manifest["shards"][1]["build_kwargs"]["compress"] = True
+        (directory / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(PersistError, match=r"\['compress'\]"):
             load_sharded_workspace(directory)
 
     def test_missing_manifest_rejected(self, tmp_path):
