@@ -66,9 +66,15 @@
 #                         that a selective read is the full read filtered,
 #                         at identical page reads and buffer hits/misses.
 #                         tests/core/test_splice.py is the property that a
-#                         ChainStore splice (old run bytes + packed
-#                         additions) writes the page images build writes
-#                         for the union, and test_compaction.py's
+#                         ChainStore splice (old run bytes + encoded
+#                         additions) writes the page images write writes
+#                         for the union; tests/core/test_columnar_build.py
+#                         that the array grouping (group_rows /
+#                         encode_runs) equals a per-record dict-of-lists +
+#                         struct.pack reference byte for byte, leaves
+#                         plain-int counts and locators, and raises
+#                         CubeError on a value struct.pack refused before
+#                         any page is written; and test_compaction.py's
 #                         test_device_image_equals_the_full_rewrite that a
 #                         compaction leaves the device fingerprint of a
 #                         decode-everything rewrite.  tests/serve/
@@ -129,7 +135,9 @@
 #                         grouping path: repro.core.parallel does not
 #                         import, locate_many( is called only in
 #                         group_rows, no ProcessPoolExecutor is left under
-#                         core/, and no build entry point takes workers.
+#                         core/, no build entry point takes workers,
+#                         ChainStore has no build and nothing under core/
+#                         calls a pack (no per-record packing).
 #                         tests/serve/test_single_front_end.py is the
 #                         structural test that the serving front end is
 #                         written once under src/repro/serve/: _admit,
@@ -179,7 +187,7 @@ export PYTHONPATH=src
 # stalling the whole gate.  Tests may tighten it with @pytest.mark.timeout.
 export REPRO_TEST_TIMEOUT="${REPRO_TEST_TIMEOUT:-300}"
 
-echo "== tier1 1/4: fast test suite (incl. structural single-search/one-engine + single-node-codec + one-router/one-cost-model/one-cuboid-objective + single-install/one-build-path + single-front-end tests, submit/close race, maintenance race matrix, examples test, doc-reference test, bound-table + certified-bound (test_certified_bounds.py) + sparse-frontier + selective-read + splice properties, reverse family pass (one snapshot, decode once, single-reverse), block-cache equivalence, indexed delta, figure page pins, build image pin, reverse + adaptive gates) =="
+echo "== tier1 1/4: fast test suite (incl. structural single-search/one-engine + single-node-codec + one-router/one-cost-model/one-cuboid-objective + single-install/one-build-path + single-front-end tests, submit/close race, maintenance race matrix, examples test, doc-reference test, bound-table + certified-bound (test_certified_bounds.py) + sparse-frontier + selective-read + splice properties, columnar-build equivalence (test_columnar_build.py), reverse family pass (one snapshot, decode once, single-reverse), block-cache equivalence, indexed delta, figure page pins, build image pin, reverse + adaptive gates) =="
 python -m pytest -m "not slow and not serve and not faults" -q
 
 echo "== tier1 2/4: sharded serving single-path test + serve-marked gate cases (identity, hot shard, early stop, shared-cache reads, WAL replay) =="

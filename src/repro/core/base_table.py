@@ -54,35 +54,29 @@ class BaseBlockTable:
         self._tuple_array = None
 
     @classmethod
-    def from_groups(
+    def from_runs(
         cls,
         pool: BufferPool,
         grid: BlockGrid,
-        groups: dict[int, list[tuple]],
+        runs,
     ) -> "BaseBlockTable":
-        """Materialize from a grouped ``bid -> records`` map (the base
-        groups of :func:`~repro.core.cube.group_rows`).  The chain store
-        sorts groups by key, so the on-page image depends only on the map
-        contents."""
+        """Materialize from encoded ``((bid,), records, count)`` runs in
+        bid order (the base runs of :func:`~repro.core.cube.group_rows`)."""
         table = cls(pool, grid)
-        table._store.build(((bid,), records) for bid, records in groups.items())
+        table._store.write(runs)
         return table
 
     def runs(self):
         """The stored blocks as encoded runs, for :meth:`spliced`."""
         return self._store.runs()
 
-    def spliced(
-        self, runs, additions: dict[int, list[tuple]]
-    ) -> "BaseBlockTable":
+    def spliced(self, runs, additions) -> "BaseBlockTable":
         """A new table on fresh pages: ``runs`` (this table's, from
-        :meth:`runs`) with each bid's ``additions`` appended — the image
-        :meth:`from_groups` writes for the merged groups, without
-        decoding the stored records."""
+        :meth:`runs`) with each block's encoded ``additions`` run appended
+        — the image :meth:`from_runs` writes for the merged blocks,
+        without decoding the stored records."""
         table = type(self)(self.pool, self.grid)
-        table._store.splice(
-            runs, {(bid,): records for bid, records in additions.items()}
-        )
+        table._store.splice(runs, additions)
         return table
 
     # ------------------------------------------------------------------

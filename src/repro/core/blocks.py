@@ -176,11 +176,11 @@ class BlockGrid:
             coords.append(idx)
         return self.bid_of(coords)
 
-    def locate_many(self, points) -> "list[int]":
+    def locate_many(self, points) -> np.ndarray:
         """Vectorized :meth:`locate` over many points.
 
         ``points`` is a sequence of R-tuples (or an ``(n, R)`` array);
-        returns one bid per point with identical semantics to
+        returns an int64 array of one bid per point, with the semantics of
         :meth:`locate` (half-open bins, clamped extremes).  Used by the
         bulk cube build, where per-tuple Python bisects dominate.
         """
@@ -195,7 +195,7 @@ class BlockGrid:
             coords = np.searchsorted(edges_arr, array[:, d], side="right") - 1
             np.clip(coords, 0, self._bins[d] - 1, out=coords)
             bids += coords * self._strides[d]
-        return [int(b) for b in bids]
+        return bids
 
     def box(self, bid: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """Closed box ``(lower, upper)`` covered by a block."""

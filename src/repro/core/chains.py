@@ -24,17 +24,20 @@ the leading field is unpacked, and only the members are decoded whole —
 the evaluate step decodes the one or two tuples the retrieve step
 qualified, not the block's ~30.
 
-Layout works on encoded runs ``(key, record bytes, count)``: :meth:`build`
-packs each group and lays the runs out, and :meth:`splice` lays out
-another store's :meth:`runs` with packed additions appended per key, so
-a compaction copies the stored bytes instead of decoding and re-packing
-them.  The packing rule reads only run lengths, so a splice writes the
-image :meth:`build` writes for the decoded union.
+Layout works on encoded runs ``(key, record bytes, count)`` only:
+:meth:`write` lays out the runs :func:`~repro.core.cube.group_rows`
+encodes, and :meth:`splice` lays out another store's :meth:`runs` with
+encoded additions joined on per key, so a compaction copies bytes and
+packs no record.  The packing rule reads only run lengths, so a splice
+writes the image :meth:`write` writes for the merged runs.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
+import heapq
+from itertools import groupby
+from operator import itemgetter
+from typing import Iterable, Iterator
 
 from ..index.bptree import BPlusTree
 from ..storage.buffer import BufferPool
@@ -65,40 +68,12 @@ class ChainStore:
         self._built = False
 
     # ------------------------------------------------------------------
-    def build(self, groups: Iterable[tuple[tuple, Sequence[tuple]]]) -> None:
-        """Bulk build from ``(key, records)`` groups (keys must be unique).
-
-        Groups are laid out in sorted key order; the directory maps each
-        key to ``(page_index, slot, count)`` packed into one integer.
-        """
-        pack = self.codec.pack
-        ordered = sorted(
-            ((tuple(key), records) for key, records in groups),
-            key=lambda group: group[0],
-        )
-        self._layout(
-            (key, pack(records), len(records)) for key, records in ordered if records
-        )
-
-    def splice(
-        self,
-        runs: Iterable[tuple[tuple, bytes, int]],
-        additions: Mapping[tuple, Sequence[tuple]],
-    ) -> None:
-        """Build from another store's :meth:`runs` (key-ordered) with
-        ``additions`` appended per key (keys absent from ``runs`` become
-        new runs).
-
-        Old records are copied as bytes and only the additions are packed,
-        in one merge pass over the old runs and the sorted added keys.
-        The packing rule sees nothing but each key's record count, so the
-        image equals :meth:`build` over the decoded union, page for page.
-        """
-        self._layout(_merge_runs(runs, additions, self.codec.pack))
-
-    def _layout(self, runs: Iterable[tuple[tuple, bytes, int]]) -> None:
-        """Pack encoded ``(key, record bytes, count)`` runs, in key order,
-        onto fresh pages and bulk-load the directory over them."""
+    def write(self, runs: Iterable[tuple[tuple, bytes, int]]) -> None:
+        """Bulk build from encoded ``(key, record bytes, count)`` runs in
+        strictly ascending key order (as :func:`~repro.core.cube.group_rows`
+        returns them): runs packed onto fresh pages in that order, the
+        directory mapping each key to ``(page_index, slot, count)``
+        packed into one integer."""
         if self._built:
             raise RuntimeError("ChainStore may only be built once")
         self._built = True
@@ -140,6 +115,18 @@ class ChainStore:
         for page_id, (body, filled) in zip(self._page_ids, pages):
             self.pool.put(page_id, RecordPage.image(b"".join(body), filled))
         self.directory.bulk_load(directory_pairs)
+
+    def splice(
+        self,
+        runs: Iterable[tuple[tuple, bytes, int]],
+        additions: Iterable[tuple[tuple, bytes, int]],
+    ) -> None:
+        """Build from two key-ordered encoded run streams: another store's
+        :meth:`runs`, with each key's ``additions`` appended to its run
+        (keys absent from ``runs`` become new runs).  Both are copied as
+        bytes, and the packing rule sees nothing but each key's record
+        count, so the image equals :meth:`write` over the merged runs."""
+        self.write(_merge_runs(runs, additions))
 
     def runs(self) -> Iterator[tuple[tuple, bytes, int]]:
         """Iterate the stored ``(key, record bytes, count)`` runs in key
@@ -222,27 +209,15 @@ class ChainStore:
 
 def _merge_runs(
     runs: Iterable[tuple[tuple, bytes, int]],
-    additions: Mapping[tuple, Sequence[tuple]],
-    pack,
+    additions: Iterable[tuple[tuple, bytes, int]],
 ) -> Iterator[tuple[tuple, bytes, int]]:
-    """Key-ordered ``runs`` with each key's ``additions`` packed onto its
-    run's end; added keys no run holds come in at their key position."""
-    added = sorted(
-        ((tuple(key), records) for key, records in additions.items() if records),
-        key=lambda item: item[0],
-    )
-    i = 0
-    for key, data, count in runs:
-        while i < len(added) and added[i][0] < key:
-            yield added[i][0], pack(added[i][1]), len(added[i][1])
-            i += 1
-        if i < len(added) and added[i][0] == key:
-            records = added[i][1]
-            data, count = data + pack(records), count + len(records)
-            i += 1
-        yield key, data, count
-    for key, records in added[i:]:
-        yield key, pack(records), len(records)
+    """Key-ordered ``runs`` with each key's run of ``additions`` (also
+    key-ordered) joined onto its end; added keys no run holds come in at
+    their key position (``heapq.merge`` puts ``runs`` first on a tie)."""
+    merged = heapq.merge(runs, additions, key=itemgetter(0))
+    for key, parts in groupby(merged, key=itemgetter(0)):
+        _keys, data, counts = zip(*parts)
+        yield key, b"".join(data), sum(counts)
 
 
 _SLOT_BITS = 12    # up to 4095 records per page

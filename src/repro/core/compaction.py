@@ -14,19 +14,17 @@ back into the materialization:
    edge bins and a clamped tuple's real values can exceed its block's
    bounding box, which would break the frontier stop's lower-bound
    soundness,
-3. **merge** — read the old base table's runs, then group the
-   absorbable entries per key in tid order with the build's own grouping
-   routine (:func:`~repro.core.cube.group_rows`: one
-   :meth:`BlockGrid.locate_many`, one pid per distinct bid and scale
-   factor): ``bid -> records`` for the base table and ``cell -> (tid,
-   bid) pairs`` for each cuboid (the additions maps; their sizes are
+3. **merge** — read the old base table's runs, then encode the
+   absorbable entries in tid order with the build's own grouping routine
+   (:func:`~repro.core.cube.group_rows`): key-ordered runs for the base
+   table and each cuboid (the additions; the cuboids' run counts sum to
    :attr:`CompactionReport.cells_merged`),
 4. **splice** fresh :class:`BaseBlockTable` / :class:`RankingCuboid`
-   objects onto new pages: each store's old record bytes are copied as
-   they are and only the additions are packed (:meth:`ChainStore.splice`),
-   so the image equals a from-scratch build over old + delta; cuboid
-   epochs bump so serving-cache keys from the old generation can never
-   satisfy new-generation lookups,
+   objects onto new pages: each store's old runs and its added runs are
+   merged as bytes (:meth:`ChainStore.splice`), so the image equals a
+   from-scratch build over old + delta; cuboid epochs bump so
+   serving-cache keys from the old generation can never satisfy
+   new-generation lookups,
 5. **flush** the buffer pool, then :meth:`RankingCube.install` the new
    base table and cuboids with the residual entries as the delta.  If
    another install (a compaction, re-partition or advisor swap) landed
@@ -42,6 +40,8 @@ state, never a partial one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from ..obs.tracing import maybe_span
 from .cube import RankingCube, ScannedRows, group_rows
@@ -179,28 +179,19 @@ class CubeCompactor(MaintenanceDaemon):
                 base_runs = list(state.base_table.runs())
                 self._fault("base-read")
                 ordered = sorted(absorbable, key=lambda entry: entry[0])
-                # the build's grouping routine: one locate_many for every
-                # point, one pid per distinct (bid, scale factor), read
-                # from the cuboids' own (warm) pseudo maps
-                cuboids = list(state.cuboids.values())
+                # the build's grouping routine: encoded runs, joined onto
+                # the old ones
                 sel_dims = tuple(sorted(set().union(*state.cuboids)))
+                ranks = [[rank[d] for d in state.grid.dims] for *_, rank in ordered]
+                sels = [[sel[d] for d in sel_dims] for _, sel, _ in ordered]
                 rows = ScannedRows(
-                    sel_dims,
-                    [tid for tid, _sel, _rank in ordered],
-                    [
-                        tuple(float(rank[d]) for d in state.grid.dims)
-                        for _tid, _sel, rank in ordered
-                    ],
-                    [
-                        tuple([sel[d] for d in sel_dims])
-                        for _tid, sel, _rank in ordered
-                    ],
+                    sel_dims, np.array([entry[0] for entry in ordered]),
+                    np.array(ranks, float), np.array(sels, int),
                 )
                 base_additions, cuboid_additions = group_rows(
                     state.grid,
-                    [(c.dims, c.scale_factor) for c in cuboids],
+                    [(c.dims, c.scale_factor) for c in state.cuboids.values()],
                     rows,
-                    pseudo_maps={c.scale_factor: c.pseudo for c in cuboids},
                 )
                 cell_additions = dict(zip(state.cuboids, cuboid_additions))
 

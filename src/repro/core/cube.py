@@ -21,11 +21,14 @@ import threading
 import time
 from bisect import bisect_left
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from ..obs.tracing import maybe_span
 from ..relational.table import Table
 from ..storage.buffer import BufferPool
+from ..storage.pages import RecordCodec
 from .base_table import BaseBlockTable
 from .blocks import BlockGrid
 from .cuboid import RankingCuboid
@@ -147,7 +150,7 @@ class RankingCube:
             # One scan of the relation gathers everything the build needs.
             with maybe_span(tracer, "build.scan"):
                 rows = scan_rows(table, ranking_dims, selection_dims)
-                if not rows.tids:
+                if not len(rows.tids):
                     raise CubeError(
                         "cannot build a ranking cube over an empty relation"
                     )
@@ -155,8 +158,9 @@ class RankingCube:
             if grid is None:
                 if partitioner is None:
                     partitioner = EquiDepthPartitioner()
-                columns = list(zip(*rows.points))
-                grid = partitioner.build_grid(ranking_dims, columns, block_size)
+                grid = partitioner.build_grid(
+                    ranking_dims, rows.points.T.tolist(), block_size
+                )
 
             if cuboid_sets is None:
                 cuboid_sets = full_cube_sets(selection_dims)
@@ -579,13 +583,14 @@ def full_cube_sets(selection_dims: Sequence[str]) -> list[tuple[str, ...]]:
 
 
 class ScannedRows(NamedTuple):
-    """One scan's rows in tid order: ``points`` over the ranking
-    dimensions, ``sel_rows`` over ``selection_dims``."""
+    """One scan's rows in tid order, as columns: ``tids`` (int64),
+    ``points`` an ``(n, R)`` float64 array over the ranking dimensions,
+    ``sel_rows`` an ``(n, S)`` int64 array over ``selection_dims``."""
 
     selection_dims: tuple[str, ...]
-    tids: list[int]
-    points: list[tuple[float, ...]]
-    sel_rows: list[tuple[int, ...]]
+    tids: np.ndarray
+    points: np.ndarray
+    sel_rows: np.ndarray
 
 
 def scan_rows(
@@ -594,20 +599,24 @@ def scan_rows(
     selection_dims: Sequence[str],
     keep=None,
 ) -> ScannedRows:
-    """One sequential scan of ``table``; ``keep(tid)`` restricts it (a
-    maintenance rebuild reads a snapshot's live or base-resident rows)."""
-    schema = table.schema
-    rank_pos = [schema.position(d) for d in ranking_dims]
-    sel_pos = [schema.position(d) for d in selection_dims]
-    records = table.scan()
+    """One sequential scan of ``table`` into columns, each heap page
+    decoded whole; ``keep(tids)``, a boolean mask over the tids, restricts
+    it (a maintenance rebuild reads a snapshot's live or base-resident
+    rows)."""
+    records = table.heap.scan_array()
     if keep is not None:
-        records = (record for record in records if keep(int(record[0])))
-    tids, points, sel_rows = [], [], []
-    for record in records:
-        tids.append(int(record[0]))
-        points.append(tuple(float(record[1 + p]) for p in rank_pos))
-        sel_rows.append(tuple(int(record[1 + p]) for p in sel_pos))
-    return ScannedRows(tuple(selection_dims), tids, points, sel_rows)
+        records = records[keep(records["f0"])]
+
+    def columns(dims, dtype):
+        fields = [records[f"f{1 + table.schema.position(d)}"] for d in dims]
+        return np.array(fields, dtype).reshape(len(dims), len(records)).T
+
+    return ScannedRows(
+        tuple(selection_dims),
+        records["f0"].astype(np.int64),
+        columns(ranking_dims, np.float64),
+        columns(selection_dims, np.int64),
+    )
 
 
 def materialize(
@@ -617,29 +626,23 @@ def materialize(
     family: Sequence[tuple[tuple[str, ...], int | None]],
     rows: ScannedRows,
     *,
-    with_base: bool = True,
     epoch: int = 0,
     tracer=None,
-) -> tuple[BaseBlockTable | None, dict[frozenset, RankingCuboid]]:
+) -> tuple[BaseBlockTable, dict[frozenset, RankingCuboid]]:
     """Group ``rows`` on ``grid`` and write fresh stores: the base block
-    table (unless ``with_base`` is false) and one cuboid per ``(dims,
-    scale factor)`` of ``family`` (``None``: the computed factor),
-    stamped ``epoch``.  Returns ``(base table or None, {dims set:
-    cuboid})``."""
+    table and one cuboid per ``(dims, scale factor)`` of ``family``
+    (``None``: the computed factor), stamped ``epoch``.  Returns
+    ``(base table, {dims set: cuboid})``."""
     family = resolve_scales(grid, schema, family)
-    base_groups, cuboid_groups = group_rows(grid, family, rows, tracer=tracer)
+    base_runs, cuboid_runs = group_rows(grid, family, rows, tracer=tracer)
     with maybe_span(tracer, "build.materialize"):
-        base_table = (
-            BaseBlockTable.from_groups(pool, grid, base_groups)
-            if with_base
-            else None
-        )
+        base_table = BaseBlockTable.from_runs(pool, grid, base_runs)
         cuboids = {
-            frozenset(dims): RankingCuboid.from_groups(
-                pool, dims, schema.cardinalities(dims), grid, groups,
+            frozenset(dims): RankingCuboid.from_runs(
+                pool, dims, schema.cardinalities(dims), grid, runs,
                 scale_override=scale, epoch=epoch,
             )
-            for (dims, scale), groups in zip(family, cuboid_groups)
+            for (dims, scale), runs in zip(family, cuboid_runs)
         }
     return base_table, cuboids
 
@@ -662,55 +665,88 @@ def resolve_scales(
     ]
 
 
+Run = tuple[tuple, bytes, int]
+
+
 def group_rows(
     grid: BlockGrid,
     family: Sequence[tuple[tuple[str, ...], int]],
     rows: ScannedRows,
     *,
-    pseudo_maps: dict[int, PseudoBlockMap] | None = None,
     tracer=None,
-) -> tuple[dict[int, list[tuple]], list[dict[tuple, list[tuple[int, int]]]]]:
-    """The one grouping of rows into store records (Section 3.1.3): give
-    each row its bid, then group ``(tid, bid)`` pairs by cell and pseudo
-    block.  Writes no page.
+) -> tuple[list[Run], Iterator[list[Run]]]:
+    """The one grouping of rows into store records (Section 3.1.3): each
+    row's bid and, per scale factor, pid, then each store's records as
+    key-ordered runs (:func:`encode_runs`), each key's in ``rows`` order,
+    which is all a store's page image depends on.  Writes no page.
 
-    Returns ``(base_groups, cuboid_groups)``: ``bid -> [(tid, ranking
-    values...)]``, and per ``(dims, scale factor)`` of ``family`` a
-    ``(selection values..., pid) -> [(tid, bid)]`` map.  Each key's
-    records are in ``rows`` order, which is all a store's page image
-    depends on.  ``pseudo_maps`` (scale factor -> map over ``grid``)
-    lets a caller that holds warm maps resolve pids through them.
+    Returns ``(base_runs, cuboid_runs)``: the base table's runs, keyed
+    ``(bid,)`` over ``(tid, ranking values...)``, and an iterator over
+    ``family`` of each cuboid's runs, keyed ``(selection values...,
+    pid)`` over ``(tid, bid)``.  It encodes a cuboid when it reaches it,
+    so a caller that writes each in turn holds one cuboid's runs at a
+    time; every value is range-checked before this returns.
     """
     with maybe_span(tracer, "build.group"):
-        tids, points = rows.tids, rows.points
-        bids = grid.locate_many(points) if points else []
-        base_groups: dict[int, list[tuple]] = {}
-        for tid, point, bid in zip(tids, points, bids):
-            base_groups.setdefault(bid, []).append((int(tid), *map(float, point)))
+        bids = grid.locate_many(rows.points)
+        base_runs = encode_runs(
+            [bids], [rows.tids, *rows.points.T], "q" + "d" * grid.num_dims
+        )
+        _check_fits(rows.sel_rows, "i")
+        # a row's pid depends on its bid and the scale factor only
+        scales = {scale for _dims, scale in family}
+        pids = {s: PseudoBlockMap(grid, s).pid_array[bids] for s in scales}
+        columns = dict(zip(rows.selection_dims, rows.sel_rows.T))
 
-        # a row's pid depends on its bid and the scale factor only, not on
-        # the cuboid: resolve each distinct bid once per distinct scale
-        pids_by_scale: dict[int, list[int]] = {}
-        for scale in {scale for _dims, scale in family}:
-            pseudo = (
-                PseudoBlockMap(grid, scale) if pseudo_maps is None
-                else pseudo_maps[scale]
-            )
-            pid_by_bid = {bid: pseudo.pid_of_bid(bid) for bid in set(bids)}
-            pids_by_scale[scale] = [pid_by_bid[bid] for bid in bids]
-
-        sel_index = {dim: i for i, dim in enumerate(rows.selection_dims)}
-        cuboid_groups: list[dict[tuple, list[tuple[int, int]]]] = []
+    def cuboid_runs():
         for dims, scale in family:
-            positions = [sel_index[d] for d in dims]
-            groups: dict[tuple, list[tuple[int, int]]] = {}
-            for row, tid, bid, pid in zip(
-                rows.sel_rows, tids, bids, pids_by_scale[scale]
-            ):
-                key = tuple(int(row[p]) for p in positions) + (pid,)
-                groups.setdefault(key, []).append((int(tid), int(bid)))
-            cuboid_groups.append(groups)
-    return base_groups, cuboid_groups
+            with maybe_span(tracer, "build.group"):
+                keys = [columns[d] for d in dims] + [pids[scale]]
+                runs = encode_runs(keys, [rows.tids, bids], "qi")
+            yield runs
+
+    return base_runs, cuboid_runs()
+
+
+def encode_runs(
+    keys: Sequence[np.ndarray], fields: Sequence[np.ndarray], fmt: str
+) -> list[Run]:
+    """Records as ``(key, record bytes, count)`` runs, one per distinct
+    key, in ascending key order: ``keys`` are the key's int columns,
+    ``fields`` the records' columns, one per character of ``fmt``.  The
+    runs equal ``struct.pack("<" + fmt)`` over a key-sorted dict of
+    record lists (one stable ``np.lexsort``, one ``tobytes``; DESIGN
+    §11), keys and counts as Python ints.  A key outside int32 or an
+    integer field outside its format, which a NumPy assignment would
+    wrap, raises :class:`CubeError` before anything is packed.
+    """
+    for column, char in [*zip(keys, itertools.repeat("i")), *zip(fields, fmt)]:
+        if char in "qi":
+            _check_fits(column, char)
+    order = np.lexsort(keys[::-1])
+    records = np.empty(len(order), RecordCodec(fmt).dtype)
+    for name, column in zip(records.dtype.names, fields):
+        records[name] = column[order]
+    data, size = memoryview(records.tobytes()), records.itemsize
+    ordered = np.array([column[order] for column in keys])
+    change = np.ones(len(order), bool)
+    change[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    starts = np.flatnonzero(change)
+    bounds = [*starts.tolist(), len(order)]
+    return [
+        (tuple(key), data[start * size:end * size], end - start)
+        for key, start, end in zip(ordered[:, starts].T.tolist(), bounds, bounds[1:])
+    ]
+
+
+def _check_fits(values: np.ndarray, char: str) -> None:
+    """Raise :class:`CubeError` unless every one of ``values`` fits the
+    integer struct format ``char``."""
+    if values.size:
+        limits = np.iinfo(np.dtype("<" + char))
+        low, high = int(values.min()), int(values.max())
+        if low < limits.min or high > limits.max:
+            raise CubeError(f"values [{low}, {high}] do not fit {limits.dtype}")
 
 
 def _minimum_cover(candidates: list[frozenset], wanted: frozenset) -> list[frozenset]:

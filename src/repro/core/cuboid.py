@@ -86,45 +86,41 @@ class RankingCuboid:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_groups(
+    def from_runs(
         cls,
         pool: BufferPool,
         dims: Sequence[str],
         cardinalities: Sequence[int],
         grid: BlockGrid,
-        groups: dict[tuple, list[tuple[int, int]]],
+        runs,
         scale_override: int | None = None,
         epoch: int = 0,
     ) -> "RankingCuboid":
-        """Materialize from a grouped ``cell key -> pairs`` map (one of
-        the cuboid groups of :func:`~repro.core.cube.group_rows`).
-
-        Keys carry the full cell shape ``(sel values..., pid)`` and values
-        the ``(tid, bid)`` pairs in tid order.  ``scale_override``
-        replaces the computed pseudo-block scale factor (``1`` disables
-        pseudo blocking entirely — the ablation of Section 3.1.3's design
-        choice).
+        """Materialize from encoded runs in cell order (one cuboid's runs
+        from :func:`~repro.core.cube.group_rows`): keys ``(sel values...,
+        pid)``, each run the cell's ``(tid, bid)`` records in scan order.
+        ``scale_override`` replaces the computed pseudo-block scale
+        factor (``1`` disables pseudo blocking entirely — the ablation of
+        Section 3.1.3's design choice).
         """
         cuboid = cls(
             pool, dims, cardinalities, grid,
             scale_override=scale_override, epoch=epoch,
         )
-        cuboid._store.build(groups.items())
+        cuboid._store.write(runs)
         return cuboid
 
     def runs(self):
         """The stored cells in the store's own encoding, for :meth:`spliced`."""
         return self._store.runs()
 
-    def spliced(
-        self, runs, additions: dict[tuple, list[tuple[int, int]]]
-    ) -> "RankingCuboid":
+    def spliced(self, runs, additions) -> "RankingCuboid":
         """The next generation on fresh pages: ``runs`` (this cuboid's,
-        from :meth:`runs`) with each cell's ``(tid, bid)`` ``additions``
-        appended, same layout as :meth:`from_groups` over the merged
-        cells, and the epoch bumped.  The grid is unchanged, so the next
-        generation shares this one's pseudo-block map and its warm
-        ``bid -> pid`` table."""
+        from :meth:`runs`) with each cell's encoded ``(tid, bid)``
+        ``additions`` run appended, same layout as :meth:`from_runs` over
+        the merged cells, and the epoch bumped.  The grid is unchanged,
+        so the next generation shares this one's pseudo-block map and its
+        warm ``bid -> pid`` table."""
         cuboid = type(self)(
             self._store.pool, self.dims, self.cardinalities, self.grid,
             scale_override=self.scale_factor, epoch=self.epoch + 1,

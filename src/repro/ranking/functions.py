@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import sys
 from abc import ABC, abstractmethod
-from itertools import repeat
+from itertools import product, repeat
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -80,20 +80,26 @@ class RankingFunction(ABC):
         For convex ``f``, any subgradient ``g`` at a point ``p`` of the box
         gives the affine minorant ``f(x) >= f(p) + g.(x - p)``, least at
         the corner each ``g_i``'s sign picks (as for a linear function).
-        ``p`` is the descent point :meth:`argmin_over_box`: it decides how
-        tight the bound is, not whether it holds.  A margin of a few ulps
-        of the terms' magnitude absorbs the sum's rounding.  Families with
-        a closed form override.
+        The bound is the largest of these minima over ``p`` the descent
+        point :meth:`argmin_over_box` and the box's ``2^R`` corners: each
+        is a lower bound, so their maximum is one, and the corners tighten
+        it where a kink tilts the descent point's minorant.  A margin of a
+        few ulps of each minimum's terms absorbs its sum's rounding.
+        Families with a closed form override.
         """
-        point = self.argmin_over_box(lower, upper)
-        value = self.score(point)
-        slopes = self.subgradient(point)
-        _finite((value, *slopes), "score and subgradient at the descent point")
-        scale = abs(value)
-        for g, lo, hi, p in zip(slopes, lower, upper, point):
-            value += g * ((lo if g >= 0 else hi) - p)
-            scale += abs(g) * max(abs(lo), abs(hi), abs(p))
-        return value - _MARGIN_ULPS * (len(slopes) + 2) * sys.float_info.epsilon * scale
+        best = -math.inf
+        corners = product(*zip(lower, upper))
+        for point in (self.argmin_over_box(lower, upper), *corners):
+            value = self.score(point)
+            slopes = self.subgradient(point)
+            _finite((value, *slopes), "score and subgradient at a minorant point")
+            scale = abs(value)
+            for g, lo, hi, p in zip(slopes, lower, upper, point):
+                value += g * ((lo if g >= 0 else hi) - p)
+                scale += abs(g) * max(abs(lo), abs(hi), abs(p))
+            margin = _MARGIN_ULPS * (len(slopes) + 2) * sys.float_info.epsilon * scale
+            best = max(best, value - margin)
+        return best
 
     def subgradient(self, point: Sequence[float]) -> Sequence[float]:
         """A subgradient at ``point``: the slopes of :meth:`min_over_box`'s

@@ -22,9 +22,9 @@ an over-budget cube sheds its lowest-benefit non-singletons first.
 Singletons are never demoted: they keep every query coverable (Section
 4.2.1).
 
-Promotions are built from the same rows (delta rows are merged by every
-query, so materializing them would double-count), in the cube's
-encoding and at its current epoch, and go in through
+Promotions write the encoded runs that priced them (from base-resident
+rows only: delta rows are merged by every query, so materializing them
+would double-count), at the cube's current epoch, and go in through
 :meth:`RankingCube.install`.  A run uses up its window whether it swaps
 or not; a run that loses a race to another install aborts and keeps its
 window for the retry.  Offline design is the same call: a cube of
@@ -39,9 +39,11 @@ import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from ..core.cube import (
-    CubeError, RankingCube, _covering_cuboids, group_rows, materialize,
-    resolve_scales, scan_rows,
+    CubeError, RankingCube, _covering_cuboids, group_rows, resolve_scales,
+    scan_rows,
 )
 from ..core.cuboid import RankingCuboid
 from ..core.daemon import MaintenanceDaemon
@@ -74,11 +76,13 @@ class AdvisorReport:
 
 
 class Candidate(NamedTuple):
-    """A cuboid priced but not built: what the estimate reads of one."""
+    """A cuboid priced but not built: what the estimate reads of one, and
+    the encoded runs a promotion writes."""
 
     dims: tuple[str, ...]
     pseudo: PseudoBlockMap
     counts: dict[tuple, int]
+    runs: list
 
 
 class CubeAdvisor(MaintenanceDaemon):
@@ -159,11 +163,11 @@ class CubeAdvisor(MaintenanceDaemon):
             return report
 
         with maybe_span(self.tracer, "route.advise") as span:
-            rows, family, promote, demote, skipped = self._plan(state, window)
+            family, promote, demote, skipped = self._plan(state, window)
             report.skipped = tuple(",".join(sorted(key)) for key in skipped)
             if promote or demote:
                 benefit = _saving(state, state.cuboids, family, window)
-                new_cuboids = self._build_promotions(state, rows, promote)
+                new_cuboids = self._build_promotions(state, family, promote)
                 # write-ahead ordering: fresh pages durable before the swap
                 self.pool.flush()
                 updated = {
@@ -194,7 +198,7 @@ class CubeAdvisor(MaintenanceDaemon):
         return report
 
     def _plan(self, state, window: list[TopKQuery]):
-        """The greedy: ``(rows, family, promote, demote, skipped)``."""
+        """The greedy: ``(family, promote, demote, skipped)``."""
         shapes = [(frozenset(q.selection_names), q) for q in window]
         keys = sorted(
             {
@@ -204,7 +208,7 @@ class CubeAdvisor(MaintenanceDaemon):
             },
             key=sorted,
         )
-        rows, pending = self._price_candidates(state, keys)
+        pending = self._price_candidates(state, keys)
         family = dict(state.cuboids)
         budget = self.space_budget_entries
         entries = sum(c.num_entries for c in family.values())
@@ -258,50 +262,50 @@ class CubeAdvisor(MaintenanceDaemon):
             promote.append(key)
             entries = projected
             gains = None
-        return rows, family, promote, demote, skipped
+        return family, promote, demote, skipped
 
     def _price_candidates(self, state, keys: list[frozenset]):
         """One scan of the snapshot's base-resident rows (``tid <
-        watermark``, minus its delta), grouped as the build groups them.
-        Returns the rows and ``{key: Candidate}``."""
+        watermark``, minus its delta), grouped as the build groups them:
+        ``{key: Candidate}``, each counted from its run lengths."""
         if not keys:
-            return None, {}
-        delta_tids = {tid for tid, _sel, _rank in state.delta}
+            return {}
+        delta_tids = np.array([tid for tid, _sel, _rank in state.delta], np.int64)
         rows = scan_rows(
             self.table,
             state.grid.dims,
             sorted(set().union(*keys)),
-            keep=lambda tid: tid < state.watermark and tid not in delta_tids,
+            keep=lambda tids: (tids < state.watermark) & ~np.isin(tids, delta_tids),
         )
         family = resolve_scales(
             state.grid, self.table.schema,
             [(tuple(sorted(key)), None) for key in keys],
         )
-        _base, cuboid_groups = group_rows(
+        _base, cuboid_runs = group_rows(
             state.grid, family, rows, tracer=self.tracer
         )
-        return rows, {
+        return {
             frozenset(dims): Candidate(
                 dims,
                 PseudoBlockMap(state.grid, scale),
-                {cell: len(pairs) for cell, pairs in groups.items()},
+                {key: count for key, _data, count in runs},
+                runs,
             )
-            for (dims, scale), groups in zip(family, cuboid_groups)
+            for (dims, scale), runs in zip(family, cuboid_runs)
         }
 
     def _build_promotions(
-        self, state, rows, promote: list[frozenset]
+        self, state, family: dict, promote: list[frozenset]
     ) -> dict[frozenset, RankingCuboid]:
-        """Materialize the promoted sets from the priced rows, at the
-        snapshot's epoch."""
-        if not promote:
-            return {}
-        _base, built = materialize(
-            self.pool, state.grid, self.table.schema,
-            [(tuple(sorted(key)), None) for key in promote], rows,
-            with_base=False, epoch=state.epoch,
-            tracer=self.tracer,
-        )
+        """Write the promoted candidates' priced runs, at the snapshot's
+        epoch."""
+        built = {}
+        for key in promote:
+            dims, pseudo, _counts, runs = family[key]
+            built[key] = RankingCuboid.from_runs(
+                self.pool, dims, self.table.schema.cardinalities(dims),
+                state.grid, runs, scale_override=pseudo.sf, epoch=state.epoch,
+            )
         return built
 
     def _record_swap(self, report: AdvisorReport) -> None:

@@ -145,13 +145,13 @@ def repartition_cube(
             table,
             state.grid.dims,
             sorted(set().union(*state.cuboids)),
-            keep=lambda tid: tid < state.watermark,
+            keep=lambda tids: tids < state.watermark,
         )
         report.tuples = len(rows.tids)
         report.absorbed_delta = state.delta_size
 
         new_grid = partitioner.build_grid(
-            state.grid.dims, list(zip(*rows.points)), cube.block_size
+            state.grid.dims, rows.points.T.tolist(), cube.block_size
         )
         report.blocks_after = new_grid.num_blocks
         new_base, new_cuboids = materialize(

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .buffer import BufferPool
 from .device import PageCorruptionError, StorageError
 from .pages import RecordCodec, RecordPage
@@ -62,45 +64,34 @@ class HeapFile:
         self._flush_tail()
         return rids
 
-    def bulk_load(self, records: Iterable[tuple]) -> list[Rid]:
+    def bulk_load(self, records: Iterable[tuple]) -> None:
         """Sequentially load an *empty* heap in one pass, then seal it.
 
         Allocates the full extent up front (consecutive page ids) and
-        writes each fully-packed page image exactly once, in page-id
+        writes each full page's image once, packed whole, in page-id
         order — so the device meters the load as one sequential write
         stream (see ``IOStats.sequential_writes``) instead of the
         write-rewrite pattern :meth:`extend` produces while linking tail
-        pages.  The resulting pages (records, chain links, padding) are
-        byte-identical to an ``extend`` + ``seal`` of the same records.
-
-        On a non-empty heap this degrades to :meth:`extend` + :meth:`seal`
-        (the packing invariant — all pages full except the last — only
-        holds when we own the whole chain).
+        pages.  The pages are byte-identical to an ``extend`` + ``seal``
+        of the same records; a non-empty heap takes that path, since only
+        a chain we own whole has every page full but the last.
         """
         records = list(records)
         if self._page_ids or self._tail is not None:
-            rids = self.extend(records)
+            self.extend(records)
             self.seal()
-            return rids
-        if not records:
-            return []
+            return
         capacity = self.codec.capacity(self.page_size)
-        num_pages = -(-len(records) // capacity)
-        page_ids = self.pool.device.allocate_many(num_pages)
-        rids: list[Rid] = []
+        page_ids = self.pool.device.allocate_many(-(-len(records) // capacity))
         for index, page_id in enumerate(page_ids):
-            page = RecordPage(self.codec, self.page_size)
             chunk = records[index * capacity:(index + 1) * capacity]
-            for slot, record in enumerate(chunk):
-                page.append(record)
-                rids.append((index, slot))
-            if index + 1 < len(page_ids):
-                page.next_page_id = page_ids[index + 1]
-            self.pool.put(page_id, page.to_bytes())
+            following = page_ids[index + 1] if index + 1 < len(page_ids) else None
+            self.pool.put(
+                page_id, RecordPage.image(self.codec.pack(chunk), len(chunk), following)
+            )
         self._page_ids = page_ids
         self._num_records = len(records)
         self._tail = None  # already sealed: every image is final
-        return rids
 
     def seal(self) -> None:
         """Drop the in-memory tail write buffer.
@@ -146,6 +137,18 @@ class HeapFile:
         """Sequential scan yielding bare records."""
         for _rid, record in self.scan():
             yield record
+
+    def scan_array(self) -> np.ndarray:
+        """:meth:`scan` as one array of :attr:`RecordCodec.dtype`: the
+        same pages through the same pool and checks, each body decoded
+        whole by ``np.frombuffer``."""
+        tail = None if self._tail is None else len(self._page_ids) - 1
+        bodies = [
+            RecordPage.body(self._tail.to_bytes(), self.codec, self.page_size)[0]
+            if index == tail else self._read_page(index, RecordPage.body)[0]
+            for index in range(len(self._page_ids))
+        ]
+        return np.frombuffer(b"".join(bodies), self.codec.dtype)
 
     # ------------------------------------------------------------------
     # metadata
@@ -197,14 +200,18 @@ class HeapFile:
             raise StorageError(f"heap has no page {page_index}")
         if self._tail is not None and page_index == len(self._page_ids) - 1:
             return self._tail
+        return self._read_page(page_index, RecordPage.from_bytes)
+
+    def _read_page(self, page_index: int, decode):
+        """``decode(image, codec, page_size, page_id)`` of a stored page."""
         page_id = self._page_ids[page_index]
         data = self.pool.get(page_id)
         try:
-            return RecordPage.from_bytes(data, self.codec, self.page_size, page_id)
+            return decode(data, self.codec, self.page_size, page_id)
         except PageCorruptionError:
             # Quarantine-and-refetch: the cached image decoded as damaged;
             # drop the frame and re-read the stored image once.  Persistent
             # on-disk damage raises again, typed, from the refetch/decode.
             self.pool.invalidate(page_id)
             data = self.pool.get(page_id)
-            return RecordPage.from_bytes(data, self.codec, self.page_size, page_id)
+            return decode(data, self.codec, self.page_size, page_id)

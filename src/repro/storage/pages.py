@@ -20,6 +20,8 @@ import struct
 from itertools import compress, islice
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .device import PageCorruptionError, StorageError
 
 #: Page-type tags written into the header byte.
@@ -87,6 +89,13 @@ class RecordCodec:
     @property
     def record_size(self) -> int:
         return self._struct.size
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The packed little-endian NumPy dtype of :meth:`pack`'s bytes,
+        one field ``f0, f1, ...`` per format character (``q``, ``i`` and
+        ``d``, the ones in use, have struct's sizes in NumPy too)."""
+        return np.dtype([(f"f{i}", "<" + char) for i, char in enumerate(self.fmt)])
 
     def capacity(self, page_size: int) -> int:
         """How many records fit in one page of ``page_size`` bytes."""

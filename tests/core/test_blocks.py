@@ -4,6 +4,7 @@ import pickle
 import sys
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -157,12 +158,13 @@ class TestLocateMany:
         rng = random.Random(17)
         points = [(rng.uniform(-0.5, 1.5), rng.uniform(-0.5, 1.5)) for _ in range(500)]
         vectorized = grid.locate_many(points)
-        assert vectorized == [grid.locate(p) for p in points]
+        assert vectorized.dtype == np.int64
+        assert vectorized.tolist() == [grid.locate(p) for p in points]
 
     def test_boundary_semantics_match(self):
         grid = make_grid()
         points = [(0.3, 0.0), (0.6, 0.5), (1.0, 1.0), (0.0, 0.0)]
-        assert grid.locate_many(points) == [grid.locate(p) for p in points]
+        assert grid.locate_many(points).tolist() == [grid.locate(p) for p in points]
 
     def test_shape_validation(self):
         grid = make_grid()

@@ -20,36 +20,40 @@ def make_store(page_size=256, capacity=64):
     return device, pool, ChainStore(pool, RecordCodec("qi"))
 
 
+def write(store, groups):
+    """Write non-empty ``(key, records)`` groups as encoded runs, in key
+    order."""
+    store.write(
+        (key, store.codec.pack(records), len(records))
+        for key, records in sorted(groups)
+        if records
+    )
+
+
 class TestBuildGet:
     def test_roundtrip(self):
         _d, _p, store = make_store()
-        store.build([((1, 0), [(10, 0), (11, 1)]), ((2, 5), [(20, 2)])])
+        write(store, [((1, 0), [(10, 0), (11, 1)]), ((2, 5), [(20, 2)])])
         assert store.get((1, 0)) == [(10, 0), (11, 1)]
         assert store.get((2, 5)) == [(20, 2)]
 
     def test_absent_key_empty(self):
         _d, _p, store = make_store()
-        store.build([((1,), [(1, 1)])])
+        write(store, [((1,), [(1, 1)])])
         assert store.get((9,)) == []
         assert (9,) not in store
         assert (1,) in store
 
-    def test_empty_groups_skipped(self):
-        _d, _p, store = make_store()
-        store.build([((1,), []), ((2,), [(0, 0)])])
-        assert (1,) not in store
-        assert store.num_records == 1
-
     def test_long_chain_spans_pages(self):
         _d, _p, store = make_store(page_size=64)
         records = [(i, i % 7) for i in range(200)]
-        store.build([((0,), records)])
+        write(store, [((0,), records)])
         assert store.get((0,)) == records
         assert store.num_chain_pages > 1
 
     def test_build_empty(self):
         _d, _p, store = make_store()
-        store.build([])
+        write(store, [])
         assert store.num_records == 0
 
 
@@ -67,7 +71,7 @@ class TestSliceDecode:
     def build(self, groups, page_size=256):
         pool = BufferPool(BlockDevice(page_size=page_size), capacity=64)
         store = ChainStore(pool, CountingCodec("qi"))
-        store.build(groups)
+        write(store, groups)
         return pool, store
 
     def test_get_decodes_only_the_records_it_returns(self):
@@ -106,7 +110,7 @@ class TestSliceDecode:
 class TestIOBehaviour:
     def test_chain_read_is_mostly_sequential(self):
         device, pool, store = make_store(page_size=64, capacity=8)
-        store.build([((0,), [(i, 0) for i in range(300)])])
+        write(store, [((0,), [(i, 0) for i in range(300)])])
         pool.clear()
         device.reset_stats()
         store.get((0,))
@@ -115,7 +119,7 @@ class TestIOBehaviour:
 
     def test_small_chain_single_page(self):
         device, pool, store = make_store(page_size=256, capacity=8)
-        store.build([((k,), [(k, 0)]) for k in range(10)])
+        write(store, [((k,), [(k, 0)]) for k in range(10)])
         pool.clear()
         device.reset_stats()
         store.get((3,))
@@ -125,7 +129,7 @@ class TestIOBehaviour:
     def test_runs_scan_reads_each_page_once(self):
         device, pool, store = make_store(page_size=128, capacity=8)
         groups = [((k,), [(k, i) for i in range(k % 7)]) for k in range(12)]
-        store.build(groups)
+        write(store, groups)
         assert store.directory.height == 2
         pool.clear()
         device.reset_stats()
@@ -135,7 +139,7 @@ class TestIOBehaviour:
 
     def test_size_accounting(self):
         device, _pool, store = make_store()
-        store.build([((k,), [(k, 0), (k, 1)]) for k in range(20)])
+        write(store, [((k,), [(k, 0), (k, 1)]) for k in range(20)])
         expected = (
             store.num_chain_pages * device.page_size
             + store.directory.size_in_bytes
@@ -153,7 +157,7 @@ class TestRunIntegrity:
         device = BlockDevice(page_size=256)
         pool = BufferPool(device, capacity=64)
         store = ChainStore(pool, RecordCodec("qq"))
-        store.build(groups)
+        write(store, groups)
         pool.flush()
         return device, pool, store
 

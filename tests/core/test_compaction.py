@@ -17,6 +17,7 @@ from repro.core import (
 )
 from repro.ranking import LinearFunction
 from repro.relational import Database, Schema, TopKQuery, ranking_attr, selection_attr
+from repro.storage import RecordCodec
 from repro.workloads.oracle import brute_force_topk
 
 SCHEMA = Schema.of(
@@ -55,10 +56,18 @@ def build_stack(rows):
     return db, table, cube
 
 
+def encoded(codec, groups):
+    """``{key: records}`` as key-ordered runs, packed record by record."""
+    return [
+        (key, codec.pack(groups[key]), len(groups[key])) for key in sorted(groups)
+    ]
+
+
 def compact_by_full_rewrite(pool, cube):
     """The compaction the splice replaced, written out: decode every stored
-    block and cell, append the delta in tid order, re-pack it all through
-    ``from_groups``.  Assumes every delta entry is inside the grid."""
+    block and cell, append the delta in tid order, re-pack it all record
+    by record and write it through ``from_runs``.  Assumes every delta
+    entry is inside the grid."""
     state = cube.snapshot()
     grid = state.grid
     ordered = sorted(state.delta, key=lambda entry: entry[0])
@@ -68,7 +77,11 @@ def compact_by_full_rewrite(pool, cube):
         point = tuple(float(rank_values[d]) for d in grid.dims)
         bids[tid] = grid.locate(point)
         base_groups.setdefault(bids[tid], []).append((int(tid), *point))
-    base = BaseBlockTable.from_groups(pool, grid, base_groups)
+    base = BaseBlockTable.from_runs(
+        pool, grid,
+        encoded(RecordCodec("q" + "d" * grid.num_dims),
+                {(bid,): records for bid, records in base_groups.items()}),
+    )
     cuboids = {}
     for key, cuboid in state.cuboids.items():
         groups = dict(cuboid.cells())
@@ -77,8 +90,9 @@ def compact_by_full_rewrite(pool, cube):
                 cuboid.pid_of_bid(bids[tid]),
             )
             groups.setdefault(cell, []).append((int(tid), int(bids[tid])))
-        cuboids[key] = RankingCuboid.from_groups(
-            pool, cuboid.dims, cuboid.cardinalities, grid, groups,
+        cuboids[key] = RankingCuboid.from_runs(
+            pool, cuboid.dims, cuboid.cardinalities, grid,
+            encoded(RecordCodec("qi"), groups),
             scale_override=cuboid.scale_factor, epoch=cuboid.epoch + 1,
         )
     pool.flush()

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -30,19 +31,26 @@ def random_points(count=200, seed=3):
     return [(rng.random(), rng.random()) for _ in range(count)]
 
 
+def scanned(dims, sels, points):
+    """``ScannedRows`` over ``(sels, points)`` (tid = position)."""
+    count = len(points)
+    return ScannedRows(
+        tuple(dims), np.arange(count), np.array(points, np.float64),
+        np.array(sels, np.int64).reshape(count, len(dims)),
+    )
+
+
 def build_table(pool, grid, points):
     """The base block table over ``points`` (tid = position)."""
-    rows = ScannedRows((), list(range(len(points))), points, [()] * len(points))
-    base_groups, _cuboids = group_rows(grid, [], rows)
-    return BaseBlockTable.from_groups(pool, grid, base_groups)
+    base_runs, _cuboids = group_rows(grid, [], scanned((), [], points))
+    return BaseBlockTable.from_runs(pool, grid, base_runs)
 
 
 def build_cuboid(pool, grid, dims, cards, sels, points):
     """The cuboid on ``dims`` over ``(sels, points)`` (tid = position)."""
-    rows = ScannedRows(tuple(dims), list(range(len(points))), points, sels)
     family = [(tuple(dims), scale_factor(cards, grid.num_dims))]
-    _base, (groups,) = group_rows(grid, family, rows)
-    return RankingCuboid.from_groups(pool, dims, cards, grid, groups)
+    _base, (runs,) = group_rows(grid, family, scanned(dims, sels, points))
+    return RankingCuboid.from_runs(pool, dims, cards, grid, runs)
 
 
 class TestBaseBlockTable:

@@ -4,12 +4,14 @@ groups rows into store records)."""
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.cube import ScannedRows, group_rows, resolve_scales
 from repro.core.partition import EquiDepthPartitioner
 from repro.relational import Schema, ranking_attr, selection_attr
 from repro.shard.map import shard_ranges
+from repro.storage import RecordCodec
 
 SCHEMA = Schema.of(
     [selection_attr("a1", 3), selection_attr("a2", 4)]
@@ -66,17 +68,17 @@ class TestGroupRows:
         tids = rng.sample(range(10 * count), count)
         points = [(rng.random(), rng.random()) for _ in range(count)]
         sel_rows = [(rng.randrange(3), rng.randrange(4)) for _ in range(count)]
-        rows = ScannedRows(("a1", "a2"), tids, points, sel_rows)
+        rows = ScannedRows(
+            ("a1", "a2"), np.array(tids), np.array(points), np.array(sel_rows)
+        )
         grid = _grid(points)
         family = resolve_scales(grid, SCHEMA, [(("a1",), None), (("a1", "a2"), None)])
         base, cuboids = group_rows(grid, family, rows)
         position = {tid: i for i, tid in enumerate(tids)}
-        assert sum(map(len, base.values())) == count
-        for records in base.values():
-            order = [position[r[0]] for r in records]
-            assert order == sorted(order)
-        for groups in cuboids:
-            assert sum(map(len, groups.values())) == count
-            for pairs in groups.values():
-                order = [position[tid] for tid, _bid in pairs]
+        for runs, codec in [(base, RecordCodec("qdd"))] + [
+            (runs, RecordCodec("qi")) for runs in cuboids
+        ]:
+            assert sum(n for _key, _data, n in runs) == count
+            for _key, data, size in runs:
+                order = [position[r[0]] for r in codec.unpack(data, size)]
                 assert order == sorted(order)

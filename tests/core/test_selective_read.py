@@ -8,6 +8,7 @@ full read filtered by ``tids`` (same records, same order).
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core import BaseBlockTable, BlockGrid
@@ -25,8 +26,10 @@ def build_table(seed=11, count=400, page_size=256):
     device = BlockDevice(page_size=page_size)
     pool = BufferPool(device, capacity=256)
     tids = rng.sample(range(10 * count), count)
-    rows = ScannedRows((), tids, points, [()] * count)
-    table = BaseBlockTable.from_groups(pool, grid, group_rows(grid, [], rows)[0])
+    rows = ScannedRows(
+        (), np.array(tids), np.array(points), np.empty((count, 0), np.int64)
+    )
+    table = BaseBlockTable.from_runs(pool, grid, group_rows(grid, [], rows)[0])
     pool.flush()
     return device, pool, table
 

@@ -16,12 +16,15 @@ test fails when a second copy grows back:
   the compactor's, the advisor's and the daemon's modules.
 
 The build has one path too: ``repro.core.cube.group_rows`` is the only
-code that groups rows for a store.  The process-pool build
-(``repro.core.parallel``) and the ``workers=`` knob that picked it are
-gone, and this test fails when either grows back: the module imports,
+code that groups rows for a store, and every store is written from the
+encoded runs it returns.  The process-pool build
+(``repro.core.parallel``), the ``workers=`` knob that picked it and the
+per-record path (``ChainStore.build`` over grouped record lists) are
+gone, and this test fails when any grows back: the module imports,
 ``locate_many(`` is called outside ``group_rows``, a
-``ProcessPoolExecutor`` appears under ``core/``, or a build entry point
-takes ``workers``.
+``ProcessPoolExecutor`` appears under ``core/``, a build entry point
+takes ``workers``, ``ChainStore`` has a ``build`` again, or code under
+``core/`` calls a ``pack`` (``RecordCodec.pack`` per record).
 """
 
 import ast
@@ -33,7 +36,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.core import FragmentedRankingCube, RankingCube
+from repro.core import ChainStore, FragmentedRankingCube, RankingCube
 from repro.core.cube import group_rows, materialize
 from repro.shard.builder import build_sharded
 from repro.workloads.synthetic import generate
@@ -117,6 +120,17 @@ def test_one_build_path():
         if "ProcessPoolExecutor" in path.read_text()
     ]
     assert pools == []
+
+    assert not hasattr(ChainStore, "build")
+    packers = [
+        f"{path.relative_to(PACKAGE).as_posix()}:{node.lineno}"
+        for path in sorted((PACKAGE / "core").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "pack"
+    ]
+    assert packers == []
 
     builders = (
         RankingCube.build, FragmentedRankingCube.build_fragments,

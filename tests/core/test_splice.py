@@ -1,9 +1,9 @@
-"""Property: :meth:`ChainStore.splice` writes the image :meth:`ChainStore.build`
-writes for the decoded union, page image for page image.
+"""Property: :meth:`ChainStore.splice` writes the image :meth:`ChainStore.write`
+writes for the encoded union, page image for page image.
 
 Each case builds the same old store on two devices, then on one device
-builds the union ``old + additions`` from decoded records and on the other
-splices the additions onto the old store's runs.  The two devices must end
+writes the union ``old + additions`` encoded afresh and on the other
+splices the encoded additions onto the old store's runs.  The two devices must end
 with the same pages in the same order: record pages and directory pages,
 allocation order included.
 """
@@ -43,6 +43,15 @@ def _images(device):
     return [device.read(page_id) for page_id in range(device.num_pages)]
 
 
+def _encoded(codec, groups):
+    """Non-empty ``{key: records}`` groups as key-ordered encoded runs."""
+    return [
+        (key, codec.pack(groups[key]), len(groups[key]))
+        for key in sorted(groups)
+        if groups[key]
+    ]
+
+
 def built_and_spliced(codec, old, additions):
     """Device images of (build of the union, splice onto old) stores."""
     old = {(k,): v for k, v in old.items()}
@@ -56,12 +65,12 @@ def built_and_spliced(codec, old, additions):
         device = BlockDevice(page_size=PAGE_SIZE)
         pool = BufferPool(device, capacity=16)
         previous = ChainStore(pool, codec)
-        previous.build(old.items())
+        previous.write(_encoded(codec, old))
         store = ChainStore(pool, codec)
         if splice:
-            store.splice(previous.runs(), additions)
+            store.splice(previous.runs(), _encoded(codec, additions))
         else:
-            store.build(union.items())
+            store.write(_encoded(codec, union))
         pool.flush()
         assert store.num_records == sum(map(len, union.values()))
         # the in-memory counts the cost model walks, on either path

@@ -208,4 +208,4 @@ def test_buffer_pool_matches_lru_model(accesses, capacity):
 )
 def test_locate_many_equals_locate(edges1, edges2, points):
     grid = BlockGrid(("x", "y"), (tuple(edges1), tuple(edges2)))
-    assert grid.locate_many(points) == [grid.locate(p) for p in points]
+    assert grid.locate_many(points).tolist() == [grid.locate(p) for p in points]

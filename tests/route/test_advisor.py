@@ -180,7 +180,7 @@ class TestObjective:
         q = query({"a3": 5, "a4": 7}, k=10)
         advisor = CubeAdvisor(cube, table, db.pool, min_observations=1)
         state = cube.snapshot()
-        _rows, priced = advisor._price_candidates(state, [key])
+        priced = advisor._price_candidates(state, [key])
         before_install = estimate_cube_pages(state, [priced[key]], q)
 
         advisor.observe(q)

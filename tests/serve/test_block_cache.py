@@ -24,6 +24,7 @@ import random
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.core import BaseBlockTable, BlockGrid, RankingCube, RankingCubeExecutor
@@ -126,8 +127,11 @@ def test_an_unpickled_table_draws_a_fresh_uid():
     pool = BufferPool(BlockDevice(page_size=256), capacity=16)
 
     def build(tids, points):
-        rows = ScannedRows((), tids, points, [()] * len(tids))
-        return BaseBlockTable.from_groups(pool, grid, group_rows(grid, [], rows)[0])
+        rows = ScannedRows(
+            (), np.array(tids), np.array(points),
+            np.empty((len(tids), 0), np.int64),
+        )
+        return BaseBlockTable.from_runs(pool, grid, group_rows(grid, [], rows)[0])
 
     original = build([0, 1], [(0.1, 0.2), (0.7, 0.9)])
     blob = pickle.dumps(original)
